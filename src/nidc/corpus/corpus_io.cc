@@ -2,7 +2,7 @@
 
 #include <cmath>
 #include <fstream>
-#include <sstream>
+#include <functional>
 
 #include "nidc/util/string_util.h"
 
@@ -54,16 +54,20 @@ Status SaveRawDocuments(const std::string& path,
   return AtomicWriteFile(env, path, contents);
 }
 
-Result<std::vector<RawDocument>> LoadRawDocuments(
-    const std::string& path, const CorpusReadOptions& options,
-    CorpusReadStats* stats) {
+namespace {
+
+// The one record loop behind both loaders: parses `path` line by line and
+// hands each well-formed record to `sink` as soon as it is read, so a
+// caller that consumes records immediately never holds the whole file.
+Status ReadRecords(const std::string& path, const CorpusReadOptions& options,
+                   CorpusReadStats* stats,
+                   const std::function<void(RawDocument&&)>& sink) {
   CorpusReadStats local;
   if (stats == nullptr) stats = &local;
   *stats = CorpusReadStats();
 
   std::ifstream in(path);
   if (!in) return Status::IOError("cannot open " + path + " for reading");
-  std::vector<RawDocument> docs;
   std::string line;
   size_t lineno = 0;
   while (std::getline(in, line)) {
@@ -79,21 +83,32 @@ Result<std::vector<RawDocument>> LoadRawDocuments(
       continue;
     }
     ++stats->records_read;
-    docs.push_back(std::move(parsed).value());
+    sink(std::move(parsed).value());
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::vector<RawDocument>> LoadRawDocuments(
+    const std::string& path, const CorpusReadOptions& options,
+    CorpusReadStats* stats) {
+  std::vector<RawDocument> docs;
+  NIDC_RETURN_NOT_OK(
+      ReadRecords(path, options, stats, [&docs](RawDocument&& doc) {
+        docs.push_back(std::move(doc));
+      }));
   return docs;
 }
 
 Result<std::unique_ptr<Corpus>> LoadCorpus(const std::string& path,
                                            const CorpusReadOptions& options,
                                            CorpusReadStats* stats) {
-  Result<std::vector<RawDocument>> raw =
-      LoadRawDocuments(path, options, stats);
-  if (!raw.ok()) return raw.status();
   auto corpus = std::make_unique<Corpus>();
-  for (const RawDocument& doc : raw.value()) {
-    corpus->AddText(doc.text, doc.time, doc.topic, doc.source);
-  }
+  NIDC_RETURN_NOT_OK(ReadRecords(
+      path, options, stats, [&corpus](RawDocument&& doc) {
+        corpus->AddText(doc.text, doc.time, doc.topic, std::move(doc.source));
+      }));
   return corpus;
 }
 

@@ -64,6 +64,9 @@ Result<std::vector<RawDocument>> LoadRawDocuments(
     CorpusReadStats* stats = nullptr);
 
 /// Loads raw documents and analyzes them into a fresh corpus, in file order.
+/// Records stream straight from the file into the corpus (no intermediate
+/// document vector); errors and `stats` behave exactly as in
+/// LoadRawDocuments.
 Result<std::unique_ptr<Corpus>> LoadCorpus(
     const std::string& path, const CorpusReadOptions& options = {},
     CorpusReadStats* stats = nullptr);

@@ -101,6 +101,11 @@ std::string TenantListJson(ShardService* service,
               static_cast<uint64_t>(service->threads_per_shard()));
   builder.AddRaw("queue_depths", queues);
   builder.AddRaw("tenants", tenants);
+  // The startup reopen (shard.recovery.seconds / shard.recovery.tenants).
+  obs::JsonObjectBuilder recovery;
+  recovery.Add("seconds", service->recovery_seconds());
+  recovery.Add("tenants", static_cast<uint64_t>(service->recovered_tenants()));
+  builder.AddRaw("recovery", recovery.Render());
   if (tracer != nullptr) {
     // The aggregate per-tenant stage waterfall (the /statusz view).
     builder.AddRaw("pipeline", tracer->RenderWaterfallJson());

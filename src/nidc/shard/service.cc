@@ -80,25 +80,7 @@ Status ShardService::Init() {
   NIDC_RETURN_NOT_OK(env->CreateDir(options_.root));
   NIDC_RETURN_NOT_OK(env->CreateDir(options_.root + "/tenants"));
 
-  // Reopen every tenant directory before traffic starts: crash recovery
-  // happens here, single-threaded, so the workers only ever see healthy
-  // (or explicitly failed) tenants.
-  Result<std::vector<std::string>> entries =
-      env->ListDir(options_.root + "/tenants");
-  if (!entries.ok()) return entries.status();
-  for (const std::string& name : *entries) {
-    if (!ValidateTenantName(name).ok()) continue;
-    if (!env->FileExists(TenantDir(name) + "/TENANT.json")) continue;
-    Result<std::unique_ptr<Tenant>> tenant =
-        Tenant::Open(name, TenantDir(name), MakeRuntime());
-    if (!tenant.ok()) return tenant.status();
-    Entry entry;
-    entry.tenant = std::shared_ptr<Tenant>(std::move(tenant).value());
-    entry.shard = ShardOf(name);
-    tenants_.emplace(name, std::move(entry));
-  }
-  metrics_->GetGauge("shard.tenants")
-      ->Set(static_cast<double>(tenants_.size()));
+  metrics_->GetGauge("shard.tenants")->Set(0.0);
   metrics_->GetGauge("shard.shards")->Set(static_cast<double>(num_shards));
   // Register the whole family eagerly so a /metricsz scrape (and
   // `nidc_metrics_check --shard-snapshot`) sees every shard.* series
@@ -109,6 +91,8 @@ Status ShardService::Init() {
   metrics_->GetCounter("shard.ingest.failed");
   metrics_->GetCounter("shard.ingest.dropped");
   metrics_->GetCounter("shard.steps");
+  metrics_->GetGauge("shard.recovery.seconds")->Set(0.0);
+  metrics_->GetCounter("shard.recovery.tenants");
   metrics_->GetHistogram("shard.ingest.latency_seconds",
                          kLatencyBucketsSeconds);
   for (size_t i = 0; i < num_shards; ++i) {
@@ -119,7 +103,66 @@ Status ShardService::Init() {
   for (size_t i = 0; i < num_shards; ++i) {
     shards_[i]->worker = std::thread([this, i] { WorkerLoop(i); });
   }
-  return Status::OK();
+  return RecoverTenants(env);
+}
+
+Status ShardService::RecoverTenants(Env* env) {
+  Result<std::vector<std::string>> entries =
+      env->ListDir(options_.root + "/tenants");
+  if (!entries.ok()) return entries.status();
+  std::vector<std::vector<std::string>> names(shards_.size());
+  for (const std::string& name : *entries) {
+    if (!ValidateTenantName(name).ok()) continue;
+    if (!env->FileExists(TenantDir(name) + "/TENANT.json")) continue;
+    names[ShardOf(name)].push_back(name);
+  }
+
+  // One job per non-empty shard reopens that shard's tenants in name
+  // order, on the worker that will own them; the shards run in parallel.
+  // A shard stops at its first failure, so it records its lowest-named
+  // failing tenant.
+  struct Failure {
+    std::string name;
+    Status status;
+  };
+  std::vector<Failure> failures(shards_.size());
+  const double start = NowSeconds();
+  std::vector<std::future<Status>> jobs;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (names[i].empty()) continue;
+    std::sort(names[i].begin(), names[i].end());
+    jobs.push_back(PostToShard(
+        i, [this, i, shard_names = std::move(names[i]),
+            &failures]() -> Status {
+          for (const std::string& name : shard_names) {
+            Status opened = OpenOnShard(name, i);
+            if (!opened.ok()) {
+              failures[i] = {name, opened};
+              return opened;
+            }
+          }
+          return Status::OK();
+        }));
+  }
+  // Wait for every job before looking at any result, so neither traffic
+  // nor teardown ever meets a half-recovered service.
+  for (std::future<Status>& job : jobs) job.get();
+  recovery_seconds_ = NowSeconds() - start;
+  recovered_tenants_ = TenantNames().size();
+  metrics_->GetGauge("shard.recovery.seconds")->Set(recovery_seconds_);
+  metrics_->GetCounter("shard.recovery.tenants")
+      ->Increment(recovered_tenants_);
+
+  // Of several failing tenants the lowest-named one's error is reported,
+  // whichever shard finished first.
+  const Failure* first = nullptr;
+  for (const Failure& failure : failures) {
+    if (!failure.status.ok() &&
+        (first == nullptr || failure.name < first->name)) {
+      first = &failure;
+    }
+  }
+  return first == nullptr ? Status::OK() : first->status;
 }
 
 size_t ShardService::ShardOf(const std::string& name) const {
@@ -236,25 +279,54 @@ int ShardService::RetryAfterHintSeconds(size_t shard_index) const {
   return static_cast<int>(clamped);
 }
 
+std::future<Status> ShardService::PostToShard(size_t shard_index,
+                                              std::function<Status()> fn) {
+  auto done = std::make_shared<std::promise<Status>>();
+  std::future<Status> result = done->get_future();
+  Shard& shard = *shards_[shard_index];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  if (shard.stopping) {
+    done->set_value(Status::FailedPrecondition("service is stopping"));
+    return result;
+  }
+  Job job;
+  job.call = [fn = std::move(fn), done] { done->set_value(fn()); };
+  shard.queue.push_back(std::move(job));
+  shard.cv.notify_one();
+  return result;
+}
+
 Status ShardService::RunOnShard(size_t shard_index,
                                 std::function<Status()> fn) {
   if (shard_index >= shards_.size()) {
     return Status::InvalidArgument("no such shard");
   }
-  std::promise<Status> done;
-  std::future<Status> result = done.get_future();
+  return PostToShard(shard_index, std::move(fn)).get();
+}
+
+void ShardService::AddTenant(const std::string& name, size_t shard,
+                             std::unique_ptr<Tenant> tenant) {
+  Entry entry;
+  entry.tenant = std::shared_ptr<Tenant>(std::move(tenant));
+  entry.shard = shard;
+  std::lock_guard<std::mutex> lock(mu_);
+  tenants_.emplace(name, std::move(entry));
+  metrics_->GetGauge("shard.tenants")
+      ->Set(static_cast<double>(tenants_.size()));
+}
+
+Status ShardService::OpenOnShard(const std::string& name, size_t shard) {
   {
-    Shard& shard = *shards_[shard_index];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.stopping) {
-      return Status::FailedPrecondition("service is stopping");
+    std::lock_guard<std::mutex> lock(mu_);
+    if (tenants_.count(name) != 0) {
+      return Status::AlreadyExists("tenant " + name + " is already open");
     }
-    Job job;
-    job.call = [fn = std::move(fn), &done] { done.set_value(fn()); };
-    shard.queue.push_back(std::move(job));
-    shard.cv.notify_one();
   }
-  return result.get();
+  Result<std::unique_ptr<Tenant>> tenant =
+      Tenant::Open(name, TenantDir(name), MakeRuntime());
+  if (!tenant.ok()) return tenant.status();
+  AddTenant(name, shard, std::move(tenant).value());
+  return Status::OK();
 }
 
 Status ShardService::CreateTenant(const std::string& name,
@@ -272,13 +344,7 @@ Status ShardService::CreateTenant(const std::string& name,
     Result<std::unique_ptr<Tenant>> tenant =
         Tenant::Create(name, TenantDir(name), config, MakeRuntime());
     if (!tenant.ok()) return tenant.status();
-    Entry entry;
-    entry.tenant = std::shared_ptr<Tenant>(std::move(tenant).value());
-    entry.shard = shard;
-    std::lock_guard<std::mutex> lock(mu_);
-    tenants_.emplace(name, std::move(entry));
-    metrics_->GetGauge("shard.tenants")
-        ->Set(static_cast<double>(tenants_.size()));
+    AddTenant(name, shard, std::move(tenant).value());
     return Status::OK();
   });
 }
@@ -286,24 +352,8 @@ Status ShardService::CreateTenant(const std::string& name,
 Status ShardService::OpenTenant(const std::string& name) {
   NIDC_RETURN_NOT_OK(ValidateTenantName(name));
   const size_t shard = ShardOf(name);
-  return RunOnShard(shard, [this, name, shard]() -> Status {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (tenants_.count(name) != 0) {
-        return Status::AlreadyExists("tenant " + name + " is already open");
-      }
-    }
-    Result<std::unique_ptr<Tenant>> tenant =
-        Tenant::Open(name, TenantDir(name), MakeRuntime());
-    if (!tenant.ok()) return tenant.status();
-    Entry entry;
-    entry.tenant = std::shared_ptr<Tenant>(std::move(tenant).value());
-    entry.shard = shard;
-    std::lock_guard<std::mutex> lock(mu_);
-    tenants_.emplace(name, std::move(entry));
-    metrics_->GetGauge("shard.tenants")
-        ->Set(static_cast<double>(tenants_.size()));
-    return Status::OK();
+  return RunOnShard(shard, [this, name, shard] {
+    return OpenOnShard(name, shard);
   });
 }
 
@@ -407,18 +457,8 @@ Result<std::string> ShardService::StateDigest(const std::string& name) {
 
 void ShardService::Drain() {
   std::vector<std::future<Status>> barriers;
-  std::vector<std::shared_ptr<std::promise<Status>>> promises;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    auto done = std::make_shared<std::promise<Status>>();
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.stopping) continue;
-    Job job;
-    job.call = [done] { done->set_value(Status::OK()); };
-    shard.queue.push_back(std::move(job));
-    shard.cv.notify_one();
-    barriers.push_back(done->get_future());
-    promises.push_back(done);
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    barriers.push_back(PostToShard(i, [] { return Status::OK(); }));
   }
   for (auto& barrier : barriers) barrier.get();
 }

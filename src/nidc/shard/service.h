@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -79,9 +80,13 @@ struct TenantInfo {
 
 class ShardService {
  public:
-  /// Creates the root layout, reopens every tenant directory found under
-  /// `<root>/tenants/` (crash recovery happens here, before traffic),
-  /// and starts the shard workers.
+  /// Creates the root layout, starts the shard workers and reopens every
+  /// tenant directory found under `<root>/tenants/` before returning, so
+  /// traffic never meets a half-recovered service. Crash recovery runs on
+  /// the owning shard workers: each shard reopens its own tenants, in
+  /// name order, in parallel with the other shards and with its K-means
+  /// budget of threads_per_shard. When tenants fail to reopen, Start
+  /// returns the error of the lowest-named one.
   static Result<std::unique_ptr<ShardService>> Start(
       ShardServiceOptions options);
 
@@ -142,6 +147,11 @@ class ShardService {
   /// rate. Falls back to 1 before enough completions have been observed.
   int RetryAfterHintSeconds(size_t shard) const;
 
+  /// Wall time of the startup reopen and the tenants it recovered (the
+  /// `shard.recovery.seconds` gauge and `shard.recovery.tenants` counter).
+  double recovery_seconds() const { return recovery_seconds_; }
+  size_t recovered_tenants() const { return recovered_tenants_; }
+
   size_t num_shards() const { return shards_.size(); }
   size_t threads_per_shard() const { return threads_per_shard_; }
   const std::string& root() const { return options_.root; }
@@ -185,10 +195,21 @@ class ShardService {
   explicit ShardService(ShardServiceOptions options);
 
   Status Init();
+  /// The startup reopen: one job per non-empty shard, awaited.
+  Status RecoverTenants(Env* env);
   void WorkerLoop(size_t shard_index);
   void RunIngestJob(size_t shard_index, Job& job);
+  /// Queues `fn` on shard `shard_index` (which must exist) as a control
+  /// job; the future yields its Status, or FailedPrecondition when the
+  /// service is stopping.
+  std::future<Status> PostToShard(size_t shard_index,
+                                  std::function<Status()> fn);
   /// Runs `fn` on shard `shard_index` and waits for it.
   Status RunOnShard(size_t shard_index, std::function<Status()> fn);
+  /// Reopens `name` from disk and adds it; runs on the owning shard.
+  Status OpenOnShard(const std::string& name, size_t shard);
+  void AddTenant(const std::string& name, size_t shard,
+                 std::unique_ptr<Tenant> tenant);
   TenantRuntime MakeRuntime() const;
   std::string TenantDir(const std::string& name) const;
   double NowSeconds() const;
@@ -198,6 +219,8 @@ class ShardService {
   obs::MetricsRegistry* metrics_ = nullptr;
   size_t threads_per_shard_ = 1;
   std::vector<std::unique_ptr<Shard>> shards_;
+  double recovery_seconds_ = 0.0;
+  size_t recovered_tenants_ = 0;
 
   mutable std::mutex mu_;  // tenant map
   std::unordered_map<std::string, Entry> tenants_;

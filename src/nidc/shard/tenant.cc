@@ -80,7 +80,8 @@ Tenant::Tenant(std::string name, std::string dir, TenantConfig config,
       config_(config),
       runtime_(runtime),
       batcher_(config.start_time, config.step_days),
-      last_time_(config.start_time) {
+      last_time_(config.start_time),
+      now_(config.start_time) {
   events_ = std::make_unique<obs::EventLog>(256, &metrics_);
   obs::ClusterHealthOptions health_options;
   health_options.metrics = &metrics_;
@@ -193,6 +194,7 @@ Status Tenant::Boot(std::unique_ptr<Corpus> corpus, bool fresh) {
     }
     NIDC_RETURN_NOT_OK(StepWindows(closed));
   }
+  PublishProgress();
 
   // Append handle for future ingest; created fresh for a new tenant.
   Result<std::unique_ptr<WritableFile>> file =
@@ -272,7 +274,9 @@ Status Tenant::Ingest(const std::vector<RawDocument>& docs,
         ->Increment(sanitized.size());
   }
   metrics_.GetCounter("shard.tenant.docs")->Increment(sanitized.size());
-  return StepWindows(closed);
+  const Status stepped = StepWindows(closed);
+  PublishProgress();
+  return stepped;
 }
 
 Status Tenant::FlushUntil(DayTime until) {
@@ -286,7 +290,9 @@ Status Tenant::FlushUntil(DayTime until) {
   }
   std::vector<DocumentBatch> closed;
   batcher_.FlushUntil(until, &closed);
-  return StepWindows(closed);
+  const Status stepped = StepWindows(closed);
+  PublishProgress();
+  return stepped;
 }
 
 Status Tenant::StepWindows(std::vector<DocumentBatch>& closed) {
@@ -386,7 +392,10 @@ std::string Tenant::StateDigest() const {
   return SerializeState(CaptureState(durable_->clusterer()));
 }
 
-uint64_t Tenant::steps_applied() const { return durable_->applied_steps(); }
+void Tenant::PublishProgress() {
+  now_ = batcher_.cursor();
+  steps_applied_ = durable_->applied_steps();
+}
 
 const RecoveryInfo& Tenant::recovery() const { return durable_->recovery(); }
 

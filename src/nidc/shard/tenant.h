@@ -15,18 +15,22 @@
 //   store/        — the DurableClusterer's WAL + generation snapshots.
 //
 // Reopen (Tenant::Open) recovers bit-identically: LoadCorpus re-analyzes
-// corpus.tsv in file order (ids are stable because appends are ordered),
-// DurableClusterer::Open restores the newest durable state, and the
-// TimeBatcher seeks to the recovered clock; documents the WAL had not yet
-// stepped (time >= recovered clock — an invariant, since a stepped
-// document's time is strictly below its window end) are re-primed into
-// the open window, re-running any window that closed but never reached
-// the WAL. A crash between the corpus append and the WAL append therefore
-// heals instead of diverging.
+// corpus.tsv in file order, streaming it line by line (ids are stable
+// because appends are ordered), DurableClusterer::Open restores the newest
+// durable state, and the TimeBatcher seeks to the recovered clock;
+// documents the WAL had not yet stepped (time >= recovered clock — an
+// invariant, since a stepped document's time is strictly below its window
+// end) are re-primed into the open window, re-running any window that
+// closed but never reached the WAL. A crash between the corpus append and
+// the WAL append therefore heals instead of diverging. The service runs
+// Open on the tenant's owning shard worker — at startup every shard
+// recovers its own tenants in parallel with the others — so the thread
+// that rebuilds a tenant is the one that will own it.
 
 #ifndef NIDC_SHARD_TENANT_H_
 #define NIDC_SHARD_TENANT_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -132,12 +136,15 @@ class Tenant {
 
   const std::string& name() const { return name_; }
   const TenantConfig& config() const { return config_; }
+  // The four accessors below are safe from any thread: the owner
+  // publishes them after Boot, Ingest and FlushUntil (and failed_ as soon
+  // as storage fails).
   /// Storage hit an unknown state; the tenant refuses further work.
   bool failed() const { return failed_; }
   /// Start of the open (not yet stepped) window.
-  DayTime now() const { return batcher_.cursor(); }
+  DayTime now() const { return now_; }
   uint64_t docs_ingested() const { return docs_ingested_; }
-  uint64_t steps_applied() const;
+  uint64_t steps_applied() const { return steps_applied_; }
   /// Windows skipped because they were empty with no active documents.
   uint64_t empty_windows_skipped() const { return empty_windows_skipped_; }
   const RecoveryInfo& recovery() const;
@@ -163,6 +170,11 @@ class Tenant {
 
   void PublishStep(const DocumentBatch& window, const StepResult& result);
 
+  /// Copies the batcher clock and the applied step count into the
+  /// atomics the cross-thread accessors read; called after every
+  /// StepWindows.
+  void PublishProgress();
+
   std::string name_;
   std::string dir_;
   TenantConfig config_;
@@ -179,10 +191,13 @@ class Tenant {
   TimeBatcher batcher_;
   /// Newest ingested document time; the chronological floor.
   DayTime last_time_ = 0.0;
-  uint64_t docs_ingested_ = 0;
   uint64_t empty_windows_skipped_ = 0;
-  bool failed_ = false;
   bool closed_ = false;
+  // Written only by the owner, read from any thread.
+  std::atomic<uint64_t> docs_ingested_{0};
+  std::atomic<uint64_t> steps_applied_{0};
+  std::atomic<DayTime> now_{0.0};
+  std::atomic<bool> failed_{false};
 };
 
 }  // namespace nidc::shard

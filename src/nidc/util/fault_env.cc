@@ -6,23 +6,24 @@ namespace nidc {
 
 /// Buffers appends in memory and only forwards them to the base file on
 /// Sync()/clean Close(), so FaultInjectionEnv can decide how much unsynced
-/// data "survives" a simulated crash.
+/// data "survives" a simulated crash. Every method holds the env's mutex
+/// while it touches the buffer or the base file, since a crash fired on
+/// another thread resolves this file's buffer too.
 class FaultWritableFile : public WritableFile {
  public:
   FaultWritableFile(FaultInjectionEnv* env,
                     std::unique_ptr<WritableFile> base)
       : env_(env), base_(std::move(base)) {
+    std::lock_guard<std::mutex> lock(env_->mu_);
     env_->open_files_.insert(this);
   }
 
-  ~FaultWritableFile() override {
-    Close();
-    Detach();
-  }
+  ~FaultWritableFile() override { Close(); }
 
   Status Append(std::string_view data) override {
+    std::lock_guard<std::mutex> lock(env_->mu_);
     pending_in_flight_ = data;  // visible to the crash-flush policy
-    const Status guard = env_->GuardOp();
+    const Status guard = env_->GuardOpLocked();
     pending_in_flight_ = {};
     if (!guard.ok()) return guard;
     pending_.append(data);
@@ -30,20 +31,22 @@ class FaultWritableFile : public WritableFile {
   }
 
   Status Sync() override {
-    NIDC_RETURN_NOT_OK(env_->GuardOp());
+    std::lock_guard<std::mutex> lock(env_->mu_);
+    NIDC_RETURN_NOT_OK(env_->GuardOpLocked());
     NIDC_RETURN_NOT_OK(FlushPending());
     return base_->Sync();
   }
 
   Status Close() override {
     if (base_ == nullptr) return Status::OK();
-    Status st = env_->GuardOp();
+    std::lock_guard<std::mutex> lock(env_->mu_);
+    Status st = env_->GuardOpLocked();
     if (st.ok()) st = FlushPending();
     // After a crash the unsynced buffer is dropped (or already resolved by
     // the crash-flush policy); the base handle is still released.
     const Status closed = base_->Close();
     base_ = nullptr;
-    Detach();
+    env_->open_files_.erase(this);
     return st.ok() ? closed : st;
   }
 
@@ -60,6 +63,7 @@ class FaultWritableFile : public WritableFile {
   /// Crash-time resolution of buffered bytes, per the armed policy. The
   /// in-flight append (if the crash fired mid-Append) is included, since a
   /// real torn write can persist part of the very write that crashed.
+  /// Runs under the env's mutex, on whichever thread fired the crash.
   void ResolveCrash(CrashFlush flush) {
     if (base_ == nullptr) return;
     std::string unsynced = pending_;
@@ -85,13 +89,6 @@ class FaultWritableFile : public WritableFile {
     }
   }
 
-  void Detach() {
-    if (env_ != nullptr) {
-      env_->open_files_.erase(this);
-      env_ = nullptr;
-    }
-  }
-
   FaultInjectionEnv* env_;
   std::unique_ptr<WritableFile> base_;
   std::string pending_;                 // appended, not yet synced
@@ -101,27 +98,45 @@ class FaultWritableFile : public WritableFile {
 FaultInjectionEnv::~FaultInjectionEnv() {
   // Orphan any files that outlive the env (they keep working against the
   // base file but stop consulting the injection state).
+  std::lock_guard<std::mutex> lock(mu_);
   for (FaultWritableFile* file : open_files_) file->env_ = nullptr;
 }
 
 void FaultInjectionEnv::ArmCrashAtOp(uint64_t nth, CrashFlush flush) {
+  std::lock_guard<std::mutex> lock(mu_);
   countdown_ = nth;
   flush_ = flush;
 }
 
-Status FaultInjectionEnv::GuardOp() {
+void FaultInjectionEnv::Disarm() {
+  std::lock_guard<std::mutex> lock(mu_);
+  countdown_ = 0;
+}
+
+bool FaultInjectionEnv::crashed() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return crashed_;
+}
+
+uint64_t FaultInjectionEnv::ops_issued() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ops_issued_;
+}
+
+Status FaultInjectionEnv::GuardOpLocked() {
   if (crashed_) return Dead();
   ++ops_issued_;
   if (countdown_ > 0 && --countdown_ == 0) {
     crashed_ = true;
-    FlushSurvivors();
+    for (FaultWritableFile* file : open_files_) file->ResolveCrash(flush_);
     return Dead();
   }
   return Status::OK();
 }
 
-void FaultInjectionEnv::FlushSurvivors() {
-  for (FaultWritableFile* file : open_files_) file->ResolveCrash(flush_);
+Status FaultInjectionEnv::GuardOp() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return GuardOpLocked();
 }
 
 Result<std::unique_ptr<WritableFile>> FaultInjectionEnv::NewWritableFile(
@@ -135,7 +150,7 @@ Result<std::unique_ptr<WritableFile>> FaultInjectionEnv::NewWritableFile(
 
 Result<std::string> FaultInjectionEnv::ReadFileToString(
     const std::string& path) {
-  if (crashed_) return Dead();
+  if (crashed()) return Dead();
   return base_->ReadFileToString(path);
 }
 
@@ -153,7 +168,7 @@ Status FaultInjectionEnv::RemoveFile(const std::string& path) {
 }
 
 bool FaultInjectionEnv::FileExists(const std::string& path) {
-  return !crashed_ && base_->FileExists(path);
+  return !crashed() && base_->FileExists(path);
 }
 
 Status FaultInjectionEnv::CreateDir(const std::string& path) {
@@ -163,7 +178,7 @@ Status FaultInjectionEnv::CreateDir(const std::string& path) {
 
 Result<std::vector<std::string>> FaultInjectionEnv::ListDir(
     const std::string& path) {
-  if (crashed_) return Dead();
+  if (crashed()) return Dead();
   return base_->ListDir(path);
 }
 

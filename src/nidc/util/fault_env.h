@@ -19,11 +19,17 @@
 // Close()). After a crash, a *fresh* Env reading the same paths sees
 // exactly the surviving bytes, so recovery code can be exercised against
 // every reachable on-disk state.
+//
+// The env is safe to share across threads (the shard workers of one
+// service do): one mutex guards the countdown, the crash flag, the op
+// count, the open-file set and every writable file's buffer, so a crash
+// fired by one thread resolves the buffers of files other threads write.
 
 #ifndef NIDC_UTIL_FAULT_ENV_H_
 #define NIDC_UTIL_FAULT_ENV_H_
 
 #include <cstdint>
+#include <mutex>
 #include <unordered_set>
 
 #include "nidc/util/env.h"
@@ -49,13 +55,13 @@ class FaultInjectionEnv : public Env {
   void ArmCrashAtOp(uint64_t nth, CrashFlush flush = CrashFlush::kDropUnsynced);
 
   /// Cancels a pending (not yet fired) crash.
-  void Disarm() { countdown_ = 0; }
+  void Disarm();
 
-  bool crashed() const { return crashed_; }
+  bool crashed() const;
 
   /// Mutating operations issued so far (including the crashing one); lets a
   /// torture harness discover the total op count of an uninterrupted run.
-  uint64_t ops_issued() const { return ops_issued_; }
+  uint64_t ops_issued() const;
 
   // Env interface.
   Result<std::unique_ptr<WritableFile>> NewWritableFile(
@@ -73,17 +79,18 @@ class FaultInjectionEnv : public Env {
 
   /// Counts one mutating op; fires the crash when the countdown reaches
   /// zero. Returns the injected error when this op (or an earlier one)
-  /// crashed the env.
+  /// crashed the env. Caller holds mu_.
+  Status GuardOpLocked();
+  /// GuardOpLocked under its own lock, for ops that touch no file buffer.
   Status GuardOp();
-
-  /// Applies the crash-flush policy to every still-open file.
-  void FlushSurvivors();
 
   Status Dead() const {
     return Status::IOError("injected crash: environment is dead");
   }
 
   Env* base_;
+  /// Guards everything below and the buffers of every FaultWritableFile.
+  mutable std::mutex mu_;
   uint64_t countdown_ = 0;  // 0 = disarmed
   CrashFlush flush_ = CrashFlush::kDropUnsynced;
   bool crashed_ = false;

@@ -159,6 +159,68 @@ TEST(CorpusIoTest, LenientLoadSkipsAndCountsBadRecords) {
   std::remove(path.c_str());
 }
 
+TEST(CorpusIoTest, StreamingLoadCorpusMatchesLoadRawDocuments) {
+  // LoadCorpus analyzes records as it reads them; it must see exactly the
+  // records, counts and first error that LoadRawDocuments reports, and
+  // build the same documents as analyzing that vector in order.
+  const std::string path = testing::TempDir() + "/nidc_corpus_stream.tsv";
+  FILE* f = fopen(path.c_str(), "w");
+  fputs(
+      "# nidc corpus v1\n"
+      "0.500000\t1\tAPW\tearthquake shakes the coastal city\n"
+      "\n"
+      "1.250000\t2\tNYT\tcentral bank raises interest rates\n"
+      "not a record\n"
+      "# a comment between records\n"
+      "2.000000\t1\tAPW\taftershocks rattle the coastal city again\n"
+      "inf\t3\tVOA\tbad time\n"
+      "3.750000\t-1\t\tunlabeled report on interest rates\n",
+      f);
+  fclose(f);
+
+  for (const bool strict : {true, false}) {
+    SCOPED_TRACE(strict ? "strict" : "lenient");
+    CorpusReadOptions options;
+    options.strict = strict;
+    CorpusReadStats raw_stats;
+    Result<std::vector<RawDocument>> raw =
+        LoadRawDocuments(path, options, &raw_stats);
+    CorpusReadStats stats;
+    Result<std::unique_ptr<Corpus>> corpus = LoadCorpus(path, options, &stats);
+    EXPECT_EQ(corpus.ok(), raw.ok());
+    EXPECT_EQ(corpus.status().ToString(), raw.status().ToString());
+    EXPECT_EQ(stats.records_read, raw_stats.records_read);
+    EXPECT_EQ(stats.bad_records, raw_stats.bad_records);
+    EXPECT_EQ(stats.first_error, raw_stats.first_error);
+    EXPECT_NE(stats.first_error.find(":5"), std::string::npos);
+    if (strict) {
+      EXPECT_FALSE(corpus.ok());
+      EXPECT_EQ(stats.records_read, 2u);
+      EXPECT_EQ(stats.bad_records, 1u);
+      continue;
+    }
+    ASSERT_TRUE(corpus.ok());
+    EXPECT_EQ(stats.records_read, 4u);
+    EXPECT_EQ(stats.bad_records, 2u);
+    Corpus expected;
+    for (const RawDocument& doc : *raw) {
+      expected.AddText(doc.text, doc.time, doc.topic, doc.source);
+    }
+    ASSERT_EQ((*corpus)->size(), expected.size());
+    for (DocId id = 0; id < expected.size(); ++id) {
+      const Document& got = (*corpus)->doc(id);
+      const Document& want = expected.doc(id);
+      EXPECT_EQ(got.id, want.id);
+      EXPECT_EQ(got.time, want.time);
+      EXPECT_EQ(got.topic, want.topic);
+      EXPECT_EQ(got.source, want.source);
+      EXPECT_EQ(got.terms, want.terms);
+    }
+    EXPECT_EQ((*corpus)->vocabulary().size(), expected.vocabulary().size());
+  }
+  std::remove(path.c_str());
+}
+
 TEST(CorpusIoTest, SaveIsAtomicAndLeavesNoTempFile) {
   const std::string path = testing::TempDir() + "/nidc_corpus_atomic.tsv";
   RawDocument d;

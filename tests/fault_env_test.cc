@@ -1,6 +1,8 @@
 #include "nidc/util/fault_env.h"
 
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -138,6 +140,43 @@ TEST(FaultEnvTest, DisarmCancelsPendingCrash) {
   EXPECT_TRUE(AtomicWriteFile(&env, path, "fine").ok());
   EXPECT_FALSE(env.crashed());
   env.RemoveFile(path);
+}
+
+TEST(FaultEnvTest, ConcurrentWritersCountEveryOpExactly) {
+  // Shard workers share one env. Each thread opens its own file (1 op),
+  // appends and syncs kRounds times (2 ops a round) and closes (1 op):
+  // no op may be lost or double-counted, and no byte may go astray.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 200;
+  FaultInjectionEnv env(Env::Default());
+  std::vector<std::thread> writers;
+  bool ok[kThreads] = {};  // one element per writer
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&env, &ok, t] {
+      const std::string path =
+          TestDir() + "/concurrent" + std::to_string(t);
+      auto file = env.NewWritableFile(path, true);
+      if (!file.ok()) return;
+      bool good = true;
+      for (int i = 0; i < kRounds; ++i) {
+        good = good && (*file)->Append(std::to_string(t)).ok();
+        good = good && (*file)->Sync().ok();
+      }
+      ok[t] = good && (*file)->Close().ok();
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  EXPECT_EQ(env.ops_issued(),
+            static_cast<uint64_t>(kThreads * (2 * kRounds + 2)));
+  EXPECT_FALSE(env.crashed());
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(ok[t]) << "writer " << t;
+    const std::string path = TestDir() + "/concurrent" + std::to_string(t);
+    auto contents = Env::Default()->ReadFileToString(path);
+    ASSERT_TRUE(contents.ok());
+    EXPECT_EQ(*contents, std::string(kRounds, static_cast<char>('0' + t)));
+    Env::Default()->RemoveFile(path);
+  }
 }
 
 }  // namespace

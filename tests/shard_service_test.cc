@@ -86,7 +86,7 @@ class ShardServiceTest : public testing::Test {
     return root;
   }
 
-  std::unique_ptr<ShardService> StartService(
+  static Result<std::unique_ptr<ShardService>> TryStart(
       const std::string& root, size_t shards, size_t queue_capacity = 64,
       obs::RequestTracer* tracer = nullptr) {
     ShardServiceOptions options;
@@ -95,9 +95,64 @@ class ShardServiceTest : public testing::Test {
     options.threads_per_shard = 1;
     options.queue_capacity = queue_capacity;
     options.tracer = tracer;
-    auto service = ShardService::Start(std::move(options));
+    return ShardService::Start(std::move(options));
+  }
+
+  std::unique_ptr<ShardService> StartService(
+      const std::string& root, size_t shards, size_t queue_capacity = 64,
+      obs::RequestTracer* tracer = nullptr) {
+    auto service = TryStart(root, shards, queue_capacity, tracer);
     EXPECT_TRUE(service.ok()) << service.status().ToString();
     return std::move(service).value();
+  }
+
+  // A crash image of `names` at `image`: every tenant ingests its own
+  // feed, ending inside an open window, and the directories are copied
+  // after a drain but before any Close — WAL tails open, no final
+  // checkpoint, unstepped documents in corpus.tsv.
+  void MakeCrashImage(const std::string& image,
+                      const std::vector<std::string>& names) {
+    const std::string root = image + "_live";
+    std::filesystem::remove_all(root);
+    auto service = StartService(root, 3);
+    for (const std::string& name : names) {
+      ASSERT_TRUE(service->CreateTenant(name, SmallConfig()).ok());
+      for (const auto& batch : InBatches(MakeFeed(name, 5, 6), 8)) {
+        ASSERT_TRUE(service->EnqueueIngest(name, batch).ok());
+      }
+    }
+    service->Drain();
+    std::filesystem::remove_all(image);
+    std::filesystem::copy(root, image,
+                          std::filesystem::copy_options::recursive);
+    service->Stop();
+  }
+
+  // A fresh copy of `image`, so every reopen starts from the same bytes.
+  static std::string CopyOf(const std::string& image,
+                            const std::string& suffix) {
+    const std::string copy = image + "_" + suffix;
+    std::filesystem::remove_all(copy);
+    std::filesystem::copy(image, copy,
+                          std::filesystem::copy_options::recursive);
+    return copy;
+  }
+
+  // What the parallel reopen must reproduce: a standalone Tenant::Open of
+  // the tenant's directory in a private copy of `image`.
+  static std::string StandaloneDigest(const std::string& image,
+                                      const std::string& name) {
+    const std::string copy = CopyOf(image, "standalone_" + name);
+    auto tenant =
+        Tenant::Open(name, copy + "/tenants/" + name, TenantRuntime());
+    EXPECT_TRUE(tenant.ok()) << name << ": " << tenant.status().ToString();
+    return tenant.ok() ? (*tenant)->StateDigest() : std::string();
+  }
+
+  static Status StandaloneOpenStatus(const std::string& root,
+                                     const std::string& name) {
+    return Tenant::Open(name, root + "/tenants/" + name, TenantRuntime())
+        .status();
   }
 };
 
@@ -257,6 +312,182 @@ TEST_F(ShardServiceTest, CrashImageRecoversToTheSameState) {
   ASSERT_TRUE(alpha.ok() && bravo.ok());
   EXPECT_EQ(*alpha, digests[0]);
   EXPECT_EQ(*bravo, digests[1]);
+  service->Stop();
+}
+
+TEST_F(ShardServiceTest, ParallelRecoveryMatchesStandaloneOpen) {
+  // Startup recovery runs on the shard workers, every shard reopening its
+  // own tenants at once. Each tenant must come back bit-identical to a
+  // standalone Tenant::Open of its directory, on the shard its name maps
+  // to, whatever the shard count.
+  const std::string image = Root("parallel_recovery");
+  const std::vector<std::string> names = {"alpha", "bravo", "charlie",
+                                          "delta", "echo",  "foxtrot",
+                                          "golf"};
+  MakeCrashImage(image, names);
+  std::vector<std::string> expected;
+  for (const std::string& name : names) {
+    expected.push_back(StandaloneDigest(image, name));
+    ASSERT_FALSE(expected.back().empty());
+  }
+
+  for (const size_t shards : {2u, 4u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    auto service =
+        StartService(CopyOf(image, std::to_string(shards)), shards);
+    ASSERT_NE(service, nullptr);
+    EXPECT_EQ(service->TenantNames(), names);
+    EXPECT_EQ(service->recovered_tenants(), names.size());
+    EXPECT_GT(service->recovery_seconds(), 0.0);
+    EXPECT_EQ(service->metrics()->GetCounter("shard.recovery.tenants")
+                  ->Value(),
+              names.size());
+    EXPECT_EQ(service->metrics()->GetGauge("shard.recovery.seconds")
+                  ->Value(),
+              service->recovery_seconds());
+    for (const TenantInfo& info : service->Tenants()) {
+      EXPECT_EQ(info.shard, service->ShardOf(info.name)) << info.name;
+    }
+    for (size_t i = 0; i < names.size(); ++i) {
+      auto digest = service->StateDigest(names[i]);
+      ASSERT_TRUE(digest.ok()) << names[i];
+      EXPECT_EQ(*digest, expected[i]) << names[i];
+    }
+    service->Stop();
+  }
+}
+
+TEST_F(ShardServiceTest, FailedRecoveryReportsLowestNamedTenant) {
+  // A corrupt TENANT.json fails Start with that tenant's own error, and
+  // the service tears down without hanging. With two bad tenants on
+  // different shards the lower-named one's error wins, whichever shard
+  // finishes first. Once the bad directories are gone, the rest reopen
+  // bit-identically.
+  const std::string image = Root("failed_recovery");
+  const std::vector<std::string> names = {"alpha", "bravo", "charlie",
+                                          "delta", "echo",  "foxtrot"};
+  MakeCrashImage(image, names);
+  std::vector<std::string> expected;
+  for (const std::string& name : names) {
+    expected.push_back(StandaloneDigest(image, name));
+  }
+
+  for (const size_t shards : {2u, 4u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    const std::string root = CopyOf(image, std::to_string(shards));
+    // Pick the bad tenants by their shard: the highest name, then the
+    // highest name below it that lives on another shard.
+    const std::string high = names.back();
+    std::string low;
+    {
+      auto probe = StartService(Root("probe"), shards);
+      for (const std::string& name : names) {
+        if (name < high &&
+            probe->ShardOf(name) != probe->ShardOf(high)) {
+          low = name;
+        }
+      }
+      probe->Stop();
+    }
+    ASSERT_FALSE(low.empty());
+    auto corrupt = [&root](const std::string& name,
+                           const std::string& text) {
+      ASSERT_TRUE(
+          AtomicWriteFile(Env::Default(),
+                          root + "/tenants/" + name + "/TENANT.json", text)
+              .ok());
+    };
+
+    corrupt(high, "{not json");
+    const Status high_error = StandaloneOpenStatus(root, high);
+    ASSERT_FALSE(high_error.ok());
+    auto failed = TryStart(root, shards);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status(), high_error);
+
+    corrupt(low, "{\"k\": 3}");
+    const Status low_error = StandaloneOpenStatus(root, low);
+    ASSERT_FALSE(low_error.ok());
+    ASSERT_NE(low_error, high_error);
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      failed = TryStart(root, shards);
+      ASSERT_FALSE(failed.ok());
+      EXPECT_EQ(failed.status(), low_error) << "attempt " << attempt;
+    }
+
+    std::filesystem::remove_all(root + "/tenants/" + high);
+    std::filesystem::remove_all(root + "/tenants/" + low);
+    auto service = StartService(root, shards);
+    ASSERT_NE(service, nullptr);
+    EXPECT_EQ(service->recovered_tenants(), names.size() - 2);
+    for (size_t i = 0; i < names.size(); ++i) {
+      if (names[i] == high || names[i] == low) continue;
+      auto digest = service->StateDigest(names[i]);
+      ASSERT_TRUE(digest.ok()) << names[i];
+      EXPECT_EQ(*digest, expected[i]) << names[i];
+    }
+    service->Stop();
+  }
+}
+
+TEST_F(ShardServiceTest, TenantsIsSafeToPollWhileTenantsIngest) {
+  // Tenants() backs /tenantz and /healthz, which HTTP workers call while
+  // the shard workers ingest and step — run under TSan in CI. Every
+  // polled row must be a value the owner published.
+  const std::string root = Root("poll");
+  const std::vector<std::string> names = {"alpha", "bravo"};
+  const auto feed = MakeFeed("poll", 6, 8);
+  const DayTime flush_until = 7.0;
+  auto service = StartService(root, 2, /*queue_capacity=*/2);
+  for (const std::string& name : names) {
+    ASSERT_TRUE(service->CreateTenant(name, SmallConfig()).ok());
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<size_t> polls{0};
+  std::thread poller([&] {
+    while (!done.load()) {
+      for (const TenantInfo& info : service->Tenants()) {
+        EXPECT_LE(info.docs_ingested, feed.size());
+        EXPECT_FALSE(info.failed);
+        EXPECT_GE(info.now, 0.0);
+        EXPECT_LE(info.now, flush_until);
+      }
+      polls.fetch_add(1);
+    }
+  });
+  std::vector<std::thread> clients;
+  std::atomic<bool> failed{false};
+  for (const std::string& name : names) {
+    clients.emplace_back([&, name] {
+      for (const auto& batch : InBatches(feed, 5)) {
+        for (;;) {
+          Status status = service->EnqueueIngest(name, batch);
+          if (status.ok()) break;
+          if (status.code() != StatusCode::kOutOfRange) {
+            failed.store(true);
+            return;
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+      if (!service->Flush(name, flush_until).ok()) failed.store(true);
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  service->Drain();
+  done.store(true);
+  poller.join();
+  ASSERT_FALSE(failed.load());
+  EXPECT_GT(polls.load(), 0u);
+
+  const auto infos = service->Tenants();
+  ASSERT_EQ(infos.size(), names.size());
+  for (const TenantInfo& info : infos) {
+    EXPECT_EQ(info.docs_ingested, feed.size()) << info.name;
+    EXPECT_GT(info.steps_applied, 0u) << info.name;
+    EXPECT_DOUBLE_EQ(info.now, flush_until) << info.name;
+  }
   service->Stop();
 }
 

@@ -1041,10 +1041,10 @@ int RunServe(const Args& args) {
   const double max_seconds = args.GetDouble("max-seconds", 0.0);
   std::printf(
       "serving on 127.0.0.1:%u | root %s | %zu shards x %zu kmeans "
-      "threads | %zu http workers | %zu tenants recovered\n",
+      "threads | %zu http workers | %zu tenants recovered in %.3f s\n",
       server.port(), (*service)->root().c_str(), (*service)->num_shards(),
       (*service)->threads_per_shard(), server.num_workers(),
-      (*service)->TenantNames().size());
+      (*service)->recovered_tenants(), (*service)->recovery_seconds());
   std::fflush(stdout);
 
   g_serve_stop.store(false);

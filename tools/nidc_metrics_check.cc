@@ -7,7 +7,8 @@
 // The second form validates one `GET /metricsz` body scraped from a
 // sharded server (`nidc_cli serve`): a single JSON object whose names
 // must all carry known family prefixes and which must contain the whole
-// eagerly-registered shard.* family plus the serve.* request counters.
+// eagerly-registered shard.* family (shard.recovery.* included) plus the
+// serve.* request counters.
 //
 // Every line must parse as a JSON object and carry the step digest keys,
 // a non-empty G trajectory, and the expected metric families (K-means,
@@ -159,6 +160,14 @@ constexpr const char* kShardKeys[] = {
     "serve.connections_shed",
 };
 
+// The startup-reopen pair ShardService::Init registers eagerly. Required
+// in every shard snapshot, and in any JSONL record that carries the
+// service-level shard family (marked by its shard.shards gauge).
+constexpr const char* kRecoveryKeys[] = {
+    "shard.recovery.seconds",
+    "shard.recovery.tenants",
+};
+
 // The leader-side WalShipper registers these eagerly, so any stream run
 // with replication attached must export the whole family from step 0.
 constexpr const char* kReplKeys[] = {
@@ -198,6 +207,14 @@ void CheckRecord(const obs::JsonValue& record, bool require_trace,
     for (const char* key : kMetricKeys) {
       if (metrics->Find(key) == nullptr) {
         problems->push_back(std::string("missing metric '") + key + "'");
+      }
+    }
+    if (metrics->Find("shard.shards") != nullptr) {
+      for (const char* key : kRecoveryKeys) {
+        if (metrics->Find(key) == nullptr) {
+          problems->push_back(std::string("missing recovery metric '") +
+                              key + "'");
+        }
       }
     }
     if (require_repl) {
@@ -272,6 +289,12 @@ int CheckShardSnapshot(const char* path) {
     for (const char* key : kShardKeys) {
       if (parsed->Find(key) == nullptr) {
         problems.push_back(std::string("missing shard metric '") + key +
+                           "'");
+      }
+    }
+    for (const char* key : kRecoveryKeys) {
+      if (parsed->Find(key) == nullptr) {
+        problems.push_back(std::string("missing recovery metric '") + key +
                            "'");
       }
     }
