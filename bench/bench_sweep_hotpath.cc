@@ -1,10 +1,9 @@
 // Hot-path benchmark for the extended K-means sweep: serial merge scoring
-// vs the PR-1 hash-index scoring vs the slotted move-only sweep (flat CSR
-// index + algebraic detachment), the latter across scoring kernels.
+// vs the slotted move-only sweep (flat CSR index + algebraic detachment),
+// the latter across scoring kernels.
 //
 // Configurations running the same clustering problem:
-//   merge            use_rep_index=false                  (the seed path)
-//   indexed          use_rep_index=true, move_only=false  (PR 1)
+//   merge            scoring=kMerge (the per-cluster reference path)
 //   slotted-scalar   slotted sweep, scalar kernel, quantization off
 //   slotted          slotted sweep, best SIMD kernel, quantization off
 //   slotted+quant    slotted sweep, best SIMD kernel, fp16 quantized pass
@@ -33,9 +32,8 @@
 //                         the fastest slotted configuration achieves that
 //                         total-time speedup over merge
 //   NIDC_REQUIRE_SLOTTED_SPEEDUP  if set to a positive value, exit
-//                         non-zero unless the serial slotted sweep achieves
-//                         that cluster-time speedup over the PR-1 indexed
-//                         configuration
+//                         non-zero unless the serial slotted+quant sweep
+//                         achieves that cluster-time speedup over merge
 //   NIDC_REQUIRE_KERNEL_SPEEDUP  if set to a positive value, exit non-zero
 //                         unless the vectorized quantized sweep achieves
 //                         that scoring-pass speedup (sweep time minus
@@ -77,8 +75,7 @@ std::string Fmt(double value, int precision) {
 
 struct Config {
   const char* name;
-  bool use_rep_index;
-  bool move_only;
+  ClusterScoring scoring;
   size_t num_threads;  // requested; 0 = hardware concurrency
   kernels::Kind kernel = kernels::Kind::kScalar;
   bool quantized = false;
@@ -109,8 +106,7 @@ kernels::Kind BestKind() {
 }
 
 void ApplyConfig(const Config& config, ExtendedKMeansOptions* kmeans) {
-  kmeans->use_rep_index = config.use_rep_index;
-  kmeans->move_only_sweep = config.move_only;
+  kmeans->scoring = config.scoring;
   kmeans->num_threads = config.num_threads;
   kmeans->quantized_scoring = config.quantized;
   kernels::Select(config.kernel);
@@ -139,8 +135,7 @@ double MeasureInstrumentationOverhead(const ForgettingModel& model,
                                       const std::vector<DocId>& docs,
                                       ExtendedKMeansOptions kmeans,
                                       int reps) {
-  kmeans.use_rep_index = true;
-  kmeans.move_only_sweep = true;
+  kmeans.scoring = ClusterScoring::kSlotted;
   kmeans.num_threads = 0;
   kmeans.quantized_scoring = true;
   kernels::Select(BestKind());
@@ -328,7 +323,7 @@ void WriteJson(const std::string& path, double scale, size_t k,
                const std::vector<std::pair<Config, Timing>>& batch,
                const std::vector<StepTrace>& trajectory,
                double speedup_fast_vs_merge,
-               double speedup_slotted_vs_indexed,
+               double speedup_slotted_vs_merge,
                double speedup_kernel_vs_scalar) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -344,8 +339,8 @@ void WriteJson(const std::string& path, double scale, size_t k,
   std::fprintf(f, "  \"fast_config\": \"%s\",\n", fast_config);
   std::fprintf(f, "  \"speedup_fast_vs_merge\": %.4f,\n",
                speedup_fast_vs_merge);
-  std::fprintf(f, "  \"speedup_slotted_vs_indexed\": %.4f,\n",
-               speedup_slotted_vs_indexed);
+  std::fprintf(f, "  \"speedup_slotted_vs_merge\": %.4f,\n",
+               speedup_slotted_vs_merge);
   std::fprintf(f, "  \"speedup_kernel_vs_scalar\": %.4f,\n",
                speedup_kernel_vs_scalar);
   std::fprintf(f, "  \"batch\": [\n");
@@ -361,7 +356,7 @@ void WriteJson(const std::string& path, double scale, size_t k,
                  "\"maintenance_seconds\": %.6f, "
                  "\"refresh_seconds\": %.6f, \"score_gbps\": %.3f}%s\n",
                  config.name, ThreadPool::Resolve(config.num_threads),
-                 config.use_rep_index && config.move_only
+                 config.scoring == ClusterScoring::kSlotted
                      ? kernels::KindName(config.kernel)
                      : "none",
                  config.quantized ? "true" : "false",
@@ -423,7 +418,7 @@ std::vector<double> RunStream(const BenchCorpus& bc, size_t k,
 }
 
 int Main() {
-  PrintHeader("Sweep hot path: merge vs indexed vs slotted move-only",
+  PrintHeader("Sweep hot path: merge vs slotted move-only",
               "Table 1 setting (§6.2.1) — scoring-path + kernel ablation");
 
   const double scale = EnvScale("NIDC_SWEEP_SCALE", 1.0);
@@ -449,17 +444,18 @@ int Main() {
   kmeans.seed = 7;
 
   std::vector<Config> configs = {
-      {"merge", false, false, 1, best, false},
-      {"indexed", true, false, 1, best, false},
-      {"slotted-scalar", true, true, 1, kernels::Kind::kScalar, false, 5},
-      {"slotted", true, true, 1, best, false, 5},
-      {"slotted+quant", true, true, 1, best, true, 5},
+      {"merge", ClusterScoring::kMerge, 1, best, false},
+      {"slotted-scalar", ClusterScoring::kSlotted, 1, kernels::Kind::kScalar,
+       false, 5},
+      {"slotted", ClusterScoring::kSlotted, 1, best, false, 5},
+      {"slotted+quant", ClusterScoring::kSlotted, 1, best, true, 5},
   };
-  constexpr size_t kMerge = 0, kIndexed = 1, kSlottedScalar = 2;
-  constexpr size_t kQuant = 4;
+  constexpr size_t kMerge = 0, kSlottedScalar = 1;
+  constexpr size_t kQuant = 3;
   size_t fast = kQuant;
   if (hw > 1) {
-    configs.push_back({"slotted+parallel", true, true, 0, best, true, 5});
+    configs.push_back(
+        {"slotted+parallel", ClusterScoring::kSlotted, 0, best, true, 5});
     fast = configs.size() - 1;
   } else {
     std::printf(
@@ -479,7 +475,7 @@ int Main() {
     runs.push_back(RunBatch(model, docs, config, kmeans));
     const Timing& t = runs.back().timing;
     batch.emplace_back(config, t);
-    const bool slotted_row = config.use_rep_index && config.move_only;
+    const bool slotted_row = config.scoring == ClusterScoring::kSlotted;
     table.AddRow(
         {config.name, std::to_string(ThreadPool::Resolve(config.num_threads)),
          slotted_row ? kernels::KindName(config.kernel) : "-",
@@ -507,7 +503,7 @@ int Main() {
       runs[kMerge].timing.total() / std::max(runs[fast].timing.total(),
                                              1e-12);
   const double slotted_speedup =
-      runs[kIndexed].timing.cluster_seconds /
+      runs[kMerge].timing.cluster_seconds /
       std::max(runs[kQuant].timing.cluster_seconds, 1e-12);
   // The kernel gate compares the scoring pass (sweep minus move
   // maintenance) of the scalar-kernel sweep against the vectorized
@@ -520,7 +516,7 @@ int Main() {
       std::max(runs[kQuant].timing.profile.score_seconds(), 1e-12);
   std::printf("%s speedup over merge (total): %.2fx\n", configs[fast].name,
               speedup);
-  std::printf("slotted+quant speedup over indexed (cluster time): %.2fx\n",
+  std::printf("slotted+quant speedup over merge (cluster time): %.2fx\n",
               slotted_speedup);
   std::printf("kernel speedup, %s+quant vs scalar (scoring time): %.2fx\n",
               kernels::KindName(best), kernel_speedup);
@@ -578,7 +574,7 @@ int Main() {
       EnvScale("NIDC_REQUIRE_SLOTTED_SPEEDUP", 0.0);
   if (required_slotted > 0.0 && slotted_speedup < required_slotted) {
     std::fprintf(stderr,
-                 "FAILED: slotted-vs-indexed speedup %.2fx below required "
+                 "FAILED: slotted-vs-merge speedup %.2fx below required "
                  "%.2fx\n",
                  slotted_speedup, required_slotted);
     return 1;

@@ -100,7 +100,7 @@ class Cluster {
   }
 
   /// Replays the scalar-cache effect of detaching `id` and immediately
-  /// re-attaching it — what the legacy sweep does to a document that stays
+  /// re-attaching it — what the merge sweep does to a document that stays
   /// put — without touching the representative vector. `t_attached` is the
   /// attached cross term c⃗·ψ (what Remove's internal dot product would
   /// yield) and `t_detached` the detached one ((c⃗−ψ)·ψ); both cached

@@ -16,9 +16,7 @@ void ClusterSet::Assign(DocId id, int p, const SimilarityContext& ctx) {
   if (current == p) return;
   if (current != kUnassigned) {
     clusters_[static_cast<size_t>(current)].Remove(id, ctx);
-    if (scoring_ == ClusterScoring::kIndexed) {
-      rep_index_.Remove(static_cast<size_t>(current), ctx.Psi(id));
-    } else if (scoring_ == ClusterScoring::kSlotted) {
+    if (scoring_ == ClusterScoring::kSlotted) {
       flat_index_.ApplyRemove(ctx, ctx.SlotOf(id),
                               static_cast<size_t>(current));
     }
@@ -31,9 +29,7 @@ void ClusterSet::Assign(DocId id, int p, const SimilarityContext& ctx) {
       target.set_id(next_id_++);
     }
     target.Add(id, ctx);
-    if (scoring_ == ClusterScoring::kIndexed) {
-      rep_index_.Add(static_cast<size_t>(p), ctx.Psi(id));
-    } else if (scoring_ == ClusterScoring::kSlotted) {
+    if (scoring_ == ClusterScoring::kSlotted) {
       flat_index_.ApplyAdd(ctx, ctx.SlotOf(id), static_cast<size_t>(p));
     }
     assignment_[id] = p;
@@ -91,19 +87,11 @@ void ClusterSet::RefreshAll(const SimilarityContext& ctx, ThreadPool* pool) {
   } else {
     for (Cluster& c : clusters_) c.Refresh(ctx);
   }
-  if (scoring_ == ClusterScoring::kIndexed) {
-    // Rebuild the postings with the same per-term addition order as
+  if (scoring_ == ClusterScoring::kSlotted) {
+    // One-pass CSR rebuild with the same per-term addition order as
     // Cluster::Refresh uses for the representatives, so indexed scores stay
-    // aligned with the merge path and tombstone drift is cleared.
-    rep_index_.Reset(clusters_.size());
-    for (size_t p = 0; p < clusters_.size(); ++p) {
-      for (DocId id : clusters_[p].members()) {
-        rep_index_.Add(p, ctx.Psi(id));
-      }
-    }
-  } else if (scoring_ == ClusterScoring::kSlotted) {
-    // One-pass CSR rebuild (same member-order accumulation); also clears
-    // the mid-sweep overlay and tombstones.
+    // aligned with the merge path; also clears the mid-sweep overlay and
+    // tombstones.
     flat_index_.BuildFromClusters(ctx, clusters_, pool);
   }
 }

@@ -15,12 +15,9 @@ inline constexpr int kUnassigned = -1;
 
 /// How SweepAssign evaluates the cross terms cr_sim(C_p, {d}).
 enum class ClusterScoring {
-  /// K independent sparse dot products per document (the reference path).
+  /// K independent sparse dot products per document, with physical
+  /// detach/re-attach per document (the reference path).
   kMerge,
-  /// Document-at-a-time scan of the hash-map posting index, with physical
-  /// detach/re-attach per document (the PR-1 path, kept as a comparison
-  /// point).
-  kIndexed,
   /// Document-at-a-time scan of the flat CSR posting index with move-only
   /// maintenance: documents are scored attached, the detached home
   /// statistics are derived algebraically, and postings/caches change only
@@ -29,22 +26,15 @@ enum class ClusterScoring {
 };
 
 /// Owns K clusters and keeps the assignment map consistent with their
-/// membership. With kIndexed scoring, a term → (cluster, weight) posting
-/// structure additionally mirrors the K representative vectors and is kept
-/// in sync by Assign/RefreshAll, so ScoreAllClusters can evaluate
-/// cr_sim(C_p, {d}) for every cluster in one pass over ψ_d. With kSlotted,
-/// the same role is played by a flat CSR index over the context's dense
-/// local term ids (see FlatRepIndex).
+/// membership. With kSlotted scoring, a flat CSR posting index over the
+/// context's dense local term ids (see FlatRepIndex) additionally mirrors
+/// the K representative vectors and is kept in sync by Assign/RefreshAll,
+/// so cr_sim(C_p, {d}) for every cluster comes from one pass over ψ_d.
 class ClusterSet {
  public:
-  ClusterSet(size_t k, ClusterScoring scoring)
-      : clusters_(k),
-        rep_index_(scoring == ClusterScoring::kIndexed ? k : 0),
-        scoring_(scoring) {}
-
-  explicit ClusterSet(size_t k, bool use_rep_index = false)
-      : ClusterSet(k, use_rep_index ? ClusterScoring::kIndexed
-                                    : ClusterScoring::kMerge) {}
+  explicit ClusterSet(size_t k,
+                      ClusterScoring scoring = ClusterScoring::kMerge)
+      : clusters_(k), scoring_(scoring) {}
 
   size_t num_clusters() const { return clusters_.size(); }
   Cluster& cluster(size_t p) { return clusters_[p]; }
@@ -84,7 +74,7 @@ class ClusterSet {
 
   /// Replays the detach + immediate re-attach of a document that stays in
   /// cluster `p` during a move-only sweep: the cluster's scalar caches and
-  /// member order take the exact rounding/permutation steps the legacy
+  /// member order take the exact rounding/permutation steps the merge
   /// sweep applies, while the representative vector and the posting index
   /// — for which remove-then-re-add is the identity — stay untouched.
   void ReplayStay(DocId id, size_t p, double t_attached, double t_detached,
@@ -105,30 +95,15 @@ class ClusterSet {
   size_t TotalAssigned() const { return total_assigned_; }
 
   ClusterScoring scoring() const { return scoring_; }
-  bool rep_index_enabled() const {
-    return scoring_ == ClusterScoring::kIndexed;
-  }
-
-  /// The hash posting index (meaningful only with kIndexed), e.g. for its
-  /// maintenance stats().
-  const ClusterRepIndex& rep_index() const { return rep_index_; }
 
   /// The flat CSR posting index (meaningful only with kSlotted).
   const FlatRepIndex& flat_index() const { return flat_index_; }
-
-  /// Document-at-a-time scoring (requires kIndexed): fills scores[p]
-  /// with c⃗_p · psi for all K clusters in one posting scan.
-  void ScoreAllClusters(const SparseVector& psi,
-                        std::vector<double>* scores) const {
-    rep_index_.ScoreAll(psi, scores);
-  }
 
  private:
   std::vector<Cluster> clusters_;
   std::vector<int> assignment_;  // DocId → cluster, kUnassigned gaps
   size_t total_assigned_ = 0;
   uint64_t next_id_ = 0;  // next fresh stable cluster id
-  ClusterRepIndex rep_index_;
   FlatRepIndex flat_index_;
   ClusterScoring scoring_ = ClusterScoring::kMerge;
 };

@@ -29,12 +29,6 @@ Status ExtendedKMeansOptions::Validate() const {
 
 namespace {
 
-ClusterScoring ScoringOf(const ExtendedKMeansOptions& options) {
-  if (!options.use_rep_index) return ClusterScoring::kMerge;
-  return options.move_only_sweep ? ClusterScoring::kSlotted
-                                 : ClusterScoring::kIndexed;
-}
-
 // Accumulates elapsed seconds into *acc on destruction; no clock reads at
 // all when acc is null, so unprofiled runs pay nothing.
 class ScopedSeconds {
@@ -170,31 +164,24 @@ void EmitSweepEvents(std::vector<obs::Event>* buffer,
   }
 }
 
-// One repetition sweep (§4.3 step 1) in its legacy form: every document is
-// physically detached, the best avg_sim gain over all clusters is found via
-// Eq. 26, and the document is re-attached to the argmax cluster — or put on
-// the outlier list when no assignment increases any intra-cluster
-// similarity.
-//
-// Two scoring paths compute the cross terms T_p = cr_sim(C_p, {d}):
-//   * merge: K independent sparse dot products against the representatives;
-//   * indexed (kIndexed): one document-at-a-time posting scan yields every
-//     T_p at once, then the same gain formulas are applied per cluster from
-//     the cached statistics.
-std::vector<DocId> SweepAssignLegacy(const std::vector<DocId>& order,
-                                     const SimilarityContext& ctx,
-                                     AssignmentCriterion criterion,
-                                     ClusterSet* clusters,
-                                     SweepCounters* counters,
-                                     obs::EventLog* events,
-                                     double* maintenance_seconds,
-                                     std::vector<ProvCapture>* capture,
-                                     uint32_t iteration) {
+// One repetition sweep (§4.3 step 1) on the merge path — the reference
+// every other path must reproduce bit-for-bit: every document is
+// physically detached, the best gain over all clusters is found via Eq. 26
+// from K independent sparse dot products against the representatives, and
+// the document is re-attached to the argmax cluster — or put on the
+// outlier list when no assignment increases any cluster's quality.
+std::vector<DocId> SweepAssignMerge(const std::vector<DocId>& order,
+                                    const SimilarityContext& ctx,
+                                    AssignmentCriterion criterion,
+                                    ClusterSet* clusters,
+                                    SweepCounters* counters,
+                                    obs::EventLog* events,
+                                    double* maintenance_seconds,
+                                    std::vector<ProvCapture>* capture,
+                                    uint32_t iteration) {
   std::vector<DocId> outliers;
-  std::vector<double> t_scores;
   std::vector<obs::Event> staged_events;
   SampledSeconds maint_sampler(maintenance_seconds);
-  const bool indexed = clusters->rep_index_enabled();
   for (DocId id : order) {
     const int previous = clusters->ClusterOf(id);
     bool reseeded = false;
@@ -206,39 +193,19 @@ std::vector<DocId> SweepAssignLegacy(const std::vector<DocId>& order,
     double best_gain = 0.0;
     int runner_up = kUnassigned;
     double runner_up_gain = 0.0;
-    if (indexed) {
-      clusters->ScoreAllClusters(ctx.Psi(id), &t_scores);
-      for (size_t p = 0; p < clusters->num_clusters(); ++p) {
-        const Cluster& c = clusters->cluster(p);
-        if (c.empty()) continue;  // an empty cluster's gain is 0
-        const double gain = criterion == AssignmentCriterion::kGIncrease
-                                ? c.GainInGGivenT(t_scores[p])
-                                : c.GainGivenT(t_scores[p]);
-        if (gain > best_gain) {
-          runner_up_gain = best_gain;
-          runner_up = best;
-          best_gain = gain;
-          best = static_cast<int>(p);
-        } else if (gain > runner_up_gain) {
-          runner_up_gain = gain;
-          runner_up = static_cast<int>(p);
-        }
-      }
-    } else {
-      for (size_t p = 0; p < clusters->num_clusters(); ++p) {
-        const Cluster& c = clusters->cluster(p);
-        const double gain = criterion == AssignmentCriterion::kGIncrease
-                                ? c.GainInGIfAdded(id, ctx)
-                                : c.GainIfAdded(id, ctx);
-        if (gain > best_gain) {
-          runner_up_gain = best_gain;
-          runner_up = best;
-          best_gain = gain;
-          best = static_cast<int>(p);
-        } else if (gain > runner_up_gain) {
-          runner_up_gain = gain;
-          runner_up = static_cast<int>(p);
-        }
+    for (size_t p = 0; p < clusters->num_clusters(); ++p) {
+      const Cluster& c = clusters->cluster(p);
+      const double gain = criterion == AssignmentCriterion::kGIncrease
+                              ? c.GainInGIfAdded(id, ctx)
+                              : c.GainIfAdded(id, ctx);
+      if (gain > best_gain) {
+        runner_up_gain = best_gain;
+        runner_up = best;
+        best_gain = gain;
+        best = static_cast<int>(p);
+      } else if (gain > runner_up_gain) {
+        runner_up_gain = gain;
+        runner_up = static_cast<int>(p);
       }
     }
     if (capture != nullptr) {
@@ -300,7 +267,7 @@ std::vector<DocId> SweepAssignLegacy(const std::vector<DocId>& order,
 // Eq. 25/26 identity:
 //   cr' = cr − 2·T_att + self,   ss' = ss − self,   n' = n − 1,
 // replaying the exact floating-point expressions Cluster::Remove would
-// apply. Decisions are therefore bit-identical to the legacy
+// apply. Decisions are therefore bit-identical to the merge sweep's
 // detach/score/re-attach loop, but clusters and postings are only mutated
 // when a document actually moves; a document that stays put costs one
 // scalar-cache replay (ReplayStay) and zero index work.
@@ -531,7 +498,7 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
         double gain;
         if (static_cast<int>(p) == previous) {
           // A home cluster the detachment would empty is an empty cluster:
-          // its gain is 0, never "> 0" (legacy: Remove triggered Clear).
+          // its gain is 0, never "> 0" (merge sweep: Remove triggered Clear).
           if (n_detached < 1.0) continue;
           gain = gain_detached(t_scores[p], n_detached, cr_detached,
                                ss_detached);
@@ -561,7 +528,7 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
     }
 
     if (best == kUnassigned) {
-      // Empty-cluster reseed, with "empty" evaluated as the legacy sweep
+      // Empty-cluster reseed, with "empty" evaluated as the merge sweep
       // saw it mid-detachment: the home cluster counts as empty when the
       // document was its only member.
       for (size_t p = 0; p < k; ++p) {
@@ -587,7 +554,7 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
       if (n_detached == 0.0) {
         // Re-seeding its own emptied cluster: replay the physical
         // round-trip so Clear() purges accumulated drift exactly as the
-        // legacy path does.
+        // merge sweep does.
         clusters->Assign(id, kUnassigned, ctx);
         clusters->Assign(id, best, ctx);
       } else {
@@ -598,8 +565,8 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
                              t_home_detached, ctx);
       }
     } else {
-      // An actual move: delegate to the legacy mutation path (its internal
-      // dot products equal the scanned cross terms bit-for-bit).
+      // An actual move: the physical Assign (its internal dot products
+      // equal the scanned cross terms bit-for-bit).
       ScopedSeconds maint(maint_sampler.Next());
       clusters->Assign(id, best, ctx);
     }
@@ -638,8 +605,8 @@ std::vector<DocId> SweepAssign(const std::vector<DocId>& order,
                                counters, margins, events,
                                maintenance_seconds, capture, iteration);
   }
-  return SweepAssignLegacy(order, ctx, criterion, clusters, counters, events,
-                           maintenance_seconds, capture, iteration);
+  return SweepAssignMerge(order, ctx, criterion, clusters, counters, events,
+                          maintenance_seconds, capture, iteration);
 }
 
 // Populates clusters from fixed representative vectors: each document joins
@@ -647,20 +614,17 @@ std::vector<DocId> SweepAssign(const std::vector<DocId>& order,
 // singleton {d}); non-positive best similarity goes to the outlier list.
 //
 // The scan is read-only against the fixed vectors, so the per-document
-// decisions are computed in parallel (optionally through a posting index
-// over the seed representatives) and then applied serially in document
-// order — bit-identical to the serial loop for any thread count.
+// decisions are computed in parallel (through a flat posting index over
+// the seed representatives when scoring kSlotted) and then applied
+// serially in document order — bit-identical to the serial loop for any
+// thread count.
 std::vector<DocId> AssignAgainstFixedRepresentatives(
     const std::vector<DocId>& docs, const std::vector<SparseVector>& reps,
     const SimilarityContext& ctx, ClusterScoring scoring, ThreadPool* pool,
     ClusterSet* clusters) {
-  ClusterRepIndex seed_index;
-  FlatRepIndex flat_seed_index;
-  if (scoring == ClusterScoring::kIndexed) {
-    seed_index.Reset(reps.size());
-    for (size_t p = 0; p < reps.size(); ++p) seed_index.Add(p, reps[p]);
-  } else if (scoring == ClusterScoring::kSlotted) {
-    flat_seed_index.BuildFromRepresentatives(ctx, reps);
+  FlatRepIndex seed_index;
+  if (scoring == ClusterScoring::kSlotted) {
+    seed_index.BuildFromRepresentatives(ctx, reps);
   }
 
   std::vector<int> decisions(docs.size(), kUnassigned);
@@ -670,15 +634,7 @@ std::vector<DocId> AssignAgainstFixedRepresentatives(
       int best = kUnassigned;
       double best_sim = 0.0;
       if (scoring == ClusterScoring::kSlotted) {
-        flat_seed_index.ScoreAll(ctx, ctx.SlotOf(docs[i]), &scores);
-        for (size_t p = 0; p < reps.size(); ++p) {
-          if (scores[p] > best_sim) {
-            best_sim = scores[p];
-            best = static_cast<int>(p);
-          }
-        }
-      } else if (scoring == ClusterScoring::kIndexed) {
-        seed_index.ScoreAll(ctx.Psi(docs[i]), &scores);
+        seed_index.ScoreAll(ctx, ctx.SlotOf(docs[i]), &scores);
         for (size_t p = 0; p < reps.size(); ++p) {
           if (scores[p] > best_sim) {
             best_sim = scores[p];
@@ -730,7 +686,7 @@ Result<ClusteringResult> RunExtendedKMeans(
 
   NIDC_SPAN("kmeans.run");
   const size_t k = std::min(options.k, docs.size());
-  const ClusterScoring scoring = ScoringOf(options);
+  const ClusterScoring scoring = options.scoring;
   ClusterSet clusters(k, scoring);
   Rng rng(options.seed);
   ThreadPool pool(ThreadPool::Resolve(options.num_threads));
@@ -933,22 +889,7 @@ Result<ClusteringResult> RunExtendedKMeans(
     metrics->GetCounter("kmeans.outliers_total")->Increment(outliers.size());
     metrics->GetGauge("kmeans.g_initial")->Set(g_history.front());
     metrics->GetGauge("kmeans.g_final")->Set(g_old);
-    if (scoring == ClusterScoring::kIndexed) {
-      const ClusterRepIndex::Stats& ris = clusters.rep_index().stats();
-      metrics->GetCounter("rep_index.tombstones")
-          ->Increment(ris.tombstones_created);
-      metrics->GetCounter("rep_index.tombstones_revived")
-          ->Increment(ris.tombstones_revived);
-      metrics->GetCounter("rep_index.compactions")->Increment(ris.compactions);
-      metrics->GetCounter("rep_index.entries_compacted")
-          ->Increment(ris.entries_compacted);
-      metrics->GetGauge("rep_index.live_entries")
-          ->Set(static_cast<double>(ris.live_entries));
-      metrics->GetGauge("rep_index.dead_entries")
-          ->Set(static_cast<double>(ris.dead_entries));
-      metrics->GetGauge("rep_index.terms")
-          ->Set(static_cast<double>(clusters.rep_index().num_terms()));
-    } else if (scoring == ClusterScoring::kSlotted) {
+    if (scoring == ClusterScoring::kSlotted) {
       // Counters are cumulative over the FlatRepIndex lifetime (one run) —
       // incrementing by the final values folds them into the registry.
       const FlatRepIndex::Stats& fis = clusters.flat_index().stats();
@@ -961,9 +902,6 @@ Result<ClusteringResult> RunExtendedKMeans(
           ->Increment(fis.tombstones_revived);
       metrics->GetCounter("rep_index.delta_entries")
           ->Increment(fis.delta_entries_added);
-      // The flat index never compacts between rebuilds; the key is kept so
-      // dashboards (and nidc_metrics_check) see a stable metric family.
-      metrics->GetCounter("rep_index.compactions")->Increment(0);
       metrics->GetGauge("rep_index.live_entries")
           ->Set(static_cast<double>(fis.live_entries));
       metrics->GetGauge("rep_index.dead_entries")
@@ -1019,10 +957,9 @@ Result<ClusteringResult> RunExtendedKMeans(
     records.reserve(docs.size());
     const char* kernel =
         scoring == ClusterScoring::kSlotted ? kernels::Active().name : "";
-    const obs::ProvenancePath path =
-        scoring == ClusterScoring::kMerge     ? obs::ProvenancePath::kMerge
-        : scoring == ClusterScoring::kIndexed ? obs::ProvenancePath::kIndexed
-                                              : obs::ProvenancePath::kSlotted;
+    const obs::ProvenancePath path = scoring == ClusterScoring::kSlotted
+                                         ? obs::ProvenancePath::kSlotted
+                                         : obs::ProvenancePath::kMerge;
     for (DocId id : docs) {
       const ProvCapture& pc = prov_capture[ctx.SlotOf(id)];
       obs::DecisionRecord record;

@@ -79,22 +79,17 @@ struct ExtendedKMeansOptions {
   /// Seed for initial-cluster selection and shuffling.
   uint64_t seed = 42;
 
-  /// Score gains through a cluster-representative posting index: one pass
-  /// over a document's ψ yields cr_sim(C_p, {d}) for all K clusters at
-  /// once, instead of K sorted-merge dot products.
-  /// Off: the original per-cluster merge path (kept as the reference).
-  bool use_rep_index = true;
-
-  /// With the posting index enabled, run the slotted move-only sweep: the
-  /// flat CSR index (FlatRepIndex) is scanned with each document's ψ still
-  /// attached, the detached home-cluster statistics are derived via the
-  /// Eq. 25/26 identity (T_detached from the (c⃗−ψ)·ψ scan), and postings
-  /// plus cluster caches are touched only when a document actually moves —
-  /// per-sweep maintenance drops from O(N·|ψ|) to O(moves·|ψ|) with
-  /// bit-identical results. Off: the PR-1 hash-index sweep that physically
-  /// detaches and re-attaches every document (kept as a comparison point).
-  /// Ignored when use_rep_index is false.
-  bool move_only_sweep = true;
+  /// How the sweeps score gains (see ClusterScoring). kSlotted (default)
+  /// runs the move-only sweep: a flat CSR posting index (FlatRepIndex)
+  /// yields cr_sim(C_p, {d}) for all K clusters in one pass over ψ_d, is
+  /// scanned with each document's ψ still attached, the detached
+  /// home-cluster statistics are derived via the Eq. 25/26 identity
+  /// (T_detached from the (c⃗−ψ)·ψ scan), and postings plus cluster caches
+  /// are touched only when a document actually moves — per-sweep
+  /// maintenance drops from O(N·|ψ|) to O(moves·|ψ|). kMerge is the
+  /// per-cluster sorted-merge reference that kSlotted reproduces
+  /// bit-for-bit.
+  ClusterScoring scoring = ClusterScoring::kSlotted;
 
   /// With the slotted sweep, score documents through the fp16-quantized
   /// kernel pass first (see core/kernels): the fp32 scan touches half the

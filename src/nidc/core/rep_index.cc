@@ -1,6 +1,5 @@
 #include "nidc/core/rep_index.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "nidc/core/kernels/kernels.h"
@@ -30,111 +29,6 @@ void CountScan(FlatRepIndex::ScanStats* stats, uint64_t entries,
 }
 
 }  // namespace
-
-void ClusterRepIndex::Reset(size_t num_clusters) {
-  postings_.clear();
-  k_ = num_clusters;
-  // The entry gauges track the (now empty) postings; the maintenance
-  // counters survive — RefreshAll resets the index once per sweep, and the
-  // telemetry wants tombstone/compaction churn per run, not per sweep.
-  stats_.live_entries = 0;
-  stats_.dead_entries = 0;
-}
-
-void ClusterRepIndex::Add(size_t p, const SparseVector& psi) {
-  NIDC_CHECK(p < k_) << "cluster " << p << " out of range (K = " << k_ << ")";
-  for (const auto& e : psi.entries()) {
-    if (e.value == 0.0) continue;
-    PostingList& list = postings_[e.id];
-    Entry* found = nullptr;
-    for (Entry& entry : list.entries) {
-      if (entry.cluster == p) {
-        found = &entry;
-        break;
-      }
-    }
-    if (found == nullptr) {
-      list.entries.push_back({static_cast<uint32_t>(p), 1, e.value});
-      ++stats_.live_entries;
-    } else {
-      if (found->refs == 0) {  // revive a tombstone
-        --list.dead;
-        --stats_.dead_entries;
-        ++stats_.live_entries;
-        ++stats_.tombstones_revived;
-      }
-      ++found->refs;
-      found->weight += e.value;
-    }
-  }
-}
-
-void ClusterRepIndex::Remove(size_t p, const SparseVector& psi) {
-  NIDC_CHECK(p < k_) << "cluster " << p << " out of range (K = " << k_ << ")";
-  for (const auto& e : psi.entries()) {
-    if (e.value == 0.0) continue;
-    auto it = postings_.find(e.id);
-    NIDC_CHECK(it != postings_.end())
-        << "removing term " << e.id << " never added to cluster " << p;
-    PostingList& list = it->second;
-    Entry* found = nullptr;
-    for (Entry& entry : list.entries) {
-      if (entry.cluster == p) {
-        found = &entry;
-        break;
-      }
-    }
-    NIDC_CHECK(found != nullptr && found->refs > 0)
-        << "removing term " << e.id << " never added to cluster " << p;
-    found->weight -= e.value;
-    if (--found->refs == 0) {
-      // Last contributor gone: snap the residual to exact zero (the
-      // posting-side analogue of Cluster::Clear) and tombstone.
-      found->weight = 0.0;
-      ++list.dead;
-      --stats_.live_entries;
-      ++stats_.dead_entries;
-      ++stats_.tombstones_created;
-      MaybeCompact(&list);
-      if (list.entries.empty()) postings_.erase(it);
-    }
-  }
-}
-
-void ClusterRepIndex::MaybeCompact(PostingList* list) {
-  if (list->dead * 2 <= list->entries.size()) return;
-  list->entries.erase(
-      std::remove_if(list->entries.begin(), list->entries.end(),
-                     [](const Entry& e) { return e.refs == 0; }),
-      list->entries.end());
-  ++stats_.compactions;
-  stats_.entries_compacted += list->dead;
-  stats_.dead_entries -= list->dead;
-  list->dead = 0;
-}
-
-void ClusterRepIndex::ScoreAll(const SparseVector& psi,
-                               std::vector<double>* scores) const {
-  scores->assign(k_, 0.0);
-  for (const auto& e : psi.entries()) {
-    auto it = postings_.find(e.id);
-    if (it == postings_.end()) continue;
-    for (const Entry& entry : it->second.entries) {
-      (*scores)[entry.cluster] += entry.weight * e.value;
-    }
-  }
-}
-
-std::vector<std::pair<size_t, double>> ClusterRepIndex::PostingsOf(
-    TermId term) const {
-  std::vector<std::pair<size_t, double>> out;
-  auto it = postings_.find(term);
-  if (it == postings_.end()) return out;
-  for (const Entry& e : it->second.entries) {
-    if (e.refs > 0) out.emplace_back(e.cluster, e.weight);
-  }
-  return out;
-}
 
 void FlatRepIndex::PrepareBuild(const SimilarityContext& ctx) {
   const size_t terms = ctx.num_local_terms();

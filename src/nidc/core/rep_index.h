@@ -9,17 +9,15 @@
 // sublinear in K whenever cluster vocabularies do not all overlap — the
 // standard inverted-index scoring trick of IR / novelty-detection systems.
 //
-// Maintenance mirrors the tombstone + amortized-compaction idiom of
-// text/inverted_index.cc: each (term, cluster) entry carries a reference
-// count of live member documents containing the term. When the count drops
-// to zero the weight snaps to exact 0.0 (clearing float drift, like
-// Cluster::Clear does for an emptied cluster) and the entry is tombstoned;
-// dead entries are physically dropped once they outnumber live ones.
+// Each (term, cluster) entry carries a reference count of live member
+// documents containing the term. When the count drops to zero the weight
+// snaps to exact 0.0 (clearing float drift, like Cluster::Clear does for an
+// emptied cluster) and the entry is tombstoned; the next rebuild drops it.
 //
 // Weight updates replay the same per-term additions, in the same order, as
-// Cluster::Add/Remove apply to the representative via AddScaled — so the
-// indexed scores match the merge-path `representative_.Dot(ψ)` not just
-// within float tolerance but (except for tombstone-cleared residuals)
+// Cluster::Refresh/Add/Remove apply to the representative via AddScaled —
+// so the indexed scores match the merge-path `representative_.Dot(ψ)` not
+// just within float tolerance but (except for tombstone-cleared residuals)
 // bit-for-bit.
 
 #ifndef NIDC_CORE_REP_INDEX_H_
@@ -41,72 +39,6 @@ class ThreadPool;
 
 namespace nidc {
 
-/// Incrementally maintained term → (cluster, weight) postings over a fixed
-/// number of clusters.
-class ClusterRepIndex {
- public:
-  ClusterRepIndex() = default;
-  explicit ClusterRepIndex(size_t num_clusters) : k_(num_clusters) {}
-
-  size_t num_clusters() const { return k_; }
-  size_t num_terms() const { return postings_.size(); }
-
-  /// Maintenance telemetry. Counters are cumulative over the index's
-  /// lifetime (Reset preserves them — RefreshAll resets once per sweep);
-  /// live/dead entries reflect the current postings.
-  struct Stats {
-    uint64_t tombstones_created = 0;  // entries whose refs dropped to 0
-    uint64_t tombstones_revived = 0;  // tombstones re-added before compaction
-    uint64_t compactions = 0;         // posting lists physically compacted
-    uint64_t entries_compacted = 0;   // dead entries dropped by compaction
-    size_t live_entries = 0;          // (term, cluster) entries with refs > 0
-    size_t dead_entries = 0;          // tombstones not yet compacted
-  };
-  const Stats& stats() const { return stats_; }
-
-  /// Drops all postings and resets the cluster count.
-  void Reset(size_t num_clusters);
-
-  /// Folds a member document's ψ (or any sparse vector, e.g. a whole seed
-  /// representative) into cluster `p`'s postings: weight += value per term.
-  void Add(size_t p, const SparseVector& psi);
-
-  /// Removes a previously added vector from cluster `p`: weight -= value
-  /// per term. Every term of `psi` must have been Add-ed for `p` before
-  /// (checked); entries whose contributor count reaches zero are zeroed and
-  /// tombstoned.
-  void Remove(size_t p, const SparseVector& psi);
-
-  /// Document-at-a-time scoring: resizes `scores` to K and fills
-  /// scores[p] = c⃗_p · psi for every cluster in one pass over `psi`.
-  /// Cost is Σ_{t ∈ psi} |postings(t)| ≤ |psi| · K.
-  void ScoreAll(const SparseVector& psi, std::vector<double>* scores) const;
-
-  /// The live postings of one term, for tests: (cluster, weight) pairs in
-  /// unspecified order.
-  std::vector<std::pair<size_t, double>> PostingsOf(TermId term) const;
-
- private:
-  // One cluster's accumulated weight for one term. `refs` counts the live
-  // member vectors contributing to the weight; refs == 0 marks a tombstone
-  // (weight is exactly 0.0 and the entry is skipped by compaction).
-  struct Entry {
-    uint32_t cluster = 0;
-    uint32_t refs = 0;
-    double weight = 0.0;
-  };
-  struct PostingList {
-    std::vector<Entry> entries;
-    size_t dead = 0;
-  };
-
-  void MaybeCompact(PostingList* list);
-
-  std::unordered_map<TermId, PostingList> postings_;
-  size_t k_ = 0;
-  Stats stats_;
-};
-
 /// CSR posting index over the K cluster representatives, addressed by the
 /// SimilarityContext's dense *local* term ids: one flat entry array plus a
 /// per-term offset table, rebuilt in one pass at every RefreshAll. Scoring a
@@ -116,15 +48,10 @@ class ClusterRepIndex {
 /// Between rebuilds the index is maintained *move-only*: the sweep scores
 /// documents with their ψ still attached (ScoreAllDetached supplies the
 /// detached home cross term algebraically), so postings change only when a
-/// document actually moves. A move updates base entries in place (same
-/// refs/zero-snap tombstone semantics as ClusterRepIndex); the rare
-/// (term, cluster) pairs that first appear mid-sweep go to a small overlay
-/// keyed by local term id, disjoint from the base entries.
-///
-/// Weight maintenance replays the same per-term additions, in the same
-/// order, as Cluster::Refresh / Cluster::Add / Cluster::Remove apply to the
-/// representatives — so scores match the merge path bit-for-bit (except
-/// zero-snapped tombstone residuals, as with ClusterRepIndex).
+/// document actually moves. A move updates base entries in place (the
+/// refs/zero-snap tombstones described above); the rare (term, cluster)
+/// pairs that first appear mid-sweep go to a small overlay keyed by local
+/// term id, disjoint from the base entries.
 ///
 /// The base postings live in padded SoA arrays (clusters / refs / weights
 /// plus an fp16 shadow of the weights) and are scanned through the
@@ -137,8 +64,8 @@ class ClusterRepIndex {
 /// overlay in after the kernel scan instead, which its margin absorbs.
 class FlatRepIndex {
  public:
-  /// Cumulative counters survive rebuilds (like ClusterRepIndex::Stats);
-  /// live/dead/base entries reflect the current postings.
+  /// Cumulative counters survive rebuilds; live/dead entries reflect the
+  /// current postings.
   struct Stats {
     uint64_t builds = 0;              // full CSR rebuilds
     uint64_t moves_applied = 0;       // ApplyAdd/ApplyRemove sides applied

@@ -21,8 +21,6 @@ const char* ProvenancePathName(ProvenancePath path) {
   switch (path) {
     case ProvenancePath::kMerge:
       return "merge";
-    case ProvenancePath::kIndexed:
-      return "indexed";
     case ProvenancePath::kSlotted:
       return "slotted";
   }

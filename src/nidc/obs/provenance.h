@@ -13,9 +13,9 @@
 //
 // Margins are decision-bar relative: both gains are floored at 0, the
 // outlier bar the sweeps apply, so `margin == best_gain - runner_up_gain`
-// is always >= 0 and bit-identical across kMerge / kIndexed / kSlotted
-// (the paths compute bit-identical gain vectors; the equivalence test
-// proves the recorded margins match). Certified decisions record interval
+// is always >= 0 and bit-identical across kMerge / kSlotted (the paths
+// compute bit-identical gain vectors; the equivalence test proves the
+// recorded margins match). Certified decisions record interval
 // bounds instead of exact gains — best_gain is the winner's certified
 // lower bound and runner_up_gain the best rival's certified upper bound —
 // marked with outcome "certified" so consumers know the distinction.
@@ -47,7 +47,7 @@ enum class ProvenanceVerdict : uint8_t {
 
 /// Which scoring path produced the gains (mirrors core's ClusterScoring —
 /// duplicated here because obs sits below core in the layering).
-enum class ProvenancePath : uint8_t { kMerge, kIndexed, kSlotted };
+enum class ProvenancePath : uint8_t { kMerge, kSlotted };
 
 /// How the quantized fp16 pass treated the document.
 enum class QuantizedOutcome : uint8_t {

@@ -233,8 +233,8 @@ TEST_F(ExtendedKMeansTest, ShuffledSweepStillRecoversTopics) {
 }
 
 TEST_F(ExtendedKMeansTest, IndexedScoringMatchesMergeScoring) {
-  // The rep-index path must reproduce the serial merge path's clustering
-  // exactly: same memberships, same outliers, same G trajectory.
+  // The slotted posting-index path must reproduce the serial merge path's
+  // clustering exactly: same memberships, same outliers, same G trajectory.
   for (const AssignmentCriterion criterion :
        {AssignmentCriterion::kGIncrease,
         AssignmentCriterion::kAvgSimIncrease}) {
@@ -242,19 +242,19 @@ TEST_F(ExtendedKMeansTest, IndexedScoringMatchesMergeScoring) {
     merge_opts.k = 3;
     merge_opts.seed = 5;
     merge_opts.criterion = criterion;
-    merge_opts.use_rep_index = false;
+    merge_opts.scoring = ClusterScoring::kMerge;
     merge_opts.num_threads = 1;
-    ExtendedKMeansOptions indexed_opts = merge_opts;
-    indexed_opts.use_rep_index = true;
+    ExtendedKMeansOptions slotted_opts = merge_opts;
+    slotted_opts.scoring = ClusterScoring::kSlotted;
     auto merge = RunExtendedKMeans(*ctx_, docs_, merge_opts);
-    auto indexed = RunExtendedKMeans(*ctx_, docs_, indexed_opts);
+    auto slotted = RunExtendedKMeans(*ctx_, docs_, slotted_opts);
     ASSERT_TRUE(merge.ok());
-    ASSERT_TRUE(indexed.ok());
-    EXPECT_EQ(merge->clusters, indexed->clusters);
-    EXPECT_EQ(merge->outliers, indexed->outliers);
-    ASSERT_EQ(merge->g_history.size(), indexed->g_history.size());
+    ASSERT_TRUE(slotted.ok());
+    EXPECT_EQ(merge->clusters, slotted->clusters);
+    EXPECT_EQ(merge->outliers, slotted->outliers);
+    ASSERT_EQ(merge->g_history.size(), slotted->g_history.size());
     for (size_t i = 0; i < merge->g_history.size(); ++i) {
-      EXPECT_NEAR(merge->g_history[i], indexed->g_history[i], 1e-12);
+      EXPECT_NEAR(merge->g_history[i], slotted->g_history[i], 1e-12);
     }
   }
 }
@@ -270,17 +270,17 @@ TEST_F(ExtendedKMeansTest, IndexedScoringMatchesWithRepresentativeSeeds) {
   seeds.representatives = first->representatives;
 
   ExtendedKMeansOptions merge_opts = opts;
-  merge_opts.use_rep_index = false;
+  merge_opts.scoring = ClusterScoring::kMerge;
   merge_opts.num_threads = 1;
-  ExtendedKMeansOptions indexed_opts = opts;
-  indexed_opts.use_rep_index = true;
-  indexed_opts.num_threads = 1;
+  ExtendedKMeansOptions slotted_opts = opts;
+  slotted_opts.scoring = ClusterScoring::kSlotted;
+  slotted_opts.num_threads = 1;
   auto merge = RunExtendedKMeans(*ctx_, docs_, merge_opts, seeds);
-  auto indexed = RunExtendedKMeans(*ctx_, docs_, indexed_opts, seeds);
+  auto slotted = RunExtendedKMeans(*ctx_, docs_, slotted_opts, seeds);
   ASSERT_TRUE(merge.ok());
-  ASSERT_TRUE(indexed.ok());
-  EXPECT_EQ(merge->clusters, indexed->clusters);
-  EXPECT_EQ(merge->outliers, indexed->outliers);
+  ASSERT_TRUE(slotted.ok());
+  EXPECT_EQ(merge->clusters, slotted->clusters);
+  EXPECT_EQ(merge->outliers, slotted->outliers);
 }
 
 TEST_F(ExtendedKMeansTest, ThreadCountDoesNotChangeTheResult) {

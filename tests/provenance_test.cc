@@ -189,15 +189,13 @@ class ProvenanceEquivalenceTest : public testing::Test {
 
   // Runs the extended K-means with a provenance sink and returns the
   // flushed decisions keyed by document id.
-  std::map<uint64_t, obs::DecisionRecord> Decisions(bool use_rep_index,
-                                                    bool move_only_sweep,
+  std::map<uint64_t, obs::DecisionRecord> Decisions(ClusterScoring scoring,
                                                     bool quantized) {
     obs::ProvenanceLog log(64);
     ExtendedKMeansOptions opts;
     opts.k = 3;
     opts.seed = 5;
-    opts.use_rep_index = use_rep_index;
-    opts.move_only_sweep = move_only_sweep;
+    opts.scoring = scoring;
     opts.quantized_scoring = quantized;
     opts.provenance = &log;
     const Result<ClusteringResult> result =
@@ -217,31 +215,25 @@ class ProvenanceEquivalenceTest : public testing::Test {
 };
 
 TEST_F(ProvenanceEquivalenceTest, MarginsBitIdenticalAcrossScoringPaths) {
-  const auto merge = Decisions(false, false, false);
-  const auto indexed = Decisions(true, false, false);
-  const auto slotted = Decisions(true, true, false);
+  const auto merge = Decisions(ClusterScoring::kMerge, false);
+  const auto slotted = Decisions(ClusterScoring::kSlotted, false);
   ASSERT_EQ(merge.size(), docs_.size());
-  ASSERT_EQ(indexed.size(), docs_.size());
   ASSERT_EQ(slotted.size(), docs_.size());
   for (DocId id : docs_) {
     const obs::DecisionRecord& m = merge.at(id);
-    const obs::DecisionRecord& i = indexed.at(id);
     const obs::DecisionRecord& s = slotted.at(id);
     EXPECT_EQ(m.path, obs::ProvenancePath::kMerge);
-    EXPECT_EQ(i.path, obs::ProvenancePath::kIndexed);
     EXPECT_EQ(s.path, obs::ProvenancePath::kSlotted);
     EXPECT_EQ(m.quantized, obs::QuantizedOutcome::kOff);
     EXPECT_EQ(s.quantized, obs::QuantizedOutcome::kOff);
-    for (const obs::DecisionRecord* other : {&i, &s}) {
-      EXPECT_EQ(m.verdict, other->verdict) << "doc " << id;
-      EXPECT_EQ(m.cluster_id, other->cluster_id) << "doc " << id;
-      EXPECT_EQ(m.runner_up_id, other->runner_up_id) << "doc " << id;
-      // EXPECT_EQ on doubles is exact comparison — bit-identical gains,
-      // not approximately-equal ones.
-      EXPECT_EQ(m.best_gain, other->best_gain) << "doc " << id;
-      EXPECT_EQ(m.runner_up_gain, other->runner_up_gain) << "doc " << id;
-      EXPECT_EQ(m.margin, other->margin) << "doc " << id;
-    }
+    EXPECT_EQ(m.verdict, s.verdict) << "doc " << id;
+    EXPECT_EQ(m.cluster_id, s.cluster_id) << "doc " << id;
+    EXPECT_EQ(m.runner_up_id, s.runner_up_id) << "doc " << id;
+    // EXPECT_EQ on doubles is exact comparison — bit-identical gains, not
+    // approximately-equal ones.
+    EXPECT_EQ(m.best_gain, s.best_gain) << "doc " << id;
+    EXPECT_EQ(m.runner_up_gain, s.runner_up_gain) << "doc " << id;
+    EXPECT_EQ(m.margin, s.margin) << "doc " << id;
     EXPECT_EQ(m.margin, m.best_gain - m.runner_up_gain);
     EXPECT_GE(m.margin, 0.0);
     if (m.verdict == obs::ProvenanceVerdict::kAssigned) {
@@ -254,8 +246,8 @@ TEST_F(ProvenanceEquivalenceTest, MarginsBitIdenticalAcrossScoringPaths) {
 }
 
 TEST_F(ProvenanceEquivalenceTest, QuantizedRunKeepsDecisionsAndBoundsMargins) {
-  const auto exact = Decisions(true, true, false);
-  const auto quantized = Decisions(true, true, true);
+  const auto exact = Decisions(ClusterScoring::kSlotted, false);
+  const auto quantized = Decisions(ClusterScoring::kSlotted, true);
   ASSERT_EQ(quantized.size(), docs_.size());
   for (DocId id : docs_) {
     const obs::DecisionRecord& e = exact.at(id);

@@ -12,147 +12,12 @@
 namespace nidc {
 namespace {
 
-SparseVector Vec(std::vector<SparseVector::Entry> entries) {
-  return SparseVector::FromEntries(std::move(entries));
-}
+// ---------------------------------------------------------------------------
+// FlatRepIndex: the CSR posting index behind slotted move-only sweeps.
+// ---------------------------------------------------------------------------
 
-TEST(ClusterRepIndexTest, PostingsMirrorAddedVectors) {
-  ClusterRepIndex index(3);
-  index.Add(0, Vec({{1, 0.5}, {2, 0.25}}));
-  index.Add(1, Vec({{2, 1.0}, {3, 2.0}}));
-  index.Add(0, Vec({{2, 0.75}}));
-
-  auto p2 = index.PostingsOf(2);
-  ASSERT_EQ(p2.size(), 2u);
-  double w0 = 0.0;
-  double w1 = 0.0;
-  for (const auto& [cluster, weight] : p2) {
-    if (cluster == 0) w0 = weight;
-    if (cluster == 1) w1 = weight;
-  }
-  EXPECT_DOUBLE_EQ(w0, 1.0);  // 0.25 + 0.75
-  EXPECT_DOUBLE_EQ(w1, 1.0);
-  EXPECT_EQ(index.PostingsOf(99).size(), 0u);
-}
-
-TEST(ClusterRepIndexTest, ScoreAllMatchesPerClusterDots) {
-  ClusterRepIndex index(4);
-  std::vector<SparseVector> reps(4);
-  Rng rng(77);
-  for (size_t p = 0; p < 4; ++p) {
-    std::vector<SparseVector::Entry> entries;
-    for (int j = 0; j < 6; ++j) {
-      entries.push_back({static_cast<TermId>(rng.NextBounded(12)),
-                         rng.NextDouble()});
-    }
-    reps[p] = Vec(std::move(entries));
-    index.Add(p, reps[p]);
-  }
-  for (int probe = 0; probe < 20; ++probe) {
-    std::vector<SparseVector::Entry> entries;
-    for (int j = 0; j < 5; ++j) {
-      entries.push_back({static_cast<TermId>(rng.NextBounded(12)),
-                         rng.NextDouble()});
-    }
-    const SparseVector psi = Vec(std::move(entries));
-    std::vector<double> scores;
-    index.ScoreAll(psi, &scores);
-    ASSERT_EQ(scores.size(), 4u);
-    for (size_t p = 0; p < 4; ++p) {
-      EXPECT_NEAR(scores[p], reps[p].Dot(psi), 1e-12);
-    }
-  }
-}
-
-TEST(ClusterRepIndexTest, RemovingLastContributorSnapsWeightToExactZero) {
-  ClusterRepIndex index(2);
-  const SparseVector a = Vec({{5, 0.1}, {6, 0.2}});
-  const SparseVector b = Vec({{5, 0.3}});
-  index.Add(0, a);
-  index.Add(0, b);
-  index.Remove(0, a);
-  // Term 6 lost its only contributor: tombstoned, not a float residual.
-  EXPECT_EQ(index.PostingsOf(6).size(), 0u);
-  // Term 5 still has b's weight.
-  auto p5 = index.PostingsOf(5);
-  ASSERT_EQ(p5.size(), 1u);
-  EXPECT_NEAR(p5[0].second, 0.3, 1e-15);
-  index.Remove(0, b);
-  EXPECT_EQ(index.PostingsOf(5).size(), 0u);
-  std::vector<double> scores;
-  index.ScoreAll(Vec({{5, 1.0}, {6, 1.0}}), &scores);
-  EXPECT_DOUBLE_EQ(scores[0], 0.0);
-  EXPECT_DOUBLE_EQ(scores[1], 0.0);
-}
-
-TEST(ClusterRepIndexTest, TombstoneReviveRestoresPosting) {
-  ClusterRepIndex index(2);
-  const SparseVector a = Vec({{7, 1.5}});
-  index.Add(0, a);
-  index.Add(1, a);
-  index.Remove(0, a);
-  index.Add(0, Vec({{7, 2.5}}));
-  auto p7 = index.PostingsOf(7);
-  ASSERT_EQ(p7.size(), 2u);
-  for (const auto& [cluster, weight] : p7) {
-    if (cluster == 0) {
-      EXPECT_DOUBLE_EQ(weight, 2.5);
-    }
-    if (cluster == 1) {
-      EXPECT_DOUBLE_EQ(weight, 1.5);
-    }
-  }
-}
-
-TEST(ClusterRepIndexTest, StatsTrackTombstoneLifecycle) {
-  ClusterRepIndex index(2);
-  const SparseVector a = Vec({{7, 1.5}});
-  index.Add(0, a);
-  index.Add(1, a);
-  EXPECT_EQ(index.stats().live_entries, 2u);
-  EXPECT_EQ(index.stats().dead_entries, 0u);
-  EXPECT_EQ(index.stats().tombstones_created, 0u);
-
-  index.Remove(0, a);
-  EXPECT_EQ(index.stats().live_entries, 1u);
-  EXPECT_EQ(index.stats().dead_entries, 1u);
-  EXPECT_EQ(index.stats().tombstones_created, 1u);
-
-  index.Add(0, Vec({{7, 2.5}}));
-  EXPECT_EQ(index.stats().live_entries, 2u);
-  EXPECT_EQ(index.stats().dead_entries, 0u);
-  EXPECT_EQ(index.stats().tombstones_revived, 1u);
-}
-
-TEST(ClusterRepIndexTest, ResetPreservesCumulativeStats) {
-  ClusterRepIndex index(2);
-  const SparseVector a = Vec({{3, 1.0}});
-  index.Add(0, a);
-  index.Remove(0, a);
-  const uint64_t tombstones = index.stats().tombstones_created;
-  EXPECT_EQ(tombstones, 1u);
-  // The single-entry list compacts on the remove, so the cumulative
-  // compaction counters are also non-zero here.
-  EXPECT_EQ(index.stats().compactions, 1u);
-  index.Reset(2);
-  EXPECT_EQ(index.stats().live_entries, 0u);
-  EXPECT_EQ(index.stats().dead_entries, 0u);
-  EXPECT_EQ(index.stats().tombstones_created, tombstones);
-}
-
-TEST(ClusterRepIndexDeathTest, RemovingUnknownTermDiesLoudly) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ClusterRepIndex index(2);
-  index.Add(0, Vec({{1, 1.0}}));
-  EXPECT_DEATH(index.Remove(0, Vec({{2, 1.0}})), "never added");
-  EXPECT_DEATH(index.Remove(1, Vec({{1, 1.0}})), "never added");
-}
-
-// Randomized equivalence: a ClusterSet with the rep index enabled is driven
-// through random assign/detach/refresh sequences; after every mutation the
-// document-at-a-time scores must match the brute-force
-// `representative().Dot(psi)` path within 1e-12.
-class RepIndexEquivalenceTest : public testing::Test {
+// A 60-document corpus over a 30-word vocabulary, shared by the tests.
+class FlatRepIndexTest : public testing::Test {
  protected:
   void SetUp() override {
     const char* pool[] = {"alpha", "bravo",  "charlie", "delta", "echo",
@@ -184,78 +49,6 @@ class RepIndexEquivalenceTest : public testing::Test {
     docs_ = ids;
   }
 
-  void ExpectScoresMatch(const ClusterSet& set) {
-    std::vector<double> scores;
-    for (DocId id : docs_) {
-      const SparseVector& psi = ctx_->Psi(id);
-      set.ScoreAllClusters(psi, &scores);
-      ASSERT_EQ(scores.size(), set.num_clusters());
-      for (size_t p = 0; p < set.num_clusters(); ++p) {
-        const double brute = set.cluster(p).representative().Dot(psi);
-        EXPECT_NEAR(scores[p], brute, 1e-12)
-            << "doc " << id << " cluster " << p;
-      }
-    }
-  }
-
-  Corpus corpus_;
-  std::unique_ptr<ForgettingModel> model_;
-  std::unique_ptr<SimilarityContext> ctx_;
-  std::vector<DocId> docs_;
-};
-
-TEST_F(RepIndexEquivalenceTest, RandomizedAssignDetachRefreshSequences) {
-  const size_t k = 6;
-  ClusterSet set(k, /*use_rep_index=*/true);
-  ASSERT_TRUE(set.rep_index_enabled());
-  Rng rng(99);
-  for (int op = 0; op < 400; ++op) {
-    const DocId id = docs_[rng.NextBounded(docs_.size())];
-    // ~1/8 detach, ~1/16 full refresh, otherwise a random (re)assignment.
-    const uint64_t roll = rng.NextBounded(16);
-    if (roll == 0) {
-      set.RefreshAll(*ctx_);
-    } else if (roll <= 2) {
-      set.Assign(id, kUnassigned, *ctx_);
-    } else {
-      set.Assign(id, static_cast<int>(rng.NextBounded(k)), *ctx_);
-    }
-    if (op % 20 == 0) ExpectScoresMatch(set);
-  }
-  ExpectScoresMatch(set);
-  // And once more from the canonical (refreshed) state.
-  set.RefreshAll(*ctx_);
-  ExpectScoresMatch(set);
-}
-
-TEST_F(RepIndexEquivalenceTest, IndexedGainsMatchMergeGains) {
-  const size_t k = 4;
-  ClusterSet set(k, /*use_rep_index=*/true);
-  Rng rng(7);
-  for (DocId id : docs_) {
-    set.Assign(id, static_cast<int>(rng.NextBounded(k)), *ctx_);
-  }
-  std::vector<double> scores;
-  for (DocId id : docs_) {
-    set.Assign(id, kUnassigned, *ctx_);
-    set.ScoreAllClusters(ctx_->Psi(id), &scores);
-    for (size_t p = 0; p < k; ++p) {
-      const Cluster& c = set.cluster(p);
-      if (c.empty()) continue;
-      EXPECT_NEAR(c.GainInGGivenT(scores[p]), c.GainInGIfAdded(id, *ctx_),
-                  1e-12);
-      EXPECT_NEAR(c.GainGivenT(scores[p]), c.GainIfAdded(id, *ctx_), 1e-12);
-    }
-    set.Assign(id, static_cast<int>(rng.NextBounded(k)), *ctx_);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// FlatRepIndex: the CSR posting index behind slotted move-only sweeps.
-// ---------------------------------------------------------------------------
-
-class FlatRepIndexTest : public RepIndexEquivalenceTest {
- protected:
   // Builds a merge-scoring ClusterSet with the same memberships as the
   // round-robin assignment used by the tests, assigned in the same order —
   // its representatives carry bit-identical coefficients to the ones a
@@ -267,6 +60,11 @@ class FlatRepIndexTest : public RepIndexEquivalenceTest {
     }
     return twin;
   }
+
+  Corpus corpus_;
+  std::unique_ptr<ForgettingModel> model_;
+  std::unique_ptr<SimilarityContext> ctx_;
+  std::vector<DocId> docs_;
 };
 
 TEST_F(FlatRepIndexTest, BuildFromClustersMatchesRepresentativeDots) {
@@ -316,7 +114,15 @@ TEST_F(FlatRepIndexTest, ScoreAllDetachedMatchesPhysicalRemoval) {
         << "doc " << id;
     twin.Assign(id, kUnassigned, *ctx_);
     for (size_t p = 0; p < k; ++p) {
-      EXPECT_EQ(scores[p], twin.cluster(p).representative().Dot(psi))
+      const Cluster& c = twin.cluster(p);
+      EXPECT_EQ(scores[p], c.representative().Dot(psi))
+          << "doc " << id << " cluster " << p;
+      if (c.empty()) continue;
+      // The slotted sweep's gains from a scanned cross term equal the merge
+      // sweep's gains from its own dot product, bit for bit.
+      EXPECT_EQ(c.GainGivenT(scores[p]), c.GainIfAdded(id, *ctx_))
+          << "doc " << id << " cluster " << p;
+      EXPECT_EQ(c.GainInGGivenT(scores[p]), c.GainInGIfAdded(id, *ctx_))
           << "doc " << id << " cluster " << p;
     }
   }

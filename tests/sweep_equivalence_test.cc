@@ -1,7 +1,6 @@
 // Property test for the scoring-path ablation: for any corpus, K,
 // assignment criterion, seeding mode, shuffle setting and thread count, the
-// three sweep configurations — merge (reference), indexed (PR-1 hash
-// posting index with physical detach/re-attach) and slotted (flat CSR index
+// two sweep configurations — merge (reference) and slotted (flat CSR index
 // with move-only maintenance) — must produce *identical* ClusteringResults:
 // same memberships, same outliers, and a bit-for-bit equal G history. The
 // G trace is the sharpest oracle: every float produced by the Eq. 22–26
@@ -76,16 +75,15 @@ std::unique_ptr<Env> MakeEnv(uint64_t seed, size_t n_docs,
 }
 
 ClusteringResult RunConfig(const Env& env, ExtendedKMeansOptions options,
-                           bool use_rep_index, bool move_only,
+                           ClusterScoring scoring,
                            const std::optional<KMeansSeeds>& seeds) {
-  options.use_rep_index = use_rep_index;
-  options.move_only_sweep = move_only;
+  options.scoring = scoring;
   auto result = RunExtendedKMeans(*env.ctx, env.docs, options, seeds);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.ok() ? std::move(result).value() : ClusteringResult{};
 }
 
-// Runs the three configurations and asserts identical outputs. g_history is
+// Runs both configurations and asserts identical outputs. g_history is
 // compared with EXPECT_EQ on the double vectors — bit-for-bit, no
 // tolerance.
 void ExpectAllConfigsIdentical(const Env& env,
@@ -93,23 +91,14 @@ void ExpectAllConfigsIdentical(const Env& env,
                                const std::optional<KMeansSeeds>& seeds =
                                    std::nullopt) {
   const ClusteringResult merge =
-      RunConfig(env, options, /*use_rep_index=*/false, /*move_only=*/false,
-                seeds);
-  const ClusteringResult indexed =
-      RunConfig(env, options, /*use_rep_index=*/true, /*move_only=*/false,
-                seeds);
+      RunConfig(env, options, ClusterScoring::kMerge, seeds);
   const ClusteringResult slotted =
-      RunConfig(env, options, /*use_rep_index=*/true, /*move_only=*/true,
-                seeds);
-  for (const auto* other : {&indexed, &slotted}) {
-    const char* name = other == &indexed ? "indexed" : "slotted";
-    SCOPED_TRACE(name);
-    EXPECT_EQ(merge.clusters, other->clusters);
-    EXPECT_EQ(merge.outliers, other->outliers);
-    EXPECT_EQ(merge.g_history, other->g_history);
-    EXPECT_EQ(merge.iterations, other->iterations);
-    EXPECT_EQ(merge.converged, other->converged);
-  }
+      RunConfig(env, options, ClusterScoring::kSlotted, seeds);
+  EXPECT_EQ(merge.clusters, slotted.clusters);
+  EXPECT_EQ(merge.outliers, slotted.outliers);
+  EXPECT_EQ(merge.g_history, slotted.g_history);
+  EXPECT_EQ(merge.iterations, slotted.iterations);
+  EXPECT_EQ(merge.converged, slotted.converged);
 }
 
 TEST(SweepEquivalenceTest, RandomCorporaAcrossKAndCriterion) {
@@ -141,14 +130,14 @@ TEST(SweepEquivalenceTest, ThreadCountDoesNotChangeSlottedResults) {
   options.k = 6;
   options.seed = 9;
   const ClusteringResult base =
-      RunConfig(*serial, options, true, true, std::nullopt);
+      RunConfig(*serial, options, ClusterScoring::kSlotted, std::nullopt);
   for (size_t threads : {2u, 4u, 0u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     auto env = MakeEnv(5, /*n_docs=*/60, 8, threads);
     ExtendedKMeansOptions opts = options;
     opts.num_threads = threads;
     const ClusteringResult got =
-        RunConfig(*env, opts, true, true, std::nullopt);
+        RunConfig(*env, opts, ClusterScoring::kSlotted, std::nullopt);
     EXPECT_EQ(base.clusters, got.clusters);
     EXPECT_EQ(base.outliers, got.outliers);
     EXPECT_EQ(base.g_history, got.g_history);
@@ -206,7 +195,7 @@ TEST(SweepEquivalenceTest, MembershipSeedingStaysIdentical) {
   options.k = 5;
   options.seed = 13;
   const ClusteringResult previous =
-      RunConfig(*env, options, false, false, std::nullopt);
+      RunConfig(*env, options, ClusterScoring::kMerge, std::nullopt);
   KMeansSeeds seeds;
   seeds.mode = SeedMode::kMembership;
   seeds.memberships = previous.clusters;
@@ -219,7 +208,7 @@ TEST(SweepEquivalenceTest, RepresentativeSeedingStaysIdentical) {
   options.k = 5;
   options.seed = 21;
   const ClusteringResult previous =
-      RunConfig(*env, options, false, false, std::nullopt);
+      RunConfig(*env, options, ClusterScoring::kMerge, std::nullopt);
   KMeansSeeds seeds;
   seeds.mode = SeedMode::kRepresentatives;
   seeds.representatives = previous.representatives;
@@ -247,8 +236,7 @@ TEST(SweepEquivalenceTest, KernelAndQuantizationDimensionsStayIdentical) {
       options.quantized_scoring = false;
       kernels::Select(kernels::Kind::kScalar);
       const ClusteringResult merge =
-          RunConfig(*env, options, /*use_rep_index=*/false,
-                    /*move_only=*/false, std::nullopt);
+          RunConfig(*env, options, ClusterScoring::kMerge, std::nullopt);
       for (kernels::Kind kind : kinds) {
         if (!kernels::Available(kind)) continue;
         for (bool quantized : {false, true}) {
@@ -260,8 +248,7 @@ TEST(SweepEquivalenceTest, KernelAndQuantizationDimensionsStayIdentical) {
           ExtendedKMeansOptions opts = options;
           opts.quantized_scoring = quantized;
           const ClusteringResult slotted =
-              RunConfig(*env, opts, /*use_rep_index=*/true,
-                        /*move_only=*/true, std::nullopt);
+              RunConfig(*env, opts, ClusterScoring::kSlotted, std::nullopt);
           EXPECT_EQ(merge.clusters, slotted.clusters);
           EXPECT_EQ(merge.outliers, slotted.outliers);
           EXPECT_EQ(merge.g_history, slotted.g_history);
@@ -283,7 +270,7 @@ TEST(SweepEquivalenceTest, KernelsStayIdenticalAcrossThreadCounts) {
   options.seed = 19;
   options.quantized_scoring = false;
   const ClusteringResult base =
-      RunConfig(*serial, options, true, true, std::nullopt);
+      RunConfig(*serial, options, ClusterScoring::kSlotted, std::nullopt);
   for (kernels::Kind kind : {kernels::Kind::kScalar, kernels::Kind::kAvx2,
                              kernels::Kind::kAvx512}) {
     if (!kernels::Available(kind)) continue;
@@ -298,7 +285,7 @@ TEST(SweepEquivalenceTest, KernelsStayIdenticalAcrossThreadCounts) {
         opts.num_threads = threads;
         opts.quantized_scoring = quantized;
         const ClusteringResult got =
-            RunConfig(*env, opts, true, true, std::nullopt);
+            RunConfig(*env, opts, ClusterScoring::kSlotted, std::nullopt);
         EXPECT_EQ(base.clusters, got.clusters);
         EXPECT_EQ(base.outliers, got.outliers);
         EXPECT_EQ(base.g_history, got.g_history);
@@ -338,8 +325,7 @@ TEST(SweepEquivalenceTest, NearTieArgmaxTriggersExactRecheckNotDrift) {
   options.k = 4;
   options.seed = 11;
   const ClusteringResult merge =
-      RunConfig(*env, options, /*use_rep_index=*/false, /*move_only=*/false,
-                std::nullopt);
+      RunConfig(*env, options, ClusterScoring::kMerge, std::nullopt);
   size_t total_fallbacks = 0;
   for (kernels::Kind kind :
        {kernels::Kind::kScalar, kernels::Kind::kAvx2,
@@ -351,8 +337,7 @@ TEST(SweepEquivalenceTest, NearTieArgmaxTriggersExactRecheckNotDrift) {
     ExtendedKMeansOptions opts = options;
     opts.quantized_scoring = true;
     opts.profile = &profile;
-    opts.use_rep_index = true;
-    opts.move_only_sweep = true;
+    opts.scoring = ClusterScoring::kSlotted;
     auto result = RunExtendedKMeans(*env->ctx, env->docs, opts);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(merge.clusters, result->clusters);
@@ -368,7 +353,7 @@ TEST(SweepEquivalenceTest, NearTieArgmaxTriggersExactRecheckNotDrift) {
 TEST(SweepEquivalenceTest, DegenerateRepresentativeSeedsStayIdentical) {
   // Bogus seed vectors: an empty representative, one over terms no active
   // document contains, and one real ψ. The seeded assignment pass leaves
-  // clusters empty / degenerate, and all three sweeps must recover through
+  // clusters empty / degenerate, and both sweeps must recover through
   // the same reseed decisions.
   auto env = MakeEnv(37, /*n_docs=*/40);
   KMeansSeeds seeds;

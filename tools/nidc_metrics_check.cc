@@ -66,7 +66,7 @@ constexpr const char* kMetricKeys[] = {
     "kernel.delta_fallbacks",
     "rep_index.live_entries",
     "rep_index.tombstones",
-    "rep_index.compactions",
+    "rep_index.builds",
     "rep_index.moves_applied",
     "thread_pool.tasks_executed",
     "thread_pool.queue_high_water",
