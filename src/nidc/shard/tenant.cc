@@ -214,10 +214,12 @@ Status Tenant::Ingest(const std::vector<RawDocument>& docs,
   }
   if (docs.empty()) return Status::OK();
 
-  // Validate the whole batch before touching anything: the feed must stay
-  // chronological end to end (corpus.tsv order is DocId order), and no
-  // document may fall before the open window.
+  // Validate the whole batch, as stored, before touching anything: the
+  // feed must stay chronological end to end (corpus.tsv order is DocId
+  // order), and no document may fall before the open window.
   DayTime floor = std::max(last_time_, batcher_.cursor());
+  std::vector<RawDocument> sanitized;
+  sanitized.reserve(docs.size());
   for (const RawDocument& doc : docs) {
     if (!std::isfinite(doc.time) || doc.time < floor) {
       return Status::InvalidArgument(
@@ -225,7 +227,12 @@ Status Tenant::Ingest(const std::vector<RawDocument>& docs,
           std::to_string(floor));
     }
     floor = doc.time;
-    if (SanitizeText(doc.text).find_first_not_of(' ') == std::string::npos) {
+    RawDocument& clean = sanitized.emplace_back();
+    clean.time = doc.time;
+    clean.topic = doc.topic;
+    clean.source = SanitizeText(doc.source);
+    clean.text = SanitizeText(doc.text);
+    if (clean.text.find_first_not_of(' ') == std::string::npos) {
       return Status::InvalidArgument("document text must not be empty");
     }
   }
@@ -235,14 +242,8 @@ Status Tenant::Ingest(const std::vector<RawDocument>& docs,
   // unknown ids. (The reverse — corpus ahead of the WAL — heals on
   // reopen; see Boot.)
   std::string block;
-  std::vector<RawDocument> sanitized;
-  sanitized.reserve(docs.size());
-  for (const RawDocument& doc : docs) {
-    RawDocument clean = doc;
-    clean.text = SanitizeText(doc.text);
-    clean.source = SanitizeText(doc.source);
-    sanitized.push_back(std::move(clean));
-    block += FormatRawDocument(sanitized.back());
+  for (const RawDocument& doc : sanitized) {
+    block += FormatRawDocument(doc);
     block += '\n';
   }
   if (Status appended = corpus_file_->Append(block); !appended.ok()) {

@@ -4,8 +4,11 @@
 #ifndef NIDC_TEXT_ANALYZER_H_
 #define NIDC_TEXT_ANALYZER_H_
 
-#include <memory>
+#include <cstdint>
+
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "nidc/text/porter_stemmer.h"
 #include "nidc/text/sparse_vector.h"
@@ -22,8 +25,17 @@ struct AnalyzerOptions {
   bool use_stemming = true;
 };
 
+/// Token counts since construction.
+struct AnalyzerStats {
+  uint64_t tokens = 0;
+  /// Tokens that were an interned term known to analyze to itself, and so
+  /// cost one vocabulary probe.
+  uint64_t fast_path_tokens = 0;
+};
+
 /// Turns raw text into a term-frequency SparseVector against a shared,
-/// growable Vocabulary. Not thread-safe (the vocabulary mutates).
+/// growable Vocabulary. Not thread-safe: the vocabulary and the analyzer's
+/// own scratch state mutate.
 class Analyzer {
  public:
   /// `vocabulary` must outlive the analyzer; it is grown as new terms appear.
@@ -31,22 +43,36 @@ class Analyzer {
 
   /// Analyzes `text` into term frequencies f_ik (integral counts stored as
   /// doubles). Unknown terms are interned.
-  SparseVector Analyze(std::string_view text) const;
+  SparseVector Analyze(std::string_view text);
 
   /// Analyzes against a frozen vocabulary: unseen terms are skipped instead
   /// of interned (useful for query-style lookups in tests).
-  SparseVector AnalyzeFrozen(std::string_view text) const;
+  SparseVector AnalyzeFrozen(std::string_view text);
 
   const Vocabulary& vocabulary() const { return *vocabulary_; }
+  const AnalyzerStats& stats() const { return stats_; }
 
  private:
-  SparseVector AnalyzeImpl(std::string_view text, bool allow_grow) const;
+  SparseVector AnalyzeImpl(std::string_view text, bool allow_grow);
+  /// The term `token` analyzes to: its id, or kInvalidTermId when it is a
+  /// stopword or (with `allow_grow` false) unknown.
+  TermId TermOf(std::string_view token, bool allow_grow);
 
   Vocabulary* vocabulary_;
   AnalyzerOptions options_;
   Tokenizer tokenizer_;
   StopwordSet stopwords_;
   PorterStemmer stemmer_;
+  // fixed_[id] != 0 once term `id` has been seen as a token that analyzed
+  // to itself: not a stopword and its own stem. A token equal to such a
+  // term skips stop/stem/intern. One byte per term; terms interned from
+  // another surface form stay 0 until seen themselves.
+  std::vector<uint8_t> fixed_;
+  // Scratch reused across tokens and documents.
+  std::string token_buffer_;
+  std::string stem_buffer_;
+  std::vector<TermId> ids_;
+  AnalyzerStats stats_;
 };
 
 }  // namespace nidc

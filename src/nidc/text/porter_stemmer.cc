@@ -14,10 +14,11 @@ namespace {
 
 class Engine {
  public:
-  explicit Engine(std::string word) : b_(std::move(word)), k_(b_.size() - 1) {}
+  // `word` holds at least three characters.
+  explicit Engine(std::string& word) : b_(word), k_(b_.size() - 1) {}
 
-  std::string Run() {
-    if (b_.size() <= 2) return b_;
+  // Stems the word in place.
+  void Run() {
     Step1a();
     Step1b();
     Step1c();
@@ -26,7 +27,7 @@ class Engine {
     Step4();
     Step5a();
     Step5b();
-    return b_.substr(0, k_ + 1);
+    b_.resize(k_ + 1);
   }
 
  private:
@@ -299,7 +300,7 @@ class Engine {
     if (b_[k_] == 'l' && DoubleConsonant(k_) && Measure(k_) > 1) --k_;
   }
 
-  std::string b_;
+  std::string& b_;
   size_t k_;                        // index of last character
   size_t j_ = static_cast<size_t>(-1);  // end of stem before matched suffix
 };
@@ -307,11 +308,17 @@ class Engine {
 }  // namespace
 
 std::string PorterStemmer::Stem(std::string_view word) const {
-  if (word.size() < 3) return std::string(word);
-  for (char c : word) {
-    if (c < 'a' || c > 'z') return std::string(word);
+  std::string stem(word);
+  StemInPlace(&stem);
+  return stem;
+}
+
+void PorterStemmer::StemInPlace(std::string* word) const {
+  if (word->size() < 3) return;
+  for (char c : *word) {
+    if (c < 'a' || c > 'z') return;
   }
-  return Engine(std::string(word)).Run();
+  Engine(*word).Run();
 }
 
 }  // namespace nidc

@@ -17,6 +17,11 @@ class PorterStemmer {
   /// containing non-alphabetic characters are returned unchanged (hyphenated
   /// compounds etc. pass through, matching classic IR toolkit behaviour).
   std::string Stem(std::string_view word) const;
+
+  /// Replaces `*word` with its stem. Allocates nothing when `word` has
+  /// room for one character more than its length (step 1b can grow the
+  /// word by one before the result is cut back).
+  void StemInPlace(std::string* word) const;
 };
 
 }  // namespace nidc

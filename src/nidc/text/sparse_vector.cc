@@ -131,11 +131,4 @@ void SparseVector::Prune(double epsilon) {
                  entries_.end());
 }
 
-SparseVector SparseAccumulator::ToVector() const {
-  std::vector<SparseVector::Entry> entries;
-  entries.reserve(values_.size());
-  for (const auto& [id, value] : values_) entries.push_back({id, value});
-  return SparseVector::FromEntries(std::move(entries));
-}
-
 }  // namespace nidc

@@ -8,7 +8,6 @@
 #include <cstddef>
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace nidc {
@@ -18,9 +17,9 @@ using TermId = uint32_t;
 
 /// Immutable-ish sorted sparse vector over TermId with double values.
 ///
-/// Construction is either from an unsorted (id, value) list (sorted and
-/// coalesced once) or incremental via an Accumulator. Zero entries are
-/// dropped on normalization points but tolerated in between.
+/// Constructed from an unsorted (id, value) list, sorted and coalesced
+/// once. Zero entries are dropped on normalization points but tolerated in
+/// between.
 class SparseVector {
  public:
   struct Entry {
@@ -32,7 +31,8 @@ class SparseVector {
   SparseVector() = default;
 
   /// Builds from possibly unsorted, possibly duplicated entries; duplicates
-  /// are summed.
+  /// are summed. The vector keeps the storage of `entries`, so its capacity
+  /// is that of the argument.
   static SparseVector FromEntries(std::vector<Entry> entries);
 
   const std::vector<Entry>& entries() const { return entries_; }
@@ -70,20 +70,6 @@ class SparseVector {
 
  private:
   std::vector<Entry> entries_;  // sorted by id, unique ids
-};
-
-/// Hash-map based accumulator for building sparse vectors term-by-term;
-/// convert to a SparseVector once filled.
-class SparseAccumulator {
- public:
-  void Add(TermId id, double value) { values_[id] += value; }
-  void Clear() { values_.clear(); }
-  bool empty() const { return values_.empty(); }
-
-  SparseVector ToVector() const;
-
- private:
-  std::unordered_map<TermId, double> values_;
 };
 
 }  // namespace nidc

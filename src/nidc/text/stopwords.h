@@ -11,6 +11,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "nidc/util/string_util.h"
+
 namespace nidc {
 
 /// Immutable set of stopwords with O(1) membership tests.
@@ -26,13 +28,13 @@ class StopwordSet {
   static StopwordSet FromWords(const std::vector<std::string>& words);
 
   bool Contains(std::string_view word) const {
-    return words_.contains(std::string(word));
+    return words_.contains(word);
   }
 
   size_t size() const { return words_.size(); }
 
  private:
-  std::unordered_set<std::string> words_;
+  std::unordered_set<std::string, StringHash, std::equal_to<>> words_;
 };
 
 }  // namespace nidc

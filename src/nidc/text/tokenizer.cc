@@ -1,18 +1,14 @@
 #include "nidc/text/tokenizer.h"
 
-#include <cctype>
-
 namespace nidc {
 
 namespace {
 
-bool IsWordChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0;
-}
+bool IsJoiner(char c) { return c == '\'' || c == '-'; }
 
-bool IsAllDigits(const std::string& token) {
+bool IsAllDigits(std::string_view token) {
   for (char c : token) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
+    if (c < '0' || c > '9') return false;
   }
   return !token.empty();
 }
@@ -21,57 +17,22 @@ bool IsAllDigits(const std::string& token) {
 
 Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {}
 
-bool Tokenizer::Accept(const std::string& token) const {
-  if (token.size() < options_.min_length) return false;
-  if (token.size() > options_.max_length) return false;
-  if (options_.drop_numbers && IsAllDigits(token)) return false;
+bool Tokenizer::Finish(std::string_view* token) const {
+  // Strip possessive suffix ("clinton's" -> "clinton").
+  if (token->size() > 2 && token->ends_with("'s")) token->remove_suffix(2);
+  while (!token->empty() && IsJoiner(token->front())) token->remove_prefix(1);
+  while (!token->empty() && IsJoiner(token->back())) token->remove_suffix(1);
+  if (token->size() < options_.min_length) return false;
+  if (token->size() > options_.max_length) return false;
+  if (options_.drop_numbers && IsAllDigits(*token)) return false;
   return true;
 }
 
 std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
   std::vector<std::string> tokens;
-  std::string current;
-  auto flush = [&]() {
-    if (!current.empty()) {
-      // Strip possessive suffix ("clinton's" -> "clinton").
-      if (current.size() > 2 && current.ends_with("'s")) {
-        current.resize(current.size() - 2);
-      }
-      // Strip stray leading/trailing joiners left by the joiner rule.
-      while (!current.empty() &&
-             (current.front() == '\'' || current.front() == '-')) {
-        current.erase(current.begin());
-      }
-      while (!current.empty() &&
-             (current.back() == '\'' || current.back() == '-')) {
-        current.pop_back();
-      }
-      if (Accept(current)) tokens.push_back(current);
-      current.clear();
-    }
-  };
-
-  for (size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (IsWordChar(c)) {
-      current += static_cast<char>(
-          std::tolower(static_cast<unsigned char>(c)));
-      continue;
-    }
-    // A joiner stays inside a token only when flanked by word characters.
-    const bool internal =
-        !current.empty() && i + 1 < text.size() && IsWordChar(text[i + 1]);
-    if (c == '-' && options_.keep_internal_hyphen && internal) {
-      current += '-';
-      continue;
-    }
-    if (c == '\'' && options_.keep_internal_apostrophe && internal) {
-      current += '\'';
-      continue;
-    }
-    flush();
-  }
-  flush();
+  std::string buffer;
+  ForEachToken(text, &buffer,
+               [&](std::string_view token) { tokens.emplace_back(token); });
   return tokens;
 }
 

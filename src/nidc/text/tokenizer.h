@@ -28,22 +28,73 @@ struct TokenizerOptions {
   bool keep_internal_apostrophe = true;
 };
 
-/// Converts raw text into normalized word tokens.
+/// Converts raw text into normalized word tokens. Word characters are the
+/// ASCII letters and digits; every other byte, including bytes >= 0x80,
+/// separates tokens.
 class Tokenizer {
  public:
   explicit Tokenizer(TokenizerOptions options = {});
 
-  /// Tokenizes `text`; tokens are lower-cased ASCII words.
+  /// Calls `emit(std::string_view token)` for each token of `text`, in
+  /// order. Tokens are lower-cased ASCII words built in `*buffer`, which
+  /// is reused from token to token, so a view is valid only until `emit`
+  /// returns. Once the buffer has grown to the longest run, tokenizing
+  /// allocates nothing.
+  template <typename Emit>
+  void ForEachToken(std::string_view text, std::string* buffer,
+                    Emit&& emit) const;
+
+  /// Tokenizes `text` into owned strings (ForEachToken, collected).
   std::vector<std::string> Tokenize(std::string_view text) const;
 
   const TokenizerOptions& options() const { return options_; }
 
  private:
-  /// Applies length/number filters; returns false if the token is dropped.
-  bool Accept(const std::string& token) const;
+  static bool IsWordChar(char c) {
+    return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+           (c >= 'A' && c <= 'Z');
+  }
+
+  bool KeepsJoiner(char c) const {
+    return (c == '-' && options_.keep_internal_hyphen) ||
+           (c == '\'' && options_.keep_internal_apostrophe);
+  }
+
+  /// Strips the possessive and stray joiners from a raw token, then
+  /// applies the length/number filters; returns false if it is dropped.
+  bool Finish(std::string_view* token) const;
 
   TokenizerOptions options_;
 };
+
+template <typename Emit>
+void Tokenizer::ForEachToken(std::string_view text, std::string* buffer,
+                             Emit&& emit) const {
+  const size_t n = text.size();
+  size_t i = 0;
+  while (i < n) {
+    if (!IsWordChar(text[i])) {
+      ++i;
+      continue;
+    }
+    // A token starts at a word character and runs over word characters;
+    // a joiner stays inside only when a word character follows it.
+    buffer->clear();
+    while (i < n) {
+      const char c = text[i];
+      if (IsWordChar(c)) {
+        buffer->push_back(c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c);
+      } else if (KeepsJoiner(c) && i + 1 < n && IsWordChar(text[i + 1])) {
+        buffer->push_back(c);
+      } else {
+        break;
+      }
+      ++i;
+    }
+    std::string_view token = *buffer;
+    if (Finish(&token)) emit(token);
+  }
+}
 
 }  // namespace nidc
 

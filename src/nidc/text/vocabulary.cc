@@ -3,7 +3,7 @@
 namespace nidc {
 
 TermId Vocabulary::GetOrAdd(std::string_view term) {
-  auto it = index_.find(std::string(term));
+  auto it = index_.find(term);
   if (it != index_.end()) return it->second;
   const TermId id = static_cast<TermId>(terms_.size());
   terms_.emplace_back(term);
@@ -12,7 +12,7 @@ TermId Vocabulary::GetOrAdd(std::string_view term) {
 }
 
 TermId Vocabulary::Lookup(std::string_view term) const {
-  auto it = index_.find(std::string(term));
+  auto it = index_.find(term);
   return it == index_.end() ? kInvalidTermId : it->second;
 }
 

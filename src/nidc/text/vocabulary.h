@@ -14,6 +14,7 @@
 
 #include "nidc/text/sparse_vector.h"
 #include "nidc/util/status.h"
+#include "nidc/util/string_util.h"
 
 namespace nidc {
 
@@ -44,7 +45,8 @@ class Vocabulary {
 
  private:
   std::vector<std::string> terms_;
-  std::unordered_map<std::string, TermId> index_;
+  std::unordered_map<std::string, TermId, StringHash, std::equal_to<>>
+      index_;
 };
 
 }  // namespace nidc

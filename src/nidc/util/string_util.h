@@ -3,11 +3,24 @@
 #ifndef NIDC_UTIL_STRING_UTIL_H_
 #define NIDC_UTIL_STRING_UTIL_H_
 
+#include <cstddef>
+
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace nidc {
+
+/// Transparent hash for unordered containers keyed by std::string: with
+/// std::equal_to<> it lets them be probed by std::string_view without
+/// building a temporary string.
+struct StringHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view text) const noexcept {
+    return std::hash<std::string_view>{}(text);
+  }
+};
 
 /// Splits on any single delimiter character; empty fields are kept.
 std::vector<std::string> Split(std::string_view text, char delim);

@@ -125,25 +125,6 @@ TEST(SparseVectorTest, PruneDropsSmallEntries) {
   EXPECT_DOUBLE_EQ(a.ValueAt(2), 1.0);
 }
 
-TEST(SparseAccumulatorTest, AccumulatesAndConverts) {
-  SparseAccumulator acc;
-  acc.Add(3, 1.0);
-  acc.Add(1, 2.0);
-  acc.Add(3, 1.0);
-  SparseVector v = acc.ToVector();
-  EXPECT_EQ(v.size(), 2u);
-  EXPECT_DOUBLE_EQ(v.ValueAt(3), 2.0);
-  EXPECT_DOUBLE_EQ(v.ValueAt(1), 2.0);
-}
-
-TEST(SparseAccumulatorTest, ClearEmpties) {
-  SparseAccumulator acc;
-  acc.Add(1, 1.0);
-  acc.Clear();
-  EXPECT_TRUE(acc.empty());
-  EXPECT_TRUE(acc.ToVector().empty());
-}
-
 // ---- Property tests over random vectors ----
 
 class SparseVectorPropertyTest : public testing::TestWithParam<uint64_t> {

@@ -89,6 +89,39 @@ TEST(TokenizerTest, MaxLengthFiltersGarbageRuns) {
             (std::vector<std::string>{"ok"}));
 }
 
+TEST(TokenizerTest, MaxLengthAppliesAfterPossessiveStrip) {
+  Tokenizer t;  // max_length 64
+  const std::string at_max(64, 'a');
+  EXPECT_EQ(t.Tokenize(at_max), (std::vector<std::string>{at_max}));
+  EXPECT_TRUE(t.Tokenize(std::string(65, 'a')).empty());
+  // 66 characters read, 64 left once "'s" is stripped.
+  EXPECT_EQ(t.Tokenize(at_max + "'s"), (std::vector<std::string>{at_max}));
+  EXPECT_TRUE(t.Tokenize(std::string(63, 'a') + "-bc").empty());
+}
+
+TEST(TokenizerTest, RunsBeyondAnyFixedBufferAreDroppedWhole) {
+  Tokenizer t;
+  const std::string run(300, 'q');
+  EXPECT_EQ(t.Tokenize(run + " ok " + run + "'s " + run + "-x end"),
+            (std::vector<std::string>{"ok", "end"}));
+  TokenizerOptions opts;
+  opts.max_length = 1000;
+  EXPECT_EQ(Tokenizer(opts).Tokenize("A" + run + " ok"),
+            (std::vector<std::string>{"a" + run, "ok"}));
+}
+
+TEST(TokenizerTest, HighBitBytesSeparateTokens) {
+  Tokenizer t;
+  // UTF-8 "café naïve — résumé": every byte >= 0x80 is a separator.
+  EXPECT_EQ(t.Tokenize("caf\xc3\xa9 na\xc3\xafve \xe2\x80\x94 "
+                       "R\xc3\xa9sum\xc3\xa9"),
+            (std::vector<std::string>{"caf", "na", "ve", "sum"}));
+  // A joiner before a high-bit byte is not internal.
+  EXPECT_EQ(t.Tokenize("ab-\xc3\xa9 cd'\xff"),
+            (std::vector<std::string>{"ab", "cd"}));
+  EXPECT_TRUE(t.Tokenize("\x80\xff\xfe").empty());
+}
+
 TEST(TokenizerTest, MixedAlnumKept) {
   Tokenizer t;
   EXPECT_EQ(t.Tokenize("tdt2 corpus"),
