@@ -1,5 +1,6 @@
 #include "nidc/core/incremental_clusterer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <unordered_set>
@@ -124,9 +125,17 @@ Status IncrementalClusterer::ValidateStepInputs(
 }
 
 Result<StepResult> IncrementalClusterer::Step(
-    const std::vector<DocId>& new_docs, DayTime tau) {
+    const std::vector<DocId>& new_docs, DayTime tau,
+    const ClusteringResult* logged) {
   NIDC_RETURN_NOT_OK(ValidateStepInputs(new_docs, tau));
   NIDC_SPAN("clusterer.step");
+  if (seed_state_pending_ &&
+      options_.reseed_mode == SeedMode::kRepresentatives) {
+    // Before phase 1 advances the model: the representatives are those of
+    // the model the previous clustering was computed on.
+    NIDC_RETURN_NOT_OK(RecomputeSeedDerivedState());
+    seed_state_pending_ = false;
+  }
   StepResult result;
   if (options_.events != nullptr) options_.events->SetStep(step_count_);
   if (options_.provenance != nullptr) {
@@ -157,8 +166,38 @@ Result<StepResult> IncrementalClusterer::Step(
     return Status::FailedPrecondition("no active documents to cluster");
   }
 
-  // Phase 2: clustering, seeded from the previous result (§5.2 step 3).
+  // Phase 2: the logged clustering when it fits the active set, else
+  // K-means seeded from the previous result (§5.2 step 3).
   Stopwatch cluster_timer;
+  result.installed = logged != nullptr && IsPartitionOfActive(*logged);
+  if (result.installed) {
+    result.clustering.clusters = logged->clusters;
+    result.clustering.outliers = logged->outliers;
+    result.clustering.g = logged->g;
+    result.clustering.iterations = logged->iterations;
+    result.clustering.converged = logged->converged;
+  } else {
+    Result<ClusteringResult> clustering = RunKMeans();
+    if (!clustering.ok()) return clustering.status();
+    result.clustering = std::move(clustering).value();
+  }
+  result.clustering_seconds = cluster_timer.ElapsedSeconds();
+
+  FillClusteringDigest(&result);
+  RecordStepMetrics(options_.kmeans.metrics != nullptr
+                        ? options_.kmeans.metrics
+                        : options_.metrics,
+                    model_, result);
+  if (!result.installed) {
+    FeedHealthMonitor(options_.health, step_count_, result);
+  }
+  last_result_ = result.clustering;
+  seed_state_pending_ = result.installed;
+  ++step_count_;
+  return result;
+}
+
+Result<ClusteringResult> IncrementalClusterer::RunKMeans() const {
   std::optional<SimilarityContext> ctx;
   {
     NIDC_SPAN("step.context_build");
@@ -185,18 +224,31 @@ Result<StepResult> IncrementalClusterer::Step(
     kmeans.first_cluster_id = last_result_->next_cluster_id;
     seeds = std::move(s);
   }
-  Result<ClusteringResult> clustering =
-      RunExtendedKMeans(*ctx, model_.active_docs(), kmeans, seeds);
-  if (!clustering.ok()) return clustering.status();
-  result.clustering_seconds = cluster_timer.ElapsedSeconds();
+  return RunExtendedKMeans(*ctx, model_.active_docs(), kmeans, seeds);
+}
 
-  result.clustering = std::move(clustering).value();
-  FillClusteringDigest(&result);
-  RecordStepMetrics(kmeans.metrics, model_, result);
-  FeedHealthMonitor(options_.health, step_count_, result);
-  last_result_ = result.clustering;
-  ++step_count_;
-  return result;
+bool IncrementalClusterer::IsPartitionOfActive(
+    const ClusteringResult& logged) const {
+  const size_t active = model_.num_active();
+  if (logged.clusters.size() != std::min(options_.kmeans.k, active)) {
+    return false;
+  }
+  std::vector<bool> placed(model_.corpus().size(), false);
+  size_t num_placed = 0;
+  const auto place = [&](const std::vector<DocId>& ids) {
+    for (DocId id : ids) {
+      if (id >= placed.size() || placed[id] || !model_.IsActive(id)) {
+        return false;
+      }
+      placed[id] = true;
+      ++num_placed;
+    }
+    return true;
+  };
+  for (const std::vector<DocId>& members : logged.clusters) {
+    if (!place(members)) return false;
+  }
+  return place(logged.outliers) && num_placed == active;
 }
 
 namespace {
@@ -225,10 +277,25 @@ Status ValidateActiveIds(const Corpus& corpus,
 
 }  // namespace
 
+Status IncrementalClusterer::CheckRestoredMembers() const {
+  // With no active documents the result is one whose step found the
+  // window empty; nothing will be seeded from it.
+  if (!last_result_ || model_.num_active() == 0) return Status::OK();
+  for (const std::vector<DocId>& members : last_result_->clusters) {
+    for (DocId id : members) {
+      if (!model_.IsActive(id)) {
+        return Status::InvalidArgument(
+            "restored cluster references inactive document " +
+            std::to_string(id));
+      }
+    }
+  }
+  return Status::OK();
+}
+
 Status IncrementalClusterer::RecomputeSeedDerivedState() {
   if (!last_result_ || model_.num_active() == 0) return Status::OK();
-  // Recompute representatives (Eq. 20) for the restored memberships —
-  // they are derived state, so snapshots do not carry them.
+  // Recompute representatives (Eq. 20) for the restored memberships.
   SimilarityContext ctx(model_,
                         ThreadPool::Resolve(options_.kmeans.num_threads));
   last_result_->representatives.assign(last_result_->clusters.size(),
@@ -239,7 +306,7 @@ Status IncrementalClusterer::RecomputeSeedDerivedState() {
     for (DocId id : last_result_->clusters[p]) {
       if (!ctx.Contains(id)) {
         return Status::InvalidArgument(
-            "restored cluster references inactive document " +
+            "seeding cluster references inactive document " +
             std::to_string(id));
       }
       cluster.Add(id, ctx);
@@ -257,7 +324,8 @@ Status IncrementalClusterer::RestoreState(
   NIDC_RETURN_NOT_OK(ValidateActiveIds(model_.corpus(), active));
   model_.RebuildFromScratch(active, now);
   last_result_ = std::move(last);
-  NIDC_RETURN_NOT_OK(RecomputeSeedDerivedState());
+  NIDC_RETURN_NOT_OK(CheckRestoredMembers());
+  seed_state_pending_ = last_result_.has_value();
   // Without a persisted count, step numbering continues from the restored
   // result's presence (legacy v1 snapshots).
   step_count_ = step_count.value_or(last_result_ ? 1 : 0);
@@ -269,7 +337,8 @@ Status IncrementalClusterer::RestoreExact(
     uint64_t step_count) {
   NIDC_RETURN_NOT_OK(model_.RestoreExact(model_state));
   last_result_ = std::move(last);
-  NIDC_RETURN_NOT_OK(RecomputeSeedDerivedState());
+  NIDC_RETURN_NOT_OK(CheckRestoredMembers());
+  seed_state_pending_ = last_result_.has_value();
   step_count_ = step_count;
   return Status::OK();
 }

@@ -40,6 +40,10 @@ struct StepResult {
   int iterations = 0;
   size_t num_outliers = 0;
   double final_g = 0.0;
+
+  /// True when phase 2 installed a logged clustering instead of running
+  /// K-means (see IncrementalClusterer::Step).
+  bool installed = false;
 };
 
 /// Options for the incremental driver.
@@ -85,7 +89,17 @@ class IncrementalClusterer {
   ///   2. expire documents with dw < ε and update statistics (step 2),
   ///   3. cluster, seeded from the previous result (step 3).
   /// Rejects inputs that ValidateStepInputs rejects.
-  Result<StepResult> Step(const std::vector<DocId>& new_docs, DayTime tau);
+  ///
+  /// `logged`, when set, is the clustering an earlier run computed for
+  /// this same step (the durability layer's outcome log). Phase 2 installs
+  /// it instead of running K-means if it is an exact partition of the
+  /// post-phase-1 active set into min(k, active) clusters and outliers;
+  /// otherwise K-means runs as usual. Only its memberships, outliers, G,
+  /// sweep count and convergence flag are installed: the step has no
+  /// representatives or cluster ids, emits no K-means events or
+  /// provenance, and feeds the health monitor nothing.
+  Result<StepResult> Step(const std::vector<DocId>& new_docs, DayTime tau,
+                          const ClusteringResult* logged = nullptr);
 
   /// Checks a prospective step without applying it: `tau` must be finite
   /// and >= the current model time (no time travel), and every id must
@@ -96,7 +110,10 @@ class IncrementalClusterer {
   Status ValidateStepInputs(const std::vector<DocId>& new_docs,
                             DayTime tau) const;
 
-  /// The most recent clustering, if any step has run.
+  /// The most recent clustering, if any step has run. After a restore or
+  /// an installed step its representatives and avg_sims are empty until
+  /// the next Step recomputes them (only a kRepresentatives reseed reads
+  /// them).
   const std::optional<ClusteringResult>& last_result() const {
     return last_result_;
   }
@@ -108,11 +125,11 @@ class IncrementalClusterer {
 
   /// Reconstructs internal state from a persisted snapshot (see
   /// state_io.h): rebuilds the statistics for `active` at clock `now`
-  /// (exact up to last-bit rounding, since dw ≡ λ^(now−T)), installs
-  /// `last` as the seeding result and recomputes its cluster
-  /// representatives from the current ψ. Rejects duplicate or unknown
-  /// active ids. `step_count` restores the seed stream; when nullopt a
-  /// legacy heuristic (1 if `last` is present, else 0) applies.
+  /// (exact up to last-bit rounding, since dw ≡ λ^(now−T)) and installs
+  /// `last` as the seeding result. Rejects duplicate or unknown active
+  /// ids, and a `last` whose clusters name an inactive document.
+  /// `step_count` restores the seed stream; when nullopt a legacy
+  /// heuristic (1 if `last` is present, else 0) applies.
   Status RestoreState(DayTime now, const std::vector<DocId>& active,
                       std::optional<ClusteringResult> last,
                       std::optional<uint64_t> step_count = std::nullopt);
@@ -130,13 +147,28 @@ class IncrementalClusterer {
   const IncrementalOptions& options() const { return options_; }
 
  private:
+  /// Rejects a restored `last_result_` whose clusters name a document the
+  /// model does not hold.
+  Status CheckRestoredMembers() const;
+
   /// Recomputes `last_result_`'s representatives/avg_sims from the current
-  /// model (they are derived state; snapshots do not carry them).
+  /// model (they are derived state; snapshots and logged outcomes do not
+  /// carry them).
   Status RecomputeSeedDerivedState();
+
+  /// Whether `logged` may stand in for this step's K-means run (see Step).
+  bool IsPartitionOfActive(const ClusteringResult& logged) const;
+
+  /// Phase 2's K-means run over the active set, seeded from
+  /// `last_result_`.
+  Result<ClusteringResult> RunKMeans() const;
 
   ForgettingModel model_;
   IncrementalOptions options_;
   std::optional<ClusteringResult> last_result_;
+  /// Set while `last_result_` lacks its derived state (after a restore or
+  /// an installed step); cleared once a Step recomputes or replaces it.
+  bool seed_state_pending_ = false;
   uint64_t step_count_ = 0;
 };
 

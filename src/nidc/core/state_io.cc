@@ -1,5 +1,6 @@
 #include "nidc/core/state_io.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <sstream>
 
@@ -9,11 +10,24 @@ namespace nidc {
 
 namespace {
 
-void EmitIds(std::ostringstream& out, const char* tag,
-             const std::vector<DocId>& ids) {
-  out << tag << ' ' << ids.size();
-  for (DocId id : ids) out << ' ' << id;
-  out << '\n';
+template <typename T>
+void AppendNumber(std::string* out, T value) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, r.ptr);
+}
+
+// "<tag> <n> <id>*n\n"
+void AppendIds(std::string* out, const char* tag,
+               const std::vector<DocId>& ids) {
+  out->append(tag);
+  out->push_back(' ');
+  AppendNumber(out, ids.size());
+  for (DocId id : ids) {
+    out->push_back(' ');
+    AppendNumber(out, id);
+  }
+  out->push_back('\n');
 }
 
 // Reads "<tag> <n> <id>*n" from the stream.
@@ -84,9 +98,10 @@ Status ParseExactSection(std::istringstream& in, ExactModelState* exact) {
   return Status::OK();
 }
 
-Status ParseResultSection(std::istringstream& in,
-                          const std::string& count_token,
-                          ClusteringResult* result) {
+// The result section after its "clusters" word; `count_token` is the
+// cluster count that follows it.
+Status ParseResultBody(std::istringstream& in, const std::string& count_token,
+                       ClusteringResult* result) {
   size_t num_clusters = 0;
   try {
     num_clusters = static_cast<size_t>(std::stoul(count_token));
@@ -117,6 +132,37 @@ Status ParseResultSection(std::istringstream& in,
 
 }  // namespace
 
+void AppendResultSection(const ClusteringResult& result, std::string* out) {
+  out->append("clusters ");
+  AppendNumber(out, result.clusters.size());
+  out->push_back('\n');
+  for (const auto& members : result.clusters) {
+    AppendIds(out, "cluster", members);
+  }
+  AppendIds(out, "outliers", result.outliers);
+  // %.17g is what an ostream at precision 17 prints, so snapshots keep
+  // their bytes.
+  out->append(StringPrintf("g %.17g\n", result.g));
+  out->append("iterations ");
+  AppendNumber(out, result.iterations);
+  out->append(result.converged ? " 1\n" : " 0\n");
+}
+
+Result<ClusteringResult> ParseResultSection(std::string_view text) {
+  std::istringstream in{std::string(text)};
+  std::string word;
+  std::string count_token;
+  if (!(in >> word >> count_token) || word != "clusters") {
+    return Status::InvalidArgument("malformed clusters header");
+  }
+  ClusteringResult result;
+  NIDC_RETURN_NOT_OK(ParseResultBody(in, count_token, &result));
+  if (in >> word) {
+    return Status::InvalidArgument("trailing bytes after result section");
+  }
+  return result;
+}
+
 ClustererState CaptureState(const IncrementalClusterer& clusterer) {
   ClustererState state;
   state.params = clusterer.model().params();
@@ -136,20 +182,14 @@ std::string SerializeState(const ClustererState& state) {
       << state.params.life_span_days << '\n';
   out << "now " << state.now << '\n';
   out << "steps " << state.step_count << '\n';
-  EmitIds(out, "active", state.active_docs);
+  std::string sections;
+  AppendIds(&sections, "active", state.active_docs);
   if (!state.last_result) {
-    out << "clusters none\n";
+    sections += "clusters none\n";
   } else {
-    const ClusteringResult& r = *state.last_result;
-    out << "clusters " << r.clusters.size() << '\n';
-    for (const auto& members : r.clusters) {
-      EmitIds(out, "cluster", members);
-    }
-    EmitIds(out, "outliers", r.outliers);
-    out << "g " << r.g << '\n';
-    out << "iterations " << r.iterations << ' ' << (r.converged ? 1 : 0)
-        << '\n';
+    AppendResultSection(*state.last_result, &sections);
   }
+  out << sections;
   if (state.exact) {
     const ExactModelState& exact = *state.exact;
     out << "exact\n";
@@ -193,7 +233,7 @@ Result<ClustererState> ParseState(const std::string& text) {
   }
   if (count_token != "none") {
     ClusteringResult result;
-    NIDC_RETURN_NOT_OK(ParseResultSection(in, count_token, &result));
+    NIDC_RETURN_NOT_OK(ParseResultBody(in, count_token, &result));
     state.last_result = std::move(result);
   }
   if (version == "v1") {

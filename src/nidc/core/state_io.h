@@ -21,6 +21,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "nidc/core/incremental_clusterer.h"
 #include "nidc/util/env.h"
@@ -38,6 +39,16 @@ struct ClustererState {
   /// Bit-exact numeric state; present in v2 snapshots.
   std::optional<ExactModelState> exact;
 };
+
+/// The clustering section of a snapshot: "clusters <n>", one "cluster"
+/// id list per cluster, then the "outliers", "g" and "iterations" lines.
+/// It carries memberships, outliers, G, the sweep count and the
+/// convergence flag; representatives, average similarities and cluster
+/// ids are derived or telemetry state and are not part of it. The
+/// durability layer's per-step outcome log (store/durable_clusterer.h)
+/// stores clusterings in the same form.
+void AppendResultSection(const ClusteringResult& result, std::string* out);
+Result<ClusteringResult> ParseResultSection(std::string_view text);
 
 /// Captures the clusterer's current state (always includes the exact
 /// section).
@@ -59,8 +70,9 @@ Result<ClustererState> LoadState(const std::string& path,
 /// section the numeric state is installed verbatim (bit-identical
 /// continuation); otherwise statistics are rebuilt from the active set.
 /// Cluster representatives are recomputed from the restored memberships
-/// either way. Returns InvalidArgument if the state references documents
-/// the corpus does not have, repeats an active id, or is internally
+/// by the next Step that reseeds from them. Returns InvalidArgument if the
+/// state references documents the corpus does not have, repeats an active
+/// id, lists an inactive document in a cluster, or is internally
 /// inconsistent.
 Result<std::unique_ptr<IncrementalClusterer>> RestoreClusterer(
     const Corpus* corpus, IncrementalOptions options,

@@ -1,11 +1,62 @@
 #include "nidc/store/durable_clusterer.h"
 
 #include <algorithm>
+#include <cstring>
+#include <optional>
 
 #include "nidc/obs/event_log.h"
+#include "nidc/util/crc32.h"
 #include "nidc/util/logging.h"
+#include "nidc/util/string_util.h"
 
 namespace nidc {
+
+namespace {
+
+// The key line that opens an outcome record. Recovery matches a replayed
+// WAL record to its outcome by comparing these lines.
+std::string OutcomeHeader(uint64_t step, DayTime tau,
+                          const std::vector<DocId>& new_docs) {
+  uint64_t tau_bits = 0;
+  std::memcpy(&tau_bits, &tau, sizeof(tau_bits));
+  const uint32_t docs_crc = Crc32c(
+      std::string_view(reinterpret_cast<const char*>(new_docs.data()),
+                       new_docs.size() * sizeof(DocId)));
+  return StringPrintf("outcome %llu %016llx %08x\n",
+                      static_cast<unsigned long long>(step),
+                      static_cast<unsigned long long>(tau_bits), docs_crc);
+}
+
+// The records of an outcome log: none when it is missing or unreadable,
+// the valid prefix when its framing is damaged.
+std::vector<std::string> ReadOutcomes(Env* env, const std::string& path) {
+  if (!env->FileExists(path)) return {};
+  Result<WalReadResult> log = ReadWal(env, path);
+  if (!log.ok()) return {};
+  return std::move(log->records);
+}
+
+// The logged clustering whose record opens with `header`, if one parses.
+std::optional<ClusteringResult> FindOutcome(
+    const std::vector<std::string>& records, const std::string& header) {
+  for (const std::string& record : records) {
+    if (record.compare(0, header.size(), header) != 0) continue;
+    Result<ClusteringResult> logged =
+        ParseResultSection(std::string_view(record).substr(header.size()));
+    if (logged.ok()) return std::move(logged).value();
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::string EncodeStepOutcome(uint64_t step, DayTime tau,
+                              const std::vector<DocId>& new_docs,
+                              const ClusteringResult& clustering) {
+  std::string payload = OutcomeHeader(step, tau, new_docs);
+  AppendResultSection(clustering, &payload);
+  return payload;
+}
 
 Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Open(
     const Corpus* corpus, ForgettingParams params,
@@ -57,7 +108,9 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Open(
     }
     inner = std::move(restored).value();
 
-    // Replay this generation's WAL tail through Step().
+    // Replay this generation's WAL tail through Step(), installing the
+    // logged outcome of each record that has one. The outcome log is a
+    // hint: when it is missing or unreadable every record re-runs.
     const std::string wal_path =
         durable.dir + "/" + WalFileName(generation);
     if (env->FileExists(wal_path)) {
@@ -69,6 +122,8 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Open(
                          << " (" << wal->dropped_bytes
                          << " bytes quarantined)";
       }
+      const std::vector<std::string> outcomes = ReadOutcomes(
+          env, durable.dir + "/" + OutcomeFileName(generation));
       for (const std::string& payload : wal->records) {
         Result<WalStepRecord> record = DecodeStepRecord(payload);
         if (!record.ok()) {
@@ -77,8 +132,12 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Open(
                            << record.status().ToString();
           break;
         }
-        Result<StepResult> applied =
-            inner->Step(record->new_docs, record->tau);
+        const std::optional<ClusteringResult> logged = FindOutcome(
+            outcomes,
+            OutcomeHeader(inner->step_count(), record->tau,
+                          record->new_docs));
+        Result<StepResult> applied = inner->Step(
+            record->new_docs, record->tau, logged ? &*logged : nullptr);
         if (!applied.ok() &&
             applied.status().code() != StatusCode::kFailedPrecondition) {
           // FailedPrecondition (an empty active window) also occurred in
@@ -90,6 +149,7 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Open(
           break;
         }
         ++recovery.replayed_records;
+        if (applied.ok() && applied->installed) ++recovery.installed_records;
       }
     }
     recovery.resumed = true;
@@ -115,6 +175,8 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Open(
   if (metrics != nullptr) {
     metrics->GetCounter("store.recovery.replayed_records")
         ->Increment(recovery.replayed_records);
+    metrics->GetCounter("store.recovery.installed_records")
+        ->Increment(recovery.installed_records);
     metrics->GetCounter("store.recovery.quarantined_records")
         ->Increment(recovery.quarantined_records);
     metrics->GetCounter("store.recovery.snapshot_fallbacks")
@@ -152,6 +214,7 @@ Result<StepResult> DurableClusterer::Step(const std::vector<DocId>& new_docs,
                                inner_->step_count() + 1, payload);
   }
 
+  const uint64_t step = inner_->step_count();
   Result<StepResult> result = inner_->Step(new_docs, tau);
   // FailedPrecondition (no active documents) leaves the instance — and
   // its WAL — consistent; the caller may keep streaming.
@@ -159,6 +222,7 @@ Result<StepResult> DurableClusterer::Step(const std::vector<DocId>& new_docs,
       result.status().code() != StatusCode::kFailedPrecondition) {
     return result;
   }
+  if (result.ok()) LogOutcome(step, tau, new_docs, result->clustering);
   if (durable_.tracer != nullptr) {
     durable_.tracer->RecordActive(obs::Stage::kStep);
   }
@@ -194,6 +258,9 @@ Status DurableClusterer::Rotate() {
   if (wal_ != nullptr) {
     wal_->Close();  // superseded; any unsynced tail is covered by the snapshot
   }
+  if (outcomes_ != nullptr) outcomes_->Close();
+  outcomes_ = nullptr;
+  outcomes_failed_ = false;
   auto wal = WalWriter::Create(env, durable_.dir + "/" + wal_name,
                                durable_.wal_sync);
   if (!wal.ok()) return wal.status();
@@ -238,6 +305,7 @@ Status DurableClusterer::Rotate() {
       if (generation + durable_.keep_generations <= generation_) {
         env->RemoveFile(durable_.dir + "/" + SnapshotFileName(generation));
         env->RemoveFile(durable_.dir + "/" + WalFileName(generation));
+        env->RemoveFile(durable_.dir + "/" + OutcomeFileName(generation));
       }
     }
   }
@@ -257,6 +325,33 @@ Status DurableClusterer::Close() {
 }
 
 DurableClusterer::~DurableClusterer() { Close(); }
+
+void DurableClusterer::LogOutcome(uint64_t step, DayTime tau,
+                                  const std::vector<DocId>& new_docs,
+                                  const ClusteringResult& clustering) {
+  if (outcomes_failed_) return;
+  Status st;
+  if (outcomes_ == nullptr) {
+    // Truncate: a log left by an earlier process for this generation
+    // number belongs to another stream of steps.
+    Result<std::unique_ptr<WalWriter>> log = WalWriter::Create(
+        durable_.env, durable_.dir + "/" + OutcomeFileName(generation_),
+        WalSyncMode::kNone);
+    if (log.ok()) {
+      outcomes_ = std::move(log).value();
+    } else {
+      st = log.status();
+    }
+  }
+  if (st.ok()) {
+    st = outcomes_->AppendRecord(
+        EncodeStepOutcome(step, tau, new_docs, clustering));
+  }
+  // Flushed, never synced: a process kill keeps the record, and what a
+  // power loss takes only costs recovery a K-means run.
+  if (st.ok()) st = outcomes_->Flush();
+  if (!st.ok()) outcomes_failed_ = true;
+}
 
 void DurableClusterer::BumpCounter(const char* name, uint64_t delta) {
   if (metrics_ != nullptr) metrics_->GetCounter(name)->Increment(delta);

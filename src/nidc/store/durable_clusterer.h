@@ -11,11 +11,20 @@
 //     (write-temp + fsync + rename), starts a fresh WAL, atomically
 //     updates the MANIFEST, and prunes generations beyond
 //     `keep_generations`.
+//   * After a step has run, its clustering is appended to the
+//     generation's outcome log (outcome-<gen>, created at the
+//     generation's first step): the WAL's CRC framing around the
+//     snapshot's result section, keyed by step index, the bits of tau
+//     and a CRC-32C of the new document ids. The log is a hint. It is
+//     flushed to the OS after each record but never fsynced.
 //   * Open() recovers: newest valid snapshot (manifest first, directory
 //     scan as fallback) + replay of that generation's WAL tail through
-//     Step(). Corrupt WAL tails are quarantined — valid records before
-//     the damage still replay — and a corrupt snapshot falls back to the
-//     previous generation instead of failing startup.
+//     Step(). A replayed record whose outcome is in the log and fits the
+//     active set installs it instead of re-running K-means; a missing,
+//     damaged or mismatched outcome means the record re-runs. Corrupt
+//     WAL tails are quarantined — valid records before the damage still
+//     replay — and a corrupt snapshot falls back to the previous
+//     generation instead of failing startup.
 //
 // Because snapshots carry the model's ExactModelState, recovery is
 // *bit-identical*: a recovered clusterer fed the rest of the stream
@@ -115,6 +124,9 @@ struct RecoveryInfo {
   uint64_t new_generation = 0;
   /// WAL records replayed through Step() during recovery.
   uint64_t replayed_records = 0;
+  /// Replayed records that installed their logged outcome instead of
+  /// re-running K-means (a subset of replayed_records).
+  uint64_t installed_records = 0;
   /// Damaged WAL bytes dropped after the last valid record.
   uint64_t dropped_wal_bytes = 0;
   /// Records that were framed correctly but could not be applied
@@ -127,6 +139,13 @@ struct RecoveryInfo {
   /// Model clock after recovery.
   DayTime recovered_now = 0.0;
 };
+
+/// Payload of one outcome-log record: a header line keying the step — its
+/// 0-based index, the bits of `tau` and a CRC-32C of `new_docs` — followed
+/// by `clustering` in the snapshot's result-section form (state_io.h).
+std::string EncodeStepOutcome(uint64_t step, DayTime tau,
+                              const std::vector<DocId>& new_docs,
+                              const ClusteringResult& clustering);
 
 class DurableClusterer {
  public:
@@ -187,6 +206,14 @@ class DurableClusterer {
   /// switches the WAL, updates the manifest and prunes old generations.
   Status Rotate();
 
+  /// Appends a completed step's outcome to the generation's outcome log,
+  /// creating the log at the generation's first step. A failure stops
+  /// logging until the next rotation and never fails the step: recovery
+  /// then re-runs the steps that lack an outcome.
+  void LogOutcome(uint64_t step, DayTime tau,
+                  const std::vector<DocId>& new_docs,
+                  const ClusteringResult& clustering);
+
   void BumpCounter(const char* name, uint64_t delta = 1);
 
   std::unique_ptr<IncrementalClusterer> inner_;
@@ -194,6 +221,10 @@ class DurableClusterer {
   obs::MetricsRegistry* metrics_;
   RecoveryInfo recovery_;
   std::unique_ptr<WalWriter> wal_;
+  /// The current generation's outcome log; null until its first step.
+  std::unique_ptr<WalWriter> outcomes_;
+  /// Set when an outcome append failed; cleared by the next rotation.
+  bool outcomes_failed_ = false;
   uint64_t generation_ = 0;
   uint64_t records_since_checkpoint_ = 0;
   bool closed_ = false;

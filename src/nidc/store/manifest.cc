@@ -23,6 +23,11 @@ std::string WalFileName(uint64_t generation) {
                       static_cast<unsigned long long>(generation));
 }
 
+std::string OutcomeFileName(uint64_t generation) {
+  return StringPrintf("outcome-%06llu",
+                      static_cast<unsigned long long>(generation));
+}
+
 bool ParseSnapshotFileName(const std::string& name, uint64_t* generation) {
   if (!StartsWith(name, kSnapshotPrefix)) return false;
   const std::string digits = name.substr(sizeof(kSnapshotPrefix) - 1);

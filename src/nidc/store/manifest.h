@@ -5,6 +5,8 @@
 //   MANIFEST            current generation pointer (this file)
 //   snapshot-000012     ClustererState snapshot for generation 12
 //   wal-000012          WAL with the steps applied after snapshot 12
+//   outcome-000012      clusterings of those steps (a recovery hint; see
+//                       durable_clusterer.h)
 //   snapshot-000011 ... older generations kept as fallback
 //
 // The manifest is written with AtomicWriteFile, so it always names a
@@ -29,9 +31,11 @@ struct Manifest {
   std::string wal_file;
 };
 
-/// Canonical per-generation file names ("snapshot-000012", "wal-000012").
+/// Canonical per-generation file names ("snapshot-000012", "wal-000012",
+/// "outcome-000012").
 std::string SnapshotFileName(uint64_t generation);
 std::string WalFileName(uint64_t generation);
+std::string OutcomeFileName(uint64_t generation);
 
 /// Parses the generation number out of a snapshot file name; returns
 /// false when `name` is not a snapshot file.

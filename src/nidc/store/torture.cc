@@ -162,6 +162,12 @@ Result<TortureReport> RunCrashTorture(const TortureOptions& options) {
       return report;
     }
     ++report.recoveries;
+    const RecoveryInfo& info = (*recovered)->recovery();
+    if (info.installed_records > 0) {
+      ++report.kill_points_installed;
+    } else if (info.replayed_records > 0) {
+      ++report.kill_points_rerun;
+    }
     if (const Status fed = FeedRemaining(recovered->get(), stream);
         !fed.ok()) {
       report.failure = StringPrintf(

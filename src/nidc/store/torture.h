@@ -64,6 +64,11 @@ struct TortureReport {
   uint64_t kill_points_exercised = 0;
   /// Successful recoveries (== kill_points_exercised when passed).
   uint64_t recoveries = 0;
+  /// Kill points whose recovery installed at least one logged outcome.
+  uint64_t kill_points_installed = 0;
+  /// Kill points whose recovery replayed WAL records and re-ran K-means
+  /// for every one of them.
+  uint64_t kill_points_rerun = 0;
   /// First divergence/failure, empty when passed.
   std::string failure;
 };

@@ -79,6 +79,13 @@ Status WalWriter::AppendRecord(std::string_view payload) {
   return Status::OK();
 }
 
+Status WalWriter::Flush() {
+  if (file_ == nullptr) {
+    return Status::FailedPrecondition("flush of closed WAL " + path_);
+  }
+  return file_->Flush();
+}
+
 Status WalWriter::Sync() {
   if (file_ == nullptr) {
     return Status::FailedPrecondition("sync of closed WAL " + path_);

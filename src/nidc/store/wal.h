@@ -47,6 +47,10 @@ class WalWriter {
   /// Appends one record; fsyncs when the mode is kEveryRecord.
   Status AppendRecord(std::string_view payload);
 
+  /// Hands appended bytes to the OS without an fsync, so they survive a
+  /// process kill but not a power loss.
+  Status Flush();
+
   /// Explicit fsync (used at snapshot rotation under WalSyncMode::kNone).
   Status Sync();
 

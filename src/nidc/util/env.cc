@@ -37,13 +37,18 @@ class PosixWritableFile : public WritableFile {
     return Status::OK();
   }
 
-  Status Sync() override {
+  Status Flush() override {
     if (file_ == nullptr) {
-      return Status::FailedPrecondition("sync of closed file " + path_);
+      return Status::FailedPrecondition("flush of closed file " + path_);
     }
     if (std::fflush(file_) != 0) {
       return Status::IOError(ErrnoMessage("flush of " + path_ + " failed"));
     }
+    return Status::OK();
+  }
+
+  Status Sync() override {
+    NIDC_RETURN_NOT_OK(Flush());
     if (::fsync(::fileno(file_)) != 0) {
       return Status::IOError(ErrnoMessage("fsync of " + path_ + " failed"));
     }

@@ -6,7 +6,7 @@
 //
 // Durability contract:
 //   * WritableFile::Append buffers; bytes are only guaranteed on storage
-//     after a successful Sync().
+//     after a successful Sync(). Flush() only hands them to the OS.
 //   * RenameFile is atomic (POSIX rename): readers see either the old or
 //     the new file, never a mixture.
 //   * AtomicWriteFile composes the two into the standard
@@ -32,6 +32,10 @@ class WritableFile {
 
   /// Appends `data` at the end of the file (buffered; not durable).
   virtual Status Append(std::string_view data) = 0;
+
+  /// Hands application-buffered bytes to the OS (no fsync): they then
+  /// survive a process kill, not a power loss.
+  virtual Status Flush() = 0;
 
   /// Flushes application and OS buffers to storage (fsync).
   virtual Status Sync() = 0;

@@ -30,6 +30,13 @@ class FaultWritableFile : public WritableFile {
     return Status::OK();
   }
 
+  // A flush reaches the OS, not storage: the bytes stay unsynced, and the
+  // crash-flush policy decides whether they survive.
+  Status Flush() override {
+    std::lock_guard<std::mutex> lock(env_->mu_);
+    return env_->GuardOpLocked();
+  }
+
   Status Sync() override {
     std::lock_guard<std::mutex> lock(env_->mu_);
     NIDC_RETURN_NOT_OK(env_->GuardOpLocked());

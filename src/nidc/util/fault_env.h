@@ -1,9 +1,9 @@
 // Fault-injecting Env for crash-recovery testing.
 //
 // Wraps a base Env and counts every mutating filesystem operation (append,
-// sync, close, rename, create-dir, remove). The harness arms a "crash" at
-// the Nth such operation: that operation fails, every later operation
-// fails too (the process is considered dead), and unsynced data is
+// flush, sync, close, rename, create-dir, remove). The harness arms a
+// "crash" at the Nth such operation: that operation fails, every later
+// operation fails too (the process is considered dead), and unsynced data is
 // resolved according to a CrashFlush policy that models what a real crash
 // can leave on disk:
 //
@@ -16,7 +16,8 @@
 //
 // To make the policies meaningful, writable files buffer appended bytes in
 // memory and only push them to the base Env on Sync() (or on a clean
-// Close()). After a crash, a *fresh* Env reading the same paths sees
+// Close()); Flush() leaves them buffered, since flushed bytes are
+// unsynced too. After a crash, a *fresh* Env reading the same paths sees
 // exactly the surviving bytes, so recovery code can be exercised against
 // every reachable on-disk state.
 //

@@ -42,6 +42,10 @@ TEST(CrashTortureTest, EarlyKillPointsRecoverBitIdentically) {
   EXPECT_TRUE(report->passed) << report->failure;
   EXPECT_EQ(report->kill_points_exercised, 40u);
   EXPECT_EQ(report->recoveries, 40u);
+  // Kept-unsynced kills leave the flushed outcome log for recovery to
+  // install; dropped-unsynced kills lose it, and the records re-run.
+  EXPECT_GT(report->kill_points_installed, 0u);
+  EXPECT_GT(report->kill_points_rerun, 0u);
 }
 
 TEST(CrashTortureTest, FullMatrixOnShortStreamWithoutFsync) {
@@ -57,6 +61,8 @@ TEST(CrashTortureTest, FullMatrixOnShortStreamWithoutFsync) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->passed) << report->failure;
   EXPECT_GT(report->kill_points_exercised, 10u);
+  EXPECT_GT(report->kill_points_installed, 0u);
+  EXPECT_GT(report->kill_points_rerun, 0u);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include "nidc/store/durable_clusterer.h"
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -27,6 +30,30 @@ std::string FreshDir(const std::string& name) {
 
 std::string Fingerprint(const IncrementalClusterer& clusterer) {
   return SerializeState(CaptureState(clusterer));
+}
+
+// Every file of a flat checkpoint directory, by name.
+using DirImage = std::map<std::string, std::string>;
+
+DirImage ReadImage(const std::string& dir) {
+  Env* env = Env::Default();
+  DirImage image;
+  if (auto names = env->ListDir(dir); names.ok()) {
+    for (const std::string& name : *names) {
+      image[name] = env->ReadFileToString(dir + "/" + name).value();
+    }
+  }
+  return image;
+}
+
+void WriteImage(const std::string& dir, const DirImage& image) {
+  Env* env = Env::Default();
+  if (auto names = env->ListDir(dir); names.ok()) {
+    for (const std::string& name : *names) env->RemoveFile(dir + "/" + name);
+  }
+  for (const auto& [name, contents] : image) {
+    ASSERT_TRUE(AtomicWriteFile(env, dir + "/" + name, contents).ok());
+  }
 }
 
 class DurableClustererTest : public ::testing::Test {
@@ -98,7 +125,10 @@ TEST_F(DurableClustererTest, FreshOpenStartsEmptyAndRotates) {
   EXPECT_EQ((*durable)->applied_steps(), 0u);
   EXPECT_TRUE(Env::Default()->FileExists(dir + "/MANIFEST"));
   EXPECT_TRUE(Env::Default()->FileExists(dir + "/" + SnapshotFileName(1)));
+  // The outcome log is created by a generation's first step, not by Open.
+  EXPECT_FALSE(Env::Default()->FileExists(dir + "/" + OutcomeFileName(1)));
   ASSERT_TRUE((*durable)->Close().ok());
+  EXPECT_FALSE(Env::Default()->FileExists(dir + "/" + OutcomeFileName(1)));
 }
 
 TEST_F(DurableClustererTest, StopAndReopenContinuesBitIdentically) {
@@ -244,6 +274,189 @@ TEST_F(DurableClustererTest, EveryGenerationPrunedFallsBackToFreshStart) {
   ASSERT_TRUE((*recovered)->Close().ok());
 }
 
+TEST_F(DurableClustererTest, SnapshotClusterNamingInactiveDocFallsBack) {
+  Env* env = Env::Default();
+  const std::string dir = FreshDir("inactive_member");
+  {
+    DurableOptions options = Options(dir, /*checkpoint_every=*/5);
+    options.keep_generations = 3;
+    auto durable = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                          incremental_, options);
+    ASSERT_TRUE(durable.ok());
+    Feed(durable->get(), 0, 12);
+    ASSERT_TRUE((*durable)->Close().ok());
+  }
+  auto generations = ListSnapshotGenerations(env, dir);
+  ASSERT_TRUE(generations.ok());
+  ASSERT_GE(generations->size(), 2u);
+  const uint64_t newest = (*generations)[0];
+  const std::string path = dir + "/" + SnapshotFileName(newest);
+  Result<ClustererState> state = LoadState(path);
+  ASSERT_TRUE(state.ok());
+  ASSERT_TRUE(state->last_result.has_value());
+  // The stream's last document arrives in its last step.
+  const DocId inactive = static_cast<DocId>(stream_.corpus->size() - 1);
+  ASSERT_EQ(std::count(state->active_docs.begin(), state->active_docs.end(),
+                       inactive),
+            0);
+  state->last_result->clusters[0].push_back(inactive);
+  ASSERT_TRUE(SaveState(*state, path).ok());
+
+  auto recovered = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                          incremental_, Options(dir));
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ((*recovered)->recovery().snapshot_fallbacks, 1u);
+  EXPECT_LT((*recovered)->recovery().source_generation, newest);
+  Feed(recovered->get(), (*recovered)->applied_steps(),
+       stream_.batches.size());
+  EXPECT_EQ(Fingerprint((*recovered)->clusterer()), ReferenceFingerprint());
+  ASSERT_TRUE((*recovered)->Close().ok());
+}
+
+TEST_F(DurableClustererTest, RecoveryInstallsLoggedOutcomesOnlyWhenTheyFit) {
+  // One crash image with a five-record WAL tail, recovered with its
+  // outcome log intact, missing, damaged, foreign or forged. Every way
+  // must recover the same state and continue the same; only the number
+  // of installed outcomes differs.
+  constexpr size_t kCrashAt = 13;  // steps 8..12 are generation 2's tail
+  constexpr size_t kTail = 5;
+  constexpr size_t kFollowing = 5;
+  const std::string dir = FreshDir("outcomes");
+  {
+    FaultInjectionEnv fault_env(Env::Default());
+    DurableOptions options = Options(dir, /*checkpoint_every=*/8);
+    options.env = &fault_env;
+    auto durable = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                          incremental_, options);
+    ASSERT_TRUE(durable.ok());
+    Feed(durable->get(), 0, kCrashAt);
+    // Process kill: no final rotation; flushed bytes survive.
+    fault_env.ArmCrashAtOp(1, CrashFlush::kKeepUnsynced);
+  }
+  const DirImage image = ReadImage(dir);
+  const std::string log_name = OutcomeFileName(2);
+  ASSERT_EQ(image.count(WalFileName(2)), 1u);
+  ASSERT_EQ(image.count(log_name), 1u);
+  ASSERT_EQ(image.count(OutcomeFileName(1)), 1u);
+  const std::string& log = image.at(log_name);
+  Result<WalReadResult> records = ReadWal(Env::Default(), dir + "/" + log_name);
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->records.size(), kTail);
+
+  // The uninterrupted run: its state at the crash and its next steps.
+  IncrementalClusterer reference(stream_.corpus.get(), params_, incremental_);
+  std::vector<StepResult> want;
+  std::string want_at_crash;
+  for (size_t i = 0; i < kCrashAt + kFollowing; ++i) {
+    if (i == kCrashAt) want_at_crash = Fingerprint(reference);
+    auto result = reference.Step(stream_.batches[i], stream_.taus[i]);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    want.push_back(std::move(result).value());
+  }
+
+  // Byte offset of the end of the first `n` records.
+  const auto frame_end = [&](size_t n) {
+    size_t offset = 8;  // file magic
+    for (size_t r = 0; r < n; ++r) offset += 8 + records->records[r].size();
+    return offset;
+  };
+  // The tail's genuine outcomes, re-keyed or re-shaped by `edit`.
+  const auto forged = [&](auto edit) {
+    std::vector<std::string> payloads;
+    for (size_t step = kCrashAt - kTail; step < kCrashAt; ++step) {
+      DayTime tau = stream_.taus[step];
+      std::vector<DocId> docs = stream_.batches[step];
+      ClusteringResult clustering = want[step].clustering;
+      edit(step, &tau, &docs, &clustering);
+      payloads.push_back(EncodeStepOutcome(step, tau, docs, clustering));
+    }
+    EXPECT_TRUE(RewriteWal(Env::Default(), dir + "/" + log_name, payloads)
+                    .ok());
+  };
+
+  struct Case {
+    const char* name;
+    std::function<void()> damage;
+    uint64_t installed;
+  };
+  const std::vector<Case> cases = {
+      {"intact", [] {}, kTail},
+      {"deleted",
+       [&] { Env::Default()->RemoveFile(dir + "/" + log_name); }, 0},
+      {"truncated mid-record",
+       [&] {
+         const size_t cut = (frame_end(2) + frame_end(3)) / 2;
+         ASSERT_TRUE(AtomicWriteFile(Env::Default(), dir + "/" + log_name,
+                                     log.substr(0, cut))
+                         .ok());
+       },
+       2},
+      {"byte flipped",
+       [&] {
+         std::string damaged = log;
+         damaged[(frame_end(3) + frame_end(4)) / 2] ^= 0x20;
+         ASSERT_TRUE(
+             AtomicWriteFile(Env::Default(), dir + "/" + log_name, damaged)
+                 .ok());
+       },
+       3},
+      {"from another generation",
+       [&] {
+         ASSERT_TRUE(AtomicWriteFile(Env::Default(), dir + "/" + log_name,
+                                     image.at(OutcomeFileName(1)))
+                         .ok());
+       },
+       0},
+      {"other tau or doc set",
+       [&] {
+         forged([](size_t step, DayTime* tau, std::vector<DocId>* docs,
+                   ClusteringResult*) {
+           if (step % 2 == 0) {
+             *tau += 0.25;
+           } else {
+             docs->pop_back();
+           }
+         });
+       },
+       0},
+      {"not a partition of the active set",
+       [&] {
+         forged([](size_t, DayTime*, std::vector<DocId>*,
+                   ClusteringResult* clustering) {
+           clustering->outliers.push_back(clustering->clusters[0].back());
+         });
+       },
+       0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    WriteImage(dir, image);
+    c.damage();
+    obs::MetricsRegistry metrics;
+    DurableOptions options = Options(dir, /*checkpoint_every=*/8);
+    options.metrics = &metrics;
+    auto recovered = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                            incremental_, options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    const RecoveryInfo& info = (*recovered)->recovery();
+    EXPECT_EQ(info.replayed_records, kTail);
+    EXPECT_EQ(info.installed_records, c.installed);
+    EXPECT_EQ(metrics.GetCounter("store.recovery.installed_records")->Value(),
+              c.installed);
+    ASSERT_EQ((*recovered)->applied_steps(), kCrashAt);
+    EXPECT_EQ(Fingerprint((*recovered)->clusterer()), want_at_crash);
+    for (size_t i = kCrashAt; i < kCrashAt + kFollowing; ++i) {
+      auto got = (*recovered)->Step(stream_.batches[i], stream_.taus[i]);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->clustering.clusters, want[i].clustering.clusters) << i;
+      EXPECT_EQ(got->clustering.outliers, want[i].clustering.outliers) << i;
+      EXPECT_EQ(got->clustering.g, want[i].clustering.g) << i;
+      EXPECT_EQ(got->iterations, want[i].iterations) << i;
+    }
+    ASSERT_TRUE((*recovered)->Close().ok());
+  }
+}
+
 TEST_F(DurableClustererTest, RejectsInvalidStepsWithoutLoggingThem) {
   const std::string dir = FreshDir("validation");
   obs::MetricsRegistry metrics;
@@ -282,6 +495,33 @@ TEST_F(DurableClustererTest, PrunesGenerationsBeyondRetention) {
   auto generations = ListSnapshotGenerations(env, dir);
   ASSERT_TRUE(generations.ok());
   EXPECT_LE(generations->size(), 2u);
+}
+
+TEST_F(DurableClustererTest, PruningRemovesOutcomeLogs) {
+  Env* env = Env::Default();
+  const std::string dir = FreshDir("prune_outcomes");
+  DurableOptions options = Options(dir, /*checkpoint_every=*/2);
+  options.keep_generations = 2;
+  auto durable = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                        incremental_, options);
+  ASSERT_TRUE(durable.ok());
+  Feed(durable->get(), 0, 3);
+  // Generation 1 took steps 0-1, generation 2 holds step 2 so far.
+  EXPECT_TRUE(env->FileExists(dir + "/" + OutcomeFileName(1)));
+  EXPECT_TRUE(env->FileExists(dir + "/" + OutcomeFileName(2)));
+  Feed(durable->get(), 3, 12);
+  const uint64_t current = (*durable)->generation();
+  size_t logs = 0;
+  const std::vector<std::string> names = env->ListDir(dir).value();
+  for (const std::string& name : names) {
+    if (name.rfind("outcome-", 0) != 0) continue;
+    ++logs;
+    const uint64_t generation = std::stoull(name.substr(8));
+    EXPECT_GE(generation + options.keep_generations, current + 1) << name;
+  }
+  EXPECT_GE(logs, 1u);
+  EXPECT_FALSE(env->FileExists(dir + "/" + OutcomeFileName(1)));
+  ASSERT_TRUE((*durable)->Close().ok());
 }
 
 TEST_F(DurableClustererTest, ClosedInstanceRefusesSteps) {

@@ -26,6 +26,22 @@ TEST(EnvTest, WriteReadRoundTrip) {
   EXPECT_TRUE(env->RemoveFile(path).ok());
 }
 
+TEST(EnvTest, FlushHandsBytesToTheOsBeforeClose) {
+  Env* env = Env::Default();
+  const std::string path = TestPath("flush");
+  auto file = env->NewWritableFile(path);
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE((*file)->Append("flushed").ok());
+  ASSERT_TRUE((*file)->Flush().ok());
+  // Another reader sees the bytes while the handle is still open.
+  auto contents = env->ReadFileToString(path);
+  ASSERT_TRUE(contents.ok());
+  EXPECT_EQ(*contents, "flushed");
+  ASSERT_TRUE((*file)->Close().ok());
+  EXPECT_FALSE((*file)->Flush().ok());
+  env->RemoveFile(path);
+}
+
 TEST(EnvTest, ReadMissingFileIsIOError) {
   auto contents = Env::Default()->ReadFileToString(TestPath("missing"));
   EXPECT_FALSE(contents.ok());

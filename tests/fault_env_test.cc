@@ -77,6 +77,29 @@ TEST(FaultEnvTest, DropUnsyncedLosesTail) {
   EXPECT_EQ(*contents, "durable|");
 }
 
+TEST(FaultEnvTest, FlushedBytesAreStillUnsynced) {
+  // Flush is a counted op that reaches the OS, not storage: a crash
+  // resolves flushed bytes by the crash-flush policy like any others.
+  for (const CrashFlush flush :
+       {CrashFlush::kDropUnsynced, CrashFlush::kKeepUnsynced}) {
+    const std::string path = TestDir() + "/flushed";
+    Env::Default()->RemoveFile(path);
+    FaultInjectionEnv env(Env::Default());
+    auto file = env.NewWritableFile(path, true);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Append("flushed").ok());
+    const uint64_t ops = env.ops_issued();
+    ASSERT_TRUE((*file)->Flush().ok());
+    EXPECT_EQ(env.ops_issued(), ops + 1);
+    env.ArmCrashAtOp(1, flush);
+    EXPECT_FALSE((*file)->Flush().ok());
+    auto contents = Env::Default()->ReadFileToString(path);
+    ASSERT_TRUE(contents.ok());
+    EXPECT_EQ(*contents,
+              flush == CrashFlush::kKeepUnsynced ? "flushed" : "");
+  }
+}
+
 TEST(FaultEnvTest, KeepUnsyncedPreservesBufferedTail) {
   const std::string path = TestDir() + "/keep";
   Env::Default()->RemoveFile(path);

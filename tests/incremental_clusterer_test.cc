@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "nidc/core/state_io.h"
 #include "nidc/obs/metrics.h"
 #include "nidc/obs/trace.h"
 
@@ -187,6 +188,74 @@ TEST_F(IncrementalClustererTest, RepresentativeReseedModeRuns) {
   auto second = ic.Step({4, 5}, 30.0);
   ASSERT_TRUE(second.ok());
   EXPECT_GT(second->clustering.TotalAssigned(), 0u);
+
+  // Snapshot round-trip: a restored clusterer seeds its next steps from
+  // representatives recomputed out of the restored memberships, and they
+  // must steer K-means exactly as the originals did.
+  corpus_.AddText("iraq inspection weapons embargo", 2.0, 1);
+  corpus_.AddText("nagano medal skating final", 2.0, 2);
+  corpus_.AddText("senate tobacco settlement vote", 31.0, 3);
+  IncrementalClusterer original(&corpus_, Params(7.0, 60.0), opts);
+  ASSERT_TRUE(original.Step({0, 2}, 0.5).ok());
+  ASSERT_TRUE(original.Step({1, 3}, 1.5).ok());
+  Result<ClustererState> snapshot =
+      ParseState(SerializeState(CaptureState(original)));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  auto restored = RestoreClusterer(&corpus_, opts, *snapshot);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+
+  const std::vector<std::vector<DocId>> batches = {{6, 7}, {4, 5}, {8}};
+  const std::vector<DayTime> taus = {2.5, 30.5, 31.5};
+  for (size_t i = 0; i < batches.size(); ++i) {
+    auto want = original.Step(batches[i], taus[i]);
+    auto got = (*restored)->Step(batches[i], taus[i]);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->clustering.clusters, want->clustering.clusters) << i;
+    EXPECT_EQ(got->clustering.outliers, want->clustering.outliers) << i;
+    EXPECT_EQ(got->clustering.g, want->clustering.g) << i;
+    EXPECT_EQ(got->iterations, want->iterations) << i;
+  }
+  EXPECT_EQ(SerializeState(CaptureState(**restored)),
+            SerializeState(CaptureState(original)));
+}
+
+TEST_F(IncrementalClustererTest, LoggedClusteringIsInstalledOnlyWhenItFits) {
+  IncrementalClusterer original(&corpus_, Params(7.0, 60.0), Options());
+  ASSERT_TRUE(original.Step({0, 1}, 0.5).ok());
+  auto logged = original.Step({2, 3}, 1.5);
+  ASSERT_TRUE(logged.ok());
+  auto after = original.Step({4, 5}, 30.5);
+  ASSERT_TRUE(after.ok());
+
+  // A logged clustering that is not a partition of the active set: one
+  // document is both clustered and an outlier.
+  ClusteringResult misfit = logged->clustering;
+  ASSERT_GT(misfit.TotalAssigned(), 0u);
+  for (const std::vector<DocId>& members : misfit.clusters) {
+    if (members.empty()) continue;
+    misfit.outliers.push_back(members.front());
+    break;
+  }
+
+  for (const ClusteringResult* candidate : {&logged->clustering, &misfit}) {
+    const bool fits = candidate == &logged->clustering;
+    IncrementalClusterer replay(&corpus_, Params(7.0, 60.0), Options());
+    ASSERT_TRUE(replay.Step({0, 1}, 0.5).ok());
+    auto step = replay.Step({2, 3}, 1.5, candidate);
+    ASSERT_TRUE(step.ok());
+    EXPECT_EQ(step->installed, fits);
+    EXPECT_EQ(step->clustering.clusters, logged->clustering.clusters);
+    EXPECT_EQ(step->clustering.outliers, logged->clustering.outliers);
+    EXPECT_EQ(step->clustering.g, logged->clustering.g);
+    EXPECT_EQ(replay.step_count(), 2u);
+    // The step after an installed one reseeds exactly as the original.
+    auto next = replay.Step({4, 5}, 30.5);
+    ASSERT_TRUE(next.ok());
+    EXPECT_FALSE(next->installed);
+    EXPECT_EQ(next->clustering.clusters, after->clustering.clusters);
+    EXPECT_EQ(next->clustering.g, after->clustering.g);
+  }
 }
 
 TEST_F(IncrementalClustererTest, BatchClustererRebuildsEachTime) {

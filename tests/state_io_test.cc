@@ -131,6 +131,26 @@ TEST_F(StateIoTest, RestoreRecomputesRepresentatives) {
   }
 }
 
+TEST_F(StateIoTest, ResultSectionRoundTripsAsInTheSnapshot) {
+  IncrementalClusterer clusterer(&corpus_, Params(), Options());
+  ASSERT_TRUE(clusterer.Step({0, 1, 2, 3}, 2.0).ok());
+  const ClusteringResult& result = *clusterer.last_result();
+  std::string section;
+  AppendResultSection(result, &section);
+  // The snapshot embeds the same bytes.
+  EXPECT_NE(SerializeState(CaptureState(clusterer)).find(section),
+            std::string::npos);
+  Result<ClusteringResult> parsed = ParseResultSection(section);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->clusters, result.clusters);
+  EXPECT_EQ(parsed->outliers, result.outliers);
+  EXPECT_EQ(parsed->g, result.g);
+  EXPECT_EQ(parsed->iterations, result.iterations);
+  EXPECT_EQ(parsed->converged, result.converged);
+  EXPECT_FALSE(ParseResultSection(section + "extra").ok());
+  EXPECT_FALSE(ParseResultSection(section.substr(0, section.size() / 2)).ok());
+}
+
 TEST_F(StateIoTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseState("").ok());
   EXPECT_FALSE(ParseState("random text").ok());

@@ -524,11 +524,12 @@ int RunStream(const Args& args) {
       resume_from = recovery.recovered_now;
       std::printf(
           "recovered generation %llu from %s at day %g "
-          "(%llu WAL records replayed, %llu quarantined, "
-          "%llu snapshot fallbacks)\n",
+          "(%llu WAL records replayed, %llu of them from logged outcomes, "
+          "%llu quarantined, %llu snapshot fallbacks)\n",
           static_cast<unsigned long long>(recovery.source_generation),
           checkpoint_dir.c_str(), recovery.recovered_now,
           static_cast<unsigned long long>(recovery.replayed_records),
+          static_cast<unsigned long long>(recovery.installed_records),
           static_cast<unsigned long long>(recovery.quarantined_records),
           static_cast<unsigned long long>(recovery.snapshot_fallbacks));
     } else {
