@@ -24,6 +24,31 @@ DocId Corpus::AddText(std::string_view text, DayTime time, TopicId topic,
   return Add(std::move(doc));
 }
 
+Status Corpus::Install(TermId first_term,
+                       const std::vector<std::string>& new_terms,
+                       DocId first_doc, std::vector<Document> docs) {
+  if (first_term != vocabulary_->size() || first_doc != docs_.size()) {
+    return Status::InvalidArgument("index record does not follow the corpus");
+  }
+  const size_t vocabulary_size = first_term + new_terms.size();
+  for (const Document& doc : docs) {
+    const auto& entries = doc.terms.entries();
+    if (!entries.empty() && entries.back().id >= vocabulary_size) {
+      return Status::InvalidArgument("index record names an unknown term");
+    }
+  }
+  TermId expected = first_term;
+  for (const std::string& term : new_terms) {
+    if (vocabulary_->GetOrAdd(term) != expected++) {
+      vocabulary_->Truncate(first_term);
+      return Status::InvalidArgument("index record term \"" + term +
+                                     "\" does not get its recorded id");
+    }
+  }
+  for (Document& doc : docs) Add(std::move(doc));
+  return Status::OK();
+}
+
 bool Corpus::IsChronological() const {
   return std::is_sorted(docs_.begin(), docs_.end(),
                         [](const Document& a, const Document& b) {

@@ -30,6 +30,14 @@ class Corpus {
   DocId AddText(std::string_view text, DayTime time, TopicId topic = kNoTopic,
                 std::string source = {});
 
+  /// Installs documents analyzed earlier (a corpus index record) without
+  /// re-analyzing them. `new_terms` are interned first and must receive
+  /// the ids first_term, first_term + 1, ...; `docs` must start at DocId
+  /// `first_doc` and name only known terms. On any mismatch returns
+  /// InvalidArgument and leaves the corpus as it was.
+  Status Install(TermId first_term, const std::vector<std::string>& new_terms,
+                 DocId first_doc, std::vector<Document> docs);
+
   const Document& doc(DocId id) const { return docs_[id]; }
   const std::vector<Document>& docs() const { return docs_; }
   size_t size() const { return docs_.size(); }

@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 
 #include "nidc/obs/json_util.h"
 
@@ -22,17 +20,6 @@ namespace {
 Status LineError(size_t line_number, const std::string& message) {
   return Status::InvalidArgument("line " + std::to_string(line_number) +
                                  ": " + message);
-}
-
-// Snaps a time to what it becomes after a corpus.tsv round trip
-// (FormatRawDocument writes "%.6f"). Ingested times must land on that
-// grid immediately, or a tenant reopened from its TSV file would analyze
-// the same feed at slightly different times than the live instance — and
-// reopen is required to be bit-identical.
-double CanonicalTime(double time) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", time);
-  return std::strtod(buf, nullptr);
 }
 
 Result<RawDocument> ParseIngestLine(const std::string& line,

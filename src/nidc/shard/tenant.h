@@ -12,16 +12,25 @@
 //                   before any Step that references the new ids (the WAL
 //                   must never get ahead of the corpus, or replay would
 //                   meet unknown DocIds);
+//   corpus.idx    — a hint beside it: one WAL-framed CorpusIndexRecord
+//                   per ingested batch (the batch's corpus.tsv byte range
+//                   and CRC-32C, the terms it introduced, its documents'
+//                   term vectors), flushed but never fsynced, created at
+//                   the first ingest;
 //   store/        — the DurableClusterer's WAL + generation snapshots.
 //
-// Reopen (Tenant::Open) recovers bit-identically: LoadCorpus re-analyzes
-// corpus.tsv in file order, streaming it line by line (ids are stable
-// because appends are ordered), DurableClusterer::Open restores the newest
-// durable state, and the TimeBatcher seeks to the recovered clock;
-// documents the WAL had not yet stepped (time >= recovered clock — an
-// invariant, since a stepped document's time is strictly below its window
-// end) are re-primed into the open window, re-running any window that
-// closed but never reached the WAL. A crash between the corpus append and
+// Reopen (Tenant::Open) recovers bit-identically. It streams corpus.tsv
+// and installs every leading corpus.idx record whose byte range and CRC
+// match the file, then analyzes only the uncovered tail, in file order
+// (ids are stable because appends are ordered). A missing, torn, foreign
+// or mismatched record only means "analyze from here"; when the index did
+// not cover the whole file, Open rewrites it from the loaded corpus.
+// DurableClusterer::Open restores the newest durable state, and the
+// TimeBatcher seeks to the recovered clock; documents the WAL had not yet
+// stepped (time >= recovered clock — an invariant, since a stepped
+// document's time is strictly below its window end) are re-primed into
+// the open window, re-running any window that closed but never reached
+// the WAL. A crash between the corpus append and
 // the WAL append therefore heals instead of diverging. The service runs
 // Open on the tenant's owning shard worker — at startup every shard
 // recovers its own tenants in parallel with the others — so the thread
@@ -90,6 +99,14 @@ struct TenantRuntime {
   obs::RequestTracer* tracer = nullptr;
 };
 
+/// How Tenant::Open rebuilt the corpus.
+struct CorpusRecovery {
+  /// Documents installed from corpus.idx records.
+  uint64_t installed_docs = 0;
+  /// Documents re-analyzed from corpus.tsv (the tail no record covered).
+  uint64_t analyzed_docs = 0;
+};
+
 class Tenant {
  public:
   /// Creates a fresh tenant directory (AlreadyExists when `dir` already
@@ -109,10 +126,13 @@ class Tenant {
   Tenant& operator=(const Tenant&) = delete;
   ~Tenant();
 
-  /// Ingests one batch: validates (times non-decreasing and not before
+  /// Ingests one batch: snaps times to the corpus.tsv grid
+  /// (CanonicalTime), validates (times non-decreasing and not before
   /// anything already ingested — the feed is chronological end to end),
-  /// appends to corpus.tsv, syncs, analyzes into the corpus, pushes
-  /// through the TimeBatcher and steps every window that closes.
+  /// appends to corpus.tsv, syncs, analyzes into the corpus, appends the
+  /// batch's corpus.idx record, pushes through the TimeBatcher and steps
+  /// every window that closes. A failed index append only stops index
+  /// logging until the next reopen.
   /// InvalidArgument rejections change nothing; an IOError marks the
   /// tenant failed (storage in unknown state — evict and reopen). A
   /// valid `trace` is bound to every document of the batch so the later
@@ -148,6 +168,8 @@ class Tenant {
   /// Windows skipped because they were empty with no active documents.
   uint64_t empty_windows_skipped() const { return empty_windows_skipped_; }
   const RecoveryInfo& recovery() const;
+  /// How Open rebuilt the corpus (zero for a created tenant).
+  const CorpusRecovery& corpus_recovery() const { return corpus_recovery_; }
 
   // Introspection surfaces (thread-safe; read by HTTP workers).
   const serve::StatusBoard& board() const { return board_; }
@@ -155,6 +177,8 @@ class Tenant {
   const obs::ClusterHealthMonitor& health() const { return *health_; }
   const obs::EventLog& events() const { return *events_; }
   const DurableClusterer& durable() const { return *durable_; }
+  /// The tenant's corpus; owner thread only, like the mutating calls.
+  const Corpus& corpus() const { return *corpus_; }
 
  private:
   Tenant(std::string name, std::string dir, TenantConfig config,
@@ -169,6 +193,10 @@ class Tenant {
   Status StepWindows(std::vector<DocumentBatch>& closed);
 
   void PublishStep(const DocumentBatch& window, const StepResult& result);
+
+  /// Appends the corpus.idx record of one ingested batch; a failure only
+  /// stops index logging until the next reopen.
+  void AppendIndex(const CorpusIndexSpan& span);
 
   /// Copies the batcher clock and the applied step count into the
   /// atomics the cross-thread accessors read; called after every
@@ -188,6 +216,13 @@ class Tenant {
   std::unique_ptr<Corpus> corpus_;
   std::unique_ptr<DurableClusterer> durable_;
   std::unique_ptr<WritableFile> corpus_file_;
+  /// Size of corpus.tsv: where the next batch's bytes begin.
+  uint64_t corpus_bytes_ = 0;
+  /// corpus.idx; null until Open readies it or the first ingest creates it.
+  std::unique_ptr<WalWriter> index_;
+  /// Set when the index cannot be written; cleared only by a reopen.
+  bool index_failed_ = false;
+  CorpusRecovery corpus_recovery_;
   TimeBatcher batcher_;
   /// Newest ingested document time; the chronological floor.
   DayTime last_time_ = 0.0;

@@ -1,5 +1,6 @@
 #include "nidc/store/wal.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -100,48 +101,99 @@ Status WalWriter::Close() {
   return st;
 }
 
+Result<std::unique_ptr<WalReader>> WalReader::Open(Env* env,
+                                                   const std::string& path) {
+  Result<std::unique_ptr<SequentialFile>> file = env->NewSequentialFile(path);
+  if (!file.ok()) return file.status();
+  return std::unique_ptr<WalReader>(new WalReader(std::move(file).value()));
+}
+
+bool WalReader::ReadBytes(size_t n, std::string* out) {
+  // Grown as bytes arrive, so a torn length field cannot make it allocate
+  // more than the file holds.
+  constexpr size_t kStep = 1 << 16;
+  out->clear();
+  while (out->size() < n) {
+    const size_t have = out->size();
+    const size_t want = std::min(kStep, n - have);
+    out->resize(have + want);
+    Result<size_t> read = file_->Read(want, out->data() + have);
+    if (!read.ok()) {
+      status_ = read.status();
+      done_ = true;
+      return false;
+    }
+    out->resize(have + *read);
+    if (*read < want) break;
+  }
+  return true;
+}
+
+bool WalReader::Damaged(size_t consumed, const std::string& what) {
+  done_ = true;
+  clean_ = false;
+  error_ = what;
+  dropped_bytes_ = consumed;
+  std::string rest;
+  while (ReadBytes(1 << 16, &rest) && !rest.empty()) {
+    dropped_bytes_ += rest.size();
+  }
+  return false;
+}
+
+bool WalReader::Next(std::string* record) {
+  if (done_) return false;
+  if (!started_) {
+    started_ = true;
+    if (!ReadBytes(kMagicSize, &header_)) return false;
+    if (header_.size() < kMagicSize ||
+        std::memcmp(header_.data(), kWalMagic, kMagicSize) != 0) {
+      if (header_.empty()) {
+        done_ = true;
+        return false;
+      }
+      return Damaged(header_.size(), "missing or damaged WAL header");
+    }
+    offset_ = kMagicSize;
+  }
+  if (!ReadBytes(kFrameHeaderSize, &header_)) return false;
+  if (header_.empty()) {
+    done_ = true;
+    return false;
+  }
+  const auto at = [this](const char* what) {
+    return what + std::string(" at offset ") + std::to_string(offset_);
+  };
+  if (header_.size() < kFrameHeaderSize) {
+    return Damaged(header_.size(), at("truncated frame header"));
+  }
+  const uint32_t length = GetU32(header_.data());
+  const uint32_t stored_crc = UnmaskCrc32c(GetU32(header_.data() + 4));
+  if (length > kMaxRecordSize) {
+    return Damaged(kFrameHeaderSize, at("truncated record body"));
+  }
+  if (!ReadBytes(length, record)) return false;
+  if (record->size() < length) {
+    return Damaged(kFrameHeaderSize + record->size(),
+                   at("truncated record body"));
+  }
+  if (Crc32c(*record) != stored_crc) {
+    return Damaged(kFrameHeaderSize + length, at("checksum mismatch"));
+  }
+  offset_ += kFrameHeaderSize + length;
+  return true;
+}
+
 Result<WalReadResult> ReadWal(Env* env, const std::string& path) {
-  auto contents = env->ReadFileToString(path);
-  if (!contents.ok()) return contents.status();
-  const std::string& data = *contents;
+  Result<std::unique_ptr<WalReader>> reader = WalReader::Open(env, path);
+  if (!reader.ok()) return reader.status();
   WalReadResult result;
-  if (data.size() < kMagicSize ||
-      std::memcmp(data.data(), kWalMagic, kMagicSize) != 0) {
-    result.clean = data.empty();
-    result.dropped_bytes = data.size();
-    if (!result.clean) result.error = "missing or damaged WAL header";
-    return result;
-  }
-  size_t pos = kMagicSize;
-  while (pos < data.size()) {
-    if (data.size() - pos < kFrameHeaderSize) {
-      result.clean = false;
-      result.dropped_bytes = data.size() - pos;
-      result.error = "truncated frame header at offset " +
-                     std::to_string(pos);
-      break;
-    }
-    const uint32_t length = GetU32(data.data() + pos);
-    const uint32_t stored_crc = UnmaskCrc32c(GetU32(data.data() + pos + 4));
-    if (length > kMaxRecordSize ||
-        data.size() - pos - kFrameHeaderSize < length) {
-      result.clean = false;
-      result.dropped_bytes = data.size() - pos;
-      result.error = "truncated record body at offset " +
-                     std::to_string(pos);
-      break;
-    }
-    const std::string_view payload(data.data() + pos + kFrameHeaderSize,
-                                   length);
-    if (Crc32c(payload) != stored_crc) {
-      result.clean = false;
-      result.dropped_bytes = data.size() - pos;
-      result.error = "checksum mismatch at offset " + std::to_string(pos);
-      break;
-    }
-    result.records.emplace_back(payload);
-    pos += kFrameHeaderSize + length;
-  }
+  std::string record;
+  while ((*reader)->Next(&record)) result.records.push_back(record);
+  NIDC_RETURN_NOT_OK((*reader)->status());
+  result.clean = (*reader)->clean();
+  result.dropped_bytes = (*reader)->dropped_bytes();
+  result.error = (*reader)->error();
   return result;
 }
 

@@ -88,6 +88,50 @@ struct WalReadResult {
   std::string error;
 };
 
+/// Reads a WAL front to back one record at a time, so a large log is
+/// never held whole. It stops at the first frame that is short, oversized
+/// or fails its checksum, exactly where ReadWal (built on it) does.
+class WalReader {
+ public:
+  /// IOError only when the file cannot be opened.
+  static Result<std::unique_ptr<WalReader>> Open(Env* env,
+                                                 const std::string& path);
+
+  /// Reads the next valid record into `record`. False at the end of the
+  /// valid records: see status() for a read error, else clean() and
+  /// dropped_bytes() for what followed them.
+  bool Next(std::string* record);
+
+  /// A read error that ended the scan.
+  const Status& status() const { return status_; }
+  /// True when the records ended exactly at the end of the file.
+  bool clean() const { return clean_; }
+  /// Bytes after the last valid record.
+  size_t dropped_bytes() const { return dropped_bytes_; }
+  /// Human-readable description of the first bad frame, when !clean().
+  const std::string& error() const { return error_; }
+
+ private:
+  explicit WalReader(std::unique_ptr<SequentialFile> file)
+      : file_(std::move(file)) {}
+
+  /// Reads up to `n` bytes into `out`; false (status_ set) on error.
+  bool ReadBytes(size_t n, std::string* out);
+  /// Marks the scan damaged at the current offset: `consumed` bytes of
+  /// the bad frame are already read; the rest of the file is counted.
+  bool Damaged(size_t consumed, const std::string& what);
+
+  std::unique_ptr<SequentialFile> file_;
+  bool started_ = false;
+  bool done_ = false;
+  size_t offset_ = 0;
+  std::string header_;
+  Status status_;
+  bool clean_ = true;
+  size_t dropped_bytes_ = 0;
+  std::string error_;
+};
+
 /// Reads every valid record of `path`. Returns IOError only when the file
 /// cannot be read at all; framing damage is reported via WalReadResult.
 Result<WalReadResult> ReadWal(Env* env, const std::string& path);

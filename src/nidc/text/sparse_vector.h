@@ -8,6 +8,7 @@
 #include <cstddef>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace nidc {
@@ -34,6 +35,14 @@ class SparseVector {
   /// are summed. The vector keeps the storage of `entries`, so its capacity
   /// is that of the argument.
   static SparseVector FromEntries(std::vector<Entry> entries);
+
+  /// Adopts entries that are already sorted by strictly increasing id
+  /// (not checked), skipping FromEntries' sort and coalesce.
+  static SparseVector FromSortedEntries(std::vector<Entry> entries) {
+    SparseVector v;
+    v.entries_ = std::move(entries);
+    return v;
+  }
 
   const std::vector<Entry>& entries() const { return entries_; }
   size_t size() const { return entries_.size(); }

@@ -16,6 +16,13 @@ TermId Vocabulary::Lookup(std::string_view term) const {
   return it == index_.end() ? kInvalidTermId : it->second;
 }
 
+void Vocabulary::Truncate(size_t size) {
+  while (terms_.size() > size) {
+    index_.erase(terms_.back());
+    terms_.pop_back();
+  }
+}
+
 Result<std::string> Vocabulary::TermOf(TermId id) const {
   if (id >= terms_.size()) {
     return Status::OutOfRange("term id out of range");

@@ -43,6 +43,10 @@ class Vocabulary {
   /// All terms in id order (for serialization / reports).
   const std::vector<std::string>& terms() const { return terms_; }
 
+  /// Forgets every term with id >= `size`: undoes the tail of a failed
+  /// Corpus::Install. No-op when `size` >= size().
+  void Truncate(size_t size);
+
  private:
   std::vector<std::string> terms_;
   std::unordered_map<std::string, TermId, StringHash, std::equal_to<>>

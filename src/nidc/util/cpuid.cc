@@ -14,10 +14,13 @@ bool CpuSupportsAvx2() {
 
 bool CpuSupportsAvx512() { return __builtin_cpu_supports("avx512f"); }
 
+bool CpuSupportsSse42() { return __builtin_cpu_supports("sse4.2"); }
+
 #else
 
 bool CpuSupportsAvx2() { return false; }
 bool CpuSupportsAvx512() { return false; }
+bool CpuSupportsSse42() { return false; }
 
 #endif
 

@@ -70,6 +70,28 @@ class PosixWritableFile : public WritableFile {
   FILE* file_;
 };
 
+class PosixSequentialFile : public SequentialFile {
+ public:
+  PosixSequentialFile(std::string path, FILE* file)
+      : path_(std::move(path)), file_(file) {}
+
+  ~PosixSequentialFile() override { std::fclose(file_); }
+  PosixSequentialFile(const PosixSequentialFile&) = delete;
+  PosixSequentialFile& operator=(const PosixSequentialFile&) = delete;
+
+  Result<size_t> Read(size_t n, char* scratch) override {
+    const size_t got = std::fread(scratch, 1, n, file_);
+    if (got < n && std::ferror(file_) != 0) {
+      return Status::IOError(ErrnoMessage("read of " + path_ + " failed"));
+    }
+    return got;
+  }
+
+ private:
+  std::string path_;
+  FILE* file_;
+};
+
 class PosixEnv : public Env {
  public:
   Result<std::unique_ptr<WritableFile>> NewWritableFile(
@@ -101,6 +123,17 @@ class PosixEnv : public Env {
       return Status::IOError("read of " + path + " failed");
     }
     return contents;
+  }
+
+  Result<std::unique_ptr<SequentialFile>> NewSequentialFile(
+      const std::string& path) override {
+    FILE* file = std::fopen(path.c_str(), "rb");
+    if (file == nullptr) {
+      return Status::IOError(
+          ErrnoMessage("cannot open " + path + " for reading"));
+    }
+    return std::unique_ptr<SequentialFile>(
+        new PosixSequentialFile(path, file));
   }
 
   Status RenameFile(const std::string& from, const std::string& to) override {

@@ -45,6 +45,17 @@ class WritableFile {
   virtual Status Close() = 0;
 };
 
+/// Front-to-back read handle to a file, for files too large to want in
+/// memory at once.
+class SequentialFile {
+ public:
+  virtual ~SequentialFile() = default;
+
+  /// Reads up to `n` bytes into `scratch` and returns how many it read:
+  /// fewer than `n` only at the end of the file.
+  virtual Result<size_t> Read(size_t n, char* scratch) = 0;
+};
+
 /// Minimal filesystem interface; see Env::Default() for the POSIX
 /// implementation used in production.
 class Env {
@@ -61,6 +72,10 @@ class Env {
 
   /// Reads the whole file into a string.
   virtual Result<std::string> ReadFileToString(const std::string& path) = 0;
+
+  /// Opens `path` for reading front to back.
+  virtual Result<std::unique_ptr<SequentialFile>> NewSequentialFile(
+      const std::string& path) = 0;
 
   /// Atomically renames `from` to `to`, replacing `to` if it exists.
   virtual Status RenameFile(const std::string& from,

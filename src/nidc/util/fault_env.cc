@@ -161,6 +161,12 @@ Result<std::string> FaultInjectionEnv::ReadFileToString(
   return base_->ReadFileToString(path);
 }
 
+Result<std::unique_ptr<SequentialFile>> FaultInjectionEnv::NewSequentialFile(
+    const std::string& path) {
+  if (crashed()) return Dead();
+  return base_->NewSequentialFile(path);
+}
+
 Status FaultInjectionEnv::RenameFile(const std::string& from,
                                      const std::string& to) {
   // A crash at the rename op means the rename never happened: POSIX rename

@@ -68,6 +68,8 @@ class FaultInjectionEnv : public Env {
   Result<std::unique_ptr<WritableFile>> NewWritableFile(
       const std::string& path, bool truncate) override;
   Result<std::string> ReadFileToString(const std::string& path) override;
+  Result<std::unique_ptr<SequentialFile>> NewSequentialFile(
+      const std::string& path) override;
   Status RenameFile(const std::string& from, const std::string& to) override;
   Status RemoveFile(const std::string& path) override;
   bool FileExists(const std::string& path) override;

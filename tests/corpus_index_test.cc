@@ -1,0 +1,510 @@
+// The per-batch corpus index (corpus.idx): record codec, Corpus::Install,
+// and tenant reopen from every index state a crash, a copy or an edit can
+// leave — each must rebuild exactly what re-analyzing corpus.tsv builds.
+
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "nidc/corpus/corpus_io.h"
+#include "nidc/shard/ingest.h"
+#include "nidc/shard/tenant.h"
+#include "nidc/store/wal.h"
+#include "nidc/util/crc32.h"
+#include "nidc/util/fault_env.h"
+
+namespace nidc::shard {
+namespace {
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void WriteFile(const std::string& path, const std::string& contents) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << contents;
+}
+
+// Under a directory of the running test's own, since ctest runs the
+// tests of this file in parallel processes.
+std::string FreshDir(const std::string& name) {
+  const std::string dir =
+      testing::TempDir() + "/nidc_corpus_index_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+std::string CopyDir(const std::string& from, const std::string& name) {
+  const std::string to = FreshDir(name);
+  std::filesystem::copy(from, to, std::filesystem::copy_options::recursive);
+  return to;
+}
+
+TenantConfig SmallConfig() {
+  TenantConfig config;
+  config.params.half_life_days = 7.0;
+  config.params.life_span_days = 30.0;
+  config.k = 3;
+  config.step_days = 1.0;
+  config.seed = 42;
+  return config;
+}
+
+// `days` days of `per_day` documents each, with vocabulary that keeps
+// growing (new terms in later batches) and a salt so feeds differ.
+std::vector<RawDocument> MakeFeed(const std::string& salt, int first_day,
+                                  int days, int per_day) {
+  std::vector<RawDocument> docs;
+  for (int d = first_day; d < first_day + days; ++d) {
+    for (int i = 0; i < per_day; ++i) {
+      RawDocument doc;
+      doc.time = d + 0.1 + 0.8 * i / per_day;
+      doc.topic = i % 3;
+      doc.source = i % 2 == 0 ? "wire" : "";
+      doc.text = salt + "term" + std::to_string(i % 5) + " " + salt +
+                 "word" + std::to_string((i + d) % 7) + " shared common " +
+                 salt + "day" + std::to_string(d) + " running the runs";
+      docs.push_back(std::move(doc));
+    }
+  }
+  auto parsed = ParseIngestJsonl(FormatIngestJsonl(docs));
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  return std::move(parsed).value();
+}
+
+std::vector<std::vector<RawDocument>> InBatches(
+    const std::vector<RawDocument>& docs, size_t batch_docs) {
+  std::vector<std::vector<RawDocument>> batches;
+  for (size_t off = 0; off < docs.size(); off += batch_docs) {
+    const size_t n = std::min(batch_docs, docs.size() - off);
+    batches.emplace_back(docs.begin() + off, docs.begin() + off + n);
+  }
+  return batches;
+}
+
+std::unique_ptr<Tenant> MustOpen(const std::string& dir,
+                                 const TenantRuntime& runtime = {}) {
+  auto tenant = Tenant::Open("t", dir, runtime);
+  EXPECT_TRUE(tenant.ok()) << dir << ": " << tenant.status().ToString();
+  return tenant.ok() ? std::move(tenant).value() : nullptr;
+}
+
+// Vocabulary in id order and every Document field.
+void ExpectSameCorpus(const Corpus& actual, const Corpus& expected) {
+  EXPECT_EQ(actual.vocabulary().terms(), expected.vocabulary().terms());
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    const Document& a = actual.doc(static_cast<DocId>(i));
+    const Document& e = expected.doc(static_cast<DocId>(i));
+    EXPECT_EQ(a.id, e.id);
+    EXPECT_EQ(a.time, e.time) << "doc " << i;
+    EXPECT_EQ(a.topic, e.topic) << "doc " << i;
+    EXPECT_EQ(a.source, e.source) << "doc " << i;
+    EXPECT_EQ(a.terms, e.terms) << "doc " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Record codec and Corpus::Install.
+
+Corpus AnalyzedCorpus() {
+  Corpus corpus;
+  corpus.AddText("Running runners ran the race", 0.5, 2, "wire");
+  corpus.AddText("the race runs again, racing", 1.25, kNoTopic, "");
+  corpus.AddText("a fresh topic entirely", 2.0, -7, "feed\x01");
+  return corpus;
+}
+
+TEST(CorpusIndexRecordTest, RoundTripsIntoAnIdenticalCorpus) {
+  const Corpus source = AnalyzedCorpus();
+  // Two records: the first document, then the other two.
+  Corpus first_only;
+  first_only.AddText("Running runners ran the race", 0.5, 2, "wire");
+  const auto split_term =
+      static_cast<TermId>(first_only.vocabulary().size());
+
+  const std::string head = EncodeCorpusIndexRecord(
+      first_only, {0, 10, 0xABCD1234u, 0, split_term, 0, 1});
+  const std::string tail = EncodeCorpusIndexRecord(
+      source, {10, 25, 7u, split_term,
+               static_cast<TermId>(source.vocabulary().size()), 1, 3});
+  Result<CorpusIndexRecord> a = DecodeCorpusIndexRecord(head);
+  Result<CorpusIndexRecord> b = DecodeCorpusIndexRecord(tail);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(a->begin, 0u);
+  EXPECT_EQ(a->end, 10u);
+  EXPECT_EQ(a->crc, 0xABCD1234u);
+  EXPECT_EQ(b->begin, 10u);
+  EXPECT_EQ(b->end, 25u);
+  EXPECT_EQ(b->first_term, split_term);
+  EXPECT_EQ(b->first_doc, 1u);
+  EXPECT_EQ(b->docs.size(), 2u);
+
+  Corpus installed;
+  ASSERT_TRUE(installed
+                  .Install(a->first_term, a->terms, a->first_doc,
+                           std::move(a->docs))
+                  .ok());
+  ASSERT_TRUE(installed
+                  .Install(b->first_term, b->terms, b->first_doc,
+                           std::move(b->docs))
+                  .ok());
+  ExpectSameCorpus(installed, source);
+}
+
+TEST(CorpusIndexRecordTest, EveryTruncationAndForeignPayloadIsRejected) {
+  const Corpus source = AnalyzedCorpus();
+  const std::string payload = EncodeCorpusIndexRecord(
+      source, {0, 99, 1u, 0,
+               static_cast<TermId>(source.vocabulary().size()), 0, 3});
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    EXPECT_FALSE(DecodeCorpusIndexRecord(payload.substr(0, cut)).ok())
+        << cut;
+  }
+  EXPECT_FALSE(DecodeCorpusIndexRecord(payload + '\0').ok());
+  EXPECT_FALSE(DecodeCorpusIndexRecord("step 0x1p+0 0").ok());
+}
+
+TEST(CorpusIndexRecordTest, MismatchedInstallLeavesTheCorpusUnchanged) {
+  const Corpus source = AnalyzedCorpus();
+  Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(
+      EncodeCorpusIndexRecord(
+          source, {0, 1, 0, 0,
+                   static_cast<TermId>(source.vocabulary().size()), 0, 3}));
+  ASSERT_TRUE(record.ok());
+
+  Corpus corpus;
+  corpus.AddText("race", 0.0);  // "race" now holds id 0
+  const size_t vocabulary = corpus.vocabulary().size();
+  // Out of place: the record starts at term 0 and document 0.
+  EXPECT_FALSE(
+      corpus.Install(0, record->terms, 1, record->docs).ok());
+  EXPECT_FALSE(
+      corpus.Install(1, record->terms, 0, record->docs).ok());
+  // In place, but a recorded term already exists under another id.
+  std::vector<std::string> clash = {"zebra", "race"};
+  EXPECT_FALSE(corpus.Install(1, clash, 1, {}).ok());
+  // A duplicate inside the record.
+  std::vector<std::string> twice = {"zebra", "zebra"};
+  EXPECT_FALSE(corpus.Install(1, twice, 1, {}).ok());
+  // A document naming a term past the vocabulary.
+  std::vector<Document> unknown(1);
+  unknown[0].terms = SparseVector::FromEntries({{5, 1.0}});
+  EXPECT_FALSE(corpus.Install(1, {"zebra"}, 1, unknown).ok());
+
+  EXPECT_EQ(corpus.vocabulary().size(), vocabulary);
+  EXPECT_EQ(corpus.size(), 1u);
+  EXPECT_EQ(corpus.vocabulary().Lookup("zebra"), kInvalidTermId);
+  EXPECT_EQ(corpus.vocabulary().Lookup("race"), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Tenant reopen.
+
+class CorpusIndexTenantTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    feed_ = InBatches(MakeFeed("idx", 0, 6, 7), 5);
+    more_ = InBatches(MakeFeed("idx", 6, 4, 4), 4);
+    ASSERT_GE(feed_.size(), 8u);
+    ASSERT_EQ(more_.size(), 4u);
+    base_ = FreshDir("base");
+    auto tenant = Tenant::Create("t", base_, SmallConfig(), TenantRuntime());
+    ASSERT_TRUE(tenant.ok()) << tenant.status().ToString();
+    for (const auto& batch : feed_) {
+      ASSERT_TRUE((*tenant)->Ingest(batch).ok());
+    }
+    ASSERT_TRUE((*tenant)->Close().ok());
+  }
+
+  // Documents in the first `records` batches of the feed.
+  size_t DocsInBatches(size_t records) const {
+    size_t docs = 0;
+    for (size_t b = 0; b < records; ++b) docs += feed_[b].size();
+    return docs;
+  }
+
+  size_t TotalDocs() const { return DocsInBatches(feed_.size()); }
+
+  // Opens `dir` and a copy of it without corpus.idx (the re-analysis),
+  // and checks they agree on the corpus, the state and the next three
+  // ingests, more_[first_more] on. Returns how the index-backed open
+  // rebuilt its corpus.
+  CorpusRecovery ExpectMatchesReanalysis(const std::string& dir,
+                                         const std::string& name,
+                                         size_t first_more = 0) {
+    const std::string plain = CopyDir(dir, name + "_plain");
+    std::filesystem::remove(plain + "/corpus.idx");
+    auto reference = MustOpen(plain);
+    auto tenant = MustOpen(dir);
+    if (reference == nullptr || tenant == nullptr) return {};
+    EXPECT_EQ(reference->corpus_recovery().installed_docs, 0u);
+    ExpectSameCorpus(tenant->corpus(), reference->corpus());
+    EXPECT_EQ(tenant->StateDigest(), reference->StateDigest());
+    for (size_t i = first_more; i < first_more + 3; ++i) {
+      EXPECT_TRUE(tenant->Ingest(more_[i]).ok());
+      EXPECT_TRUE(reference->Ingest(more_[i]).ok());
+      EXPECT_EQ(tenant->StateDigest(), reference->StateDigest())
+          << "ingest " << i;
+    }
+    ExpectSameCorpus(tenant->corpus(), reference->corpus());
+    return tenant->corpus_recovery();
+  }
+
+  // After any reopen, the next one is covered in full.
+  void ExpectSecondReopenInstallsEverything(const std::string& dir) {
+    auto first = MustOpen(dir);
+    ASSERT_NE(first, nullptr);
+    const std::string digest = first->StateDigest();
+    const size_t docs = first->corpus().size();
+    ASSERT_TRUE(first->Close().ok());
+    auto second = MustOpen(dir);
+    ASSERT_NE(second, nullptr);
+    EXPECT_EQ(second->corpus_recovery().installed_docs, docs);
+    EXPECT_EQ(second->corpus_recovery().analyzed_docs, 0u);
+    EXPECT_EQ(second->StateDigest(), digest);
+  }
+
+  // The frame offsets of corpus.idx's records (after the 8-byte header).
+  std::vector<size_t> RecordOffsets(const std::string& dir) {
+    Result<WalReadResult> log =
+        ReadWal(Env::Default(), dir + "/corpus.idx");
+    EXPECT_TRUE(log.ok());
+    std::vector<size_t> offsets;
+    size_t pos = 8;
+    for (const std::string& record : log->records) {
+      offsets.push_back(pos);
+      pos += 8 + record.size();
+    }
+    return offsets;
+  }
+
+  std::vector<std::vector<RawDocument>> feed_;
+  std::vector<std::vector<RawDocument>> more_;
+  std::string base_;
+};
+
+TEST_F(CorpusIndexTenantTest, IntactIndexInstallsEveryBatch) {
+  EXPECT_EQ(RecordOffsets(base_).size(), feed_.size());
+  const std::string dir = CopyDir(base_, "intact");
+  const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "intact");
+  EXPECT_EQ(recovery.installed_docs, TotalDocs());
+  EXPECT_EQ(recovery.analyzed_docs, 0u);
+  // The reopened tenant appended its three batches to the same index.
+  auto reopened = MustOpen(dir);
+  ASSERT_NE(reopened, nullptr);
+  EXPECT_EQ(reopened->corpus_recovery().installed_docs,
+            TotalDocs() + more_[0].size() + more_[1].size() +
+                more_[2].size());
+  EXPECT_EQ(reopened->corpus_recovery().analyzed_docs, 0u);
+}
+
+TEST_F(CorpusIndexTenantTest, DeletedIndexIsRebuilt) {
+  const std::string dir = CopyDir(base_, "deleted");
+  std::filesystem::remove(dir + "/corpus.idx");
+  const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "deleted");
+  EXPECT_EQ(recovery.installed_docs, 0u);
+  EXPECT_EQ(recovery.analyzed_docs, TotalDocs());
+  const std::string again = CopyDir(base_, "deleted_again");
+  std::filesystem::remove(again + "/corpus.idx");
+  ExpectSecondReopenInstallsEverything(again);
+}
+
+TEST_F(CorpusIndexTenantTest, IndexTruncatedMidRecordInstallsItsPrefix) {
+  const std::string dir = CopyDir(base_, "truncated");
+  const std::vector<size_t> offsets = RecordOffsets(dir);
+  const std::string index = ReadFile(dir + "/corpus.idx");
+  WriteFile(dir + "/corpus.idx", index.substr(0, offsets[4] + 11));
+  const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "truncated");
+  EXPECT_EQ(recovery.installed_docs, DocsInBatches(4));
+  EXPECT_EQ(recovery.analyzed_docs, TotalDocs() - DocsInBatches(4));
+  const std::string again = CopyDir(base_, "truncated_again");
+  WriteFile(again + "/corpus.idx", index.substr(0, offsets[4] + 11));
+  ExpectSecondReopenInstallsEverything(again);
+}
+
+TEST_F(CorpusIndexTenantTest, FlippedIndexByteEndsTheInstalledPrefix) {
+  const std::string dir = CopyDir(base_, "flipped");
+  const std::vector<size_t> offsets = RecordOffsets(dir);
+  std::string index = ReadFile(dir + "/corpus.idx");
+  index[offsets[3] + 20] ^= 0x10;
+  WriteFile(dir + "/corpus.idx", index);
+  const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "flipped");
+  EXPECT_EQ(recovery.installed_docs, DocsInBatches(3));
+  EXPECT_EQ(recovery.analyzed_docs, TotalDocs() - DocsInBatches(3));
+  const std::string again = CopyDir(base_, "flipped_again");
+  WriteFile(again + "/corpus.idx", index);
+  ExpectSecondReopenInstallsEverything(again);
+}
+
+TEST_F(CorpusIndexTenantTest, ForeignIndexIsIgnored) {
+  const std::string other = FreshDir("other");
+  {
+    auto tenant =
+        Tenant::Create("other", other, SmallConfig(), TenantRuntime());
+    ASSERT_TRUE(tenant.ok());
+    for (const auto& batch : InBatches(MakeFeed("oth", 0, 6, 7), 5)) {
+      ASSERT_TRUE((*tenant)->Ingest(batch).ok());
+    }
+  }
+  const std::string dir = CopyDir(base_, "foreign");
+  std::filesystem::copy_file(
+      other + "/corpus.idx", dir + "/corpus.idx",
+      std::filesystem::copy_options::overwrite_existing);
+  const std::string again = CopyDir(dir, "foreign_again");
+  const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "foreign");
+  EXPECT_EQ(recovery.installed_docs, 0u);
+  EXPECT_EQ(recovery.analyzed_docs, TotalDocs());
+  ExpectSecondReopenInstallsEverything(again);
+}
+
+TEST_F(CorpusIndexTenantTest, CorpusAheadOfIndexAnalyzesTheTail) {
+  // A crash between the corpus.tsv sync and the index append: the file
+  // holds the last batch, the index does not.
+  const std::string dir = CopyDir(base_, "ahead");
+  Result<WalReadResult> log = ReadWal(Env::Default(), dir + "/corpus.idx");
+  ASSERT_TRUE(log.ok());
+  log->records.pop_back();
+  ASSERT_TRUE(RewriteWal(Env::Default(), dir + "/corpus.idx", log->records)
+                  .ok());
+  const std::string again = CopyDir(dir, "ahead_again");
+  const size_t kept = feed_.size() - 1;
+  const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "ahead");
+  EXPECT_EQ(recovery.installed_docs, DocsInBatches(kept));
+  EXPECT_EQ(recovery.analyzed_docs, feed_.back().size());
+  ExpectSecondReopenInstallsEverything(again);
+}
+
+TEST_F(CorpusIndexTenantTest, EditedCorpusByteEndsTheInstalledPrefix) {
+  // One letter of a document in the third batch changes: that batch's
+  // record no longer matches, and the edit reaches the corpus.
+  const std::string dir = CopyDir(base_, "edited");
+  std::string text = ReadFile(dir + "/corpus.tsv");
+  size_t line_start = 0;
+  for (size_t line = 0; line < DocsInBatches(2) + 1; ++line) {
+    line_start = text.find('\n', line_start) + 1;
+  }
+  const size_t letter = text.rfind('\t', text.find('\n', line_start)) + 1;
+  ASSERT_NE(text[letter], 'q');
+  text[letter] = 'q';
+  WriteFile(dir + "/corpus.tsv", text);
+  const std::string again = CopyDir(dir, "edited_again");
+  const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "edited");
+  EXPECT_EQ(recovery.installed_docs, DocsInBatches(2));
+  EXPECT_EQ(recovery.analyzed_docs, TotalDocs() - DocsInBatches(2));
+  ExpectSecondReopenInstallsEverything(again);
+}
+
+TEST_F(CorpusIndexTenantTest, CorpusEndingInsideALineStopsIndexLogging) {
+  // A torn corpus.tsv append: the last line lost its tail. The next batch
+  // would extend that line, so no index record may cover it; the index
+  // is left as it was until a reopen finds the file whole again.
+  const std::string dir = CopyDir(base_, "torn_line");
+  const std::string text = ReadFile(dir + "/corpus.tsv");
+  WriteFile(dir + "/corpus.tsv", text.substr(0, text.size() - 5));
+  const std::string index = ReadFile(dir + "/corpus.idx");
+  const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "torn_line");
+  EXPECT_EQ(recovery.installed_docs, DocsInBatches(feed_.size() - 1));
+  EXPECT_EQ(recovery.analyzed_docs, feed_.back().size());
+  EXPECT_EQ(ReadFile(dir + "/corpus.idx"), index);
+}
+
+TEST_F(CorpusIndexTenantTest, CreateWritesNoIndexUntilTheFirstIngest) {
+  const std::string dir = FreshDir("create");
+  auto tenant = Tenant::Create("t", dir, SmallConfig(), TenantRuntime());
+  ASSERT_TRUE(tenant.ok());
+  EXPECT_FALSE(std::filesystem::exists(dir + "/corpus.idx"));
+  ASSERT_TRUE((*tenant)->Close().ok());
+  EXPECT_FALSE(std::filesystem::exists(dir + "/corpus.idx"));
+  // Reopening the empty tenant writes none either; its first ingest does.
+  auto reopened = MustOpen(dir);
+  ASSERT_NE(reopened, nullptr);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/corpus.idx"));
+  ASSERT_TRUE(reopened->Ingest(feed_[0]).ok());
+  EXPECT_TRUE(std::filesystem::exists(dir + "/corpus.idx"));
+}
+
+TEST_F(CorpusIndexTenantTest, ServiceCountsInstalledAndAnalyzedDocs) {
+  obs::MetricsRegistry registry;
+  TenantRuntime runtime;
+  runtime.shared_metrics = &registry;
+  const std::string dir = CopyDir(base_, "counted");
+  Result<WalReadResult> log = ReadWal(Env::Default(), dir + "/corpus.idx");
+  ASSERT_TRUE(log.ok());
+  log->records.resize(5);
+  ASSERT_TRUE(RewriteWal(Env::Default(), dir + "/corpus.idx", log->records)
+                  .ok());
+  ASSERT_NE(MustOpen(dir, runtime), nullptr);
+  EXPECT_EQ(
+      registry.GetCounter("shard.recovery.corpus_installed_docs")->Value(),
+      DocsInBatches(5));
+  EXPECT_EQ(
+      registry.GetCounter("shard.recovery.corpus_analyzed_docs")->Value(),
+      TotalDocs() - DocsInBatches(5));
+}
+
+// Kill the process at every mutating file operation of one Tenant::Ingest,
+// under both a process kill (flushed bytes survive) and a power loss
+// (nothing unsynced survives): the reopen must equal a re-analysis of
+// whatever corpus.tsv kept, and the reopen after it must install it all.
+TEST_F(CorpusIndexTenantTest, KillPointSweepAcrossOneIngest) {
+  const std::vector<RawDocument>& batch = more_[0];
+  uint64_t ingest_ops = 0;
+  {
+    const std::string dir = CopyDir(base_, "sweep_count");
+    FaultInjectionEnv env(Env::Default());
+    TenantRuntime runtime;
+    runtime.env = &env;
+    auto tenant = MustOpen(dir, runtime);
+    ASSERT_NE(tenant, nullptr);
+    const uint64_t before = env.ops_issued();
+    ASSERT_TRUE(tenant->Ingest(batch).ok());
+    ingest_ops = env.ops_issued() - before;
+  }
+  ASSERT_GE(ingest_ops, 4u);  // corpus append + sync, index append + flush
+
+  for (CrashFlush flush :
+       {CrashFlush::kKeepUnsynced, CrashFlush::kDropUnsynced}) {
+    size_t index_ahead_cases = 0;
+    for (uint64_t kill = 1; kill <= ingest_ops; ++kill) {
+      const std::string name =
+          "sweep_" + std::to_string(static_cast<int>(flush)) + "_" +
+          std::to_string(kill);
+      SCOPED_TRACE(name);
+      const std::string dir = CopyDir(base_, name);
+      {
+        FaultInjectionEnv env(Env::Default());
+        TenantRuntime runtime;
+        runtime.env = &env;
+        auto tenant = MustOpen(dir, runtime);
+        ASSERT_NE(tenant, nullptr);
+        env.ArmCrashAtOp(kill, flush);
+        (void)tenant->Ingest(batch);
+        EXPECT_TRUE(env.crashed());
+      }
+      const std::string again = CopyDir(dir, name + "_again");
+      // The batch may or may not have reached corpus.tsv; the next
+      // ingests start after it either way.
+      const CorpusRecovery recovery =
+          ExpectMatchesReanalysis(dir, name, /*first_more=*/1);
+      if (recovery.analyzed_docs > 0) ++index_ahead_cases;
+      EXPECT_GE(recovery.installed_docs, TotalDocs());
+      ExpectSecondReopenInstallsEverything(again);
+    }
+    // Some kill point lands between the corpus sync and the index append.
+    EXPECT_GT(index_ahead_cases, 0u);
+  }
+}
+
+}  // namespace
+}  // namespace nidc::shard

@@ -22,6 +22,19 @@ TEST(CorpusIoTest, FormatAndParseRoundTrip) {
   EXPECT_EQ(parsed->text, "protests erupted in lagos");
 }
 
+TEST(CorpusIoTest, CanonicalTimeIsWhatTheTsvLineReadsBack) {
+  for (double time : {0.1234567, -3.0000004, 123456.9999996, 7.0, 1e100,
+                      -1e300}) {
+    RawDocument doc;
+    doc.time = time;
+    doc.text = "x";
+    Result<RawDocument> parsed = ParseRawDocument(FormatRawDocument(doc));
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(CanonicalTime(time), parsed->time) << time;
+    EXPECT_EQ(CanonicalTime(CanonicalTime(time)), CanonicalTime(time));
+  }
+}
+
 TEST(CorpusIoTest, FormatSanitizesTabsAndNewlines) {
   RawDocument doc;
   doc.text = "line1\nline2\twith tab";

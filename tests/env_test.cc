@@ -42,6 +42,30 @@ TEST(EnvTest, FlushHandsBytesToTheOsBeforeClose) {
   env->RemoveFile(path);
 }
 
+TEST(EnvTest, SequentialFileReadsTheFileInChunks) {
+  Env* env = Env::Default();
+  const std::string path = TestPath("sequential");
+  std::string contents;
+  for (int i = 0; i < 1000; ++i) contents += std::to_string(i) + "\n";
+  ASSERT_TRUE(AtomicWriteFile(env, path, contents).ok());
+  auto file = env->NewSequentialFile(path);
+  ASSERT_TRUE(file.ok());
+  std::string read;
+  char scratch[7];
+  for (;;) {
+    auto got = (*file)->Read(sizeof(scratch), scratch);
+    ASSERT_TRUE(got.ok());
+    read.append(scratch, *got);
+    if (*got < sizeof(scratch)) break;
+  }
+  EXPECT_EQ(read, contents);
+  auto more = (*file)->Read(sizeof(scratch), scratch);
+  ASSERT_TRUE(more.ok());
+  EXPECT_EQ(*more, 0u);
+  EXPECT_FALSE(env->NewSequentialFile(TestPath("missing")).ok());
+  EXPECT_TRUE(env->RemoveFile(path).ok());
+}
+
 TEST(EnvTest, ReadMissingFileIsIOError) {
   auto contents = Env::Default()->ReadFileToString(TestPath("missing"));
   EXPECT_FALSE(contents.ok());

@@ -708,5 +708,43 @@ TEST_F(ShardServiceTest, IngestErrorsDoNotPoisonTheTenant) {
   service->Stop();
 }
 
+TEST_F(ShardServiceTest, UnroundedTimesSurviveEvictAndReopen) {
+  // A direct EnqueueIngest caller skips the JSONL decoder's "%.6f"
+  // rounding. The tenant must still step on the times corpus.tsv reads
+  // back, or a reopen mid-stream would diverge from the uninterrupted run.
+  std::vector<RawDocument> feed;
+  for (int d = 0; d < 6; ++d) {
+    for (int i = 0; i < 5; ++i) {
+      RawDocument doc;
+      doc.time = d + 0.1234567 + 0.1537281 * i;
+      doc.text = "word" + std::to_string((i + d) % 4) + " topic" +
+                 std::to_string(i % 3) + " common filler";
+      feed.push_back(std::move(doc));
+    }
+  }
+  const auto batches = InBatches(feed, 7);
+  auto run = [&](const std::string& root, bool reopen) {
+    auto service = StartService(root, 1);
+    EXPECT_TRUE(service->CreateTenant("alpha", SmallConfig()).ok());
+    for (size_t b = 0; b < batches.size(); ++b) {
+      EXPECT_TRUE(service->EnqueueIngest("alpha", batches[b]).ok());
+      if (reopen && b == batches.size() / 2) {
+        service->Drain();
+        EXPECT_TRUE(service->EvictTenant("alpha").ok());
+        EXPECT_TRUE(service->OpenTenant("alpha").ok());
+      }
+    }
+    EXPECT_TRUE(service->Flush("alpha", 7.0).ok());
+    auto digest = service->StateDigest("alpha");
+    EXPECT_TRUE(digest.ok());
+    EXPECT_EQ(service->GetTenant("alpha")->docs_ingested(), feed.size());
+    service->Stop();
+    return digest.ok() ? *digest : std::string();
+  };
+  const std::string uninterrupted = run(Root("unrounded_live"), false);
+  ASSERT_FALSE(uninterrupted.empty());
+  EXPECT_EQ(run(Root("unrounded_reopen"), true), uninterrupted);
+}
+
 }  // namespace
 }  // namespace nidc::shard

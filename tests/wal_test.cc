@@ -113,6 +113,43 @@ TEST(WalTest, MissingHeaderQuarantinesEverything) {
   env->RemoveFile(path);
 }
 
+TEST(WalTest, ReaderStreamsRecordsAndSurvivesATornLengthField) {
+  Env* env = Env::Default();
+  const std::string path = TestPath("reader");
+  {
+    auto writer = WalWriter::Create(env, path, WalSyncMode::kNone);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->AppendRecord("alpha").ok());
+    ASSERT_TRUE((*writer)->AppendRecord(std::string(200000, 'b')).ok());
+    ASSERT_TRUE((*writer)->Close().ok());
+  }
+  auto reader = WalReader::Open(env, path);
+  ASSERT_TRUE(reader.ok());
+  std::string record;
+  ASSERT_TRUE((*reader)->Next(&record));
+  EXPECT_EQ(record, "alpha");
+  ASSERT_TRUE((*reader)->Next(&record));
+  EXPECT_EQ(record, std::string(200000, 'b'));
+  EXPECT_FALSE((*reader)->Next(&record));
+  EXPECT_TRUE((*reader)->clean());
+  EXPECT_TRUE((*reader)->status().ok());
+
+  // A frame whose length field claims ~1 GB over a 4-byte body: the scan
+  // stops there and counts every byte after the valid record as dropped.
+  auto full = env->ReadFileToString(path);
+  ASSERT_TRUE(full.ok());
+  std::string torn = full->substr(0, 8 + 8 + 5);
+  torn += std::string("\xff\xff\xff\x3f", 4) + "crc!" + "body";
+  ASSERT_TRUE(AtomicWriteFile(env, path, torn).ok());
+  auto read = ReadWal(env, path);
+  ASSERT_TRUE(read.ok());
+  EXPECT_FALSE(read->clean);
+  ASSERT_EQ(read->records.size(), 1u);
+  EXPECT_EQ(read->dropped_bytes, 12u);
+  EXPECT_NE(read->error.find("truncated record body"), std::string::npos);
+  env->RemoveFile(path);
+}
+
 TEST(WalTest, UnsyncedTailLostOnDropCrashButLogStaysReadable) {
   Env* base = Env::Default();
   const std::string path = TestPath("crash_tail");

@@ -160,12 +160,14 @@ constexpr const char* kShardKeys[] = {
     "serve.connections_shed",
 };
 
-// The startup-reopen pair ShardService::Init registers eagerly. Required
-// in every shard snapshot, and in any JSONL record that carries the
-// service-level shard family (marked by its shard.shards gauge).
+// The startup-reopen family ShardService::Init registers eagerly.
+// Required in every shard snapshot, and in any JSONL record that carries
+// the service-level shard family (marked by its shard.shards gauge).
 constexpr const char* kRecoveryKeys[] = {
     "shard.recovery.seconds",
     "shard.recovery.tenants",
+    "shard.recovery.corpus_installed_docs",
+    "shard.recovery.corpus_analyzed_docs",
 };
 
 // The leader-side WalShipper registers these eagerly, so any stream run
