@@ -108,7 +108,9 @@ Result<std::unique_ptr<ReplicaClusterer>> ReplicaClusterer::Open(
       // and on-disk bytes agree again before appends continue.
       NIDC_RETURN_NOT_OK(RewriteWal(env, wal_path, applied));
     }
-    if (!env->FileExists(wal_path)) {
+    if (applied.empty() || !env->FileExists(wal_path)) {
+      // A WAL with no records may have lost its unsynced header too:
+      // start it afresh rather than append frames to a headerless file.
       auto wal = WalWriter::Create(env, wal_path, out->replica_.wal_sync);
       if (!wal.ok()) return wal.status();
       out->wal_ = std::move(wal).value();

@@ -324,12 +324,17 @@ Result<std::unique_ptr<Tenant>> Tenant::Create(const std::string& name,
     return Status::AlreadyExists("tenant directory " + dir +
                                  " already holds a TENANT.json");
   }
-  NIDC_RETURN_NOT_OK(
-      AtomicWriteFile(env, dir + kConfigFile, config.ToJson()));
   std::unique_ptr<Tenant> tenant(
       new Tenant(name, dir, config, runtime));
   NIDC_RETURN_NOT_OK(
       tenant->Boot(std::make_unique<Corpus>(), /*fresh=*/true));
+  // TENANT.json's rename is the commit point: its directory sync also
+  // makes the store/ and corpus.tsv entries Boot just created durable, so
+  // a tenant that recovery sees is whole. Until then a crash leaves
+  // leftovers that recovery skips and a re-create takes over.
+  NIDC_RETURN_NOT_OK(
+      AtomicWriteFile(env, dir + kConfigFile, config.ToJson()));
+  NIDC_RETURN_NOT_OK(env->SyncDir(DirName(dir)));
   return tenant;
 }
 

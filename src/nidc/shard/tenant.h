@@ -110,7 +110,9 @@ struct CorpusRecovery {
 class Tenant {
  public:
   /// Creates a fresh tenant directory (AlreadyExists when `dir` already
-  /// holds a TENANT.json) and opens it.
+  /// holds a TENANT.json) and opens it. store/ and corpus.tsv come first;
+  /// writing TENANT.json commits the tenant, and a final sync of `dir`'s
+  /// parent makes its entry durable.
   static Result<std::unique_ptr<Tenant>> Create(const std::string& name,
                                                 const std::string& dir,
                                                 const TenantConfig& config,

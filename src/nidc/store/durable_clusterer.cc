@@ -48,6 +48,19 @@ std::optional<ClusteringResult> FindOutcome(
   return std::nullopt;
 }
 
+// The state `generation` starts from: its snapshot, or for a first
+// generation without one, the empty state a fresh store starts from.
+Result<ClustererState> LoadBaseState(Env* env, const std::string& dir,
+                                     uint64_t generation, const Corpus* corpus,
+                                     const ForgettingParams& params,
+                                     const IncrementalOptions& options) {
+  const std::string path = dir + "/" + SnapshotFileName(generation);
+  if (generation == kFirstGeneration && !env->FileExists(path)) {
+    return CaptureState(IncrementalClusterer(corpus, params, options));
+  }
+  return LoadState(path, env);
+}
+
 }  // namespace
 
 std::string EncodeStepOutcome(uint64_t step, DayTime tau,
@@ -92,9 +105,8 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Open(
   uint64_t newest_seen = 0;
   for (uint64_t generation : ListRecoveryCandidates(env, durable.dir)) {
     newest_seen = std::max(newest_seen, generation);
-    const std::string snapshot_path =
-        durable.dir + "/" + SnapshotFileName(generation);
-    Result<ClustererState> state = LoadState(snapshot_path, env);
+    Result<ClustererState> state = LoadBaseState(
+        env, durable.dir, generation, corpus, params, options);
     Result<std::unique_ptr<IncrementalClusterer>> restored =
         state.ok() ? RestoreClusterer(corpus, options, *state)
                    : Result<std::unique_ptr<IncrementalClusterer>>(
@@ -201,6 +213,12 @@ Result<StepResult> DurableClusterer::Step(const std::vector<DocId>& new_docs,
   const std::string payload = EncodeStepRecord(record);
   const uint64_t bytes_before = wal_->bytes_appended();
   NIDC_RETURN_NOT_OK(wal_->AppendRecord(payload));
+  if (sync_dir_at_next_record_) {
+    // The first generation's WAL is its only file: make its directory
+    // entry durable before a step depends on it.
+    NIDC_RETURN_NOT_OK(durable_.env->SyncDir(durable_.dir));
+    sync_dir_at_next_record_ = false;
+  }
   ++records_since_checkpoint_;
   BumpCounter("store.wal_records");
   BumpCounter("store.wal_bytes", wal_->bytes_appended() - bytes_before);
@@ -251,10 +269,15 @@ Status DurableClusterer::Rotate() {
 
   // Order matters: snapshot first, then a fresh WAL, then the manifest
   // flip. A crash between any two leaves the previous generation (still
-  // on disk, still current in the manifest) fully recoverable.
+  // on disk, still current in the manifest) fully recoverable. The first
+  // generation writes neither: its base is the empty state recovery
+  // rebuilds from the params, and its WAL alone marks it.
+  const bool implicit = next == kFirstGeneration;
   const std::string snapshot_text = SerializeState(CaptureState(*inner_));
-  NIDC_RETURN_NOT_OK(AtomicWriteFile(env, durable_.dir + "/" + snapshot_name,
-                                     snapshot_text));
+  if (!implicit) {
+    NIDC_RETURN_NOT_OK(AtomicWriteFile(
+        env, durable_.dir + "/" + snapshot_name, snapshot_text));
+  }
   if (wal_ != nullptr) {
     wal_->Close();  // superseded; any unsynced tail is covered by the snapshot
   }
@@ -266,30 +289,40 @@ Status DurableClusterer::Rotate() {
   if (!wal.ok()) return wal.status();
   wal_ = std::move(wal).value();
 
-  Manifest manifest;
-  manifest.generation = next;
-  manifest.snapshot_file = snapshot_name;
-  manifest.wal_file = wal_name;
-  NIDC_RETURN_NOT_OK(WriteManifest(env, durable_.dir, manifest));
+  if (!implicit) {
+    Manifest manifest;
+    manifest.generation = next;
+    manifest.snapshot_file = snapshot_name;
+    manifest.wal_file = wal_name;
+    NIDC_RETURN_NOT_OK(WriteManifest(env, durable_.dir, manifest));
+  }
 
   generation_ = next;
   records_since_checkpoint_ = 0;
+  // Nothing synced the directory since the WAL was created, and no
+  // manifest flip will: its first record does that.
+  sync_dir_at_next_record_ =
+      implicit && durable_.wal_sync == WalSyncMode::kEveryRecord;
   if (durable_.sink != nullptr) {
-    // The manifest flip above is the commit point; followers only learn
-    // about generations that recovery on this node would itself pick.
+    // The manifest flip above is the commit point (for the first
+    // generation, Open itself: recovery rebuilds its base from nothing);
+    // followers only learn about generations that recovery on this node
+    // would itself pick.
     durable_.sink->OnRotate(generation_, sealed_records,
                             inner_->step_count(), snapshot_text);
   }
-  BumpCounter("store.snapshots");
+  if (!implicit) BumpCounter("store.snapshots");
   if (metrics_ != nullptr) {
     metrics_->GetGauge("store.generation")
         ->Set(static_cast<double>(generation_));
   }
   if (obs::EventLog* events = inner_->options().events; events != nullptr) {
-    obs::Event committed;
-    committed.type = obs::EventType::kCheckpointCommitted;
-    committed.detail = generation_;
-    events->Emit(committed);
+    if (!implicit) {
+      obs::Event committed;
+      committed.type = obs::EventType::kCheckpointCommitted;
+      committed.detail = generation_;
+      events->Emit(committed);
+    }
     obs::Event rotated;
     rotated.type = obs::EventType::kWalRotated;
     rotated.detail = generation_;
@@ -299,7 +332,7 @@ Status DurableClusterer::Rotate() {
   // Prune generations beyond the retention window (best effort — stale
   // files are harmless and will be retried next rotation).
   if (Result<std::vector<uint64_t>> generations =
-          ListSnapshotGenerations(env, durable_.dir);
+          ListStoredGenerations(env, durable_.dir);
       generations.ok()) {
     for (uint64_t generation : *generations) {
       if (generation + durable_.keep_generations <= generation_) {

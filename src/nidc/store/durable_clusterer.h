@@ -8,9 +8,14 @@
 //     fsynced before the step runs, so a completed step is never lost.
 //   * Every `checkpoint_every` steps the wrapper rotates to a new
 //     generation: it writes a bit-exact ClustererState snapshot
-//     (write-temp + fsync + rename), starts a fresh WAL, atomically
+//     (write-temp + fsync + rename), starts a fresh WAL (its header is
+//     not synced; the first record's sync covers it), atomically
 //     updates the MANIFEST, and prunes generations beyond
 //     `keep_generations`.
+//   * A fresh directory starts generation 1 with no snapshot and no
+//     MANIFEST: its base is the empty state built from `params`, so Open
+//     only creates wal-000001, and the generation's first record syncs
+//     the directory so that file's entry is durable.
 //   * After a step has run, its clustering is appended to the
 //     generation's outcome log (outcome-<gen>, created at the
 //     generation's first step): the WAL's CRC framing around the
@@ -18,7 +23,8 @@
 //     and a CRC-32C of the new document ids. The log is a hint. It is
 //     flushed to the OS after each record but never fsynced.
 //   * Open() recovers: newest valid snapshot (manifest first, directory
-//     scan as fallback) + replay of that generation's WAL tail through
+//     scan as fallback, generation 1's implicit base last whenever
+//     wal-000001 exists) + replay of that generation's WAL tail through
 //     Step(). A replayed record whose outcome is in the log and fits the
 //     active set installs it instead of re-running K-means; a missing,
 //     damaged or mismatched outcome means the record re-runs. Corrupt
@@ -204,6 +210,7 @@ class DurableClusterer {
 
   /// Writes a snapshot of the current state as generation `generation_+1`,
   /// switches the WAL, updates the manifest and prunes old generations.
+  /// Generation 1 only gets its WAL (see the class comment).
   Status Rotate();
 
   /// Appends a completed step's outcome to the generation's outcome log,
@@ -227,6 +234,8 @@ class DurableClusterer {
   bool outcomes_failed_ = false;
   uint64_t generation_ = 0;
   uint64_t records_since_checkpoint_ = 0;
+  /// Set while the first generation's WAL entry awaits a directory sync.
+  bool sync_dir_at_next_record_ = false;
   bool closed_ = false;
 };
 

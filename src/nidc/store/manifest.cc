@@ -96,13 +96,25 @@ Result<std::vector<uint64_t>> ListSnapshotGenerations(
   return generations;
 }
 
+Result<std::vector<uint64_t>> ListStoredGenerations(Env* env,
+                                                    const std::string& dir) {
+  Result<std::vector<uint64_t>> generations =
+      ListSnapshotGenerations(env, dir);
+  if (generations.ok() &&
+      (generations->empty() || generations->back() != kFirstGeneration) &&
+      env->FileExists(dir + "/" + WalFileName(kFirstGeneration))) {
+    generations->push_back(kFirstGeneration);
+  }
+  return generations;
+}
+
 std::vector<uint64_t> ListRecoveryCandidates(Env* env,
                                              const std::string& dir) {
   std::vector<uint64_t> candidates;
   if (Result<Manifest> manifest = ReadManifest(env, dir); manifest.ok()) {
     candidates.push_back(manifest->generation);
   }
-  if (Result<std::vector<uint64_t>> scanned = ListSnapshotGenerations(env, dir);
+  if (Result<std::vector<uint64_t>> scanned = ListStoredGenerations(env, dir);
       scanned.ok()) {
     for (uint64_t generation : *scanned) {
       if (std::find(candidates.begin(), candidates.end(), generation) ==

@@ -9,10 +9,15 @@
 //                       durable_clusterer.h)
 //   snapshot-000011 ... older generations kept as fallback
 //
+// Generation 1, the one a fresh store starts, has neither a snapshot nor
+// a MANIFEST: its base is the empty state, which recovery rebuilds from
+// the ForgettingParams, so a fresh store holds only wal-000001 until its
+// first checkpoint.
+//
 // The manifest is written with AtomicWriteFile, so it always names a
 // generation whose snapshot was already durably written. If it is missing
 // or corrupt, recovery falls back to scanning the directory for snapshot
-// files, newest generation first.
+// files, newest generation first, and to generation 1 last.
 
 #ifndef NIDC_STORE_MANIFEST_H_
 #define NIDC_STORE_MANIFEST_H_
@@ -24,6 +29,9 @@
 #include "nidc/util/env.h"
 
 namespace nidc {
+
+/// The generation a fresh store starts, whose base state is implicit.
+constexpr uint64_t kFirstGeneration = 1;
 
 struct Manifest {
   uint64_t generation = 0;
@@ -57,11 +65,18 @@ Result<Manifest> ReadManifest(Env* env, const std::string& dir);
 Result<std::vector<uint64_t>> ListSnapshotGenerations(Env* env,
                                                       const std::string& dir);
 
+/// Generations stored in `dir`, newest first: those with a snapshot file,
+/// plus kFirstGeneration whenever its WAL exists, since its base needs no
+/// snapshot.
+Result<std::vector<uint64_t>> ListStoredGenerations(Env* env,
+                                                    const std::string& dir);
+
 /// Candidate generations to try recovering from, best first: the
 /// manifest's generation leads (it is only updated after its snapshot is
-/// durable), then every other snapshot found by the directory scan in
-/// descending order. Used by DurableClusterer::Open and the follower-side
-/// ReplicaClusterer, so both sides recover through the same policy.
+/// durable), then every other stored generation in descending order, so
+/// kFirstGeneration comes last. Used by DurableClusterer::Open and the
+/// follower-side ReplicaClusterer, so both sides recover through the same
+/// policy.
 std::vector<uint64_t> ListRecoveryCandidates(Env* env,
                                              const std::string& dir);
 

@@ -55,9 +55,6 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Create(Env* env,
       new WalWriter(path, std::move(file).value(), mode));
   NIDC_RETURN_NOT_OK(writer->file_->Append(
       std::string_view(kWalMagic, kMagicSize)));
-  if (mode == WalSyncMode::kEveryRecord) {
-    NIDC_RETURN_NOT_OK(writer->file_->Sync());
-  }
   return writer;
 }
 

@@ -39,7 +39,9 @@ enum class WalSyncMode {
 /// Appends CRC-framed records to a fresh WAL file.
 class WalWriter {
  public:
-  /// Creates (truncates) `path` and writes the file header.
+  /// Creates (truncates) `path` and writes the file header, unsynced: the
+  /// first record's sync makes it durable, and until then a crash leaves
+  /// an empty or short header, which reads as zero records.
   static Result<std::unique_ptr<WalWriter>> Create(Env* env,
                                                    const std::string& path,
                                                    WalSyncMode mode);

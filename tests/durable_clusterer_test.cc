@@ -117,18 +117,46 @@ TEST_F(DurableClustererTest, OpenRejectsBadOptions) {
 }
 
 TEST_F(DurableClustererTest, FreshOpenStartsEmptyAndRotates) {
+  Env* env = Env::Default();
   const std::string dir = FreshDir("fresh");
-  auto durable = DurableClusterer::Open(stream_.corpus.get(), params_,
-                                        incremental_, Options(dir));
-  ASSERT_TRUE(durable.ok());
-  EXPECT_FALSE((*durable)->recovery().resumed);
-  EXPECT_EQ((*durable)->applied_steps(), 0u);
-  EXPECT_TRUE(Env::Default()->FileExists(dir + "/MANIFEST"));
-  EXPECT_TRUE(Env::Default()->FileExists(dir + "/" + SnapshotFileName(1)));
-  // The outcome log is created by a generation's first step, not by Open.
-  EXPECT_FALSE(Env::Default()->FileExists(dir + "/" + OutcomeFileName(1)));
-  ASSERT_TRUE((*durable)->Close().ok());
-  EXPECT_FALSE(Env::Default()->FileExists(dir + "/" + OutcomeFileName(1)));
+  {
+    FaultInjectionEnv fault_env(env);
+    DurableOptions options = Options(dir);
+    options.env = &fault_env;
+    auto durable = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                          incremental_, options);
+    ASSERT_TRUE(durable.ok());
+    EXPECT_FALSE((*durable)->recovery().resumed);
+    EXPECT_EQ((*durable)->applied_steps(), 0u);
+    EXPECT_EQ((*durable)->generation(), 1u);
+    EXPECT_EQ((*durable)->recovery().new_generation, 1u);
+    // Generation 1's base is the empty state: Open writes its WAL only.
+    EXPECT_EQ(env->ListDir(dir).value(),
+              std::vector<std::string>{WalFileName(1)});
+    Feed(durable->get(), 0, 2);
+    // The outcome log is created by a generation's first step, not by
+    // Open; still no snapshot or manifest before the first checkpoint.
+    EXPECT_TRUE(env->FileExists(dir + "/" + OutcomeFileName(1)));
+    EXPECT_FALSE(env->FileExists(dir + "/MANIFEST"));
+    EXPECT_FALSE(env->FileExists(dir + "/" + SnapshotFileName(1)));
+    // Simulated kill: no final rotation, so generation 1 is all there is.
+    fault_env.ArmCrashAtOp(1, CrashFlush::kKeepUnsynced);
+  }
+  auto reopened = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                         incremental_, Options(dir));
+  ASSERT_TRUE(reopened.ok());
+  const RecoveryInfo& info = (*reopened)->recovery();
+  EXPECT_TRUE(info.resumed);
+  EXPECT_EQ(info.source_generation, 1u);
+  EXPECT_EQ(info.replayed_records, 2u);
+  EXPECT_EQ(info.snapshot_fallbacks, 0u);
+  EXPECT_EQ((*reopened)->applied_steps(), 2u);
+  // The first checkpoint writes the usual snapshot + manifest pair.
+  EXPECT_EQ((*reopened)->generation(), 2u);
+  EXPECT_TRUE(env->FileExists(dir + "/MANIFEST"));
+  EXPECT_TRUE(env->FileExists(dir + "/" + SnapshotFileName(2)));
+  EXPECT_FALSE(env->FileExists(dir + "/" + SnapshotFileName(1)));
+  ASSERT_TRUE((*reopened)->Close().ok());
 }
 
 TEST_F(DurableClustererTest, StopAndReopenContinuesBitIdentically) {
@@ -241,6 +269,46 @@ TEST_F(DurableClustererTest, CorruptSnapshotFallsBackToPreviousGeneration) {
   EXPECT_LT((*recovered)->recovery().source_generation, newest);
   // The older generation's snapshot+WAL still reconstruct a usable state;
   // finishing the stream matches the reference exactly.
+  Feed(recovered->get(), (*recovered)->applied_steps(),
+       stream_.batches.size());
+  EXPECT_EQ(Fingerprint((*recovered)->clusterer()), ReferenceFingerprint());
+  ASSERT_TRUE((*recovered)->Close().ok());
+}
+
+TEST_F(DurableClustererTest, CorruptSecondSnapshotFallsBackToImplicitFirst) {
+  // Generation 1 has no snapshot, yet while its WAL exists it is the
+  // fallback behind a damaged generation 2, exactly as deep as a stored
+  // snapshot-000001 would be.
+  Env* env = Env::Default();
+  const std::string dir = FreshDir("implicit_fallback");
+  {
+    FaultInjectionEnv fault_env(env);
+    DurableOptions options = Options(dir, /*checkpoint_every=*/5);
+    options.env = &fault_env;
+    auto durable = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                          incremental_, options);
+    ASSERT_TRUE(durable.ok());
+    Feed(durable->get(), 0, 7);
+    ASSERT_EQ((*durable)->generation(), 2u);
+    // Simulated kill: generation 2's WAL holds steps 5-6.
+    fault_env.ArmCrashAtOp(1, CrashFlush::kKeepUnsynced);
+  }
+  ASSERT_TRUE(env->FileExists(dir + "/" + WalFileName(1)));
+  ASSERT_FALSE(env->FileExists(dir + "/" + SnapshotFileName(1)));
+  ASSERT_TRUE(AtomicWriteFile(env, dir + "/" + SnapshotFileName(2),
+                              "nidc-state v2\ngarbage")
+                  .ok());
+
+  auto recovered = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                          incremental_, Options(dir));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const RecoveryInfo& info = (*recovered)->recovery();
+  EXPECT_TRUE(info.resumed);
+  EXPECT_EQ(info.snapshot_fallbacks, 1u);
+  EXPECT_EQ(info.source_generation, 1u);
+  EXPECT_EQ(info.replayed_records, 5u);
+  EXPECT_EQ((*recovered)->applied_steps(), 5u);
+  EXPECT_EQ((*recovered)->generation(), 3u);
   Feed(recovered->get(), (*recovered)->applied_steps(),
        stream_.batches.size());
   EXPECT_EQ(Fingerprint((*recovered)->clusterer()), ReferenceFingerprint());
@@ -521,6 +589,8 @@ TEST_F(DurableClustererTest, PruningRemovesOutcomeLogs) {
   }
   EXPECT_GE(logs, 1u);
   EXPECT_FALSE(env->FileExists(dir + "/" + OutcomeFileName(1)));
+  // Generation 1 has no snapshot; its WAL goes with its outcome log.
+  EXPECT_FALSE(env->FileExists(dir + "/" + WalFileName(1)));
   ASSERT_TRUE((*durable)->Close().ok());
 }
 

@@ -67,5 +67,38 @@ TEST(ManifestTest, WriteReadRoundTripAndScan) {
   }
 }
 
+TEST(ManifestTest, FirstGenerationIsACandidateWhileItsWalExists) {
+  Env* env = Env::Default();
+  const std::string dir = testing::TempDir() + "/nidc_manifest_test_first";
+  ASSERT_TRUE(env->CreateDir(dir).ok());
+  // A fresh store: wal-000001 alone, no snapshot, no manifest.
+  ASSERT_TRUE(AtomicWriteFile(env, dir + "/" + WalFileName(1), "").ok());
+  EXPECT_EQ(ListStoredGenerations(env, dir).value(),
+            (std::vector<uint64_t>{1}));
+  EXPECT_EQ(ListRecoveryCandidates(env, dir), (std::vector<uint64_t>{1}));
+
+  // After checkpoints it stays the deepest fallback, tried last.
+  Manifest manifest;
+  manifest.generation = 2;
+  manifest.snapshot_file = SnapshotFileName(2);
+  manifest.wal_file = WalFileName(2);
+  ASSERT_TRUE(WriteManifest(env, dir, manifest).ok());
+  ASSERT_TRUE(AtomicWriteFile(env, dir + "/" + SnapshotFileName(2), "a").ok());
+  ASSERT_TRUE(AtomicWriteFile(env, dir + "/" + SnapshotFileName(3), "b").ok());
+  EXPECT_EQ(ListRecoveryCandidates(env, dir),
+            (std::vector<uint64_t>{2, 3, 1}));
+  EXPECT_EQ(ListSnapshotGenerations(env, dir).value(),
+            (std::vector<uint64_t>{3, 2}));
+
+  // Once its WAL is pruned, generation 1 is gone.
+  ASSERT_TRUE(env->RemoveFile(dir + "/" + WalFileName(1)).ok());
+  EXPECT_EQ(ListStoredGenerations(env, dir).value(),
+            (std::vector<uint64_t>{3, 2}));
+  for (const std::string& name :
+       {std::string("MANIFEST"), SnapshotFileName(2), SnapshotFileName(3)}) {
+    env->RemoveFile(dir + "/" + name);
+  }
+}
+
 }  // namespace
 }  // namespace nidc

@@ -220,6 +220,49 @@ TEST_F(ReplicaTest, KilledMidCatchUpResumesFromItsOwnWal) {
   EXPECT_GT(crashes, 10u);
 }
 
+TEST_F(ReplicaTest, WalThatLostItsHeaderIsRestartedNotAppendedTo) {
+  // A local rotation leaves the new WAL's header unsynced. A crash right
+  // after it leaves an empty wal-2, and a restarted follower must start
+  // that file afresh: records appended to a headerless file would be
+  // unreadable when promotion reopens the directory.
+  const auto frames = RecordLeaderRun(FreshDir("header_leader"));
+  std::vector<size_t> seals;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    if (frames[i].type == repl::FrameType::kSeal) seals.push_back(i);
+  }
+  ASSERT_GE(seals.size(), 2u);
+  const std::string dir = FreshDir("header_follower");
+  {
+    FaultInjectionEnv fault_env(Env::Default());
+    auto doomed = OpenReplica(dir, &fault_env);
+    ASSERT_TRUE(doomed.ok()) << doomed.status().ToString();
+    for (size_t i = 0; i <= seals[0]; ++i) {
+      ASSERT_TRUE((*doomed)->Apply(frames[i]).ok());
+    }
+    fault_env.ArmCrashAtOp(1, CrashFlush::kDropUnsynced);
+    ASSERT_FALSE(fault_env.CreateDir(dir + "/crash").ok());
+  }
+  ASSERT_EQ(Env::Default()->ReadFileToString(dir + "/" + WalFileName(2))
+                ->size(),
+            0u);
+
+  auto restarted = OpenReplica(dir);
+  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+  for (size_t i = seals[0] + 1; i < seals[1]; ++i) {
+    ASSERT_TRUE((*restarted)->Apply(frames[i]).ok());
+  }
+  const uint64_t steps = frames[seals[1] - 1].leader_steps;
+  IncrementalClusterer reference(stream_.corpus.get(), params_, incremental_);
+  for (size_t i = 0; i < steps; ++i) {
+    auto result = reference.Step(stream_.batches[i], stream_.taus[i]);
+    if (!result.ok()) {
+      ASSERT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+    }
+  }
+  EXPECT_EQ(PromotedFingerprint(std::move(*restarted)),
+            SerializeState(CaptureState(reference)));
+}
+
 TEST_F(ReplicaTest, StaleDuplicateGapAndMismatchedSealFrames) {
   const auto frames = RecordLeaderRun(FreshDir("frames_leader"));
   // Index of the first seal so the replica below sits mid-generation-1.

@@ -6,14 +6,17 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "env_wrapper.h"
 #include "nidc/obs/metrics.h"
 #include "nidc/shard/ingest.h"
 #include "nidc/shard/service.h"
@@ -149,11 +152,58 @@ std::string ReferenceDigest(const std::string& dir,
   return (*tenant)->StateDigest();
 }
 
+// Holds every WAL sync until Open(), so a test can park a shard worker
+// inside its first step for as long as it needs.
+class WalSyncGate : public EnvWrapper {
+ public:
+  using EnvWrapper::EnvWrapper;
+
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path, bool truncate) override {
+    Result<std::unique_ptr<WritableFile>> file =
+        base()->NewWritableFile(path, truncate);
+    if (!file.ok() || path.find("/wal-") == std::string::npos) return file;
+    return std::unique_ptr<WritableFile>(
+        std::make_unique<GatedFile>(std::move(file).value(), this));
+  }
+
+ private:
+  class GatedFile : public WritableFileWrapper {
+   public:
+    GatedFile(std::unique_ptr<WritableFile> base, WalSyncGate* gate)
+        : WritableFileWrapper(std::move(base)), gate_(gate) {}
+    Status Sync() override {
+      {
+        std::unique_lock<std::mutex> lock(gate_->mu_);
+        gate_->cv_.wait(lock, [this] { return gate_->open_; });
+      }
+      return WritableFileWrapper::Sync();
+    }
+
+   private:
+    WalSyncGate* gate_;
+  };
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
 // One sharded server wired exactly like `nidc_cli serve`: a shared
 // registry feeding both the service (shard.*) and the server (serve.*).
 class ShardHttpTest : public testing::Test {
  protected:
-  ~ShardHttpTest() override { TearDownServer(); }
+  ~ShardHttpTest() override {
+    // A failed assertion must not leave a shard worker parked in Stop.
+    if (gate_ != nullptr) gate_->Open();
+    TearDownServer();
+  }
 
   std::string Root(const std::string& name) {
     const std::string root =
@@ -170,6 +220,11 @@ class ShardHttpTest : public testing::Test {
     options.threads_per_shard = 1;
     options.queue_capacity = queue_capacity;
     options.wal_sync = WalSyncMode::kNone;
+    if (gate_ != nullptr) {
+      // WAL syncs happen only under kEveryRecord.
+      options.env = gate_.get();
+      options.wal_sync = WalSyncMode::kEveryRecord;
+    }
     options.metrics = &registry_;
     auto service = ShardService::Start(std::move(options));
     EXPECT_TRUE(service.ok()) << service.status().ToString();
@@ -188,6 +243,8 @@ class ShardHttpTest : public testing::Test {
   }
 
   obs::MetricsRegistry registry_;
+  /// Set before StartServer to run the service over a WalSyncGate.
+  std::unique_ptr<WalSyncGate> gate_;
   std::unique_ptr<ShardService> service_;
   std::unique_ptr<serve::HttpServer> server_;
 };
@@ -311,14 +368,17 @@ TEST_F(ShardHttpTest, CreateAcceptsQueryOverrides) {
 
 TEST_F(ShardHttpTest, FullQueueAnswers429WithRetryAfter) {
   const std::string root = Root("backpressure");
-  // Heavy first batch (many windows) keeps the single shard worker busy
-  // while the client stacks more batches behind it.
+  // Every batch spans several windows, so the first one steps (and syncs
+  // the WAL) while the client stacks more batches behind it.
   const auto feed = MakeFeed("press", 16, 12);
   const auto batches = WireBatches(feed, 48);
   const DayTime flush_until = 17.0;
   const std::string expected =
       ReferenceDigest(root + "_ref", SmallConfig(), batches, flush_until);
 
+  // The worker parks in its first WAL sync, so the queue stays full until
+  // the client has been pushed back once, however fast the host drains.
+  gate_ = std::make_unique<WalSyncGate>(Env::Default());
   const uint16_t port = StartServer(root, 1, /*queue_capacity=*/1);
   ASSERT_EQ(Post(port, "/tenantz?op=create&tenant=alpha").status, 200);
 
@@ -332,6 +392,7 @@ TEST_F(ShardHttpTest, FullQueueAnswers429WithRetryAfter) {
       EXPECT_TRUE(Contains(response.headers, "Retry-After: 1"))
           << response.headers;
       ++rejections;
+      gate_->Open();
     }
   }
   EXPECT_GT(rejections, 0u)

@@ -12,6 +12,7 @@
 #include "nidc/obs/reqtrace.h"
 #include "nidc/shard/ingest.h"
 #include "nidc/shard/tenant.h"
+#include "nidc/util/fault_env.h"
 
 namespace nidc::shard {
 namespace {
@@ -276,6 +277,91 @@ TEST_F(ShardServiceTest, RestartRecoversEveryTenantOntoItsShard) {
     EXPECT_EQ(service->GetTenant(names[i])->name(), names[i]);
   }
   service->Stop();
+}
+
+TEST_F(ShardServiceTest, CreateTenantSurvivesACrashAtEveryKillPoint) {
+  // Kill the service at each mutating filesystem op of CreateTenant under
+  // every crash-flush policy. The restarted service must come up with the
+  // tenant either absent — a re-create then succeeds over the leftovers —
+  // or open and empty; either way the feed reaches the uninterrupted
+  // run's state.
+  const auto feed = MakeFeed("born", 4, 5);
+  const DayTime flush_until = 5.0;
+  const std::string want =
+      ReferenceDigest(Root("create_kill_ref"), SmallConfig(), feed,
+                      flush_until);
+  std::string empty;
+  {
+    const std::string dir = Root("create_kill_empty");
+    std::filesystem::create_directories(dir);
+    auto tenant =
+        Tenant::Create("empty", dir, SmallConfig(), TenantRuntime());
+    ASSERT_TRUE(tenant.ok()) << tenant.status().ToString();
+    empty = (*tenant)->StateDigest();
+  }
+
+  constexpr CrashFlush kPolicies[] = {CrashFlush::kDropUnsynced,
+                                      CrashFlush::kKeepUnsynced,
+                                      CrashFlush::kTornWrite};
+  size_t absent = 0;
+  size_t opened = 0;
+  bool crashed = true;
+  for (uint64_t kill = 1; crashed; ++kill) {
+    ASSERT_LT(kill, 100u) << "kill sweep did not terminate";
+    for (const CrashFlush flush : kPolicies) {
+      SCOPED_TRACE("kill point " + std::to_string(kill) + ", flush mode " +
+                   std::to_string(static_cast<int>(flush)));
+      const std::string root = Root("create_kill");
+      {
+        FaultInjectionEnv fault_env(Env::Default());
+        ShardServiceOptions options;
+        options.root = root;
+        options.num_shards = 1;
+        options.threads_per_shard = 1;
+        options.env = &fault_env;
+        auto doomed = ShardService::Start(std::move(options));
+        ASSERT_TRUE(doomed.ok()) << doomed.status().ToString();
+        fault_env.ArmCrashAtOp(kill, flush);
+        const Status created = (*doomed)->CreateTenant("born", SmallConfig());
+        crashed = fault_env.crashed();
+        EXPECT_EQ(created.ok(), !crashed) << created.ToString();
+        fault_env.Disarm();
+        (*doomed)->Stop();
+      }
+      if (!crashed) break;  // CreateTenant ran out of ops to kill
+      // TENANT.json commits the tenant, so whatever it needs came first.
+      const std::string dir = root + "/tenants/born";
+      if (std::filesystem::exists(dir + "/TENANT.json")) {
+        EXPECT_TRUE(std::filesystem::exists(dir + "/corpus.tsv"));
+        EXPECT_TRUE(std::filesystem::exists(dir + "/store/wal-000001"));
+      }
+
+      auto service = TryStart(root, 1);
+      ASSERT_TRUE(service.ok()) << service.status().ToString();
+      if ((*service)->TenantNames().empty()) {
+        ++absent;
+        ASSERT_TRUE((*service)->CreateTenant("born", SmallConfig()).ok());
+      } else {
+        ++opened;
+        ASSERT_EQ((*service)->TenantNames(),
+                  std::vector<std::string>{"born"});
+        EXPECT_EQ((*service)->GetTenant("born")->docs_ingested(), 0u);
+        auto digest = (*service)->StateDigest("born");
+        ASSERT_TRUE(digest.ok());
+        EXPECT_EQ(*digest, empty);
+      }
+      for (const auto& batch : InBatches(feed, 16)) {
+        ASSERT_TRUE((*service)->EnqueueIngest("born", batch).ok());
+      }
+      ASSERT_TRUE((*service)->Flush("born", flush_until).ok());
+      auto digest = (*service)->StateDigest("born");
+      ASSERT_TRUE(digest.ok());
+      EXPECT_EQ(*digest, want);
+      (*service)->Stop();
+    }
+  }
+  EXPECT_GT(absent, 0u);
+  EXPECT_GT(opened, 0u);
 }
 
 TEST_F(ShardServiceTest, CrashImageRecoversToTheSameState) {

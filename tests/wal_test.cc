@@ -187,6 +187,33 @@ TEST(WalTest, TornWriteLeavesDecodablePrefix) {
   base->RemoveFile(path);
 }
 
+TEST(WalTest, UnsyncedHeaderReadsAsZeroRecords) {
+  // Create leaves the header to the first record's sync. A crash before
+  // it leaves an empty, short or whole header, and each reads as a log
+  // with no records.
+  Env* base = Env::Default();
+  const std::string path = TestPath("unsynced_header");
+  for (CrashFlush flush : {CrashFlush::kDropUnsynced, CrashFlush::kTornWrite,
+                           CrashFlush::kKeepUnsynced}) {
+    FaultInjectionEnv env(base);
+    auto writer = WalWriter::Create(&env, path, WalSyncMode::kEveryRecord);
+    ASSERT_TRUE(writer.ok());
+    env.ArmCrashAtOp(1, flush);
+    EXPECT_FALSE(env.CreateDir(path + ".dir").ok());
+
+    auto read = ReadWal(base, path);
+    ASSERT_TRUE(read.ok());
+    EXPECT_TRUE(read->records.empty());
+    const size_t kept = flush == CrashFlush::kDropUnsynced  ? 0
+                        : flush == CrashFlush::kTornWrite ? 4
+                                                          : 8;
+    EXPECT_EQ(base->ReadFileToString(path)->size(), kept);
+    EXPECT_EQ(read->clean, kept != 4);
+    EXPECT_EQ(read->dropped_bytes, kept == 4 ? 4u : 0u);
+    base->RemoveFile(path);
+  }
+}
+
 TEST(WalStepRecordTest, EncodeDecodeRoundTripIsExact) {
   WalStepRecord record;
   record.tau = 12.300000000000000710542735760100185871124267578125;
