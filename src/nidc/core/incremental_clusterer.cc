@@ -112,6 +112,10 @@ Status IncrementalClusterer::ValidateStepInputs(
       return Status::InvalidArgument("document " + std::to_string(id) +
                                      " is beyond the corpus");
     }
+    if (id < model_.corpus().first_retained()) {
+      return Status::InvalidArgument("document " + std::to_string(id) +
+                                     " has been released");
+    }
     if (model_.IsActive(id)) {
       return Status::InvalidArgument("document " + std::to_string(id) +
                                      " is already active");

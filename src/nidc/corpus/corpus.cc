@@ -9,9 +9,22 @@ Corpus::Corpus()
       analyzer_(std::make_unique<Analyzer>(vocabulary_.get())) {}
 
 DocId Corpus::Add(Document doc) {
-  doc.id = static_cast<DocId>(docs_.size());
+  doc.id = static_cast<DocId>(size());
+  if (empty()) {
+    min_time_ = max_time_ = doc.time;
+  } else {
+    min_time_ = std::min(min_time_, doc.time);
+    max_time_ = std::max(max_time_, doc.time);
+  }
   docs_.push_back(std::move(doc));
   return docs_.back().id;
+}
+
+void Corpus::ReleaseBefore(DocId end) {
+  while (first_retained_ < end && !docs_.empty()) {
+    docs_.pop_front();
+    ++first_retained_;
+  }
 }
 
 DocId Corpus::AddText(std::string_view text, DayTime time, TopicId topic,
@@ -27,7 +40,7 @@ DocId Corpus::AddText(std::string_view text, DayTime time, TopicId topic,
 Status Corpus::Install(TermId first_term,
                        const std::vector<std::string>& new_terms,
                        DocId first_doc, std::vector<Document> docs) {
-  if (first_term != vocabulary_->size() || first_doc != docs_.size()) {
+  if (first_term != vocabulary_->size() || first_doc != size()) {
     return Status::InvalidArgument("index record does not follow the corpus");
   }
   const size_t vocabulary_size = first_term + new_terms.size();
@@ -76,20 +89,6 @@ std::map<TopicId, size_t> Corpus::TopicCounts() const {
     if (doc.topic != kNoTopic) ++counts[doc.topic];
   }
   return counts;
-}
-
-DayTime Corpus::MinTime() const {
-  if (docs_.empty()) return 0.0;
-  DayTime best = docs_.front().time;
-  for (const Document& doc : docs_) best = std::min(best, doc.time);
-  return best;
-}
-
-DayTime Corpus::MaxTime() const {
-  if (docs_.empty()) return 0.0;
-  DayTime best = docs_.front().time;
-  for (const Document& doc : docs_) best = std::max(best, doc.time);
-  return best;
 }
 
 }  // namespace nidc

@@ -1,8 +1,11 @@
 // Corpus: an append-ordered store of documents sharing one vocabulary.
+// A long-running owner may release a prefix of it once nothing reads
+// those documents again; ids are never reused.
 
 #ifndef NIDC_CORPUS_CORPUS_H_
 #define NIDC_CORPUS_CORPUS_H_
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -19,6 +22,13 @@ namespace nidc {
 /// Owns documents and the vocabulary they are interned against. Documents
 /// are expected (and verified on demand) to be in non-decreasing time order,
 /// matching the chronological delivery model of the paper.
+///
+/// Ids are dense and issued in order. ReleaseBefore drops the documents
+/// below an id from memory: size() still counts every id ever issued, and
+/// the retained documents are ids [first_retained(), size()). Only the
+/// accessors that name an id (doc) and the scans (docs, DocsInRange,
+/// Topics, TopicCounts, IsChronological) are restricted to the retained
+/// ones; MinTime/MaxTime cover every document ever added.
 class Corpus {
  public:
   Corpus();
@@ -38,10 +48,19 @@ class Corpus {
   Status Install(TermId first_term, const std::vector<std::string>& new_terms,
                  DocId first_doc, std::vector<Document> docs);
 
-  const Document& doc(DocId id) const { return docs_[id]; }
-  const std::vector<Document>& docs() const { return docs_; }
-  size_t size() const { return docs_.size(); }
-  bool empty() const { return docs_.empty(); }
+  /// Drops every retained document with id < `end` (clamped to size()).
+  /// Their ids stay issued: the next Add still gets size().
+  void ReleaseBefore(DocId end);
+
+  /// `id` must be retained: first_retained() <= id < size().
+  const Document& doc(DocId id) const { return docs_[id - first_retained_]; }
+  /// The retained documents, in id order.
+  const std::deque<Document>& docs() const { return docs_; }
+  /// Ids ever issued, released ones included.
+  size_t size() const { return first_retained_ + docs_.size(); }
+  bool empty() const { return size() == 0; }
+  /// The smallest retained id (size() when none is).
+  DocId first_retained() const { return first_retained_; }
 
   Vocabulary& vocabulary() { return *vocabulary_; }
   const Vocabulary& vocabulary() const { return *vocabulary_; }
@@ -59,14 +78,18 @@ class Corpus {
   /// topic -> number of documents carrying that label.
   std::map<TopicId, size_t> TopicCounts() const;
 
-  /// Earliest/latest document time; 0 on an empty corpus.
-  DayTime MinTime() const;
-  DayTime MaxTime() const;
+  /// Earliest/latest time of any document ever added, released ones
+  /// included; 0 on an empty corpus.
+  DayTime MinTime() const { return min_time_; }
+  DayTime MaxTime() const { return max_time_; }
 
  private:
   std::unique_ptr<Vocabulary> vocabulary_;
   std::unique_ptr<Analyzer> analyzer_;
-  std::vector<Document> docs_;
+  std::deque<Document> docs_;
+  DocId first_retained_ = 0;
+  DayTime min_time_ = 0.0;
+  DayTime max_time_ = 0.0;
 };
 
 }  // namespace nidc

@@ -243,13 +243,13 @@ class IndexReader {
 std::string EncodeCorpusIndexRecord(const Corpus& corpus,
                                     const CorpusIndexSpan& span) {
   const std::vector<std::string>& terms = corpus.vocabulary().terms();
-  const std::vector<Document>& docs = corpus.docs();
   size_t estimate = 32;
   for (size_t t = span.first_term; t < span.end_term; ++t) {
     estimate += terms[t].size() + 1;
   }
   for (size_t d = span.first_doc; d < span.end_doc; ++d) {
-    estimate += 16 + docs[d].source.size() + 3 * docs[d].terms.size();
+    const Document& doc = corpus.doc(static_cast<DocId>(d));
+    estimate += 16 + doc.source.size() + 3 * doc.terms.size();
   }
   std::string out;
   out.reserve(estimate);
@@ -265,7 +265,7 @@ std::string EncodeCorpusIndexRecord(const Corpus& corpus,
   PutVarint(&out, span.first_doc);
   PutVarint(&out, span.end_doc - span.first_doc);
   for (size_t d = span.first_doc; d < span.end_doc; ++d) {
-    const Document& doc = docs[d];
+    const Document& doc = corpus.doc(static_cast<DocId>(d));
     uint64_t time_bits = 0;
     std::memcpy(&time_bits, &doc.time, sizeof(time_bits));
     PutFixed(&out, time_bits, 8);

@@ -195,6 +195,7 @@ RequestTracer::RequestTracer(Options options) : options_(std::move(options)) {
     events_dropped_counter_ =
         metrics->GetCounter("pipeline.stage_events_dropped");
     open_gauge_ = metrics->GetGauge("pipeline.open_traces");
+    bindings_gauge_ = metrics->GetGauge("pipeline.doc_bindings");
     for (size_t i = 0; i < kNumStages; ++i) {
       stage_histograms_[i] = metrics->GetHistogram(
           std::string("pipeline.stage_seconds.") +
@@ -353,16 +354,40 @@ void RequestTracer::BindDoc(const std::string& tenant, uint64_t doc,
                             const TraceContext& id) {
   if (!id.valid()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  DocKey key{tenant, doc};
-  auto [it, inserted] = doc_bindings_.insert_or_assign(key, id);
-  (void)it;
+  auto [it, inserted] = doc_bindings_.try_emplace(DocKey{tenant, doc});
+  it->second.trace = id;
   if (inserted) {
-    doc_binding_order_.push_back(std::move(key));
+    it->second.seq = next_binding_seq_++;
+    doc_binding_order_.emplace(it->second.seq, it);
     while (doc_binding_order_.size() > options_.max_doc_bindings) {
-      doc_bindings_.erase(doc_binding_order_.front());
-      doc_binding_order_.pop_front();
+      doc_bindings_.erase(doc_binding_order_.begin()->second);
+      doc_binding_order_.erase(doc_binding_order_.begin());
     }
   }
+  if (bindings_gauge_ != nullptr) {
+    bindings_gauge_->Set(static_cast<double>(doc_bindings_.size()));
+  }
+}
+
+void RequestTracer::UnbindDocs(const std::string& tenant,
+                               const std::vector<uint64_t>& docs) {
+  std::lock_guard<std::mutex> lock(mu_);
+  DocKey key{tenant, 0};
+  for (uint64_t doc : docs) {
+    key.doc = doc;
+    auto it = doc_bindings_.find(key);
+    if (it == doc_bindings_.end()) continue;
+    doc_binding_order_.erase(it->second.seq);
+    doc_bindings_.erase(it);
+  }
+  if (bindings_gauge_ != nullptr) {
+    bindings_gauge_->Set(static_cast<double>(doc_bindings_.size()));
+  }
+}
+
+size_t RequestTracer::doc_bindings() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return doc_bindings_.size();
 }
 
 std::vector<TraceContext> RequestTracer::TracesForDocs(
@@ -372,9 +397,9 @@ std::vector<TraceContext> RequestTracer::TracesForDocs(
   for (uint64_t doc : docs) {
     auto it = doc_bindings_.find(DocKey{tenant, doc});
     if (it == doc_bindings_.end()) continue;
-    if (std::find(traces.begin(), traces.end(), it->second) ==
-        traces.end()) {
-      traces.push_back(it->second);
+    const TraceContext& trace = it->second.trace;
+    if (std::find(traces.begin(), traces.end(), trace) == traces.end()) {
+      traces.push_back(trace);
     }
   }
   return traces;

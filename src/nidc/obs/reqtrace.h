@@ -29,7 +29,9 @@
 // Doc→trace bindings are owned here, not by the tenant, so they survive
 // tenant evict/reopen: a document ingested before a crash point still
 // completes its stage record — flagged `resumed` — after recovery
-// re-drives its window.
+// re-drives its window. The tenant unbinds a window's documents once it
+// has stepped, so the table holds only documents still waiting for their
+// window.
 //
 // Like every obs hook, call sites take a `RequestTracer*` that may be
 // null, and a null tracer means no work at all.
@@ -148,7 +150,8 @@ class RequestTracer {
     size_t ring_capacity = 4096;
     /// Open + completed trace records retained (oldest evicted first).
     size_t max_records = 1024;
-    /// Doc→trace bindings retained (oldest evicted first).
+    /// Doc→trace bindings retained (oldest evicted first) — a backstop
+    /// for documents whose window never steps.
     size_t max_doc_bindings = 1 << 16;
     /// Pending (generation, sequence)→traces ship registrations.
     size_t max_shipments = 1024;
@@ -192,10 +195,18 @@ class RequestTracer {
   void BindDoc(const std::string& tenant, uint64_t doc,
                const TraceContext& id);
 
+  /// Drops the bindings of `docs` of `tenant` (called once their window
+  /// has stepped); unbound documents are skipped.
+  void UnbindDocs(const std::string& tenant,
+                  const std::vector<uint64_t>& docs);
+
   /// Distinct traces bound to `docs` of `tenant` (bindings stay until
-  /// evicted by the bound).
+  /// unbound or evicted by the bound).
   std::vector<TraceContext> TracesForDocs(
       const std::string& tenant, const std::vector<uint64_t>& docs) const;
+
+  /// Doc→trace bindings currently held.
+  size_t doc_bindings() const;
 
   /// Flags `id` as re-driven by crash/reopen recovery.
   void MarkResumed(const TraceContext& id);
@@ -299,8 +310,15 @@ class RequestTracer {
   std::deque<TraceRecord> records_;
   std::map<std::pair<uint64_t, uint64_t>, size_t> index_;  // id -> offset
   uint64_t records_evicted_ = 0;  // front offset of records_[0]
-  std::map<DocKey, TraceContext> doc_bindings_;
-  std::deque<DocKey> doc_binding_order_;
+  struct DocBinding {
+    TraceContext trace;
+    uint64_t seq = 0;  // key into doc_binding_order_
+  };
+  std::map<DocKey, DocBinding> doc_bindings_;
+  // Binding sequence -> binding, oldest first, for the bound's eviction.
+  std::map<uint64_t, std::map<DocKey, DocBinding>::iterator>
+      doc_binding_order_;
+  uint64_t next_binding_seq_ = 0;
   std::map<std::pair<uint64_t, uint64_t>, std::vector<TraceContext>>
       shipments_;
   std::deque<std::pair<uint64_t, uint64_t>> shipment_order_;
@@ -315,6 +333,7 @@ class RequestTracer {
   Counter* events_counter_ = nullptr;
   Counter* events_dropped_counter_ = nullptr;
   Gauge* open_gauge_ = nullptr;
+  Gauge* bindings_gauge_ = nullptr;
   Histogram* stage_histograms_[kNumStages] = {};
   Histogram* e2e_histogram_ = nullptr;
 };

@@ -311,6 +311,11 @@ Tenant::Tenant(std::string name, std::string dir, TenantConfig config,
   obs::ClusterHealthOptions health_options;
   health_options.metrics = &metrics_;
   health_ = std::make_unique<obs::ClusterHealthMonitor>(health_options);
+  retained_gauge_ = metrics_.GetGauge("shard.tenant.corpus_retained_docs");
+  if (runtime_.shared_metrics != nullptr) {
+    shared_retained_gauge_ =
+        runtime_.shared_metrics->GetGauge("shard.corpus.retained_docs");
+  }
 }
 
 Result<std::unique_ptr<Tenant>> Tenant::Create(const std::string& name,
@@ -366,6 +371,9 @@ Result<std::unique_ptr<Tenant>> Tenant::Open(const std::string& name,
   } else {
     tenant->index_failed_ = true;
   }
+  // Only now: a rewrite above encodes the whole corpus.
+  tenant->ReleaseStepped();
+  tenant->PublishProgress();
   if (runtime.shared_metrics != nullptr) {
     runtime.shared_metrics
         ->GetCounter("shard.recovery.corpus_installed_docs")
@@ -523,6 +531,7 @@ Status Tenant::Ingest(const std::vector<RawDocument>& docs,
   }
   metrics_.GetCounter("shard.tenant.docs")->Increment(sanitized.size());
   const Status stepped = StepWindows(closed);
+  if (stepped.ok()) ReleaseStepped();
   PublishProgress();
   return stepped;
 }
@@ -562,19 +571,17 @@ Status Tenant::FlushUntil(DayTime until) {
   std::vector<DocumentBatch> closed;
   batcher_.FlushUntil(until, &closed);
   const Status stepped = StepWindows(closed);
+  if (stepped.ok()) ReleaseStepped();
   PublishProgress();
   return stepped;
 }
 
 Status Tenant::StepWindows(std::vector<DocumentBatch>& closed) {
   for (DocumentBatch& window : closed) {
+    std::vector<uint64_t> ids;
     std::vector<obs::TraceContext> traces;
     if (runtime_.tracer != nullptr && !window.docs.empty()) {
-      std::vector<uint64_t> ids;
-      ids.reserve(window.docs.size());
-      for (DocId doc : window.docs) {
-        ids.push_back(static_cast<uint64_t>(doc));
-      }
+      ids.assign(window.docs.begin(), window.docs.end());
       traces = runtime_.tracer->TracesForDocs(name_, ids);
       for (const obs::TraceContext& trace : traces) {
         runtime_.tracer->RecordStage(trace, obs::Stage::kWindowClose);
@@ -604,8 +611,23 @@ Status Tenant::StepWindows(std::vector<DocumentBatch>& closed) {
       return result.status();
     }
     PublishStep(window, *result);
+    // Only recovery re-drives a window, and only an unstepped one: these
+    // documents' bindings have served their purpose.
+    if (!ids.empty()) runtime_.tracer->UnbindDocs(name_, ids);
   }
   return Status::OK();
+}
+
+void Tenant::ReleaseStepped() {
+  // The batcher holds the newest ids, so the open window starts at
+  // size() - pending().
+  auto end = static_cast<DocId>(corpus_->size() - batcher_.pending());
+  const std::vector<DocId>& active =
+      durable_->clusterer().model().active_docs();
+  if (!active.empty()) {
+    end = std::min(end, *std::min_element(active.begin(), active.end()));
+  }
+  corpus_->ReleaseBefore(end);
 }
 
 void Tenant::PublishStep(const DocumentBatch& window,
@@ -656,6 +678,10 @@ Status Tenant::Close() {
   }
   // The index is a hint: failing to close it fails nothing.
   if (index_ != nullptr) index_->Close();
+  if (shared_retained_gauge_ != nullptr) {
+    shared_retained_gauge_->Add(-retained_published_);
+  }
+  retained_published_ = 0.0;
   return status;
 }
 
@@ -668,6 +694,12 @@ std::string Tenant::StateDigest() const {
 void Tenant::PublishProgress() {
   now_ = batcher_.cursor();
   steps_applied_ = durable_->applied_steps();
+  const auto retained = static_cast<double>(corpus_->docs().size());
+  retained_gauge_->Set(retained);
+  if (shared_retained_gauge_ != nullptr) {
+    shared_retained_gauge_->Add(retained - retained_published_);
+  }
+  retained_published_ = retained;
 }
 
 const RecoveryInfo& Tenant::recovery() const { return durable_->recovery(); }

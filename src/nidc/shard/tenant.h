@@ -35,6 +35,14 @@
 // Open on the tenant's owning shard worker — at startup every shard
 // recovers its own tenants in parallel with the others — so the thread
 // that rebuilds a tenant is the one that will own it.
+//
+// Memory is bounded by the live window, not the feed's history: after
+// every successful step the tenant releases from its in-memory corpus
+// every id below both its oldest active document and its oldest unstepped
+// one. ExpireDocuments has already subtracted those documents' terms, and
+// no window re-drives them. corpus.tsv and corpus.idx stay complete on
+// disk; Open loads the whole corpus, recovers, rewrites the index when it
+// must, and only then releases.
 
 #ifndef NIDC_SHARD_TENANT_H_
 #define NIDC_SHARD_TENANT_H_
@@ -200,9 +208,13 @@ class Tenant {
   /// stops index logging until the next reopen.
   void AppendIndex(const CorpusIndexSpan& span);
 
+  /// Releases the corpus prefix no active or unstepped document is in;
+  /// called only after a successful StepWindows.
+  void ReleaseStepped();
+
   /// Copies the batcher clock and the applied step count into the
-  /// atomics the cross-thread accessors read; called after every
-  /// StepWindows.
+  /// atomics the cross-thread accessors read, and the retained document
+  /// count into its gauges; called after every StepWindows.
   void PublishProgress();
 
   std::string name_;
@@ -230,6 +242,12 @@ class Tenant {
   DayTime last_time_ = 0.0;
   uint64_t empty_windows_skipped_ = 0;
   bool closed_ = false;
+  /// shard.tenant.corpus_retained_docs, and the shared registry's
+  /// shard.corpus.retained_docs (null without one) with this tenant's
+  /// last published share of it.
+  obs::Gauge* retained_gauge_ = nullptr;
+  obs::Gauge* shared_retained_gauge_ = nullptr;
+  double retained_published_ = 0.0;
   // Written only by the owner, read from any thread.
   std::atomic<uint64_t> docs_ingested_{0};
   std::atomic<uint64_t> steps_applied_{0};

@@ -1,6 +1,8 @@
 // The per-batch corpus index (corpus.idx): record codec, Corpus::Install,
 // and tenant reopen from every index state a crash, a copy or an edit can
 // leave — each must rebuild exactly what re-analyzing corpus.tsv builds.
+// Last, a tenant that releases its expired documents over several life
+// spans, across a reopen that rewrites the index.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "nidc/core/incremental_clusterer.h"
+#include "nidc/core/state_io.h"
 #include "nidc/corpus/corpus_io.h"
+#include "nidc/corpus/stream.h"
 #include "nidc/shard/ingest.h"
 #include "nidc/shard/tenant.h"
 #include "nidc/store/wal.h"
@@ -504,6 +509,169 @@ TEST_F(CorpusIndexTenantTest, KillPointSweepAcrossOneIngest) {
     // Some kill point lands between the corpus sync and the index append.
     EXPECT_GT(index_ahead_cases, 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Release: a tenant keeps in memory only its active and unstepped documents.
+
+// The retained documents of `actual` equal the same ids of `full`.
+void ExpectRetainedMatch(const Corpus& actual, const Corpus& full) {
+  EXPECT_EQ(actual.vocabulary().terms(), full.vocabulary().terms());
+  ASSERT_EQ(actual.size(), full.size());
+  for (DocId id = actual.first_retained(); id < actual.size(); ++id) {
+    const Document& a = actual.doc(id);
+    const Document& e = full.doc(id);
+    EXPECT_EQ(a.id, e.id);
+    EXPECT_EQ(a.time, e.time) << "doc " << id;
+    EXPECT_EQ(a.topic, e.topic) << "doc " << id;
+    EXPECT_EQ(a.source, e.source) << "doc " << id;
+    EXPECT_EQ(a.terms, e.terms) << "doc " << id;
+  }
+}
+
+// The feed a tenant is sent, replayed into a plain IncrementalClusterer
+// over a corpus that releases nothing, through the same windows.
+class UnreleasedReplay {
+ public:
+  explicit UnreleasedReplay(const TenantConfig& config)
+      : batcher_(config.start_time, config.step_days),
+        clusterer_(&corpus_, config.params, Options(config)) {}
+
+  void Ingest(const std::vector<RawDocument>& docs) {
+    std::vector<DocumentBatch> closed;
+    for (const RawDocument& doc : docs) {
+      const DocId id =
+          corpus_.AddText(doc.text, doc.time, doc.topic, doc.source);
+      ASSERT_TRUE(batcher_.Add(id, doc.time, &closed).ok());
+    }
+    Step(closed);
+  }
+
+  void FlushUntil(DayTime until) {
+    std::vector<DocumentBatch> closed;
+    batcher_.FlushUntil(until, &closed);
+    Step(closed);
+  }
+
+  std::string Digest() const {
+    return SerializeState(CaptureState(clusterer_));
+  }
+  const Corpus& corpus() const { return corpus_; }
+
+ private:
+  static IncrementalOptions Options(const TenantConfig& config) {
+    IncrementalOptions options;
+    options.kmeans.k = config.k;
+    options.kmeans.seed = config.seed;
+    options.kmeans.num_threads = 1;
+    return options;
+  }
+
+  void Step(const std::vector<DocumentBatch>& closed) {
+    for (const DocumentBatch& window : closed) {
+      Result<StepResult> result = clusterer_.Step(window.docs, window.end);
+      // The tenant skips an empty window with nothing active the same way.
+      if (!result.ok()) {
+        EXPECT_TRUE(window.docs.empty()) << result.status().ToString();
+        EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+      }
+    }
+  }
+
+  Corpus corpus_;
+  TimeBatcher batcher_;
+  IncrementalClusterer clusterer_;
+};
+
+// Retained = active + unstepped, exactly: nothing either is released,
+// and every document expired before the oldest active one is.
+void ExpectRetainsActiveAndUnstepped(Tenant& tenant,
+                                     const std::vector<DayTime>& times) {
+  const Corpus& corpus = tenant.corpus();
+  ASSERT_EQ(corpus.size(), times.size());
+  size_t unstepped = 0;
+  for (DayTime time : times) unstepped += time >= tenant.now() ? 1 : 0;
+  ASSERT_GE(corpus.size() - unstepped, corpus.first_retained());
+  const std::vector<DocId>& active =
+      tenant.durable().clusterer().model().active_docs();
+  for (DocId id : active) EXPECT_GE(id, corpus.first_retained());
+  EXPECT_EQ(corpus.docs().size(), active.size() + unstepped);
+  EXPECT_EQ(
+      tenant.metrics().GetGauge("shard.tenant.corpus_retained_docs")->Value(),
+      static_cast<double>(corpus.docs().size()));
+}
+
+TEST(ReleasedCorpusTest, StaysBitIdenticalOverSeveralLifeSpans) {
+  TenantConfig config = SmallConfig();
+  config.params.half_life_days = 2.0;
+  config.params.life_span_days = 4.0;
+  // 16 days, four life spans, in batches that straddle the day borders.
+  constexpr int kDays = 16;
+  constexpr int kPerDay = 6;
+  constexpr size_t kBatch = 4;
+  const auto feed = InBatches(MakeFeed("rel", 0, kDays, kPerDay), kBatch);
+  const size_t reopen_after = feed.size() / 2;
+  ASSERT_NE((reopen_after + 1) * kBatch % kPerDay, 0u);  // mid-window
+
+  const std::string dir = FreshDir("tenant");
+  obs::MetricsRegistry shared;
+  TenantRuntime runtime;
+  runtime.shared_metrics = &shared;
+  auto created = Tenant::Create("t", dir, config, runtime);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<Tenant> tenant = std::move(created).value();
+  UnreleasedReplay reference(config);
+  std::vector<DayTime> times;
+  size_t max_retained = 0;
+
+  for (size_t b = 0; b < feed.size(); ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    ASSERT_TRUE(tenant->Ingest(feed[b]).ok());
+    reference.Ingest(feed[b]);
+    for (const RawDocument& doc : feed[b]) times.push_back(doc.time);
+    // Flush whenever a batch ends a day.
+    if (const size_t fed = (b + 1) * kBatch; fed % kPerDay == 0) {
+      const auto until = static_cast<DayTime>(fed / kPerDay);
+      ASSERT_TRUE(tenant->FlushUntil(until).ok());
+      reference.FlushUntil(until);
+    }
+    EXPECT_EQ(tenant->StateDigest(), reference.Digest());
+    ExpectRetainsActiveAndUnstepped(*tenant, times);
+    ExpectRetainedMatch(tenant->corpus(), reference.corpus());
+    EXPECT_EQ(shared.GetGauge("shard.corpus.retained_docs")->Value(),
+              static_cast<double>(tenant->corpus().docs().size()));
+    max_retained = std::max(max_retained, tenant->corpus().docs().size());
+
+    if (b == reopen_after) {
+      // Evict and reopen with the index gone: Open re-analyzes the whole
+      // corpus, rewrites corpus.idx from it, and only then releases.
+      const std::string digest = tenant->StateDigest();
+      ASSERT_TRUE(tenant->Close().ok());
+      EXPECT_EQ(shared.GetGauge("shard.corpus.retained_docs")->Value(), 0.0);
+      tenant.reset();
+      std::filesystem::remove(dir + "/corpus.idx");
+      tenant = MustOpen(dir, runtime);
+      ASSERT_NE(tenant, nullptr);
+      EXPECT_EQ(tenant->corpus_recovery().analyzed_docs, times.size());
+      EXPECT_EQ(tenant->StateDigest(), digest);
+      ExpectRetainsActiveAndUnstepped(*tenant, times);
+      ExpectRetainedMatch(tenant->corpus(), reference.corpus());
+    }
+  }
+  // The memory bound holds: far fewer documents than were fed.
+  EXPECT_GT(tenant->corpus().first_retained(), times.size() / 2);
+  EXPECT_LT(max_retained, times.size() / 2);
+
+  // The rewrite covered every document, released ones included.
+  const std::string digest = tenant->StateDigest();
+  ASSERT_TRUE(tenant->Close().ok());
+  tenant.reset();
+  auto again = MustOpen(dir);
+  ASSERT_NE(again, nullptr);
+  EXPECT_EQ(again->corpus_recovery().installed_docs, times.size());
+  EXPECT_EQ(again->corpus_recovery().analyzed_docs, 0u);
+  EXPECT_EQ(again->StateDigest(), digest);
+  ExpectRetainsActiveAndUnstepped(*again, times);
 }
 
 }  // namespace

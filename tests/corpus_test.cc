@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace nidc {
 namespace {
 
@@ -84,6 +87,91 @@ TEST(CorpusTest, EmptyCorpus) {
   Corpus c;
   EXPECT_TRUE(c.empty());
   EXPECT_TRUE(c.Topics().empty());
+  EXPECT_TRUE(c.IsChronological());
+}
+
+// Five documents at days 0..4, topics 10..14.
+Corpus FiveDays() {
+  Corpus c;
+  for (int d = 0; d < 5; ++d) {
+    c.AddText("day" + std::to_string(d) + " shared", d, 10 + d);
+  }
+  return c;
+}
+
+TEST(CorpusTest, ReleaseKeepsIdsAndSize) {
+  Corpus c = FiveDays();
+  c.ReleaseBefore(2);
+  EXPECT_EQ(c.size(), 5u);
+  EXPECT_FALSE(c.empty());
+  EXPECT_EQ(c.first_retained(), 2u);
+  ASSERT_EQ(c.docs().size(), 3u);
+  for (DocId id = 2; id < 5; ++id) {
+    EXPECT_EQ(c.doc(id).id, id);
+    EXPECT_DOUBLE_EQ(c.doc(id).time, id);
+    EXPECT_EQ(c.doc(id).terms.ValueAt(c.vocabulary().Lookup(
+                  "day" + std::to_string(id))),
+              1.0);
+  }
+  EXPECT_EQ(c.docs().front().id, 2u);
+  // Releasing below what is already gone changes nothing.
+  c.ReleaseBefore(1);
+  EXPECT_EQ(c.first_retained(), 2u);
+  EXPECT_EQ(c.docs().size(), 3u);
+}
+
+TEST(CorpusTest, AddAndInstallAfterReleaseGetTheNextId) {
+  Corpus c = FiveDays();
+  c.ReleaseBefore(4);
+  EXPECT_EQ(c.AddText("fresh", 5.0), 5u);
+  EXPECT_EQ(c.doc(5).time, 5.0);
+
+  Document doc;
+  doc.time = 6.0;
+  const auto term = static_cast<TermId>(c.vocabulary().size());
+  doc.terms = SparseVector::FromEntries({{term, 2.0}});
+  // The record must start at the next id, not at the retained count.
+  EXPECT_FALSE(c.Install(term, {"installed"}, 2, {doc}).ok());
+  ASSERT_TRUE(c.Install(term, {"installed"}, 6, {doc}).ok());
+  EXPECT_EQ(c.size(), 7u);
+  EXPECT_EQ(c.doc(6).id, 6u);
+  EXPECT_EQ(c.doc(6).terms.ValueAt(c.vocabulary().Lookup("installed")),
+            2.0);
+  EXPECT_EQ(c.first_retained(), 4u);
+  EXPECT_EQ(c.docs().size(), 3u);
+}
+
+TEST(CorpusTest, ReleasePastSizeIsClamped) {
+  Corpus c = FiveDays();
+  c.ReleaseBefore(100);
+  EXPECT_EQ(c.size(), 5u);
+  EXPECT_EQ(c.first_retained(), 5u);
+  EXPECT_TRUE(c.docs().empty());
+  EXPECT_FALSE(c.empty());
+  EXPECT_EQ(c.AddText("after", 7.0), 5u);
+  EXPECT_EQ(c.first_retained(), 5u);
+  EXPECT_EQ(c.doc(5).time, 7.0);
+}
+
+TEST(CorpusTest, MinMaxTimeCoverReleasedDocuments) {
+  Corpus c;
+  c.AddText("a", 2.0);
+  c.AddText("b", 5.0);
+  c.AddText("c", 1.0);
+  c.ReleaseBefore(2);
+  EXPECT_DOUBLE_EQ(c.MinTime(), 1.0);
+  EXPECT_DOUBLE_EQ(c.MaxTime(), 5.0);
+  c.ReleaseBefore(3);
+  EXPECT_DOUBLE_EQ(c.MinTime(), 1.0);
+  EXPECT_DOUBLE_EQ(c.MaxTime(), 5.0);
+}
+
+TEST(CorpusTest, ScansCoverRetainedDocuments) {
+  Corpus c = FiveDays();
+  c.ReleaseBefore(2);
+  EXPECT_EQ(c.DocsInRange(0.0, 4.0), (std::vector<DocId>{2, 3}));
+  EXPECT_TRUE(c.DocsInRange(0.0, 2.0).empty());
+  EXPECT_EQ(c.Topics(), (std::vector<TopicId>{12, 13, 14}));
   EXPECT_TRUE(c.IsChronological());
 }
 

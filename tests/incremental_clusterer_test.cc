@@ -100,6 +100,9 @@ TEST_F(IncrementalClustererTest, RejectsMalformedBatches) {
   // Re-adding an already-active document.
   EXPECT_EQ(ic.Step({1, 2}, 1.0).status().code(),
             StatusCode::kInvalidArgument);
+  // A document the corpus has released from memory.
+  corpus_.ReleaseBefore(3);
+  EXPECT_EQ(ic.Step({2}, 1.0).status().code(), StatusCode::kInvalidArgument);
   // None of the rejects advanced the model clock or active set.
   EXPECT_EQ(ic.model().now(), 0.0);
   EXPECT_EQ(ic.model().num_active(), 2u);

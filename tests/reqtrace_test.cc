@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "nidc/obs/metrics.h"
+#include "nidc/shard/tenant.h"
+#include "nidc/util/fault_env.h"
 
 namespace nidc::obs {
 namespace {
@@ -141,6 +145,130 @@ TEST(RequestTracerTest, DocBindingsRecoverWindowTraces) {
   EXPECT_EQ(traces[1], b);
   EXPECT_TRUE(tracer.TracesForDocs("bravo", {2, 3}).empty());
   EXPECT_TRUE(tracer.TracesForDocs("alpha", {99}).empty());
+}
+
+TEST(RequestTracerTest, UnbindDocsDropsOnlyTheNamedBindings) {
+  MetricsRegistry registry;
+  RequestTracer::Options options;
+  options.metrics = &registry;
+  RequestTracer tracer(std::move(options));
+  // Registered eagerly, before the first binding.
+  const std::vector<MetricSample> samples = registry.Snapshot();
+  EXPECT_TRUE(std::any_of(samples.begin(), samples.end(),
+                          [](const MetricSample& sample) {
+                            return sample.name == "pipeline.doc_bindings";
+                          }));
+  const TraceContext a = tracer.Mint();
+  tracer.BindDoc("alpha", 1, a);
+  tracer.BindDoc("alpha", 2, a);
+  tracer.BindDoc("bravo", 1, a);
+  EXPECT_EQ(tracer.doc_bindings(), 3u);
+  EXPECT_EQ(registry.GetGauge("pipeline.doc_bindings")->Value(), 3.0);
+
+  // Unknown documents and other tenants' bindings are untouched.
+  tracer.UnbindDocs("alpha", {1, 7});
+  EXPECT_EQ(tracer.doc_bindings(), 2u);
+  EXPECT_TRUE(tracer.TracesForDocs("alpha", {1}).empty());
+  EXPECT_EQ(tracer.TracesForDocs("alpha", {2}).size(), 1u);
+  EXPECT_EQ(tracer.TracesForDocs("bravo", {1}).size(), 1u);
+  tracer.UnbindDocs("alpha", {2});
+  tracer.UnbindDocs("bravo", {1});
+  EXPECT_EQ(tracer.doc_bindings(), 0u);
+  EXPECT_EQ(registry.GetGauge("pipeline.doc_bindings")->Value(), 0.0);
+}
+
+TEST(RequestTracerTest, BindingBoundStillEvictsTheOldest) {
+  RequestTracer::Options options;
+  options.max_doc_bindings = 3;
+  RequestTracer tracer(std::move(options));
+  const TraceContext a = tracer.Mint();
+  for (uint64_t doc = 1; doc <= 4; ++doc) tracer.BindDoc("alpha", doc, a);
+  EXPECT_EQ(tracer.doc_bindings(), 3u);
+  EXPECT_TRUE(tracer.TracesForDocs("alpha", {1}).empty());
+  // Re-binding a document keeps its age; unbinding frees its room.
+  const TraceContext b = tracer.Mint();
+  tracer.BindDoc("alpha", 2, b);
+  tracer.UnbindDocs("alpha", {3});
+  tracer.BindDoc("alpha", 5, a);
+  EXPECT_EQ(tracer.doc_bindings(), 3u);
+  EXPECT_EQ(tracer.TracesForDocs("alpha", {2}),
+            (std::vector<TraceContext>{b}));
+  tracer.BindDoc("alpha", 6, a);
+  EXPECT_EQ(tracer.doc_bindings(), 3u);
+  EXPECT_TRUE(tracer.TracesForDocs("alpha", {2}).empty());  // the oldest
+  EXPECT_EQ(tracer.TracesForDocs("alpha", {4, 5, 6}).size(), 1u);
+}
+
+shard::TenantConfig OneDayWindows() {
+  shard::TenantConfig config;
+  config.k = 2;
+  config.step_days = 1.0;
+  return config;
+}
+
+std::vector<RawDocument> OpenWindowBatch() {
+  std::vector<RawDocument> docs(3);
+  for (size_t i = 0; i < docs.size(); ++i) {
+    docs[i].time = 0.25 + 0.25 * i;  // all inside the open window [0, 1)
+    docs[i].text = "bindterm" + std::to_string(i) + " shared common";
+  }
+  return docs;
+}
+
+std::string FreshTenantDir(const std::string& name) {
+  const std::string dir = testing::TempDir() + "/nidc_reqtrace_" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+TEST(RequestTracerTest, SteppedWindowUnbindsItsDocuments) {
+  RequestTracer tracer;
+  shard::TenantRuntime runtime;
+  runtime.tracer = &tracer;
+  auto tenant = shard::Tenant::Create("alpha", FreshTenantDir("stepped"),
+                                      OneDayWindows(), runtime);
+  ASSERT_TRUE(tenant.ok()) << tenant.status().ToString();
+  const TraceContext trace = tracer.Mint();
+  tracer.Begin(trace, "alpha");
+  ASSERT_TRUE((*tenant)->Ingest(OpenWindowBatch(), trace).ok());
+  EXPECT_EQ(tracer.doc_bindings(), 3u);
+  ASSERT_TRUE((*tenant)->FlushUntil(1.0).ok());
+  EXPECT_EQ(tracer.doc_bindings(), 0u);
+  TraceRecord record;
+  ASSERT_TRUE(tracer.Lookup(trace, &record));
+  EXPECT_TRUE(record.completed);
+}
+
+TEST(RequestTracerTest, FailedStepKeepsItsBindings) {
+  RequestTracer tracer;
+  const std::string dir = FreshTenantDir("failed");
+  const TraceContext trace = tracer.Mint();
+  tracer.Begin(trace, "alpha");
+  {
+    FaultInjectionEnv env(Env::Default());
+    shard::TenantRuntime runtime;
+    runtime.env = &env;
+    runtime.tracer = &tracer;
+    auto tenant =
+        shard::Tenant::Create("alpha", dir, OneDayWindows(), runtime);
+    ASSERT_TRUE(tenant.ok()) << tenant.status().ToString();
+    ASSERT_TRUE((*tenant)->Ingest(OpenWindowBatch(), trace).ok());
+    env.ArmCrashAtOp(1);
+    EXPECT_FALSE((*tenant)->FlushUntil(1.0).ok());
+    EXPECT_TRUE(env.crashed());
+  }
+  EXPECT_EQ(tracer.doc_bindings(), 3u);
+  // The reopen re-drives the window; stepping it now unbinds.
+  shard::TenantRuntime runtime;
+  runtime.tracer = &tracer;
+  auto reopened = shard::Tenant::Open("alpha", dir, runtime);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_TRUE((*reopened)->FlushUntil(1.0).ok());
+  EXPECT_EQ(tracer.doc_bindings(), 0u);
+  TraceRecord record;
+  ASSERT_TRUE(tracer.Lookup(trace, &record));
+  EXPECT_TRUE(record.completed);
+  EXPECT_TRUE(record.resumed);
 }
 
 TEST(RequestTracerTest, StepScopeStampsActiveTraces) {

@@ -250,6 +250,53 @@ TEST_F(ShardServiceTest, EvictThenReopenRestoresIdenticalState) {
   service->Stop();
 }
 
+TEST_F(ShardServiceTest, RetainedDocsGaugeSumsTheOpenTenants) {
+  auto service = StartService(Root("retained"), 2);
+  obs::Gauge* retained =
+      service->metrics()->GetGauge("shard.corpus.retained_docs");
+  // Registered at Start, before any tenant.
+  bool registered = false;
+  for (const obs::MetricSample& sample : service->metrics()->Snapshot()) {
+    registered |= sample.name == "shard.corpus.retained_docs";
+  }
+  EXPECT_TRUE(registered);
+  EXPECT_EQ(retained->Value(), 0.0);
+
+  // A 4-day life span over a 12-day feed: most documents expire.
+  TenantConfig config = SmallConfig();
+  config.params.half_life_days = 2.0;
+  config.params.life_span_days = 4.0;
+  size_t fed = 0;
+  for (const std::string name : {"alpha", "bravo"}) {
+    ASSERT_TRUE(service->CreateTenant(name, config).ok());
+    const auto feed = MakeFeed(name, 12, 5);
+    fed += feed.size();
+    for (const auto& batch : InBatches(feed, 8)) {
+      ASSERT_TRUE(service->EnqueueIngest(name, batch).ok());
+    }
+    ASSERT_TRUE(service->Flush(name, 12.0).ok());
+  }
+  service->Drain();
+  const auto held = [&](const std::string& name) {
+    return service->GetTenant(name)
+        ->metrics()
+        .GetGauge("shard.tenant.corpus_retained_docs")
+        ->Value();
+  };
+  const double alpha = held("alpha");
+  EXPECT_GT(alpha, 0.0);
+  EXPECT_EQ(retained->Value(), alpha + held("bravo"));
+  EXPECT_LT(retained->Value(), static_cast<double>(fed) / 2);
+
+  // An evicted tenant holds nothing; its reopen releases what it did.
+  ASSERT_TRUE(service->EvictTenant("alpha").ok());
+  EXPECT_EQ(retained->Value(), held("bravo"));
+  ASSERT_TRUE(service->OpenTenant("alpha").ok());
+  EXPECT_EQ(held("alpha"), alpha);
+  EXPECT_EQ(retained->Value(), alpha + held("bravo"));
+  service->Stop();
+}
+
 TEST_F(ShardServiceTest, RestartRecoversEveryTenantOntoItsShard) {
   const std::string root = Root("restart");
   const std::vector<std::string> names = {"alpha", "bravo", "charlie"};

@@ -104,6 +104,7 @@ constexpr const char* kMetricKeys[] = {
     "pipeline.stage_events",
     "pipeline.stage_events_dropped",
     "pipeline.open_traces",
+    "pipeline.doc_bindings",
     "pipeline.e2e_seconds",
     "pipeline.stage_seconds.ingest",
     "pipeline.stage_seconds.step",
@@ -141,10 +142,12 @@ constexpr const char* kShardKeys[] = {
     "shard.ingest.dropped",
     "shard.ingest.latency_seconds",
     "shard.queue.0.depth",
+    "shard.corpus.retained_docs",
     "pipeline.traces_started",
     "pipeline.traces_completed",
     "pipeline.stage_events",
     "pipeline.open_traces",
+    "pipeline.doc_bindings",
     "pipeline.e2e_seconds",
     "pipeline.stage_seconds.enqueue",
     "pipeline.stage_seconds.step",
