@@ -7,7 +7,7 @@ namespace nidc {
 
 void Cluster::Add(DocId id, const SimilarityContext& ctx) {
   assert(!Contains(id));
-  const SparseVector& psi = ctx.Psi(id);
+  const SimilarityContext::Row psi = ctx.Psi(id);
   const double self = ctx.SelfSim(id);
   // cr_sim(C∪{d}, C∪{d}) = cr_self + 2·cr_sim(C, {d}) + sim(d, d):
   // the expansion that makes Eq. 26 a single dot product.
@@ -22,7 +22,7 @@ void Cluster::Add(DocId id, const SimilarityContext& ctx) {
 void Cluster::Remove(DocId id, const SimilarityContext& ctx) {
   auto it = member_pos_.find(id);
   assert(it != member_pos_.end());
-  const SparseVector& psi = ctx.Psi(id);
+  const SimilarityContext::Row psi = ctx.Psi(id);
   const double self = ctx.SelfSim(id);
   // Deletion counterpart: with c' = c − ψ_d,
   // c'·c' = c·c − 2·c·ψ_d + ψ_d·ψ_d.

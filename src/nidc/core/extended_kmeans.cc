@@ -353,7 +353,7 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
       // The coefficients depend only on the (immutable) row, so they are
       // computed once per slot and reused across iterations.
       if (!margins->cached[slot]) {
-        const SimilarityContext::Row row = ctx.RowAt(slot);
+        const SimilarityContext::Row row = ctx.PsiAt(slot);
         double vmax = 0.0;
         for (size_t i = 0; i < row.size; ++i) {
           vmax = std::max(vmax, std::fabs(row.values[i]));
@@ -609,6 +609,28 @@ std::vector<DocId> SweepAssign(const std::vector<DocId>& order,
                           maintenance_seconds, capture, iteration);
 }
 
+// The membership seed without its clusters that have no member in `ctx`,
+// each surviving cluster keeping its stable id.
+KMeansSeeds WithoutExpiredClusters(const KMeansSeeds& seeds,
+                                   const SimilarityContext& ctx) {
+  KMeansSeeds kept;
+  kept.mode = seeds.mode;
+  for (size_t p = 0; p < seeds.memberships.size(); ++p) {
+    const std::vector<DocId>& members = seeds.memberships[p];
+    if (std::none_of(members.begin(), members.end(),
+                     [&](DocId id) { return ctx.Contains(id); })) {
+      continue;
+    }
+    kept.memberships.push_back(members);
+    if (!seeds.cluster_ids.empty()) {
+      kept.cluster_ids.push_back(p < seeds.cluster_ids.size()
+                                     ? seeds.cluster_ids[p]
+                                     : Cluster::kNoClusterId);
+    }
+  }
+  return kept;
+}
+
 // Populates clusters from fixed representative vectors: each document joins
 // the cluster whose representative it is most similar to (cr_sim with the
 // singleton {d}); non-positive best similarity goes to the outlier list.
@@ -642,7 +664,7 @@ std::vector<DocId> AssignAgainstFixedRepresentatives(
           }
         }
       } else {
-        const SparseVector& psi = ctx.Psi(docs[i]);
+        const SimilarityContext::Row psi = ctx.Psi(docs[i]);
         for (size_t p = 0; p < reps.size(); ++p) {
           const double sim = reps[p].Dot(psi);
           if (sim > best_sim) {
@@ -700,13 +722,23 @@ Result<ClusteringResult> RunExtendedKMeans(
   double* maintenance_seconds =
       profile == nullptr ? nullptr : &profile->maintenance_seconds;
 
+  // Expiry can shrink the active set below the previous step's cluster
+  // count. A seed cluster with no member left in the context carries
+  // nothing forward; without those at most k = min(K, active) remain.
+  std::optional<KMeansSeeds> trimmed;
+  if (seeds && seeds->mode == SeedMode::kMembership &&
+      seeds->memberships.size() > k) {
+    trimmed = WithoutExpiredClusters(*seeds, ctx);
+  }
+  const KMeansSeeds* seed = trimmed ? &*trimmed : seeds ? &*seeds : nullptr;
+
   // --- Initial process ---
   bool degenerate_restart = false;
   const auto run_initial_process = [&]() -> Status {
     NIDC_SPAN("kmeans.seed");
     ScopedSeconds seed_timer(profile == nullptr ? nullptr
                                                 : &profile->seed_seconds);
-    const SeedMode mode = seeds ? seeds->mode : SeedMode::kRandom;
+    const SeedMode mode = seed != nullptr ? seed->mode : SeedMode::kRandom;
     switch (mode) {
       case SeedMode::kRandom: {
         // §4.3: select K documents randomly, form initial K clusters.
@@ -717,12 +749,12 @@ Result<ClusteringResult> RunExtendedKMeans(
         break;
       }
       case SeedMode::kMembership: {
-        if (seeds->memberships.size() > k) {
+        if (seed->memberships.size() > k) {
           return Status::InvalidArgument("membership seed has more clusters "
                                          "than k");
         }
-        for (size_t p = 0; p < seeds->memberships.size(); ++p) {
-          for (DocId id : seeds->memberships[p]) {
+        for (size_t p = 0; p < seed->memberships.size(); ++p) {
+          for (DocId id : seed->memberships[p]) {
             if (ctx.Contains(id)) {
               clusters.Assign(id, static_cast<int>(p), ctx);
             }
@@ -731,12 +763,12 @@ Result<ClusteringResult> RunExtendedKMeans(
         break;
       }
       case SeedMode::kRepresentatives: {
-        if (seeds->representatives.size() > k) {
+        if (seed->representatives.size() > k) {
           return Status::InvalidArgument("representative seed has more "
                                          "clusters than k");
         }
         outliers = AssignAgainstFixedRepresentatives(
-            docs, seeds->representatives, ctx, scoring, &pool, &clusters);
+            docs, seed->representatives, ctx, scoring, &pool, &clusters);
         break;
       }
     }
@@ -765,7 +797,8 @@ Result<ClusteringResult> RunExtendedKMeans(
   // emptied slot to a new topic.
   static const std::vector<uint64_t> kNoSeedIds;
   const std::vector<uint64_t>& seed_ids =
-      (seeds && !degenerate_restart) ? seeds->cluster_ids : kNoSeedIds;
+      (seed != nullptr && !degenerate_restart) ? seed->cluster_ids
+                                               : kNoSeedIds;
   clusters.InstallIds(seed_ids, options.first_cluster_id);
   if (options.events != nullptr) {
     for (size_t p = 0; p < clusters.num_clusters(); ++p) {

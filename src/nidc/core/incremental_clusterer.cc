@@ -39,6 +39,12 @@ void RecordStepMetrics(obs::MetricsRegistry* metrics,
       ->Set(static_cast<double>(result.num_active));
   metrics->GetGauge("step.expired")
       ->Set(static_cast<double>(result.expired.size()));
+  if (!result.installed) {
+    metrics->GetGauge("step.context_entries")
+        ->Set(static_cast<double>(result.context_entries));
+    metrics->GetGauge("step.context_bytes")
+        ->Set(static_cast<double>(result.context_bytes));
+  }
   const std::vector<double>& kSecondsBuckets = SecondsBuckets();
   metrics->GetHistogram("step.stats_seconds", kSecondsBuckets)
       ->Observe(result.stats_update_seconds);
@@ -54,6 +60,14 @@ void RecordStepMetrics(obs::MetricsRegistry* metrics,
       ->Set(static_cast<double>(pool_stats.parallel_fors));
   metrics->GetGauge("thread_pool.queue_high_water")
       ->Set(static_cast<double>(pool_stats.queue_high_water));
+}
+
+// Registers the gauges only a K-means step sets, so a scrape taken before
+// the first one (or after installed steps only) still lists them.
+void RegisterContextGauges(obs::MetricsRegistry* metrics) {
+  if (metrics == nullptr) return;
+  metrics->GetGauge("step.context_entries");
+  metrics->GetGauge("step.context_bytes");
 }
 
 // Copies the clustering digest into the step-level convenience fields.
@@ -93,7 +107,11 @@ void FeedHealthMonitor(obs::ClusterHealthMonitor* health, uint64_t step,
 IncrementalClusterer::IncrementalClusterer(const Corpus* corpus,
                                            ForgettingParams params,
                                            IncrementalOptions options)
-    : model_(corpus, params), options_(options) {}
+    : model_(corpus, params), options_(options) {
+  RegisterContextGauges(options_.kmeans.metrics != nullptr
+                            ? options_.kmeans.metrics
+                            : options_.metrics);
+}
 
 Status IncrementalClusterer::ValidateStepInputs(
     const std::vector<DocId>& new_docs, DayTime tau) const {
@@ -181,7 +199,7 @@ Result<StepResult> IncrementalClusterer::Step(
     result.clustering.iterations = logged->iterations;
     result.clustering.converged = logged->converged;
   } else {
-    Result<ClusteringResult> clustering = RunKMeans();
+    Result<ClusteringResult> clustering = RunKMeans(&result);
     if (!clustering.ok()) return clustering.status();
     result.clustering = std::move(clustering).value();
   }
@@ -201,12 +219,15 @@ Result<StepResult> IncrementalClusterer::Step(
   return result;
 }
 
-Result<ClusteringResult> IncrementalClusterer::RunKMeans() const {
+Result<ClusteringResult> IncrementalClusterer::RunKMeans(
+    StepResult* result) const {
   std::optional<SimilarityContext> ctx;
   {
     NIDC_SPAN("step.context_build");
     ctx.emplace(model_, ThreadPool::Resolve(options_.kmeans.num_threads));
   }
+  result->context_entries = ctx->num_entries();
+  result->context_bytes = ctx->bytes();
   std::optional<KMeansSeeds> seeds;
   ExtendedKMeansOptions kmeans = options_.kmeans;
   // Vary the random-seed stream per step so repeated random inits differ.
@@ -349,7 +370,9 @@ Status IncrementalClusterer::RestoreExact(
 
 BatchClusterer::BatchClusterer(const Corpus* corpus, ForgettingParams params,
                                ExtendedKMeansOptions kmeans)
-    : model_(corpus, params), kmeans_(kmeans) {}
+    : model_(corpus, params), kmeans_(kmeans) {
+  RegisterContextGauges(kmeans_.metrics);
+}
 
 Result<StepResult> BatchClusterer::Run(const std::vector<DocId>& docs,
                                        DayTime tau) {
@@ -378,6 +401,8 @@ Result<StepResult> BatchClusterer::Run(const std::vector<DocId>& docs,
     NIDC_SPAN("step.context_build");
     ctx.emplace(model_, ThreadPool::Resolve(kmeans_.num_threads));
   }
+  result.context_entries = ctx->num_entries();
+  result.context_bytes = ctx->bytes();
   Result<ClusteringResult> clustering =
       RunExtendedKMeans(*ctx, model_.active_docs(), kmeans_);
   if (!clustering.ok()) return clustering.status();

@@ -44,6 +44,11 @@ struct StepResult {
   /// True when phase 2 installed a logged clustering instead of running
   /// K-means (see IncrementalClusterer::Step).
   bool installed = false;
+
+  /// ψ entries and heap bytes of the step's SimilarityContext, its largest
+  /// transient; 0 when the step installed a logged clustering instead.
+  size_t context_entries = 0;
+  size_t context_bytes = 0;
 };
 
 /// Options for the incremental driver.
@@ -161,7 +166,7 @@ class IncrementalClusterer {
 
   /// Phase 2's K-means run over the active set, seeded from
   /// `last_result_`.
-  Result<ClusteringResult> RunKMeans() const;
+  Result<ClusteringResult> RunKMeans(StepResult* result) const;
 
   ForgettingModel model_;
   IncrementalOptions options_;

@@ -11,13 +11,15 @@
 // ψ depends on Pr(d_i) and Pr(t_k), which are fixed during one clustering
 // pass; a SimilarityContext snapshots them for the active document set.
 //
-// Layout: besides the per-document SparseVector API, the snapshot stores
-// every ψ entry in one contiguous CSR arena (row offsets + flat term/value
-// arrays). Documents get a dense *slot* (their index in docs()) reachable
-// from a DocId through a flat array rather than a hash probe, and terms get
-// a dense *local* id covering only the vocabulary that actually appears in
-// some ψ. The clustering inner loop (extended_kmeans.cc, rep_index.h) runs
-// entirely on these array indices.
+// Layout: the snapshot stores every ψ exactly once, in one contiguous CSR
+// arena (row offsets + flat local-term/value arrays, 12 bytes per entry).
+// Documents get a dense *slot* (their index in docs()) reachable from a
+// DocId through a flat array spanning the active ids rather than a hash
+// probe, and terms get a dense *local* id covering only the vocabulary that
+// actually appears in some ψ. Every reader sees a ψ as a SparseRowView of
+// the arena: the SparseVector merges (representative updates, Sim) reach
+// global ids through the local→global table, while the clustering inner
+// loop (extended_kmeans.cc, rep_index.h) runs entirely on the local ids.
 
 #ifndef NIDC_CORE_NOVELTY_SIMILARITY_H_
 #define NIDC_CORE_NOVELTY_SIMILARITY_H_
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "nidc/forgetting/forgetting_model.h"
+#include "nidc/text/sparse_vector.h"
 
 namespace nidc {
 
@@ -39,23 +42,19 @@ class SimilarityContext {
   static constexpr uint32_t kNoLocalTerm = UINT32_MAX;
 
   /// One document's ψ as a view into the CSR arena. `terms` holds *local*
-  /// dense term ids; the underlying entries are in ascending global TermId
-  /// order (the SparseVector entry order), so scans accumulate in the same
-  /// order as a sorted-merge dot product.
-  struct Row {
-    const uint32_t* terms = nullptr;
-    const double* values = nullptr;
-    size_t size = 0;
-  };
+  /// dense term ids; the entries are in ascending global TermId order (the
+  /// SparseVector entry order), so scans accumulate in the same order as a
+  /// sorted-merge dot product.
+  using Row = SparseRowView;
 
   /// Builds ψ_i for every active document of `model` at its current clock.
-  /// The per-document constructions are independent, so with
-  /// `num_threads > 1` they are spread over a thread pool; each thread
-  /// writes only its own slots, making the result bit-identical to the
-  /// serial build for any thread count (0 = hardware concurrency). The CSR
-  /// arena and term remap are derived serially afterwards (one pass over
-  /// the entries) and are deterministic: local term ids are assigned in
-  /// first-appearance order over slots.
+  /// Each document writes its ψ straight into its own span of the arena,
+  /// sized by its term count, so with `num_threads > 1` the constructions
+  /// are spread over a thread pool and the result is bit-identical to the
+  /// serial build for any thread count (0 = hardware concurrency). One
+  /// serial pass then closes the gaps left by dropped terms and remaps the
+  /// global ids to local ones, assigned in first-appearance order over
+  /// slots.
   explicit SimilarityContext(const ForgettingModel& model,
                              size_t num_threads = 1);
 
@@ -68,10 +67,11 @@ class SimilarityContext {
 
   /// The ψ vector of a document. Fatal (in every build type) on an unknown
   /// DocId — a bad seed must fail loudly, not read stale memory.
-  const SparseVector& Psi(DocId id) const;
+  Row Psi(DocId id) const { return PsiAt(SlotOf(id)); }
 
   bool Contains(DocId id) const {
-    return id < slot_of_.size() && slot_of_[id] != kNoSlot;
+    return id >= first_doc_ && id - first_doc_ < slot_of_.size() &&
+           slot_of_[id - first_doc_] != kNoSlot;
   }
 
   /// Dense slot of a document. Fatal (in every build type) on an unknown
@@ -81,11 +81,10 @@ class SimilarityContext {
   /// Slot-indexed accessors — plain array loads, no hashing.
   DocId DocAt(Slot slot) const { return docs_[slot]; }
   double SelfSimAt(Slot slot) const { return self_sim_[slot]; }
-  const SparseVector& PsiAt(Slot slot) const { return psi_[slot]; }
-  Row RowAt(Slot slot) const {
+  Row PsiAt(Slot slot) const {
     const size_t begin = row_offsets_[slot];
-    return {row_terms_.data() + begin, row_values_.data() + begin,
-            row_offsets_[slot + 1] - begin};
+    return {row_terms_.data() + begin, local_to_global_.data(),
+            row_values_.data() + begin, row_offsets_[slot + 1] - begin};
   }
 
   /// Size of the local (active-vocabulary) term space; every Row term id is
@@ -103,12 +102,22 @@ class SimilarityContext {
   const std::vector<DocId>& docs() const { return docs_; }
   size_t size() const { return docs_.size(); }
 
+  /// ψ entries over every row.
+  size_t num_entries() const { return row_terms_.size(); }
+  /// Heap bytes the snapshot holds (capacity of every array).
+  size_t bytes() const;
+  /// Entries of the DocId → slot table: the span of the active ids, not
+  /// the history before them.
+  size_t slot_table_size() const { return slot_of_.size(); }
+
  private:
-  void BuildArena();
+  void BuildSlots();
+  void CompactArena(const std::vector<uint32_t>& row_sizes);
 
   std::vector<DocId> docs_;
-  std::vector<Slot> slot_of_;  // DocId → slot; kNoSlot for inactive ids
-  std::vector<SparseVector> psi_;
+  // DocId → slot over [first_doc_, max active id]; kNoSlot for inactive ids.
+  DocId first_doc_ = 0;
+  std::vector<Slot> slot_of_;
   std::vector<double> self_sim_;
   // CSR arena over the ψ entries, with globally-sorted terms remapped to a
   // dense local id space.

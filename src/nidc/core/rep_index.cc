@@ -80,7 +80,7 @@ void FlatRepIndex::BuildFromClustersSerial(
   for (size_t p = 0; p < k_; ++p) {
     const uint32_t tag = static_cast<uint32_t>(p) + 1;
     for (DocId id : clusters[p].members()) {
-      const SimilarityContext::Row row = ctx.RowAt(ctx.SlotOf(id));
+      const SimilarityContext::Row row = ctx.Psi(id);
       for (size_t i = 0; i < row.size; ++i) {
         const uint32_t t = row.terms[i];
         if (mark_[t] != tag) {
@@ -107,7 +107,7 @@ void FlatRepIndex::BuildFromClustersSerial(
   for (size_t p = 0; p < k_; ++p) {
     const uint32_t cluster = static_cast<uint32_t>(p);
     for (DocId id : clusters[p].members()) {
-      const SimilarityContext::Row row = ctx.RowAt(ctx.SlotOf(id));
+      const SimilarityContext::Row row = ctx.Psi(id);
       for (size_t i = 0; i < row.size; ++i) {
         const uint32_t t = row.terms[i];
         const size_t cursor = counts_[t];
@@ -150,7 +150,7 @@ void FlatRepIndex::BuildFromClustersParallel(
       const uint32_t cluster_tag = static_cast<uint32_t>(p) + 1;
       std::vector<PairAccum>& list = per_cluster[p];
       for (DocId id : clusters[p].members()) {
-        const SimilarityContext::Row row = ctx.RowAt(ctx.SlotOf(id));
+        const SimilarityContext::Row row = ctx.Psi(id);
         for (size_t i = 0; i < row.size; ++i) {
           const uint32_t t = row.terms[i];
           if (tag[t] == cluster_tag) {
@@ -275,7 +275,7 @@ void FlatRepIndex::ScoreAll(const SimilarityContext& ctx,
                             SimilarityContext::Slot slot,
                             std::vector<double>* scores) const {
   NIDC_CHECK(built_) << "FlatRepIndex scored before a build";
-  const SimilarityContext::Row row = ctx.RowAt(slot);
+  const SimilarityContext::Row row = ctx.PsiAt(slot);
   double attached = 0.0;
   if (NeedsDeltaFallback(row)) {
     scores->assign(k_, 0.0);
@@ -298,7 +298,7 @@ void FlatRepIndex::ScoreAllDetached(const SimilarityContext& ctx,
                                     std::vector<double>* scores,
                                     double* home_attached) const {
   NIDC_CHECK(built_) << "FlatRepIndex scored before a build";
-  const SimilarityContext::Row row = ctx.RowAt(slot);
+  const SimilarityContext::Row row = ctx.PsiAt(slot);
   const uint32_t home_cluster = static_cast<uint32_t>(home);
   if (NeedsDeltaFallback(row)) {
     scores->assign(k_, 0.0);
@@ -322,7 +322,7 @@ bool FlatRepIndex::ScoreAllQuantized(const SimilarityContext& ctx,
                                      double* home_attached,
                                      double* home_detached) const {
   NIDC_CHECK(built_) << "FlatRepIndex scored before a build";
-  const SimilarityContext::Row row = ctx.RowAt(slot);
+  const SimilarityContext::Row row = ctx.PsiAt(slot);
   scores_f32->resize(k_);  // the kernel zeroes every lane itself
   abs_f32->resize(k_);
   const uint32_t home_cluster =
@@ -385,7 +385,7 @@ void FlatRepIndex::ApplyRemove(const SimilarityContext& ctx,
   if (!built_) return;
   NIDC_CHECK(p < k_) << "cluster " << p << " out of range (K = " << k_ << ")";
   ++stats_.moves_applied;
-  const SimilarityContext::Row row = ctx.RowAt(slot);
+  const SimilarityContext::Row row = ctx.PsiAt(slot);
   for (size_t i = 0; i < row.size; ++i) {
     if (row.values[i] == 0.0) continue;
     const uint32_t t = row.terms[i];
@@ -427,7 +427,7 @@ void FlatRepIndex::ApplyAdd(const SimilarityContext& ctx,
   if (!built_) return;
   NIDC_CHECK(p < k_) << "cluster " << p << " out of range (K = " << k_ << ")";
   ++stats_.moves_applied;
-  const SimilarityContext::Row row = ctx.RowAt(slot);
+  const SimilarityContext::Row row = ctx.PsiAt(slot);
   for (size_t i = 0; i < row.size; ++i) {
     if (row.values[i] == 0.0) continue;
     const uint32_t t = row.terms[i];

@@ -656,6 +656,14 @@ void Tenant::PublishStep(const DocumentBatch& window,
   metrics_.GetGauge("shard.tenant.now")->Set(window.end);
   if (runtime_.shared_metrics != nullptr) {
     runtime_.shared_metrics->GetCounter("shard.steps")->Increment();
+    // The service-wide view of a step's transient: the context of the
+    // latest K-means step on any tenant.
+    if (!result.installed) {
+      runtime_.shared_metrics->GetGauge("step.context_entries")
+          ->Set(static_cast<double>(result.context_entries));
+      runtime_.shared_metrics->GetGauge("step.context_bytes")
+          ->Set(static_cast<double>(result.context_bytes));
+    }
   }
 }
 

@@ -211,13 +211,49 @@ TEST_F(ExtendedKMeansTest, RepresentativeSeedingWorks) {
 }
 
 TEST_F(ExtendedKMeansTest, MembershipSeedWithTooManyClustersRejected) {
+  // More non-empty seed clusters than k: nothing to drop, still an error.
   KMeansSeeds seeds;
   seeds.mode = SeedMode::kMembership;
-  seeds.memberships.assign(10, {});
+  for (DocId d = 0; d < 10; ++d) seeds.memberships.push_back({d});
   ExtendedKMeansOptions opts;
   opts.k = 3;
   EXPECT_EQ(RunExtendedKMeans(*ctx_, docs_, opts, seeds).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(ExtendedKMeansTest, MembershipSeedDropsClustersWithNoActiveMember) {
+  ExtendedKMeansOptions opts;
+  opts.k = 3;
+  opts.seed = 5;
+  opts.first_cluster_id = 100;
+  auto first = RunExtendedKMeans(*ctx_, docs_, opts);
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->clusters.size(), 3u);
+
+  // What the previous step left when expiry took documents 40 and 41 (not
+  // in the context) and an empty cluster: five seed clusters for k = 3.
+  KMeansSeeds padded;
+  padded.mode = SeedMode::kMembership;
+  padded.memberships = {{40}, first->clusters[0], {}, first->clusters[1],
+                        {41}, first->clusters[2]};
+  padded.cluster_ids = {7, first->cluster_ids[0], 8, first->cluster_ids[1],
+                        9, first->cluster_ids[2]};
+  KMeansSeeds exact;
+  exact.mode = SeedMode::kMembership;
+  exact.memberships = first->clusters;
+  exact.cluster_ids = first->cluster_ids;
+  opts.first_cluster_id = first->next_cluster_id;
+  auto dropped = RunExtendedKMeans(*ctx_, docs_, opts, padded);
+  ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
+  auto reference = RunExtendedKMeans(*ctx_, docs_, opts, exact);
+  ASSERT_TRUE(reference.ok());
+  // The survivors seed exactly as if the dropped clusters never existed,
+  // keeping their stable ids.
+  EXPECT_EQ(dropped->clusters, reference->clusters);
+  EXPECT_EQ(dropped->outliers, reference->outliers);
+  EXPECT_EQ(dropped->g, reference->g);
+  EXPECT_EQ(dropped->cluster_ids, reference->cluster_ids);
+  EXPECT_EQ(dropped->cluster_ids, first->cluster_ids);
 }
 
 TEST_F(ExtendedKMeansTest, ShuffledSweepStillRecoversTopics) {

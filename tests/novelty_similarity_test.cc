@@ -178,10 +178,120 @@ TEST(SimilarityContextParallelTest, ParallelBuildIsBitIdenticalToSerial) {
   SimilarityContext serial(model, 1);
   SimilarityContext parallel(model, 8);
   ASSERT_EQ(serial.size(), parallel.size());
-  for (DocId d : ids) {
-    EXPECT_EQ(serial.Psi(d), parallel.Psi(d)) << "doc " << d;
-    EXPECT_EQ(serial.SelfSim(d), parallel.SelfSim(d)) << "doc " << d;
+  ASSERT_EQ(serial.num_entries(), parallel.num_entries());
+  ASSERT_EQ(serial.num_local_terms(), parallel.num_local_terms());
+  for (uint32_t t = 0; t < serial.num_local_terms(); ++t) {
+    EXPECT_EQ(serial.GlobalTerm(t), parallel.GlobalTerm(t)) << "local " << t;
   }
+  // The arenas are identical entry for entry: same local ids, same bits.
+  for (SimilarityContext::Slot slot = 0; slot < serial.size(); ++slot) {
+    ASSERT_EQ(serial.DocAt(slot), parallel.DocAt(slot));
+    const SimilarityContext::Row a = serial.PsiAt(slot);
+    const SimilarityContext::Row b = parallel.PsiAt(slot);
+    ASSERT_EQ(a.size, b.size) << "slot " << slot;
+    for (size_t i = 0; i < a.size; ++i) {
+      EXPECT_EQ(a.terms[i], b.terms[i]) << "slot " << slot << " entry " << i;
+      EXPECT_EQ(a.values[i], b.values[i]) << "slot " << slot << " entry " << i;
+    }
+    EXPECT_EQ(serial.SelfSimAt(slot), parallel.SelfSimAt(slot))
+        << "slot " << slot;
+  }
+}
+
+// ψ_i built the way the context built it before the arena held it alone:
+// a SparseVector of unit·f·idf per kept term.
+SparseVector ReferencePsi(const ForgettingModel& model, DocId id) {
+  const Document& doc = model.corpus().doc(id);
+  const double len = doc.Length();
+  const double pr = model.PrDoc(id);
+  std::vector<SparseVector::Entry> entries;
+  if (len > 0.0 && pr > 0.0) {
+    const double unit = pr / len;
+    for (const auto& e : doc.terms.entries()) {
+      const double idf = model.Idf(e.id);
+      if (idf <= 0.0) continue;
+      entries.push_back({e.id, unit * e.value * idf});
+    }
+  }
+  return SparseVector::FromEntries(std::move(entries));
+}
+
+TEST(SimilarityContextArenaTest, EveryRowEqualsTheReferencePsiBitForBit) {
+  GeneratorOptions options;
+  options.scale = 0.1;
+  Result<std::unique_ptr<Corpus>> corpus =
+      Tdt2LikeGenerator(options).Generate();
+  ASSERT_TRUE(corpus.ok());
+  // Enough documents to cross the parallel-build threshold. The window
+  // starts past the corpus's first documents, so local term ids (first
+  // appearance over the window) differ from the global ones (first
+  // appearance over the corpus).
+  std::vector<DocId> ids(400);
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<DocId>(100 + i);
+  ForgettingParams p;
+  p.half_life_days = 7.0;
+  p.life_span_days = 365.0;
+  ForgettingModel model(corpus->get(), p);
+  model.AdvanceTo((*corpus)->doc(ids.back()).time);
+  model.AddDocuments(ids);
+  for (size_t threads : {1, 4}) {
+    SimilarityContext ctx(model, threads);
+    ASSERT_EQ(ctx.size(), ids.size());
+    size_t entries = 0;
+    for (DocId id : ids) {
+      const SparseVector ref = ReferencePsi(model, id);
+      const SimilarityContext::Row row = ctx.Psi(id);
+      ASSERT_EQ(row.size, ref.size()) << "doc " << id;
+      for (size_t i = 0; i < row.size; ++i) {
+        EXPECT_EQ(row.id(i), ref.entries()[i].id) << "doc " << id;
+        EXPECT_EQ(row.value(i), ref.entries()[i].value) << "doc " << id;
+        EXPECT_EQ(ctx.LocalTerm(row.id(i)), row.terms[i]) << "doc " << id;
+      }
+      EXPECT_EQ(ctx.SelfSim(id), ref.SquaredNorm()) << "doc " << id;
+      entries += row.size;
+    }
+    EXPECT_EQ(ctx.num_entries(), entries);
+    size_t remapped = 0;
+    for (uint32_t t = 0; t < ctx.num_local_terms(); ++t) {
+      remapped += ctx.GlobalTerm(t) != t;
+    }
+    EXPECT_GT(remapped, 0u);
+    // Sim is the reference vectors' dot product, bit for bit.
+    for (size_t i = 0; i + 1 < ids.size(); i += 7) {
+      EXPECT_EQ(ctx.Sim(ids[i], ids[i + 1]),
+                ReferencePsi(model, ids[i]).Dot(ReferencePsi(model, ids[i + 1])));
+    }
+  }
+}
+
+TEST(SimilarityContextArenaTest, SlotTableSpansTheActiveIdsOnly) {
+  // A long-lived tenant releases the documents its model forgot; the
+  // context must not allocate a slot per id ever issued.
+  constexpr DocId kReleased = 1000000;
+  Corpus corpus;
+  for (DocId id = 0; id < kReleased; ++id) {
+    corpus.Add(Document{});
+    if (id % 65536 == 65535) corpus.ReleaseBefore(id + 1);
+  }
+  corpus.ReleaseBefore(kReleased);
+  corpus.AddText("iraq weapons inspection", 1.0, 1);
+  corpus.AddText("olympics skating gold", 1.5, 2);
+  corpus.AddText("iraq sanctions weapons", 2.0, 1);
+  ForgettingParams p;
+  ForgettingModel model(&corpus, p);
+  model.AdvanceTo(2.0);
+  model.AddDocuments({kReleased, kReleased + 2});
+  SimilarityContext ctx(model);
+  EXPECT_EQ(ctx.slot_table_size(), 3u);  // [kReleased, kReleased + 2]
+  EXPECT_TRUE(ctx.Contains(kReleased));
+  EXPECT_FALSE(ctx.Contains(kReleased + 1));
+  EXPECT_TRUE(ctx.Contains(kReleased + 2));
+  EXPECT_FALSE(ctx.Contains(kReleased - 1));
+  EXPECT_FALSE(ctx.Contains(0));
+  EXPECT_FALSE(ctx.Contains(kReleased + 3));
+  EXPECT_EQ(ctx.DocAt(ctx.SlotOf(kReleased + 2)), kReleased + 2);
+  EXPECT_GT(ctx.Sim(kReleased, kReleased + 2), 0.0);
+  EXPECT_LT(ctx.bytes(), size_t{1} << 16);
 }
 
 TEST_F(NoveltySimilarityTest, EmptyDocumentHasZeroPsi) {

@@ -81,7 +81,7 @@ TEST_F(FlatRepIndexTest, BuildFromClustersMatchesRepresentativeDots) {
   for (DocId id : docs_) {
     index.ScoreAll(*ctx_, ctx_->SlotOf(id), &scores);
     ASSERT_EQ(scores.size(), k);
-    const SparseVector& psi = ctx_->Psi(id);
+    const SimilarityContext::Row psi = ctx_->Psi(id);
     for (size_t p = 0; p < k; ++p) {
       // Bit-identical, not merely close: the CSR build accumulates weights
       // in member order and the scan in ascending term order — the exact
@@ -109,7 +109,7 @@ TEST_F(FlatRepIndexTest, ScoreAllDetachedMatchesPhysicalRemoval) {
     // in a shared twin would perturb its coefficients by a rounding step and
     // break the bit-for-bit comparison for later documents.
     ClusterSet twin = MakeMergeTwin(k);
-    const SparseVector& psi = ctx_->Psi(id);
+    const SimilarityContext::Row psi = ctx_->Psi(id);
     EXPECT_EQ(attached, twin.cluster(home).representative().Dot(psi))
         << "doc " << id;
     twin.Assign(id, kUnassigned, *ctx_);
@@ -146,7 +146,7 @@ TEST_F(FlatRepIndexTest, MoveMaintenanceTracksRepresentatives) {
     if (move % 25 != 0) continue;
     for (DocId probe : docs_) {
       set.flat_index().ScoreAll(*ctx_, ctx_->SlotOf(probe), &scores);
-      const SparseVector& psi = ctx_->Psi(probe);
+      const SimilarityContext::Row psi = ctx_->Psi(probe);
       for (size_t p = 0; p < k; ++p) {
         // 1e-12, not bit-exact: zero-snapped tombstones intentionally clear
         // float residuals the merge representatives keep.
@@ -162,7 +162,7 @@ TEST_F(FlatRepIndexTest, MoveMaintenanceTracksRepresentatives) {
   EXPECT_EQ(set.flat_index().stats().dead_entries, 0u);
   for (DocId probe : docs_) {
     set.flat_index().ScoreAll(*ctx_, ctx_->SlotOf(probe), &scores);
-    const SparseVector& psi = ctx_->Psi(probe);
+    const SimilarityContext::Row psi = ctx_->Psi(probe);
     for (size_t p = 0; p < k; ++p) {
       EXPECT_EQ(scores[p], set.cluster(p).representative().Dot(psi));
     }
@@ -185,7 +185,7 @@ TEST_F(FlatRepIndexTest, ApplyIsANoOpBeforeTheFirstBuild) {
 
 TEST_F(FlatRepIndexTest, BuildFromRepresentativesSkipsOutOfVocabularyTerms) {
   std::vector<SparseVector> reps(2);
-  reps[0] = ctx_->Psi(docs_[0]);
+  reps[0].AddScaled(ctx_->Psi(docs_[0]), 1.0);  // ψ as a SparseVector
   // A degenerate seed representative mentioning a term no active document
   // contains: it can never match a ψ, so the build drops it.
   std::vector<SparseVector::Entry> alien = reps[0].entries();
@@ -197,7 +197,7 @@ TEST_F(FlatRepIndexTest, BuildFromRepresentativesSkipsOutOfVocabularyTerms) {
   std::vector<double> scores;
   for (DocId id : docs_) {
     index.ScoreAll(*ctx_, ctx_->SlotOf(id), &scores);
-    const SparseVector& psi = ctx_->Psi(id);
+    const SimilarityContext::Row psi = ctx_->Psi(id);
     ASSERT_EQ(scores.size(), 2u);
     EXPECT_EQ(scores[0], reps[0].Dot(psi)) << "doc " << id;
     EXPECT_EQ(scores[1], reps[1].Dot(psi)) << "doc " << id;
@@ -242,12 +242,13 @@ TEST_F(FlatRepIndexLifecycleTest, MovesTombstoneOldPairsAndOverlayNewOnes) {
   EXPECT_EQ(index.stats().delta_entries_added, 2u);
   EXPECT_EQ(index.stats().dead_entries, 2u);
   EXPECT_EQ(index.stats().live_entries, 4u);
-  const SparseVector& psi0 = ctx_->Psi(0);
-  for (const auto& [term, value] : psi0.entries()) {
+  const SimilarityContext::Row psi0 = ctx_->Psi(0);
+  for (size_t i = 0; i < psi0.size; ++i) {
+    const TermId term = psi0.id(i);
     auto postings = index.PostingsOf(*ctx_, term);
     ASSERT_EQ(postings.size(), 1u) << "term " << term;
     EXPECT_EQ(postings[0].first, 1u);
-    EXPECT_EQ(postings[0].second, value);
+    EXPECT_EQ(postings[0].second, psi0.value(i));
   }
   std::vector<double> scores;
   index.ScoreAll(*ctx_, ctx_->SlotOf(0), &scores);
@@ -258,11 +259,12 @@ TEST_F(FlatRepIndexLifecycleTest, MovesTombstoneOldPairsAndOverlayNewOnes) {
   set.Assign(0, 0, *ctx_);
   EXPECT_EQ(index.stats().tombstones_revived, 2u);
   EXPECT_EQ(index.stats().tombstones_created, 4u);
-  for (const auto& [term, value] : psi0.entries()) {
+  for (size_t i = 0; i < psi0.size; ++i) {
+    const TermId term = psi0.id(i);
     auto postings = index.PostingsOf(*ctx_, term);
     ASSERT_EQ(postings.size(), 1u) << "term " << term;
     EXPECT_EQ(postings[0].first, 0u);
-    EXPECT_EQ(postings[0].second, value);
+    EXPECT_EQ(postings[0].second, psi0.value(i));
   }
 
   // A rebuild flushes overlay and tombstones back into a clean base.

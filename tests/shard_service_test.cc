@@ -841,6 +841,51 @@ TEST_F(ShardServiceTest, IngestErrorsDoNotPoisonTheTenant) {
   service->Stop();
 }
 
+TEST_F(ShardServiceTest, ExpiryBelowThePreviousClusterCountStillSteps) {
+  // K above the active count: each step clusters into k = min(K, active)
+  // clusters, seeded from the previous step's. Expiry then takes the
+  // active set below the previous count; the seed clusters left with no
+  // member are dropped instead of failing the step.
+  TenantConfig config = SmallConfig();
+  config.k = 8;
+  config.params.half_life_days = 7.0;
+  config.params.life_span_days = 30.0;
+  auto service = StartService(Root("shrink"), 1);
+  ASSERT_TRUE(service->CreateTenant("alpha", config).ok());
+  RawDocument first;
+  first.time = 0.25;
+  first.text = "iraq weapons inspection";
+  RawDocument second;
+  second.time = 1.5;
+  second.text = "olympics skating gold";
+  ASSERT_TRUE(service->EnqueueIngest("alpha", {first, second}).ok());
+  ASSERT_TRUE(service->Flush("alpha", 3.0).ok());
+  service->Drain();
+  std::shared_ptr<Tenant> tenant = service->GetTenant("alpha");
+  const uint64_t steps_before = tenant->steps_applied();
+  ASSERT_EQ(steps_before, 3u);
+
+  RawDocument late;
+  late.time = 40.5;
+  late.text = "tobacco settlement senate";
+  ASSERT_TRUE(service->EnqueueIngest("alpha", {late}).ok());
+  service->Drain();
+  obs::MetricsRegistry* metrics = service->metrics();
+  EXPECT_EQ(metrics->GetCounter("shard.ingest.failed")->Value(), 0u);
+  EXPECT_FALSE(tenant->failed());
+  // Windows [3, 32) stepped with the survivors (the one that lost the
+  // first document included); the rest had nothing active.
+  const uint64_t steps_mid = tenant->steps_applied();
+  EXPECT_GT(steps_mid, steps_before);
+
+  // The late document's own window steps too.
+  ASSERT_TRUE(service->Flush("alpha", 41.0).ok());
+  service->Drain();
+  EXPECT_EQ(metrics->GetCounter("shard.ingest.failed")->Value(), 0u);
+  EXPECT_EQ(tenant->steps_applied(), steps_mid + 1);
+  service->Stop();
+}
+
 TEST_F(ShardServiceTest, UnroundedTimesSurviveEvictAndReopen) {
   // A direct EnqueueIngest caller skips the JSONL decoder's "%.6f"
   // rounding. The tenant must still step on the times corpus.tsv reads

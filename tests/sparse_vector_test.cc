@@ -1,6 +1,11 @@
 #include "nidc/text/sparse_vector.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -175,6 +180,113 @@ TEST_P(SparseVectorPropertyTest, CauchySchwarz) {
     SparseVector b = RandomVector(&rng);
     EXPECT_LE(std::abs(a.Dot(b)), a.Norm() * b.Norm() + 1e-9);
   }
+}
+
+// ---- SparseRowView: the arena form of a vector must merge bit for bit ----
+
+// A SparseVector re-laid as a SparseRowView: local ids index a shuffled
+// local→global table, as in a SimilarityContext arena.
+class RowViewOf {
+ public:
+  RowViewOf(const SparseVector& v, Rng* rng) {
+    for (const auto& e : v.entries()) global_.push_back(e.id);
+    for (size_t i = global_.size(); i > 1; --i) {
+      std::swap(global_[i - 1], global_[rng->NextBounded(i)]);
+    }
+    for (const auto& e : v.entries()) {
+      const auto it = std::find(global_.begin(), global_.end(), e.id);
+      terms_.push_back(static_cast<uint32_t>(it - global_.begin()));
+      values_.push_back(e.value);
+    }
+  }
+  SparseRowView view() const {
+    return {terms_.data(), global_.data(), values_.data(), terms_.size()};
+  }
+
+ private:
+  std::vector<TermId> global_;
+  std::vector<uint32_t> terms_;
+  std::vector<double> values_;
+};
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+void ExpectSameBits(const SparseVector& actual, const SparseVector& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual.entries()[i].id, expected.entries()[i].id) << i;
+    EXPECT_EQ(Bits(actual.entries()[i].value),
+              Bits(expected.entries()[i].value))
+        << "id " << actual.entries()[i].id;
+  }
+}
+
+// a + b·factor spelled out per id, independent of the merge under test.
+SparseVector AddScaledReference(const SparseVector& a, const SparseVector& b,
+                                double factor) {
+  std::vector<SparseVector::Entry> out;
+  size_t j = 0;
+  for (const auto& e : a.entries()) {
+    for (; j < b.size() && b.entries()[j].id < e.id; ++j) {
+      out.push_back({b.entries()[j].id, b.entries()[j].value * factor});
+    }
+    if (j < b.size() && b.entries()[j].id == e.id) {
+      out.push_back({e.id, e.value + b.entries()[j].value * factor});
+      ++j;
+    } else {
+      out.push_back(e);
+    }
+  }
+  for (; j < b.size(); ++j) {
+    out.push_back({b.entries()[j].id, b.entries()[j].value * factor});
+  }
+  return SparseVector::FromSortedEntries(std::move(out));
+}
+
+TEST_P(SparseVectorPropertyTest, RowViewDotIsBitIdentical) {
+  Rng rng(GetParam() ^ 0x5eed);
+  // Balanced sizes take the linear merge; 2 vs 200 entries over a wide id
+  // space takes the small-into-large probe, from either side.
+  const std::pair<size_t, size_t> shapes[] = {{40, 40}, {3, 400}, {400, 3}};
+  for (const auto& [na, nb] : shapes) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const SparseVector a = RandomVector(&rng, na, 1000);
+      const SparseVector b = RandomVector(&rng, nb, 1000);
+      const RowViewOf va(a, &rng);
+      const RowViewOf vb(b, &rng);
+      EXPECT_EQ(Bits(a.Dot(vb.view())), Bits(a.Dot(b)));
+      EXPECT_EQ(Bits(b.Dot(va.view())), Bits(b.Dot(a)));
+      EXPECT_EQ(Bits(va.view().Dot(vb.view())), Bits(a.Dot(b)));
+      EXPECT_EQ(Bits(vb.view().Dot(va.view())), Bits(b.Dot(a)));
+      EXPECT_EQ(Bits(va.view().SquaredNorm()), Bits(a.SquaredNorm()));
+    }
+  }
+}
+
+TEST_P(SparseVectorPropertyTest, RowViewAddScaledIsBitIdentical) {
+  Rng rng(GetParam() ^ 0xadd);
+  for (double factor : {1.0, -1.0, 0.5}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const SparseVector a = RandomVector(&rng, 60, 150);
+      const SparseVector b = RandomVector(&rng, 60, 150);
+      const RowViewOf vb(b, &rng);
+      SparseVector via_view = a;
+      via_view.AddScaled(vb.view(), factor);
+      SparseVector via_vector = a;
+      via_vector.AddScaled(b, factor);
+      ExpectSameBits(via_view, AddScaledReference(a, b, factor));
+      ExpectSameBits(via_vector, AddScaledReference(a, b, factor));
+    }
+  }
+}
+
+TEST(SparseRowViewTest, EmptyViewIsANoOp) {
+  const SparseVector a = Make({{1, 2.0}, {5, 3.0}});
+  SparseVector sum = a;
+  sum.AddScaled(SparseRowView{}, 1.0);
+  EXPECT_EQ(sum, a);
+  EXPECT_EQ(a.Dot(SparseRowView{}), 0.0);
+  EXPECT_EQ(SparseRowView{}.SquaredNorm(), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SparseVectorPropertyTest,

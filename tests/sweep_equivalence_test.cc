@@ -362,7 +362,7 @@ TEST(SweepEquivalenceTest, DegenerateRepresentativeSeedsStayIdentical) {
   seeds.representatives[0] = SparseVector();  // empty
   seeds.representatives[1] = SparseVector::FromEntries(
       {{9999998, 1.0}, {9999999, 2.0}});  // out-of-vocabulary
-  seeds.representatives[2] = env->ctx->Psi(0);
+  seeds.representatives[2].AddScaled(env->ctx->Psi(0), 1.0);  // ψ_0
   ExtendedKMeansOptions options;
   options.k = 3;
   options.seed = 2;

@@ -76,6 +76,8 @@ constexpr const char* kMetricKeys[] = {
     "step.docs_new",
     "step.docs_expired",
     "step.active_docs",
+    "step.context_entries",
+    "step.context_bytes",
     "step.stats_seconds",
     "step.clustering_seconds",
     "health.steps",
@@ -143,6 +145,8 @@ constexpr const char* kShardKeys[] = {
     "shard.ingest.latency_seconds",
     "shard.queue.0.depth",
     "shard.corpus.retained_docs",
+    "step.context_entries",
+    "step.context_bytes",
     "pipeline.traces_started",
     "pipeline.traces_completed",
     "pipeline.stage_events",
