@@ -10,9 +10,7 @@ TfIdfModel::TfIdfModel(const Corpus& corpus, const std::vector<DocId>& docs)
   // Document frequencies within the subset.
   std::unordered_map<TermId, size_t> df;
   for (DocId id : docs_) {
-    for (const auto& e : corpus.doc(id).terms.entries()) {
-      if (e.value > 0.0) ++df[e.id];
-    }
+    for (const auto& e : corpus.doc(id).terms.entries()) ++df[e.id];
   }
   const double n = static_cast<double>(docs_.size());
   idf_.reserve(df.size());
@@ -27,7 +25,8 @@ TfIdfModel::TfIdfModel(const Corpus& corpus, const std::vector<DocId>& docs)
     std::vector<SparseVector::Entry> entries;
     entries.reserve(doc.terms.size());
     for (const auto& e : doc.terms.entries()) {
-      const double weight = e.value * Idf(e.id);
+      const double tf = e.count;
+      const double weight = tf * Idf(e.id);
       if (weight > 0.0) entries.push_back({e.id, weight});
     }
     SparseVector v = SparseVector::FromEntries(std::move(entries));

@@ -20,7 +20,7 @@ CoverCoefficients ComputeCoverCoefficients(const ForgettingModel& model) {
     const Document& doc = model.corpus().doc(id);
     const double dw = model.Weight(id);
     for (const auto& e : doc.terms.entries()) {
-      column_sum[e.id] += dw * e.value;
+      column_sum[e.id] += dw * e.count;
     }
   }
 
@@ -35,7 +35,7 @@ CoverCoefficients ComputeCoverCoefficients(const ForgettingModel& model) {
     if (row_sum > 0.0) {
       const double alpha = 1.0 / row_sum;
       for (const auto& e : doc.terms.entries()) {
-        const double w = dw * e.value;
+        const double w = dw * e.count;
         const double beta_denominator = column_sum[e.id];
         if (beta_denominator > 0.0) {
           delta += alpha * w * w / beta_denominator;

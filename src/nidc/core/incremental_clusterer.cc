@@ -138,6 +138,11 @@ Status IncrementalClusterer::ValidateStepInputs(
       return Status::InvalidArgument("document " + std::to_string(id) +
                                      " is already active");
     }
+    if (model_.corpus().doc(id).time > tau) {
+      return Status::InvalidArgument(
+          "document " + std::to_string(id) + " was acquired after step time " +
+          std::to_string(tau));
+    }
     if (!batch.insert(id).second) {
       return Status::InvalidArgument("document " + std::to_string(id) +
                                      " appears twice in the batch");

@@ -109,9 +109,10 @@ class IncrementalClusterer {
   /// Checks a prospective step without applying it: `tau` must be finite
   /// and >= the current model time (no time travel), and every id must
   /// name a corpus document that is not yet active (no duplicates within
-  /// the batch either). Returns InvalidArgument describing the first
-  /// violation. The durability layer calls this before logging a step to
-  /// its write-ahead log so rejected inputs never enter the log.
+  /// the batch either) and was acquired at or before `tau`. Returns
+  /// InvalidArgument describing the first violation. The durability layer
+  /// calls this before logging a step to its write-ahead log so rejected
+  /// inputs never enter the log.
   Status ValidateStepInputs(const std::vector<DocId>& new_docs,
                             DayTime tau) const;
 

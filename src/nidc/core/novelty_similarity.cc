@@ -46,7 +46,7 @@ SimilarityContext::SimilarityContext(const ForgettingModel& model,
           const double idf = model.Idf(e.id);
           if (idf <= 0.0) continue;
           terms[n] = e.id;
-          values[n] = unit * e.value * idf;
+          values[n] = unit * e.count * idf;
           ++n;
         }
       }
@@ -163,8 +163,9 @@ double NoveltySimilarityReference(const ForgettingModel& model, DocId a,
   for (const auto& ea : da.terms.entries()) {
     const double fb = db.terms.ValueAt(ea.id);
     if (fb == 0.0) continue;
+    const double fa = ea.count;
     const double idf = model.Idf(ea.id);
-    dot += (ea.value * idf) * (fb * idf);
+    dot += (fa * idf) * (fb * idf);
   }
   return model.PrDoc(a) * model.PrDoc(b) * dot / (len_a * len_b);
 }

@@ -16,12 +16,14 @@ DocId Corpus::Add(Document doc) {
     min_time_ = std::min(min_time_, doc.time);
     max_time_ = std::max(max_time_, doc.time);
   }
+  retained_term_entries_ += doc.terms.size();
   docs_.push_back(std::move(doc));
   return docs_.back().id;
 }
 
 void Corpus::ReleaseBefore(DocId end) {
   while (first_retained_ < end && !docs_.empty()) {
+    retained_term_entries_ -= docs_.front().terms.size();
     docs_.pop_front();
     ++first_retained_;
   }

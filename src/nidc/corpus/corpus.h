@@ -61,6 +61,8 @@ class Corpus {
   bool empty() const { return size() == 0; }
   /// The smallest retained id (size() when none is).
   DocId first_retained() const { return first_retained_; }
+  /// Σ terms.size() over the retained documents, kept as a running total.
+  size_t retained_term_entries() const { return retained_term_entries_; }
 
   Vocabulary& vocabulary() { return *vocabulary_; }
   const Vocabulary& vocabulary() const { return *vocabulary_; }
@@ -88,6 +90,7 @@ class Corpus {
   std::unique_ptr<Analyzer> analyzer_;
   std::deque<Document> docs_;
   DocId first_retained_ = 0;
+  size_t retained_term_entries_ = 0;
   DayTime min_time_ = 0.0;
   DayTime max_time_ = 0.0;
 };

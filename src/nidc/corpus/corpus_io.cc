@@ -158,7 +158,7 @@ namespace {
 //   per doc: time (IEEE-754 bits, u64 LE) | zigzag topic | source length,
 //            bytes | #entries | per entry: id delta, frequency
 // The first id delta is the id itself; each later one is >= 1, so ids
-// strictly increase as in a SparseVector.
+// strictly increase as in TermCounts. A frequency is in [1, 2³²−1].
 constexpr char kIndexTag[] = "CIX1";
 constexpr size_t kIndexTagSize = 4;
 
@@ -274,9 +274,9 @@ std::string EncodeCorpusIndexRecord(const Corpus& corpus,
     PutBytes(&out, doc.source);
     PutVarint(&out, doc.terms.size());
     TermId previous = 0;
-    for (const SparseVector::Entry& entry : doc.terms.entries()) {
+    for (const TermCounts::Entry& entry : doc.terms.entries()) {
       PutVarint(&out, entry.id - previous);
-      PutVarint(&out, static_cast<uint64_t>(entry.value));
+      PutVarint(&out, entry.count);
       previous = entry.id;
     }
   }
@@ -321,24 +321,26 @@ Result<CorpusIndexRecord> DecodeCorpusIndexRecord(std::string_view payload) {
     doc.topic = static_cast<TopicId>((zigzag >> 1) ^ (~(zigzag & 1) + 1));
     doc.source = std::string(in.LengthPrefixed());
     const uint64_t num_entries = in.Count(2);
-    std::vector<SparseVector::Entry> entries;
+    std::vector<TermCounts::Entry> entries;
     entries.reserve(num_entries);
     uint64_t id = 0;
     for (uint64_t e = 0; e < num_entries; ++e) {
       const uint64_t delta = in.Varint();
       const uint64_t frequency = in.Varint();
-      id += delta;
-      if ((e > 0 && delta == 0) || id >= kInvalidTermId || frequency == 0) {
+      // `id` < kInvalidTermId here, so the subtraction cannot wrap.
+      if ((e > 0 && delta == 0) || delta >= kInvalidTermId - id ||
+          frequency == 0 || frequency > std::numeric_limits<uint32_t>::max()) {
         return damaged("bad term vector");
       }
+      id += delta;
       entries.push_back(
-          {static_cast<TermId>(id), static_cast<double>(frequency)});
+          {static_cast<TermId>(id), static_cast<uint32_t>(frequency)});
     }
     if (!in.ok() || !std::isfinite(doc.time) ||
         zigzag > std::numeric_limits<uint32_t>::max()) {
       return damaged("bad document");
     }
-    doc.terms = SparseVector::FromSortedEntries(std::move(entries));
+    doc.terms = TermCounts::FromSortedEntries(std::move(entries));
   }
   if (!in.ok() || !in.done()) return damaged("trailing bytes");
   return record;

@@ -128,8 +128,7 @@ struct CorpusIndexSpan {
   DocId end_doc = 0;
 };
 
-/// Encodes the record of `span` from `corpus`. Term frequencies must be
-/// integral, as the analyzer produces them.
+/// Encodes the record of `span` from `corpus`.
 std::string EncodeCorpusIndexRecord(const Corpus& corpus,
                                     const CorpusIndexSpan& span);
 

@@ -7,7 +7,7 @@
 #include <cstdint>
 #include <string>
 
-#include "nidc/text/sparse_vector.h"
+#include "nidc/text/term_counts.h"
 
 namespace nidc {
 
@@ -33,9 +33,10 @@ struct Document {
   /// Originating feed (e.g. "APW"); informational.
   std::string source;
   /// Term frequencies f_ik over the shared vocabulary.
-  SparseVector terms;
+  TermCounts terms;
 
-  /// Document length len_i = Σ_l f_il (Eq. 15).
+  /// Document length len_i = Σ_l f_il (Eq. 15); a sum of integers, exact
+  /// below 2⁵³.
   double Length() const { return terms.Sum(); }
 };
 

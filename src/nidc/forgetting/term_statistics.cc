@@ -17,7 +17,7 @@ void TermStatistics::AddDocument(const Document& doc, double weight) {
   if (len <= 0.0) return;  // empty documents carry no term mass
   const double unit = weight / len / scale_;
   for (const auto& entry : doc.terms.entries()) {
-    sums_[entry.id] += unit * entry.value;
+    sums_[entry.id] += unit * entry.count;
   }
 }
 
@@ -28,7 +28,7 @@ void TermStatistics::RemoveDocument(const Document& doc, double weight) {
   for (const auto& entry : doc.terms.entries()) {
     auto it = sums_.find(entry.id);
     if (it == sums_.end()) continue;
-    it->second -= unit * entry.value;
+    it->second -= unit * entry.count;
     if (it->second <= 0.0) sums_.erase(it);
   }
 }

@@ -92,6 +92,7 @@ Status ShardService::Init() {
   metrics_->GetCounter("shard.ingest.dropped");
   metrics_->GetCounter("shard.steps");
   metrics_->GetGauge("shard.corpus.retained_docs");
+  metrics_->GetGauge("shard.corpus.retained_term_entries");
   metrics_->GetGauge("step.context_entries");
   metrics_->GetGauge("step.context_bytes");
   metrics_->GetGauge("shard.recovery.seconds")->Set(0.0);

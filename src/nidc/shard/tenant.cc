@@ -312,9 +312,13 @@ Tenant::Tenant(std::string name, std::string dir, TenantConfig config,
   health_options.metrics = &metrics_;
   health_ = std::make_unique<obs::ClusterHealthMonitor>(health_options);
   retained_gauge_ = metrics_.GetGauge("shard.tenant.corpus_retained_docs");
+  retained_entries_gauge_ =
+      metrics_.GetGauge("shard.tenant.corpus_retained_term_entries");
   if (runtime_.shared_metrics != nullptr) {
     shared_retained_gauge_ =
         runtime_.shared_metrics->GetGauge("shard.corpus.retained_docs");
+    shared_retained_entries_gauge_ = runtime_.shared_metrics->GetGauge(
+        "shard.corpus.retained_term_entries");
   }
 }
 
@@ -688,8 +692,10 @@ Status Tenant::Close() {
   if (index_ != nullptr) index_->Close();
   if (shared_retained_gauge_ != nullptr) {
     shared_retained_gauge_->Add(-retained_published_);
+    shared_retained_entries_gauge_->Add(-retained_entries_published_);
   }
   retained_published_ = 0.0;
+  retained_entries_published_ = 0.0;
   return status;
 }
 
@@ -703,11 +709,16 @@ void Tenant::PublishProgress() {
   now_ = batcher_.cursor();
   steps_applied_ = durable_->applied_steps();
   const auto retained = static_cast<double>(corpus_->docs().size());
+  const auto entries = static_cast<double>(corpus_->retained_term_entries());
   retained_gauge_->Set(retained);
+  retained_entries_gauge_->Set(entries);
   if (shared_retained_gauge_ != nullptr) {
     shared_retained_gauge_->Add(retained - retained_published_);
+    shared_retained_entries_gauge_->Add(entries -
+                                        retained_entries_published_);
   }
   retained_published_ = retained;
+  retained_entries_published_ = entries;
 }
 
 const RecoveryInfo& Tenant::recovery() const { return durable_->recovery(); }

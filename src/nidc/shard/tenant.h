@@ -242,12 +242,15 @@ class Tenant {
   DayTime last_time_ = 0.0;
   uint64_t empty_windows_skipped_ = 0;
   bool closed_ = false;
-  /// shard.tenant.corpus_retained_docs, and the shared registry's
-  /// shard.corpus.retained_docs (null without one) with this tenant's
-  /// last published share of it.
+  /// shard.tenant.corpus_retained_{docs,term_entries}, and the shared
+  /// registry's shard.corpus.retained_{docs,term_entries} (null without
+  /// one) with this tenant's last published share of each.
   obs::Gauge* retained_gauge_ = nullptr;
   obs::Gauge* shared_retained_gauge_ = nullptr;
   double retained_published_ = 0.0;
+  obs::Gauge* retained_entries_gauge_ = nullptr;
+  obs::Gauge* shared_retained_entries_gauge_ = nullptr;
+  double retained_entries_published_ = 0.0;
   // Written only by the owner, read from any thread.
   std::atomic<uint64_t> docs_ingested_{0};
   std::atomic<uint64_t> steps_applied_{0};

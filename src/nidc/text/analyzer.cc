@@ -11,11 +11,11 @@ Analyzer::Analyzer(Vocabulary* vocabulary, AnalyzerOptions options)
       stopwords_(options.use_stopwords ? StopwordSet::Default()
                                        : StopwordSet::Empty()) {}
 
-SparseVector Analyzer::Analyze(std::string_view text) {
+TermCounts Analyzer::Analyze(std::string_view text) {
   return AnalyzeImpl(text, /*allow_grow=*/true);
 }
 
-SparseVector Analyzer::AnalyzeFrozen(std::string_view text) {
+TermCounts Analyzer::AnalyzeFrozen(std::string_view text) {
   return AnalyzeImpl(text, /*allow_grow=*/false);
 }
 
@@ -48,7 +48,7 @@ TermId Analyzer::TermOf(std::string_view token, bool allow_grow) {
   return id;
 }
 
-SparseVector Analyzer::AnalyzeImpl(std::string_view text, bool allow_grow) {
+TermCounts Analyzer::AnalyzeImpl(std::string_view text, bool allow_grow) {
   ids_.clear();
   tokenizer_.ForEachToken(text, &token_buffer_, [&](std::string_view token) {
     ++stats_.tokens;
@@ -56,20 +56,22 @@ SparseVector Analyzer::AnalyzeImpl(std::string_view text, bool allow_grow) {
     if (id != kInvalidTermId) ids_.push_back(id);
   });
   // Sort + coalesce: each run of equal ids is one term and its frequency.
+  // Ids come out strictly ascending; a run cannot reach 2³² tokens in any
+  // text shorter than 8 GB.
   std::sort(ids_.begin(), ids_.end());
   size_t distinct = 0;
   for (size_t i = 0; i < ids_.size(); ++i) {
     if (i == 0 || ids_[i] != ids_[i - 1]) ++distinct;
   }
-  std::vector<SparseVector::Entry> entries;
+  std::vector<TermCounts::Entry> entries;
   entries.reserve(distinct);
   for (size_t i = 0; i < ids_.size();) {
     size_t end = i + 1;
     while (end < ids_.size() && ids_[end] == ids_[i]) ++end;
-    entries.push_back({ids_[i], static_cast<double>(end - i)});
+    entries.push_back({ids_[i], static_cast<uint32_t>(end - i)});
     i = end;
   }
-  return SparseVector::FromEntries(std::move(entries));
+  return TermCounts::FromSortedEntries(std::move(entries));
 }
 
 }  // namespace nidc

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "nidc/text/porter_stemmer.h"
-#include "nidc/text/sparse_vector.h"
 #include "nidc/text/stopwords.h"
+#include "nidc/text/term_counts.h"
 #include "nidc/text/tokenizer.h"
 #include "nidc/text/vocabulary.h"
 
@@ -33,27 +33,27 @@ struct AnalyzerStats {
   uint64_t fast_path_tokens = 0;
 };
 
-/// Turns raw text into a term-frequency SparseVector against a shared,
-/// growable Vocabulary. Not thread-safe: the vocabulary and the analyzer's
-/// own scratch state mutate.
+/// Turns raw text into term counts against a shared, growable Vocabulary.
+/// Not thread-safe: the vocabulary and the analyzer's own scratch state
+/// mutate.
 class Analyzer {
  public:
   /// `vocabulary` must outlive the analyzer; it is grown as new terms appear.
   Analyzer(Vocabulary* vocabulary, AnalyzerOptions options = {});
 
-  /// Analyzes `text` into term frequencies f_ik (integral counts stored as
-  /// doubles). Unknown terms are interned.
-  SparseVector Analyze(std::string_view text);
+  /// Analyzes `text` into term frequencies f_ik. Unknown terms are
+  /// interned.
+  TermCounts Analyze(std::string_view text);
 
   /// Analyzes against a frozen vocabulary: unseen terms are skipped instead
   /// of interned (useful for query-style lookups in tests).
-  SparseVector AnalyzeFrozen(std::string_view text);
+  TermCounts AnalyzeFrozen(std::string_view text);
 
   const Vocabulary& vocabulary() const { return *vocabulary_; }
   const AnalyzerStats& stats() const { return stats_; }
 
  private:
-  SparseVector AnalyzeImpl(std::string_view text, bool allow_grow);
+  TermCounts AnalyzeImpl(std::string_view text, bool allow_grow);
   /// The term `token` analyzes to: its id, or kInvalidTermId when it is a
   /// stopword or (with `allow_grow` false) unknown.
   TermId TermOf(std::string_view token, bool allow_grow);

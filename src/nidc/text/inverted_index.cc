@@ -16,8 +16,8 @@ void InvertedIndex::Add(const Document& doc) {
   alive_.insert(doc.id);
   const uint32_t epoch = ++epoch_[doc.id];
   for (const auto& e : doc.terms.entries()) {
-    if (e.value == 0.0) continue;
-    postings_[e.id].entries.push_back({doc.id, e.value, epoch});
+    postings_[e.id].entries.push_back({doc.id, static_cast<double>(e.count),
+                                       epoch});
   }
 }
 
@@ -26,7 +26,6 @@ void InvertedIndex::Remove(const Document& doc) {
   alive_.erase(doc.id);
   // Tombstone accounting only; the entries stay until compaction.
   for (const auto& e : doc.terms.entries()) {
-    if (e.value == 0.0) continue;
     auto it = postings_.find(e.id);
     if (it == postings_.end()) continue;
     ++it->second.dead;
@@ -66,11 +65,10 @@ size_t InvertedIndex::DocumentFrequency(TermId term) const {
   return df;
 }
 
-std::vector<DocId> InvertedIndex::Candidates(const SparseVector& query,
+std::vector<DocId> InvertedIndex::Candidates(const TermCounts& query,
                                              DocId exclude) const {
   std::unordered_set<DocId> seen;
   for (const auto& e : query.entries()) {
-    if (e.value == 0.0) continue;
     auto it = postings_.find(e.id);
     if (it == postings_.end()) continue;
     MaybeCompact(&it->second);

@@ -50,7 +50,7 @@ class InvertedIndex {
   /// Distinct live documents sharing at least one term with `query`,
   /// excluding `exclude` (pass the query doc's own id; kInvalidDocId-like
   /// behaviour via any id not in the index is fine).
-  std::vector<DocId> Candidates(const SparseVector& query,
+  std::vector<DocId> Candidates(const TermCounts& query,
                                 DocId exclude) const;
 
   /// Document frequency (live) of a term.

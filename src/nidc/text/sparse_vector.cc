@@ -23,14 +23,6 @@ SparseVector SparseVector::FromEntries(std::vector<Entry> entries) {
   return v;
 }
 
-double SparseVector::ValueAt(TermId id) const {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), id,
-      [](const Entry& e, TermId target) { return e.id < target; });
-  if (it != entries_.end() && it->id == id) return it->value;
-  return 0.0;
-}
-
 namespace {
 
 // Uniform entry access for a SparseVector's entries, matching
@@ -147,12 +139,6 @@ double SparseVector::SquaredNorm() const {
 }
 
 double SparseVector::Norm() const { return std::sqrt(SquaredNorm()); }
-
-double SparseVector::Sum() const {
-  double sum = 0.0;
-  for (const Entry& e : entries_) sum += e.value;
-  return sum;
-}
 
 SparseVector SparseVector::Scaled(double factor) const {
   SparseVector out = *this;

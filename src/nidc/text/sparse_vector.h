@@ -1,6 +1,6 @@
-// Sparse vector type used for document term vectors and cluster
-// representatives. Entries are (term-id, value) pairs kept sorted by id so
-// dot products are a linear merge. SparseRowView reads a row stored in
+// Sparse vector type used for term weights and cluster representatives (a
+// document's raw counts are TermCounts). Entries are (term-id, value) pairs
+// kept sorted by id so dot products are a linear merge. SparseRowView reads a row stored in
 // someone else's arrays (the ψ rows of a SimilarityContext) through the
 // same merge.
 
@@ -10,7 +10,6 @@
 #include <cstddef>
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace nidc {
@@ -58,20 +57,9 @@ class SparseVector {
   /// is that of the argument.
   static SparseVector FromEntries(std::vector<Entry> entries);
 
-  /// Adopts entries that are already sorted by strictly increasing id
-  /// (not checked), skipping FromEntries' sort and coalesce.
-  static SparseVector FromSortedEntries(std::vector<Entry> entries) {
-    SparseVector v;
-    v.entries_ = std::move(entries);
-    return v;
-  }
-
   const std::vector<Entry>& entries() const { return entries_; }
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
-
-  /// Value at `id`, or 0 if absent. O(log n).
-  double ValueAt(TermId id) const;
 
   /// Sparse dot product via sorted merge. O(n + m), or O(s·log L) when one
   /// side is much shorter. Products accumulate in ascending id order.
@@ -83,9 +71,6 @@ class SparseVector {
 
   /// Euclidean norm.
   double Norm() const;
-
-  /// Sum of values.
-  double Sum() const;
 
   /// Returns a copy scaled by `factor`.
   SparseVector Scaled(double factor) const;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -19,7 +20,7 @@ namespace {
 TEST(AnalyzerTest, CountsTermFrequencies) {
   Vocabulary vocab;
   Analyzer analyzer(&vocab);
-  SparseVector v = analyzer.Analyze("bomb bomb explosion");
+  TermCounts v = analyzer.Analyze("bomb bomb explosion");
   EXPECT_EQ(v.size(), 2u);
   EXPECT_DOUBLE_EQ(v.ValueAt(vocab.Lookup("bomb")), 2.0);
   EXPECT_DOUBLE_EQ(v.ValueAt(vocab.Lookup("explos")), 1.0);  // stemmed
@@ -28,7 +29,7 @@ TEST(AnalyzerTest, CountsTermFrequencies) {
 TEST(AnalyzerTest, RemovesStopwords) {
   Vocabulary vocab;
   Analyzer analyzer(&vocab);
-  SparseVector v = analyzer.Analyze("the president and the senate");
+  TermCounts v = analyzer.Analyze("the president and the senate");
   EXPECT_EQ(vocab.Lookup("the"), kInvalidTermId);
   EXPECT_EQ(vocab.Lookup("and"), kInvalidTermId);
   EXPECT_EQ(v.Sum(), 2.0);  // president + senate (senat)
@@ -37,10 +38,10 @@ TEST(AnalyzerTest, RemovesStopwords) {
 TEST(AnalyzerTest, StemmingMergesInflections) {
   Vocabulary vocab;
   Analyzer analyzer(&vocab);
-  SparseVector v = analyzer.Analyze("elections election elected");
+  TermCounts v = analyzer.Analyze("elections election elected");
   // "elections"/"election" -> "elect"...; at minimum all three share a stem.
   EXPECT_EQ(v.size(), 1u);
-  EXPECT_DOUBLE_EQ(v.entries()[0].value, 3.0);
+  EXPECT_EQ(v.entries()[0].count, 3u);
 }
 
 TEST(AnalyzerTest, StemmingCanBeDisabled) {
@@ -48,7 +49,7 @@ TEST(AnalyzerTest, StemmingCanBeDisabled) {
   AnalyzerOptions opts;
   opts.use_stemming = false;
   Analyzer analyzer(&vocab, opts);
-  SparseVector v = analyzer.Analyze("elections election");
+  TermCounts v = analyzer.Analyze("elections election");
   EXPECT_EQ(v.size(), 2u);
 }
 
@@ -64,8 +65,8 @@ TEST(AnalyzerTest, StopwordsCanBeDisabled) {
 TEST(AnalyzerTest, SharedVocabularyAcrossDocuments) {
   Vocabulary vocab;
   Analyzer analyzer(&vocab);
-  SparseVector a = analyzer.Analyze("iraq weapons inspection");
-  SparseVector b = analyzer.Analyze("iraq sanctions");
+  TermCounts a = analyzer.Analyze("iraq weapons inspection");
+  TermCounts b = analyzer.Analyze("iraq sanctions");
   const TermId iraq = vocab.Lookup("iraq");
   ASSERT_NE(iraq, kInvalidTermId);
   EXPECT_DOUBLE_EQ(a.ValueAt(iraq), 1.0);
@@ -77,7 +78,7 @@ TEST(AnalyzerTest, FrozenAnalysisSkipsUnknownTerms) {
   Analyzer analyzer(&vocab);
   analyzer.Analyze("known word");
   const size_t before = vocab.size();
-  SparseVector v = analyzer.AnalyzeFrozen("known brandnewterm");
+  TermCounts v = analyzer.AnalyzeFrozen("known brandnewterm");
   EXPECT_EQ(vocab.size(), before);
   EXPECT_EQ(v.Sum(), 1.0);
 }
@@ -92,7 +93,7 @@ TEST(AnalyzerTest, EmptyTextYieldsEmptyVector) {
 TEST(AnalyzerTest, RealisticNewsLead) {
   Vocabulary vocab;
   Analyzer analyzer(&vocab);
-  SparseVector v = analyzer.Analyze(
+  TermCounts v = analyzer.Analyze(
       "BAGHDAD, Iraq (CNN) -- U.N. weapons inspectors left Iraq on Wednesday "
       "after Iraqi officials refused to allow inspections of presidential "
       "sites, officials said.");
@@ -126,8 +127,8 @@ class ReferenceAnalyzer {
         stopwords_(options.use_stopwords ? StopwordSet::Default()
                                          : StopwordSet::Empty()) {}
 
-  SparseVector Analyze(std::string_view text, bool allow_grow) {
-    std::map<TermId, double> counts;
+  TermCounts Analyze(std::string_view text, bool allow_grow) {
+    std::map<TermId, uint32_t> counts;
     for (const std::string& token : tokenizer_.Tokenize(text)) {
       if (options_.use_stopwords && stopwords_.Contains(token)) continue;
       const std::string term =
@@ -135,11 +136,11 @@ class ReferenceAnalyzer {
       if (term.empty()) continue;
       const TermId id = allow_grow ? vocabulary_->GetOrAdd(term)
                                    : vocabulary_->Lookup(term);
-      if (id != kInvalidTermId) counts[id] += 1.0;
+      if (id != kInvalidTermId) ++counts[id];
     }
-    std::vector<SparseVector::Entry> entries;
+    std::vector<TermCounts::Entry> entries;
     for (const auto& [id, count] : counts) entries.push_back({id, count});
-    return SparseVector::FromEntries(std::move(entries));
+    return TermCounts::FromSortedEntries(std::move(entries));
   }
 
  private:
@@ -162,7 +163,7 @@ void ExpectMatchesReference(const std::vector<std::string>& texts,
   for (int pass = 0; pass < 3; ++pass) {
     const bool grow = pass < 2;
     for (size_t i = 0; i < texts.size(); ++i) {
-      const SparseVector got =
+      const TermCounts got =
           grow ? analyzer.Analyze(texts[i]) : analyzer.AnalyzeFrozen(texts[i]);
       ASSERT_EQ(got, reference.Analyze(texts[i], grow))
           << "pass " << pass << ", text " << i << ": " << texts[i];

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "nidc/util/random.h"
+#include "sparse_value.h"
 
 namespace nidc {
 namespace {
@@ -143,7 +144,7 @@ TEST(ClusterTest, RepresentativeIsSumOfPsi) {
     expected.AddScaled(f.ctx().Psi(d), 1.0);
   }
   for (const auto& e : expected.entries()) {
-    EXPECT_NEAR(c.representative().ValueAt(e.id), e.value, 1e-12);
+    EXPECT_NEAR(ValueAt(c.representative(), e.id), e.value, 1e-12);
   }
 }
 

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -180,6 +183,128 @@ TEST(CorpusIndexRecordTest, EveryTruncationAndForeignPayloadIsRejected) {
   EXPECT_FALSE(DecodeCorpusIndexRecord("step 0x1p+0 0").ok());
 }
 
+// The record layout written out field by field from its description in
+// corpus_io.cc, independent of EncodeCorpusIndexRecord. The first entry
+// of the first document gets the frequency `first_count` instead of its
+// own, which lets a test write counts TermCounts cannot hold.
+void PutVarintByHand(std::string* out, uint64_t v) {
+  for (; v >= 0x80; v >>= 7) out->push_back(static_cast<char>(v | 0x80));
+  out->push_back(static_cast<char>(v));
+}
+
+void PutFixedByHand(std::string* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out->push_back(static_cast<char>(v >> 8 * i));
+}
+
+std::string EncodeByHand(const CorpusIndexRecord& record,
+                         uint64_t first_count) {
+  std::string out = "CIX1";
+  PutVarintByHand(&out, record.begin);
+  PutVarintByHand(&out, record.end);
+  PutFixedByHand(&out, record.crc, 4);
+  PutVarintByHand(&out, record.first_term);
+  PutVarintByHand(&out, record.terms.size());
+  for (const std::string& term : record.terms) {
+    PutVarintByHand(&out, term.size());
+    out += term;
+  }
+  PutVarintByHand(&out, record.first_doc);
+  PutVarintByHand(&out, record.docs.size());
+  bool first = true;
+  for (const Document& doc : record.docs) {
+    uint64_t time_bits = 0;
+    std::memcpy(&time_bits, &doc.time, sizeof(time_bits));
+    PutFixedByHand(&out, time_bits, 8);
+    const int64_t topic = doc.topic;
+    PutVarintByHand(&out, static_cast<uint64_t>(topic < 0 ? -2 * topic - 1
+                                                          : 2 * topic));
+    PutVarintByHand(&out, doc.source.size());
+    out += doc.source;
+    PutVarintByHand(&out, doc.terms.size());
+    TermId previous = 0;
+    for (const TermCounts::Entry& entry : doc.terms.entries()) {
+      PutVarintByHand(&out, entry.id - previous);
+      PutVarintByHand(&out, first ? first_count : entry.count);
+      first = false;
+      previous = entry.id;
+    }
+  }
+  return out;
+}
+
+// One document at day 1.5 holding term 0 ("zebra") `count` times.
+std::string OneTermRecord(uint64_t count) {
+  CorpusIndexRecord record;
+  record.end = 6;
+  record.terms = {"zebra"};
+  record.docs.resize(1);
+  record.docs[0].time = 1.5;
+  record.docs[0].terms = TermCounts::FromSortedEntries({{0, 1}});
+  return EncodeByHand(record, count);
+}
+
+TEST(CorpusIndexRecordTest, HandEncodingMatchesTheEncoder) {
+  const Corpus source = AnalyzedCorpus();
+  const std::string payload = EncodeCorpusIndexRecord(
+      source, {3, 99, 0xFEEDu, 0,
+               static_cast<TermId>(source.vocabulary().size()), 0, 3});
+  Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(payload);
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  EXPECT_EQ(EncodeByHand(*record, record->docs[0].terms.entries()[0].count),
+            payload);
+}
+
+TEST(CorpusIndexRecordTest, CountsAboveThirtyTwoBitsAreDamaged) {
+  const uint64_t max = std::numeric_limits<uint32_t>::max();
+  for (uint64_t count : {max + 1, uint64_t{1} << 40,
+                         std::numeric_limits<uint64_t>::max()}) {
+    const Result<CorpusIndexRecord> record =
+        DecodeCorpusIndexRecord(OneTermRecord(count));
+    ASSERT_FALSE(record.ok()) << count;
+    EXPECT_NE(record.status().ToString().find("bad term vector"),
+              std::string::npos)
+        << record.status().ToString();
+  }
+  EXPECT_FALSE(DecodeCorpusIndexRecord(OneTermRecord(0)).ok());
+}
+
+TEST(CorpusIndexRecordTest, WrappingIdDeltaIsDamaged) {
+  // Ids 5 and 6; the payload ends with the second entry, delta 1, count 1.
+  Corpus corpus;
+  Document doc;
+  doc.terms = TermCounts::FromSortedEntries({{5, 1}, {6, 1}});
+  corpus.Add(std::move(doc));
+  std::string payload =
+      EncodeCorpusIndexRecord(corpus, {0, 1, 0, 0, 0, 0, 1});
+  ASSERT_EQ(payload.substr(payload.size() - 2), std::string("\x01\x01"));
+  ASSERT_TRUE(DecodeCorpusIndexRecord(payload).ok());
+  // A delta of 2⁶⁴−2 wraps 5 around to 3: a descending id.
+  payload.resize(payload.size() - 2);
+  PutVarintByHand(&payload, std::numeric_limits<uint64_t>::max() - 1);
+  PutVarintByHand(&payload, 1);
+  const Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(payload);
+  ASSERT_FALSE(record.ok());
+  EXPECT_NE(record.status().ToString().find("bad term vector"),
+            std::string::npos);
+}
+
+TEST(CorpusIndexRecordTest, LargestThirtyTwoBitCountInstalls) {
+  const uint32_t max = std::numeric_limits<uint32_t>::max();
+  Result<CorpusIndexRecord> record =
+      DecodeCorpusIndexRecord(OneTermRecord(max));
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  Corpus corpus;
+  ASSERT_TRUE(corpus
+                  .Install(record->first_term, record->terms,
+                           record->first_doc, std::move(record->docs))
+                  .ok());
+  ASSERT_EQ(corpus.size(), 1u);
+  EXPECT_EQ(corpus.doc(0).terms,
+            TermCounts::FromSortedEntries({{0, max}}));
+  EXPECT_EQ(corpus.doc(0).Length(), 4294967295.0);
+  EXPECT_EQ(corpus.vocabulary().Lookup("zebra"), 0u);
+}
+
 TEST(CorpusIndexRecordTest, MismatchedInstallLeavesTheCorpusUnchanged) {
   const Corpus source = AnalyzedCorpus();
   Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(
@@ -204,7 +329,7 @@ TEST(CorpusIndexRecordTest, MismatchedInstallLeavesTheCorpusUnchanged) {
   EXPECT_FALSE(corpus.Install(1, twice, 1, {}).ok());
   // A document naming a term past the vocabulary.
   std::vector<Document> unknown(1);
-  unknown[0].terms = SparseVector::FromEntries({{5, 1.0}});
+  unknown[0].terms = TermCounts::FromSortedEntries({{5, 1}});
   EXPECT_FALSE(corpus.Install(1, {"zebra"}, 1, unknown).ok());
 
   EXPECT_EQ(corpus.vocabulary().size(), vocabulary);
@@ -370,6 +495,25 @@ TEST_F(CorpusIndexTenantTest, ForeignIndexIsIgnored) {
   const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "foreign");
   EXPECT_EQ(recovery.installed_docs, 0u);
   EXPECT_EQ(recovery.analyzed_docs, TotalDocs());
+  ExpectSecondReopenInstallsEverything(again);
+}
+
+TEST_F(CorpusIndexTenantTest, OversizedCountEndsTheInstalledPrefix) {
+  // Record 3 re-encoded with a first count of 2³², framed with a valid
+  // checksum: only the decoder's count bound can reject it.
+  const std::string dir = CopyDir(base_, "oversized");
+  Result<WalReadResult> log = ReadWal(Env::Default(), dir + "/corpus.idx");
+  ASSERT_TRUE(log.ok());
+  Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(log->records[3]);
+  ASSERT_TRUE(record.ok());
+  log->records[3] =
+      EncodeByHand(*record, uint64_t{std::numeric_limits<uint32_t>::max()} + 1);
+  ASSERT_TRUE(RewriteWal(Env::Default(), dir + "/corpus.idx", log->records)
+                  .ok());
+  const std::string again = CopyDir(dir, "oversized_again");
+  const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "oversized");
+  EXPECT_EQ(recovery.installed_docs, DocsInBatches(3));
+  EXPECT_EQ(recovery.analyzed_docs, TotalDocs() - DocsInBatches(3));
   ExpectSecondReopenInstallsEverything(again);
 }
 

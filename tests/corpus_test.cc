@@ -129,7 +129,7 @@ TEST(CorpusTest, AddAndInstallAfterReleaseGetTheNextId) {
   Document doc;
   doc.time = 6.0;
   const auto term = static_cast<TermId>(c.vocabulary().size());
-  doc.terms = SparseVector::FromEntries({{term, 2.0}});
+  doc.terms = TermCounts::FromSortedEntries({{term, 2}});
   // The record must start at the next id, not at the retained count.
   EXPECT_FALSE(c.Install(term, {"installed"}, 2, {doc}).ok());
   ASSERT_TRUE(c.Install(term, {"installed"}, 6, {doc}).ok());
@@ -139,6 +139,28 @@ TEST(CorpusTest, AddAndInstallAfterReleaseGetTheNextId) {
             2.0);
   EXPECT_EQ(c.first_retained(), 4u);
   EXPECT_EQ(c.docs().size(), 3u);
+}
+
+TEST(CorpusTest, RetainedTermEntriesFollowAddInstallAndRelease) {
+  Corpus c = FiveDays();  // two terms per document
+  EXPECT_EQ(c.retained_term_entries(), 10u);
+  c.ReleaseBefore(2);
+  EXPECT_EQ(c.retained_term_entries(), 6u);
+  c.AddText("apple banana cherry", 5.0);
+  EXPECT_EQ(c.retained_term_entries(), 9u);
+
+  Document doc;
+  doc.time = 6.0;
+  const auto term = static_cast<TermId>(c.vocabulary().size());
+  doc.terms = TermCounts::FromSortedEntries({{0, 1}, {term, 4}});
+  // A rejected install leaves the total as it was.
+  EXPECT_FALSE(c.Install(term, {}, 6, {doc}).ok());
+  EXPECT_EQ(c.retained_term_entries(), 9u);
+  ASSERT_TRUE(c.Install(term, {"installed"}, 6, {doc}).ok());
+  EXPECT_EQ(c.retained_term_entries(), 11u);
+
+  c.ReleaseBefore(100);
+  EXPECT_EQ(c.retained_term_entries(), 0u);
 }
 
 TEST(CorpusTest, ReleasePastSizeIsClamped) {

@@ -199,7 +199,7 @@ TEST_F(IncrementalClustererTest, RepresentativeReseedModeRuns) {
   corpus_.AddText("nagano medal skating final", 2.0, 2);
   corpus_.AddText("senate tobacco settlement vote", 31.0, 3);
   IncrementalClusterer original(&corpus_, Params(7.0, 60.0), opts);
-  ASSERT_TRUE(original.Step({0, 2}, 0.5).ok());
+  ASSERT_TRUE(original.Step({0, 2}, 1.0).ok());
   ASSERT_TRUE(original.Step({1, 3}, 1.5).ok());
   Result<ClustererState> snapshot =
       ParseState(SerializeState(CaptureState(original)));
@@ -221,6 +221,24 @@ TEST_F(IncrementalClustererTest, RepresentativeReseedModeRuns) {
   }
   EXPECT_EQ(SerializeState(CaptureState(**restored)),
             SerializeState(CaptureState(original)));
+}
+
+TEST_F(IncrementalClustererTest, StepRejectsADocumentFromAfterTheStepTime) {
+  IncrementalClusterer ic(&corpus_, Params(), Options());
+  ASSERT_TRUE(ic.Step({0, 1}, 0.0).ok());
+  const std::vector<DocId> active_before = ic.model().active_docs();
+
+  // Document 2 is acquired at day 1.0: a step at 0.5 must not take it.
+  const auto early = ic.Step({2, 3}, 0.5);
+  EXPECT_EQ(early.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ic.model().now(), 0.0);
+  EXPECT_EQ(ic.model().active_docs(), active_before);
+  EXPECT_FALSE(ic.model().IsActive(2));
+
+  const auto valid = ic.Step({2, 3}, 1.0);
+  ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+  EXPECT_EQ(valid->num_active, 4u);
+  EXPECT_EQ(ic.model().now(), 1.0);
 }
 
 TEST_F(IncrementalClustererTest, LoggedClusteringIsInstalledOnlyWhenItFits) {

@@ -1,6 +1,8 @@
 #include "nidc/text/inverted_index.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -10,11 +12,15 @@
 namespace nidc {
 namespace {
 
-Document MakeDoc(DocId id, std::vector<SparseVector::Entry> entries) {
+Document MakeDoc(DocId id, std::vector<TermCounts::Entry> entries) {
   Document doc;
   doc.id = id;
-  doc.terms = SparseVector::FromEntries(std::move(entries));
+  doc.terms = TermCounts::FromSortedEntries(std::move(entries));
   return doc;
+}
+
+TermCounts Query(std::vector<TermCounts::Entry> entries) {
+  return TermCounts::FromSortedEntries(std::move(entries));
 }
 
 TEST(InvertedIndexTest, EmptyIndex) {
@@ -27,8 +33,8 @@ TEST(InvertedIndexTest, EmptyIndex) {
 
 TEST(InvertedIndexTest, AddBuildsPostings) {
   InvertedIndex index;
-  index.Add(MakeDoc(0, {{1, 2.0}, {3, 1.0}}));
-  index.Add(MakeDoc(1, {{3, 4.0}}));
+  index.Add(MakeDoc(0, {{1, 2}, {3, 1}}));
+  index.Add(MakeDoc(1, {{3, 4}}));
   EXPECT_EQ(index.num_docs(), 2u);
   EXPECT_EQ(index.num_terms(), 2u);
   const auto postings = index.Postings(3);
@@ -39,18 +45,10 @@ TEST(InvertedIndexTest, AddBuildsPostings) {
   EXPECT_EQ(index.DocumentFrequency(3), 2u);
 }
 
-TEST(InvertedIndexTest, ZeroEntriesSkipped) {
-  InvertedIndex index;
-  Document doc = MakeDoc(0, {{1, 1.0}});
-  doc.terms.AddScaled(SparseVector::FromEntries({{2, 0.0}}), 1.0);
-  index.Add(doc);
-  EXPECT_TRUE(index.Postings(2).empty());
-}
-
 TEST(InvertedIndexTest, RemoveHidesDocument) {
   InvertedIndex index;
-  const Document a = MakeDoc(0, {{1, 1.0}, {2, 1.0}});
-  const Document b = MakeDoc(1, {{2, 1.0}});
+  const Document a = MakeDoc(0, {{1, 1}, {2, 1}});
+  const Document b = MakeDoc(1, {{2, 1}});
   index.Add(a);
   index.Add(b);
   index.Remove(a);
@@ -64,7 +62,7 @@ TEST(InvertedIndexTest, RemoveHidesDocument) {
 
 TEST(InvertedIndexTest, ReAddAfterRemove) {
   InvertedIndex index;
-  const Document a = MakeDoc(0, {{1, 1.0}});
+  const Document a = MakeDoc(0, {{1, 1}});
   index.Add(a);
   index.Remove(a);
   index.Add(a);
@@ -74,10 +72,10 @@ TEST(InvertedIndexTest, ReAddAfterRemove) {
 
 TEST(InvertedIndexTest, CandidatesShareATerm) {
   InvertedIndex index;
-  index.Add(MakeDoc(0, {{1, 1.0}, {2, 1.0}}));
-  index.Add(MakeDoc(1, {{2, 1.0}, {3, 1.0}}));
-  index.Add(MakeDoc(2, {{9, 1.0}}));
-  const SparseVector query = SparseVector::FromEntries({{2, 1.0}, {5, 1.0}});
+  index.Add(MakeDoc(0, {{1, 1}, {2, 1}}));
+  index.Add(MakeDoc(1, {{2, 1}, {3, 1}}));
+  index.Add(MakeDoc(2, {{9, 1}}));
+  const TermCounts query = Query({{2, 1}, {5, 1}});
   auto candidates = index.Candidates(query, /*exclude=*/99);
   std::sort(candidates.begin(), candidates.end());
   EXPECT_EQ(candidates, (std::vector<DocId>{0, 1}));
@@ -85,28 +83,28 @@ TEST(InvertedIndexTest, CandidatesShareATerm) {
 
 TEST(InvertedIndexTest, CandidatesExcludeSelf) {
   InvertedIndex index;
-  index.Add(MakeDoc(0, {{1, 1.0}}));
-  index.Add(MakeDoc(1, {{1, 1.0}}));
+  index.Add(MakeDoc(0, {{1, 1}}));
+  index.Add(MakeDoc(1, {{1, 1}}));
   auto candidates = index.Candidates(
-      SparseVector::FromEntries({{1, 1.0}}), /*exclude=*/0);
+      Query({{1, 1}}), /*exclude=*/0);
   EXPECT_EQ(candidates, (std::vector<DocId>{1}));
 }
 
 TEST(InvertedIndexTest, CandidatesDedupAcrossTerms) {
   InvertedIndex index;
-  index.Add(MakeDoc(0, {{1, 1.0}, {2, 1.0}, {3, 1.0}}));
+  index.Add(MakeDoc(0, {{1, 1}, {2, 1}, {3, 1}}));
   auto candidates = index.Candidates(
-      SparseVector::FromEntries({{1, 1.0}, {2, 1.0}, {3, 1.0}}), 99);
+      Query({{1, 1}, {2, 1}, {3, 1}}), 99);
   EXPECT_EQ(candidates.size(), 1u);
 }
 
 TEST(InvertedIndexTest, ClearResets) {
   InvertedIndex index;
-  index.Add(MakeDoc(0, {{1, 1.0}}));
+  index.Add(MakeDoc(0, {{1, 1}}));
   index.Clear();
   EXPECT_EQ(index.num_docs(), 0u);
   EXPECT_TRUE(index.Postings(1).empty());
-  index.Add(MakeDoc(0, {{1, 1.0}}));  // id reusable after Clear
+  index.Add(MakeDoc(0, {{1, 1}}));  // id reusable after Clear
   EXPECT_EQ(index.num_docs(), 1u);
 }
 
@@ -117,11 +115,13 @@ TEST(InvertedIndexTest, HeavyChurnStaysConsistent) {
   InvertedIndex index;
   std::vector<Document> docs;
   for (DocId id = 0; id < 60; ++id) {
-    std::vector<SparseVector::Entry> entries;
+    std::map<TermId, uint32_t> counts;
     const size_t n = 1 + rng.NextBounded(6);
     for (size_t t = 0; t < n; ++t) {
-      entries.push_back({static_cast<TermId>(rng.NextBounded(20)), 1.0});
+      ++counts[static_cast<TermId>(rng.NextBounded(20))];
     }
+    std::vector<TermCounts::Entry> entries;
+    for (const auto& [term, count] : counts) entries.push_back({term, count});
     docs.push_back(MakeDoc(id, std::move(entries)));
   }
   std::set<DocId> alive;
@@ -154,7 +154,12 @@ TEST(InvertedIndexTest, HeavyChurnStaysConsistent) {
     std::set<DocId> expected;
     for (DocId id : alive) {
       if (id == probe) continue;
-      if (docs[id].terms.Dot(docs[probe].terms) > 0.0) expected.insert(id);
+      const auto& entries = docs[id].terms.entries();
+      if (std::any_of(entries.begin(), entries.end(), [&](const auto& e) {
+            return docs[probe].terms.ValueAt(e.id) > 0.0;
+          })) {
+        expected.insert(id);
+      }
     }
     std::set<DocId> got(candidates.begin(), candidates.end());
     EXPECT_EQ(got, expected) << "probe " << probe;

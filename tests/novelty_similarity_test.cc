@@ -58,7 +58,8 @@ TEST_F(NoveltySimilarityTest, Eq11PreTfidfFormAgrees) {
         if (fb == 0.0) continue;
         const double pr_t = model_->PrTerm(e.id);
         ASSERT_GT(pr_t, 0.0);
-        weighted_overlap += e.value * fb / pr_t;
+        const double fa = e.count;
+        weighted_overlap += fa * fb / pr_t;
       }
       const double eq11 = model_->PrDoc(a) * model_->PrDoc(b) /
                           (da.Length() * db.Length()) * weighted_overlap;
@@ -210,7 +211,7 @@ SparseVector ReferencePsi(const ForgettingModel& model, DocId id) {
     for (const auto& e : doc.terms.entries()) {
       const double idf = model.Idf(e.id);
       if (idf <= 0.0) continue;
-      entries.push_back({e.id, unit * e.value * idf});
+      entries.push_back({e.id, unit * e.count * idf});
     }
   }
   return SparseVector::FromEntries(std::move(entries));

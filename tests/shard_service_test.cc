@@ -297,6 +297,69 @@ TEST_F(ShardServiceTest, RetainedDocsGaugeSumsTheOpenTenants) {
   service->Stop();
 }
 
+TEST_F(ShardServiceTest, RetainedTermEntriesGaugeCountsTheHeldTermVectors) {
+  auto service = StartService(Root("entries"), 2);
+  obs::Gauge* entries =
+      service->metrics()->GetGauge("shard.corpus.retained_term_entries");
+  bool registered = false;
+  for (const obs::MetricSample& sample : service->metrics()->Snapshot()) {
+    registered |= sample.name == "shard.corpus.retained_term_entries";
+  }
+  EXPECT_TRUE(registered);
+  EXPECT_EQ(entries->Value(), 0.0);
+
+  TenantConfig config = SmallConfig();
+  config.params.half_life_days = 2.0;
+  config.params.life_span_days = 4.0;
+  const auto held = [&](const std::string& name) {
+    return service->GetTenant(name)
+        ->metrics()
+        .GetGauge("shard.tenant.corpus_retained_term_entries")
+        ->Value();
+  };
+  // Σ terms.size() over the tenant's retained documents, by a scan.
+  const auto scanned = [&](const std::string& name) {
+    size_t total = 0;
+    for (const Document& doc : service->GetTenant(name)->corpus().docs()) {
+      total += doc.terms.size();
+    }
+    return static_cast<double>(total);
+  };
+  const auto feed = MakeFeed("entries", 12, 5);
+  const auto batches = InBatches(feed, 5);
+  ASSERT_TRUE(service->CreateTenant("alpha", config).ok());
+  ASSERT_TRUE(service->CreateTenant("bravo", config).ok());
+  ASSERT_TRUE(service->EnqueueIngest("bravo", batches[0]).ok());
+
+  // Before any release: alpha holds every document it was sent.
+  ASSERT_TRUE(service->EnqueueIngest("alpha", batches[0]).ok());
+  ASSERT_TRUE(service->EnqueueIngest("alpha", batches[1]).ok());
+  service->Drain();
+  const Corpus& alpha = service->GetTenant("alpha")->corpus();
+  EXPECT_EQ(alpha.first_retained(), 0u);
+  EXPECT_GT(held("alpha"), 0.0);
+  EXPECT_EQ(held("alpha"), scanned("alpha"));
+  EXPECT_EQ(entries->Value(), held("alpha") + held("bravo"));
+
+  // After the 4-day life span has released most of alpha's feed.
+  const double early = held("alpha");
+  for (size_t b = 2; b < batches.size(); ++b) {
+    ASSERT_TRUE(service->EnqueueIngest("alpha", batches[b]).ok());
+  }
+  ASSERT_TRUE(service->Flush("alpha", 12.0).ok());
+  service->Drain();
+  EXPECT_GT(alpha.first_retained(), 0u);
+  EXPECT_EQ(held("alpha"), scanned("alpha"));
+  EXPECT_LT(held("alpha"), early * batches.size() / 2);
+  EXPECT_EQ(held("bravo"), scanned("bravo"));
+  EXPECT_EQ(entries->Value(), held("alpha") + held("bravo"));
+
+  // An evicted tenant holds nothing.
+  ASSERT_TRUE(service->EvictTenant("alpha").ok());
+  EXPECT_EQ(entries->Value(), held("bravo"));
+  service->Stop();
+}
+
 TEST_F(ShardServiceTest, RestartRecoversEveryTenantOntoItsShard) {
   const std::string root = Root("restart");
   const std::vector<std::string> names = {"alpha", "bravo", "charlie"};

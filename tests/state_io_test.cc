@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sparse_value.h"
+
 namespace nidc {
 namespace {
 
@@ -126,7 +128,7 @@ TEST_F(StateIoTest, RestoreRecomputesRepresentatives) {
     const auto& a = orig_result.representatives[p];
     const auto& b = rest_result.representatives[p];
     for (const auto& e : a.entries()) {
-      EXPECT_NEAR(b.ValueAt(e.id), e.value, 1e-12);
+      EXPECT_NEAR(ValueAt(b, e.id), e.value, 1e-12);
     }
   }
 }

@@ -177,6 +177,12 @@ constexpr const char* kRecoveryKeys[] = {
     "shard.recovery.corpus_analyzed_docs",
 };
 
+// The retained-corpus size ShardService::Init registers eagerly. Required
+// like kRecoveryKeys.
+constexpr const char* kCorpusMemoryKeys[] = {
+    "shard.corpus.retained_term_entries",
+};
+
 // The leader-side WalShipper registers these eagerly, so any stream run
 // with replication attached must export the whole family from step 0.
 constexpr const char* kReplKeys[] = {
@@ -222,6 +228,12 @@ void CheckRecord(const obs::JsonValue& record, bool require_trace,
       for (const char* key : kRecoveryKeys) {
         if (metrics->Find(key) == nullptr) {
           problems->push_back(std::string("missing recovery metric '") +
+                              key + "'");
+        }
+      }
+      for (const char* key : kCorpusMemoryKeys) {
+        if (metrics->Find(key) == nullptr) {
+          problems->push_back(std::string("missing corpus memory metric '") +
                               key + "'");
         }
       }
@@ -305,6 +317,12 @@ int CheckShardSnapshot(const char* path) {
       if (parsed->Find(key) == nullptr) {
         problems.push_back(std::string("missing recovery metric '") + key +
                            "'");
+      }
+    }
+    for (const char* key : kCorpusMemoryKeys) {
+      if (parsed->Find(key) == nullptr) {
+        problems.push_back(std::string("missing corpus memory metric '") +
+                           key + "'");
       }
     }
     for (const auto& [name, value] : parsed->object) {
