@@ -1,20 +1,17 @@
-// Raw scoring-kernel microbenchmark: times ScoreFn / ScoreQuantizedFn of
-// every compiled-in kernel on synthetic posting arenas, free of sweep
+// Raw scoring-kernel microbenchmark: times the exact ScoreFn of every
+// compiled-in kernel on synthetic posting arenas, free of sweep
 // machinery (no gains, no maintenance, no clustering) — the number this
 // isolates is the document-at-a-time posting-scan itself.
 //
 // GB/s methodology (shared with bench_sweep_hotpath and the
-// kmeans.score_gbps gauge): bytes = entries · entry_bytes + row_terms ·
-// 12, where entry_bytes is 12 for the exact scan (4-byte cluster id +
-// 8-byte fp64 weight) and 6 for the quantized scan (4 + 2-byte fp16), and
-// each row term costs a 4-byte local id plus an 8-byte value. Achieved
+// kmeans.score_gbps gauge): bytes = entries · 12 + row_terms · 12, where
+// each posting entry is a 4-byte cluster id plus an 8-byte fp64 weight,
+// and each row term costs a 4-byte local id plus an 8-byte value. Achieved
 // GB/s = bytes / seconds; the scan is sequential within a term's posting
 // block, so this approximates streamed memory traffic.
 //
 // Env knobs:
-//   NIDC_KBENCH_K        clusters (default 16 — exercises the AVX-512
-//                        register-resident path; set > 16 for the
-//                        gather/scatter path)
+//   NIDC_KBENCH_K        clusters (default 16)
 //   NIDC_KBENCH_TERMS    vocabulary size (default 4096)
 //   NIDC_KBENCH_ROW      terms per document row (default 64)
 //   NIDC_KBENCH_DOCS     documents per repetition (default 2048)
@@ -49,22 +46,21 @@ std::string Fmt(double value, int precision) {
 }
 
 /// Synthetic CSR arena with the posting shape of a real sweep: every term
-/// holds a sorted run of distinct cluster ids with fp64 weights and the
-/// fp16 shadow, padded per kernels::kPostingPadding. Posting lengths cycle
+/// holds a sorted run of distinct cluster ids with fp64 weights, padded
+/// per kernels::kPostingPadding. Posting lengths cycle
 /// 1..K so vector remainder lanes are exercised on every scan.
 struct Arena {
   std::vector<size_t> offsets;
   std::vector<uint32_t> clusters;
   std::vector<double> weights;
-  std::vector<uint16_t> qweights;
   std::vector<uint32_t> row_terms;
   std::vector<double> row_values;
   std::vector<size_t> row_offsets;
   size_t k = 0;
 
   kernels::PostingsView View() const {
-    return {offsets.data(), clusters.data(),  weights.data(),
-            qweights.data(), offsets.size() - 1, k};
+    return {offsets.data(), clusters.data(), weights.data(),
+            offsets.size() - 1, k};
   }
   kernels::DocRow Row(size_t d) const {
     const size_t begin = row_offsets[d];
@@ -96,10 +92,6 @@ Arena BuildArena(size_t k, size_t terms, size_t row, size_t docs) {
   const size_t n = a.clusters.size();
   a.clusters.resize(n + kernels::kPostingPadding, 0);
   a.weights.resize(n + kernels::kPostingPadding, 0.0);
-  a.qweights.resize(n + kernels::kPostingPadding, 0);
-  for (size_t e = 0; e < n; ++e) {
-    a.qweights[e] = kernels::HalfFromDouble(a.weights[e]);
-  }
   a.row_offsets.push_back(0);
   for (size_t d = 0; d < docs; ++d) {
     std::vector<uint32_t> ts;
@@ -150,16 +142,14 @@ int Main() {
               k, terms, row, docs, reps);
 
   std::vector<double> scores(k);
-  std::vector<float> scores_f32(k);
-  std::vector<float> abs_f32(k);
 
-  TablePrinter table({"kernel", "variant", "ns/doc", "GB/s", "checksum"});
+  TablePrinter table({"kernel", "ns/doc", "GB/s", "checksum"});
   const kernels::Kind kinds[] = {kernels::Kind::kScalar,
                                  kernels::Kind::kAvx2,
                                  kernels::Kind::kAvx512};
   for (kernels::Kind kind : kinds) {
     if (!kernels::Available(kind)) {
-      table.AddRow({kernels::KindName(kind), "-", "-", "-", "unavailable"});
+      table.AddRow({kernels::KindName(kind), "-", "-", "unavailable"});
       continue;
     }
     kernels::Select(kind);
@@ -182,32 +172,10 @@ int Main() {
     const double exact_bytes =
         static_cast<double>(entries) * 12.0 +
         static_cast<double>(arena.row_terms.size()) * 12.0;
-    table.AddRow({kern.name, "exact",
+    table.AddRow({kern.name,
                   Fmt(exact.seconds / static_cast<double>(docs) * 1e9, 1),
                   Fmt(exact_bytes / exact.seconds / 1e9, 2),
                   Fmt(exact.checksum, 6)});
-
-    const Measure quant = MinOfReps(reps, &entries, [&]() {
-      Measure m;
-      for (size_t d = 0; d < arena.num_docs(); ++d) {
-        const kernels::DocRow r = arena.Row(d);
-        double attached = 0.0;
-        double detached = 0.0;
-        m.entries +=
-            kern.score_quantized(view, r, static_cast<uint32_t>(d % k),
-                                 scores_f32.data(), abs_f32.data(),
-                                 &attached, &detached);
-        m.checksum += static_cast<double>(scores_f32[d % k]) + attached;
-      }
-      return m;
-    });
-    const double quant_bytes =
-        static_cast<double>(entries) * 6.0 +
-        static_cast<double>(arena.row_terms.size()) * 12.0;
-    table.AddRow({kern.name, "quantized",
-                  Fmt(quant.seconds / static_cast<double>(docs) * 1e9, 1),
-                  Fmt(quant_bytes / quant.seconds / 1e9, 2),
-                  Fmt(quant.checksum, 6)});
   }
   table.Print(std::cout);
   return 0;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <limits>
 #include <string>
 
 #include "nidc/core/clustering_index.h"
@@ -84,10 +82,6 @@ struct SweepCounters {
   /// Documents that re-populated an empty cluster other than their own —
   /// the slot was handed to a new topic and minted a fresh stable id.
   size_t reseeds = 0;
-  /// Documents whose clustering decision the quantized pass certified.
-  size_t quantized_certified = 0;
-  /// Documents the quantized margins could not separate — re-scored exactly.
-  size_t quantized_fallbacks = 0;
 };
 
 // Per-slot provenance capture of a document's latest sweep decision,
@@ -102,27 +96,7 @@ struct ProvCapture {
   double best_gain = 0.0;
   double runner_up_gain = 0.0;
   obs::ProvenanceVerdict verdict = obs::ProvenanceVerdict::kOutlier;
-  obs::QuantizedOutcome quantized = obs::QuantizedOutcome::kOff;
   uint32_t iteration = 0;
-};
-
-// Per-slot constants of the quantized error bound, filled lazily and
-// reused across sweep iterations: a slot's row (term count, |v|max) is
-// immutable for the lifetime of a run, so its margin coefficients never
-// change. rel < 0 marks a row the bound cannot certify (over-long row or
-// non-finite values) — such documents skip the quantized scan entirely.
-struct QuantMargins {
-  std::vector<double> rel;
-  std::vector<double> abs_term;
-  std::vector<uint8_t> cached;
-
-  void EnsureSize(size_t n) {
-    if (cached.size() < n) {
-      rel.resize(n, 0.0);
-      abs_term.resize(n, 0.0);
-      cached.resize(n, 0);
-    }
-  }
 };
 
 // Emits the lifecycle events of one settled per-document decision: the
@@ -213,7 +187,6 @@ std::vector<DocId> SweepAssignMerge(const std::vector<DocId>& order,
       pc.best_gain = best_gain;
       pc.runner_up = runner_up;
       pc.runner_up_gain = runner_up_gain;
-      pc.quantized = obs::QuantizedOutcome::kOff;
     }
     if (best == kUnassigned) {
       // No assignment increases any cluster's quality. Before declaring the
@@ -274,30 +247,20 @@ std::vector<DocId> SweepAssignMerge(const std::vector<DocId>& order,
 std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
                                        const SimilarityContext& ctx,
                                        AssignmentCriterion criterion,
-                                       bool quantized, ClusterSet* clusters,
+                                       ClusterSet* clusters,
                                        SweepCounters* counters,
-                                       QuantMargins* margins,
                                        obs::EventLog* events,
                                        double* maintenance_seconds,
                                        std::vector<ProvCapture>* capture,
                                        uint32_t iteration) {
   std::vector<DocId> outliers;
-  if (quantized) margins->EnsureSize(ctx.size());
   std::vector<double> t_scores;
   std::vector<obs::Event> staged_events;
   SampledSeconds maint_sampler(maintenance_seconds);
-  std::vector<float> q_scores;
-  std::vector<float> q_abs;
-  std::vector<double> g_lo;
-  std::vector<double> g_hi;
   const FlatRepIndex& index = clusters->flat_index();
   const size_t k = clusters->num_clusters();
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-  // The exact per-cluster gain expressions of the reference loop below.
-  // Both are affine in the cross term t with a positive coefficient, each
-  // rounding step is monotone, and t appears exactly once — so evaluating
-  // them at t ± m brackets the value at any t' in [t − m, t + m].
+  // The exact per-cluster gain expressions of the merge sweep.
   const auto gain_of = [criterion](const Cluster& c, double t) {
     return criterion == AssignmentCriterion::kGIncrease ? c.GainInGGivenT(t)
                                                         : c.GainGivenT(t);
@@ -314,217 +277,56 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
     bool reseeded = false;
     const SimilarityContext::Slot slot = ctx.SlotOf(id);
 
+    // Score all clusters, deriving the home cluster's detached statistics
+    // (the same expressions and rounding steps as Cluster::Remove) without
+    // touching it.
     double t_attached = 0.0;
-    double t_home_detached = 0.0;  // scores[home] of the exact scan
     double n_detached = 0.0;
     double cr_detached = 0.0;
     double ss_detached = 0.0;
-    // Derives the detached home statistics from the exact attached cross
-    // term — the same expressions (and rounding steps) as Cluster::Remove.
-    const auto derive_home = [&]() {
+    if (previous == kUnassigned) {
+      index.ScoreAll(ctx, slot, &t_scores);
+    } else {
+      index.ScoreAllDetached(ctx, slot, static_cast<size_t>(previous),
+                             &t_scores, &t_attached);
       const Cluster& home = clusters->cluster(static_cast<size_t>(previous));
       const double self = ctx.SelfSimAt(slot);
       n_detached = static_cast<double>(home.size() - 1);
       cr_detached = home.cr_self() + (-2.0 * t_attached + self);
       ss_detached = home.ss() - self;
-    };
-
+    }
     int best = kUnassigned;
-    bool decided = false;
-
-    // Quantized fast path: one fp16/fp32 scan plus an error-margin
-    // certification. The home cluster's cross terms arrive through the
-    // kernel's exact fp64 side-channel, so its gain is exact; every other
-    // cluster gets a gain interval [g_lo, g_hi] from the quantized score
-    // ± a rigorous bound. A decision is taken only when the intervals
-    // prove what the exact path would choose; anything ambiguous falls
-    // through to the exact scan below, keeping decisions bit-identical.
-    if (quantized) {
-      // Margin of the quantized cross term T̃_p = scores_f32[p], with
-      // Ã_p = abs_f32[p] and R the document's term count:
-      //   |T̃_p − T_p| ≤ rel · Ã_p + abs_term, where
-      //   rel covers the fp16 shadow's relative error (2^-10 includes
-      //   its double rounding) plus the fp32 product/summation error
-      //   γ32(R + 4) = ((R+4)·2^-24) / (1 − (R+4)·2^-24), and
-      //   abs_term covers fp16 subnormal quantization (2^-25 · |v|) and
-      //   fp32 underflow per contribution. kSafety = 4 absorbs the
-      //   second-order cross terms. fp16 overflow makes Ã_p infinite,
-      //   which fails the finiteness checks and forces the exact path.
-      // The coefficients depend only on the (immutable) row, so they are
-      // computed once per slot and reused across iterations.
-      if (!margins->cached[slot]) {
-        const SimilarityContext::Row row = ctx.PsiAt(slot);
-        double vmax = 0.0;
-        for (size_t i = 0; i < row.size; ++i) {
-          vmax = std::max(vmax, std::fabs(row.values[i]));
-        }
-        const double r = static_cast<double>(row.size);
-        const double gamma_n = (r + 4.0) * 0x1p-24;
-        const bool usable = gamma_n < 0.5 && std::isfinite(vmax);
-        margins->rel[slot] =
-            usable ? 4.0 * (0x1p-10 + gamma_n / (1.0 - gamma_n)) : -1.0;
-        margins->abs_term[slot] = 4.0 * r * (0x1p-25 * vmax + 1e-40);
-        margins->cached[slot] = 1;
+    double best_gain = 0.0;
+    int runner_up = kUnassigned;
+    double runner_up_gain = 0.0;
+    for (size_t p = 0; p < k; ++p) {
+      double gain;
+      if (static_cast<int>(p) == previous) {
+        // A home cluster the detachment would empty is an empty cluster:
+        // its gain is 0, never "> 0" (merge sweep: Remove triggered Clear).
+        if (n_detached < 1.0) continue;
+        gain = gain_detached(t_scores[p], n_detached, cr_detached,
+                             ss_detached);
+      } else {
+        const Cluster& c = clusters->cluster(p);
+        if (c.empty()) continue;
+        gain = gain_of(c, t_scores[p]);
       }
-      const double rel = margins->rel[slot];
-      const double abs_term = margins->abs_term[slot];
-      double ha = 0.0;
-      double hd = 0.0;
-      if (rel >= 0.0 &&
-          index.ScoreAllQuantized(ctx, slot, previous, &q_scores, &q_abs,
-                                  &ha, &hd)) {
-        if (previous != kUnassigned) {
-          t_attached = ha;
-          t_home_detached = hd;
-          derive_home();
-        }
-        bool ok = true;
-        g_lo.assign(k, kNegInf);  // skipped clusters stay at [-inf, -inf]
-        g_hi.assign(k, kNegInf);
-        int cand = kUnassigned;
-        double cand_lo = 0.0;  // mirrors the exact loop's `gain > 0` bar
-        for (size_t p = 0; ok && p < k; ++p) {
-          double lo;
-          double hi;
-          if (static_cast<int>(p) == previous) {
-            // A home cluster the detachment would empty is an empty
-            // cluster: gain 0, never "> 0" — skip, as the exact loop does.
-            if (n_detached < 1.0) continue;
-            lo = hi = gain_detached(hd, n_detached, cr_detached,
-                                    ss_detached);
-            if (std::isnan(lo)) ok = false;
-          } else {
-            const Cluster& c = clusters->cluster(p);
-            if (c.empty()) continue;
-            const double t_mid = static_cast<double>(q_scores[p]);
-            const double m =
-                rel * static_cast<double>(q_abs[p]) + abs_term;
-            if (!std::isfinite(t_mid) || !std::isfinite(m)) {
-              ok = false;
-              break;
-            }
-            lo = gain_of(c, t_mid - m);
-            hi = gain_of(c, t_mid + m);
-            if (std::isnan(lo) || std::isnan(hi)) ok = false;
-          }
-          if (!ok) break;
-          g_lo[p] = lo;
-          g_hi[p] = hi;
-          if (lo > cand_lo) {
-            cand_lo = lo;
-            cand = static_cast<int>(p);
-          }
-        }
-        if (ok) {
-          if (cand == kUnassigned) {
-            // Certified outlier: every cluster's best case fails `> 0`.
-            bool all_below = true;
-            for (size_t p = 0; p < k; ++p) {
-              if (g_hi[p] > 0.0) {
-                all_below = false;
-                break;
-              }
-            }
-            if (all_below) decided = true;  // best stays kUnassigned
-          } else {
-            // Certified argmax: cand's worst case strictly beats every
-            // other cluster's best case, so the exact gains have a unique
-            // strict maximum at cand (> 0) — tie-breaking can't differ.
-            bool separated = true;
-            for (size_t p = 0; p < k; ++p) {
-              if (static_cast<int>(p) == cand) continue;
-              if (!(g_hi[p] < cand_lo)) {
-                separated = false;
-                break;
-              }
-            }
-            if (separated) {
-              best = cand;
-              decided = true;
-            }
-          }
-        }
-        if (decided) {
-          ++counters->quantized_certified;
-        } else {
-          ++counters->quantized_fallbacks;
-        }
-        if (capture != nullptr && decided) {
-          // Certified decisions have interval bounds, not exact gains:
-          // record the winner's certified lower bound against the best
-          // rival's certified upper bound (a conservative margin that is
-          // >= 0 by the separation proof), marked kCertified so
-          // consumers know these are bounds. Certified outliers record
-          // the bar itself (0/0) — no cluster's best case cleared it.
-          ProvCapture& pc = (*capture)[slot];
-          pc.quantized = obs::QuantizedOutcome::kCertified;
-          if (best == kUnassigned) {
-            pc.best_gain = 0.0;
-            pc.runner_up = kUnassigned;
-            pc.runner_up_gain = 0.0;
-          } else {
-            pc.best_gain = cand_lo;
-            int rival = kUnassigned;
-            double rival_hi = 0.0;
-            for (size_t p = 0; p < k; ++p) {
-              if (static_cast<int>(p) == best) continue;
-              if (g_hi[p] > rival_hi) {
-                rival_hi = g_hi[p];
-                rival = static_cast<int>(p);
-              }
-            }
-            pc.runner_up = rival;
-            pc.runner_up_gain = rival_hi;
-          }
-        }
+      if (gain > best_gain) {
+        runner_up_gain = best_gain;
+        runner_up = best;
+        best_gain = gain;
+        best = static_cast<int>(p);
+      } else if (gain > runner_up_gain) {
+        runner_up_gain = gain;
+        runner_up = static_cast<int>(p);
       }
     }
-
-    if (!decided) {
-      // Exact path: score all clusters, deriving the home cluster's
-      // detached statistics without touching it.
-      if (previous == kUnassigned) {
-        index.ScoreAll(ctx, slot, &t_scores);
-      } else {
-        index.ScoreAllDetached(ctx, slot, static_cast<size_t>(previous),
-                               &t_scores, &t_attached);
-        t_home_detached = t_scores[static_cast<size_t>(previous)];
-        derive_home();
-      }
-      double best_gain = 0.0;
-      int runner_up = kUnassigned;
-      double runner_up_gain = 0.0;
-      for (size_t p = 0; p < k; ++p) {
-        double gain;
-        if (static_cast<int>(p) == previous) {
-          // A home cluster the detachment would empty is an empty cluster:
-          // its gain is 0, never "> 0" (merge sweep: Remove triggered Clear).
-          if (n_detached < 1.0) continue;
-          gain = gain_detached(t_scores[p], n_detached, cr_detached,
-                               ss_detached);
-        } else {
-          const Cluster& c = clusters->cluster(p);
-          if (c.empty()) continue;
-          gain = gain_of(c, t_scores[p]);
-        }
-        if (gain > best_gain) {
-          runner_up_gain = best_gain;
-          runner_up = best;
-          best_gain = gain;
-          best = static_cast<int>(p);
-        } else if (gain > runner_up_gain) {
-          runner_up_gain = gain;
-          runner_up = static_cast<int>(p);
-        }
-      }
-      if (capture != nullptr) {
-        ProvCapture& pc = (*capture)[slot];
-        pc.best_gain = best_gain;
-        pc.runner_up = runner_up;
-        pc.runner_up_gain = runner_up_gain;
-        pc.quantized = quantized ? obs::QuantizedOutcome::kRecheck
-                                 : obs::QuantizedOutcome::kOff;
-      }
+    if (capture != nullptr) {
+      ProvCapture& pc = (*capture)[slot];
+      pc.best_gain = best_gain;
+      pc.runner_up = runner_up;
+      pc.runner_up_gain = runner_up_gain;
     }
 
     if (best == kUnassigned) {
@@ -558,11 +360,8 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
         clusters->Assign(id, kUnassigned, ctx);
         clusters->Assign(id, best, ctx);
       } else {
-        // t_home_detached is scores[home] of the exact scan; the quantized
-        // path produced the identical value through the kernel's exact
-        // fp64 side-channel.
         clusters->ReplayStay(id, static_cast<size_t>(best), t_attached,
-                             t_home_detached, ctx);
+                             t_scores[static_cast<size_t>(best)], ctx);
       }
     } else {
       // An actual move: the physical Assign (its internal dot products
@@ -594,16 +393,16 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
 
 std::vector<DocId> SweepAssign(const std::vector<DocId>& order,
                                const SimilarityContext& ctx,
-                               AssignmentCriterion criterion, bool quantized,
+                               AssignmentCriterion criterion,
                                ClusterSet* clusters, SweepCounters* counters,
-                               QuantMargins* margins, obs::EventLog* events,
+                               obs::EventLog* events,
                                double* maintenance_seconds,
                                std::vector<ProvCapture>* capture,
                                uint32_t iteration) {
   if (clusters->scoring() == ClusterScoring::kSlotted) {
-    return SweepAssignMoveOnly(order, ctx, criterion, quantized, clusters,
-                               counters, margins, events,
-                               maintenance_seconds, capture, iteration);
+    return SweepAssignMoveOnly(order, ctx, criterion, clusters, counters,
+                               events, maintenance_seconds, capture,
+                               iteration);
   }
   return SweepAssignMerge(order, ctx, criterion, clusters, counters, events,
                           maintenance_seconds, capture, iteration);
@@ -839,9 +638,6 @@ Result<ClusteringResult> RunExtendedKMeans(
   bool converged = false;
   size_t total_moves = 0;
   size_t total_reseeds = 0;
-  size_t total_quantized_certified = 0;
-  size_t total_quantized_fallbacks = 0;
-  QuantMargins quant_margins;
   // Slot-indexed provenance capture, overwritten every sweep; the final
   // sweep's contents are the run's settled decisions (flushed below).
   std::vector<ProvCapture> prov_capture;
@@ -857,11 +653,9 @@ Result<ClusteringResult> RunExtendedKMeans(
     {
       NIDC_SPAN("kmeans.sweep");
       if (time_phases) phase_timer.Restart();
-      outliers = SweepAssign(order, ctx, options.criterion,
-                             options.quantized_scoring, &clusters, &counters,
-                             &quant_margins, options.events,
-                             maintenance_seconds, capture,
-                             static_cast<uint32_t>(iterations + 1));
+      outliers = SweepAssign(order, ctx, options.criterion, &clusters,
+                             &counters, options.events, maintenance_seconds,
+                             capture, static_cast<uint32_t>(iterations + 1));
       if (time_phases) {
         const double seconds = phase_timer.ElapsedSeconds();
         if (sweep_seconds_hist != nullptr) {
@@ -872,8 +666,6 @@ Result<ClusteringResult> RunExtendedKMeans(
     }
     total_moves += counters.moves;
     total_reseeds += counters.reseeds;
-    total_quantized_certified += counters.quantized_certified;
-    total_quantized_fallbacks += counters.quantized_fallbacks;
     if (moves_per_sweep != nullptr) {
       moves_per_sweep->Observe(static_cast<double>(counters.moves));
     }
@@ -953,10 +745,6 @@ Result<ClusteringResult> RunExtendedKMeans(
     profile->entries_scanned =
         ss.entries_scanned.load(std::memory_order_relaxed);
     profile->docs_scored = ss.docs_scored.load(std::memory_order_relaxed);
-    profile->quantized_docs =
-        ss.quantized_docs.load(std::memory_order_relaxed);
-    profile->quantized_fallbacks =
-        static_cast<uint64_t>(total_quantized_fallbacks);
     profile->delta_fallbacks =
         ss.delta_fallback_docs.load(std::memory_order_relaxed);
     if (metrics != nullptr) {
@@ -969,12 +757,6 @@ Result<ClusteringResult> RunExtendedKMeans(
           ->Increment(profile->entries_scanned);
       metrics->GetCounter("kernel.docs_scored")
           ->Increment(profile->docs_scored);
-      metrics->GetCounter("kernel.quantized_docs")
-          ->Increment(profile->quantized_docs);
-      metrics->GetCounter("kernel.quantized_certified")
-          ->Increment(static_cast<uint64_t>(total_quantized_certified));
-      metrics->GetCounter("kernel.quantized_fallbacks")
-          ->Increment(profile->quantized_fallbacks);
       metrics->GetCounter("kernel.delta_fallbacks")
           ->Increment(profile->delta_fallbacks);
       metrics->GetGauge("kmeans.score_gbps")->Set(profile->score_gbps());
@@ -1000,7 +782,6 @@ Result<ClusteringResult> RunExtendedKMeans(
       record.iteration = pc.iteration;
       record.verdict = pc.verdict;
       record.path = path;
-      record.quantized = pc.quantized;
       record.kernel = kernel;
       if (pc.best != kUnassigned) {
         record.cluster_id =

@@ -91,16 +91,6 @@ struct ExtendedKMeansOptions {
   /// bit-for-bit.
   ClusterScoring scoring = ClusterScoring::kSlotted;
 
-  /// With the slotted sweep, score documents through the fp16-quantized
-  /// kernel pass first (see core/kernels): the fp32 scan touches half the
-  /// posting bytes, and a certified error margin (derived from the
-  /// per-cluster absolute-sum accumulators) proves which cluster the exact
-  /// path would pick. Ambiguous documents — and documents touching
-  /// mid-sweep overlay terms — are re-scored exactly, so every clustering
-  /// decision stays bit-identical to the unquantized sweep. Ignored
-  /// outside kSlotted scoring.
-  bool quantized_scoring = true;
-
   /// Concurrency for the read-only scans (ψ-vector construction in
   /// SimilarityContext when driven through the clusterers, the seeded
   /// assignment pass against fixed representatives, and the per-cluster
@@ -133,11 +123,10 @@ struct ExtendedKMeansOptions {
   obs::EventLog* events = nullptr;
 
   /// Decision-provenance sink (see obs/provenance.h): the sweeps capture
-  /// each document's top-2 gains, margin, scoring path/kernel and
-  /// quantized outcome into a per-slot buffer (a few scalar stores per
-  /// decision), and the run flushes one DecisionRecord per document —
-  /// the *final* sweep's decision — at the end. Null (the default) adds
-  /// no work to the sweeps.
+  /// each document's top-2 gains, margin and scoring path/kernel into a
+  /// per-slot buffer (a few scalar stores per decision), and the run
+  /// flushes one DecisionRecord per document — the *final* sweep's
+  /// decision — at the end. Null (the default) adds no work to the sweeps.
   obs::ProvenanceLog* provenance = nullptr;
 
   Status Validate() const;
@@ -155,16 +144,12 @@ struct KMeansProfile {
   double score_seconds() const { return sweep_seconds - maintenance_seconds; }
 
   /// Scoring-kernel telemetry (slotted sweeps only; see core/kernels).
-  /// Bytes/entry counters come from the flat index's scan stats; the
-  /// quantized counters split certified fast-path docs from exact
-  /// re-checks.
+  /// Bytes/entry counters come from the flat index's scan stats.
   const char* kernel = "";          // active kernel name (scalar/avx2/...)
   uint64_t score_bytes = 0;         // posting + row bytes streamed
   uint64_t entries_scanned = 0;     // posting entries touched
   uint64_t docs_scored = 0;         // ScoreAll* calls
-  uint64_t quantized_docs = 0;      // docs scored via the fp16 pass
-  uint64_t quantized_fallbacks = 0;  // margin-ambiguous exact re-checks
-  uint64_t delta_fallbacks = 0;      // overlay-forced scalar fallbacks
+  uint64_t delta_fallbacks = 0;     // overlay-forced scalar fallbacks
 
   /// Effective scoring bandwidth in GB/s (0 when nothing was timed).
   double score_gbps() const {

@@ -1,6 +1,5 @@
 #include "nidc/core/kernels/kernels.h"
 
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -12,8 +11,8 @@ namespace nidc::kernels {
 
 // ---------------------------------------------------------------------------
 // Scalar reference kernels. These are the historical FlatRepIndex loops
-// moved verbatim: every SIMD kernel is verified (and the quantized margins
-// are certified) against the decisions this code produces.
+// moved verbatim: every SIMD kernel is verified against the decisions this
+// code produces.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -48,116 +47,7 @@ uint64_t ScoreScalar(const PostingsView& view, const DocRow& row,
   return entries;
 }
 
-uint64_t ScoreQuantizedScalar(const PostingsView& view, const DocRow& row,
-                              uint32_t home, float* scores_f32,
-                              float* abs_f32, double* home_attached,
-                              double* home_detached) {
-  const size_t k = view.num_clusters;
-  for (size_t p = 0; p < k; ++p) {
-    scores_f32[p] = 0.0f;
-    abs_f32[p] = 0.0f;
-  }
-  double attached = 0.0;
-  double detached = 0.0;
-  uint64_t entries = 0;
-  for (size_t i = 0; i < row.size; ++i) {
-    const uint32_t t = row.terms[i];
-    const double v = row.values[i];
-    const float vf = static_cast<float>(v);
-    const size_t begin = view.offsets[t];
-    const size_t end = view.offsets[t + 1];
-    entries += end - begin;
-    for (size_t e = begin; e < end; ++e) {
-      const uint32_t c = view.clusters[e];
-      if (c == home) {
-        // Exact fp64 side-channel for the home cluster — at most one entry
-        // per term, accumulated in term order like the exact kernel.
-        const double w = view.weights[e];
-        attached += w * v;
-        detached += (w - v) * v;
-      }
-      const float p = HalfToFloat(view.qweights[e]) * vf;
-      scores_f32[c] += p;
-      abs_f32[c] += std::fabs(p);
-    }
-  }
-  *home_attached = attached;
-  *home_detached = detached;
-  return entries;
-}
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// fp16 conversions (software, round-to-nearest-even).
-// ---------------------------------------------------------------------------
-
-uint16_t HalfFromDouble(double value) {
-  // Convert through fp32 first (correctly rounded by the hardware). The
-  // double rounding through fp32 can differ from a direct fp64→fp16
-  // rounding by at most one fp16 ulp in half-way cases — well inside the
-  // quantization error margin the sweep certifies against.
-  float f = static_cast<float>(value);
-  uint32_t bits;
-  std::memcpy(&bits, &f, sizeof(bits));
-  const uint32_t sign = (bits >> 16) & 0x8000u;
-  const uint32_t abs = bits & 0x7fffffffu;
-  if (abs >= 0x7f800000u) {  // inf / NaN
-    return static_cast<uint16_t>(sign | 0x7c00u | (abs > 0x7f800000u ? 0x200u : 0u));
-  }
-  if (abs >= 0x477ff000u) {  // rounds to >= 2^16: overflow to inf
-    return static_cast<uint16_t>(sign | 0x7c00u);
-  }
-  if (abs < 0x38800000u) {  // subnormal fp16 (|x| < 2^-14)
-    if (abs < 0x33000000u) return static_cast<uint16_t>(sign);  // underflow
-    // The fp16 subnormal value is mant16 · 2^-24; the fp32 significand
-    // (24 bits, implicit 1) represents |x| = mant · 2^(e − 23) with
-    // e = (abs >> 23) − 127, so mant16 = mant >> (126 − (abs >> 23)).
-    const int shift = 126 - static_cast<int>(abs >> 23);  // 14..24 bits out
-    const uint64_t mant = static_cast<uint64_t>((abs & 0x7fffffu) | 0x800000u);
-    // Round-to-nearest-even on the bits shifted out.
-    const uint64_t shifted = mant >> shift;
-    const uint64_t rest = mant & ((uint64_t{1} << shift) - 1u);
-    const uint64_t half = uint64_t{1} << (shift - 1);
-    uint64_t out = shifted;
-    if (rest > half || (rest == half && (shifted & 1u))) ++out;
-    return static_cast<uint16_t>(sign | static_cast<uint32_t>(out));
-  }
-  // Normal range: rebias exponent, round mantissa to 10 bits.
-  uint32_t out = ((abs >> 13) & 0x3ffu) | ((((abs >> 23) - 112u) & 0x1fu) << 10);
-  const uint32_t rest = abs & 0x1fffu;
-  if (rest > 0x1000u || (rest == 0x1000u && (out & 1u))) ++out;
-  return static_cast<uint16_t>(sign | out);
-}
-
-float HalfToFloat(uint16_t half) {
-  const uint32_t sign = static_cast<uint32_t>(half & 0x8000u) << 16;
-  const uint32_t exp = (half >> 10) & 0x1fu;
-  const uint32_t mant = half & 0x3ffu;
-  uint32_t bits;
-  if (exp == 0) {
-    if (mant == 0) {
-      bits = sign;  // ±0
-    } else {
-      // Subnormal: normalize into fp32.
-      int e = -1;
-      uint32_t m = mant;
-      do {
-        ++e;
-        m <<= 1;
-      } while ((m & 0x400u) == 0);
-      bits = sign | ((113u - static_cast<uint32_t>(e) - 1u) << 23) |
-             ((m & 0x3ffu) << 13);
-    }
-  } else if (exp == 0x1fu) {
-    bits = sign | 0x7f800000u | (mant << 13);  // inf / NaN
-  } else {
-    bits = sign | ((exp + 112u) << 23) | (mant << 13);
-  }
-  float out;
-  std::memcpy(&out, &bits, sizeof(out));
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // Dispatch.
@@ -169,27 +59,21 @@ float HalfToFloat(uint16_t half) {
 #if defined(NIDC_HAVE_KERNEL_AVX2)
 uint64_t ScoreAvx2(const PostingsView&, const DocRow&, uint32_t, double*,
                    double*);
-uint64_t ScoreQuantizedAvx2(const PostingsView&, const DocRow&, uint32_t,
-                            float*, float*, double*, double*);
 #endif
 #if defined(NIDC_HAVE_KERNEL_AVX512)
 uint64_t ScoreAvx512(const PostingsView&, const DocRow&, uint32_t, double*,
                      double*);
-uint64_t ScoreQuantizedAvx512(const PostingsView&, const DocRow&, uint32_t,
-                              float*, float*, double*, double*);
 #endif
 
 namespace {
 
-constexpr ScoreKernel kScalarKernel = {"scalar", Kind::kScalar, ScoreScalar,
-                                       ScoreQuantizedScalar};
+constexpr ScoreKernel kScalarKernel = {"scalar", Kind::kScalar, ScoreScalar};
 #if defined(NIDC_HAVE_KERNEL_AVX2)
-constexpr ScoreKernel kAvx2Kernel = {"avx2", Kind::kAvx2, ScoreAvx2,
-                                     ScoreQuantizedAvx2};
+constexpr ScoreKernel kAvx2Kernel = {"avx2", Kind::kAvx2, ScoreAvx2};
 #endif
 #if defined(NIDC_HAVE_KERNEL_AVX512)
-constexpr ScoreKernel kAvx512Kernel = {"avx512", Kind::kAvx512, ScoreAvx512,
-                                       ScoreQuantizedAvx512};
+constexpr ScoreKernel kAvx512Kernel = {"avx512", Kind::kAvx512,
+                                       ScoreAvx512};
 #endif
 
 const ScoreKernel* KernelFor(Kind kind) {

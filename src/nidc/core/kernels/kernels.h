@@ -10,10 +10,8 @@
 // implementations:
 //
 //   scalar   portable reference — bit-for-bit the historical loop
-//   avx2     256-bit lanes + F16C fp16 loads, software-prefetched rows
-//   avx512   512-bit masked lanes; for K <= 16 the score accumulators
-//            live entirely in registers (mask-expand instead of
-//            gather/scatter)
+//   avx2     256-bit lanes, software-prefetched rows
+//   avx512   512-bit masked lanes, gather/scatter into the score table
 //
 // The active kernel is chosen at startup from CPUID (best available) and
 // can be overridden with NIDC_KERNEL=scalar|avx2|avx512 for testing, or
@@ -22,13 +20,6 @@
 // reordering the per-term lane arithmetic never reorders any single
 // accumulator's addition sequence, and products are kept as separate
 // mul + add (never FMA-contracted).
-//
-// The quantized pass scores in fp32 arithmetic over an fp16 shadow copy of
-// the posting weights (6 bytes touched per entry instead of 12) and
-// additionally accumulates per-cluster absolute sums, from which the sweep
-// derives a rigorous error margin; candidates inside the margin are
-// re-checked exactly (see extended_kmeans.cc), so clustering decisions
-// stay bit-identical to the exact path.
 
 #ifndef NIDC_CORE_KERNELS_KERNELS_H_
 #define NIDC_CORE_KERNELS_KERNELS_H_
@@ -48,13 +39,12 @@ inline constexpr size_t kPostingPadding = 16;
 
 /// Read-only SoA view of a flat CSR posting index (see FlatRepIndex).
 /// Posting entries of one term are sorted by ascending cluster id; the
-/// clusters / weights / qweights arrays are padded with kPostingPadding
-/// zeroed slots past offsets[num_terms].
+/// clusters / weights arrays are padded with kPostingPadding zeroed slots
+/// past offsets[num_terms].
 struct PostingsView {
   const size_t* offsets = nullptr;     // num_terms + 1 entries
   const uint32_t* clusters = nullptr;  // entry cluster ids
   const double* weights = nullptr;     // exact fp64 weights
-  const uint16_t* qweights = nullptr;  // fp16 shadow (null: quantization off)
   size_t num_terms = 0;
   size_t num_clusters = 0;
 };
@@ -80,25 +70,11 @@ using ScoreFn = uint64_t (*)(const PostingsView& view, const DocRow& row,
                              uint32_t home, double* scores,
                              double* home_attached);
 
-/// Quantized scan: fp32 products of fp16 posting weights and fp32-converted
-/// row values. scores_f32[c] accumulates the products, abs_f32[c] their
-/// absolute values (both size num_clusters, zeroed by the kernel). Entries
-/// of cluster `home` additionally take the *exact* fp64 side-channel:
-/// *home_attached += w·v and *home_detached += (w−v)·v, bit-identical to
-/// the exact kernel's home lane. Requires view.qweights != null. Returns
-/// posting entries touched.
-using ScoreQuantizedFn = uint64_t (*)(const PostingsView& view,
-                                      const DocRow& row, uint32_t home,
-                                      float* scores_f32, float* abs_f32,
-                                      double* home_attached,
-                                      double* home_detached);
-
 /// One dispatch-table row.
 struct ScoreKernel {
   const char* name = "scalar";
   Kind kind = Kind::kScalar;
   ScoreFn score = nullptr;
-  ScoreQuantizedFn score_quantized = nullptr;
 };
 
 /// The active kernel. First call resolves NIDC_KERNEL (scalar|avx2|avx512;
@@ -117,15 +93,6 @@ const char* KindName(Kind kind);
 
 /// Parses "scalar" / "avx2" / "avx512"; returns false on anything else.
 bool ParseKind(const char* name, Kind* out);
-
-/// IEEE binary16 conversions (software, round-to-nearest-even; values
-/// beyond ±65504 become ±inf, which the sweep's margin logic turns into a
-/// guaranteed exact re-check). Used to build and maintain the fp16 shadow
-/// weights; kernels may decode with hardware F16C instead — decoding
-/// differences are covered by the quantization error margin, never by
-/// bit-agreement between kernels.
-uint16_t HalfFromDouble(double value);
-float HalfToFloat(uint16_t half);
 
 }  // namespace nidc::kernels
 

@@ -1,10 +1,10 @@
-// AVX2 + F16C scoring kernels. Compiled with -mavx2 -mf16c and reached
-// only through the runtime dispatch table (kernels.cc), so the binary
-// stays safe on CPUs without these ISAs.
+// AVX2 scoring kernel. Compiled with -mavx2 and reached only through the
+// runtime dispatch table (kernels.cc), so the binary stays safe on CPUs
+// without this ISA.
 //
-// Strategy: the per-term products are computed 4 (fp64) or 8 (fp32) lanes
-// at a time; the score accumulation itself stays scalar (AVX2 has gathers
-// but no scatters, and K is small enough that the store-to-buffer +
+// Strategy: the per-term products are computed 4 fp64 lanes at a time;
+// the score accumulation itself stays scalar (AVX2 has gathers but no
+// scatters, and K is small enough that the store-to-buffer +
 // scalar-accumulate loop wins over a gather/blend dance). Home-cluster
 // entries take the exact scalar arithmetic — identical expressions to the
 // scalar kernel — so detached home scores are bit-for-bit reproducible.
@@ -14,8 +14,6 @@
 #if defined(NIDC_HAVE_KERNEL_AVX2)
 
 #include <immintrin.h>
-
-#include <cmath>
 
 namespace nidc::kernels {
 
@@ -31,17 +29,6 @@ inline void PrefetchTerm(const PostingsView& view, const DocRow& row,
     _mm_prefetch(reinterpret_cast<const char*>(view.clusters + off),
                  _MM_HINT_T0);
     _mm_prefetch(reinterpret_cast<const char*>(view.weights + off),
-                 _MM_HINT_T0);
-  }
-}
-
-inline void PrefetchTermQuantized(const PostingsView& view, const DocRow& row,
-                                  size_t i) {
-  if (i + 2 < row.size) {
-    const size_t off = view.offsets[row.terms[i + 2]];
-    _mm_prefetch(reinterpret_cast<const char*>(view.clusters + off),
-                 _MM_HINT_T0);
-    _mm_prefetch(reinterpret_cast<const char*>(view.qweights + off),
                  _MM_HINT_T0);
   }
 }
@@ -88,60 +75,6 @@ uint64_t ScoreAvx2(const PostingsView& view, const DocRow& row, uint32_t home,
     }
   }
   *home_attached = attached;
-  return entries;
-}
-
-uint64_t ScoreQuantizedAvx2(const PostingsView& view, const DocRow& row,
-                            uint32_t home, float* scores_f32, float* abs_f32,
-                            double* home_attached, double* home_detached) {
-  const size_t k = view.num_clusters;
-  for (size_t p = 0; p < k; ++p) {
-    scores_f32[p] = 0.0f;
-    abs_f32[p] = 0.0f;
-  }
-  double attached = 0.0;
-  double detached = 0.0;
-  uint64_t entries = 0;
-  const __m256 abs_mask =
-      _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-  alignas(32) float prod_buf[8];
-  alignas(32) float abs_buf[8];
-  alignas(32) uint32_t id_buf[8];
-  for (size_t i = 0; i < row.size; ++i) {
-    PrefetchTermQuantized(view, row, i);
-    const uint32_t t = row.terms[i];
-    const double v = row.values[i];
-    const float vf = static_cast<float>(v);
-    const size_t begin = view.offsets[t];
-    const size_t end = view.offsets[t + 1];
-    entries += end - begin;
-    const __m256 vvf = _mm256_set1_ps(vf);
-    for (size_t e = begin; e < end; e += 8) {
-      const __m256i ids = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(view.clusters + e));
-      const __m128i halfs = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(view.qweights + e));
-      const __m256 wq = _mm256_cvtph_ps(halfs);
-      const __m256 prod = _mm256_mul_ps(wq, vvf);
-      _mm256_store_ps(prod_buf, prod);
-      _mm256_store_ps(abs_buf, _mm256_and_ps(prod, abs_mask));
-      _mm256_store_si256(reinterpret_cast<__m256i*>(id_buf), ids);
-      const size_t rem = end - e < 8 ? end - e : 8;
-      for (size_t j = 0; j < rem; ++j) {
-        const uint32_t c = id_buf[j];
-        scores_f32[c] += prod_buf[j];
-        abs_f32[c] += abs_buf[j];
-        if (c == home) {
-          // Exact fp64 side-channel for the home cluster.
-          const double hw = view.weights[e + j];
-          attached += hw * v;
-          detached += (hw - v) * v;
-        }
-      }
-    }
-  }
-  *home_attached = attached;
-  *home_detached = detached;
   return entries;
 }
 

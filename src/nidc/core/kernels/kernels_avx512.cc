@@ -1,4 +1,4 @@
-// AVX-512 scoring kernels. Compiled with -mavx512f and reached only
+// AVX-512 scoring kernel. Compiled with -mavx512f and reached only
 // through the runtime dispatch table (kernels.cc); everything here stays
 // inside the AVX512F foundation set (no BW/VL/DQ dependencies).
 //
@@ -8,13 +8,6 @@
 // collides, and each score accumulator still sees its additions in the
 // same term order as the scalar kernel — products are separate mul + add
 // (no FMA contraction), so the result is bit-identical.
-//
-// Quantized kernel: 16 postings per iteration over the fp16 shadow
-// weights. For K <= 16 the per-cluster fp32 accumulators live entirely in
-// two zmm registers: the sorted-distinct cluster ids of a chunk become a
-// bitmask (sllv + reduce-or) and vexpandps distributes the products into
-// their cluster lanes — the hot loop does no score loads or stores at
-// all. Larger K falls back to masked fp32 gather/scatter.
 
 #include "nidc/core/kernels/kernels.h"
 
@@ -35,77 +28,6 @@ inline void PrefetchTermExact(const PostingsView& view, const DocRow& row,
     _mm_prefetch(reinterpret_cast<const char*>(view.weights + off),
                  _MM_HINT_T0);
   }
-}
-
-inline void PrefetchTermQuantized(const PostingsView& view, const DocRow& row,
-                                  size_t i) {
-  if (i + 2 < row.size) {
-    const size_t off = view.offsets[row.terms[i + 2]];
-    _mm_prefetch(reinterpret_cast<const char*>(view.clusters + off),
-                 _MM_HINT_T0);
-    _mm_prefetch(reinterpret_cast<const char*>(view.qweights + off),
-                 _MM_HINT_T0);
-  }
-}
-
-// Quantized path for K <= 16: all per-cluster accumulators in registers.
-uint64_t ScoreQuantizedRegister(const PostingsView& view, const DocRow& row,
-                                uint32_t home, float* scores_f32,
-                                float* abs_f32, double* home_attached,
-                                double* home_detached) {
-  const __m512i kOnes = _mm512_set1_epi32(1);
-  const __m512i kAbsMask = _mm512_set1_epi32(0x7fffffff);
-  const __m512i home_v = _mm512_set1_epi32(static_cast<int>(home));
-  __m512 acc_scores = _mm512_setzero_ps();
-  __m512 acc_abs = _mm512_setzero_ps();
-  double attached = 0.0;
-  double detached = 0.0;
-  uint64_t entries = 0;
-  for (size_t i = 0; i < row.size; ++i) {
-    PrefetchTermQuantized(view, row, i);
-    const uint32_t t = row.terms[i];
-    const double v = row.values[i];
-    const size_t begin = view.offsets[t];
-    const size_t n = view.offsets[t + 1] - begin;
-    if (n == 0) continue;  // K <= 16, so n <= 16: one chunk per term
-    entries += n;
-    const __mmask16 m =
-        static_cast<__mmask16>((uint32_t{1} << n) - 1u);  // n <= 16
-    // Padded SoA arrays make the full-width loads safe on the tail.
-    const __m512i ids = _mm512_loadu_si512(view.clusters + begin);
-    const __m256i halfs = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(view.qweights + begin));
-    const __m512 wq = _mm512_cvtph_ps(halfs);
-    const __m512 vvf = _mm512_set1_ps(static_cast<float>(v));
-    const __m512 prod = _mm512_maskz_mul_ps(m, wq, vvf);
-    const __m512 absp = _mm512_castsi512_ps(
-        _mm512_and_si512(_mm512_castps_si512(prod), kAbsMask));
-    // Sorted distinct ids -> set bits of `cb` in the same order the chunk's
-    // products sit in the low lanes, so vexpandps routes product j straight
-    // to cluster lane ids[j].
-    const __m512i bits = _mm512_maskz_sllv_epi32(m, kOnes, ids);
-    const __mmask16 cb =
-        static_cast<__mmask16>(_mm512_reduce_or_epi32(bits));
-    acc_scores = _mm512_add_ps(acc_scores, _mm512_maskz_expand_ps(cb, prod));
-    acc_abs = _mm512_add_ps(acc_abs, _mm512_maskz_expand_ps(cb, absp));
-    if (home != kNoHome) {
-      const __mmask16 kh = _mm512_mask_cmpeq_epi32_mask(m, ids, home_v);
-      if (kh != 0) {
-        // Exact fp64 side-channel for the home cluster (<= 1 entry/term).
-        const size_t e = begin + static_cast<size_t>(__builtin_ctz(kh));
-        const double hw = view.weights[e];
-        attached += hw * v;
-        detached += (hw - v) * v;
-      }
-    }
-  }
-  const __mmask16 out_mask = static_cast<__mmask16>(
-      (uint32_t{1} << view.num_clusters) - 1u);  // num_clusters <= 16
-  _mm512_mask_storeu_ps(scores_f32, out_mask, acc_scores);
-  _mm512_mask_storeu_ps(abs_f32, out_mask, acc_abs);
-  *home_attached = attached;
-  *home_detached = detached;
-  return entries;
 }
 
 }  // namespace
@@ -153,66 +75,6 @@ uint64_t ScoreAvx512(const PostingsView& view, const DocRow& row,
     }
   }
   *home_attached = attached;
-  return entries;
-}
-
-uint64_t ScoreQuantizedAvx512(const PostingsView& view, const DocRow& row,
-                              uint32_t home, float* scores_f32, float* abs_f32,
-                              double* home_attached, double* home_detached) {
-  const size_t k = view.num_clusters;
-  if (k <= 16) {
-    return ScoreQuantizedRegister(view, row, home, scores_f32, abs_f32,
-                                  home_attached, home_detached);
-  }
-  for (size_t p = 0; p < k; ++p) {
-    scores_f32[p] = 0.0f;
-    abs_f32[p] = 0.0f;
-  }
-  const __m512i kAbsMask = _mm512_set1_epi32(0x7fffffff);
-  const __m512i home_v = _mm512_set1_epi32(static_cast<int>(home));
-  double attached = 0.0;
-  double detached = 0.0;
-  uint64_t entries = 0;
-  for (size_t i = 0; i < row.size; ++i) {
-    PrefetchTermQuantized(view, row, i);
-    const uint32_t t = row.terms[i];
-    const double v = row.values[i];
-    const size_t begin = view.offsets[t];
-    const size_t end = view.offsets[t + 1];
-    entries += end - begin;
-    const __m512 vvf = _mm512_set1_ps(static_cast<float>(v));
-    for (size_t e = begin; e < end; e += 16) {
-      const size_t rem = end - e < 16 ? end - e : 16;
-      const __mmask16 m = static_cast<__mmask16>(0xffffu >> (16 - rem));
-      const __m512i ids = _mm512_loadu_si512(view.clusters + e);
-      const __m256i halfs = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(view.qweights + e));
-      const __m512 wq = _mm512_cvtph_ps(halfs);
-      const __m512 prod = _mm512_maskz_mul_ps(m, wq, vvf);
-      const __m512 absp = _mm512_castsi512_ps(
-          _mm512_and_si512(_mm512_castps_si512(prod), kAbsMask));
-      // Distinct ids within a term: gather-add-scatter cannot collide.
-      const __m512 olds = _mm512_mask_i32gather_ps(_mm512_setzero_ps(), m,
-                                                   ids, scores_f32, 4);
-      _mm512_mask_i32scatter_ps(scores_f32, m, ids, _mm512_add_ps(olds, prod),
-                                4);
-      const __m512 olda = _mm512_mask_i32gather_ps(_mm512_setzero_ps(), m,
-                                                   ids, abs_f32, 4);
-      _mm512_mask_i32scatter_ps(abs_f32, m, ids, _mm512_add_ps(olda, absp),
-                                4);
-      if (home != kNoHome) {
-        const __mmask16 kh = _mm512_mask_cmpeq_epi32_mask(m, ids, home_v);
-        if (kh != 0) {
-          const size_t he = e + static_cast<size_t>(__builtin_ctz(kh));
-          const double hw = view.weights[he];
-          attached += hw * v;
-          detached += (hw - v) * v;
-        }
-      }
-    }
-  }
-  *home_attached = attached;
-  *home_detached = detached;
   return entries;
 }
 

@@ -1,7 +1,5 @@
 #include "nidc/core/rep_index.h"
 
-#include <cmath>
-
 #include "nidc/core/kernels/kernels.h"
 #include "nidc/util/logging.h"
 #include "nidc/util/thread_pool.h"
@@ -10,20 +8,18 @@ namespace nidc {
 
 namespace {
 
-// Bytes a scan reads per posting entry: cluster id (4) + fp64 weight (8)
-// on the exact path, cluster id (4) + fp16 shadow weight (2) on the
-// quantized path; every path also streams the document row itself
-// (4-byte term + 8-byte value per term).
-constexpr uint64_t kExactEntryBytes = 12;
-constexpr uint64_t kQuantizedEntryBytes = 6;
+// Bytes a scan reads per posting entry: cluster id (4) + fp64 weight (8);
+// the scan also streams the document row itself (4-byte term + 8-byte
+// value per term).
+constexpr uint64_t kEntryBytes = 12;
 constexpr uint64_t kRowBytesPerTerm = 12;
 
 void CountScan(FlatRepIndex::ScanStats* stats, uint64_t entries,
-               size_t row_terms, uint64_t entry_bytes) {
+               size_t row_terms) {
   stats->docs_scored.fetch_add(1, std::memory_order_relaxed);
   stats->entries_scanned.fetch_add(entries, std::memory_order_relaxed);
   stats->bytes_scanned.fetch_add(
-      entries * entry_bytes +
+      entries * kEntryBytes +
           static_cast<uint64_t>(row_terms) * kRowBytesPerTerm,
       std::memory_order_relaxed);
 }
@@ -48,14 +44,6 @@ void FlatRepIndex::ResizeEntries(size_t n) {
   clusters_.assign(n + kernels::kPostingPadding, 0);
   refs_.assign(n, 0);
   weights_.assign(n + kernels::kPostingPadding, 0.0);
-  qweights_.assign(n + kernels::kPostingPadding, 0);
-}
-
-void FlatRepIndex::QuantizeAll() {
-  const size_t n = offsets_.empty() ? 0 : offsets_.back();
-  for (size_t e = 0; e < n; ++e) {
-    qweights_[e] = kernels::HalfFromDouble(weights_[e]);
-  }
 }
 
 void FlatRepIndex::BuildFromClusters(const SimilarityContext& ctx,
@@ -68,7 +56,6 @@ void FlatRepIndex::BuildFromClusters(const SimilarityContext& ctx,
   } else {
     BuildFromClustersSerial(ctx, clusters);
   }
-  QuantizeAll();
   stats_.live_entries = offsets_.empty() ? 0 : offsets_.back();
 }
 
@@ -216,7 +203,6 @@ void FlatRepIndex::BuildFromRepresentatives(
       weights_[cursor] = e.value;
     }
   }
-  QuantizeAll();
   stats_.live_entries = offsets_[terms];
 }
 
@@ -281,7 +267,7 @@ void FlatRepIndex::ScoreAll(const SimilarityContext& ctx,
     scores->assign(k_, 0.0);
     const uint64_t entries =
         ScoreAllDeltaFallback(row, kernels::kNoHome, scores, &attached);
-    CountScan(&scan_stats_, entries, row.size, kExactEntryBytes);
+    CountScan(&scan_stats_, entries, row.size);
     scan_stats_.delta_fallback_docs.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -290,7 +276,7 @@ void FlatRepIndex::ScoreAll(const SimilarityContext& ctx,
   const uint64_t entries =
       kern.score(View(), DocRowOf(row), kernels::kNoHome, scores->data(),
                  &attached);
-  CountScan(&scan_stats_, entries, row.size, kExactEntryBytes);
+  CountScan(&scan_stats_, entries, row.size);
 }
 
 void FlatRepIndex::ScoreAllDetached(const SimilarityContext& ctx,
@@ -304,7 +290,7 @@ void FlatRepIndex::ScoreAllDetached(const SimilarityContext& ctx,
     scores->assign(k_, 0.0);
     const uint64_t entries =
         ScoreAllDeltaFallback(row, home_cluster, scores, home_attached);
-    CountScan(&scan_stats_, entries, row.size, kExactEntryBytes);
+    CountScan(&scan_stats_, entries, row.size);
     scan_stats_.delta_fallback_docs.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -312,55 +298,7 @@ void FlatRepIndex::ScoreAllDetached(const SimilarityContext& ctx,
   const kernels::ScoreKernel& kern = kernels::Active();
   const uint64_t entries = kern.score(View(), DocRowOf(row), home_cluster,
                                       scores->data(), home_attached);
-  CountScan(&scan_stats_, entries, row.size, kExactEntryBytes);
-}
-
-bool FlatRepIndex::ScoreAllQuantized(const SimilarityContext& ctx,
-                                     SimilarityContext::Slot slot, int home,
-                                     std::vector<float>* scores_f32,
-                                     std::vector<float>* abs_f32,
-                                     double* home_attached,
-                                     double* home_detached) const {
-  NIDC_CHECK(built_) << "FlatRepIndex scored before a build";
-  const SimilarityContext::Row row = ctx.PsiAt(slot);
-  scores_f32->resize(k_);  // the kernel zeroes every lane itself
-  abs_f32->resize(k_);
-  const uint32_t home_cluster =
-      home < 0 ? kernels::kNoHome : static_cast<uint32_t>(home);
-  const kernels::ScoreKernel& kern = kernels::Active();
-  uint64_t entries = kern.score_quantized(
-      View(), DocRowOf(row), home_cluster, scores_f32->data(),
-      abs_f32->data(), home_attached, home_detached);
-  // Overlay entries (mid-sweep moves) carry no fp16 shadow; fold them in
-  // fp32 after the base scan. Base and overlay are disjoint per
-  // (term, cluster) pair, so every accumulator still sees at most one
-  // contribution per row term and the certified margin's R-term summation
-  // bound — which holds for any fp32 accumulation order — stays sound.
-  // Overlay weights are exact fp64, so their conversion error is strictly
-  // below the fp16 allowance already in the margin. Only a home-cluster
-  // overlay entry forces the exact path: it would have to enter the exact
-  // fp64 side-channel mid-sequence to reproduce the legacy interleaved
-  // accumulation order bit-for-bit.
-  if (!delta_.empty()) {
-    float* scores = scores_f32->data();
-    float* abs_sums = abs_f32->data();
-    for (size_t i = 0; i < row.size; ++i) {
-      const uint32_t t = row.terms[i];
-      if (!has_delta_[t]) continue;
-      const float vf = static_cast<float>(row.values[i]);
-      const std::vector<Entry>& overlay = delta_.at(t);
-      entries += overlay.size();
-      for (const Entry& entry : overlay) {
-        if (entry.cluster == home_cluster) return false;
-        const float p = static_cast<float>(entry.weight) * vf;
-        scores[entry.cluster] += p;
-        abs_sums[entry.cluster] += std::fabs(p);
-      }
-    }
-  }
-  CountScan(&scan_stats_, entries, row.size, kQuantizedEntryBytes);
-  scan_stats_.quantized_docs.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  CountScan(&scan_stats_, entries, row.size);
 }
 
 size_t FlatRepIndex::FindBase(uint32_t local_term, size_t p) const {
@@ -399,12 +337,9 @@ void FlatRepIndex::ApplyRemove(const SimilarityContext& ctx,
         // Last contributor gone: snap the residual to exact zero (the
         // posting-side analogue of Cluster::Clear) and tombstone.
         weights_[e] = 0.0;
-        qweights_[e] = 0;
         --stats_.live_entries;
         ++stats_.dead_entries;
         ++stats_.tombstones_created;
-      } else {
-        qweights_[e] = kernels::HalfFromDouble(weights_[e]);
       }
       continue;
     }
@@ -440,7 +375,6 @@ void FlatRepIndex::ApplyAdd(const SimilarityContext& ctx,
       }
       ++refs_[e];
       weights_[e] += row.values[i];
-      qweights_[e] = kernels::HalfFromDouble(weights_[e]);
       continue;
     }
     Entry* entry = FindDelta(t, p);

@@ -53,15 +53,12 @@ namespace nidc {
 /// pairs that first appear mid-sweep go to a small overlay keyed by local
 /// term id, disjoint from the base entries.
 ///
-/// The base postings live in padded SoA arrays (clusters / refs / weights
-/// plus an fp16 shadow of the weights) and are scanned through the
-/// runtime-dispatched SIMD kernels of core/kernels — every kernel is
-/// bit-identical to the scalar reference on the exact path, and the fp16
-/// quantized pass (ScoreAllQuantized) feeds the sweep's certified-margin
-/// re-check. On the exact path, documents touching mid-sweep overlay terms
-/// fall back to the legacy scalar loops (the per-term base/overlay
-/// interleaving is the semantic definition); the quantized pass folds the
-/// overlay in after the kernel scan instead, which its margin absorbs.
+/// The base postings live in padded SoA arrays (clusters / refs / weights)
+/// and are scanned through the runtime-dispatched SIMD kernels of
+/// core/kernels — every kernel is bit-identical to the scalar reference.
+/// Documents touching mid-sweep overlay terms fall back to the legacy
+/// scalar loops (the per-term base/overlay interleaving is the semantic
+/// definition).
 class FlatRepIndex {
  public:
   /// Cumulative counters survive rebuilds; live/dead entries reflect the
@@ -84,7 +81,6 @@ class FlatRepIndex {
     std::atomic<uint64_t> docs_scored{0};      // ScoreAll* calls
     std::atomic<uint64_t> entries_scanned{0};  // posting entries touched
     std::atomic<uint64_t> bytes_scanned{0};    // posting + row bytes read
-    std::atomic<uint64_t> quantized_docs{0};   // docs scored via fp16 pass
     std::atomic<uint64_t> delta_fallback_docs{0};  // overlay-forced scalar
 
     ScanStats() = default;
@@ -93,7 +89,6 @@ class FlatRepIndex {
       docs_scored = o.docs_scored.load(std::memory_order_relaxed);
       entries_scanned = o.entries_scanned.load(std::memory_order_relaxed);
       bytes_scanned = o.bytes_scanned.load(std::memory_order_relaxed);
-      quantized_docs = o.quantized_docs.load(std::memory_order_relaxed);
       delta_fallback_docs =
           o.delta_fallback_docs.load(std::memory_order_relaxed);
       return *this;
@@ -137,24 +132,6 @@ class FlatRepIndex {
                         std::vector<double>* scores,
                         double* home_attached) const;
 
-  /// Quantized scoring pass over the fp16 shadow weights (see
-  /// kernels/kernels.h): scores_f32/abs_f32 are resized to K and receive
-  /// the fp32 product and absolute-product accumulators; entries of
-  /// cluster `home` (pass kUnassigned for none) additionally feed the
-  /// *exact* fp64 side-channel *home_attached / *home_detached,
-  /// bit-identical to ScoreAllDetached's home lane. Mid-sweep overlay
-  /// entries (no fp16 shadow) are folded in after the base kernel scan —
-  /// sound for the certified margin, which holds for any fp32 summation
-  /// order. Returns false — outputs then meaningless — only when an
-  /// overlay entry belongs to the home cluster, whose exact side-channel
-  /// must replay the legacy interleaved order; the caller then takes the
-  /// exact path.
-  bool ScoreAllQuantized(const SimilarityContext& ctx,
-                         SimilarityContext::Slot slot, int home,
-                         std::vector<float>* scores_f32,
-                         std::vector<float>* abs_f32, double* home_attached,
-                         double* home_detached) const;
-
   /// Applies the posting side of an actual document move: weight -= ψ_t on
   /// every term (zero-snap tombstone when the last contributor leaves).
   /// No-ops before the first build — seeding assigns are followed by a
@@ -191,23 +168,21 @@ class FlatRepIndex {
   // Sizes the SoA arrays (zeroed, with kPostingPadding slots of tail
   // padding) for `n` base entries.
   void ResizeEntries(size_t n);
-  // Refreshes the fp16 shadow of every base entry (one pass, post-build).
-  void QuantizeAll();
   void BuildFromClustersSerial(const SimilarityContext& ctx,
                                const std::vector<Cluster>& clusters);
   void BuildFromClustersParallel(const SimilarityContext& ctx,
                                  const std::vector<Cluster>& clusters,
                                  ThreadPool* pool);
   // True when the document's row touches a term with overlay entries —
-  // those carry no fp16 shadow and are interleaved per term, so such docs
-  // take the legacy scalar loops.
+  // those are interleaved per term, so such docs take the legacy scalar
+  // loops.
   bool NeedsDeltaFallback(const SimilarityContext::Row& row) const;
   uint64_t ScoreAllDeltaFallback(const SimilarityContext::Row& row,
                                  uint32_t home, std::vector<double>* scores,
                                  double* home_attached) const;
   kernels::PostingsView View() const {
     return {offsets_.data(), clusters_.data(), weights_.data(),
-            qweights_.data(), offsets_.size() - 1, k_};
+            offsets_.size() - 1, k_};
   }
   static kernels::DocRow DocRowOf(const SimilarityContext::Row& row) {
     return {row.terms, row.values, row.size};
@@ -215,13 +190,12 @@ class FlatRepIndex {
 
   std::vector<size_t> offsets_;  // per local term, into the SoA arrays
   // Base CSR postings as parallel SoA arrays — the layout the SIMD kernels
-  // scan. clusters_/weights_/qweights_ carry kernels::kPostingPadding
+  // scan. clusters_/weights_ carry kernels::kPostingPadding
   // zeroed tail slots so full-width vector loads on a posting tail stay
   // in-bounds; refs_ is maintenance-only and unpadded.
   std::vector<uint32_t> clusters_;
   std::vector<uint32_t> refs_;
   std::vector<double> weights_;
-  std::vector<uint16_t> qweights_;  // fp16 shadow of weights_
   // Overlay for (term, cluster) pairs introduced by mid-sweep moves;
   // has_delta_ lets the scan skip the hash probe for untouched terms.
   std::vector<uint8_t> has_delta_;

@@ -27,18 +27,6 @@ const char* ProvenancePathName(ProvenancePath path) {
   return "unknown";
 }
 
-const char* QuantizedOutcomeName(QuantizedOutcome outcome) {
-  switch (outcome) {
-    case QuantizedOutcome::kOff:
-      return "off";
-    case QuantizedOutcome::kCertified:
-      return "certified";
-    case QuantizedOutcome::kRecheck:
-      return "recheck";
-  }
-  return "unknown";
-}
-
 std::string RenderDecisionJson(const DecisionRecord& record) {
   JsonObjectBuilder json;
   json.Add("doc", record.doc)
@@ -46,8 +34,7 @@ std::string RenderDecisionJson(const DecisionRecord& record) {
       .Add("step", record.step)
       .Add("iteration", static_cast<uint64_t>(record.iteration))
       .Add("verdict", ProvenanceVerdictName(record.verdict))
-      .Add("path", ProvenancePathName(record.path))
-      .Add("quantized", QuantizedOutcomeName(record.quantized));
+      .Add("path", ProvenancePathName(record.path));
   if (record.kernel != nullptr && record.kernel[0] != '\0') {
     json.Add("kernel", record.kernel);
   }

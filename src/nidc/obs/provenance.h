@@ -1,8 +1,7 @@
 // Per-document decision provenance: a bounded ring that records, for every
 // document the extended K-means settled (assigned, outlier or reseed), the
-// top-2 cluster gains, their margin, the scoring path and kernel that
-// produced them, and — under quantized scoring — whether the fp16 pass
-// certified the decision or it fell through to the exact re-check.
+// top-2 cluster gains, their margin, and the scoring path and kernel that
+// produced them.
 //
 // The sweeps capture these values as a side effect of the argmax they
 // already compute (a handful of scalar stores per document; nothing is
@@ -15,10 +14,7 @@
 // outlier bar the sweeps apply, so `margin == best_gain - runner_up_gain`
 // is always >= 0 and bit-identical across kMerge / kSlotted (the paths
 // compute bit-identical gain vectors; the equivalence test proves the
-// recorded margins match). Certified decisions record interval
-// bounds instead of exact gains — best_gain is the winner's certified
-// lower bound and runner_up_gain the best rival's certified upper bound —
-// marked with outcome "certified" so consumers know the distinction.
+// recorded margins match).
 //
 // Like every obs hook, the capture sites take a `ProvenanceLog*` that
 // defaults to null, and a null log adds no work to the sweeps.
@@ -49,16 +45,8 @@ enum class ProvenanceVerdict : uint8_t {
 /// duplicated here because obs sits below core in the layering).
 enum class ProvenancePath : uint8_t { kMerge, kSlotted };
 
-/// How the quantized fp16 pass treated the document.
-enum class QuantizedOutcome : uint8_t {
-  kOff,        ///< quantized scoring disabled (or non-slotted path)
-  kCertified,  ///< margin intervals proved the decision; no exact re-check
-  kRecheck,    ///< intervals ambiguous (or scan unusable) — scored exactly
-};
-
 const char* ProvenanceVerdictName(ProvenanceVerdict verdict);
 const char* ProvenancePathName(ProvenancePath path);
-const char* QuantizedOutcomeName(QuantizedOutcome outcome);
 
 /// One settled per-document decision.
 struct DecisionRecord {
@@ -75,7 +63,6 @@ struct DecisionRecord {
 
   ProvenanceVerdict verdict = ProvenanceVerdict::kOutlier;
   ProvenancePath path = ProvenancePath::kMerge;
-  QuantizedOutcome quantized = QuantizedOutcome::kOff;
   /// Active scoring-kernel name ("" outside the slotted path). Points at
   /// the dispatch table's static strings — no ownership.
   const char* kernel = "";
@@ -86,8 +73,7 @@ struct DecisionRecord {
   /// cleared the bar).
   uint64_t runner_up_id = kNoId;
 
-  /// Winning gain and best rival gain, both floored at the 0 outlier bar
-  /// (certified decisions: interval bounds — see the header comment).
+  /// Winning gain and best rival gain, both floored at the 0 outlier bar.
   double best_gain = 0.0;
   double runner_up_gain = 0.0;
   /// best_gain - runner_up_gain, always >= 0.

@@ -144,13 +144,10 @@ void TimeSeriesStore::ObserveStepAt(uint64_t step, double now_seconds) {
   // Raw deltas the derived series are computed from, picked up in the
   // single pass over the (name-sorted) snapshot below.
   double d_docs_new = 0.0;
-  double d_certified = 0.0;
-  double d_fallbacks = 0.0;
   double d_moves = 0.0;
   double d_snapshots = 0.0;
   double wal_records = 0.0;
   bool saw_docs_new = false;
-  bool saw_quantized = false;
   bool saw_moves = false;
   bool saw_wal = false;
 
@@ -165,11 +162,6 @@ void TimeSeriesStore::ObserveStepAt(uint64_t step, double now_seconds) {
         if (sample.name == "step.docs_new") {
           d_docs_new = delta;
           saw_docs_new = true;
-        } else if (sample.name == "kernel.quantized_certified") {
-          d_certified = delta;
-          saw_quantized = true;
-        } else if (sample.name == "kernel.quantized_fallbacks") {
-          d_fallbacks = delta;
         } else if (sample.name == "kmeans.moves") {
           d_moves = delta;
           saw_moves = true;
@@ -203,10 +195,6 @@ void TimeSeriesStore::ObserveStepAt(uint64_t step, double now_seconds) {
   if (saw_docs_new && has_last_now_ && now_seconds > last_now_seconds_) {
     IngestLocked("timeseries.docs_per_sec", step,
                  d_docs_new / (now_seconds - last_now_seconds_));
-  }
-  if (saw_quantized && d_certified + d_fallbacks > 0.0) {
-    IngestLocked("timeseries.certified_fraction", step,
-                 d_certified / (d_certified + d_fallbacks));
   }
   if (saw_moves) {
     IngestLocked("timeseries.moves_per_step", step, d_moves);

@@ -16,9 +16,9 @@
 //   * gauges      — the raw per-step value;
 //   * histograms  — the per-step mean of new observations, as "<name>.mean"
 //     (steps contributing no observations are skipped);
-//   * derived     — timeseries.docs_per_sec, timeseries.certified_fraction,
-//     timeseries.moves_per_step and timeseries.durability_lag, computed
-//     from the underlying counter deltas.
+//   * derived     — timeseries.docs_per_sec, timeseries.moves_per_step and
+//     timeseries.durability_lag, computed from the underlying counter
+//     deltas.
 //
 // Every sample also feeds an online EWMA z-score anomaly detector
 // (per-series exponentially weighted mean + variance). After a warm-up of

@@ -8,9 +8,7 @@ namespace nidc {
 // dispatcher falls back to the scalar kernels.
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
 
-bool CpuSupportsAvx2() {
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c");
-}
+bool CpuSupportsAvx2() { return __builtin_cpu_supports("avx2"); }
 
 bool CpuSupportsAvx512() { return __builtin_cpu_supports("avx512f"); }
 

@@ -9,13 +9,12 @@
 
 namespace nidc {
 
-/// True when the running CPU supports AVX2 + F16C (the fp16 loads the
-/// quantized scoring pass uses are F16C conversions).
+/// True when the running CPU supports AVX2.
 bool CpuSupportsAvx2();
 
 /// True when the running CPU supports the AVX-512 foundation set
-/// (AVX512F), which covers every 512-bit instruction the kernels emit:
-/// masked arithmetic, expand, gather/scatter and vcvtph2ps on zmm.
+/// (AVX512F), which covers every 512-bit instruction the kernel emits:
+/// masked arithmetic and gather/scatter on zmm.
 bool CpuSupportsAvx512();
 
 /// True when the running CPU supports SSE4.2, whose crc32 instruction

@@ -1,15 +1,11 @@
 // Unit tests for the vectorized scoring kernels: dispatch-table plumbing
-// (ParseKind / Available / Select), fp16 shadow conversions, bit-identity
-// of every compiled-in exact kernel against the scalar reference on
-// odd / aligned / tail posting lengths on both sides of the AVX-512
-// register-resident threshold, and the quantization error bound the sweep's
-// certification relies on — including denormal weights, fp16 overflow, and
-// the exact fp64 home side-channel.
+// (ParseKind / Available / Select) and bit-identity of every compiled-in
+// kernel against the scalar reference on odd / aligned / tail posting
+// lengths, with and without a home cluster.
 
 #include "nidc/core/kernels/kernels.h"
 
-#include <cmath>
-#include <limits>
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -31,19 +27,18 @@ constexpr Kind kAllKinds[] = {Kind::kScalar, Kind::kAvx2, Kind::kAvx512};
 // A self-owned padded SoA posting index plus one document row, with the
 // same layout invariants FlatRepIndex maintains: per-term entries sorted by
 // ascending distinct cluster id, arrays padded with kPostingPadding zeroed
-// slots, fp16 shadow built with HalfFromDouble.
+// slots.
 struct TestIndex {
   std::vector<size_t> offsets;
   std::vector<uint32_t> clusters;
   std::vector<double> weights;
-  std::vector<uint16_t> qweights;
   std::vector<uint32_t> row_terms;
   std::vector<double> row_values;
   size_t k = 0;
 
   PostingsView View() const {
-    return {offsets.data(), clusters.data(),  weights.data(),
-            qweights.data(), offsets.size() - 1, k};
+    return {offsets.data(), clusters.data(), weights.data(),
+            offsets.size() - 1, k};
   }
   DocRow Row() const { return {row_terms.data(), row_values.data(),
                                row_terms.size()}; }
@@ -51,16 +46,13 @@ struct TestIndex {
     const size_t n = clusters.size();
     clusters.resize(n + kPostingPadding, 0);
     weights.resize(n + kPostingPadding, 0.0);
-    qweights.assign(weights.size(), 0);
-    for (size_t e = 0; e < n; ++e) qweights[e] = HalfFromDouble(weights[e]);
   }
 };
 
 // Posting lengths cycle 0..K (zero-length terms included), so every vector
 // width sees full blocks, odd remainders, and empty tails. The row touches
 // every term.
-TestIndex MakeIndex(size_t k, size_t terms, uint64_t seed,
-                    double weight_scale = 0.1) {
+TestIndex MakeIndex(size_t k, size_t terms, uint64_t seed) {
   TestIndex idx;
   idx.k = k;
   Rng rng(seed);
@@ -74,7 +66,7 @@ TestIndex MakeIndex(size_t k, size_t terms, uint64_t seed,
     std::sort(ids.begin(), ids.end());
     for (uint32_t c : ids) {
       idx.clusters.push_back(c);
-      idx.weights.push_back((rng.NextDouble() - 0.25) * weight_scale);
+      idx.weights.push_back((rng.NextDouble() - 0.25) * 0.1);
     }
     idx.offsets.push_back(idx.clusters.size());
     idx.row_terms.push_back(static_cast<uint32_t>(t));
@@ -104,7 +96,6 @@ TEST(KernelsTest, ScalarAlwaysAvailableAndSelectable) {
   EXPECT_EQ(Active().kind, Kind::kScalar);
   EXPECT_STREQ(Active().name, "scalar");
   ASSERT_NE(Active().score, nullptr);
-  ASSERT_NE(Active().score_quantized, nullptr);
   for (Kind kind : kAllKinds) {
     if (!Available(kind)) continue;
     Select(kind);
@@ -113,53 +104,10 @@ TEST(KernelsTest, ScalarAlwaysAvailableAndSelectable) {
   }
 }
 
-TEST(KernelsTest, HalfConversionBasics) {
-  EXPECT_EQ(HalfToFloat(HalfFromDouble(0.0)), 0.0f);
-  EXPECT_EQ(HalfToFloat(HalfFromDouble(1.0)), 1.0f);
-  EXPECT_EQ(HalfToFloat(HalfFromDouble(-2.0)), -2.0f);
-  EXPECT_EQ(HalfToFloat(HalfFromDouble(65504.0)), 65504.0f);  // fp16 max
-  // Beyond ±65504 the shadow saturates to infinity — the sweep's
-  // finiteness checks then force the exact path.
-  EXPECT_TRUE(std::isinf(HalfToFloat(HalfFromDouble(65520.0))));
-  EXPECT_TRUE(std::isinf(HalfToFloat(HalfFromDouble(1e300))));
-  EXPECT_TRUE(std::isinf(HalfToFloat(HalfFromDouble(
-      -std::numeric_limits<double>::infinity()))));
-}
-
-TEST(KernelsTest, HalfConversionRelativeErrorWithinBound) {
-  // Normal fp16 range: round-to-nearest gives relative error ≤ 2^-11 per
-  // rounding; the margin budgets 2^-10 to also cover the double→fp16
-  // double-rounding. Spot-check across the full normal exponent range.
-  Rng rng(99);
-  for (int e = -14; e <= 15; ++e) {
-    for (int i = 0; i < 32; ++i) {
-      const double v = std::ldexp(1.0 + rng.NextDouble(), e);
-      if (v > 65504.0) continue;
-      const double back = HalfToFloat(HalfFromDouble(v));
-      EXPECT_LE(std::fabs(back - v), std::fabs(v) * 0x1p-10) << v;
-    }
-  }
-}
-
-TEST(KernelsTest, HalfConversionDenormalAbsoluteError) {
-  // Below 2^-14 fp16 goes subnormal: absolute quantization error is at
-  // most half the subnormal quantum 2^-24 — the abs_term side of the
-  // sweep's margin. fp64 values below fp16 subnormal resolution flush to
-  // (signed) zero.
-  for (double v : {0x1p-15, 0x1.8p-16, 0x1p-20, 0x1p-24, 0x1.fp-25}) {
-    const double back = HalfToFloat(HalfFromDouble(v));
-    EXPECT_LE(std::fabs(back - v), 0x1p-25) << v;
-    const double nback = HalfToFloat(HalfFromDouble(-v));
-    EXPECT_LE(std::fabs(nback + v), 0x1p-25) << -v;
-  }
-  EXPECT_EQ(HalfToFloat(HalfFromDouble(0x1p-26)), 0.0f);
-  EXPECT_EQ(HalfToFloat(HalfFromDouble(1e-300)), 0.0f);
-}
-
 TEST(KernelsTest, ExactKernelsBitIdenticalToScalar) {
   KernelGuard guard;
-  // K values straddle every dispatch regime: tiny, the AVX-512
-  // register-resident limit (16), just past it, and a multi-vector spill.
+  // K values straddle the vector widths: tiny, exactly two AVX-512
+  // chunks (16), just past them, and a multi-chunk spill.
   for (size_t k : {3u, 16u, 17u, 33u}) {
     TestIndex idx = MakeIndex(k, /*terms=*/97, /*seed=*/1000 + k);
     const PostingsView view = idx.View();
@@ -189,118 +137,6 @@ TEST(KernelsTest, ExactKernelsBitIdenticalToScalar) {
         }
       }
     }
-  }
-}
-
-// The sweep's margin coefficients for a row (see extended_kmeans.cc).
-void MarginOf(const DocRow& row, double* rel, double* abs_term) {
-  double vmax = 0.0;
-  for (size_t i = 0; i < row.size; ++i) {
-    vmax = std::max(vmax, std::fabs(row.values[i]));
-  }
-  const double r = static_cast<double>(row.size);
-  const double gamma_n = (r + 4.0) * 0x1p-24;
-  ASSERT_LT(gamma_n, 0.5);
-  *rel = 4.0 * (0x1p-10 + gamma_n / (1.0 - gamma_n));
-  *abs_term = 4.0 * r * (0x1p-25 * vmax + 1e-40);
-}
-
-TEST(KernelsTest, QuantizedScoresWithinCertifiedMargin) {
-  KernelGuard guard;
-  for (size_t k : {5u, 16u, 33u}) {
-    // Mixed magnitudes: normal-range weights and fp16-subnormal ones.
-    for (double scale : {0.5, 1e-5}) {
-      TestIndex idx = MakeIndex(k, /*terms=*/64, /*seed=*/7 + k, scale);
-      const PostingsView view = idx.View();
-      const DocRow row = idx.Row();
-      Select(Kind::kScalar);
-      std::vector<double> exact(k);
-      double exact_attached = 0.0;
-      Active().score(view, row, kNoHome, exact.data(), &exact_attached);
-      double rel = 0.0;
-      double abs_term = 0.0;
-      MarginOf(row, &rel, &abs_term);
-      for (Kind kind : kAllKinds) {
-        if (!Available(kind)) continue;
-        SCOPED_TRACE(std::string(KindName(kind)) + " k=" +
-                     std::to_string(k) + " scale=" + std::to_string(scale));
-        Select(kind);
-        std::vector<float> q(k, -1.0f);
-        std::vector<float> qa(k, -1.0f);
-        double ha = 0.0;
-        double hd = 0.0;
-        Active().score_quantized(view, row, kNoHome, q.data(), qa.data(),
-                                 &ha, &hd);
-        for (size_t p = 0; p < k; ++p) {
-          const double bound =
-              rel * static_cast<double>(qa[p]) + abs_term;
-          EXPECT_LE(std::fabs(static_cast<double>(q[p]) - exact[p]), bound)
-              << "cluster " << p;
-          EXPECT_GE(qa[p], 0.0f);
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelsTest, QuantizedHomeSideChannelBitIdenticalToExact) {
-  KernelGuard guard;
-  for (size_t k : {4u, 16u, 21u}) {
-    TestIndex idx = MakeIndex(k, /*terms=*/80, /*seed=*/300 + k);
-    const PostingsView view = idx.View();
-    const DocRow row = idx.Row();
-    for (uint32_t home = 0; home < k; ++home) {
-      Select(Kind::kScalar);
-      std::vector<double> exact(k);
-      double exact_attached = 0.0;
-      Active().score(view, row, home, exact.data(), &exact_attached);
-      for (Kind kind : kAllKinds) {
-        if (!Available(kind)) continue;
-        SCOPED_TRACE(std::string(KindName(kind)) + " k=" +
-                     std::to_string(k) + " home=" + std::to_string(home));
-        Select(kind);
-        std::vector<float> q(k);
-        std::vector<float> qa(k);
-        double ha = 123.0;
-        double hd = 123.0;
-        Active().score_quantized(view, row, home, q.data(), qa.data(), &ha,
-                                 &hd);
-        // The home cluster's cross terms ride an exact fp64 side-channel
-        // in term-major order — bit-identical to the exact kernel's home
-        // lane, regardless of the surrounding fp32 arithmetic.
-        EXPECT_EQ(ha, exact_attached);
-        EXPECT_EQ(hd, exact[home]);
-      }
-    }
-  }
-}
-
-TEST(KernelsTest, Fp16OverflowPoisonsAbsSumsSoTheSweepMustRecheck) {
-  KernelGuard guard;
-  // One weight beyond fp16 max: its shadow is +inf, so the quantized score
-  // and absolute sum of that cluster become non-finite — the sweep's
-  // finiteness checks then refuse to certify and re-score exactly.
-  TestIndex idx;
-  idx.k = 3;
-  idx.offsets = {0, 2};
-  idx.clusters = {0, 2};
-  idx.weights = {1.0, 1e6};
-  idx.row_terms = {0};
-  idx.row_values = {0.5};
-  idx.Finish();
-  for (Kind kind : kAllKinds) {
-    if (!Available(kind)) continue;
-    SCOPED_TRACE(KindName(kind));
-    Select(kind);
-    std::vector<float> q(idx.k);
-    std::vector<float> qa(idx.k);
-    double ha = 0.0;
-    double hd = 0.0;
-    Active().score_quantized(idx.View(), idx.Row(), kNoHome, q.data(),
-                             qa.data(), &ha, &hd);
-    EXPECT_FALSE(std::isfinite(qa[2]));
-    EXPECT_TRUE(std::isfinite(q[0]));
-    EXPECT_NEAR(q[0], 0.5f, 0.5f * 0x1p-10);
   }
 }
 

@@ -104,20 +104,17 @@ TEST(ProvenanceLogTest, JsonOmitsInapplicableFields) {
   ASSERT_TRUE(parsed.ok()) << json;
   EXPECT_EQ(parsed->Find("verdict")->string_value, "outlier");
   EXPECT_EQ(parsed->Find("path")->string_value, "merge");
-  EXPECT_EQ(parsed->Find("quantized")->string_value, "off");
   EXPECT_EQ(parsed->Find("cluster"), nullptr);
   EXPECT_EQ(parsed->Find("runner_up"), nullptr);
   EXPECT_EQ(parsed->Find("kernel"), nullptr);
 
   obs::DecisionRecord assigned = Assigned(7, 17);
   assigned.path = obs::ProvenancePath::kSlotted;
-  assigned.quantized = obs::QuantizedOutcome::kCertified;
   assigned.kernel = "avx2";
   const Result<obs::JsonValue> full =
       obs::ParseJson(obs::RenderDecisionJson(assigned));
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full->Find("path")->string_value, "slotted");
-  EXPECT_EQ(full->Find("quantized")->string_value, "certified");
   EXPECT_EQ(full->Find("kernel")->string_value, "avx2");
   EXPECT_DOUBLE_EQ(full->Find("cluster")->number, 17.0);
   EXPECT_DOUBLE_EQ(full->Find("runner_up")->number, 18.0);
@@ -189,14 +186,12 @@ class ProvenanceEquivalenceTest : public testing::Test {
 
   // Runs the extended K-means with a provenance sink and returns the
   // flushed decisions keyed by document id.
-  std::map<uint64_t, obs::DecisionRecord> Decisions(ClusterScoring scoring,
-                                                    bool quantized) {
+  std::map<uint64_t, obs::DecisionRecord> Decisions(ClusterScoring scoring) {
     obs::ProvenanceLog log(64);
     ExtendedKMeansOptions opts;
     opts.k = 3;
     opts.seed = 5;
     opts.scoring = scoring;
-    opts.quantized_scoring = quantized;
     opts.provenance = &log;
     const Result<ClusteringResult> result =
         RunExtendedKMeans(*ctx_, docs_, opts);
@@ -215,8 +210,8 @@ class ProvenanceEquivalenceTest : public testing::Test {
 };
 
 TEST_F(ProvenanceEquivalenceTest, MarginsBitIdenticalAcrossScoringPaths) {
-  const auto merge = Decisions(ClusterScoring::kMerge, false);
-  const auto slotted = Decisions(ClusterScoring::kSlotted, false);
+  const auto merge = Decisions(ClusterScoring::kMerge);
+  const auto slotted = Decisions(ClusterScoring::kSlotted);
   ASSERT_EQ(merge.size(), docs_.size());
   ASSERT_EQ(slotted.size(), docs_.size());
   for (DocId id : docs_) {
@@ -224,8 +219,8 @@ TEST_F(ProvenanceEquivalenceTest, MarginsBitIdenticalAcrossScoringPaths) {
     const obs::DecisionRecord& s = slotted.at(id);
     EXPECT_EQ(m.path, obs::ProvenancePath::kMerge);
     EXPECT_EQ(s.path, obs::ProvenancePath::kSlotted);
-    EXPECT_EQ(m.quantized, obs::QuantizedOutcome::kOff);
-    EXPECT_EQ(s.quantized, obs::QuantizedOutcome::kOff);
+    EXPECT_STREQ(m.kernel, "");
+    EXPECT_GT(std::strlen(s.kernel), 0u);
     EXPECT_EQ(m.verdict, s.verdict) << "doc " << id;
     EXPECT_EQ(m.cluster_id, s.cluster_id) << "doc " << id;
     EXPECT_EQ(m.runner_up_id, s.runner_up_id) << "doc " << id;
@@ -241,30 +236,6 @@ TEST_F(ProvenanceEquivalenceTest, MarginsBitIdenticalAcrossScoringPaths) {
       EXPECT_GT(m.best_gain, 0.0);
     } else if (m.verdict == obs::ProvenanceVerdict::kOutlier) {
       EXPECT_EQ(m.cluster_id, obs::DecisionRecord::kNoId);
-    }
-  }
-}
-
-TEST_F(ProvenanceEquivalenceTest, QuantizedRunKeepsDecisionsAndBoundsMargins) {
-  const auto exact = Decisions(ClusterScoring::kSlotted, false);
-  const auto quantized = Decisions(ClusterScoring::kSlotted, true);
-  ASSERT_EQ(quantized.size(), docs_.size());
-  for (DocId id : docs_) {
-    const obs::DecisionRecord& e = exact.at(id);
-    const obs::DecisionRecord& q = quantized.at(id);
-    // The certified pass never changes a decision — same verdict, same
-    // winner — it only changes how the margin was established.
-    EXPECT_EQ(e.verdict, q.verdict) << "doc " << id;
-    EXPECT_EQ(e.cluster_id, q.cluster_id) << "doc " << id;
-    EXPECT_NE(q.quantized, obs::QuantizedOutcome::kOff);
-    EXPECT_GT(std::strlen(q.kernel), 0u);
-    EXPECT_GE(q.margin, 0.0);
-    EXPECT_EQ(q.margin, q.best_gain - q.runner_up_gain);
-    if (q.quantized == obs::QuantizedOutcome::kRecheck) {
-      // Re-checked documents were scored exactly: their recorded gains
-      // match the unquantized run bit for bit.
-      EXPECT_EQ(e.best_gain, q.best_gain) << "doc " << id;
-      EXPECT_EQ(e.runner_up_gain, q.runner_up_gain) << "doc " << id;
     }
   }
 }

@@ -215,12 +215,11 @@ TEST(SweepEquivalenceTest, RepresentativeSeedingStaysIdentical) {
   ExpectAllConfigsIdentical(*env, options, seeds);
 }
 
-TEST(SweepEquivalenceTest, KernelAndQuantizationDimensionsStayIdentical) {
+TEST(SweepEquivalenceTest, KernelDimensionStaysIdentical) {
   // The kernel dimension of the ablation: for every compiled-in scoring
-  // kernel (unavailable ones skipped) × quantized scoring on/off × K on
-  // both sides of the AVX-512 register-resident threshold (K ≤ 16 vs the
-  // gather/scatter spill path) × corpus seed, the slotted sweep must match
-  // the merge reference bit-for-bit. The shared vocabulary makes posting
+  // kernel (unavailable ones skipped) × K on both sides of 16 (two full
+  // AVX-512 chunks) × corpus seed, the slotted sweep must match the merge
+  // reference bit-for-bit. The shared vocabulary makes posting
   // lengths span 1..K, so odd lengths and vector-tail remainders are
   // exercised on every scan.
   KernelGuard guard;
@@ -233,27 +232,21 @@ TEST(SweepEquivalenceTest, KernelAndQuantizationDimensionsStayIdentical) {
       ExtendedKMeansOptions options;
       options.k = k;
       options.seed = corpus_seed * 7 + k;
-      options.quantized_scoring = false;
       kernels::Select(kernels::Kind::kScalar);
       const ClusteringResult merge =
           RunConfig(*env, options, ClusterScoring::kMerge, std::nullopt);
       for (kernels::Kind kind : kinds) {
         if (!kernels::Available(kind)) continue;
-        for (bool quantized : {false, true}) {
-          SCOPED_TRACE("seed=" + std::to_string(corpus_seed) +
-                       " k=" + std::to_string(k) + " kernel=" +
-                       kernels::KindName(kind) +
-                       " quantized=" + std::to_string(quantized));
-          kernels::Select(kind);
-          ExtendedKMeansOptions opts = options;
-          opts.quantized_scoring = quantized;
-          const ClusteringResult slotted =
-              RunConfig(*env, opts, ClusterScoring::kSlotted, std::nullopt);
-          EXPECT_EQ(merge.clusters, slotted.clusters);
-          EXPECT_EQ(merge.outliers, slotted.outliers);
-          EXPECT_EQ(merge.g_history, slotted.g_history);
-          EXPECT_EQ(merge.iterations, slotted.iterations);
-        }
+        SCOPED_TRACE("seed=" + std::to_string(corpus_seed) +
+                     " k=" + std::to_string(k) + " kernel=" +
+                     kernels::KindName(kind));
+        kernels::Select(kind);
+        const ClusteringResult slotted =
+            RunConfig(*env, options, ClusterScoring::kSlotted, std::nullopt);
+        EXPECT_EQ(merge.clusters, slotted.clusters);
+        EXPECT_EQ(merge.outliers, slotted.outliers);
+        EXPECT_EQ(merge.g_history, slotted.g_history);
+        EXPECT_EQ(merge.iterations, slotted.iterations);
       }
     }
   }
@@ -261,45 +254,50 @@ TEST(SweepEquivalenceTest, KernelAndQuantizationDimensionsStayIdentical) {
 
 TEST(SweepEquivalenceTest, KernelsStayIdenticalAcrossThreadCounts) {
   // Kernel × thread-count cross product: the parallel RefreshAll and
-  // context build must not perturb any kernel's scoring decisions.
+  // context build must not perturb any kernel's scoring decisions. The
+  // scan counters are pure functions of the input and the decisions (every
+  // kernel counts end − begin postings per row term), so they must match
+  // too.
   KernelGuard guard;
   kernels::Select(kernels::Kind::kScalar);
   auto serial = MakeEnv(47, /*n_docs=*/60, 8, /*num_threads=*/1);
   ExtendedKMeansOptions options;
   options.k = 6;
   options.seed = 19;
-  options.quantized_scoring = false;
+  KMeansProfile base_profile;
+  options.profile = &base_profile;
   const ClusteringResult base =
       RunConfig(*serial, options, ClusterScoring::kSlotted, std::nullopt);
+  ASSERT_GT(base_profile.entries_scanned, 0u);
   for (kernels::Kind kind : {kernels::Kind::kScalar, kernels::Kind::kAvx2,
                              kernels::Kind::kAvx512}) {
     if (!kernels::Available(kind)) continue;
     for (size_t threads : {2u, 0u}) {
-      for (bool quantized : {false, true}) {
-        SCOPED_TRACE(std::string("kernel=") + kernels::KindName(kind) +
-                     " threads=" + std::to_string(threads) +
-                     " quantized=" + std::to_string(quantized));
-        kernels::Select(kind);
-        auto env = MakeEnv(47, /*n_docs=*/60, 8, threads);
-        ExtendedKMeansOptions opts = options;
-        opts.num_threads = threads;
-        opts.quantized_scoring = quantized;
-        const ClusteringResult got =
-            RunConfig(*env, opts, ClusterScoring::kSlotted, std::nullopt);
-        EXPECT_EQ(base.clusters, got.clusters);
-        EXPECT_EQ(base.outliers, got.outliers);
-        EXPECT_EQ(base.g_history, got.g_history);
-      }
+      SCOPED_TRACE(std::string("kernel=") + kernels::KindName(kind) +
+                   " threads=" + std::to_string(threads));
+      kernels::Select(kind);
+      auto env = MakeEnv(47, /*n_docs=*/60, 8, threads);
+      KMeansProfile profile;
+      ExtendedKMeansOptions opts = options;
+      opts.num_threads = threads;
+      opts.profile = &profile;
+      const ClusteringResult got =
+          RunConfig(*env, opts, ClusterScoring::kSlotted, std::nullopt);
+      EXPECT_EQ(base.clusters, got.clusters);
+      EXPECT_EQ(base.outliers, got.outliers);
+      EXPECT_EQ(base.g_history, got.g_history);
+      EXPECT_EQ(base_profile.entries_scanned, profile.entries_scanned);
+      EXPECT_EQ(base_profile.docs_scored, profile.docs_scored);
+      EXPECT_EQ(base_profile.delta_fallbacks, profile.delta_fallbacks);
     }
   }
 }
 
-TEST(SweepEquivalenceTest, NearTieArgmaxTriggersExactRecheckNotDrift) {
+TEST(SweepEquivalenceTest, NearTieArgmaxStaysIdentical) {
   // A corpus of near-duplicate documents: clusters end up with nearly
-  // identical gains, so the quantized margins cannot strictly separate the
-  // argmax. The certification must refuse (exact re-checks fire) rather
-  // than guess — and the decisions must stay bit-identical to both the
-  // un-quantized slotted sweep and the merge reference.
+  // identical (and some exactly tied) gains, so the argmax and its
+  // first-wins tie-break must come out the same on every kernel's slotted
+  // sweep as on the merge reference.
   KernelGuard guard;
   auto env = std::make_unique<Env>();
   for (size_t i = 0; i < 24; ++i) {
@@ -326,28 +324,18 @@ TEST(SweepEquivalenceTest, NearTieArgmaxTriggersExactRecheckNotDrift) {
   options.seed = 11;
   const ClusteringResult merge =
       RunConfig(*env, options, ClusterScoring::kMerge, std::nullopt);
-  size_t total_fallbacks = 0;
   for (kernels::Kind kind :
        {kernels::Kind::kScalar, kernels::Kind::kAvx2,
         kernels::Kind::kAvx512}) {
     if (!kernels::Available(kind)) continue;
     SCOPED_TRACE(kernels::KindName(kind));
     kernels::Select(kind);
-    KMeansProfile profile;
-    ExtendedKMeansOptions opts = options;
-    opts.quantized_scoring = true;
-    opts.profile = &profile;
-    opts.scoring = ClusterScoring::kSlotted;
-    auto result = RunExtendedKMeans(*env->ctx, env->docs, opts);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(merge.clusters, result->clusters);
-    EXPECT_EQ(merge.outliers, result->outliers);
-    EXPECT_EQ(merge.g_history, result->g_history);
-    total_fallbacks += profile.quantized_fallbacks;
+    const ClusteringResult slotted =
+        RunConfig(*env, options, ClusterScoring::kSlotted, std::nullopt);
+    EXPECT_EQ(merge.clusters, slotted.clusters);
+    EXPECT_EQ(merge.outliers, slotted.outliers);
+    EXPECT_EQ(merge.g_history, slotted.g_history);
   }
-  // The margin logic must actually have hit ambiguous ties somewhere —
-  // otherwise this test exercises nothing.
-  EXPECT_GT(total_fallbacks, 0u);
 }
 
 TEST(SweepEquivalenceTest, DegenerateRepresentativeSeedsStayIdentical) {

@@ -252,44 +252,29 @@ TEST(TimeSeriesStoreTest, ObserveStepIngestsCounterDeltasAndGaugeValues) {
   EXPECT_EQ(store.observations(), 2u);
 }
 
-TEST(TimeSeriesStoreTest, CertifiedFractionAndDurabilityLagDerive) {
+TEST(TimeSeriesStoreTest, DurabilityLagDerives) {
   MetricsRegistry registry;
   TimeSeriesStore::Options options;
   options.metrics = &registry;
   TimeSeriesStore store(options);
 
-  Counter* certified = registry.GetCounter("kernel.quantized_certified");
-  Counter* fallbacks = registry.GetCounter("kernel.quantized_fallbacks");
   Counter* wal = registry.GetCounter("store.wal_records");
   Counter* snapshots = registry.GetCounter("store.snapshots");
 
-  certified->Increment(8);
-  fallbacks->Increment(2);
   wal->Increment(5);
   store.ObserveStepAt(0, 10.0);
-  // 8 certified of 10 quantized-scored docs; 5 WAL records since the
-  // (never-seen) last snapshot.
-  const std::vector<SeriesWindow> frac =
-      store.Series("timeseries.certified_fraction", 1);
-  ASSERT_EQ(frac.size(), 1u);
-  EXPECT_DOUBLE_EQ(frac[0].mean, 0.8);
+  // 5 WAL records since the (never-seen) last snapshot.
   std::vector<SeriesWindow> lag = store.Series("timeseries.durability_lag", 1);
   ASSERT_EQ(lag.size(), 1u);
   EXPECT_DOUBLE_EQ(lag[0].mean, 5.0);
 
   // A snapshot commit resets the lag origin to the WAL high-water mark.
-  certified->Increment(10);
   wal->Increment(4);  // 9 total
   snapshots->Increment();
   store.ObserveStepAt(1, 11.0);
   lag = store.Series("timeseries.durability_lag", 1);
   ASSERT_EQ(lag.size(), 2u);
   EXPECT_DOUBLE_EQ(lag[1].mean, 0.0);
-  // All-certified step: fraction 1.
-  const std::vector<SeriesWindow> frac2 =
-      store.Series("timeseries.certified_fraction", 1);
-  ASSERT_EQ(frac2.size(), 2u);
-  EXPECT_DOUBLE_EQ(frac2[1].mean, 1.0);
 
   wal->Increment(3);  // 12 total, no new snapshot
   store.ObserveStepAt(2, 12.0);

@@ -1231,7 +1231,7 @@ std::string Sparkline(const std::vector<double>& values) {
 void PrintTimeSeriesAndProfile(const std::string& base) {
   static const char* kSparkSeries[] = {
       "timeseries.docs_per_sec", "timeseries.moves_per_step",
-      "timeseries.certified_fraction", "timeseries.durability_lag"};
+      "timeseries.durability_lag"};
   for (const char* series : kSparkSeries) {
     Result<std::string> body = HttpGet(base + "/timeseriesz?metric=" +
                                        std::string(series) + "&res=1");

@@ -60,9 +60,6 @@ constexpr const char* kMetricKeys[] = {
     "kernel.bytes_scanned",
     "kernel.entries_scanned",
     "kernel.docs_scored",
-    "kernel.quantized_docs",
-    "kernel.quantized_certified",
-    "kernel.quantized_fallbacks",
     "kernel.delta_fallbacks",
     "rep_index.live_entries",
     "rep_index.tombstones",
