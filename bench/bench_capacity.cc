@@ -1,11 +1,11 @@
 // Capacity benchmark for the multi-tenant sharded ingest service: the
-// same 8-feed workload pushed through three shard layouts —
+// same 8-feed workload pushed through two shard layouts —
 //
-//   1shard-serial    1 shard worker, 1 K-means thread    (the floor)
-//   1shard-parallel  1 shard worker, hw K-means threads  (per-step
-//                    parallelism only — the PR-8 scaling story)
-//   multishard       4+ shard workers, 1 K-means thread each (per-tenant
-//                    parallelism — this PR's scaling story)
+//   1shard-serial    1 shard worker (the floor)
+//   multishard       4+ shard workers (per-tenant parallelism)
+//
+// Each shard worker steps its tenants on its own thread, so the shard is
+// the only unit of parallelism.
 //
 // Every row ingests identical per-tenant batch sequences (rendered and
 // re-parsed through the shared JSONL wire codec, so the workload is
@@ -31,8 +31,8 @@
 //   NIDC_CAPACITY_TENANTS  tenant count (default 8)
 //   NIDC_CAPACITY_BATCH    documents per ingest batch (default 32)
 //   NIDC_REQUIRE_SHARD_SPEEDUP  if positive, exit non-zero unless the
-//                          multishard row beats the best single-shard row
-//                          by that factor — skipped with a note when the
+//                          multishard row beats the 1shard-serial row by
+//                          that factor — skipped with a note when the
 //                          host has fewer than 4 hardware threads (the
 //                          ratio is meaningless without cores to spread
 //                          shards over; the 4-vcpu guard CI enforces it)
@@ -55,7 +55,6 @@
 #include "nidc/shard/ingest.h"
 #include "nidc/shard/service.h"
 #include "nidc/shard/tenant.h"
-#include "nidc/util/thread_pool.h"
 
 namespace nidc::bench {
 namespace {
@@ -63,7 +62,6 @@ namespace {
 struct RowConfig {
   const char* name;
   size_t shards;
-  size_t threads_per_shard;  // 0 = hardware concurrency
 };
 
 // One stage interval's percentile pair, milliseconds. count is how many
@@ -189,7 +187,6 @@ RowResult RunRow(const RowConfig& row, const std::string& root,
   shard::ShardServiceOptions options;
   options.root = root;
   options.num_shards = row.shards;
-  options.threads_per_shard = row.threads_per_shard;
   options.wal_sync = WalSyncMode::kNone;
   options.tracer = &tracer;
   auto service = shard::ShardService::Start(std::move(options));
@@ -331,14 +328,14 @@ void WriteJson(const std::string& path, double scale, size_t tenants,
   std::fprintf(f, "  \"hardware_threads\": %zu,\n", hw);
   std::fprintf(f, "  \"wal_sync\": \"none\",\n");
   std::fprintf(f, "  \"identical\": %s,\n", identical ? "true" : "false");
-  std::fprintf(f, "  \"speedup_multishard_vs_best_single\": %.4f,\n",
+  std::fprintf(f, "  \"speedup_multishard_vs_single\": %.4f,\n",
                speedup);
   std::fprintf(f, "  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const RowResult& r = results[i];
     std::fprintf(f,
                  "    {\"config\": \"%s\", \"shards\": %zu, "
-                 "\"threads_per_shard\": %zu, \"seconds\": %.4f, "
+                 "\"seconds\": %.4f, "
                  "\"docs_per_sec\": %.1f, \"latency_p50_ms\": %.3f, "
                  "\"latency_p99_ms\": %.3f, \"backpressure_retries\": "
                  "%llu, \"traces_completed\": %zu,\n"
@@ -349,8 +346,7 @@ void WriteJson(const std::string& path, double scale, size_t tenants,
                  "\"count\": %zu}, "
                  "\"checkpoint\": {\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
                  "\"count\": %zu}}}%s\n",
-                 rows[i].name, rows[i].shards,
-                 ThreadPool::Resolve(rows[i].threads_per_shard), r.seconds,
+                 rows[i].name, rows[i].shards, r.seconds,
                  r.docs_per_sec, r.p50_ms, r.p99_ms,
                  static_cast<unsigned long long>(r.retries),
                  r.traces_completed, r.enqueue_wait.p50_ms,
@@ -374,7 +370,8 @@ int Main() {
       static_cast<size_t>(EnvScale("NIDC_CAPACITY_TENANTS", 8.0));
   const size_t batch_docs =
       static_cast<size_t>(EnvScale("NIDC_CAPACITY_BATCH", 32.0));
-  const size_t hw = ThreadPool::Resolve(0);
+  const size_t hw =
+      std::max<size_t>(1, std::thread::hardware_concurrency());
 
   GeneratorOptions gen_options;
   gen_options.scale = scale;
@@ -425,23 +422,19 @@ int Main() {
       ReferenceDigests(base + "/reference", config, batches, flush_until);
 
   const std::vector<RowConfig> rows = {
-      {"1shard-serial", 1, 1},
-      {"1shard-parallel", 1, 0},
-      {"multishard", std::max<size_t>(4, std::min(tenants, hw)), 1},
+      {"1shard-serial", 1},
+      {"multishard", std::max<size_t>(4, std::min(tenants, hw))},
   };
   std::vector<RowResult> results;
-  TablePrinter table({"config", "shards", "thr/shard", "seconds",
-                      "docs/s", "p50 ms", "p99 ms", "retries",
-                      "identical"});
+  TablePrinter table({"config", "shards", "seconds", "docs/s", "p50 ms",
+                      "p99 ms", "retries", "identical"});
   for (const RowConfig& row : rows) {
     std::printf("running %s...\n", row.name);
     results.push_back(RunRow(row, base + "/" + row.name, config, batches,
                              flush_until, reference));
     const RowResult& r = results.back();
     table.AddRow(
-        {row.name, std::to_string(row.shards),
-         std::to_string(ThreadPool::Resolve(row.threads_per_shard)),
-         Fmt(r.seconds, 3),
+        {row.name, std::to_string(row.shards), Fmt(r.seconds, 3),
          std::to_string(static_cast<uint64_t>(r.docs_per_sec)),
          Fmt(r.p50_ms, 2), Fmt(r.p99_ms, 2), std::to_string(r.retries),
          r.identical ? "YES" : "NO"});
@@ -478,13 +471,11 @@ int Main() {
     }
   }
 
-  const double best_single =
-      std::max(results[0].docs_per_sec, results[1].docs_per_sec);
   const double speedup =
-      results[2].docs_per_sec / std::max(best_single, 1e-9);
+      results[1].docs_per_sec / std::max(results[0].docs_per_sec, 1e-9);
   std::printf("\nper-tenant digests identical everywhere: %s\n",
               identical ? "YES" : "NO");
-  std::printf("multishard speedup over best single-shard row: %.2fx\n",
+  std::printf("multishard speedup over 1shard-serial: %.2fx\n",
               speedup);
 
   const char* dir = std::getenv("NIDC_BENCH_JSON_DIR");

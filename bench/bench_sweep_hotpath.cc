@@ -5,11 +5,8 @@
 // Configurations running the same clustering problem:
 //   merge            scoring=kMerge (the per-cluster reference path)
 //   slotted-scalar   slotted sweep, scalar kernel
-//   slotted          slotted sweep, best SIMD kernel
-//   slotted+parallel same as slotted with a full thread pool — only
-//                    emitted when the pool actually resolves to > 1 thread
-//                    (a 1-thread "parallel" row is meaningless and the
-//                    bench refuses to report one)
+//   slotted          slotted sweep, dispatched kernel (the best this
+//                    host runs, or the one NIDC_KERNEL pins)
 // All configurations must produce identical clusterings (same memberships,
 // same outliers, same G trajectory) — the bench verifies this and exits
 // non-zero on a mismatch. Per-phase timings (seed / score / index
@@ -28,7 +25,7 @@
 //   NIDC_SWEEP_SCALE   corpus scale (1.0 = paper-scale 7,578 docs)
 //   NIDC_SWEEP_K       number of clusters (default 32)
 //   NIDC_REQUIRE_SPEEDUP  if set to a positive value, exit non-zero unless
-//                         the fastest slotted configuration achieves that
+//                         the slotted configuration achieves that
 //                         total-time speedup over merge
 //   NIDC_REQUIRE_SLOTTED_SPEEDUP  if set to a positive value, exit
 //                         non-zero unless the serial slotted sweep
@@ -43,6 +40,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -55,7 +53,6 @@
 #include "nidc/obs/slo.h"
 #include "nidc/obs/timeseries.h"
 #include "nidc/obs/trace.h"
-#include "nidc/util/thread_pool.h"
 
 namespace nidc::bench {
 namespace {
@@ -69,7 +66,6 @@ std::string Fmt(double value, int precision) {
 struct Config {
   const char* name;
   ClusterScoring scoring;
-  size_t num_threads;  // requested; 0 = hardware concurrency
   kernels::Kind kernel = kernels::Kind::kScalar;
   int reps = 1;  // timed repetitions, fastest kept (output is identical)
 };
@@ -86,25 +82,20 @@ struct BatchRun {
   ClusteringResult result;
 };
 
-/// The best SIMD kernel this host can run (scalar when there is none).
-kernels::Kind BestKind() {
-  if (kernels::Available(kernels::Kind::kAvx512)) {
-    return kernels::Kind::kAvx512;
-  }
-  if (kernels::Available(kernels::Kind::kAvx2)) {
-    return kernels::Kind::kAvx2;
-  }
-  return kernels::Kind::kScalar;
+/// The kernel the runtime dispatch picked before any config re-selected
+/// one: the best this host runs, or the one NIDC_KERNEL pins.
+kernels::Kind DispatchedKind() {
+  static const kernels::Kind kind = kernels::Active().kind;
+  return kind;
 }
 
 void ApplyConfig(const Config& config, ExtendedKMeansOptions* kmeans) {
   kmeans->scoring = config.scoring;
-  kmeans->num_threads = config.num_threads;
   kernels::Select(config.kernel);
 }
 
 // Instrumented-vs-null overhead of the *full* observability stack on the
-// fast configuration: a registry, tracer, event log, phase profiler,
+// slotted configuration: a registry, tracer, event log, phase profiler,
 // provenance log, time-series store, request tracer and SLO engine all
 // attached (with a post-run ObserveStep and a per-step request trace +
 // SLO evaluation, as the stream driver issues), against everything null.
@@ -116,9 +107,9 @@ void ApplyConfig(const Config& config, ExtendedKMeansOptions* kmeans) {
 // The estimator is the median of *paired* differences: each repetition
 // times one null and one instrumented run back-to-back (alternating which
 // goes first) and keeps their delta. Pairing cancels the slow drift —
-// frequency scaling, pool scheduling luck — that made independent
-// min-of-N sides diverge by several percent on a multi-core run whose
-// true overhead is well under one percent; the median then discards the
+// frequency scaling, scheduling luck — that made independent min-of-N
+// sides diverge by several percent on a multi-core run whose true
+// overhead is well under one percent; the median then discards the
 // occasional rep a descheduling spike lands on. `reps` <= 0 sizes the
 // pair count to a fixed wall budget from the measured warm-up pair.
 // Returns the overhead in percent (negative = within noise, faster).
@@ -127,12 +118,10 @@ double MeasureInstrumentationOverhead(const ForgettingModel& model,
                                       ExtendedKMeansOptions kmeans,
                                       int reps) {
   kmeans.scoring = ClusterScoring::kSlotted;
-  kmeans.num_threads = 0;
-  kernels::Select(BestKind());
-  // The context build is telemetry-independent and runs on the thread
-  // pool — keeping it outside the timed section removes its scheduling
-  // noise from the overhead ratio.
-  SimilarityContext ctx(model, ThreadPool::Resolve(0));
+  kernels::Select(DispatchedKind());
+  // The context build is telemetry-independent — keeping it outside the
+  // timed section keeps the overhead ratio about the clustering alone.
+  SimilarityContext ctx(model);
   obs::MetricsRegistry registry;
   obs::Tracer tracer;
   obs::EventLog events(4096, &registry);
@@ -245,7 +234,7 @@ BatchRun RunBatch(const ForgettingModel& model,
   ApplyConfig(config, &kmeans);
   BatchRun run;
   Stopwatch ctx_timer;
-  SimilarityContext ctx(model, ThreadPool::Resolve(config.num_threads));
+  SimilarityContext ctx(model);
   run.timing.context_seconds = ctx_timer.ElapsedSeconds();
   // The clustering is deterministic per config, so the timed section runs
   // `reps` times and the fastest repetition is kept: the slotted sweeps
@@ -338,15 +327,13 @@ void WriteJson(const std::string& path, double scale, size_t k,
     const auto& [config, timing] = batch[i];
     const KMeansProfile& prof = timing.profile;
     std::fprintf(f,
-                 "    {\"config\": \"%s\", \"threads\": %zu, "
-                 "\"kernel\": \"%s\", "
+                 "    {\"config\": \"%s\", \"kernel\": \"%s\", "
                  "\"context_seconds\": %.6f, "
                  "\"cluster_seconds\": %.6f, \"total_seconds\": %.6f, "
                  "\"seed_seconds\": %.6f, \"score_seconds\": %.6f, "
                  "\"maintenance_seconds\": %.6f, "
                  "\"refresh_seconds\": %.6f, \"score_gbps\": %.3f}%s\n",
-                 config.name, ThreadPool::Resolve(config.num_threads),
-                 config.scoring == ClusterScoring::kSlotted
+                 config.name, config.scoring == ClusterScoring::kSlotted
                      ? kernels::KindName(config.kernel)
                      : "none",
                  timing.context_seconds, timing.cluster_seconds,
@@ -412,8 +399,9 @@ int Main() {
 
   const double scale = EnvScale("NIDC_SWEEP_SCALE", 1.0);
   const size_t k = static_cast<size_t>(EnvScale("NIDC_SWEEP_K", 32.0));
-  const size_t hw = ThreadPool::Resolve(0);
-  const kernels::Kind best = BestKind();
+  const size_t hw =
+      std::max<size_t>(1, std::thread::hardware_concurrency());
+  const kernels::Kind kernel = DispatchedKind();
   BenchCorpus bc = MakeCorpus(scale);
 
   // Batch comparison: every document of the corpus active at once, so the
@@ -431,28 +419,17 @@ int Main() {
   kmeans.k = k;
   kmeans.seed = 7;
 
-  std::vector<Config> configs = {
-      {"merge", ClusterScoring::kMerge, 1, best},
-      {"slotted-scalar", ClusterScoring::kSlotted, 1, kernels::Kind::kScalar,
-       5},
-      {"slotted", ClusterScoring::kSlotted, 1, best, 5},
+  const std::vector<Config> configs = {
+      {"merge", ClusterScoring::kMerge, kernel},
+      {"slotted-scalar", ClusterScoring::kSlotted, kernels::Kind::kScalar, 5},
+      {"slotted", ClusterScoring::kSlotted, kernel, 5},
   };
   constexpr size_t kMerge = 0, kSlottedScalar = 1, kSlotted = 2;
-  size_t fast = kSlotted;
-  if (hw > 1) {
-    configs.push_back(
-        {"slotted+parallel", ClusterScoring::kSlotted, 0, best, 5});
-    fast = configs.size() - 1;
-  } else {
-    std::printf(
-        "note: thread pool resolves to 1 thread on this host — "
-        "omitting the slotted+parallel row\n");
-  }
 
   std::printf("corpus: %zu docs, K = %zu, hardware threads = %zu, "
-              "best kernel = %s\n\n",
-              docs.size(), k, hw, kernels::KindName(best));
-  TablePrinter table({"config", "thr", "kernel", "context s", "cluster s",
+              "kernel = %s\n\n",
+              docs.size(), k, hw, kernels::KindName(kernel));
+  TablePrinter table({"config", "kernel", "context s", "cluster s",
                       "score s", "maint s", "refresh s", "GB/s", "total s",
                       "speedup", "iters"});
   std::vector<std::pair<Config, Timing>> batch;
@@ -463,8 +440,7 @@ int Main() {
     batch.emplace_back(config, t);
     const bool slotted_row = config.scoring == ClusterScoring::kSlotted;
     table.AddRow(
-        {config.name, std::to_string(ThreadPool::Resolve(config.num_threads)),
-         slotted_row ? kernels::KindName(config.kernel) : "-",
+        {config.name, slotted_row ? kernels::KindName(config.kernel) : "-",
          Fmt(t.context_seconds, 3), Fmt(t.cluster_seconds, 3),
          Fmt(t.profile.score_seconds(), 3),
          Fmt(t.profile.maintenance_seconds, 3),
@@ -485,26 +461,24 @@ int Main() {
   }
   std::printf("\nclustering outputs identical across configs: %s\n",
               identical ? "YES" : "NO");
-  const double speedup =
-      runs[kMerge].timing.total() / std::max(runs[fast].timing.total(),
-                                             1e-12);
+  const double speedup = runs[kMerge].timing.total() /
+                        std::max(runs[kSlotted].timing.total(), 1e-12);
   const double slotted_speedup =
       runs[kMerge].timing.cluster_seconds /
       std::max(runs[kSlotted].timing.cluster_seconds, 1e-12);
   // The kernel ratio compares the scoring pass (sweep minus move
-  // maintenance) of the scalar-kernel sweep against the best kernel's
+  // maintenance) of the scalar-kernel sweep against the dispatched kernel's
   // sweep — same sweep structure, only the kernels differ. Maintenance
   // (Cluster::Add/Remove representative updates for moves) is
   // kernel-independent work both sides share, so it is excluded.
   const double kernel_speedup =
       runs[kSlottedScalar].timing.profile.score_seconds() /
       std::max(runs[kSlotted].timing.profile.score_seconds(), 1e-12);
-  std::printf("%s speedup over merge (total): %.2fx\n", configs[fast].name,
-              speedup);
+  std::printf("slotted speedup over merge (total): %.2fx\n", speedup);
   std::printf("slotted speedup over merge (cluster time): %.2fx\n",
               slotted_speedup);
   std::printf("kernel speedup, %s vs scalar (scoring time): %.2fx\n",
-              kernels::KindName(best), kernel_speedup);
+              kernels::KindName(kernel), kernel_speedup);
   std::printf("slotted docs scored: %llu, overlay fallbacks: %llu\n",
               static_cast<unsigned long long>(
                   runs[kSlotted].timing.profile.docs_scored),
@@ -519,12 +493,12 @@ int Main() {
       overhead_pct);
 
   // Incremental-stream trajectory (first week of the corpus): merge vs the
-  // fastest slotted configuration, per-step clustering time.
+  // slotted configuration, per-step clustering time.
   std::vector<size_t> active;
   const std::vector<double> merge_steps =
       RunStream(bc, k, configs[kMerge], &active);
   const std::vector<double> fast_steps =
-      RunStream(bc, k, configs[fast], nullptr);
+      RunStream(bc, k, configs[kSlotted], nullptr);
   std::vector<StepTrace> trajectory;
   for (size_t i = 0; i < merge_steps.size() && i < fast_steps.size(); ++i) {
     StepTrace t;
@@ -539,7 +513,7 @@ int Main() {
   const std::string path =
       std::string(dir != nullptr && dir[0] != '\0' ? dir : ".") +
       "/BENCH_sweep_hotpath.json";
-  WriteJson(path, scale, k, docs.size(), hw, configs[fast].name, batch,
+  WriteJson(path, scale, k, docs.size(), hw, configs[kSlotted].name, batch,
             trajectory, speedup, slotted_speedup, kernel_speedup);
 
   if (!identical) {

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "nidc/util/thread_pool.h"
-
 namespace nidc {
 
 void ClusterSet::Assign(DocId id, int p, const SimilarityContext& ctx) {
@@ -73,26 +71,14 @@ void ClusterSet::ReplayStay(DocId id, size_t p, double t_attached,
   // index needs no touch — that is the whole point of the move-only sweep.
 }
 
-void ClusterSet::RefreshAll(const SimilarityContext& ctx, ThreadPool* pool) {
-  if (pool != nullptr && pool->num_threads() > 1 && clusters_.size() > 1) {
-    // Each Cluster::Refresh reads only the context and its own members and
-    // writes only its own caches — independent across clusters, so lanes
-    // produce the serial results bit-for-bit.
-    pool->ParallelFor(clusters_.size(), /*grain=*/1,
-                      [&](size_t begin, size_t end) {
-                        for (size_t p = begin; p < end; ++p) {
-                          clusters_[p].Refresh(ctx);
-                        }
-                      });
-  } else {
-    for (Cluster& c : clusters_) c.Refresh(ctx);
-  }
+void ClusterSet::RefreshAll(const SimilarityContext& ctx) {
+  for (Cluster& c : clusters_) c.Refresh(ctx);
   if (scoring_ == ClusterScoring::kSlotted) {
     // One-pass CSR rebuild with the same per-term addition order as
     // Cluster::Refresh uses for the representatives, so indexed scores stay
     // aligned with the merge path; also clears the mid-sweep overlay and
     // tombstones.
-    flat_index_.BuildFromClusters(ctx, clusters_, pool);
+    flat_index_.BuildFromClusters(ctx, clusters_);
   }
 }
 

@@ -81,12 +81,8 @@ class ClusterSet {
                   const SimilarityContext& ctx);
 
   /// Recomputes every cluster's cached statistics (and the posting index,
-  /// when scoring through one) from its members. With a pool of >= 2
-  /// threads, the per-cluster refreshes and the CSR rebuild's accumulation
-  /// phase run sharded across it; results are bit-identical to the serial
-  /// path for any thread count (clusters are independent, and the CSR fill
-  /// order is reproduced exactly).
-  void RefreshAll(const SimilarityContext& ctx, ThreadPool* pool = nullptr);
+  /// when scoring through one) from its members.
+  void RefreshAll(const SimilarityContext& ctx);
 
   /// Clustering index G = Σ_p |C_p| · avg_sim(C_p) (Eq. 17).
   double G() const;

@@ -12,7 +12,6 @@
 #include "nidc/obs/provenance.h"
 #include "nidc/obs/trace.h"
 #include "nidc/util/stopwatch.h"
-#include "nidc/util/thread_pool.h"
 
 namespace nidc {
 
@@ -433,56 +432,45 @@ KMeansSeeds WithoutExpiredClusters(const KMeansSeeds& seeds,
 // Populates clusters from fixed representative vectors: each document joins
 // the cluster whose representative it is most similar to (cr_sim with the
 // singleton {d}); non-positive best similarity goes to the outlier list.
-//
-// The scan is read-only against the fixed vectors, so the per-document
-// decisions are computed in parallel (through a flat posting index over
-// the seed representatives when scoring kSlotted) and then applied
-// serially in document order — bit-identical to the serial loop for any
-// thread count.
+// The scan reads only the fixed vectors (through a flat posting index over
+// them when scoring kSlotted), so each decision is applied as soon as it is
+// made, in document order.
 std::vector<DocId> AssignAgainstFixedRepresentatives(
     const std::vector<DocId>& docs, const std::vector<SparseVector>& reps,
-    const SimilarityContext& ctx, ClusterScoring scoring, ThreadPool* pool,
+    const SimilarityContext& ctx, ClusterScoring scoring,
     ClusterSet* clusters) {
   FlatRepIndex seed_index;
   if (scoring == ClusterScoring::kSlotted) {
     seed_index.BuildFromRepresentatives(ctx, reps);
   }
 
-  std::vector<int> decisions(docs.size(), kUnassigned);
-  const auto decide = [&](size_t begin, size_t end) {
-    std::vector<double> scores;
-    for (size_t i = begin; i < end; ++i) {
-      int best = kUnassigned;
-      double best_sim = 0.0;
-      if (scoring == ClusterScoring::kSlotted) {
-        seed_index.ScoreAll(ctx, ctx.SlotOf(docs[i]), &scores);
-        for (size_t p = 0; p < reps.size(); ++p) {
-          if (scores[p] > best_sim) {
-            best_sim = scores[p];
-            best = static_cast<int>(p);
-          }
-        }
-      } else {
-        const SimilarityContext::Row psi = ctx.Psi(docs[i]);
-        for (size_t p = 0; p < reps.size(); ++p) {
-          const double sim = reps[p].Dot(psi);
-          if (sim > best_sim) {
-            best_sim = sim;
-            best = static_cast<int>(p);
-          }
+  std::vector<DocId> outliers;
+  std::vector<double> scores;
+  for (const DocId id : docs) {
+    int best = kUnassigned;
+    double best_sim = 0.0;
+    if (scoring == ClusterScoring::kSlotted) {
+      seed_index.ScoreAll(ctx, ctx.SlotOf(id), &scores);
+      for (size_t p = 0; p < reps.size(); ++p) {
+        if (scores[p] > best_sim) {
+          best_sim = scores[p];
+          best = static_cast<int>(p);
         }
       }
-      decisions[i] = best;
-    }
-  };
-  pool->ParallelFor(docs.size(), /*grain=*/64, decide);
-
-  std::vector<DocId> outliers;
-  for (size_t i = 0; i < docs.size(); ++i) {
-    if (decisions[i] == kUnassigned) {
-      outliers.push_back(docs[i]);
     } else {
-      clusters->Assign(docs[i], decisions[i], ctx);
+      const SimilarityContext::Row psi = ctx.Psi(id);
+      for (size_t p = 0; p < reps.size(); ++p) {
+        const double sim = reps[p].Dot(psi);
+        if (sim > best_sim) {
+          best_sim = sim;
+          best = static_cast<int>(p);
+        }
+      }
+    }
+    if (best == kUnassigned) {
+      outliers.push_back(id);
+    } else {
+      clusters->Assign(id, best, ctx);
     }
   }
   return outliers;
@@ -510,7 +498,6 @@ Result<ClusteringResult> RunExtendedKMeans(
   const ClusterScoring scoring = options.scoring;
   ClusterSet clusters(k, scoring);
   Rng rng(options.seed);
-  ThreadPool pool(ThreadPool::Resolve(options.num_threads));
   std::vector<DocId> outliers;
   obs::MetricsRegistry* metrics = options.metrics;
   KMeansProfile* profile = options.profile;
@@ -567,7 +554,7 @@ Result<ClusteringResult> RunExtendedKMeans(
                                          "clusters than k");
         }
         outliers = AssignAgainstFixedRepresentatives(
-            docs, seed->representatives, ctx, scoring, &pool, &clusters);
+            docs, seed->representatives, ctx, scoring, &clusters);
         break;
       }
     }
@@ -583,7 +570,7 @@ Result<ClusteringResult> RunExtendedKMeans(
       }
       outliers.clear();
     }
-    clusters.RefreshAll(ctx, &pool);
+    clusters.RefreshAll(ctx);
     return Status::OK();
   };
   NIDC_RETURN_NOT_OK(run_initial_process());
@@ -674,7 +661,7 @@ Result<ClusteringResult> RunExtendedKMeans(
     {
       NIDC_SPAN("kmeans.refresh");
       if (time_phases) phase_timer.Restart();
-      clusters.RefreshAll(ctx, &pool);
+      clusters.RefreshAll(ctx);
       if (time_phases) {
         const double seconds = phase_timer.ElapsedSeconds();
         if (refresh_seconds_hist != nullptr) {
@@ -741,12 +728,10 @@ Result<ClusteringResult> RunExtendedKMeans(
   if (scoring == ClusterScoring::kSlotted && profile != nullptr) {
     const FlatRepIndex::ScanStats& ss = clusters.flat_index().scan_stats();
     profile->kernel = kernels::Active().name;
-    profile->score_bytes = ss.bytes_scanned.load(std::memory_order_relaxed);
-    profile->entries_scanned =
-        ss.entries_scanned.load(std::memory_order_relaxed);
-    profile->docs_scored = ss.docs_scored.load(std::memory_order_relaxed);
-    profile->delta_fallbacks =
-        ss.delta_fallback_docs.load(std::memory_order_relaxed);
+    profile->score_bytes = ss.bytes_scanned;
+    profile->entries_scanned = ss.entries_scanned;
+    profile->docs_scored = ss.docs_scored;
+    profile->delta_fallbacks = ss.delta_fallback_docs;
     if (metrics != nullptr) {
       metrics
           ->GetGauge(std::string("kernel.dispatch.") + profile->kernel)

@@ -91,12 +91,10 @@ struct ExtendedKMeansOptions {
   /// bit-for-bit.
   ClusterScoring scoring = ClusterScoring::kSlotted;
 
-  /// Concurrency for the read-only scans (ψ-vector construction in
-  /// SimilarityContext when driven through the clusterers, the seeded
-  /// assignment pass against fixed representatives, and the per-cluster
-  /// refresh + CSR rebuild in RefreshAll). 0 = hardware concurrency.
-  /// Results are bit-identical for every value — parallel lanes write
-  /// disjoint slots and assignments are applied in sweep order.
+  /// Ignored: every run executes on its caller's thread. The field stays
+  /// only because the end-to-end benchmark replay (bench/e2e/replay.cc)
+  /// assigns it; delete the field and that assignment together in the next
+  /// change to the benchmark.
   size_t num_threads = 0;
 
   /// Telemetry sink for the run (see obs/metrics.h): iteration counts,

@@ -11,7 +11,6 @@
 #include "nidc/obs/provenance.h"
 #include "nidc/obs/trace.h"
 #include "nidc/util/stopwatch.h"
-#include "nidc/util/thread_pool.h"
 
 namespace nidc {
 
@@ -26,8 +25,8 @@ const std::vector<double>& SecondsBuckets() {
 }
 
 // Publishes the per-step telemetry shared by the incremental and batch
-// drivers: document churn, phase timings, model gauges (vocabulary size,
-// tdw) and process-wide thread-pool utilization.
+// drivers: document churn, phase timings and model gauges (vocabulary
+// size, tdw).
 void RecordStepMetrics(obs::MetricsRegistry* metrics,
                        const ForgettingModel& model,
                        const StepResult& result) {
@@ -53,13 +52,6 @@ void RecordStepMetrics(obs::MetricsRegistry* metrics,
   metrics->GetGauge("term_stats.vocab_size")
       ->Set(static_cast<double>(model.NumTerms()));
   metrics->GetGauge("term_stats.tdw")->Set(model.TotalWeight());
-  const ThreadPool::Stats pool_stats = ThreadPool::GlobalStats();
-  metrics->GetGauge("thread_pool.tasks_executed")
-      ->Set(static_cast<double>(pool_stats.tasks_executed));
-  metrics->GetGauge("thread_pool.parallel_fors")
-      ->Set(static_cast<double>(pool_stats.parallel_fors));
-  metrics->GetGauge("thread_pool.queue_high_water")
-      ->Set(static_cast<double>(pool_stats.queue_high_water));
 }
 
 // Registers the gauges only a K-means step sets, so a scrape taken before
@@ -229,7 +221,7 @@ Result<ClusteringResult> IncrementalClusterer::RunKMeans(
   std::optional<SimilarityContext> ctx;
   {
     NIDC_SPAN("step.context_build");
-    ctx.emplace(model_, ThreadPool::Resolve(options_.kmeans.num_threads));
+    ctx.emplace(model_);
   }
   result->context_entries = ctx->num_entries();
   result->context_bytes = ctx->bytes();
@@ -326,8 +318,7 @@ Status IncrementalClusterer::CheckRestoredMembers() const {
 Status IncrementalClusterer::RecomputeSeedDerivedState() {
   if (!last_result_ || model_.num_active() == 0) return Status::OK();
   // Recompute representatives (Eq. 20) for the restored memberships.
-  SimilarityContext ctx(model_,
-                        ThreadPool::Resolve(options_.kmeans.num_threads));
+  SimilarityContext ctx(model_);
   last_result_->representatives.assign(last_result_->clusters.size(),
                                        SparseVector());
   last_result_->avg_sims.assign(last_result_->clusters.size(), 0.0);
@@ -404,7 +395,7 @@ Result<StepResult> BatchClusterer::Run(const std::vector<DocId>& docs,
   std::optional<SimilarityContext> ctx;
   {
     NIDC_SPAN("step.context_build");
-    ctx.emplace(model_, ThreadPool::Resolve(kmeans_.num_threads));
+    ctx.emplace(model_);
   }
   result.context_entries = ctx->num_entries();
   result.context_bytes = ctx->bytes();

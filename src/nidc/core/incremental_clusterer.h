@@ -58,9 +58,9 @@ struct IncrementalOptions {
   SeedMode reseed_mode = SeedMode::kMembership;
 
   /// Telemetry sink for step-level metrics (doc churn, phase timings,
-  /// vocabulary/tdw gauges, thread-pool utilization); also propagated to
-  /// the K-means run unless `kmeans.metrics` is set explicitly. Null (the
-  /// default) disables all instrumentation.
+  /// vocabulary/tdw gauges); also propagated to the K-means run unless
+  /// `kmeans.metrics` is set explicitly. Null (the default) disables all
+  /// instrumentation.
   obs::MetricsRegistry* metrics = nullptr;
 
   /// Lifecycle-event sink (see obs/event_log.h): the step loop emits

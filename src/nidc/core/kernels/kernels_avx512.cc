@@ -56,7 +56,10 @@ uint64_t ScoreAvx512(const PostingsView& view, const DocRow& row,
       const __m512d w = _mm512_loadu_pd(view.weights + e);
       __m512d prod = _mm512_mul_pd(w, vv);
       if (home != kNoHome) {
-        const __m512i ids64 = _mm512_cvtepu32_epi64(ids);
+        // The zero-masked widening gives every lane a defined source; the
+        // unmasked form starts from an undefined register, which gcc 12
+        // reports as maybe-uninitialized.
+        const __m512i ids64 = _mm512_maskz_cvtepu32_epi64(m, ids);
         const __mmask8 kh = _mm512_mask_cmpeq_epi64_mask(m, ids64, home64);
         if (kh != 0) {
           // Detached home lane: same sub-then-mul expression as the scalar

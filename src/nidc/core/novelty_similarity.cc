@@ -3,19 +3,10 @@
 #include <algorithm>
 
 #include "nidc/util/logging.h"
-#include "nidc/util/thread_pool.h"
 
 namespace nidc {
 
-namespace {
-
-// Below this many documents the pool dispatch costs more than the build.
-constexpr size_t kParallelBuildThreshold = 256;
-
-}  // namespace
-
-SimilarityContext::SimilarityContext(const ForgettingModel& model,
-                                     size_t num_threads) {
+SimilarityContext::SimilarityContext(const ForgettingModel& model) {
   docs_ = model.active_docs();
   const Corpus& corpus = model.corpus();
   // A row holds at most its document's term count; CompactArena closes
@@ -31,35 +22,25 @@ SimilarityContext::SimilarityContext(const ForgettingModel& model,
   std::vector<uint32_t> row_sizes(docs_.size());
 
   // Writes ψ_i with *global* term ids, ascending like the document's terms.
-  const auto build = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const DocId id = docs_[i];
-      const Document& doc = corpus.doc(id);
-      const double len = doc.Length();
-      const double pr = model.PrDoc(id);
-      uint32_t* terms = row_terms_.data() + row_offsets_[i];
-      double* values = row_values_.data() + row_offsets_[i];
-      uint32_t n = 0;
-      if (len > 0.0 && pr > 0.0) {
-        const double unit = pr / len;
-        for (const auto& e : doc.terms.entries()) {
-          const double idf = model.Idf(e.id);
-          if (idf <= 0.0) continue;
-          terms[n] = e.id;
-          values[n] = unit * e.count * idf;
-          ++n;
-        }
+  for (size_t i = 0; i < docs_.size(); ++i) {
+    const DocId id = docs_[i];
+    const Document& doc = corpus.doc(id);
+    const double len = doc.Length();
+    const double pr = model.PrDoc(id);
+    uint32_t* terms = row_terms_.data() + row_offsets_[i];
+    double* values = row_values_.data() + row_offsets_[i];
+    uint32_t n = 0;
+    if (len > 0.0 && pr > 0.0) {
+      const double unit = pr / len;
+      for (const auto& e : doc.terms.entries()) {
+        const double idf = model.Idf(e.id);
+        if (idf <= 0.0) continue;
+        terms[n] = e.id;
+        values[n] = unit * e.count * idf;
+        ++n;
       }
-      row_sizes[i] = n;
     }
-  };
-
-  const size_t threads = ThreadPool::Resolve(num_threads);
-  if (threads > 1 && docs_.size() >= kParallelBuildThreshold) {
-    ThreadPool pool(threads);
-    pool.ParallelFor(docs_.size(), /*grain=*/64, build);
-  } else {
-    build(0, docs_.size());
+    row_sizes[i] = n;
   }
 
   BuildSlots();

@@ -49,14 +49,10 @@ class SimilarityContext {
 
   /// Builds ψ_i for every active document of `model` at its current clock.
   /// Each document writes its ψ straight into its own span of the arena,
-  /// sized by its term count, so with `num_threads > 1` the constructions
-  /// are spread over a thread pool and the result is bit-identical to the
-  /// serial build for any thread count (0 = hardware concurrency). One
-  /// serial pass then closes the gaps left by dropped terms and remaps the
-  /// global ids to local ones, assigned in first-appearance order over
-  /// slots.
-  explicit SimilarityContext(const ForgettingModel& model,
-                             size_t num_threads = 1);
+  /// sized by its term count. A second pass then closes the gaps left by
+  /// dropped terms and remaps the global ids to local ones, assigned in
+  /// first-appearance order over slots.
+  explicit SimilarityContext(const ForgettingModel& model);
 
   /// sim(d_i, d_j) = ψ_i · ψ_j (Eq. 16). Both must be in the snapshot.
   double Sim(DocId a, DocId b) const;

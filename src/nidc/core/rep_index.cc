@@ -2,7 +2,6 @@
 
 #include "nidc/core/kernels/kernels.h"
 #include "nidc/util/logging.h"
-#include "nidc/util/thread_pool.h"
 
 namespace nidc {
 
@@ -16,12 +15,10 @@ constexpr uint64_t kRowBytesPerTerm = 12;
 
 void CountScan(FlatRepIndex::ScanStats* stats, uint64_t entries,
                size_t row_terms) {
-  stats->docs_scored.fetch_add(1, std::memory_order_relaxed);
-  stats->entries_scanned.fetch_add(entries, std::memory_order_relaxed);
-  stats->bytes_scanned.fetch_add(
-      entries * kEntryBytes +
-          static_cast<uint64_t>(row_terms) * kRowBytesPerTerm,
-      std::memory_order_relaxed);
+  stats->docs_scored += 1;
+  stats->entries_scanned += entries;
+  stats->bytes_scanned += entries * kEntryBytes +
+                          static_cast<uint64_t>(row_terms) * kRowBytesPerTerm;
 }
 
 }  // namespace
@@ -47,20 +44,10 @@ void FlatRepIndex::ResizeEntries(size_t n) {
 }
 
 void FlatRepIndex::BuildFromClusters(const SimilarityContext& ctx,
-                                     const std::vector<Cluster>& clusters,
-                                     ThreadPool* pool) {
+                                     const std::vector<Cluster>& clusters) {
   k_ = clusters.size();
   PrepareBuild(ctx);
-  if (pool != nullptr && pool->num_threads() > 1 && k_ > 1) {
-    BuildFromClustersParallel(ctx, clusters, pool);
-  } else {
-    BuildFromClustersSerial(ctx, clusters);
-  }
-  stats_.live_entries = offsets_.empty() ? 0 : offsets_.back();
-}
 
-void FlatRepIndex::BuildFromClustersSerial(
-    const SimilarityContext& ctx, const std::vector<Cluster>& clusters) {
   // Pass 1: count distinct (term, cluster) pairs per term. Clusters are
   // visited in ascending order, so a per-term marker of the last touching
   // cluster suffices to dedupe.
@@ -111,67 +98,7 @@ void FlatRepIndex::BuildFromClustersSerial(
       }
     }
   }
-}
-
-void FlatRepIndex::BuildFromClustersParallel(
-    const SimilarityContext& ctx, const std::vector<Cluster>& clusters,
-    ThreadPool* pool) {
-  // Phase A (parallel, one lane per cluster range): accumulate each
-  // cluster's (term, refs, weight) list independently. Within one
-  // (term, cluster) pair the member ψ values are added in member order —
-  // the serial build's exact addition sequence — so phase B can lay the
-  // accumulated triples out without any further arithmetic.
-  struct PairAccum {
-    uint32_t term;
-    uint32_t refs;
-    double weight;
-  };
-  const size_t terms = counts_.size();
-  std::vector<std::vector<PairAccum>> per_cluster(k_);
-  pool->ParallelFor(k_, /*grain=*/1, [&](size_t begin, size_t end) {
-    // Chunk-local scratch: term → position in the current cluster's list,
-    // tagged per cluster so clearing is O(1).
-    std::vector<uint32_t> tag(terms, 0);
-    std::vector<uint32_t> pos(terms, 0);
-    for (size_t p = begin; p < end; ++p) {
-      const uint32_t cluster_tag = static_cast<uint32_t>(p) + 1;
-      std::vector<PairAccum>& list = per_cluster[p];
-      for (DocId id : clusters[p].members()) {
-        const SimilarityContext::Row row = ctx.Psi(id);
-        for (size_t i = 0; i < row.size; ++i) {
-          const uint32_t t = row.terms[i];
-          if (tag[t] == cluster_tag) {
-            list[pos[t]].refs += 1;
-            list[pos[t]].weight += row.values[i];
-          } else {
-            tag[t] = cluster_tag;
-            pos[t] = static_cast<uint32_t>(list.size());
-            list.push_back({t, 1, row.values[i]});
-          }
-        }
-      }
-    }
-  });
-
-  // Phase B (serial): count, prefix-sum, then fill in ascending cluster
-  // order — reproducing the serial build's per-term entry order (ascending
-  // cluster ids) and therefore a bit-identical CSR.
-  for (size_t p = 0; p < k_; ++p) {
-    for (const PairAccum& a : per_cluster[p]) ++counts_[a.term];
-  }
-  offsets_.assign(terms + 1, 0);
-  for (size_t t = 0; t < terms; ++t) offsets_[t + 1] = offsets_[t] + counts_[t];
-  ResizeEntries(offsets_[terms]);
-  for (size_t t = 0; t < terms; ++t) counts_[t] = offsets_[t];
-  for (size_t p = 0; p < k_; ++p) {
-    const uint32_t cluster = static_cast<uint32_t>(p);
-    for (const PairAccum& a : per_cluster[p]) {
-      const size_t cursor = counts_[a.term]++;
-      clusters_[cursor] = cluster;
-      refs_[cursor] = a.refs;
-      weights_[cursor] = a.weight;
-    }
-  }
+  stats_.live_entries = offsets_[terms];
 }
 
 void FlatRepIndex::BuildFromRepresentatives(
@@ -268,7 +195,7 @@ void FlatRepIndex::ScoreAll(const SimilarityContext& ctx,
     const uint64_t entries =
         ScoreAllDeltaFallback(row, kernels::kNoHome, scores, &attached);
     CountScan(&scan_stats_, entries, row.size);
-    scan_stats_.delta_fallback_docs.fetch_add(1, std::memory_order_relaxed);
+    ++scan_stats_.delta_fallback_docs;
     return;
   }
   scores->resize(k_);  // the kernel zeroes every lane itself
@@ -291,7 +218,7 @@ void FlatRepIndex::ScoreAllDetached(const SimilarityContext& ctx,
     const uint64_t entries =
         ScoreAllDeltaFallback(row, home_cluster, scores, home_attached);
     CountScan(&scan_stats_, entries, row.size);
-    scan_stats_.delta_fallback_docs.fetch_add(1, std::memory_order_relaxed);
+    ++scan_stats_.delta_fallback_docs;
     return;
   }
   scores->resize(k_);  // the kernel zeroes every lane itself

@@ -23,7 +23,6 @@
 #ifndef NIDC_CORE_REP_INDEX_H_
 #define NIDC_CORE_REP_INDEX_H_
 
-#include <atomic>
 #include <cstddef>
 #include <unordered_map>
 #include <vector>
@@ -32,10 +31,6 @@
 #include "nidc/core/kernels/kernels.h"
 #include "nidc/core/novelty_similarity.h"
 #include "nidc/text/sparse_vector.h"
-
-namespace nidc {
-class ThreadPool;
-}  // namespace nidc
 
 namespace nidc {
 
@@ -74,25 +69,12 @@ class FlatRepIndex {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Scoring-scan telemetry (cumulative, like Stats). Atomic because the
-  /// seeded assignment pass scores one shared index from parallel lanes;
-  /// relaxed increments keep the hot path at one uncontended add each.
+  /// Scoring-scan telemetry (cumulative, like Stats).
   struct ScanStats {
-    std::atomic<uint64_t> docs_scored{0};      // ScoreAll* calls
-    std::atomic<uint64_t> entries_scanned{0};  // posting entries touched
-    std::atomic<uint64_t> bytes_scanned{0};    // posting + row bytes read
-    std::atomic<uint64_t> delta_fallback_docs{0};  // overlay-forced scalar
-
-    ScanStats() = default;
-    ScanStats(const ScanStats& o) { *this = o; }
-    ScanStats& operator=(const ScanStats& o) {
-      docs_scored = o.docs_scored.load(std::memory_order_relaxed);
-      entries_scanned = o.entries_scanned.load(std::memory_order_relaxed);
-      bytes_scanned = o.bytes_scanned.load(std::memory_order_relaxed);
-      delta_fallback_docs =
-          o.delta_fallback_docs.load(std::memory_order_relaxed);
-      return *this;
-    }
+    uint64_t docs_scored = 0;          // ScoreAll* calls
+    uint64_t entries_scanned = 0;      // posting entries touched
+    uint64_t bytes_scanned = 0;        // posting + row bytes read
+    uint64_t delta_fallback_docs = 0;  // overlay-forced scalar
   };
   const ScanStats& scan_stats() const { return scan_stats_; }
 
@@ -102,13 +84,10 @@ class FlatRepIndex {
   /// Rebuilds the CSR postings from the cluster memberships, accumulating
   /// member ψ values per (term, cluster) in member order — the exact
   /// addition order Cluster::Refresh uses for the representatives. Clears
-  /// the overlay and all tombstones. One pass over the context's CSR rows
-  /// of the members; with a pool of >= 2 threads the per-cluster
-  /// accumulation runs sharded across it (the serial fill order is
-  /// reproduced exactly, so the result is bit-identical).
+  /// the overlay and all tombstones. Two passes over the context's CSR
+  /// rows of the members: one counts the entries, one fills them.
   void BuildFromClusters(const SimilarityContext& ctx,
-                         const std::vector<Cluster>& clusters,
-                         ThreadPool* pool = nullptr);
+                         const std::vector<Cluster>& clusters);
 
   /// Rebuilds from fixed representative vectors (seeded assignment): each
   /// term of rep[p] becomes one entry with refs = 1. Terms outside the
@@ -168,11 +147,6 @@ class FlatRepIndex {
   // Sizes the SoA arrays (zeroed, with kPostingPadding slots of tail
   // padding) for `n` base entries.
   void ResizeEntries(size_t n);
-  void BuildFromClustersSerial(const SimilarityContext& ctx,
-                               const std::vector<Cluster>& clusters);
-  void BuildFromClustersParallel(const SimilarityContext& ctx,
-                                 const std::vector<Cluster>& clusters,
-                                 ThreadPool* pool);
   // True when the document's row touches a term with overlay entries —
   // those are interleaved per term, so such docs take the legacy scalar
   // loops.

@@ -7,36 +7,53 @@
 
 namespace nidc::obs {
 
-std::string JsonEscape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
+namespace {
+
+void AppendEscaped(const std::string& raw, std::string* out) {
   for (char c : raw) {
     switch (c) {
       case '"':
-        out += "\\\"";
+        *out += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\r':
-        out += "\\r";
+        *out += "\\r";
         break;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
+          *out += buf;
         } else {
-          out += c;
+          *out += c;
         }
     }
   }
+}
+
+}  // namespace
+
+std::string JsonEscape(const std::string& raw) {
+  std::string out;
+  out.reserve(raw.size());
+  AppendEscaped(raw, &out);
+  return out;
+}
+
+std::string JsonQuote(const std::string& raw) {
+  std::string out;
+  out.reserve(raw.size() + 2);
+  out += '"';
+  AppendEscaped(raw, &out);
+  out += '"';
   return out;
 }
 
@@ -54,7 +71,7 @@ std::string JsonNumber(double value) {
 
 JsonObjectBuilder& JsonObjectBuilder::Add(const std::string& key,
                                           const std::string& value) {
-  fields_.emplace_back(key, "\"" + JsonEscape(value) + "\"");
+  fields_.emplace_back(key, JsonQuote(value));
   return *this;
 }
 
@@ -97,7 +114,9 @@ std::string JsonObjectBuilder::Render() const {
   std::string out = "{";
   for (size_t i = 0; i < fields_.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + JsonEscape(fields_[i].first) + "\":" + fields_[i].second;
+    out += JsonQuote(fields_[i].first);
+    out += ':';
+    out += fields_[i].second;
   }
   out += "}";
   return out;

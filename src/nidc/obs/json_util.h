@@ -23,6 +23,9 @@ namespace nidc::obs {
 /// included).
 std::string JsonEscape(const std::string& raw);
 
+/// `raw` as a complete JSON string literal: escaped and in quotes.
+std::string JsonQuote(const std::string& raw);
+
 /// Renders a double the way JSON expects: the shortest %g form that parses
 /// back to the same double; non-finite values render as null.
 std::string JsonNumber(double value);

@@ -9,7 +9,6 @@
 
 #include "nidc/obs/json_util.h"
 #include "nidc/obs/trace.h"
-#include "nidc/util/thread_pool.h"
 
 namespace nidc::obs {
 
@@ -21,8 +20,6 @@ double SteadySeconds() {
       .count();
 }
 
-// CPU time consumed by the calling thread (pool workers have their own
-// clocks; their work shows up in the pool_tasks attribution instead).
 double ThreadCpuSeconds() {
   timespec ts;
   if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0.0;
@@ -46,7 +43,6 @@ struct Frame {
   size_t path_length_before = 0;
   double wall_start = 0.0;
   double cpu_start = 0.0;
-  uint64_t pool_start = 0;
 };
 
 thread_local PhaseProfiler* t_current_profiler = nullptr;
@@ -66,7 +62,6 @@ bool ProfilerSpanBegin(const char* name) {
   frame.path_length_before = t_span_path.size();
   if (!t_span_path.empty()) t_span_path += ';';
   t_span_path += name;
-  frame.pool_start = ThreadPool::GlobalStats().tasks_executed;
   frame.cpu_start = ThreadCpuSeconds();
   frame.wall_start = SteadySeconds();
   t_span_frames.push_back(frame);
@@ -76,13 +71,12 @@ bool ProfilerSpanBegin(const char* name) {
 void ProfilerSpanEnd() {
   const double wall_end = SteadySeconds();
   const double cpu_end = ThreadCpuSeconds();
-  const uint64_t pool_end = ThreadPool::GlobalStats().tasks_executed;
   Frame frame = t_span_frames.back();
   t_span_frames.pop_back();
   frame.profiler->RecordSpan(
       t_span_path, frame.name, frame.wall_start,
       wall_end - frame.wall_start, cpu_end - frame.cpu_start,
-      pool_end - frame.pool_start, ThreadTraceId());
+      ThreadTraceId());
   t_span_path.resize(frame.path_length_before);
 }
 
@@ -101,8 +95,7 @@ PhaseProfiler::PhaseProfiler(Options options) : options_(options) {
 
 void PhaseProfiler::RecordSpan(const std::string& path, const char* name,
                                double start_seconds, double wall_seconds,
-                               double cpu_seconds, uint64_t pool_tasks,
-                               uint32_t tid) {
+                               double cpu_seconds, uint32_t tid) {
   std::lock_guard<std::mutex> lock(mu_);
   ++spans_;
   if (spans_counter_ != nullptr) spans_counter_->Increment();
@@ -116,7 +109,6 @@ void PhaseProfiler::RecordSpan(const std::string& path, const char* name,
     ++accum.count;
     accum.wall_seconds += wall_seconds;
     accum.cpu_seconds += cpu_seconds;
-    accum.pool_tasks += pool_tasks;
   };
   accumulate(&totals_);
   accumulate(&current_step_);
@@ -153,7 +145,6 @@ std::vector<PhaseProfiler::PhaseStats> PhaseProfiler::Flatten(
     entry.count = accum.count;
     entry.wall_seconds = accum.wall_seconds;
     entry.cpu_seconds = accum.cpu_seconds;
-    entry.pool_tasks = accum.pool_tasks;
     stats.push_back(std::move(entry));
   }
   std::sort(stats.begin(), stats.end(),
@@ -222,7 +213,6 @@ std::string RenderPhaseArray(
                .Add("count", stats[i].count)
                .Add("wall_us", stats[i].wall_seconds * 1e6)
                .Add("cpu_us", stats[i].cpu_seconds * 1e6)
-               .Add("pool_tasks", stats[i].pool_tasks)
                .Render();
   }
   out += "]";

@@ -1,21 +1,16 @@
 // Continuous self-profiler: promotes the NIDC_SPAN call sites into an
-// always-on per-step phase profile with wall *and* CPU time plus
-// thread-pool-task attribution, cheap enough to leave running in
-// production (the bench_sweep_hotpath overhead guard covers it).
+// always-on per-step phase profile with wall *and* CPU time, cheap
+// enough to leave running in production (the bench_sweep_hotpath
+// overhead guard covers it).
 //
 // Like the Tracer, the profiler is *ambient*: ScopedProfilerInstall sets a
 // thread-local pointer, and every NIDC_SPAN on that thread then records a
 // frame — with no profiler installed a span pays one extra thread-local
 // load and a branch, preserving the "no registry = zero overhead"
 // contract. Spans aggregate by their full collapsed path ("kmeans.run;
-// kmeans.sweep"), and each closed span captures:
-//   * wall seconds (steady clock),
-//   * CPU seconds of the *installing* thread (CLOCK_THREAD_CPUTIME_ID —
-//     pool workers burn CPU the thread clock cannot see, which is what
-//     the next field is for),
-//   * thread-pool tasks executed while the span was open (the delta of
-//     ThreadPool::GlobalStats().tasks_executed), attributing parallel
-//     fan-out to the phase that caused it.
+// kmeans.sweep"), and each closed span captures its wall seconds (steady
+// clock) and the CPU seconds of the installing thread
+// (CLOCK_THREAD_CPUTIME_ID).
 //
 // Exports:
 //   * RenderCollapsed — collapsed-stack text ("path self_us" per line),
@@ -58,7 +53,6 @@ class PhaseProfiler {
     uint64_t count = 0;
     double wall_seconds = 0.0;
     double cpu_seconds = 0.0;
-    uint64_t pool_tasks = 0;
   };
 
   PhaseProfiler() : PhaseProfiler(Options{}) {}
@@ -73,7 +67,7 @@ class PhaseProfiler {
   /// profiler's epoch.
   void RecordSpan(const std::string& path, const char* name,
                   double start_seconds, double wall_seconds,
-                  double cpu_seconds, uint64_t pool_tasks, uint32_t tid);
+                  double cpu_seconds, uint32_t tid);
 
   /// Rolls the current step's aggregation into the "last step" slot and
   /// starts aggregating under `step` (the drivers call this at the start
@@ -93,7 +87,7 @@ class PhaseProfiler {
   std::string RenderCollapsed() const;
 
   /// `{"step":..,"spans":..,"totals":[{"path":..,"count":..,
-  /// "wall_us":..,"cpu_us":..,"pool_tasks":..},...],"last_step":[...]}`.
+  /// "wall_us":..,"cpu_us":..},...],"last_step":[...]}`.
   std::string RenderJson() const;
 
   /// Chrome trace-event JSON (`{"traceEvents":[...]}`; complete "X"
@@ -105,7 +99,6 @@ class PhaseProfiler {
     uint64_t count = 0;
     double wall_seconds = 0.0;
     double cpu_seconds = 0.0;
-    uint64_t pool_tasks = 0;
   };
 
   struct SpanEvent {

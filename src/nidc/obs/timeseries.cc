@@ -271,7 +271,7 @@ std::string RenderTimeSeriesListJson(const TimeSeriesStore& store) {
   for (const std::string& name : store.Names()) {
     if (!first) names += ",";
     first = false;
-    names += "\"" + JsonEscape(name) + "\"";
+    names += JsonQuote(name);
   }
   names += "]";
   std::string resolutions = "[";

@@ -15,9 +15,8 @@
 // Repeated spans with the same name under the same parent aggregate into
 // one node (count + total seconds) rather than growing the tree — a
 // 50-iteration K-means run yields one "kmeans.sweep" node with count 50.
-// Spans opened on threads without an installed tracer (e.g. thread-pool
-// workers) are no-ops; the pipeline's phase structure is single-threaded
-// at span granularity, with parallelism *inside* spans.
+// Spans opened on threads without an installed tracer are no-ops; a
+// pipeline step runs entirely on the thread that installed the tracer.
 
 #ifndef NIDC_OBS_TRACE_H_
 #define NIDC_OBS_TRACE_H_

@@ -192,7 +192,7 @@ std::string RenderHealthJson(const IntrospectionOptions& options,
          options.slo->BurningTenants(obs::RequestTracer::NowSeconds())) {
       if (!first) burning += ",";
       first = false;
-      burning += "\"" + obs::JsonEscape(tenant) + "\"";
+      burning += obs::JsonQuote(tenant);
     }
     burning += "]";
     builder.Add("slo_burning", !first);

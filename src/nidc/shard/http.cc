@@ -97,8 +97,6 @@ std::string TenantListJson(ShardService* service,
 
   obs::JsonObjectBuilder builder;
   builder.Add("num_shards", static_cast<uint64_t>(service->num_shards()));
-  builder.Add("threads_per_shard",
-              static_cast<uint64_t>(service->threads_per_shard()));
   builder.AddRaw("queue_depths", queues);
   builder.AddRaw("tenants", tenants);
   // The startup reopen (shard.recovery.seconds / shard.recovery.tenants).
@@ -284,7 +282,7 @@ void RegisterShardHandlers(serve::HttpServer* server, ShardService* service,
     for (const TenantInfo& info : tenants) {
       if (!info.failed) continue;
       if (failed > 0) failed_names += ",";
-      failed_names += "\"" + obs::JsonEscape(info.name) + "\"";
+      failed_names += obs::JsonQuote(info.name);
       ++failed;
     }
     failed_names += "]";
@@ -305,7 +303,7 @@ void RegisterShardHandlers(serve::HttpServer* server, ShardService* service,
            slo->BurningTenants(obs::RequestTracer::NowSeconds())) {
         if (!first) burning += ",";
         first = false;
-        burning += "\"" + obs::JsonEscape(name) + "\"";
+        burning += obs::JsonQuote(name);
       }
       burning += "]";
       builder.Add("slo_burning", !first);

@@ -62,14 +62,10 @@ Result<std::unique_ptr<ShardService>> ShardService::Start(
 }
 
 Status ShardService::Init() {
-  const size_t hardware =
-      std::max<size_t>(1, std::thread::hardware_concurrency());
-  size_t num_shards =
-      options_.num_shards == 0 ? hardware : options_.num_shards;
-  num_shards = std::max<size_t>(1, num_shards);
-  threads_per_shard_ = options_.threads_per_shard != 0
-                           ? options_.threads_per_shard
-                           : std::max<size_t>(1, hardware / num_shards);
+  const size_t num_shards =
+      options_.num_shards != 0
+          ? options_.num_shards
+          : std::max<size_t>(1, std::thread::hardware_concurrency());
 
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
@@ -187,7 +183,6 @@ TenantRuntime ShardService::MakeRuntime() const {
   runtime.env = options_.env;
   runtime.checkpoint_every = options_.checkpoint_every;
   runtime.wal_sync = options_.wal_sync;
-  runtime.kmeans_threads = threads_per_shard_;
   runtime.shared_metrics = metrics_;
   runtime.tracer = options_.tracer;
   return runtime;

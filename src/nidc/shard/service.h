@@ -51,9 +51,6 @@ struct ShardServiceOptions {
   size_t num_shards = 0;
   /// Pending ingest batches per shard before EnqueueIngest pushes back.
   size_t queue_capacity = 64;
-  /// K-means threads each tenant steps with. 0 = max(1, hardware /
-  /// num_shards) — the non-oversubscribing default.
-  size_t threads_per_shard = 0;
   /// Per-tenant durability cadence + fsync policy.
   uint64_t checkpoint_every = 16;
   WalSyncMode wal_sync = WalSyncMode::kEveryRecord;
@@ -84,9 +81,8 @@ class ShardService {
   /// tenant directory found under `<root>/tenants/` before returning, so
   /// traffic never meets a half-recovered service. Crash recovery runs on
   /// the owning shard workers: each shard reopens its own tenants, in
-  /// name order, in parallel with the other shards and with its K-means
-  /// budget of threads_per_shard. When tenants fail to reopen, Start
-  /// returns the error of the lowest-named one.
+  /// name order, in parallel with the other shards. When tenants fail to
+  /// reopen, Start returns the error of the lowest-named one.
   static Result<std::unique_ptr<ShardService>> Start(
       ShardServiceOptions options);
 
@@ -153,7 +149,6 @@ class ShardService {
   size_t recovered_tenants() const { return recovered_tenants_; }
 
   size_t num_shards() const { return shards_.size(); }
-  size_t threads_per_shard() const { return threads_per_shard_; }
   const std::string& root() const { return options_.root; }
   obs::MetricsRegistry* metrics() { return metrics_; }
   obs::RequestTracer* tracer() const { return options_.tracer; }
@@ -217,7 +212,6 @@ class ShardService {
   ShardServiceOptions options_;
   obs::MetricsRegistry owned_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
-  size_t threads_per_shard_ = 1;
   std::vector<std::unique_ptr<Shard>> shards_;
   double recovery_seconds_ = 0.0;
   size_t recovered_tenants_ = 0;

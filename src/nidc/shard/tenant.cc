@@ -394,8 +394,6 @@ Status Tenant::Boot(std::unique_ptr<Corpus> corpus, bool fresh) {
   IncrementalOptions options;
   options.kmeans.k = config_.k;
   options.kmeans.seed = config_.seed;
-  options.kmeans.num_threads =
-      runtime_.kmeans_threads == 0 ? 1 : runtime_.kmeans_threads;
   options.metrics = &metrics_;
   options.events = events_.get();
   options.health = health_.get();

@@ -92,10 +92,6 @@ struct TenantRuntime {
   /// DurableClusterer rotation cadence.
   uint64_t checkpoint_every = 16;
   WalSyncMode wal_sync = WalSyncMode::kEveryRecord;
-  /// K-means thread budget for this tenant's steps — the shard's share of
-  /// the machine, so shard parallelism and K-means parallelism compose
-  /// without oversubscription. 1 = serial.
-  size_t kmeans_threads = 1;
   /// Cross-tenant `shard.*` family (doc counters, step counters); null
   /// disables. Per-tenant pipeline metrics always go to the tenant's own
   /// registry regardless.

@@ -24,6 +24,11 @@ const char* StatusCodeToString(StatusCode code) {
   return "Unknown";
 }
 
+const Status& OkStatus() {
+  static const Status ok;
+  return ok;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
   std::string out = StatusCodeToString(code_);

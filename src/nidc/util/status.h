@@ -76,6 +76,12 @@ class Status {
   std::string message_;
 };
 
+/// One shared OK status, for accessors that return a Status reference.
+/// Defined out of line: a function-local static inside Result::status()
+/// makes gcc 12 report the variant's Status alternative as
+/// maybe-uninitialized wherever a Result<T> holding a T is destroyed.
+const Status& OkStatus();
+
 /// Either a value of type T or an error Status. Accessing the value of an
 /// errored Result is a programming error (asserted in debug builds).
 template <typename T>
@@ -87,8 +93,7 @@ class Result {
   bool ok() const { return std::holds_alternative<T>(repr_); }
 
   const Status& status() const {
-    static const Status kOk = Status::OK();
-    if (ok()) return kOk;
+    if (ok()) return OkStatus();
     return std::get<Status>(repr_);
   }
 

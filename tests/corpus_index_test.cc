@@ -707,7 +707,6 @@ class UnreleasedReplay {
     IncrementalOptions options;
     options.kmeans.k = config.k;
     options.kmeans.seed = config.seed;
-    options.kmeans.num_threads = 1;
     return options;
   }
 

@@ -279,7 +279,6 @@ TEST_F(ExtendedKMeansTest, IndexedScoringMatchesMergeScoring) {
     merge_opts.seed = 5;
     merge_opts.criterion = criterion;
     merge_opts.scoring = ClusterScoring::kMerge;
-    merge_opts.num_threads = 1;
     ExtendedKMeansOptions slotted_opts = merge_opts;
     slotted_opts.scoring = ClusterScoring::kSlotted;
     auto merge = RunExtendedKMeans(*ctx_, docs_, merge_opts);
@@ -307,42 +306,14 @@ TEST_F(ExtendedKMeansTest, IndexedScoringMatchesWithRepresentativeSeeds) {
 
   ExtendedKMeansOptions merge_opts = opts;
   merge_opts.scoring = ClusterScoring::kMerge;
-  merge_opts.num_threads = 1;
   ExtendedKMeansOptions slotted_opts = opts;
   slotted_opts.scoring = ClusterScoring::kSlotted;
-  slotted_opts.num_threads = 1;
   auto merge = RunExtendedKMeans(*ctx_, docs_, merge_opts, seeds);
   auto slotted = RunExtendedKMeans(*ctx_, docs_, slotted_opts, seeds);
   ASSERT_TRUE(merge.ok());
   ASSERT_TRUE(slotted.ok());
   EXPECT_EQ(merge->clusters, slotted->clusters);
   EXPECT_EQ(merge->outliers, slotted->outliers);
-}
-
-TEST_F(ExtendedKMeansTest, ThreadCountDoesNotChangeTheResult) {
-  // One and eight lanes must produce identical ClusteringResults: parallel
-  // lanes only fill disjoint slots / precompute read-only decisions.
-  ExtendedKMeansOptions serial_opts;
-  serial_opts.k = 3;
-  serial_opts.seed = 5;
-  serial_opts.num_threads = 1;
-  ExtendedKMeansOptions parallel_opts = serial_opts;
-  parallel_opts.num_threads = 8;
-
-  auto serial = RunExtendedKMeans(*ctx_, docs_, serial_opts);
-  ASSERT_TRUE(serial.ok());
-  KMeansSeeds seeds;
-  seeds.mode = SeedMode::kRepresentatives;
-  seeds.representatives = serial->representatives;
-
-  auto a = RunExtendedKMeans(*ctx_, docs_, serial_opts, seeds);
-  auto b = RunExtendedKMeans(*ctx_, docs_, parallel_opts, seeds);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->clusters, b->clusters);
-  EXPECT_EQ(a->outliers, b->outliers);
-  EXPECT_EQ(a->g_history, b->g_history);
-  EXPECT_DOUBLE_EQ(a->g, b->g);
 }
 
 // δ sweep: looser δ converges at least as fast (in iterations).

@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
-
-#include "nidc/util/thread_pool.h"
 
 namespace nidc::obs {
 namespace {
@@ -67,8 +66,9 @@ TEST(MetricsRegistryTest, HandlesStayValidAcrossManyRegistrations) {
   // Enough registrations to force reallocation in vector-backed storage;
   // the deque-backed registry must keep `first` valid.
   for (int i = 1; i < 200; ++i) {
-    registry.GetCounter("c" + std::to_string(i));
-    registry.GetGauge("g" + std::to_string(i));
+    const std::string index = std::to_string(i);
+    registry.GetCounter("c" + index);
+    registry.GetGauge("g" + index);
   }
   EXPECT_EQ(first->Value(), 7u);
   EXPECT_EQ(registry.GetCounter("c0"), first);
@@ -111,15 +111,22 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsSumExactly) {
   Histogram* histogram =
       registry.GetHistogram("parallel.observations", {100.0, 1000.0});
 
+  // Shard workers and HTTP scrapers share one registry: four threads
+  // each update a quarter of the items at once.
   constexpr size_t kItems = 10000;
-  ThreadPool pool(4);
-  pool.ParallelFor(kItems, /*grain=*/64, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      counter->Increment();
-      gauge->Add(1.0);
-      histogram->Observe(static_cast<double>(i % 200));
-    }
-  });
+  constexpr size_t kThreads = 4;
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = t * kItems / kThreads; i < (t + 1) * kItems / kThreads;
+           ++i) {
+        counter->Increment();
+        gauge->Add(1.0);
+        histogram->Observe(static_cast<double>(i % 200));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
 
   EXPECT_EQ(counter->Value(), kItems);
   EXPECT_DOUBLE_EQ(gauge->Value(), static_cast<double>(kItems));

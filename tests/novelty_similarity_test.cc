@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "nidc/synth/tdt2_like_generator.h"
-#include "nidc/util/random.h"
 
 namespace nidc {
 namespace {
@@ -152,53 +151,6 @@ TEST_F(NoveltySimilarityTest, ContextSnapshotsActiveDocsOnly) {
   EXPECT_TRUE(ctx.Contains(0));
 }
 
-TEST(SimilarityContextParallelTest, ParallelBuildIsBitIdenticalToSerial) {
-  // Enough documents to cross the parallel-build threshold.
-  Corpus corpus;
-  const char* pool[] = {"alpha", "bravo", "charlie", "delta", "echo",
-                        "fox",   "golf",  "hotel",   "india", "juliet"};
-  Rng rng(5);
-  const size_t n = 400;
-  for (size_t i = 0; i < n; ++i) {
-    std::string text;
-    for (int j = 0; j < 6; ++j) {
-      if (j > 0) text += ' ';
-      text += pool[rng.NextBounded(10)];
-    }
-    corpus.AddText(text, 0.01 * static_cast<double>(i),
-                   static_cast<TopicId>(i % 3));
-  }
-  ForgettingParams p;
-  p.life_span_days = 365.0;
-  ForgettingModel model(&corpus, p);
-  model.AdvanceTo(5.0);
-  std::vector<DocId> ids(n);
-  for (DocId d = 0; d < static_cast<DocId>(n); ++d) ids[d] = d;
-  model.AddDocuments(ids);
-
-  SimilarityContext serial(model, 1);
-  SimilarityContext parallel(model, 8);
-  ASSERT_EQ(serial.size(), parallel.size());
-  ASSERT_EQ(serial.num_entries(), parallel.num_entries());
-  ASSERT_EQ(serial.num_local_terms(), parallel.num_local_terms());
-  for (uint32_t t = 0; t < serial.num_local_terms(); ++t) {
-    EXPECT_EQ(serial.GlobalTerm(t), parallel.GlobalTerm(t)) << "local " << t;
-  }
-  // The arenas are identical entry for entry: same local ids, same bits.
-  for (SimilarityContext::Slot slot = 0; slot < serial.size(); ++slot) {
-    ASSERT_EQ(serial.DocAt(slot), parallel.DocAt(slot));
-    const SimilarityContext::Row a = serial.PsiAt(slot);
-    const SimilarityContext::Row b = parallel.PsiAt(slot);
-    ASSERT_EQ(a.size, b.size) << "slot " << slot;
-    for (size_t i = 0; i < a.size; ++i) {
-      EXPECT_EQ(a.terms[i], b.terms[i]) << "slot " << slot << " entry " << i;
-      EXPECT_EQ(a.values[i], b.values[i]) << "slot " << slot << " entry " << i;
-    }
-    EXPECT_EQ(serial.SelfSimAt(slot), parallel.SelfSimAt(slot))
-        << "slot " << slot;
-  }
-}
-
 // ψ_i built the way the context built it before the arena held it alone:
 // a SparseVector of unit·f·idf per kept term.
 SparseVector ReferencePsi(const ForgettingModel& model, DocId id) {
@@ -223,9 +175,8 @@ TEST(SimilarityContextArenaTest, EveryRowEqualsTheReferencePsiBitForBit) {
   Result<std::unique_ptr<Corpus>> corpus =
       Tdt2LikeGenerator(options).Generate();
   ASSERT_TRUE(corpus.ok());
-  // Enough documents to cross the parallel-build threshold. The window
-  // starts past the corpus's first documents, so local term ids (first
-  // appearance over the window) differ from the global ones (first
+  // The window starts past the corpus's first documents, so local term ids
+  // (first appearance over the window) differ from the global ones (first
   // appearance over the corpus).
   std::vector<DocId> ids(400);
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<DocId>(100 + i);
@@ -235,33 +186,31 @@ TEST(SimilarityContextArenaTest, EveryRowEqualsTheReferencePsiBitForBit) {
   ForgettingModel model(corpus->get(), p);
   model.AdvanceTo((*corpus)->doc(ids.back()).time);
   model.AddDocuments(ids);
-  for (size_t threads : {1, 4}) {
-    SimilarityContext ctx(model, threads);
-    ASSERT_EQ(ctx.size(), ids.size());
-    size_t entries = 0;
-    for (DocId id : ids) {
-      const SparseVector ref = ReferencePsi(model, id);
-      const SimilarityContext::Row row = ctx.Psi(id);
-      ASSERT_EQ(row.size, ref.size()) << "doc " << id;
-      for (size_t i = 0; i < row.size; ++i) {
-        EXPECT_EQ(row.id(i), ref.entries()[i].id) << "doc " << id;
-        EXPECT_EQ(row.value(i), ref.entries()[i].value) << "doc " << id;
-        EXPECT_EQ(ctx.LocalTerm(row.id(i)), row.terms[i]) << "doc " << id;
-      }
-      EXPECT_EQ(ctx.SelfSim(id), ref.SquaredNorm()) << "doc " << id;
-      entries += row.size;
+  SimilarityContext ctx(model);
+  ASSERT_EQ(ctx.size(), ids.size());
+  size_t entries = 0;
+  for (DocId id : ids) {
+    const SparseVector ref = ReferencePsi(model, id);
+    const SimilarityContext::Row row = ctx.Psi(id);
+    ASSERT_EQ(row.size, ref.size()) << "doc " << id;
+    for (size_t i = 0; i < row.size; ++i) {
+      EXPECT_EQ(row.id(i), ref.entries()[i].id) << "doc " << id;
+      EXPECT_EQ(row.value(i), ref.entries()[i].value) << "doc " << id;
+      EXPECT_EQ(ctx.LocalTerm(row.id(i)), row.terms[i]) << "doc " << id;
     }
-    EXPECT_EQ(ctx.num_entries(), entries);
-    size_t remapped = 0;
-    for (uint32_t t = 0; t < ctx.num_local_terms(); ++t) {
-      remapped += ctx.GlobalTerm(t) != t;
-    }
-    EXPECT_GT(remapped, 0u);
-    // Sim is the reference vectors' dot product, bit for bit.
-    for (size_t i = 0; i + 1 < ids.size(); i += 7) {
-      EXPECT_EQ(ctx.Sim(ids[i], ids[i + 1]),
-                ReferencePsi(model, ids[i]).Dot(ReferencePsi(model, ids[i + 1])));
-    }
+    EXPECT_EQ(ctx.SelfSim(id), ref.SquaredNorm()) << "doc " << id;
+    entries += row.size;
+  }
+  EXPECT_EQ(ctx.num_entries(), entries);
+  size_t remapped = 0;
+  for (uint32_t t = 0; t < ctx.num_local_terms(); ++t) {
+    remapped += ctx.GlobalTerm(t) != t;
+  }
+  EXPECT_GT(remapped, 0u);
+  // Sim is the reference vectors' dot product, bit for bit.
+  for (size_t i = 0; i + 1 < ids.size(); i += 7) {
+    EXPECT_EQ(ctx.Sim(ids[i], ids[i + 1]),
+              ReferencePsi(model, ids[i]).Dot(ReferencePsi(model, ids[i + 1])));
   }
 }
 

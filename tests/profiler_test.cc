@@ -78,8 +78,8 @@ TEST(PhaseProfilerTest, CollapsedSelfTimeExcludesChildren) {
   PhaseProfiler profiler;
   // Deterministic spans through the aggregation API: "a" spends 3s
   // inclusive, its child "a;b" 1s, so a's self time is 2s.
-  profiler.RecordSpan("a;b", "b", 0.5, 1.0, 0.5, 0, 1);
-  profiler.RecordSpan("a", "a", 0.0, 3.0, 2.0, 0, 1);
+  profiler.RecordSpan("a;b", "b", 0.5, 1.0, 0.5, 1);
+  profiler.RecordSpan("a", "a", 0.0, 3.0, 2.0, 1);
   const std::string collapsed = profiler.RenderCollapsed();
   EXPECT_NE(collapsed.find("a 2000000\n"), std::string::npos) << collapsed;
   EXPECT_NE(collapsed.find("a;b 1000000\n"), std::string::npos) << collapsed;
@@ -87,10 +87,10 @@ TEST(PhaseProfilerTest, CollapsedSelfTimeExcludesChildren) {
 
 TEST(PhaseProfilerTest, CollapsedSelfTimeFloorsAtZero) {
   PhaseProfiler profiler;
-  // Child wall exceeding the parent's (possible when a pool worker's span
-  // outlives the submitting phase) must clamp, not go negative.
-  profiler.RecordSpan("p;c", "c", 0.0, 5.0, 0.0, 0, 1);
-  profiler.RecordSpan("p", "p", 0.0, 1.0, 0.0, 0, 1);
+  // Child wall exceeding the parent's (inconsistent records passed to
+  // RecordSpan directly) must clamp, not go negative.
+  profiler.RecordSpan("p;c", "c", 0.0, 5.0, 0.0, 1);
+  profiler.RecordSpan("p", "p", 0.0, 1.0, 0.0, 1);
   EXPECT_NE(profiler.RenderCollapsed().find("p 0\n"), std::string::npos);
 }
 
@@ -100,7 +100,7 @@ TEST(PhaseProfilerTest, RenderJsonRoundTripsThroughParser) {
   options.metrics = &registry;
   PhaseProfiler profiler(options);
   profiler.SetStep(4);
-  profiler.RecordSpan("a", "a", 0.0, 0.25, 0.125, 3, 1);
+  profiler.RecordSpan("a", "a", 0.0, 0.25, 0.125, 1);
   profiler.SetStep(5);
   const Result<JsonValue> parsed = ParseJson(profiler.RenderJson());
   ASSERT_TRUE(parsed.ok());
@@ -111,7 +111,6 @@ TEST(PhaseProfilerTest, RenderJsonRoundTripsThroughParser) {
   ASSERT_EQ(totals->array.size(), 1u);
   EXPECT_EQ(totals->array[0].Find("path")->string_value, "a");
   EXPECT_DOUBLE_EQ(totals->array[0].Find("wall_us")->number, 250000.0);
-  EXPECT_DOUBLE_EQ(totals->array[0].Find("pool_tasks")->number, 3.0);
   const JsonValue* last = parsed->Find("last_step");
   ASSERT_TRUE(last->is_array());
   EXPECT_EQ(last->array.size(), 1u);
@@ -126,7 +125,7 @@ TEST(PhaseProfilerTest, ChromeTraceIsBoundedAndRebased) {
   options.metrics = &registry;
   PhaseProfiler profiler(options);
   for (int i = 0; i < 5; ++i) {
-    profiler.RecordSpan("a", "a", 100.0 + i, 0.5, 0.25, 0, 1);
+    profiler.RecordSpan("a", "a", 100.0 + i, 0.5, 0.25, 1);
   }
   const Result<JsonValue> parsed = ParseJson(profiler.RenderChromeTrace());
   ASSERT_TRUE(parsed.ok());
@@ -147,9 +146,9 @@ TEST(PhaseProfilerTest, PhaseCapBoundsDistinctPaths) {
   PhaseProfiler::Options options;
   options.max_phases = 2;
   PhaseProfiler profiler(options);
-  profiler.RecordSpan("a", "a", 0.0, 0.1, 0.0, 0, 1);
-  profiler.RecordSpan("b", "b", 0.0, 0.1, 0.0, 0, 1);
-  profiler.RecordSpan("c", "c", 0.0, 0.1, 0.0, 0, 1);
+  profiler.RecordSpan("a", "a", 0.0, 0.1, 0.0, 1);
+  profiler.RecordSpan("b", "b", 0.0, 0.1, 0.0, 1);
+  profiler.RecordSpan("c", "c", 0.0, 0.1, 0.0, 1);
   // The third path is dropped from aggregation, but still counted.
   EXPECT_EQ(profiler.Snapshot().size(), 2u);
   EXPECT_EQ(profiler.spans_recorded(), 3u);

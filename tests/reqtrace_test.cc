@@ -421,7 +421,8 @@ TEST(RequestTracerTest, ConcurrentStampsSurviveTsan) {
   std::vector<TraceContext> ids;
   for (int i = 0; i < 4; ++i) {
     const TraceContext id = tracer.Mint();
-    tracer.Begin(id, "t" + std::to_string(i));
+    const std::string index = std::to_string(i);
+    tracer.Begin(id, "t" + index);
     ids.push_back(id);
   }
   std::vector<std::thread> writers;

@@ -217,7 +217,6 @@ class ShardHttpTest : public testing::Test {
     ShardServiceOptions options;
     options.root = root;
     options.num_shards = shards;
-    options.threads_per_shard = 1;
     options.queue_capacity = queue_capacity;
     options.wal_sync = WalSyncMode::kNone;
     if (gate_ != nullptr) {

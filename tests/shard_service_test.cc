@@ -93,7 +93,6 @@ class ShardServiceTest : public testing::Test {
     ShardServiceOptions options;
     options.root = root;
     options.num_shards = shards;
-    options.threads_per_shard = 1;
     options.queue_capacity = queue_capacity;
     options.tracer = tracer;
     return ShardService::Start(std::move(options));
@@ -427,7 +426,6 @@ TEST_F(ShardServiceTest, CreateTenantSurvivesACrashAtEveryKillPoint) {
         ShardServiceOptions options;
         options.root = root;
         options.num_shards = 1;
-        options.threads_per_shard = 1;
         options.env = &fault_env;
         auto doomed = ShardService::Start(std::move(options));
         ASSERT_TRUE(doomed.ok()) << doomed.status().ToString();

@@ -1,5 +1,5 @@
 // Property test for the scoring-path ablation: for any corpus, K,
-// assignment criterion, seeding mode, shuffle setting and thread count, the
+// assignment criterion, seeding mode, shuffle setting and kernel, the
 // two sweep configurations — merge (reference) and slotted (flat CSR index
 // with move-only maintenance) — must produce *identical* ClusteringResults:
 // same memberships, same outliers, and a bit-for-bit equal G history. The
@@ -19,7 +19,6 @@
 #include "nidc/corpus/corpus.h"
 #include "nidc/forgetting/forgetting_model.h"
 #include "nidc/util/random.h"
-#include "nidc/util/thread_pool.h"
 
 namespace nidc {
 namespace {
@@ -41,8 +40,7 @@ struct Env {
 };
 
 std::unique_ptr<Env> MakeEnv(uint64_t seed, size_t n_docs,
-                             size_t words_per_doc = 8,
-                             size_t num_threads = 1) {
+                             size_t words_per_doc = 8) {
   static const char* kPool[] = {
       "alpha", "bravo", "charlie", "delta", "echo",   "fox",
       "golf",  "hotel", "india",   "juliet", "kilo",  "lima",
@@ -69,8 +67,7 @@ std::unique_ptr<Env> MakeEnv(uint64_t seed, size_t n_docs,
   env->docs.resize(n_docs);
   for (DocId d = 0; d < static_cast<DocId>(n_docs); ++d) env->docs[d] = d;
   env->model->AddDocuments(env->docs);
-  env->ctx = std::make_unique<SimilarityContext>(
-      *env->model, ThreadPool::Resolve(num_threads));
+  env->ctx = std::make_unique<SimilarityContext>(*env->model);
   return env;
 }
 
@@ -121,29 +118,6 @@ TEST(SweepEquivalenceTest, RandomCorporaAcrossKAndCriterion) {
   }
 }
 
-TEST(SweepEquivalenceTest, ThreadCountDoesNotChangeSlottedResults) {
-  // The context build is parallel but slot-deterministic, and the seeded
-  // assignment pass applies its results in sweep order — every thread
-  // count must yield the same bits.
-  auto serial = MakeEnv(5, /*n_docs=*/60, 8, /*num_threads=*/1);
-  ExtendedKMeansOptions options;
-  options.k = 6;
-  options.seed = 9;
-  const ClusteringResult base =
-      RunConfig(*serial, options, ClusterScoring::kSlotted, std::nullopt);
-  for (size_t threads : {2u, 4u, 0u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    auto env = MakeEnv(5, /*n_docs=*/60, 8, threads);
-    ExtendedKMeansOptions opts = options;
-    opts.num_threads = threads;
-    const ClusteringResult got =
-        RunConfig(*env, opts, ClusterScoring::kSlotted, std::nullopt);
-    EXPECT_EQ(base.clusters, got.clusters);
-    EXPECT_EQ(base.outliers, got.outliers);
-    EXPECT_EQ(base.g_history, got.g_history);
-  }
-}
-
 TEST(SweepEquivalenceTest, ShuffledSweepOrderStaysIdentical) {
   auto env = MakeEnv(17, /*n_docs=*/50);
   ExtendedKMeansOptions options;
@@ -160,7 +134,8 @@ TEST(SweepEquivalenceTest, DisjointVocabulariesExerciseEmptyClusterReseed) {
   // slotted sweep's n_detached == 0 physical roundtrip) fires constantly.
   auto env = std::make_unique<Env>();
   for (size_t i = 0; i < 6; ++i) {
-    const std::string tag = "w" + std::to_string(i);
+    const std::string index = std::to_string(i);
+    const std::string tag = "w" + index;
     env->corpus.AddText(tag + "a " + tag + "b " + tag + "c",
                         0.25 + 0.01 * static_cast<double>(i),
                         static_cast<TopicId>(i));
@@ -252,44 +227,37 @@ TEST(SweepEquivalenceTest, KernelDimensionStaysIdentical) {
   }
 }
 
-TEST(SweepEquivalenceTest, KernelsStayIdenticalAcrossThreadCounts) {
-  // Kernel × thread-count cross product: the parallel RefreshAll and
-  // context build must not perturb any kernel's scoring decisions. The
-  // scan counters are pure functions of the input and the decisions (every
-  // kernel counts end − begin postings per row term), so they must match
-  // too.
+TEST(SweepEquivalenceTest, KernelsStayIdenticalAcrossKernels) {
+  // Every available kernel against the scalar baseline. The scan counters
+  // are pure functions of the input and the decisions (every kernel counts
+  // end − begin postings per row term), so they must match too.
   KernelGuard guard;
   kernels::Select(kernels::Kind::kScalar);
-  auto serial = MakeEnv(47, /*n_docs=*/60, 8, /*num_threads=*/1);
+  auto env = MakeEnv(47, /*n_docs=*/60);
   ExtendedKMeansOptions options;
   options.k = 6;
   options.seed = 19;
   KMeansProfile base_profile;
   options.profile = &base_profile;
   const ClusteringResult base =
-      RunConfig(*serial, options, ClusterScoring::kSlotted, std::nullopt);
+      RunConfig(*env, options, ClusterScoring::kSlotted, std::nullopt);
   ASSERT_GT(base_profile.entries_scanned, 0u);
   for (kernels::Kind kind : {kernels::Kind::kScalar, kernels::Kind::kAvx2,
                              kernels::Kind::kAvx512}) {
     if (!kernels::Available(kind)) continue;
-    for (size_t threads : {2u, 0u}) {
-      SCOPED_TRACE(std::string("kernel=") + kernels::KindName(kind) +
-                   " threads=" + std::to_string(threads));
-      kernels::Select(kind);
-      auto env = MakeEnv(47, /*n_docs=*/60, 8, threads);
-      KMeansProfile profile;
-      ExtendedKMeansOptions opts = options;
-      opts.num_threads = threads;
-      opts.profile = &profile;
-      const ClusteringResult got =
-          RunConfig(*env, opts, ClusterScoring::kSlotted, std::nullopt);
-      EXPECT_EQ(base.clusters, got.clusters);
-      EXPECT_EQ(base.outliers, got.outliers);
-      EXPECT_EQ(base.g_history, got.g_history);
-      EXPECT_EQ(base_profile.entries_scanned, profile.entries_scanned);
-      EXPECT_EQ(base_profile.docs_scored, profile.docs_scored);
-      EXPECT_EQ(base_profile.delta_fallbacks, profile.delta_fallbacks);
-    }
+    SCOPED_TRACE(std::string("kernel=") + kernels::KindName(kind));
+    kernels::Select(kind);
+    KMeansProfile profile;
+    ExtendedKMeansOptions opts = options;
+    opts.profile = &profile;
+    const ClusteringResult got =
+        RunConfig(*env, opts, ClusterScoring::kSlotted, std::nullopt);
+    EXPECT_EQ(base.clusters, got.clusters);
+    EXPECT_EQ(base.outliers, got.outliers);
+    EXPECT_EQ(base.g_history, got.g_history);
+    EXPECT_EQ(base_profile.entries_scanned, profile.entries_scanned);
+    EXPECT_EQ(base_profile.docs_scored, profile.docs_scored);
+    EXPECT_EQ(base_profile.delta_fallbacks, profile.delta_fallbacks);
   }
 }
 

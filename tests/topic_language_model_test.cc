@@ -91,7 +91,8 @@ TEST(TopicLanguageModelTest, DefaultOverlapSharesPoolWords) {
   for (int i = 1; i <= 20; ++i) {
     TopicSpec t;
     t.id = i;
-    t.name = "T" + std::to_string(i);
+    const std::string index = std::to_string(i);
+    t.name = "T" + index;
     t.shape = ActivityShape::FromWindowCounts({1});
     topics.push_back(std::move(t));
   }

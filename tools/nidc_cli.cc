@@ -60,9 +60,9 @@
 //       --serve exposes /healthz (role "follower", replication lag) and
 //       POST /promotez, which seals the local WAL and flips DIR into a
 //       writable leader checkpoint directory (see docs/replication.md).
-//   serve --root DIR [--port N] [--shards N] [--threads-per-shard N]
-//         [--queue-capacity N] [--checkpoint-every N]
-//         [--wal-fsync every|none] [--http-workers N] [--max-seconds S]
+//   serve --root DIR [--port N] [--shards N] [--queue-capacity N]
+//         [--checkpoint-every N] [--wal-fsync every|none]
+//         [--http-workers N] [--max-seconds S]
 //         [--slo-latency-ms MS]
 //         [--beta D] [--gamma D] [--k N] [--step D] [--start D] [--seed N]
 //       Run the multi-tenant sharded ingest service (docs/serving.md):
@@ -78,7 +78,8 @@
 //       --slo-latency-ms sets the default latency objective threshold
 //       (default 1000) — see docs/observability.md.
 //       --shards 0 (the default) uses one shard worker per hardware
-//       thread; --max-seconds 0 serves until SIGINT/SIGTERM. The --beta
+//       thread, and each shard steps its tenants on its own thread;
+//       --max-seconds 0 serves until SIGINT/SIGTERM. The --beta
 //       .. --seed flags set the default TenantConfig that
 //       POST /tenantz?op=create starts from.
 //   inspect URL
@@ -188,8 +189,7 @@ int Usage() {
       "           [--serve PORT] [--beta D] [--gamma D] [--k N]\n"
       "           [--wal-fsync every|none] [--checkpoint-every N]\n"
       "           [--max-seconds S]\n"
-      "  serve    --root DIR [--port N] [--shards N]\n"
-      "           [--threads-per-shard N] [--queue-capacity N]\n"
+      "  serve    --root DIR [--port N] [--shards N] [--queue-capacity N]\n"
       "           [--checkpoint-every N] [--wal-fsync every|none]\n"
       "           [--http-workers N] [--max-seconds S]\n"
       "           [--slo-latency-ms MS]\n"
@@ -992,7 +992,6 @@ int RunServe(const Args& args) {
   shard::ShardServiceOptions options;
   options.root = args.Get("root", "");
   options.num_shards = args.GetSize("shards", 0);
-  options.threads_per_shard = args.GetSize("threads-per-shard", 0);
   options.queue_capacity =
       args.GetSize("queue-capacity", options.queue_capacity);
   options.checkpoint_every =
@@ -1041,10 +1040,10 @@ int RunServe(const Args& args) {
 
   const double max_seconds = args.GetDouble("max-seconds", 0.0);
   std::printf(
-      "serving on 127.0.0.1:%u | root %s | %zu shards x %zu kmeans "
-      "threads | %zu http workers | %zu tenants recovered in %.3f s\n",
+      "serving on 127.0.0.1:%u | root %s | %zu shards | %zu http workers "
+      "| %zu tenants recovered in %.3f s\n",
       server.port(), (*service)->root().c_str(), (*service)->num_shards(),
-      (*service)->threads_per_shard(), server.num_workers(),
+      server.num_workers(),
       (*service)->recovered_tenants(), (*service)->recovery_seconds());
   std::fflush(stdout);
 

@@ -12,7 +12,7 @@
 //
 // Every line must parse as a JSON object and carry the step digest keys,
 // a non-empty G trajectory, and the expected metric families (K-means,
-// rep-index, scoring-kernel, thread-pool, term-statistics, cluster health,
+// rep-index, scoring-kernel, term-statistics, cluster health,
 // event log, time-series store, self-profiler, decision provenance,
 // request-trace pipeline, SLO engine). Every metric name must also belong to a known family
 // prefix — a typo'd or undocumented family fails validation instead of
@@ -65,8 +65,6 @@ constexpr const char* kMetricKeys[] = {
     "rep_index.tombstones",
     "rep_index.builds",
     "rep_index.moves_applied",
-    "thread_pool.tasks_executed",
-    "thread_pool.queue_high_water",
     "term_stats.vocab_size",
     "term_stats.tdw",
     "step.count",
@@ -120,11 +118,11 @@ constexpr const char* kMetricKeys[] = {
 // outside them are either typos or new families that docs/observability.md
 // (and this list) have not caught up with yet — both should fail CI.
 constexpr const char* kKnownPrefixes[] = {
-    "kmeans.",      "rep_index.",  "thread_pool.", "term_stats.",
-    "step.",        "corpus.",     "store.",       "health.",
-    "events.",      "serve.",      "kernel.",      "timeseries.",
-    "profile.",     "provenance.", "repl.",        "shard.",
-    "pipeline.",    "slo.",
+    "kmeans.",  "rep_index.",  "term_stats.", "step.",
+    "corpus.",  "store.",      "health.",     "events.",
+    "serve.",   "kernel.",     "timeseries.", "profile.",
+    "provenance.", "repl.",    "shard.",      "pipeline.",
+    "slo.",
 };
 
 // The sharded service registers these at Start (see ShardService::Init),
