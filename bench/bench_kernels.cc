@@ -145,7 +145,6 @@ int Main() {
 
   TablePrinter table({"kernel", "ns/doc", "GB/s", "checksum"});
   const kernels::Kind kinds[] = {kernels::Kind::kScalar,
-                                 kernels::Kind::kAvx2,
                                  kernels::Kind::kAvx512};
   for (kernels::Kind kind : kinds) {
     if (!kernels::Available(kind)) {

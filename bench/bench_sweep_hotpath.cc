@@ -16,10 +16,10 @@
 // BENCH_sweep_hotpath.json trajectory.
 //
 // It also measures the observability overhead: the same clustering run
-// with the full telemetry stack attached (MetricsRegistry, Tracer,
-// EventLog, PhaseProfiler, ProvenanceLog, TimeSeriesStore, RequestTracer,
-// SloEngine) vs the default null registry (median of paired back-to-back
-// repetitions).
+// with the full telemetry stack `nidc_cli stream` attaches
+// (MetricsRegistry, EventLog, PhaseProfiler, ProvenanceLog,
+// TimeSeriesStore, RequestTracer, SloEngine) vs the default null registry
+// (median of paired back-to-back repetitions).
 //
 // Env knobs:
 //   NIDC_SWEEP_SCALE   corpus scale (1.0 = paper-scale 7,578 docs)
@@ -52,7 +52,6 @@
 #include "nidc/obs/reqtrace.h"
 #include "nidc/obs/slo.h"
 #include "nidc/obs/timeseries.h"
-#include "nidc/obs/trace.h"
 
 namespace nidc::bench {
 namespace {
@@ -95,7 +94,7 @@ void ApplyConfig(const Config& config, ExtendedKMeansOptions* kmeans) {
 }
 
 // Instrumented-vs-null overhead of the *full* observability stack on the
-// slotted configuration: a registry, tracer, event log, phase profiler,
+// slotted configuration: a registry, event log, phase profiler,
 // provenance log, time-series store, request tracer and SLO engine all
 // attached (with a post-run ObserveStep and a per-step request trace +
 // SLO evaluation, as the stream driver issues), against everything null.
@@ -123,7 +122,6 @@ double MeasureInstrumentationOverhead(const ForgettingModel& model,
   // timed section keeps the overhead ratio about the clustering alone.
   SimilarityContext ctx(model);
   obs::MetricsRegistry registry;
-  obs::Tracer tracer;
   obs::EventLog events(4096, &registry);
   obs::PhaseProfiler::Options profiler_options;
   profiler_options.metrics = &registry;
@@ -151,7 +149,6 @@ double MeasureInstrumentationOverhead(const ForgettingModel& model,
     options.metrics = instrumented ? &registry : nullptr;
     options.events = instrumented ? &events : nullptr;
     options.provenance = instrumented ? &provenance : nullptr;
-    obs::ScopedTracerInstall install(instrumented ? &tracer : nullptr);
     obs::ScopedProfilerInstall install_profiler(instrumented ? &profiler
                                                              : nullptr);
     if (instrumented) profiler.SetStep(step);

@@ -143,7 +143,7 @@ struct KMeansProfile {
 
   /// Scoring-kernel telemetry (slotted sweeps only; see core/kernels).
   /// Bytes/entry counters come from the flat index's scan stats.
-  const char* kernel = "";          // active kernel name (scalar/avx2/...)
+  const char* kernel = "";          // active kernel name (scalar/avx512)
   uint64_t score_bytes = 0;         // posting + row bytes streamed
   uint64_t entries_scanned = 0;     // posting entries touched
   uint64_t docs_scored = 0;         // ScoreAll* calls

@@ -53,13 +53,9 @@ uint64_t ScoreScalar(const PostingsView& view, const DocRow& row,
 // Dispatch.
 // ---------------------------------------------------------------------------
 
-// Defined in kernels_avx2.cc / kernels_avx512.cc when the toolchain can
-// target the ISA; weak-less portable alternative: the build defines
-// NIDC_HAVE_KERNEL_AVX2/512 and we declare conditionally.
-#if defined(NIDC_HAVE_KERNEL_AVX2)
-uint64_t ScoreAvx2(const PostingsView&, const DocRow&, uint32_t, double*,
-                   double*);
-#endif
+// Defined in kernels_avx512.cc when the toolchain can target the ISA;
+// weak-less portable alternative: the build defines NIDC_HAVE_KERNEL_AVX512
+// and we declare conditionally.
 #if defined(NIDC_HAVE_KERNEL_AVX512)
 uint64_t ScoreAvx512(const PostingsView&, const DocRow&, uint32_t, double*,
                      double*);
@@ -68,9 +64,6 @@ uint64_t ScoreAvx512(const PostingsView&, const DocRow&, uint32_t, double*,
 namespace {
 
 constexpr ScoreKernel kScalarKernel = {"scalar", Kind::kScalar, ScoreScalar};
-#if defined(NIDC_HAVE_KERNEL_AVX2)
-constexpr ScoreKernel kAvx2Kernel = {"avx2", Kind::kAvx2, ScoreAvx2};
-#endif
 #if defined(NIDC_HAVE_KERNEL_AVX512)
 constexpr ScoreKernel kAvx512Kernel = {"avx512", Kind::kAvx512,
                                        ScoreAvx512};
@@ -80,12 +73,6 @@ const ScoreKernel* KernelFor(Kind kind) {
   switch (kind) {
     case Kind::kScalar:
       return &kScalarKernel;
-    case Kind::kAvx2:
-#if defined(NIDC_HAVE_KERNEL_AVX2)
-      return &kAvx2Kernel;
-#else
-      return nullptr;
-#endif
     case Kind::kAvx512:
 #if defined(NIDC_HAVE_KERNEL_AVX512)
       return &kAvx512Kernel;
@@ -101,7 +88,6 @@ std::once_flag g_init_once;
 
 Kind BestAvailable() {
   if (Available(Kind::kAvx512)) return Kind::kAvx512;
-  if (Available(Kind::kAvx2)) return Kind::kAvx2;
   return Kind::kScalar;
 }
 
@@ -111,7 +97,7 @@ void InitFromEnv() {
   if (env != nullptr && env[0] != '\0') {
     Kind requested;
     NIDC_CHECK(ParseKind(env, &requested))
-        << "NIDC_KERNEL='" << env << "' is not scalar|avx2|avx512";
+        << "NIDC_KERNEL='" << env << "' is not scalar|avx512";
     NIDC_CHECK(Available(requested))
         << "NIDC_KERNEL=" << env << " requested but the CPU (or this "
         << "build) does not support it";
@@ -127,8 +113,6 @@ bool Available(Kind kind) {
   switch (kind) {
     case Kind::kScalar:
       return true;
-    case Kind::kAvx2:
-      return CpuSupportsAvx2();
     case Kind::kAvx512:
       return CpuSupportsAvx512();
   }
@@ -151,8 +135,6 @@ const char* KindName(Kind kind) {
   switch (kind) {
     case Kind::kScalar:
       return "scalar";
-    case Kind::kAvx2:
-      return "avx2";
     case Kind::kAvx512:
       return "avx512";
   }
@@ -162,8 +144,6 @@ const char* KindName(Kind kind) {
 bool ParseKind(const char* name, Kind* out) {
   if (std::strcmp(name, "scalar") == 0) {
     *out = Kind::kScalar;
-  } else if (std::strcmp(name, "avx2") == 0) {
-    *out = Kind::kAvx2;
   } else if (std::strcmp(name, "avx512") == 0) {
     *out = Kind::kAvx512;
   } else {

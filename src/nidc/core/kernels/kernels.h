@@ -6,15 +6,14 @@
 // for the document's home cluster, the detached variant
 // (weight − value) · value and the attached cross term weight · value
 // (see FlatRepIndex::ScoreAllDetached). This file isolates exactly that
-// loop behind a runtime-dispatched function-pointer table with three
+// loop behind a runtime-dispatched function-pointer table with two
 // implementations:
 //
 //   scalar   portable reference — bit-for-bit the historical loop
-//   avx2     256-bit lanes, software-prefetched rows
 //   avx512   512-bit masked lanes, gather/scatter into the score table
 //
 // The active kernel is chosen at startup from CPUID (best available) and
-// can be overridden with NIDC_KERNEL=scalar|avx2|avx512 for testing, or
+// can be overridden with NIDC_KERNEL=scalar|avx512 for testing, or
 // programmatically via Select(). Every kernel produces *bit-identical*
 // exact scores: within one term the posting clusters are distinct, so
 // reordering the per-term lane arithmetic never reorders any single
@@ -30,7 +29,7 @@
 namespace nidc::kernels {
 
 /// Kernel implementations, in increasing ISA order.
-enum class Kind { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+enum class Kind { kScalar = 0, kAvx512 = 1 };
 
 /// Loads beyond a posting list's logical end must stay in-bounds: the
 /// SIMD kernels read full vectors and mask in-register, so the SoA arrays
@@ -77,7 +76,7 @@ struct ScoreKernel {
   ScoreFn score = nullptr;
 };
 
-/// The active kernel. First call resolves NIDC_KERNEL (scalar|avx2|avx512;
+/// The active kernel. First call resolves NIDC_KERNEL (scalar|avx512;
 /// fatal when the requested ISA is not supported by the running CPU), or
 /// picks the best supported implementation when the variable is unset.
 const ScoreKernel& Active();
@@ -91,7 +90,7 @@ void Select(Kind kind);
 
 const char* KindName(Kind kind);
 
-/// Parses "scalar" / "avx2" / "avx512"; returns false on anything else.
+/// Parses "scalar" / "avx512"; returns false on anything else.
 bool ParseKind(const char* name, Kind* out);
 
 }  // namespace nidc::kernels

@@ -72,31 +72,25 @@ std::string RenderEventJson(const Event& event) {
 }
 
 EventLog::EventLog(size_t capacity, MetricsRegistry* metrics)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      metrics_(metrics),
-      epoch_seconds_(SteadySeconds()) {
-  if (metrics_ != nullptr) {
-    emitted_counter_ = metrics_->GetCounter("events.emitted");
-    dropped_counter_ = metrics_->GetCounter("events.dropped");
+    : ring_(capacity), epoch_seconds_(SteadySeconds()) {
+  if (metrics != nullptr) {
+    emitted_counter_ = metrics->GetCounter("events.emitted");
+    dropped_counter_ = metrics->GetCounter("events.dropped");
   }
-  // Reserving the full ring at construction keeps push_back growth (and
-  // its reallocation copies) out of the emitters' timed paths.
-  ring_.reserve(capacity_);
+}
+
+bool EventLog::PushLocked(Event event, double seconds) {
+  event.sequence = ring_.pushed();
+  event.step = current_step_;
+  event.seconds = seconds;
+  return ring_.Push(std::move(event));
 }
 
 void EventLog::Emit(Event event) {
   bool dropped = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    event.sequence = next_sequence_++;
-    event.step = current_step_;
-    event.seconds = SteadySeconds() - epoch_seconds_;
-    if (ring_.size() < capacity_) {
-      ring_.push_back(std::move(event));
-    } else {
-      ring_[event.sequence % capacity_] = std::move(event);
-      dropped = true;
-    }
+    dropped = PushLocked(std::move(event), SteadySeconds() - epoch_seconds_);
   }
   if (emitted_counter_ != nullptr) emitted_counter_->Increment();
   if (dropped && dropped_counter_ != nullptr) dropped_counter_->Increment();
@@ -110,15 +104,7 @@ void EventLog::EmitBatch(std::vector<Event>* events) {
     std::lock_guard<std::mutex> lock(mu_);
     const double seconds = SteadySeconds() - epoch_seconds_;
     for (Event& event : *events) {
-      event.sequence = next_sequence_++;
-      event.step = current_step_;
-      event.seconds = seconds;
-      if (ring_.size() < capacity_) {
-        ring_.push_back(std::move(event));
-      } else {
-        ring_[event.sequence % capacity_] = std::move(event);
-        ++dropped;
-      }
+      if (PushLocked(std::move(event), seconds)) ++dropped;
     }
   }
   if (emitted_counter_ != nullptr) emitted_counter_->Increment(count);
@@ -135,25 +121,17 @@ void EventLog::SetStep(uint64_t step) {
 
 std::vector<Event> EventLog::Recent(size_t max_events) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const size_t available = ring_.size();
-  const size_t count = std::min(max_events, available);
-  std::vector<Event> events;
-  events.reserve(count);
-  // The oldest retained event has sequence next_sequence_ - available.
-  for (uint64_t seq = next_sequence_ - count; seq < next_sequence_; ++seq) {
-    events.push_back(ring_[seq % capacity_]);
-  }
-  return events;
+  return ring_.Recent(max_events);
 }
 
 uint64_t EventLog::total_emitted() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return next_sequence_;
+  return ring_.pushed();
 }
 
 uint64_t EventLog::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return next_sequence_ > ring_.size() ? next_sequence_ - ring_.size() : 0;
+  return ring_.dropped();
 }
 
 size_t EventLog::size() const {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "nidc/obs/metrics.h"
+#include "nidc/obs/ring.h"
 #include "nidc/util/status.h"
 
 namespace nidc::obs {
@@ -128,7 +129,7 @@ class EventLog {
   /// Events lost to ring wrap-around.
   uint64_t dropped() const;
 
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const { return ring_.capacity(); }
   size_t size() const;
 
   /// Writes the retained events as JSONL (one RenderEventJson object per
@@ -136,14 +137,15 @@ class EventLog {
   Status ExportJsonl(const std::string& path) const;
 
  private:
-  const size_t capacity_;
-  MetricsRegistry* const metrics_;
+  // Stamps `event` with the next sequence, the current step and
+  // `seconds`, and pushes it; returns true when it overwrote the oldest.
+  bool PushLocked(Event event, double seconds);
+
   Counter* emitted_counter_ = nullptr;
   Counter* dropped_counter_ = nullptr;
 
   mutable std::mutex mu_;
-  std::vector<Event> ring_;  // ring_[sequence % capacity_]
-  uint64_t next_sequence_ = 0;
+  BoundedRing<Event> ring_;  // Event::sequence is the ring sequence
   uint64_t current_step_ = 0;
   double epoch_seconds_ = 0.0;  // steady-clock origin
 };

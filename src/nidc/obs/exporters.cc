@@ -40,21 +40,6 @@ std::string RenderMetricsJson(const std::vector<MetricSample>& samples) {
   return builder.Render();
 }
 
-std::string RenderTraceJson(const TraceNode& node) {
-  std::string children = "[";
-  for (size_t i = 0; i < node.children.size(); ++i) {
-    if (i > 0) children += ",";
-    children += RenderTraceJson(*node.children[i]);
-  }
-  children += "]";
-  return JsonObjectBuilder()
-      .Add("name", node.name)
-      .Add("count", node.count)
-      .Add("seconds", node.seconds)
-      .AddRaw("children", children)
-      .Render();
-}
-
 namespace {
 
 bool IsPrometheusChar(char c) {

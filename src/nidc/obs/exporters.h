@@ -1,4 +1,4 @@
-// Telemetry exporters over MetricsRegistry snapshots and trace trees.
+// Telemetry exporters over MetricsRegistry snapshots.
 //
 // Three formats, three audiences:
 //   * JSONL  — one self-contained JSON record per pipeline step, for
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "nidc/obs/metrics.h"
-#include "nidc/obs/trace.h"
 #include "nidc/util/csv_writer.h"
 #include "nidc/util/status.h"
 
@@ -27,10 +26,6 @@ namespace nidc::obs {
 /// `"name": value`, histograms as
 /// `"name": {"count":..,"sum":..,"buckets":[{"le":..,"count":..},...]}`.
 std::string RenderMetricsJson(const std::vector<MetricSample>& samples);
-
-/// Renders a trace tree as nested JSON:
-/// `{"name":..,"count":..,"seconds":..,"children":[...]}`.
-std::string RenderTraceJson(const TraceNode& node);
 
 /// Flattens a registry name into the Prometheus exposition charset
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`: invalid characters become '_' and a

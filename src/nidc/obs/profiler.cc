@@ -33,64 +33,43 @@ uint32_t ThreadTraceId() {
   return id;
 }
 
-// Per-thread span bridge state: the ambient profiler, the collapsed path
-// of the open spans (";"-joined, grown/truncated in place so span entry
-// allocates at most once the path outgrows its capacity), and the frame
-// stack carrying each open span's start readings.
-struct Frame {
-  PhaseProfiler* profiler = nullptr;
-  const char* name = "";
-  size_t path_length_before = 0;
-  double wall_start = 0.0;
-  double cpu_start = 0.0;
-};
-
+// Per-thread span state: the ambient profiler and the collapsed path of
+// the open spans (";"-joined, grown/truncated in place so span entry
+// allocates at most once the path outgrows its capacity). Each open
+// span's start readings live in its ScopedSpan.
 thread_local PhaseProfiler* t_current_profiler = nullptr;
 thread_local std::string t_span_path;
-thread_local std::vector<Frame> t_span_frames;
 
 }  // namespace
 
-namespace internal {
-
-bool ProfilerSpanBegin(const char* name) {
-  PhaseProfiler* profiler = t_current_profiler;
-  if (profiler == nullptr) return false;
-  Frame frame;
-  frame.profiler = profiler;
-  frame.name = name;
-  frame.path_length_before = t_span_path.size();
+ScopedSpan::ScopedSpan(const char* name)
+    : profiler_(t_current_profiler), name_(name) {
+  if (profiler_ == nullptr) return;
+  path_length_before_ = t_span_path.size();
   if (!t_span_path.empty()) t_span_path += ';';
   t_span_path += name;
-  frame.cpu_start = ThreadCpuSeconds();
-  frame.wall_start = SteadySeconds();
-  t_span_frames.push_back(frame);
-  return true;
+  cpu_start_ = ThreadCpuSeconds();
+  wall_start_ = SteadySeconds();
 }
 
-void ProfilerSpanEnd() {
+ScopedSpan::~ScopedSpan() {
+  if (profiler_ == nullptr) return;
   const double wall_end = SteadySeconds();
   const double cpu_end = ThreadCpuSeconds();
-  Frame frame = t_span_frames.back();
-  t_span_frames.pop_back();
-  frame.profiler->RecordSpan(
-      t_span_path, frame.name, frame.wall_start,
-      wall_end - frame.wall_start, cpu_end - frame.cpu_start,
-      ThreadTraceId());
-  t_span_path.resize(frame.path_length_before);
+  profiler_->RecordSpan(t_span_path, name_, wall_start_,
+                        wall_end - wall_start_, cpu_end - cpu_start_,
+                        ThreadTraceId());
+  t_span_path.resize(path_length_before_);
 }
 
-}  // namespace internal
-
-PhaseProfiler::PhaseProfiler(Options options) : options_(options) {
+PhaseProfiler::PhaseProfiler(Options options)
+    : options_(options), trace_ring_(options.trace_capacity) {
   if (options_.metrics != nullptr) {
     spans_counter_ = options_.metrics->GetCounter("profile.spans");
     phases_gauge_ = options_.metrics->GetGauge("profile.phases");
     trace_dropped_counter_ =
         options_.metrics->GetCounter("profile.trace_dropped");
   }
-  trace_ring_.resize(options_.trace_capacity == 0 ? 1
-                                                  : options_.trace_capacity);
 }
 
 void PhaseProfiler::RecordSpan(const std::string& path, const char* name,
@@ -116,16 +95,11 @@ void PhaseProfiler::RecordSpan(const std::string& path, const char* name,
     phases_gauge_->Set(static_cast<double>(totals_.size()));
   }
 
-  SpanEvent& slot = trace_ring_[trace_next_ % trace_ring_.size()];
-  if (trace_next_ >= trace_ring_.size() &&
-      trace_dropped_counter_ != nullptr) {
+  const bool dropped =
+      trace_ring_.Push(SpanEvent{name, start_seconds, wall_seconds, tid});
+  if (dropped && trace_dropped_counter_ != nullptr) {
     trace_dropped_counter_->Increment();
   }
-  slot.name = name;
-  slot.start_seconds = start_seconds;
-  slot.wall_seconds = wall_seconds;
-  slot.tid = tid;
-  ++trace_next_;
 }
 
 void PhaseProfiler::SetStep(uint64_t step) {
@@ -157,6 +131,11 @@ std::vector<PhaseProfiler::PhaseStats> PhaseProfiler::Flatten(
 std::vector<PhaseProfiler::PhaseStats> PhaseProfiler::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return Flatten(totals_);
+}
+
+std::vector<PhaseProfiler::PhaseStats> PhaseProfiler::CurrentStep() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return Flatten(current_step_);
 }
 
 std::vector<PhaseProfiler::PhaseStats> PhaseProfiler::LastStep() const {
@@ -201,8 +180,6 @@ std::string PhaseProfiler::RenderCollapsed() const {
   return out;
 }
 
-namespace {
-
 std::string RenderPhaseArray(
     const std::vector<PhaseProfiler::PhaseStats>& stats) {
   std::string out = "[";
@@ -218,8 +195,6 @@ std::string RenderPhaseArray(
   out += "]";
   return out;
 }
-
-}  // namespace
 
 std::string PhaseProfiler::RenderJson() const {
   uint64_t step;
@@ -243,22 +218,22 @@ std::string PhaseProfiler::RenderJson() const {
 }
 
 std::string PhaseProfiler::RenderChromeTrace() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const size_t retained = std::min<uint64_t>(trace_next_, trace_ring_.size());
+  std::vector<SpanEvent> retained;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    retained = trace_ring_.Recent();
+  }
   // Timestamps are steady-clock absolutes; rebase onto the oldest
   // retained event so the trace opens at t=0 in the viewer.
   double origin = 0.0;
-  for (size_t i = 0; i < retained; ++i) {
-    const SpanEvent& event =
-        trace_ring_[(trace_next_ - retained + i) % trace_ring_.size()];
-    if (i == 0 || event.start_seconds < origin) {
-      origin = event.start_seconds;
+  for (size_t i = 0; i < retained.size(); ++i) {
+    if (i == 0 || retained[i].start_seconds < origin) {
+      origin = retained[i].start_seconds;
     }
   }
   std::string events = "[";
-  for (size_t i = 0; i < retained; ++i) {
-    const SpanEvent& event =
-        trace_ring_[(trace_next_ - retained + i) % trace_ring_.size()];
+  for (size_t i = 0; i < retained.size(); ++i) {
+    const SpanEvent& event = retained[i];
     if (i > 0) events += ",";
     events += JsonObjectBuilder()
                   .Add("name", event.name)

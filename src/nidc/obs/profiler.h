@@ -1,22 +1,23 @@
-// Continuous self-profiler: promotes the NIDC_SPAN call sites into an
-// always-on per-step phase profile with wall *and* CPU time, cheap
-// enough to leave running in production (the bench_sweep_hotpath
-// overhead guard covers it).
+// Continuous self-profiler: the one sink of the NIDC_SPAN call sites
+// (obs/trace.h), aggregating them into an always-on per-step phase
+// profile with wall *and* CPU time, cheap enough to leave running in
+// production (the bench_sweep_hotpath overhead guard covers it).
 //
-// Like the Tracer, the profiler is *ambient*: ScopedProfilerInstall sets a
-// thread-local pointer, and every NIDC_SPAN on that thread then records a
-// frame — with no profiler installed a span pays one extra thread-local
-// load and a branch, preserving the "no registry = zero overhead"
-// contract. Spans aggregate by their full collapsed path ("kmeans.run;
-// kmeans.sweep"), and each closed span captures its wall seconds (steady
-// clock) and the CPU seconds of the installing thread
-// (CLOCK_THREAD_CPUTIME_ID).
+// The profiler is *ambient*: ScopedProfilerInstall sets a thread-local
+// pointer, and every NIDC_SPAN on that thread then records a frame — with
+// no profiler installed a span pays one thread-local load and a branch,
+// preserving the "no registry = zero overhead" contract. Spans aggregate
+// by their full collapsed path ("kmeans.run;kmeans.sweep"), and each
+// closed span captures its wall seconds (steady clock) and the CPU
+// seconds of the installing thread (CLOCK_THREAD_CPUTIME_ID).
 //
 // Exports:
 //   * RenderCollapsed — collapsed-stack text ("path self_us" per line),
 //     the input format of flamegraph.pl / speedscope;
 //   * RenderJson — phase table (totals + last completed step), the
 //     /profilez?format=json document;
+//   * RenderPhaseArray — one phase table as a JSON array, the "phases"
+//     field of every `nidc_cli stream --metrics-out` record;
 //   * RenderChromeTrace — trace-event JSON for chrome://tracing /
 //     Perfetto, built from a bounded ring of raw span events.
 
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "nidc/obs/metrics.h"
+#include "nidc/obs/ring.h"
 
 namespace nidc::obs {
 
@@ -61,7 +63,7 @@ class PhaseProfiler {
   PhaseProfiler(const PhaseProfiler&) = delete;
   PhaseProfiler& operator=(const PhaseProfiler&) = delete;
 
-  /// Called by the span bridge when a span closes. `path` is the full
+  /// Called by ScopedSpan when a span closes. `path` is the full
   /// collapsed path, `name` the leaf (a string literal with static
   /// storage), `start_seconds` the span's start offset from the
   /// profiler's epoch.
@@ -76,6 +78,9 @@ class PhaseProfiler {
 
   /// Cumulative per-path totals since construction, heaviest wall first.
   std::vector<PhaseStats> Snapshot() const;
+  /// The spans recorded since the last SetStep (the step in progress, or
+  /// just finished before the next SetStep), heaviest wall first.
+  std::vector<PhaseStats> CurrentStep() const;
   /// The last *completed* step's per-path profile, heaviest wall first.
   std::vector<PhaseStats> LastStep() const;
 
@@ -86,8 +91,8 @@ class PhaseProfiler {
   /// where self time excludes the wall time of recorded child paths.
   std::string RenderCollapsed() const;
 
-  /// `{"step":..,"spans":..,"totals":[{"path":..,"count":..,
-  /// "wall_us":..,"cpu_us":..},...],"last_step":[...]}`.
+  /// `{"step":..,"spans":..,"totals":[...],"last_step":[...]}`, both
+  /// arrays rendered by RenderPhaseArray.
   std::string RenderJson() const;
 
   /// Chrome trace-event JSON (`{"traceEvents":[...]}`; complete "X"
@@ -122,14 +127,17 @@ class PhaseProfiler {
   std::map<std::string, PhaseAccum> last_step_;
   uint64_t step_ = 0;
   uint64_t spans_ = 0;
-  std::vector<SpanEvent> trace_ring_;
-  uint64_t trace_next_ = 0;  // total events ever pushed
+  BoundedRing<SpanEvent> trace_ring_;
 };
+
+/// `[{"path":..,"count":..,"wall_us":..,"cpu_us":..},...]` in `stats`
+/// order.
+std::string RenderPhaseArray(
+    const std::vector<PhaseProfiler::PhaseStats>& stats);
 
 /// RAII installation of `profiler` as the calling thread's ambient
 /// profiler; restores the previous one on destruction. Null uninstalls
-/// for the scope. Install alongside ScopedTracerInstall — the two are
-/// independent consumers of the same NIDC_SPAN sites.
+/// for the scope.
 class ScopedProfilerInstall {
  public:
   explicit ScopedProfilerInstall(PhaseProfiler* profiler);

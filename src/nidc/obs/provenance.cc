@@ -51,17 +51,14 @@ std::string RenderDecisionJson(const DecisionRecord& record) {
 }
 
 ProvenanceLog::ProvenanceLog(size_t capacity, MetricsRegistry* metrics)
-    : capacity_(capacity == 0 ? 1 : capacity) {
+    : ring_(capacity) {
   if (metrics != nullptr) {
     records_counter_ = metrics->GetCounter("provenance.records");
     dropped_counter_ = metrics->GetCounter("provenance.dropped");
     retained_gauge_ = metrics->GetGauge("provenance.retained");
   }
-  // Reserving the full ring at construction keeps push_back growth out
-  // of Record/RecordBatch, and the index's buckets exist before the first
-  // rebuild touches them.
-  ring_.reserve(capacity_);
-  latest_.reserve(capacity_);
+  // The index's buckets exist before the first rebuild touches them.
+  latest_.reserve(ring_.capacity());
 }
 
 void ProvenanceLog::SetStep(uint64_t step) {
@@ -69,15 +66,11 @@ void ProvenanceLog::SetStep(uint64_t step) {
   current_step_ = step;
 }
 
-void ProvenanceLog::RecordLocked(DecisionRecord record) {
-  record.sequence = next_sequence_++;
+bool ProvenanceLog::RecordLocked(DecisionRecord record) {
+  record.sequence = ring_.pushed();
   record.step = current_step_;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(record));
-  } else {
-    ring_[record.sequence % capacity_] = std::move(record);
-  }
   index_stale_ = true;
+  return ring_.Push(std::move(record));
 }
 
 void ProvenanceLog::PublishCountersLocked(uint64_t recorded,
@@ -96,29 +89,25 @@ void ProvenanceLog::PublishCountersLocked(uint64_t recorded,
 // on the introspection path instead of the sweep flush.
 void ProvenanceLog::RebuildIndexLocked() const {
   latest_.clear();
-  const uint64_t available = ring_.size();
-  for (uint64_t seq = next_sequence_ - available; seq < next_sequence_;
-       ++seq) {
-    latest_[ring_[seq % capacity_].doc] = seq;
+  for (uint64_t seq = ring_.dropped(); seq < ring_.pushed(); ++seq) {
+    latest_[ring_.at(seq).doc] = seq;
   }
   index_stale_ = false;
 }
 
 void ProvenanceLog::Record(DecisionRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
-  const bool wrapped = ring_.size() >= capacity_;
-  RecordLocked(std::move(record));
-  PublishCountersLocked(1, wrapped ? 1 : 0);
+  const bool dropped = RecordLocked(std::move(record));
+  PublishCountersLocked(1, dropped ? 1 : 0);
 }
 
 void ProvenanceLog::RecordBatch(const std::vector<DecisionRecord>& records) {
   std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t before = next_sequence_;
-  const uint64_t retained_before = ring_.size();
-  for (const DecisionRecord& record : records) RecordLocked(record);
-  const uint64_t recorded = next_sequence_ - before;
-  const uint64_t grown = ring_.size() - retained_before;
-  PublishCountersLocked(recorded, recorded - grown);
+  uint64_t dropped = 0;
+  for (const DecisionRecord& record : records) {
+    if (RecordLocked(record)) ++dropped;
+  }
+  PublishCountersLocked(records.size(), dropped);
 }
 
 std::optional<DecisionRecord> ProvenanceLog::Lookup(uint64_t doc) const {
@@ -126,28 +115,22 @@ std::optional<DecisionRecord> ProvenanceLog::Lookup(uint64_t doc) const {
   if (index_stale_) RebuildIndexLocked();
   auto it = latest_.find(doc);
   if (it == latest_.end()) return std::nullopt;
-  return ring_[it->second % capacity_];
+  return ring_.at(it->second);
 }
 
 std::vector<DecisionRecord> ProvenanceLog::Recent(size_t max_records) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const size_t count = std::min(max_records, ring_.size());
-  std::vector<DecisionRecord> records;
-  records.reserve(count);
-  for (uint64_t seq = next_sequence_ - count; seq < next_sequence_; ++seq) {
-    records.push_back(ring_[seq % capacity_]);
-  }
-  return records;
+  return ring_.Recent(max_records);
 }
 
 uint64_t ProvenanceLog::total_recorded() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return next_sequence_;
+  return ring_.pushed();
 }
 
 uint64_t ProvenanceLog::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return next_sequence_ > ring_.size() ? next_sequence_ - ring_.size() : 0;
+  return ring_.dropped();
 }
 
 size_t ProvenanceLog::size() const {

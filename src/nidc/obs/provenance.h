@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "nidc/obs/metrics.h"
+#include "nidc/obs/ring.h"
 #include "nidc/util/status.h"
 
 namespace nidc::obs {
@@ -116,7 +117,7 @@ class ProvenanceLog {
   /// Records lost to ring wrap-around.
   uint64_t dropped() const;
 
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const { return ring_.capacity(); }
   size_t size() const;
 
   /// Writes the retained records as JSONL (one RenderDecisionJson object
@@ -124,23 +125,23 @@ class ProvenanceLog {
   Status ExportJsonl(const std::string& path) const;
 
  private:
-  void RecordLocked(DecisionRecord record);
+  // Stamps and pushes one record; returns true when it overwrote the
+  // oldest.
+  bool RecordLocked(DecisionRecord record);
   void PublishCountersLocked(uint64_t recorded, uint64_t dropped);
   void RebuildIndexLocked() const;
 
-  const size_t capacity_;
   Counter* records_counter_ = nullptr;
   Counter* dropped_counter_ = nullptr;
   Gauge* retained_gauge_ = nullptr;
 
   mutable std::mutex mu_;
-  std::vector<DecisionRecord> ring_;  // ring_[sequence % capacity_]
+  BoundedRing<DecisionRecord> ring_;  // sequence is the ring sequence
   /// doc -> sequence of its newest retained record. Rebuilt lazily: the
   /// record path only marks it stale, so flushing a batch costs plain ring
   /// stores and the (rare, introspection-driven) Lookup pays the rebuild.
   mutable std::unordered_map<uint64_t, uint64_t> latest_;
   mutable bool index_stale_ = false;
-  uint64_t next_sequence_ = 0;
   uint64_t current_step_ = 0;
 };
 

@@ -8,15 +8,12 @@ namespace nidc {
 // dispatcher falls back to the scalar kernels.
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
 
-bool CpuSupportsAvx2() { return __builtin_cpu_supports("avx2"); }
-
 bool CpuSupportsAvx512() { return __builtin_cpu_supports("avx512f"); }
 
 bool CpuSupportsSse42() { return __builtin_cpu_supports("sse4.2"); }
 
 #else
 
-bool CpuSupportsAvx2() { return false; }
 bool CpuSupportsAvx512() { return false; }
 bool CpuSupportsSse42() { return false; }
 

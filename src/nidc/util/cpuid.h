@@ -9,9 +9,6 @@
 
 namespace nidc {
 
-/// True when the running CPU supports AVX2.
-bool CpuSupportsAvx2();
-
 /// True when the running CPU supports the AVX-512 foundation set
 /// (AVX512F), which covers every 512-bit instruction the kernel emits:
 /// masked arithmetic and gather/scatter on zmm.

@@ -8,7 +8,6 @@
 
 #include "nidc/obs/json_util.h"
 #include "nidc/obs/metrics.h"
-#include "nidc/obs/trace.h"
 
 namespace nidc::obs {
 namespace {
@@ -82,25 +81,6 @@ TEST(ExportersTest, MetricsJsonRoundTripsThroughParser) {
   ASSERT_EQ(buckets.size(), 2u);
   EXPECT_DOUBLE_EQ(buckets[0].Find("le")->number, 0.1);
   EXPECT_DOUBLE_EQ(buckets[0].Find("count")->number, 1.0);
-}
-
-TEST(ExportersTest, TraceJsonRoundTripsThroughParser) {
-  Tracer tracer;
-  {
-    ScopedTracerInstall install(&tracer);
-    NIDC_SPAN("step");
-    { NIDC_SPAN("sweep"); }
-    { NIDC_SPAN("sweep"); }
-  }
-  const auto parsed = ParseJson(RenderTraceJson(tracer.root()));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const auto& children = parsed->Find("children")->array;
-  ASSERT_EQ(children.size(), 1u);
-  EXPECT_EQ(children[0].Find("name")->string_value, "step");
-  const auto& grandchildren = children[0].Find("children")->array;
-  ASSERT_EQ(grandchildren.size(), 1u);
-  EXPECT_EQ(grandchildren[0].Find("name")->string_value, "sweep");
-  EXPECT_DOUBLE_EQ(grandchildren[0].Find("count")->number, 2.0);
 }
 
 TEST(ExportersTest, PrometheusFlattensNamesAndExpandsHistograms) {

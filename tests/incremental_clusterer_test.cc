@@ -2,12 +2,14 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "nidc/core/state_io.h"
 #include "nidc/obs/metrics.h"
-#include "nidc/obs/trace.h"
+#include "nidc/obs/profiler.h"
 
 namespace nidc {
 namespace {
@@ -161,15 +163,18 @@ TEST_F(IncrementalClustererTest, StepPopulatesMetricsRegistry) {
 }
 
 TEST_F(IncrementalClustererTest, StepRecordsTraceSpans) {
-  obs::Tracer tracer;
-  obs::ScopedTracerInstall install(&tracer);
+  obs::PhaseProfiler profiler;
+  obs::ScopedProfilerInstall install(&profiler);
   IncrementalClusterer ic(&corpus_, Params(), Options());
   ASSERT_TRUE(ic.Step({0, 1, 2, 3}, 1.0).ok());
-  const std::string rendered = tracer.Render();
-  EXPECT_NE(rendered.find("clusterer.step"), std::string::npos);
-  EXPECT_NE(rendered.find("step.stats_update"), std::string::npos);
-  EXPECT_NE(rendered.find("kmeans.run"), std::string::npos);
-  EXPECT_NE(rendered.find("kmeans.sweep"), std::string::npos);
+  std::map<std::string, uint64_t> counts;
+  for (const obs::PhaseProfiler::PhaseStats& phase : profiler.CurrentStep()) {
+    counts[phase.path] = phase.count;
+  }
+  EXPECT_EQ(counts["clusterer.step"], 1u);
+  EXPECT_EQ(counts["clusterer.step;step.stats_update"], 1u);
+  EXPECT_EQ(counts["clusterer.step;kmeans.run"], 1u);
+  EXPECT_GE(counts["clusterer.step;kmeans.run;kmeans.sweep"], 1u);
 }
 
 TEST_F(IncrementalClustererTest, MembershipReseedKeepsStableClusters) {

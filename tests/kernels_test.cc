@@ -22,7 +22,7 @@ struct KernelGuard {
   ~KernelGuard() { Select(saved); }
 };
 
-constexpr Kind kAllKinds[] = {Kind::kScalar, Kind::kAvx2, Kind::kAvx512};
+constexpr Kind kAllKinds[] = {Kind::kScalar, Kind::kAvx512};
 
 // A self-owned padded SoA posting index plus one document row, with the
 // same layout invariants FlatRepIndex maintains: per-term entries sorted by
@@ -85,7 +85,8 @@ TEST(KernelsTest, ParseKindRoundTripsAndRejectsUnknown) {
   Kind out;
   EXPECT_FALSE(ParseKind("", &out));
   EXPECT_FALSE(ParseKind("sse2", &out));
-  EXPECT_FALSE(ParseKind("AVX2", &out));  // case-sensitive, like the env var
+  EXPECT_FALSE(ParseKind("avx2", &out));  // no AVX2 kernel: unknown name
+  EXPECT_FALSE(ParseKind("AVX512", &out));  // case-sensitive, like the env var
   EXPECT_FALSE(ParseKind("avx5121", &out));
 }
 
@@ -121,8 +122,8 @@ TEST(KernelsTest, ExactKernelsBitIdenticalToScalar) {
       double ref_attached = 0.0;
       const uint64_t ref_entries =
           Active().score(view, row, home, ref_scores.data(), &ref_attached);
-      for (Kind kind : {Kind::kAvx2, Kind::kAvx512}) {
-        if (!Available(kind)) continue;
+      for (Kind kind : kAllKinds) {
+        if (kind == Kind::kScalar || !Available(kind)) continue;
         SCOPED_TRACE(std::string(KindName(kind)) + " k=" +
                      std::to_string(k) + " home=" + std::to_string(home));
         Select(kind);

@@ -74,6 +74,37 @@ TEST(PhaseProfilerTest, SetStepRollsCurrentIntoLastStep) {
   EXPECT_EQ(profiler.Snapshot().size(), 1u);
 }
 
+TEST(PhaseProfilerTest, CurrentStepHoldsOnlySpansSinceSetStep) {
+  // A per-step record rendered after step N must carry step N's spans:
+  // the current-step view starts empty at SetStep and holds exactly what
+  // was recorded since, while LastStep still holds step N-1's.
+  PhaseProfiler profiler;
+  ScopedProfilerInstall install(&profiler);
+  profiler.SetStep(1);
+  { NIDC_SPAN("previous"); }
+  profiler.SetStep(2);
+  EXPECT_TRUE(profiler.CurrentStep().empty());
+  {
+    NIDC_SPAN("step");
+    { NIDC_SPAN("sweep"); }
+    { NIDC_SPAN("sweep"); }
+  }
+  const std::vector<PhaseProfiler::PhaseStats> current =
+      profiler.CurrentStep();
+  ASSERT_EQ(current.size(), 2u);
+  for (const PhaseProfiler::PhaseStats& phase : current) {
+    if (phase.path == "step") {
+      EXPECT_EQ(phase.count, 1u);
+    } else {
+      EXPECT_EQ(phase.path, "step;sweep");
+      EXPECT_EQ(phase.count, 2u);
+    }
+  }
+  const std::vector<PhaseProfiler::PhaseStats> last = profiler.LastStep();
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_EQ(last[0].path, "previous");
+}
+
 TEST(PhaseProfilerTest, CollapsedSelfTimeExcludesChildren) {
   PhaseProfiler profiler;
   // Deterministic spans through the aggregation API: "a" spends 3s
@@ -110,7 +141,9 @@ TEST(PhaseProfilerTest, RenderJsonRoundTripsThroughParser) {
   ASSERT_TRUE(totals->is_array());
   ASSERT_EQ(totals->array.size(), 1u);
   EXPECT_EQ(totals->array[0].Find("path")->string_value, "a");
+  EXPECT_DOUBLE_EQ(totals->array[0].Find("count")->number, 1.0);
   EXPECT_DOUBLE_EQ(totals->array[0].Find("wall_us")->number, 250000.0);
+  EXPECT_DOUBLE_EQ(totals->array[0].Find("cpu_us")->number, 125000.0);
   const JsonValue* last = parsed->Find("last_step");
   ASSERT_TRUE(last->is_array());
   EXPECT_EQ(last->array.size(), 1u);

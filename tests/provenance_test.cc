@@ -110,12 +110,12 @@ TEST(ProvenanceLogTest, JsonOmitsInapplicableFields) {
 
   obs::DecisionRecord assigned = Assigned(7, 17);
   assigned.path = obs::ProvenancePath::kSlotted;
-  assigned.kernel = "avx2";
+  assigned.kernel = "avx512";
   const Result<obs::JsonValue> full =
       obs::ParseJson(obs::RenderDecisionJson(assigned));
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full->Find("path")->string_value, "slotted");
-  EXPECT_EQ(full->Find("kernel")->string_value, "avx2");
+  EXPECT_EQ(full->Find("kernel")->string_value, "avx512");
   EXPECT_DOUBLE_EQ(full->Find("cluster")->number, 17.0);
   EXPECT_DOUBLE_EQ(full->Find("runner_up")->number, 18.0);
   EXPECT_DOUBLE_EQ(full->Find("margin")->number, 0.25);

@@ -199,7 +199,6 @@ TEST(SweepEquivalenceTest, KernelDimensionStaysIdentical) {
   // exercised on every scan.
   KernelGuard guard;
   const kernels::Kind kinds[] = {kernels::Kind::kScalar,
-                                 kernels::Kind::kAvx2,
                                  kernels::Kind::kAvx512};
   for (uint64_t corpus_seed : {41u, 43u}) {
     auto env = MakeEnv(corpus_seed, /*n_docs=*/70);
@@ -242,8 +241,8 @@ TEST(SweepEquivalenceTest, KernelsStayIdenticalAcrossKernels) {
   const ClusteringResult base =
       RunConfig(*env, options, ClusterScoring::kSlotted, std::nullopt);
   ASSERT_GT(base_profile.entries_scanned, 0u);
-  for (kernels::Kind kind : {kernels::Kind::kScalar, kernels::Kind::kAvx2,
-                             kernels::Kind::kAvx512}) {
+  for (kernels::Kind kind :
+       {kernels::Kind::kScalar, kernels::Kind::kAvx512}) {
     if (!kernels::Available(kind)) continue;
     SCOPED_TRACE(std::string("kernel=") + kernels::KindName(kind));
     kernels::Select(kind);
@@ -293,8 +292,7 @@ TEST(SweepEquivalenceTest, NearTieArgmaxStaysIdentical) {
   const ClusteringResult merge =
       RunConfig(*env, options, ClusterScoring::kMerge, std::nullopt);
   for (kernels::Kind kind :
-       {kernels::Kind::kScalar, kernels::Kind::kAvx2,
-        kernels::Kind::kAvx512}) {
+       {kernels::Kind::kScalar, kernels::Kind::kAvx512}) {
     if (!kernels::Available(kind)) continue;
     SCOPED_TRACE(kernels::KindName(kind));
     kernels::Select(kind);

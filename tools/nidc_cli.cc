@@ -9,16 +9,16 @@
 //       the clusters; optionally snapshot the state.
 //   stream --corpus FILE [--beta D] [--gamma D] [--k N] [--step D]
 //          [--from D --to D] [--state FILE] [--metrics-out FILE.jsonl]
-//          [--metrics-csv FILE.csv] [--metrics-prom FILE] [--trace]
+//          [--metrics-csv FILE.csv] [--metrics-prom FILE]
 //          [--checkpoint-dir DIR] [--checkpoint-every N]
 //          [--wal-fsync every|none] [--serve PORT] [--events-out FILE]
 //       Replay the corpus through the incremental clusterer, printing a
 //       digest per step; optionally resume from / save to a state snapshot.
 //       --metrics-out writes one JSON record per step (G trajectory,
-//       iteration/outlier/expiry counts, registry snapshot); --metrics-csv
-//       writes the scalar metrics as a per-step CSV time series;
-//       --metrics-prom dumps the final registry in Prometheus text format;
-//       --trace prints the span tree of every step.
+//       iteration/outlier/expiry counts, registry snapshot, and the
+//       step's span profile under "phases"); --metrics-csv writes the
+//       scalar metrics as a per-step CSV time series; --metrics-prom
+//       dumps the final registry in Prometheus text format.
 //       --checkpoint-dir enables durable streaming (see docs/durability.md):
 //       every step is write-ahead logged, a snapshot generation rotates
 //       every --checkpoint-every steps, and a rerun with the same directory
@@ -130,7 +130,6 @@
 #include "nidc/obs/reqtrace.h"
 #include "nidc/obs/slo.h"
 #include "nidc/obs/timeseries.h"
-#include "nidc/obs/trace.h"
 #include "nidc/repl/replica.h"
 #include "nidc/repl/shipper.h"
 #include "nidc/repl/tcp.h"
@@ -177,7 +176,7 @@ int Usage() {
       "  stream   --corpus FILE [--beta D] [--gamma D] [--k N] [--step D]\n"
       "           [--from D --to D] [--state FILE]\n"
       "           [--metrics-out FILE.jsonl] [--metrics-csv FILE.csv]\n"
-      "           [--metrics-prom FILE] [--trace]\n"
+      "           [--metrics-prom FILE]\n"
       "           [--checkpoint-dir DIR] [--checkpoint-every N]\n"
       "           [--wal-fsync every|none]\n"
       "           [--serve PORT] [--ship-port PORT] [--slo-latency-ms MS]\n"
@@ -318,12 +317,12 @@ int RunCluster(const Args& args) {
 }
 
 // One JSONL telemetry record: the step digest, the G trajectory of the
-// clustering pass, the full metrics snapshot, and (when tracing) the
-// span tree.
+// clustering pass, the full metrics snapshot, and the step's own phase
+// profile (the spans recorded since the profiler's SetStep for it).
 std::string RenderStepRecord(uint64_t step_index, double tau,
                              const StepResult& step,
                              const obs::MetricsRegistry& registry,
-                             const obs::Tracer* tracer) {
+                             const obs::PhaseProfiler& profiler) {
   obs::JsonObjectBuilder record;
   record.Add("step", step_index)
       .Add("tau", tau)
@@ -344,9 +343,7 @@ std::string RenderStepRecord(uint64_t step_index, double tau,
   g_history += "]";
   record.AddRaw("g_history", g_history);
   record.AddRaw("metrics", obs::RenderMetricsJson(registry.Snapshot()));
-  if (tracer != nullptr) {
-    record.AddRaw("trace", obs::RenderTraceJson(tracer->root()));
-  }
+  record.AddRaw("phases", obs::RenderPhaseArray(profiler.CurrentStep()));
   return record.Render();
 }
 
@@ -368,12 +365,11 @@ int RunStream(const Args& args) {
   const std::string events_out = args.Get("events-out", "");
   const std::string provenance_out = args.Get("provenance-out", "");
   const std::string trace_chrome = args.Get("trace-chrome", "");
-  const bool tracing = args.Has("trace");
   const bool serving = args.Has("serve");
   const bool telemetry = !metrics_out.empty() || !metrics_csv.empty() ||
                          !metrics_prom.empty() || !events_out.empty() ||
                          !provenance_out.empty() || !trace_chrome.empty() ||
-                         tracing || serving;
+                         serving;
   std::unique_ptr<obs::EventLog> events;
   std::unique_ptr<obs::ClusterHealthMonitor> health;
   std::unique_ptr<obs::TimeSeriesStore> timeseries;
@@ -432,11 +428,9 @@ int RunStream(const Args& args) {
     jsonl = std::make_unique<obs::JsonlWriter>(metrics_out);
   }
   obs::MetricsCsvSeries csv_series;
-  obs::Tracer tracer;
-  obs::ScopedTracerInstall install_tracer(tracing ? &tracer : nullptr);
-  // The continuous profiler listens to the same NIDC_SPAN sites as the
-  // tracer, always-on whenever telemetry is (the overhead budget covers
-  // it — see bench_sweep_hotpath).
+  // The continuous profiler is the NIDC_SPAN sink, always-on whenever
+  // telemetry is (the overhead budget covers it — see
+  // bench_sweep_hotpath).
   obs::ScopedProfilerInstall install_profiler(profiler.get());
 
   // The introspection server (--serve) reads the board the step loop
@@ -578,7 +572,6 @@ int RunStream(const Args& args) {
   DocumentStream stream(corpus->get(), resume_from, to, step);
   uint64_t step_index = 0;
   while (auto batch = stream.Next()) {
-    if (tracing) tracer.Reset();
     if (profiler != nullptr) profiler->SetStep(step_index);
     // One request trace per step batch: the stream loop is both the front
     // door (ingest) and the batcher (window close); the layers below stamp
@@ -649,13 +642,10 @@ int RunStream(const Args& args) {
         board.RecordReplication(repl_status);
       }
     }
-    if (tracing) {
-      std::printf("%s", tracer.Render().c_str());
-    }
     if (jsonl != nullptr) {
       const Status appended = jsonl->Append(
           RenderStepRecord(step_index, batch->end, *result, registry,
-                           tracing ? &tracer : nullptr));
+                           *profiler));
       if (!appended.ok()) {
         std::fprintf(stderr, "%s\n", appended.ToString().c_str());
         return 1;

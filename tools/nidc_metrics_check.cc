@@ -1,7 +1,7 @@
 // nidc_metrics_check — validates a telemetry JSONL file produced by
 // `nidc_cli stream --metrics-out=...`.
 //
-//   $ nidc_metrics_check run.jsonl [--require-trace] [--require-repl]
+//   $ nidc_metrics_check run.jsonl [--require-repl]
 //   $ nidc_metrics_check --shard-snapshot metricsz.json
 //
 // The second form validates one `GET /metricsz` body scraped from a
@@ -11,13 +11,16 @@
 // serve.* request counters.
 //
 // Every line must parse as a JSON object and carry the step digest keys,
-// a non-empty G trajectory, and the expected metric families (K-means,
-// rep-index, scoring-kernel, term-statistics, cluster health,
-// event log, time-series store, self-profiler, decision provenance,
-// request-trace pipeline, SLO engine). Every metric name must also belong to a known family
-// prefix — a typo'd or undocumented family fails validation instead of
-// silently shipping — and the kernel.dispatch.<name> gauge must be present
-// and name a real scoring kernel (scalar / avx2 / avx512).
+// a non-empty G trajectory, the step's own phase profile ("phases": a
+// non-empty array of {path, count, wall_us, cpu_us} entries whose
+// top-level clusterer.step span closed exactly once), and the expected
+// metric families (K-means, rep-index, scoring-kernel, term-statistics,
+// cluster health, event log, time-series store, self-profiler, decision
+// provenance, request-trace pipeline, SLO engine). Every metric name must
+// also belong to a known family prefix — a typo'd or undocumented family
+// fails validation instead of silently shipping — and the
+// kernel.dispatch.<name> gauge must be present and name a real scoring
+// kernel (scalar / avx512).
 // --require-repl additionally requires the repl.* replication family
 // (a stream run with a WalShipper attached — see docs/replication.md).
 // Exit 0 when every record passes; 1 with a per-line diagnosis otherwise.
@@ -190,11 +193,50 @@ constexpr const char* kReplKeys[] = {
 // The kernel.dispatch.<name> gauge family is closed: its suffix must be a
 // kernel the dispatch table can actually name. An unknown suffix means a
 // renamed or misspelled kernel leaked into telemetry.
-constexpr const char* kKernelNames[] = {"scalar", "avx2", "avx512"};
+constexpr const char* kKernelNames[] = {"scalar", "avx512"};
+
+// The per-entry keys of a "phases" array (obs::RenderPhaseArray).
+constexpr const char* kPhaseNumberKeys[] = {"count", "wall_us", "cpu_us"};
+
+// The span every stream step opens once (IncrementalClusterer::Step).
+constexpr const char* kStepSpan = "clusterer.step";
+
+// Appends the problems of one record's "phases" profile to `problems`.
+void CheckPhases(const obs::JsonValue& record,
+                 std::vector<std::string>* problems) {
+  const obs::JsonValue* phases = record.Find("phases");
+  if (phases == nullptr || !phases->is_array() || phases->array.empty()) {
+    problems->push_back("missing, non-array or empty 'phases'");
+    return;
+  }
+  double step_spans = 0.0;
+  for (const obs::JsonValue& phase : phases->array) {
+    const obs::JsonValue* path = phase.Find("path");
+    if (path == nullptr || path->kind != obs::JsonValue::Kind::kString) {
+      problems->push_back("'phases' entry without a path");
+      continue;
+    }
+    for (const char* key : kPhaseNumberKeys) {
+      const obs::JsonValue* value = phase.Find(key);
+      if (value == nullptr || !value->is_number()) {
+        problems->push_back("'phases' entry '" + path->string_value +
+                            "' lacks numeric '" + key + "'");
+      }
+    }
+    const obs::JsonValue* count = phase.Find("count");
+    if (path->string_value == kStepSpan && count != nullptr) {
+      step_spans = count->number;
+    }
+  }
+  if (step_spans != 1.0) {
+    problems->push_back(std::string("'phases' must close '") + kStepSpan +
+                        "' exactly once");
+  }
+}
 
 // Appends the problems of one record to `problems` (empty = record ok).
-void CheckRecord(const obs::JsonValue& record, bool require_trace,
-                 bool require_repl, std::vector<std::string>* problems) {
+void CheckRecord(const obs::JsonValue& record, bool require_repl,
+                 std::vector<std::string>* problems) {
   if (!record.is_object()) {
     problems->push_back("record is not a JSON object");
     return;
@@ -276,13 +318,7 @@ void CheckRecord(const obs::JsonValue& record, bool require_trace,
       problems->push_back("missing kernel.dispatch.<kernel> gauge");
     }
   }
-  if (require_trace) {
-    const obs::JsonValue* trace = record.Find("trace");
-    if (trace == nullptr || !trace->is_object() ||
-        trace->Find("children") == nullptr) {
-      problems->push_back("missing or malformed 'trace'");
-    }
-  }
+  CheckPhases(record, problems);
 }
 
 // Validates one /metricsz body from a sharded server. Exit-code style
@@ -349,8 +385,7 @@ int CheckShardSnapshot(const char* path) {
 int Main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: nidc_metrics_check FILE.jsonl [--require-trace] "
-                 "[--require-repl]\n"
+                 "usage: nidc_metrics_check FILE.jsonl [--require-repl]\n"
                  "       nidc_metrics_check --shard-snapshot FILE.json\n");
     return 2;
   }
@@ -363,10 +398,8 @@ int Main(int argc, char** argv) {
     return CheckShardSnapshot(argv[2]);
   }
   const char* path = argv[1];
-  bool require_trace = false;
   bool require_repl = false;
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--require-trace") == 0) require_trace = true;
     if (std::strcmp(argv[i], "--require-repl") == 0) require_repl = true;
   }
 
@@ -386,7 +419,7 @@ int Main(int argc, char** argv) {
     if (!parsed.ok()) {
       problems.push_back(parsed.status().ToString());
     } else {
-      CheckRecord(*parsed, require_trace, require_repl, &problems);
+      CheckRecord(*parsed, require_repl, &problems);
     }
     if (!problems.empty()) {
       ++bad_records;
