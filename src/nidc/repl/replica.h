@@ -1,36 +1,30 @@
-// Follower-side replica: replays shipped frames into a read-only
-// clusterer, with promote-on-failure.
+// Follower-side replica: sequences shipped frames into a follower's
+// DurableClusterer (DurableClusterer::OpenFollower), with
+// promote-on-failure.
 //
-// A ReplicaClusterer owns a checkpoint directory in exactly the store/
-// on-disk format (MANIFEST + snapshot-GGGGGG + wal-GGGGGG), mirroring the
-// leader's generation numbering:
+// The follower *is* a store, in the store/ directory format, on the
+// leader's generation numbering. Each frame maps onto one store call:
 //
-//   * kSnapshot(G) installs the shipped state as snapshot-G, starts a
-//     fresh wal-G and flips the MANIFEST — the same commit discipline as
-//     DurableClusterer::Rotate.
-//   * kWalRecord(G, s) with s == applied+1 is appended to the local wal-G
-//     first and only then applied in memory (WAL-first, like the leader).
-//     s <= applied is skipped idempotently — re-shipped frames after a
-//     reconnect or a follower restart are harmless. A gap (s > applied+1)
-//     or a future generation returns FailedPrecondition: the caller drops
-//     the connection and the reconnect handshake triggers catch-up.
-//   * kSeal(G, n) with the replica sitting exactly at (G, n) rotates
-//     locally: the replica writes its *own* snapshot (bit-identical to
-//     the leader's at the same step, by the store/ recovery-equivalence
-//     guarantee) and advances to generation G+1 without shipping the
-//     state again.
+//   * kSnapshot(G) -> InstallSnapshot: the generation commit Rotate uses.
+//   * kWalRecord(G, s) with s == applied+1 -> ApplyRecord: Step's path
+//     (validate, WAL first, apply, log the outcome). s <= applied is
+//     skipped idempotently — re-shipped frames after a reconnect or a
+//     follower restart are harmless. A gap (s > applied+1) or a future
+//     generation returns FailedPrecondition: the caller drops the
+//     connection and the reconnect handshake triggers catch-up.
+//   * kSeal(G, n) with the replica sitting exactly at (G, n) ->
+//     Checkpoint: the replica writes its *own* snapshot (bit-identical to
+//     the leader's at the same step) and advances to generation G+1
+//     without shipping the state again.
 //
-// Open() recovers through the same path as the leader (newest valid
-// snapshot + WAL-tail replay) but stays on the recovered generation and
-// reopens the WAL for append — a follower that crashes mid-catch-up
-// resumes at its watermark and skips already-applied records. A torn
-// local WAL tail is repaired (rewritten to the valid prefix) before
-// appends continue.
+// A restarted follower recovers through the leader's path but stays on
+// the recovered generation and resumes at its watermark; it truncates
+// that generation's outcome log (only a hint) at its next record.
 //
 // Promote() seals the WAL tail and reopens the directory through
-// DurableClusterer::Open — the replica directory simply becomes a leader
-// checkpoint directory, and every bit of the promote path is the same
-// code the crash-torture suite already exercises.
+// DurableClusterer::Open: the replica directory becomes a leader
+// checkpoint directory whose recovery installs the follower's logged
+// outcomes instead of re-running K-means.
 //
 // Apply() and stats() are thread-safe (one mutex): a transport thread
 // applies frames while an introspection server renders lag.
@@ -111,8 +105,10 @@ class ReplicaClusterer {
   ///                        watermark (record gap, future generation,
   ///                        mismatched seal): drop the connection and let
   ///                        the reconnect handshake catch up;
-  ///   IOError            — replica storage is in an unknown state:
-  ///                        discard the instance and recover via Open().
+  ///   IOError            — replica storage is in an unknown state, or
+  ///                        the replica refused a record the leader
+  ///                        applied: discard the instance and recover via
+  ///                        Open().
   Status Apply(const ReplFrame& frame);
 
   /// The HELLO watermark for the reconnect handshake.
@@ -125,7 +121,9 @@ class ReplicaClusterer {
   uint64_t applied_steps() const;
 
   /// Read-only view of the replayed model (for follower-side /statusz).
-  const IncrementalClusterer* clusterer() const { return inner_.get(); }
+  const IncrementalClusterer* clusterer() const {
+    return &store_->clusterer();
+  }
 
   /// Seals the WAL tail (sync + close) and flips the directory into a
   /// writable leader via DurableClusterer::Open. The replica instance is
@@ -139,16 +137,17 @@ class ReplicaClusterer {
 
  private:
   ReplicaClusterer(const Corpus* corpus, ForgettingParams params,
-                   IncrementalOptions options, ReplicaOptions replica);
+                   IncrementalOptions options, ReplicaOptions replica,
+                   std::unique_ptr<DurableClusterer> store);
 
   Status ApplySnapshotLocked(const ReplFrame& frame);
   Status ApplyWalRecordLocked(const ReplFrame& frame);
   Status ApplySealLocked(const ReplFrame& frame);
-  /// Writes snapshot `generation` from `state`, starts a fresh wal and
-  /// flips the manifest (the shared commit sequence of snapshot install
-  /// and local rotation).
-  Status CommitGenerationLocked(uint64_t generation, const std::string& state);
-  void PruneLocked();
+  /// Counts a frame older than the watermark, which is skipped (OK).
+  Status StaleLocked();
+  /// Counts a frame the watermark cannot reach and refuses it
+  /// (FailedPrecondition, so the session re-syncs).
+  Status GapLocked(const std::string& why);
   void BumpLocked(const char* name, uint64_t delta = 1);
   void NoteFrameLocked(const ReplFrame& frame);
   double NowSeconds() const;
@@ -159,10 +158,9 @@ class ReplicaClusterer {
   ReplicaOptions replica_;
 
   mutable std::mutex mu_;
-  std::unique_ptr<IncrementalClusterer> inner_;
-  std::unique_ptr<WalWriter> wal_;
-  uint64_t generation_ = 0;
-  uint64_t applied_sequence_ = 0;
+  /// The follower's store; its generation and WAL record count are the
+  /// watermark.
+  std::unique_ptr<DurableClusterer> store_;
   uint64_t leader_steps_ = 0;
   double last_frame_seconds_ = 0.0;
   bool closed_ = false;

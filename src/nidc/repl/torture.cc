@@ -158,7 +158,15 @@ Result<TortureReport> RunLeaderKillTorture(const LeaderKillOptions& options) {
           promoted.status().ToString().c_str());
       return report;
     }
-    if (crashed) ++report.recoveries;
+    if (crashed) {
+      ++report.recoveries;
+      const RecoveryInfo& info = (*promoted)->recovery();
+      if (info.installed_records > 0) {
+        ++report.kill_points_installed;
+      } else if (info.replayed_records > 0) {
+        ++report.kill_points_rerun;
+      }
+    }
     if (const Status fed = FeedRemaining(promoted->get(), stream);
         !fed.ok()) {
       report.failure = StringPrintf(

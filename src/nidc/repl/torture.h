@@ -20,6 +20,8 @@
 //   3. promote the follower (seal + DurableClusterer::Open on its
 //      directory), feed it the rest of the stream from its
 //      applied_steps() watermark, and compare fingerprints;
+//      The promoted leader's recovery() feeds the report's
+//      kill_points_installed / kill_points_rerun, as in store/torture.cc;
 //   4. stop when a run survives un-crashed — that closing run also
 //      promotes and compares, so the clean-path replication is verified
 //      by the same predicate.

@@ -74,6 +74,20 @@ std::string EncodeStepOutcome(uint64_t step, DayTime tau,
 Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Open(
     const Corpus* corpus, ForgettingParams params,
     IncrementalOptions options, DurableOptions durable) {
+  return Recover(corpus, params, std::move(options), std::move(durable),
+                 /*follower=*/false);
+}
+
+Result<std::unique_ptr<DurableClusterer>> DurableClusterer::OpenFollower(
+    const Corpus* corpus, ForgettingParams params,
+    IncrementalOptions options, DurableOptions durable) {
+  return Recover(corpus, params, std::move(options), std::move(durable),
+                 /*follower=*/true);
+}
+
+Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
+    const Corpus* corpus, ForgettingParams params,
+    IncrementalOptions options, DurableOptions durable, bool follower) {
   if (durable.dir.empty()) {
     return Status::InvalidArgument("DurableOptions::dir is required");
   }
@@ -102,6 +116,7 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Open(
 
   RecoveryInfo recovery;
   std::unique_ptr<IncrementalClusterer> inner;
+  std::unique_ptr<WalWriter> follower_wal;
   uint64_t newest_seen = 0;
   for (uint64_t generation : ListRecoveryCandidates(env, durable.dir)) {
     newest_seen = std::max(newest_seen, generation);
@@ -125,18 +140,20 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Open(
     // hint: when it is missing or unreadable every record re-runs.
     const std::string wal_path =
         durable.dir + "/" + WalFileName(generation);
+    WalReadResult wal;
     if (env->FileExists(wal_path)) {
-      Result<WalReadResult> wal = ReadWal(env, wal_path);
-      if (!wal.ok()) return wal.status();
-      recovery.dropped_wal_bytes += wal->dropped_bytes;
-      if (!wal->clean) {
-        NIDC_LOG(Warning) << "WAL " << wal_path << ": " << wal->error
-                         << " (" << wal->dropped_bytes
+      Result<WalReadResult> read = ReadWal(env, wal_path);
+      if (!read.ok()) return read.status();
+      wal = std::move(read).value();
+      recovery.dropped_wal_bytes += wal.dropped_bytes;
+      if (!wal.clean) {
+        NIDC_LOG(Warning) << "WAL " << wal_path << ": " << wal.error
+                         << " (" << wal.dropped_bytes
                          << " bytes quarantined)";
       }
       const std::vector<std::string> outcomes = ReadOutcomes(
           env, durable.dir + "/" + OutcomeFileName(generation));
-      for (const std::string& payload : wal->records) {
+      for (const std::string& payload : wal.records) {
         Result<WalStepRecord> record = DecodeStepRecord(payload);
         if (!record.ok()) {
           ++recovery.quarantined_records;
@@ -164,6 +181,23 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Open(
         if (applied.ok() && applied->installed) ++recovery.installed_records;
       }
     }
+    if (follower) {
+      // Shipped records continue this WAL, so it must end on the replayed
+      // prefix: a torn or quarantined tail is cut back to it, and a WAL
+      // that replayed nothing may have lost its unsynced header and
+      // starts afresh.
+      const uint64_t replayed = recovery.replayed_records;
+      if (replayed > 0 && (!wal.clean || recovery.quarantined_records > 0)) {
+        wal.records.resize(replayed);
+        NIDC_RETURN_NOT_OK(RewriteWal(env, wal_path, wal.records));
+      }
+      Result<std::unique_ptr<WalWriter>> reopened =
+          replayed == 0
+              ? WalWriter::Create(env, wal_path, durable.wal_sync)
+              : OpenWalForAppend(env, wal_path, durable.wal_sync, replayed);
+      if (!reopened.ok()) return reopened.status();
+      follower_wal = std::move(reopened).value();
+    }
     recovery.resumed = true;
     recovery.source_generation = generation;
     break;
@@ -177,10 +211,19 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Open(
   std::unique_ptr<DurableClusterer> durable_clusterer(new DurableClusterer(
       std::move(inner), std::move(durable), metrics));
   durable_clusterer->recovery_ = recovery;
-  durable_clusterer->generation_ = newest_seen;
-  // Start a fresh generation so post-recovery writes never touch the
-  // files recovery might still need as fallback.
-  NIDC_RETURN_NOT_OK(durable_clusterer->Rotate());
+  if (follower) {
+    // Stay on the recovered generation: re-shipped frames line up with
+    // the leader's numbering after a restart.
+    durable_clusterer->follower_ = true;
+    durable_clusterer->generation_ = recovery.source_generation;
+    durable_clusterer->wal_ = std::move(follower_wal);
+    durable_clusterer->records_since_checkpoint_ = recovery.replayed_records;
+  } else {
+    // Start a fresh generation so post-recovery writes never touch the
+    // files recovery might still need as fallback.
+    durable_clusterer->generation_ = newest_seen;
+    NIDC_RETURN_NOT_OK(durable_clusterer->Rotate());
+  }
   durable_clusterer->recovery_.new_generation =
       durable_clusterer->generation_;
 
@@ -201,16 +244,27 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Open(
 
 Result<StepResult> DurableClusterer::Step(const std::vector<DocId>& new_docs,
                                           DayTime tau) {
+  WalStepRecord record;
+  record.tau = tau;
+  record.new_docs = new_docs;
+  return StepLogged(EncodeStepRecord(record), new_docs, tau);
+}
+
+Result<StepResult> DurableClusterer::ApplyRecord(std::string_view payload) {
+  Result<WalStepRecord> record = DecodeStepRecord(payload);
+  if (!record.ok()) return record.status();
+  return StepLogged(payload, record->new_docs, record->tau);
+}
+
+Result<StepResult> DurableClusterer::StepLogged(
+    std::string_view payload, const std::vector<DocId>& new_docs,
+    DayTime tau) {
   if (closed_ || wal_ == nullptr) {
     return Status::FailedPrecondition("durable clusterer is closed");
   }
   // Validate first so rejected inputs never enter the log.
   NIDC_RETURN_NOT_OK(inner_->ValidateStepInputs(new_docs, tau));
 
-  WalStepRecord record;
-  record.tau = tau;
-  record.new_docs = new_docs;
-  const std::string payload = EncodeStepRecord(record);
   const uint64_t bytes_before = wal_->bytes_appended();
   NIDC_RETURN_NOT_OK(wal_->AppendRecord(payload));
   if (sync_dir_at_next_record_) {
@@ -244,7 +298,7 @@ Result<StepResult> DurableClusterer::Step(const std::vector<DocId>& new_docs,
   if (durable_.tracer != nullptr) {
     durable_.tracer->RecordActive(obs::Stage::kStep);
   }
-  if (records_since_checkpoint_ >= durable_.checkpoint_every) {
+  if (!follower_ && records_since_checkpoint_ >= durable_.checkpoint_every) {
     NIDC_RETURN_NOT_OK(Rotate());
     if (durable_.tracer != nullptr) {
       durable_.tracer->RecordActive(obs::Stage::kCheckpoint);
@@ -260,20 +314,44 @@ Status DurableClusterer::Checkpoint() {
   return Rotate();
 }
 
+Status DurableClusterer::InstallSnapshot(uint64_t generation,
+                                         const std::string& snapshot) {
+  if (closed_) {
+    return Status::FailedPrecondition("durable clusterer is closed");
+  }
+  Result<ClustererState> state = ParseState(snapshot);
+  if (!state.ok()) return state.status();
+  Result<std::unique_ptr<IncrementalClusterer>> restored = RestoreClusterer(
+      &inner_->model().corpus(), inner_->options(), *state);
+  if (!restored.ok()) return restored.status();
+  // Disk first, memory second: a crash between the two recovers the
+  // installed snapshot, never a model with no on-disk base.
+  NIDC_RETURN_NOT_OK(CommitGeneration(generation, snapshot,
+                                      /*implicit=*/false));
+  inner_ = std::move(restored).value();
+  return Status::OK();
+}
+
 Status DurableClusterer::Rotate() {
-  Env* env = durable_.env;
+  // The first generation writes neither a snapshot nor a manifest: its
+  // base is the empty state recovery rebuilds from the params, and its
+  // WAL alone marks it.
   const uint64_t next = generation_ + 1;
+  return CommitGeneration(next, SerializeState(CaptureState(*inner_)),
+                          /*implicit=*/next == kFirstGeneration);
+}
+
+Status DurableClusterer::CommitGeneration(uint64_t next,
+                                          const std::string& snapshot_text,
+                                          bool implicit) {
+  Env* env = durable_.env;
   const uint64_t sealed_records = records_since_checkpoint_;
   const std::string snapshot_name = SnapshotFileName(next);
   const std::string wal_name = WalFileName(next);
 
   // Order matters: snapshot first, then a fresh WAL, then the manifest
   // flip. A crash between any two leaves the previous generation (still
-  // on disk, still current in the manifest) fully recoverable. The first
-  // generation writes neither: its base is the empty state recovery
-  // rebuilds from the params, and its WAL alone marks it.
-  const bool implicit = next == kFirstGeneration;
-  const std::string snapshot_text = SerializeState(CaptureState(*inner_));
+  // on disk, still current in the manifest) fully recoverable.
   if (!implicit) {
     NIDC_RETURN_NOT_OK(AtomicWriteFile(
         env, durable_.dir + "/" + snapshot_name, snapshot_text));
@@ -347,12 +425,18 @@ Status DurableClusterer::Rotate() {
 
 Status DurableClusterer::Close() {
   if (closed_) return Status::OK();
-  Status st = Rotate();  // final durable snapshot; empty WAL tail
+  Status st;
+  if (!follower_) {
+    st = Rotate();  // final durable snapshot; empty WAL tail
+  } else if (wal_ != nullptr) {
+    st = wal_->Sync();  // sealed where the leader's frames left it
+  }
   if (wal_ != nullptr) {
     const Status closed = wal_->Close();
     if (st.ok()) st = closed;
     wal_ = nullptr;
   }
+  outcomes_ = nullptr;
   closed_ = true;
   return st;
 }

@@ -22,15 +22,19 @@
 //     snapshot's result section, keyed by step index, the bits of tau
 //     and a CRC-32C of the new document ids. The log is a hint. It is
 //     flushed to the OS after each record but never fsynced.
-//   * Open() recovers: newest valid snapshot (manifest first, directory
-//     scan as fallback, generation 1's implicit base last whenever
-//     wal-000001 exists) + replay of that generation's WAL tail through
-//     Step(). A replayed record whose outcome is in the log and fits the
+//   * Open() (and OpenFollower()) recovers: newest valid snapshot
+//     (manifest first, directory scan as fallback, generation 1's
+//     implicit base last whenever wal-000001 exists) + replay of that
+//     generation's WAL tail through Step(). A replayed record whose outcome is in the log and fits the
 //     active set installs it instead of re-running K-means; a missing,
 //     damaged or mismatched outcome means the record re-runs. Corrupt
 //     WAL tails are quarantined — valid records before the damage still
 //     replay — and a corrupt snapshot falls back to the previous
 //     generation instead of failing startup.
+//
+// A follower's store (OpenFollower, driven by repl::ReplicaClusterer) is
+// fed the leader's commit stream through ApplyRecord, InstallSnapshot and
+// Checkpoint, and never rotates by itself.
 //
 // Because snapshots carry the model's ExactModelState, recovery is
 // *bit-identical*: a recovered clusterer fed the rest of the stream
@@ -163,15 +167,34 @@ class DurableClusterer {
       const Corpus* corpus, ForgettingParams params,
       IncrementalOptions options, DurableOptions durable);
 
+  /// Opens a follower's store: Open's recovery, but it stays on the
+  /// recovered generation, whose WAL it cuts back to the replayed prefix
+  /// (or starts afresh) and reopens for append. A fresh directory yields
+  /// generation 0 with no WAL until a snapshot or seal establishes one.
+  /// It never rotates at `checkpoint_every` or Close.
+  static Result<std::unique_ptr<DurableClusterer>> OpenFollower(
+      const Corpus* corpus, ForgettingParams params,
+      IncrementalOptions options, DurableOptions durable);
+
   /// Logs the step to the WAL, applies it, and rotates the checkpoint
   /// when due. See the class comment for the error contract.
   Result<StepResult> Step(const std::vector<DocId>& new_docs, DayTime tau);
 
+  /// A follower's Step: logs a shipped WAL record payload verbatim and
+  /// applies it through Step's path. Undecodable payloads are refused.
+  Result<StepResult> ApplyRecord(std::string_view payload);
+
+  /// A follower's snapshot install: commits `snapshot` (a serialized
+  /// ClustererState) as generation `generation` through Rotate's commit,
+  /// snapshot file included, then resumes from it.
+  Status InstallSnapshot(uint64_t generation, const std::string& snapshot);
+
   /// Forces a snapshot rotation now.
   Status Checkpoint();
 
-  /// Final checkpoint + WAL close. The destructor calls this (ignoring
-  /// errors); call it explicitly to observe failures.
+  /// Final checkpoint + WAL close (a follower syncs its WAL instead of
+  /// rotating). The destructor calls this (ignoring errors); call it
+  /// explicitly to observe failures.
   Status Close();
 
   ~DurableClusterer();
@@ -208,10 +231,25 @@ class DurableClusterer {
         durable_(std::move(durable)),
         metrics_(metrics) {}
 
-  /// Writes a snapshot of the current state as generation `generation_+1`,
-  /// switches the WAL, updates the manifest and prunes old generations.
-  /// Generation 1 only gets its WAL (see the class comment).
+  /// The recovery Open and OpenFollower share.
+  static Result<std::unique_ptr<DurableClusterer>> Recover(
+      const Corpus* corpus, ForgettingParams params,
+      IncrementalOptions options, DurableOptions durable, bool follower);
+
+  /// Commits the current state as generation `generation_+1`. Generation
+  /// 1 only gets its WAL (see the class comment).
   Status Rotate();
+
+  /// Makes `generation` current with base state `snapshot`: writes the
+  /// snapshot, switches the WAL, flips the manifest (neither file when
+  /// `implicit`) and prunes old generations.
+  Status CommitGeneration(uint64_t generation, const std::string& snapshot,
+                          bool implicit);
+
+  /// Step's body once `payload` encodes (`new_docs`, `tau`).
+  Result<StepResult> StepLogged(std::string_view payload,
+                                const std::vector<DocId>& new_docs,
+                                DayTime tau);
 
   /// Appends a completed step's outcome to the generation's outcome log,
   /// creating the log at the generation's first step. A failure stops
@@ -236,6 +274,8 @@ class DurableClusterer {
   uint64_t records_since_checkpoint_ = 0;
   /// Set while the first generation's WAL entry awaits a directory sync.
   bool sync_dir_at_next_record_ = false;
+  /// Set by OpenFollower: rotations come only from Checkpoint.
+  bool follower_ = false;
   bool closed_ = false;
 };
 

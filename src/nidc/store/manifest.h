@@ -74,9 +74,8 @@ Result<std::vector<uint64_t>> ListStoredGenerations(Env* env,
 /// Candidate generations to try recovering from, best first: the
 /// manifest's generation leads (it is only updated after its snapshot is
 /// durable), then every other stored generation in descending order, so
-/// kFirstGeneration comes last. Used by DurableClusterer::Open and the
-/// follower-side ReplicaClusterer, so both sides recover through the same
-/// policy.
+/// kFirstGeneration comes last. DurableClusterer's one recovery loop,
+/// which leaders (Open) and followers (OpenFollower) share, walks it.
 std::vector<uint64_t> ListRecoveryCandidates(Env* env,
                                              const std::string& dir);
 

@@ -13,54 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include "http_fetch.h"
 #include "nidc/obs/metrics.h"
 
 namespace nidc {
 namespace {
-
-struct FetchResult {
-  bool ok = false;
-  int status = 0;
-  std::string body;
-};
-
-// Minimal blocking HTTP client: one request, reads to EOF (the server
-// closes after each response).
-FetchResult Fetch(uint16_t port, const std::string& target,
-                  const std::string& method = "GET") {
-  FetchResult result;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return result;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) < 0) {
-    ::close(fd);
-    return result;
-  }
-  const std::string request = method + " " + target +
-                              " HTTP/1.1\r\nHost: localhost\r\n"
-                              "Connection: close\r\n\r\n";
-  (void)!::write(fd, request.data(), request.size());
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  const size_t space = response.find(' ');
-  if (space == std::string::npos) return result;
-  result.status = std::atoi(response.c_str() + space + 1);
-  const size_t body_start = response.find("\r\n\r\n");
-  if (body_start != std::string::npos) {
-    result.body = response.substr(body_start + 4);
-  }
-  result.ok = true;
-  return result;
-}
 
 TEST(HttpServerTest, ServesRegisteredHandler) {
   serve::HttpServer server;
@@ -115,51 +72,6 @@ TEST(HttpServerTest, UnsupportedMethodIs405) {
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.status, 405);
   server.Stop();
-}
-
-// Sends a raw request string and returns the parsed response.
-FetchResult FetchRaw(uint16_t port, const std::string& request) {
-  FetchResult result;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return result;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) < 0) {
-    ::close(fd);
-    return result;
-  }
-  (void)!::write(fd, request.data(), request.size());
-  // EOF the write side so a server waiting for more body bytes sees the
-  // hangup immediately instead of waiting out its receive timeout.
-  ::shutdown(fd, SHUT_WR);
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  const size_t space = response.find(' ');
-  if (space == std::string::npos) return result;
-  result.status = std::atoi(response.c_str() + space + 1);
-  const size_t body_start = response.find("\r\n\r\n");
-  if (body_start != std::string::npos) {
-    result.body = response.substr(body_start + 4);
-  }
-  result.ok = true;
-  return result;
-}
-
-FetchResult Post(uint16_t port, const std::string& target,
-                 const std::string& body) {
-  return FetchRaw(port, "POST " + target +
-                            " HTTP/1.1\r\nHost: localhost\r\n"
-                            "Content-Length: " +
-                            std::to_string(body.size()) +
-                            "\r\nConnection: close\r\n\r\n" + body);
 }
 
 TEST(HttpServerTest, PostDeliversTheBodyToTheHandler) {
@@ -350,22 +262,6 @@ TEST(HttpServerTest, MalformedRequestIs400) {
   server.Stop();
 }
 
-// Opens a raw connection to the server without sending anything.
-int ConnectOnly(uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
 TEST(HttpServerTest, SilentClientTimesOutAndOthersStillServed) {
   serve::HttpServer server;
   server.Handle("/ping", [](const serve::HttpRequest&) {
@@ -377,7 +273,7 @@ TEST(HttpServerTest, SilentClientTimesOutAndOthersStillServed) {
   // A client that connects and never sends a byte must not wedge the
   // single-threaded accept loop: its recv timeout expires and the next
   // client is served.
-  const int silent = ConnectOnly(server.port());
+  const int silent = ConnectLoopback(server.port());
   ASSERT_GE(silent, 0);
   const FetchResult result = Fetch(server.port(), "/ping");
   EXPECT_TRUE(result.ok);
@@ -397,7 +293,7 @@ TEST(HttpServerTest, PeerHangupMidResponseDoesNotKillServer) {
     return response;
   });
   ASSERT_TRUE(server.Start(0).ok());
-  const int fd = ConnectOnly(server.port());
+  const int fd = ConnectLoopback(server.port());
   ASSERT_GE(fd, 0);
   const std::string request =
       "GET /big HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n";
@@ -420,7 +316,7 @@ TEST(HttpServerTest, PeerHangupMidResponseDoesNotKillServer) {
 TEST(HttpServerTest, StopCutsInFlightConnectionLoose) {
   serve::HttpServer server;
   ASSERT_TRUE(server.Start(0).ok());
-  const int silent = ConnectOnly(server.port());
+  const int silent = ConnectLoopback(server.port());
   ASSERT_GE(silent, 0);
   // Give the accept loop a moment to pick the connection up so Stop()
   // exercises the in-flight shutdown path rather than the listen socket.
@@ -451,7 +347,7 @@ TEST(HttpServerTest, KeepAliveServesPipelinedRequestsOnOneConnection) {
       "GET /ping HTTP/1.1\r\nHost: localhost\r\n\r\n";
   const std::string last =
       "GET /ping HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n";
-  const int fd = ConnectOnly(server.port());
+  const int fd = ConnectLoopback(server.port());
   ASSERT_GE(fd, 0);
   const std::string wire = one + one + last;
   ASSERT_GT(::write(fd, wire.data(), wire.size()), 0);
@@ -505,7 +401,7 @@ TEST(HttpServerTest, KeepAliveOffClosesAfterEveryResponse) {
     return response;
   });
   ASSERT_TRUE(server.Start(0).ok());
-  const int fd = ConnectOnly(server.port());
+  const int fd = ConnectLoopback(server.port());
   ASSERT_GE(fd, 0);
   // No Connection: close from the client — the server volunteers it.
   const std::string request =
@@ -537,7 +433,7 @@ TEST(HttpServerTest, ExtraHeadersAreEmitted) {
     return response;
   });
   ASSERT_TRUE(server.Start(0).ok());
-  const int fd = ConnectOnly(server.port());
+  const int fd = ConnectLoopback(server.port());
   ASSERT_GE(fd, 0);
   const std::string request =
       "GET /throttled HTTP/1.1\r\nHost: localhost\r\n"

@@ -114,14 +114,17 @@ class ReplicaTest : public ::testing::Test {
     return SerializeState(CaptureState(reference));
   }
 
-  // Promotes `replica` and returns the promoted leader's fingerprint.
+  // Promotes `replica` and returns the promoted leader's fingerprint, and
+  // its recovery report through `recovery` when that is set.
   std::string PromotedFingerprint(
-      std::unique_ptr<repl::ReplicaClusterer> replica) {
+      std::unique_ptr<repl::ReplicaClusterer> replica,
+      RecoveryInfo* recovery = nullptr) {
     DurableOptions durable;
     durable.checkpoint_every = 5;
     auto promoted = replica->Promote(durable);
     EXPECT_TRUE(promoted.ok()) << promoted.status().ToString();
     if (!promoted.ok()) return "";
+    if (recovery != nullptr) *recovery = (*promoted)->recovery();
     const std::string fingerprint =
         SerializeState(CaptureState((*promoted)->clusterer()));
     EXPECT_TRUE((*promoted)->Close().ok());
@@ -148,6 +151,22 @@ TEST_F(ReplicaTest, FollowsTheLiveStreamAndPromotesBitIdentically) {
   EXPECT_EQ(stats.record_gaps, 0u);
   EXPECT_EQ(PromotedFingerprint(std::move(*replica)),
             ReferenceFingerprint());
+
+  // The leader's closing seal checkpoints the follower, leaving nothing
+  // to replay. A follower promoted just before it holds the last
+  // generation's records, and promotion installs the outcomes it logged
+  // for them instead of re-running K-means.
+  ASSERT_EQ(frames.back().type, repl::FrameType::kSeal);
+  auto tail = OpenReplica(FreshDir("live_tail_follower"));
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  for (size_t i = 0; i + 1 < frames.size(); ++i) {
+    ASSERT_TRUE((*tail)->Apply(frames[i]).ok());
+  }
+  RecoveryInfo recovery;
+  EXPECT_EQ(PromotedFingerprint(std::move(*tail), &recovery),
+            ReferenceFingerprint());
+  EXPECT_GT(recovery.replayed_records, 0u);
+  EXPECT_EQ(recovery.installed_records, recovery.replayed_records);
 }
 
 TEST_F(ReplicaTest, RestartedFollowerSkipsAlreadyAppliedFrames) {

@@ -3,15 +3,11 @@
 // wired in, served over an in-process HttpServer, scraped with a raw
 // socket client mid-run.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "http_fetch.h"
 #include "nidc/core/incremental_clusterer.h"
 #include "nidc/obs/cluster_health.h"
 #include "nidc/obs/event_log.h"
@@ -25,47 +21,6 @@
 
 namespace nidc {
 namespace {
-
-struct FetchResult {
-  bool ok = false;
-  int status = 0;
-  std::string body;
-};
-
-FetchResult Fetch(uint16_t port, const std::string& target) {
-  FetchResult result;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return result;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) < 0) {
-    ::close(fd);
-    return result;
-  }
-  const std::string request = "GET " + target +
-                              " HTTP/1.1\r\nHost: localhost\r\n"
-                              "Connection: close\r\n\r\n";
-  (void)!::write(fd, request.data(), request.size());
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  const size_t space = response.find(' ');
-  if (space == std::string::npos) return result;
-  result.status = std::atoi(response.c_str() + space + 1);
-  const size_t body_start = response.find("\r\n\r\n");
-  if (body_start != std::string::npos) {
-    result.body = response.substr(body_start + 4);
-  }
-  result.ok = true;
-  return result;
-}
 
 class ServeSmokeTest : public testing::Test {
  protected:

@@ -1,10 +1,5 @@
 #include "nidc/shard/http.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <condition_variable>
 #include <filesystem>
@@ -17,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "env_wrapper.h"
+#include "http_fetch.h"
 #include "nidc/obs/metrics.h"
 #include "nidc/shard/ingest.h"
 #include "nidc/shard/service.h"
@@ -24,66 +20,6 @@
 
 namespace nidc::shard {
 namespace {
-
-struct FetchResult {
-  bool ok = false;
-  int status = 0;
-  std::string headers;  // raw header block, for Retry-After assertions
-  std::string body;
-};
-
-// Minimal blocking HTTP client: one request, Connection: close, reads to
-// EOF (mirrors the client in http_server_test.cc, plus header capture).
-FetchResult Request(uint16_t port, const std::string& method,
-                    const std::string& target, const std::string& body) {
-  FetchResult result;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return result;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) < 0) {
-    ::close(fd);
-    return result;
-  }
-  std::string request = method + " " + target + " HTTP/1.1\r\n";
-  request += "Host: localhost\r\nConnection: close\r\n";
-  if (!body.empty() || method == "POST") {
-    request += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  }
-  request += "\r\n";
-  request += body;
-  (void)!::write(fd, request.data(), request.size());
-  ::shutdown(fd, SHUT_WR);
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  const size_t space = response.find(' ');
-  if (space == std::string::npos) return result;
-  result.status = std::atoi(response.c_str() + space + 1);
-  const size_t body_start = response.find("\r\n\r\n");
-  if (body_start != std::string::npos) {
-    result.headers = response.substr(0, body_start);
-    result.body = response.substr(body_start + 4);
-  }
-  result.ok = true;
-  return result;
-}
-
-FetchResult Get(uint16_t port, const std::string& target) {
-  return Request(port, "GET", target, "");
-}
-
-FetchResult Post(uint16_t port, const std::string& target,
-                 const std::string& body = "") {
-  return Request(port, "POST", target, body);
-}
 
 bool Contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
@@ -225,11 +161,13 @@ class ShardHttpTest : public testing::Test {
       options.wal_sync = WalSyncMode::kEveryRecord;
     }
     options.metrics = &registry_;
+    options.tracer = tracer_.get();
     auto service = ShardService::Start(std::move(options));
     EXPECT_TRUE(service.ok()) << service.status().ToString();
     service_ = std::move(service).value();
     server_ = std::make_unique<serve::HttpServer>(&registry_);
-    RegisterShardHandlers(server_.get(), service_.get(), SmallConfig());
+    RegisterShardHandlers(server_.get(), service_.get(), SmallConfig(),
+                          tracer_.get(), slo_.get());
     EXPECT_TRUE(server_->Start(0).ok());
     return server_->port();
   }
@@ -244,6 +182,11 @@ class ShardHttpTest : public testing::Test {
   obs::MetricsRegistry registry_;
   /// Set before StartServer to run the service over a WalSyncGate.
   std::unique_ptr<WalSyncGate> gate_;
+  /// Set before StartServer to serve /slosz and to trace requests for
+  /// /tracez, completed traces feeding the SLO engine as `nidc_cli serve`
+  /// wires them.
+  std::unique_ptr<obs::SloEngine> slo_;
+  std::unique_ptr<obs::RequestTracer> tracer_;
   std::unique_ptr<ShardService> service_;
   std::unique_ptr<serve::HttpServer> server_;
 };
@@ -274,14 +217,14 @@ TEST_F(ShardHttpTest, ServerStateMatchesSingleStreamReference) {
       Post(port, "/tenantz?op=flush&tenant=alpha&until=6");
   ASSERT_EQ(flushed.status, 200) << flushed.body;
 
-  auto digest = Get(port, "/digestz?tenant=alpha");
+  auto digest = Fetch(port, "/digestz?tenant=alpha");
   ASSERT_TRUE(digest.ok);
   ASSERT_EQ(digest.status, 200);
   EXPECT_EQ(digest.body, expected)
       << "HTTP-ingested state diverged from the single-stream reference";
 
   // The tenant list reflects the ingest.
-  auto tenants = Get(port, "/tenantz");
+  auto tenants = Fetch(port, "/tenantz");
   ASSERT_EQ(tenants.status, 200);
   EXPECT_TRUE(Contains(tenants.body, "\"name\":\"alpha\""));
   EXPECT_TRUE(Contains(
@@ -307,12 +250,12 @@ TEST_F(ShardHttpTest, IngestErrorsMapToHttpStatuses) {
   EXPECT_EQ(malformed.status, 400);
   EXPECT_TRUE(Contains(malformed.body, "line 2")) << malformed.body;
   // Wrong method.
-  EXPECT_EQ(Get(port, "/ingest?tenant=alpha").status, 405);
+  EXPECT_EQ(Fetch(port, "/ingest?tenant=alpha").status, 405);
   EXPECT_EQ(Post(port, "/digestz?tenant=alpha").status, 405);
 
   // The malformed batch never reached the tenant.
   service_->Drain();
-  auto tenants = Get(port, "/tenantz");
+  auto tenants = Fetch(port, "/tenantz");
   EXPECT_TRUE(Contains(tenants.body, "\"docs_ingested\":0"))
       << tenants.body;
 }
@@ -333,9 +276,9 @@ TEST_F(ShardHttpTest, ControlPlaneValidatesOpsAndConflicts) {
   EXPECT_EQ(Post(port, "/tenantz?op=evict&tenant=ghost").status, 404);
   EXPECT_EQ(
       Post(port, "/tenantz?op=flush&tenant=ghost&until=3").status, 404);
-  EXPECT_EQ(Get(port, "/digestz?tenant=ghost").status, 404);
-  EXPECT_EQ(Get(port, "/digestz").status, 400);
-  EXPECT_EQ(Get(port, "/statusz?tenant=ghost").status, 404);
+  EXPECT_EQ(Fetch(port, "/digestz?tenant=ghost").status, 404);
+  EXPECT_EQ(Fetch(port, "/digestz").status, 400);
+  EXPECT_EQ(Fetch(port, "/statusz?tenant=ghost").status, 404);
   // drain is tenant-less and always succeeds.
   EXPECT_EQ(Post(port, "/tenantz?op=drain").status, 200);
   // checkpoint works over HTTP.
@@ -400,7 +343,7 @@ TEST_F(ShardHttpTest, FullQueueAnswers429WithRetryAfter) {
   // Rejected batches were retried, so nothing is lost or reordered.
   ASSERT_EQ(
       Post(port, "/tenantz?op=flush&tenant=alpha&until=17").status, 200);
-  auto digest = Get(port, "/digestz?tenant=alpha");
+  auto digest = Fetch(port, "/digestz?tenant=alpha");
   ASSERT_EQ(digest.status, 200);
   EXPECT_EQ(digest.body, expected);
   EXPECT_EQ(registry_.GetCounter("shard.ingest.rejected_batches")->Value(),
@@ -416,18 +359,18 @@ TEST_F(ShardHttpTest, EvictThenReopenKeepsStateAcrossHttp) {
   }
   ASSERT_EQ(Post(port, "/tenantz?op=flush&tenant=alpha&until=4").status,
             200);
-  auto before = Get(port, "/digestz?tenant=alpha");
+  auto before = Fetch(port, "/digestz?tenant=alpha");
   ASSERT_EQ(before.status, 200);
 
   ASSERT_EQ(Post(port, "/tenantz?op=evict&tenant=alpha").status, 200);
-  EXPECT_EQ(Get(port, "/digestz?tenant=alpha").status, 404);
+  EXPECT_EQ(Fetch(port, "/digestz?tenant=alpha").status, 404);
   EXPECT_EQ(
       Post(port, "/ingest?tenant=alpha", "{\"time\":9,\"text\":\"x\"}")
           .status,
       404);
   // Still on disk: reopen restores the exact state.
   ASSERT_EQ(Post(port, "/tenantz?op=reopen&tenant=alpha").status, 200);
-  auto after = Get(port, "/digestz?tenant=alpha");
+  auto after = Fetch(port, "/digestz?tenant=alpha");
   ASSERT_EQ(after.status, 200);
   EXPECT_EQ(after.body, before.body);
 }
@@ -442,7 +385,7 @@ TEST_F(ShardHttpTest, IntrospectionEndpointsRender) {
   ASSERT_EQ(Post(port, "/tenantz?op=flush&tenant=alpha&until=4").status,
             200);
 
-  auto health = Get(port, "/healthz");
+  auto health = Fetch(port, "/healthz");
   ASSERT_EQ(health.status, 200);
   EXPECT_TRUE(Contains(health.body, "\"healthy\":true")) << health.body;
   EXPECT_TRUE(Contains(health.body, "\"num_tenants\":2")) << health.body;
@@ -451,35 +394,99 @@ TEST_F(ShardHttpTest, IntrospectionEndpointsRender) {
 
   // Aggregate /statusz is the tenant list; per-tenant is the pipeline
   // status the single-stream server renders.
-  auto aggregate = Get(port, "/statusz");
+  auto aggregate = Fetch(port, "/statusz");
   ASSERT_EQ(aggregate.status, 200);
   EXPECT_TRUE(Contains(aggregate.body, "\"queue_depths\""));
   EXPECT_TRUE(Contains(aggregate.body, "\"name\":\"bravo\""));
-  auto status = Get(port, "/statusz?tenant=alpha");
+  auto status = Fetch(port, "/statusz?tenant=alpha");
   ASSERT_EQ(status.status, 200);
   EXPECT_TRUE(Contains(status.body, "\"num_clusters\"")) << status.body;
   EXPECT_TRUE(Contains(status.body, "\"durability\"")) << status.body;
 
   // Server-wide Prometheus text carries both families.
-  auto metrics = Get(port, "/metrics");
+  auto metrics = Fetch(port, "/metrics");
   ASSERT_EQ(metrics.status, 200);
   EXPECT_TRUE(Contains(metrics.body, "shard_ingest_docs"))
       << metrics.body.substr(0, 400);
   EXPECT_TRUE(Contains(metrics.body, "serve_requests"))
       << metrics.body.substr(0, 400);
   // Per-tenant registry serves the pipeline families.
-  auto tenant_metrics = Get(port, "/metrics?tenant=alpha");
+  auto tenant_metrics = Fetch(port, "/metrics?tenant=alpha");
   ASSERT_EQ(tenant_metrics.status, 200);
   EXPECT_TRUE(Contains(tenant_metrics.body, "shard_tenant_docs"))
       << tenant_metrics.body.substr(0, 400);
-  EXPECT_EQ(Get(port, "/metrics?tenant=ghost").status, 404);
+  EXPECT_EQ(Fetch(port, "/metrics?tenant=ghost").status, 404);
 
   // /metricsz is one JSON object with the same counters.
-  auto metricsz = Get(port, "/metricsz");
+  auto metricsz = Fetch(port, "/metricsz");
   ASSERT_EQ(metricsz.status, 200);
   EXPECT_EQ(metricsz.body.front(), '{');
   EXPECT_TRUE(Contains(metricsz.body, "\"shard.ingest.docs\""))
       << metricsz.body.substr(0, 400);
+}
+
+TEST_F(ShardHttpTest, TracezAndSloszServeTracedIngest) {
+  slo_ = std::make_unique<obs::SloEngine>();
+  obs::RequestTracer::Options trace_options;
+  trace_options.on_complete = [slo = slo_.get()](const std::string& tenant,
+                                                 double e2e_seconds,
+                                                 double now_seconds) {
+    slo->ObserveLatency(tenant, e2e_seconds, now_seconds);
+  };
+  tracer_ = std::make_unique<obs::RequestTracer>(trace_options);
+  const uint16_t port = StartServer(Root("tracez"), 2);
+  ASSERT_EQ(Post(port, "/tenantz?op=create&tenant=alpha").status, 200);
+  ASSERT_EQ(Post(port, "/tenantz?op=create&tenant=bravo").status, 200);
+
+  // The first alpha batch carries the caller's traceparent; every other
+  // batch gets a minted trace id.
+  const std::string trace_id = "4bf92f3577b34da6a3ce929d0e0e4736";
+  const auto alpha = WireBatches(MakeFeed("alpha", 3, 4), 4);
+  auto traced = Request(port, "POST", "/ingest?tenant=alpha", alpha[0],
+                        "traceparent: 00-" + trace_id +
+                            "-00f067aa0ba902b7-01\r\n");
+  ASSERT_EQ(traced.status, 202) << traced.body;
+  EXPECT_TRUE(Contains(traced.body, "\"trace\":\"" + trace_id + "\""))
+      << traced.body;
+  for (size_t i = 1; i < alpha.size(); ++i) {
+    ASSERT_EQ(Post(port, "/ingest?tenant=alpha", alpha[i]).status, 202);
+  }
+  for (const std::string& body : WireBatches(MakeFeed("bravo", 3, 4), 4)) {
+    ASSERT_EQ(Post(port, "/ingest?tenant=bravo", body).status, 202);
+  }
+  for (const std::string tenant : {"alpha", "bravo"}) {
+    ASSERT_EQ(Post(port, "/tenantz?op=flush&until=4&tenant=" + tenant).status,
+              200);
+  }
+
+  // The caller's trace resolves to its completed stage waterfall.
+  auto trace = Fetch(port, "/tracez?trace=" + trace_id);
+  ASSERT_EQ(trace.status, 200) << trace.body;
+  EXPECT_TRUE(Contains(trace.body, "\"completed\":true")) << trace.body;
+  EXPECT_TRUE(Contains(trace.body, "\"stage\":\"window_close\""))
+      << trace.body;
+  EXPECT_TRUE(Contains(trace.body, "\"stage\":\"step\"")) << trace.body;
+  EXPECT_EQ(Fetch(port, "/tracez?trace=0123456789abcdef0123456789abcdef")
+                .status,
+            404);
+
+  // A tenant's recent traces hold only that tenant's, n at most.
+  auto recent = Fetch(port, "/tracez?tenant=alpha&n=2");
+  ASSERT_EQ(recent.status, 200) << recent.body;
+  EXPECT_FALSE(Contains(recent.body, "bravo")) << recent.body;
+  size_t traces = 0;
+  for (size_t at = recent.body.find("\"trace\":"); at != std::string::npos;
+       at = recent.body.find("\"trace\":", at + 1)) {
+    ++traces;
+  }
+  EXPECT_EQ(traces, 2u) << recent.body;
+
+  auto slos = Fetch(port, "/slosz");
+  ASSERT_EQ(slos.status, 200) << slos.body;
+  EXPECT_TRUE(Contains(slos.body, "\"objective\":\"latency\""))
+      << slos.body;
+  EXPECT_TRUE(Contains(slos.body, "\"objective\":\"availability\""))
+      << slos.body;
 }
 
 }  // namespace

@@ -277,9 +277,23 @@ TEST_F(ShipperTest, PromotedFollowerMatchesReferenceAcrossSeedsAndCadences) {
       ApplyLink link(replica->get());
       shipper.AddFollower(&link, (*replica)->HelloFrame());
 
+      // A second follower detaches one step before the end. That step
+      // count is a multiple of neither cadence, so it is left holding
+      // records of an open generation.
+      const size_t steps = stream_.batches.size();
+      replica_options.dir = FreshDir("prop_tail_follower");
+      auto tail = repl::ReplicaClusterer::Open(
+          stream_.corpus.get(), params_, incremental_, replica_options);
+      ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+      ApplyLink tail_link(tail->get());
+      const uint64_t tail_id =
+          shipper.AddFollower(&tail_link, (*tail)->HelloFrame());
+
       auto leader = OpenLeader(options.dir, &shipper, cadence);
       ASSERT_TRUE(leader.ok()) << leader.status().ToString();
-      Feed(leader->get(), 0, stream_.batches.size());
+      Feed(leader->get(), 0, steps - 1);
+      shipper.RemoveFollower(tail_id);
+      Feed(leader->get(), steps - 1, steps);
       ASSERT_TRUE((*leader)->Close().ok());
       EXPECT_EQ(shipper.stats().ship_errors, 0u);
       EXPECT_EQ((*replica)->stats().lag_records, 0u);
@@ -291,6 +305,19 @@ TEST_F(ShipperTest, PromotedFollowerMatchesReferenceAcrossSeedsAndCadences) {
       EXPECT_EQ(SerializeState(CaptureState((*promoted)->clusterer())),
                 ReferenceFingerprint());
       ASSERT_TRUE((*promoted)->Close().ok());
+
+      // Promoting the detached follower installs the outcomes it logged
+      // for its open generation instead of re-running K-means, and the
+      // new leader finishes the stream bit-identically.
+      auto tail_promoted = (*tail)->Promote(durable);
+      ASSERT_TRUE(tail_promoted.ok()) << tail_promoted.status().ToString();
+      const RecoveryInfo& recovery = (*tail_promoted)->recovery();
+      EXPECT_GT(recovery.replayed_records, 0u);
+      EXPECT_EQ(recovery.installed_records, recovery.replayed_records);
+      Feed(tail_promoted->get(), (*tail_promoted)->applied_steps(), steps);
+      EXPECT_EQ(SerializeState(CaptureState((*tail_promoted)->clusterer())),
+                ReferenceFingerprint());
+      ASSERT_TRUE((*tail_promoted)->Close().ok());
     }
   }
 }
