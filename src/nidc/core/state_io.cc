@@ -286,6 +286,11 @@ Result<std::unique_ptr<IncrementalClusterer>> RestoreClusterer(
           "snapshot references document " + std::to_string(id) +
           " beyond the corpus (wrong corpus for this snapshot?)");
     }
+    if (id < corpus->first_retained()) {
+      return Status::InvalidArgument("snapshot references document " +
+                                     std::to_string(id) +
+                                     ", which the corpus has released");
+    }
     if (corpus->doc(id).time > state.now) {
       return Status::InvalidArgument(
           "snapshot clock precedes document " + std::to_string(id) +

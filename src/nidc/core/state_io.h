@@ -71,9 +71,9 @@ Result<ClustererState> LoadState(const std::string& path,
 /// continuation); otherwise statistics are rebuilt from the active set.
 /// Cluster representatives are recomputed from the restored memberships
 /// by the next Step that reseeds from them. Returns InvalidArgument if the
-/// state references documents the corpus does not have, repeats an active
-/// id, lists an inactive document in a cluster, or is internally
-/// inconsistent.
+/// state references documents the corpus does not have or has released,
+/// repeats an active id, lists an inactive document in a cluster, or is
+/// internally inconsistent.
 Result<std::unique_ptr<IncrementalClusterer>> RestoreClusterer(
     const Corpus* corpus, IncrementalOptions options,
     const ClustererState& state);

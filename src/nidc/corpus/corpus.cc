@@ -1,6 +1,7 @@
 #include "nidc/corpus/corpus.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace nidc {
 
@@ -42,23 +43,30 @@ DocId Corpus::AddText(std::string_view text, DayTime time, TopicId topic,
 Status Corpus::Install(TermId first_term,
                        const std::vector<std::string>& new_terms,
                        DocId first_doc, std::vector<Document> docs) {
-  if (first_term != vocabulary_->size() || first_doc != size()) {
-    return Status::InvalidArgument("index record does not follow the corpus");
+  if (first_term != vocabulary_->size() ||
+      (first_doc != size() && !empty())) {
+    return Status::InvalidArgument("corpus record does not follow the corpus");
   }
   const size_t vocabulary_size = first_term + new_terms.size();
   for (const Document& doc : docs) {
     const auto& entries = doc.terms.entries();
     if (!entries.empty() && entries.back().id >= vocabulary_size) {
-      return Status::InvalidArgument("index record names an unknown term");
+      return Status::InvalidArgument("corpus record names an unknown term");
     }
   }
   TermId expected = first_term;
   for (const std::string& term : new_terms) {
     if (vocabulary_->GetOrAdd(term) != expected++) {
       vocabulary_->Truncate(first_term);
-      return Status::InvalidArgument("index record term \"" + term +
+      return Status::InvalidArgument("corpus record term \"" + term +
                                      "\" does not get its recorded id");
     }
+  }
+  if (first_doc > size()) {
+    // Nothing is known of the documents before first_doc.
+    first_retained_ = first_doc;
+    min_time_ = std::numeric_limits<DayTime>::infinity();
+    max_time_ = -min_time_;
   }
   for (Document& doc : docs) Add(std::move(doc));
   return Status::OK();

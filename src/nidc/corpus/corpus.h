@@ -40,10 +40,13 @@ class Corpus {
   DocId AddText(std::string_view text, DayTime time, TopicId topic = kNoTopic,
                 std::string source = {});
 
-  /// Installs documents analyzed earlier (a corpus index record) without
+  /// Installs documents analyzed earlier (a corpus record) without
   /// re-analyzing them. `new_terms` are interned first and must receive
   /// the ids first_term, first_term + 1, ...; `docs` must start at DocId
-  /// `first_doc` and name only known terms. On any mismatch returns
+  /// `first_doc` and name only known terms. An empty corpus may start at
+  /// any `first_doc`: the ids below it count as issued and released, and
+  /// MinTime/MaxTime cover only the documents added from then on
+  /// (±infinity while there are none). On any mismatch returns
   /// InvalidArgument and leaves the corpus as it was.
   Status Install(TermId first_term, const std::vector<std::string>& new_terms,
                  DocId first_doc, std::vector<Document> docs);

@@ -133,33 +133,16 @@ Result<std::unique_ptr<Corpus>> LoadCorpus(const std::string& path,
   return corpus;
 }
 
-Status AnalyzeRawText(std::string_view text, const std::string& origin,
-                      size_t* line, Corpus* corpus) {
-  CorpusReadStats stats;
-  const RecordSink sink = [corpus](RawDocument&& doc) {
-    corpus->AddText(doc.text, doc.time, doc.topic, std::move(doc.source));
-  };
-  while (!text.empty()) {
-    // std::getline's split: a last line without its newline still counts.
-    const size_t newline = std::min(text.find('\n'), text.size());
-    NIDC_RETURN_NOT_OK(ParseLine(std::string(text.substr(0, newline)),
-                                 origin, (*line)++, CorpusReadOptions(),
-                                 &stats, sink));
-    text.remove_prefix(std::min(newline + 1, text.size()));
-  }
-  return Status::OK();
-}
-
 namespace {
 
-// Corpus index record layout (integers are LEB128 varints unless noted):
-//   "CIX1" | begin | end | crc (u32 LE) | first_term | #terms |
+// Corpus record layout (integers are LEB128 varints unless noted):
+//   "CDR1" | first_term | #terms |
 //   per term: length, bytes | first_doc | #docs |
 //   per doc: time (IEEE-754 bits, u64 LE) | zigzag topic | source length,
 //            bytes | #entries | per entry: id delta, frequency
 // The first id delta is the id itself; each later one is >= 1, so ids
 // strictly increase as in TermCounts. A frequency is in [1, 2³²−1].
-constexpr char kIndexTag[] = "CIX1";
+constexpr char kIndexTag[] = "CDR1";
 constexpr size_t kIndexTagSize = 4;
 
 void PutVarint(std::string* out, uint64_t v) {
@@ -254,9 +237,6 @@ std::string EncodeCorpusIndexRecord(const Corpus& corpus,
   std::string out;
   out.reserve(estimate);
   out.append(kIndexTag, kIndexTagSize);
-  PutVarint(&out, span.begin);
-  PutVarint(&out, span.end);
-  PutFixed(&out, span.crc, 4);
   PutVarint(&out, span.first_term);
   PutVarint(&out, span.end_term - span.first_term);
   for (size_t t = span.first_term; t < span.end_term; ++t) {
@@ -283,23 +263,23 @@ std::string EncodeCorpusIndexRecord(const Corpus& corpus,
   return out;
 }
 
+bool IsCorpusIndexRecord(std::string_view payload) {
+  return payload.substr(0, kIndexTagSize) ==
+         std::string_view(kIndexTag, kIndexTagSize);
+}
+
 Result<CorpusIndexRecord> DecodeCorpusIndexRecord(std::string_view payload) {
   const auto damaged = [](const char* what) {
-    return Status::InvalidArgument(std::string("corpus index record: ") +
-                                   what);
+    return Status::InvalidArgument(std::string("corpus record: ") + what);
   };
   IndexReader in(payload);
   if (in.Bytes(kIndexTagSize) != std::string_view(kIndexTag, kIndexTagSize)) {
     return damaged("bad tag");
   }
   CorpusIndexRecord record;
-  record.begin = in.Varint();
-  record.end = in.Varint();
-  record.crc = static_cast<uint32_t>(in.Fixed(4));
   const uint64_t first_term = in.Varint();
   const uint64_t num_terms = in.Count(1);
-  if (!in.ok() || record.end < record.begin ||
-      first_term + num_terms > kInvalidTermId) {
+  if (!in.ok() || first_term + num_terms > kInvalidTermId) {
     return damaged("bad header");
   }
   record.first_term = static_cast<TermId>(first_term);

@@ -13,11 +13,12 @@
 // SaveRawDocuments writes atomically (write-temp + fsync + rename): a
 // crash mid-save never leaves a truncated corpus under the target name.
 //
-// A corpus index record (CorpusIndexRecord) carries the analysis of one
-// appended block of such a file — the terms it introduced and its
-// documents' term vectors — so a reader holding the same bytes can
-// install the block instead of re-analyzing it (shard tenants keep one
-// per batch in corpus.idx; see docs/durability.md).
+// A corpus record (CorpusIndexRecord) carries analyzed documents — the
+// terms a stretch of ids introduced and those documents' term vectors —
+// so a reader can install them with Corpus::Install instead of analyzing
+// text again. A durable store that logs documents writes one per ingested
+// batch to its WAL and one holding the live window into every snapshot
+// (see store/durable_clusterer.h and docs/durability.md).
 
 #ifndef NIDC_CORPUS_CORPUS_IO_H_
 #define NIDC_CORPUS_CORPUS_IO_H_
@@ -77,34 +78,22 @@ Result<std::unique_ptr<Corpus>> LoadCorpus(
     const std::string& path, const CorpusReadOptions& options = {},
     CorpusReadStats* stats = nullptr);
 
-/// Analyzes the TSV records of `text` — file bytes from a line boundary
-/// to a line boundary or the end of the file — into `corpus` in order,
-/// exactly as a strict LoadCorpus does. `*line` is the 1-based number of
-/// text's first line and is advanced past every line read; with `origin`
-/// it only labels the diagnostic of a malformed record.
-Status AnalyzeRawText(std::string_view text, const std::string& origin,
-                      size_t* line, Corpus* corpus);
-
 /// Serializes a single raw document to its TSV line (tabs/newlines in the
 /// text are replaced by spaces).
 std::string FormatRawDocument(const RawDocument& doc);
 
 /// Snaps `time` to the value it reads back as from its TSV line
 /// (FormatRawDocument writes "%.6f"). Ingest applies it before analysis so
-/// that the live corpus, its index and a re-parse of the file agree.
+/// that the live corpus and a re-parse of its archive agree.
 double CanonicalTime(double time);
 
 /// Parses one TSV line; returns InvalidArgument on malformed input
 /// (wrong field count, unparseable or non-finite time, bad topic id).
 Result<RawDocument> ParseRawDocument(const std::string& line);
 
-/// One corpus index record: what analyzing the file bytes [begin, end)
-/// added to a corpus.
+/// One corpus record: terms and documents a stretch of ids added to a
+/// corpus.
 struct CorpusIndexRecord {
-  uint64_t begin = 0;
-  uint64_t end = 0;
-  /// CRC-32C of the bytes [begin, end).
-  uint32_t crc = 0;
   /// Vocabulary size before the block: the id of terms[0].
   TermId first_term = 0;
   /// Terms the block introduced, in id order.
@@ -115,22 +104,23 @@ struct CorpusIndexRecord {
   std::vector<Document> docs;
 };
 
-/// Line-aligned file bytes [begin, end), with CRC-32C `crc`, whose
-/// analysis added terms [first_term, end_term) and documents
-/// [first_doc, end_doc) to a corpus: what one index record describes.
+/// Terms [first_term, end_term) and documents [first_doc, end_doc) of a
+/// corpus: what one record describes.
 struct CorpusIndexSpan {
-  uint64_t begin = 0;
-  uint64_t end = 0;
-  uint32_t crc = 0;
   TermId first_term = 0;
   TermId end_term = 0;
   DocId first_doc = 0;
   DocId end_doc = 0;
 };
 
-/// Encodes the record of `span` from `corpus`.
+/// Encodes the record of `span` from `corpus`; every id in the span must
+/// be retained.
 std::string EncodeCorpusIndexRecord(const Corpus& corpus,
                                     const CorpusIndexSpan& span);
+
+/// True when `payload` carries a corpus record's tag (it may still be
+/// damaged): how a log that mixes record kinds tells them apart.
+bool IsCorpusIndexRecord(std::string_view payload);
 
 /// Decodes a record; InvalidArgument on anything EncodeCorpusIndexRecord
 /// cannot have written.

@@ -5,7 +5,7 @@
 
 namespace nidc::repl {
 
-ReplicaClusterer::ReplicaClusterer(const Corpus* corpus,
+ReplicaClusterer::ReplicaClusterer(Corpus* corpus,
                                    ForgettingParams params,
                                    IncrementalOptions options,
                                    ReplicaOptions replica,
@@ -18,7 +18,7 @@ ReplicaClusterer::ReplicaClusterer(const Corpus* corpus,
       last_frame_seconds_(NowSeconds()) {}
 
 Result<std::unique_ptr<ReplicaClusterer>> ReplicaClusterer::Open(
-    const Corpus* corpus, ForgettingParams params,
+    Corpus* corpus, ForgettingParams params,
     IncrementalOptions options, ReplicaOptions replica) {
   DurableOptions durable;
   durable.dir = replica.dir;

@@ -96,7 +96,7 @@ class ReplicaClusterer {
   /// directory starts empty at generation 0 — the first shipped snapshot
   /// establishes the base.
   static Result<std::unique_ptr<ReplicaClusterer>> Open(
-      const Corpus* corpus, ForgettingParams params,
+      Corpus* corpus, ForgettingParams params,
       IncrementalOptions options, ReplicaOptions replica);
 
   /// Applies one shipped frame. Returns:
@@ -136,7 +136,7 @@ class ReplicaClusterer {
   ~ReplicaClusterer();
 
  private:
-  ReplicaClusterer(const Corpus* corpus, ForgettingParams params,
+  ReplicaClusterer(Corpus* corpus, ForgettingParams params,
                    IncrementalOptions options, ReplicaOptions replica,
                    std::unique_ptr<DurableClusterer> store);
 
@@ -152,7 +152,7 @@ class ReplicaClusterer {
   void NoteFrameLocked(const ReplFrame& frame);
   double NowSeconds() const;
 
-  const Corpus* corpus_;
+  Corpus* corpus_;
   ForgettingParams params_;
   IncrementalOptions options_;
   ReplicaOptions replica_;

@@ -11,8 +11,8 @@
 //
 // Both directions sanitize text the way corpus_io does on save
 // (tabs/newlines/carriage returns become spaces): the tenant's
-// append-only corpus.tsv must re-load to byte-identical documents, or
-// reopen-from-disk would diverge from the live state.
+// corpus.tsv archive must re-load to byte-identical documents, or a CLI
+// replay of it would diverge from the live state.
 
 #ifndef NIDC_SHARD_INGEST_H_
 #define NIDC_SHARD_INGEST_H_
@@ -26,8 +26,8 @@
 namespace nidc::shard {
 
 /// Replaces '\t', '\n' and '\r' with ' ' — the same normalization
-/// FormatRawDocument applies — so in-memory analysis matches what a
-/// reopened tenant re-analyzes from corpus.tsv.
+/// FormatRawDocument applies — so in-memory analysis matches what a CLI
+/// replay of the tenant's corpus.tsv archive analyzes.
 std::string SanitizeText(std::string_view text);
 
 /// Parses a JSONL request body into raw documents (text already

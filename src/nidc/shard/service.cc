@@ -93,8 +93,6 @@ Status ShardService::Init() {
   metrics_->GetGauge("step.context_bytes");
   metrics_->GetGauge("shard.recovery.seconds")->Set(0.0);
   metrics_->GetCounter("shard.recovery.tenants");
-  metrics_->GetCounter("shard.recovery.corpus_installed_docs");
-  metrics_->GetCounter("shard.recovery.corpus_analyzed_docs");
   metrics_->GetHistogram("shard.ingest.latency_seconds",
                          kLatencyBucketsSeconds);
   for (size_t i = 0; i < num_shards; ++i) {

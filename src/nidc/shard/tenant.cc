@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <utility>
 
 #include "nidc/obs/json_util.h"
 #include "nidc/shard/ingest.h"
-#include "nidc/util/crc32.h"
 
 namespace nidc::shard {
 
@@ -16,232 +14,15 @@ namespace {
 
 constexpr char kConfigFile[] = "/TENANT.json";
 constexpr char kCorpusFile[] = "/corpus.tsv";
-constexpr char kIndexFile[] = "/corpus.idx";
 constexpr char kStoreDir[] = "/store";
+// TENANT.json's "layout": 2 is this layout, whose documents live in store/.
+// The earlier corpus index layout, which read corpus.tsv back through an
+// index file beside it, wrote no key.
+constexpr char kLayoutKey[] = "layout";
+constexpr uint64_t kLayout = 2;
 
 Env* EnvOf(const TenantRuntime& runtime) {
   return runtime.env != nullptr ? runtime.env : Env::Default();
-}
-
-// What Open does with corpus.idx once the corpus is loaded.
-enum class IndexPlan {
-  /// It covers the whole file with clean framing: append to it.
-  kAppend,
-  /// It does not: rewrite it from the loaded corpus, one record per span.
-  kRewrite,
-  /// The file holds no bytes: the first ingest creates the index.
-  kCreateAtIngest,
-  /// The file ends inside a line, which the next append would extend, so
-  /// no record may cover it: log nothing until the next reopen.
-  kOff,
-};
-
-struct LoadedCorpus {
-  std::unique_ptr<Corpus> corpus = std::make_unique<Corpus>();
-  CorpusRecovery recovery;
-  IndexPlan plan = IndexPlan::kCreateAtIngest;
-  /// corpus.tsv's size.
-  uint64_t bytes = 0;
-  /// Line-aligned stretches of corpus.tsv in file order — each installed
-  /// record's, then each analyzed chunk's — that a kRewrite re-encodes
-  /// one record each, so no record grows with the corpus.
-  std::vector<CorpusIndexSpan> spans;
-};
-
-// Where the next span of `corpus` starts: its current term and doc count.
-CorpusIndexSpan SpanFrom(const Corpus& corpus, uint64_t begin) {
-  CorpusIndexSpan span;
-  span.begin = begin;
-  span.first_term = static_cast<TermId>(corpus.vocabulary().size());
-  span.first_doc = static_cast<DocId>(corpus.size());
-  return span;
-}
-
-// Closes `span` at file offset `end`, with everything `corpus` gained.
-CorpusIndexSpan SpanTo(CorpusIndexSpan span, const Corpus& corpus,
-                       uint64_t end, uint32_t crc) {
-  span.end = end;
-  span.crc = crc;
-  span.end_term = static_cast<TermId>(corpus.vocabulary().size());
-  span.end_doc = static_cast<DocId>(corpus.size());
-  return span;
-}
-
-// Reads corpus.tsv front to back in fixed-size chunks, so a reopen never
-// holds the whole file, and counts the lines it has passed.
-class CorpusStream {
- public:
-  Status Open(Env* env, const std::string& path) {
-    Result<std::unique_ptr<SequentialFile>> file =
-        env->NewSequentialFile(path);
-    if (!file.ok()) return file.status();
-    file_ = std::move(file).value();
-    buffer_.resize(kChunkBytes);
-    return Status::OK();
-  }
-
-  /// Reads on to byte `end` or the end of the file, whichever comes
-  /// first, handing each chunk to `fn`; stops at the first error.
-  Status ReadTo(uint64_t end,
-                const std::function<Status(std::string_view)>& fn) {
-    while (pos_ < end && !eof_) {
-      const size_t want =
-          static_cast<size_t>(std::min<uint64_t>(kChunkBytes, end - pos_));
-      Result<size_t> got = file_->Read(want, buffer_.data());
-      if (!got.ok()) return got.status();
-      eof_ = *got < want;
-      if (*got == 0) break;
-      const std::string_view chunk(buffer_.data(), *got);
-      pos_ += chunk.size();
-      newlines_ += std::count(chunk.begin(), chunk.end(), '\n');
-      last_ = chunk.back();
-      NIDC_RETURN_NOT_OK(fn(chunk));
-    }
-    return Status::OK();
-  }
-
-  uint64_t pos() const { return pos_; }
-  /// Line feeds among the bytes read.
-  uint64_t newlines() const { return newlines_; }
-  /// The last byte read ('\0' before any).
-  char last() const { return last_; }
-
- private:
-  static constexpr size_t kChunkBytes = 64 << 10;
-
-  std::unique_ptr<SequentialFile> file_;
-  std::string buffer_;
-  uint64_t pos_ = 0;
-  uint64_t newlines_ = 0;
-  char last_ = '\0';
-  bool eof_ = false;
-};
-
-// Rebuilds a tenant's corpus from corpus.tsv: installs every leading
-// corpus.idx record whose byte range and CRC match the file, then
-// analyzes the rest as LoadCorpus would. The index is only a hint —
-// a missing, torn, foreign or mismatched record ends the installed prefix.
-Result<LoadedCorpus> LoadTenantCorpus(Env* env, const std::string& dir) {
-  LoadedCorpus loaded;
-  const std::string corpus_path = dir + kCorpusFile;
-  if (!env->FileExists(corpus_path)) return loaded;
-  Corpus& corpus = *loaded.corpus;
-  CorpusStream stream;
-  NIDC_RETURN_NOT_OK(stream.Open(env, corpus_path));
-
-  // Install index records, streamed one at a time, while they fit.
-  uint64_t covered = 0;
-  uint64_t covered_lines = 0;
-  bool index_current = false;
-  if (const std::string index_path = dir + kIndexFile;
-      env->FileExists(index_path)) {
-    Result<std::unique_ptr<WalReader>> index = WalReader::Open(env, index_path);
-    bool mismatch = !index.ok();
-    std::string payload;
-    while (!mismatch && (*index)->Next(&payload)) {
-      Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(payload);
-      if (!record.ok() || record->begin != covered) {
-        mismatch = true;
-        break;
-      }
-      uint32_t crc = 0;
-      NIDC_RETURN_NOT_OK(
-          stream.ReadTo(record->end, [&crc](std::string_view chunk) {
-            crc = Crc32c(chunk, crc);
-            return Status::OK();
-          }));
-      const CorpusIndexSpan span = SpanFrom(corpus, covered);
-      const size_t docs = record->docs.size();
-      if (stream.pos() != record->end || crc != record->crc ||
-          !corpus
-               .Install(record->first_term, record->terms, record->first_doc,
-                        std::move(record->docs))
-               .ok()) {
-        mismatch = true;
-        break;
-      }
-      loaded.spans.push_back(SpanTo(span, corpus, record->end, crc));
-      loaded.recovery.installed_docs += docs;
-      covered = record->end;
-      covered_lines = stream.newlines();
-    }
-    index_current = !mismatch && (*index)->status().ok() && (*index)->clean();
-  }
-  const uint64_t installed_end = covered;
-  if (stream.pos() != covered) {
-    // A rejected record read past the installed prefix: restart there.
-    stream = CorpusStream();
-    NIDC_RETURN_NOT_OK(stream.Open(env, corpus_path));
-    NIDC_RETURN_NOT_OK(stream.ReadTo(
-        covered, [](std::string_view) { return Status::OK(); }));
-  }
-
-  // Analyze the tail a chunk of whole lines at a time; `pending` carries
-  // a line that spans two chunks.
-  size_t line = covered_lines + 1;
-  std::string pending;
-  const auto analyze = [&]() -> Status {
-    const CorpusIndexSpan span = SpanFrom(corpus, covered);
-    NIDC_RETURN_NOT_OK(AnalyzeRawText(pending, corpus_path, &line, &corpus));
-    covered += pending.size();
-    loaded.spans.push_back(SpanTo(span, corpus, covered, Crc32c(pending)));
-    return Status::OK();
-  };
-  NIDC_RETURN_NOT_OK(stream.ReadTo(UINT64_MAX, [&](std::string_view chunk) {
-    const size_t end = chunk.rfind('\n');
-    if (end == std::string_view::npos) {
-      pending.append(chunk);
-      return Status::OK();
-    }
-    pending.append(chunk.substr(0, end + 1));
-    NIDC_RETURN_NOT_OK(analyze());
-    pending.assign(chunk.substr(end + 1));
-    return Status::OK();
-  }));
-  if (!pending.empty()) NIDC_RETURN_NOT_OK(analyze());
-  loaded.recovery.analyzed_docs =
-      corpus.size() - loaded.recovery.installed_docs;
-
-  loaded.bytes = stream.pos();
-  if (loaded.bytes == 0) {
-    loaded.plan = IndexPlan::kCreateAtIngest;
-  } else if (index_current && installed_end == loaded.bytes) {
-    loaded.plan = IndexPlan::kAppend;
-  } else if (stream.last() == '\n') {
-    loaded.plan = IndexPlan::kRewrite;
-  } else {
-    loaded.plan = IndexPlan::kOff;
-  }
-  return loaded;
-}
-
-// Readies corpus.idx for appends after Open, per `loaded.plan`; null when
-// the first ingest is to create it, an error when nothing may be logged.
-// Like every index write, a rewrite is flushed, never fsynced.
-Result<std::unique_ptr<WalWriter>> OpenIndex(Env* env, const std::string& dir,
-                                             const LoadedCorpus& loaded,
-                                             const Corpus& corpus) {
-  const std::string path = dir + kIndexFile;
-  switch (loaded.plan) {
-    case IndexPlan::kAppend:
-      return OpenWalForAppend(env, path, WalSyncMode::kNone, 0);
-    case IndexPlan::kRewrite: {
-      Result<std::unique_ptr<WalWriter>> log =
-          WalWriter::Create(env, path, WalSyncMode::kNone);
-      if (!log.ok()) return log;
-      for (const CorpusIndexSpan& span : loaded.spans) {
-        NIDC_RETURN_NOT_OK(
-            (*log)->AppendRecord(EncodeCorpusIndexRecord(corpus, span)));
-      }
-      NIDC_RETURN_NOT_OK((*log)->Flush());
-      return log;
-    }
-    case IndexPlan::kCreateAtIngest:
-      return std::unique_ptr<WalWriter>();
-    case IndexPlan::kOff:
-      break;
-  }
-  return Status::FailedPrecondition("corpus.tsv ends inside a line");
 }
 
 }  // namespace
@@ -266,6 +47,7 @@ std::string TenantConfig::ToJson() const {
   builder.Add("step_days", step_days);
   builder.Add("start_time", start_time);
   builder.Add("seed", static_cast<uint64_t>(seed));
+  builder.Add(kLayoutKey, kLayout);
   return builder.Render();
 }
 
@@ -295,6 +77,16 @@ Result<TenantConfig> TenantConfig::FromJson(const std::string& json) {
   config.k = static_cast<size_t>(k);
   config.seed = static_cast<uint64_t>(seed);
   NIDC_RETURN_NOT_OK(config.Validate());
+  const obs::JsonValue* layout = parsed->Find(kLayoutKey);
+  if (layout == nullptr) {
+    return Status::FailedPrecondition(
+        "TENANT.json has no layout key: the tenant is in the old corpus index "
+        "layout, whose documents are not in store/, and this build does not "
+        "open it");
+  }
+  if (!layout->is_number() || layout->number != kLayout) {
+    return Status::FailedPrecondition("TENANT.json: unknown tenant layout");
+  }
   return config;
 }
 
@@ -335,8 +127,7 @@ Result<std::unique_ptr<Tenant>> Tenant::Create(const std::string& name,
   }
   std::unique_ptr<Tenant> tenant(
       new Tenant(name, dir, config, runtime));
-  NIDC_RETURN_NOT_OK(
-      tenant->Boot(std::make_unique<Corpus>(), /*fresh=*/true));
+  NIDC_RETURN_NOT_OK(tenant->Boot(/*fresh=*/true));
   // TENANT.json's rename is the commit point: its directory sync also
   // makes the store/ and corpus.tsv entries Boot just created durable, so
   // a tenant that recovery sees is whole. Until then a crash leaves
@@ -359,37 +150,14 @@ Result<std::unique_ptr<Tenant>> Tenant::Open(const std::string& name,
   Result<TenantConfig> config = TenantConfig::FromJson(*config_text);
   if (!config.ok()) return config.status();
 
-  Result<LoadedCorpus> loaded = LoadTenantCorpus(env, dir);
-  if (!loaded.ok()) return loaded.status();
-
   std::unique_ptr<Tenant> tenant(
       new Tenant(name, dir, *config, runtime));
-  NIDC_RETURN_NOT_OK(
-      tenant->Boot(std::move(loaded->corpus), /*fresh=*/false));
-  tenant->corpus_bytes_ = loaded->bytes;
-  tenant->corpus_recovery_ = loaded->recovery;
-  Result<std::unique_ptr<WalWriter>> index =
-      OpenIndex(env, dir, *loaded, *tenant->corpus_);
-  if (index.ok()) {
-    tenant->index_ = std::move(index).value();
-  } else {
-    tenant->index_failed_ = true;
-  }
-  // Only now: a rewrite above encodes the whole corpus.
-  tenant->ReleaseStepped();
-  tenant->PublishProgress();
-  if (runtime.shared_metrics != nullptr) {
-    runtime.shared_metrics
-        ->GetCounter("shard.recovery.corpus_installed_docs")
-        ->Increment(loaded->recovery.installed_docs);
-    runtime.shared_metrics->GetCounter("shard.recovery.corpus_analyzed_docs")
-        ->Increment(loaded->recovery.analyzed_docs);
-  }
+  NIDC_RETURN_NOT_OK(tenant->Boot(/*fresh=*/false));
   return tenant;
 }
 
-Status Tenant::Boot(std::unique_ptr<Corpus> corpus, bool fresh) {
-  corpus_ = std::move(corpus);
+Status Tenant::Boot(bool fresh) {
+  corpus_ = std::make_unique<Corpus>();
 
   IncrementalOptions options;
   options.kmeans.k = config_.k;
@@ -422,8 +190,10 @@ Status Tenant::Boot(std::unique_ptr<Corpus> corpus, bool fresh) {
     // is at most the recovered clock — so everything at or after the
     // clock is exactly the unstepped tail, and re-priming it rebuilds
     // the open window. Windows that close during the re-prime were
-    // appended to corpus.tsv but never reached the WAL (a crash between
-    // the two); stepping them now heals that gap.
+    // logged with their batch's corpus record but never reached a step
+    // record (a crash between the two); stepping them now heals that.
+    // Released documents all fall before the clock, so the cursor keeps
+    // the chronological floor that the restored MaxTime may not.
     const DayTime resume_cursor =
         std::max(config_.start_time, durable_->recovery().recovered_now);
     NIDC_RETURN_NOT_OK(batcher_.SeekTo(resume_cursor));
@@ -443,10 +213,12 @@ Status Tenant::Boot(std::unique_ptr<Corpus> corpus, bool fresh) {
       }
     }
     NIDC_RETURN_NOT_OK(StepWindows(closed));
+    ReleaseStepped();
   }
   PublishProgress();
 
-  // Append handle for future ingest; created fresh for a new tenant.
+  // The archive's append handle; created fresh for a new tenant, and
+  // again if it has gone.
   Result<std::unique_ptr<WritableFile>> file =
       EnvOf(runtime_)->NewWritableFile(dir_ + kCorpusFile,
                                        /*truncate=*/fresh);
@@ -471,8 +243,8 @@ Status Tenant::Ingest(const std::vector<RawDocument>& docs,
   std::vector<RawDocument> sanitized;
   sanitized.reserve(docs.size());
   for (const RawDocument& doc : docs) {
-    // Times as corpus.tsv will read them back, so the live corpus, its
-    // index and a re-parse of the file agree.
+    // Times as the corpus.tsv archive reads them back, so the live corpus
+    // and a re-parse of the archive agree.
     const DayTime time =
         std::isfinite(doc.time) ? CanonicalTime(doc.time) : doc.time;
     if (!std::isfinite(time) || time < floor) {
@@ -491,26 +263,9 @@ Status Tenant::Ingest(const std::vector<RawDocument>& docs,
     }
   }
 
-  // Persist before stepping: the WAL must never reference a DocId the
-  // corpus file does not yet durably hold, or recovery replay would meet
-  // unknown ids. (The reverse — corpus ahead of the WAL — heals on
-  // reopen; see Boot.)
-  std::string block;
-  for (const RawDocument& doc : sanitized) {
-    block += FormatRawDocument(doc);
-    block += '\n';
-  }
-  if (Status appended = corpus_file_->Append(block); !appended.ok()) {
-    failed_ = true;
-    return appended;
-  }
-  if (Status synced = corpus_file_->Sync(); !synced.ok()) {
-    failed_ = true;
-    return synced;
-  }
-  const CorpusIndexSpan span = SpanFrom(*corpus_, corpus_bytes_);
-  corpus_bytes_ += block.size();
-
+  // One commit point: the batch's corpus record goes to the WAL ahead of
+  // any step record that names its ids, and the first step record's sync
+  // (or SyncCorpus, when no window closes) makes both durable.
   std::vector<DocumentBatch> closed;
   for (const RawDocument& doc : sanitized) {
     const DocId id =
@@ -521,7 +276,22 @@ Status Tenant::Ingest(const std::vector<RawDocument>& docs,
     // Cannot fail: validation pinned every time at or after the cursor.
     NIDC_RETURN_NOT_OK(batcher_.Add(id, doc.time, &closed));
   }
-  AppendIndex(SpanTo(span, *corpus_, corpus_bytes_, Crc32c(block)));
+  if (Status logged = durable_->LogCorpus(); !logged.ok()) {
+    failed_ = true;
+    return logged;
+  }
+  // The archive: flushed, never synced, and never read back.
+  std::string block;
+  for (const RawDocument& doc : sanitized) {
+    block += FormatRawDocument(doc);
+    block += '\n';
+  }
+  Status archived = corpus_file_->Append(block);
+  if (archived.ok()) archived = corpus_file_->Flush();
+  if (!archived.ok()) {
+    failed_ = true;
+    return archived;
+  }
   docs_ingested_ += sanitized.size();
   last_time_ = sanitized.back().time;
   if (runtime_.shared_metrics != nullptr) {
@@ -532,33 +302,14 @@ Status Tenant::Ingest(const std::vector<RawDocument>& docs,
         ->Increment(sanitized.size());
   }
   metrics_.GetCounter("shard.tenant.docs")->Increment(sanitized.size());
-  const Status stepped = StepWindows(closed);
+  Status stepped = StepWindows(closed);
+  if (stepped.ok()) {
+    stepped = durable_->SyncCorpus();
+    if (!stepped.ok()) failed_ = true;
+  }
   if (stepped.ok()) ReleaseStepped();
   PublishProgress();
   return stepped;
-}
-
-void Tenant::AppendIndex(const CorpusIndexSpan& span) {
-  if (index_failed_) return;
-  Status st;
-  if (index_ == nullptr) {
-    // The first ingest into an empty corpus.tsv: truncate, since any
-    // index left here describes other bytes.
-    Result<std::unique_ptr<WalWriter>> log = WalWriter::Create(
-        EnvOf(runtime_), dir_ + kIndexFile, WalSyncMode::kNone);
-    if (log.ok()) {
-      index_ = std::move(log).value();
-    } else {
-      st = log.status();
-    }
-  }
-  if (st.ok()) {
-    st = index_->AppendRecord(EncodeCorpusIndexRecord(*corpus_, span));
-  }
-  // Flushed, never synced: corpus.tsv stays the source of truth, and what
-  // a crash takes from the index only costs the next reopen analysis.
-  if (st.ok()) st = index_->Flush();
-  if (!st.ok()) index_failed_ = true;
 }
 
 Status Tenant::FlushUntil(DayTime until) {
@@ -686,8 +437,6 @@ Status Tenant::Close() {
     Status file_closed = corpus_file_->Close();
     if (status.ok()) status = file_closed;
   }
-  // The index is a hint: failing to close it fails nothing.
-  if (index_ != nullptr) index_->Close();
   if (shared_retained_gauge_ != nullptr) {
     shared_retained_gauge_->Add(-retained_published_);
     shared_retained_entries_gauge_->Add(-retained_entries_published_);

@@ -7,42 +7,38 @@
 // internally synchronized and safe from HTTP worker threads.
 //
 // On-disk layout under the tenant directory (see docs/serving.md):
-//   TENANT.json   — the persisted TenantConfig (identity of the feed);
-//   corpus.tsv    — append-only raw documents, corpus_io TSV, fsynced
-//                   before any Step that references the new ids (the WAL
-//                   must never get ahead of the corpus, or replay would
-//                   meet unknown DocIds);
-//   corpus.idx    — a hint beside it: one WAL-framed CorpusIndexRecord
-//                   per ingested batch (the batch's corpus.tsv byte range
-//                   and CRC-32C, the terms it introduced, its documents'
-//                   term vectors), flushed but never fsynced, created at
-//                   the first ingest;
-//   store/        — the DurableClusterer's WAL + generation snapshots.
+//   TENANT.json   — the persisted TenantConfig (identity of the feed),
+//                   with "layout": 2; Open refuses a TENANT.json without
+//                   it (the older corpus index layout) and writes nothing;
+//   store/        — the DurableClusterer's WAL + generation snapshots,
+//                   the tenant's only commit point: each ingested batch
+//                   is one corpus record (its new terms and analyzed
+//                   documents) in the WAL ahead of the step records that
+//                   name its ids, and each snapshot carries the live
+//                   window (vocabulary + retained documents);
+//   corpus.tsv    — an archive of the raw documents (corpus_io TSV),
+//                   appended after the batch's corpus record, flushed but
+//                   never fsynced, and never read.
 //
-// Reopen (Tenant::Open) recovers bit-identically. It streams corpus.tsv
-// and installs every leading corpus.idx record whose byte range and CRC
-// match the file, then analyzes only the uncovered tail, in file order
-// (ids are stable because appends are ordered). A missing, torn, foreign
-// or mismatched record only means "analyze from here"; when the index did
-// not cover the whole file, Open rewrites it from the loaded corpus.
-// DurableClusterer::Open restores the newest durable state, and the
+// Reopen (Tenant::Open) reads only TENANT.json and store/:
+// DurableClusterer::Open restores the snapshot's live window and the WAL
+// tail's corpus and step records, in order, bit-identically. The
 // TimeBatcher seeks to the recovered clock; documents the WAL had not yet
 // stepped (time >= recovered clock — an invariant, since a stepped
 // document's time is strictly below its window end) are re-primed into
-// the open window, re-running any window that closed but never reached
-// the WAL. A crash between the corpus append and
-// the WAL append therefore heals instead of diverging. The service runs
-// Open on the tenant's owning shard worker — at startup every shard
-// recovers its own tenants in parallel with the others — so the thread
-// that rebuilds a tenant is the one that will own it.
+// the open window, re-running any window that closed but never reached a
+// step record. A crash between a batch's corpus record and its step
+// record therefore heals instead of diverging. The service runs Open on
+// the tenant's owning shard worker — at startup every shard recovers its
+// own tenants in parallel with the others — so the thread that rebuilds a
+// tenant is the one that will own it.
 //
-// Memory is bounded by the live window, not the feed's history: after
-// every successful step the tenant releases from its in-memory corpus
-// every id below both its oldest active document and its oldest unstepped
-// one. ExpireDocuments has already subtracted those documents' terms, and
-// no window re-drives them. corpus.tsv and corpus.idx stay complete on
-// disk; Open loads the whole corpus, recovers, rewrites the index when it
-// must, and only then releases.
+// Memory and the store are bounded by the live window, not the feed's
+// history: after every successful step the tenant releases from its
+// in-memory corpus every id below both its oldest active document and its
+// oldest unstepped one. ExpireDocuments has already subtracted those
+// documents' terms, and no window re-drives them, so no snapshot carries
+// them either.
 
 #ifndef NIDC_SHARD_TENANT_H_
 #define NIDC_SHARD_TENANT_H_
@@ -103,14 +99,6 @@ struct TenantRuntime {
   obs::RequestTracer* tracer = nullptr;
 };
 
-/// How Tenant::Open rebuilt the corpus.
-struct CorpusRecovery {
-  /// Documents installed from corpus.idx records.
-  uint64_t installed_docs = 0;
-  /// Documents re-analyzed from corpus.tsv (the tail no record covered).
-  uint64_t analyzed_docs = 0;
-};
-
 class Tenant {
  public:
   /// Creates a fresh tenant directory (AlreadyExists when `dir` already
@@ -123,7 +111,8 @@ class Tenant {
                                                 const TenantRuntime& runtime);
 
   /// Reopens a tenant from disk, recovering as described above
-  /// (NotFound when `dir` has no TENANT.json).
+  /// (NotFound when `dir` has no TENANT.json, FailedPrecondition when it
+  /// is in the old corpus index layout).
   static Result<std::unique_ptr<Tenant>> Open(const std::string& name,
                                               const std::string& dir,
                                               const TenantRuntime& runtime);
@@ -135,10 +124,11 @@ class Tenant {
   /// Ingests one batch: snaps times to the corpus.tsv grid
   /// (CanonicalTime), validates (times non-decreasing and not before
   /// anything already ingested — the feed is chronological end to end),
-  /// appends to corpus.tsv, syncs, analyzes into the corpus, appends the
-  /// batch's corpus.idx record, pushes through the TimeBatcher and steps
-  /// every window that closes. A failed index append only stops index
-  /// logging until the next reopen.
+  /// analyzes into the corpus, pushes through the TimeBatcher, logs the
+  /// batch's corpus record, appends it to the corpus.tsv archive and
+  /// steps every window that closes. Under kEveryRecord that is one fsync:
+  /// the first step record's, or the corpus record's own when no window
+  /// closes; under kNone there is none.
   /// InvalidArgument rejections change nothing; an IOError marks the
   /// tenant failed (storage in unknown state — evict and reopen). A
   /// valid `trace` is bound to every document of the batch so the later
@@ -174,8 +164,6 @@ class Tenant {
   /// Windows skipped because they were empty with no active documents.
   uint64_t empty_windows_skipped() const { return empty_windows_skipped_; }
   const RecoveryInfo& recovery() const;
-  /// How Open rebuilt the corpus (zero for a created tenant).
-  const CorpusRecovery& corpus_recovery() const { return corpus_recovery_; }
 
   // Introspection surfaces (thread-safe; read by HTTP workers).
   const serve::StatusBoard& board() const { return board_; }
@@ -190,19 +178,15 @@ class Tenant {
   Tenant(std::string name, std::string dir, TenantConfig config,
          TenantRuntime runtime);
 
-  /// Shared tail of Create/Open: builds the clusterer over the loaded
-  /// corpus, recovers, seeks the batcher and re-primes unstepped docs.
-  Status Boot(std::unique_ptr<Corpus> corpus, bool fresh);
+  /// Shared tail of Create/Open: opens the store, which restores the
+  /// corpus, seeks the batcher and re-primes unstepped docs.
+  Status Boot(bool fresh);
 
   /// Steps every closed window, skipping benign empty-window
   /// FailedPreconditions and publishing telemetry.
   Status StepWindows(std::vector<DocumentBatch>& closed);
 
   void PublishStep(const DocumentBatch& window, const StepResult& result);
-
-  /// Appends the corpus.idx record of one ingested batch; a failure only
-  /// stops index logging until the next reopen.
-  void AppendIndex(const CorpusIndexSpan& span);
 
   /// Releases the corpus prefix no active or unstepped document is in;
   /// called only after a successful StepWindows.
@@ -225,14 +209,8 @@ class Tenant {
 
   std::unique_ptr<Corpus> corpus_;
   std::unique_ptr<DurableClusterer> durable_;
+  /// The corpus.tsv archive.
   std::unique_ptr<WritableFile> corpus_file_;
-  /// Size of corpus.tsv: where the next batch's bytes begin.
-  uint64_t corpus_bytes_ = 0;
-  /// corpus.idx; null until Open readies it or the first ingest creates it.
-  std::unique_ptr<WalWriter> index_;
-  /// Set when the index cannot be written; cleared only by a reopen.
-  bool index_failed_ = false;
-  CorpusRecovery corpus_recovery_;
   TimeBatcher batcher_;
   /// Newest ingested document time; the chronological floor.
   DayTime last_time_ = 0.0;

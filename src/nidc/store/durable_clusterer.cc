@@ -4,6 +4,7 @@
 #include <cstring>
 #include <optional>
 
+#include "nidc/corpus/corpus_io.h"
 #include "nidc/obs/event_log.h"
 #include "nidc/util/crc32.h"
 #include "nidc/util/logging.h"
@@ -48,17 +49,39 @@ std::optional<ClusteringResult> FindOutcome(
   return std::nullopt;
 }
 
+// Decodes one corpus record and installs it into `corpus`.
+Status InstallCorpusRecord(Corpus* corpus, std::string_view payload) {
+  Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(payload);
+  if (!record.ok()) return record.status();
+  return corpus->Install(record->first_term, record->terms,
+                         record->first_doc, std::move(record->docs));
+}
+
 // The state `generation` starts from: its snapshot, or for a first
-// generation without one, the empty state a fresh store starts from.
+// generation without one, the empty state a fresh store starts from. A
+// store that logs documents frames its snapshot as a log of two records,
+// the state and the corpus record of its live window; that record is
+// installed into `corpus`, which must be empty, and `*corpus_touched` is
+// set before anything is installed.
 Result<ClustererState> LoadBaseState(Env* env, const std::string& dir,
-                                     uint64_t generation, const Corpus* corpus,
+                                     uint64_t generation, Corpus* corpus,
                                      const ForgettingParams& params,
-                                     const IncrementalOptions& options) {
+                                     const IncrementalOptions& options,
+                                     bool* corpus_touched) {
   const std::string path = dir + "/" + SnapshotFileName(generation);
   if (generation == kFirstGeneration && !env->FileExists(path)) {
     return CaptureState(IncrementalClusterer(corpus, params, options));
   }
-  return LoadState(path, env);
+  Result<ClustererState> plain = LoadState(path, env);
+  if (plain.ok()) return plain;
+  Result<WalReadResult> framed = ReadWal(env, path);
+  if (!framed.ok() || framed->records.empty()) return plain.status();
+  if (!framed->clean || framed->records.size() != 2) {
+    return Status::InvalidArgument("damaged snapshot " + path);
+  }
+  *corpus_touched = true;
+  NIDC_RETURN_NOT_OK(InstallCorpusRecord(corpus, framed->records[1]));
+  return ParseState(framed->records[0]);
 }
 
 }  // namespace
@@ -72,21 +95,21 @@ std::string EncodeStepOutcome(uint64_t step, DayTime tau,
 }
 
 Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Open(
-    const Corpus* corpus, ForgettingParams params,
+    Corpus* corpus, ForgettingParams params,
     IncrementalOptions options, DurableOptions durable) {
   return Recover(corpus, params, std::move(options), std::move(durable),
                  /*follower=*/false);
 }
 
 Result<std::unique_ptr<DurableClusterer>> DurableClusterer::OpenFollower(
-    const Corpus* corpus, ForgettingParams params,
+    Corpus* corpus, ForgettingParams params,
     IncrementalOptions options, DurableOptions durable) {
   return Recover(corpus, params, std::move(options), std::move(durable),
                  /*follower=*/true);
 }
 
 Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
-    const Corpus* corpus, ForgettingParams params,
+    Corpus* corpus, ForgettingParams params,
     IncrementalOptions options, DurableOptions durable, bool follower) {
   if (durable.dir.empty()) {
     return Status::InvalidArgument("DurableOptions::dir is required");
@@ -118,15 +141,21 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
   std::unique_ptr<IncrementalClusterer> inner;
   std::unique_ptr<WalWriter> follower_wal;
   uint64_t newest_seen = 0;
+  // Set once this generation's snapshot or WAL installs into the corpus.
+  bool corpus_touched = false;
   for (uint64_t generation : ListRecoveryCandidates(env, durable.dir)) {
     newest_seen = std::max(newest_seen, generation);
-    Result<ClustererState> state = LoadBaseState(
-        env, durable.dir, generation, corpus, params, options);
+    Result<ClustererState> state =
+        LoadBaseState(env, durable.dir, generation, corpus, params, options,
+                      &corpus_touched);
     Result<std::unique_ptr<IncrementalClusterer>> restored =
         state.ok() ? RestoreClusterer(corpus, options, *state)
                    : Result<std::unique_ptr<IncrementalClusterer>>(
                          state.status());
     if (!restored.ok()) {
+      // The previous generation starts again from an empty corpus.
+      if (corpus_touched) *corpus = Corpus();
+      corpus_touched = false;
       ++recovery.snapshot_fallbacks;
       NIDC_LOG(Warning) << "checkpoint generation " << generation
                        << " unusable (" << restored.status().ToString()
@@ -135,12 +164,15 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
     }
     inner = std::move(restored).value();
 
-    // Replay this generation's WAL tail through Step(), installing the
-    // logged outcome of each record that has one. The outcome log is a
-    // hint: when it is missing or unreadable every record re-runs.
+    // Replay this generation's WAL tail: install each corpus record, and
+    // run each step record through Step(), installing the logged outcome
+    // of those that have one. The outcome log is a hint: when it is
+    // missing or unreadable every step re-runs.
     const std::string wal_path =
         durable.dir + "/" + WalFileName(generation);
     WalReadResult wal;
+    // Records replayed, corpus records included.
+    uint64_t applied = 0;
     if (env->FileExists(wal_path)) {
       Result<WalReadResult> read = ReadWal(env, wal_path);
       if (!read.ok()) return read.status();
@@ -154,6 +186,18 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
       const std::vector<std::string> outcomes = ReadOutcomes(
           env, durable.dir + "/" + OutcomeFileName(generation));
       for (const std::string& payload : wal.records) {
+        if (IsCorpusIndexRecord(payload)) {
+          corpus_touched = true;
+          const Status installed = InstallCorpusRecord(corpus, payload);
+          if (!installed.ok()) {
+            ++recovery.quarantined_records;
+            NIDC_LOG(Warning) << "quarantining uninstallable corpus record: "
+                             << installed.ToString();
+            break;
+          }
+          ++applied;
+          continue;
+        }
         Result<WalStepRecord> record = DecodeStepRecord(payload);
         if (!record.ok()) {
           ++recovery.quarantined_records;
@@ -165,20 +209,21 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
             outcomes,
             OutcomeHeader(inner->step_count(), record->tau,
                           record->new_docs));
-        Result<StepResult> applied = inner->Step(
+        Result<StepResult> stepped = inner->Step(
             record->new_docs, record->tau, logged ? &*logged : nullptr);
-        if (!applied.ok() &&
-            applied.status().code() != StatusCode::kFailedPrecondition) {
+        if (!stepped.ok() &&
+            stepped.status().code() != StatusCode::kFailedPrecondition) {
           // FailedPrecondition (an empty active window) also occurred in
           // the original run and leaves the model advanced — replay goes
           // on. Anything else means the record contradicts the state.
           ++recovery.quarantined_records;
           NIDC_LOG(Warning) << "quarantining unreplayable WAL record: "
-                           << applied.status().ToString();
+                           << stepped.status().ToString();
           break;
         }
         ++recovery.replayed_records;
-        if (applied.ok() && applied->installed) ++recovery.installed_records;
+        ++applied;
+        if (stepped.ok() && stepped->installed) ++recovery.installed_records;
       }
     }
     if (follower) {
@@ -186,15 +231,14 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
       // prefix: a torn or quarantined tail is cut back to it, and a WAL
       // that replayed nothing may have lost its unsynced header and
       // starts afresh.
-      const uint64_t replayed = recovery.replayed_records;
-      if (replayed > 0 && (!wal.clean || recovery.quarantined_records > 0)) {
-        wal.records.resize(replayed);
+      if (applied > 0 && (!wal.clean || recovery.quarantined_records > 0)) {
+        wal.records.resize(applied);
         NIDC_RETURN_NOT_OK(RewriteWal(env, wal_path, wal.records));
       }
       Result<std::unique_ptr<WalWriter>> reopened =
-          replayed == 0
+          applied == 0
               ? WalWriter::Create(env, wal_path, durable.wal_sync)
-              : OpenWalForAppend(env, wal_path, durable.wal_sync, replayed);
+              : OpenWalForAppend(env, wal_path, durable.wal_sync, applied);
       if (!reopened.ok()) return reopened.status();
       follower_wal = std::move(reopened).value();
     }
@@ -211,6 +255,9 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
   std::unique_ptr<DurableClusterer> durable_clusterer(new DurableClusterer(
       std::move(inner), std::move(durable), metrics));
   durable_clusterer->recovery_ = recovery;
+  durable_clusterer->logs_corpus_ = corpus_touched;
+  durable_clusterer->logged_terms_ = corpus->vocabulary().size();
+  durable_clusterer->logged_docs_ = corpus->size();
   if (follower) {
     // Stay on the recovered generation: re-shipped frames line up with
     // the leader's numbering after a restart.
@@ -265,17 +312,8 @@ Result<StepResult> DurableClusterer::StepLogged(
   // Validate first so rejected inputs never enter the log.
   NIDC_RETURN_NOT_OK(inner_->ValidateStepInputs(new_docs, tau));
 
-  const uint64_t bytes_before = wal_->bytes_appended();
-  NIDC_RETURN_NOT_OK(wal_->AppendRecord(payload));
-  if (sync_dir_at_next_record_) {
-    // The first generation's WAL is its only file: make its directory
-    // entry durable before a step depends on it.
-    NIDC_RETURN_NOT_OK(durable_.env->SyncDir(durable_.dir));
-    sync_dir_at_next_record_ = false;
-  }
+  NIDC_RETURN_NOT_OK(AppendToWal(payload, /*sync=*/true));
   ++records_since_checkpoint_;
-  BumpCounter("store.wal_records");
-  BumpCounter("store.wal_bytes", wal_->bytes_appended() - bytes_before);
   if (durable_.tracer != nullptr) {
     durable_.tracer->RecordActive(obs::Stage::kWalCommit);
   }
@@ -305,6 +343,47 @@ Result<StepResult> DurableClusterer::StepLogged(
     }
   }
   return result;
+}
+
+Status DurableClusterer::LogCorpus() {
+  if (closed_ || wal_ == nullptr) {
+    return Status::FailedPrecondition("durable clusterer is closed");
+  }
+  const Corpus& corpus = inner_->model().corpus();
+  CorpusIndexSpan span;
+  span.first_term = static_cast<TermId>(logged_terms_);
+  span.end_term = static_cast<TermId>(corpus.vocabulary().size());
+  span.first_doc = static_cast<DocId>(logged_docs_);
+  span.end_doc = static_cast<DocId>(corpus.size());
+  NIDC_RETURN_NOT_OK(
+      AppendToWal(EncodeCorpusIndexRecord(corpus, span), /*sync=*/false));
+  logs_corpus_ = true;
+  logged_terms_ = span.end_term;
+  logged_docs_ = span.end_doc;
+  corpus_unsynced_ = durable_.wal_sync == WalSyncMode::kEveryRecord;
+  return Status::OK();
+}
+
+Status DurableClusterer::SyncCorpus() {
+  if (!corpus_unsynced_) return Status::OK();
+  NIDC_RETURN_NOT_OK(wal_->Sync());
+  corpus_unsynced_ = false;
+  return Status::OK();
+}
+
+Status DurableClusterer::AppendToWal(std::string_view payload, bool sync) {
+  const uint64_t bytes_before = wal_->bytes_appended();
+  NIDC_RETURN_NOT_OK(wal_->AppendRecord(payload, sync));
+  if (sync) corpus_unsynced_ = false;
+  if (sync_dir_at_next_record_) {
+    // The first generation's WAL is its only file: make its directory
+    // entry durable before a step depends on it.
+    NIDC_RETURN_NOT_OK(durable_.env->SyncDir(durable_.dir));
+    sync_dir_at_next_record_ = false;
+  }
+  BumpCounter("store.wal_records");
+  BumpCounter("store.wal_bytes", wal_->bytes_appended() - bytes_before);
+  return Status::OK();
 }
 
 Status DurableClusterer::Checkpoint() {
@@ -352,9 +431,22 @@ Status DurableClusterer::CommitGeneration(uint64_t next,
   // Order matters: snapshot first, then a fresh WAL, then the manifest
   // flip. A crash between any two leaves the previous generation (still
   // on disk, still current in the manifest) fully recoverable.
-  if (!implicit) {
-    NIDC_RETURN_NOT_OK(AtomicWriteFile(
-        env, durable_.dir + "/" + snapshot_name, snapshot_text));
+  const std::string snapshot_path = durable_.dir + "/" + snapshot_name;
+  if (!implicit && !logs_corpus_) {
+    NIDC_RETURN_NOT_OK(AtomicWriteFile(env, snapshot_path, snapshot_text));
+  } else if (!implicit) {
+    // The live window rides along: the whole vocabulary and every
+    // retained document, so the generation needs no older corpus record.
+    const Corpus& corpus = inner_->model().corpus();
+    CorpusIndexSpan window;
+    window.end_term = static_cast<TermId>(corpus.vocabulary().size());
+    window.first_doc = corpus.first_retained();
+    window.end_doc = static_cast<DocId>(corpus.size());
+    std::vector<std::string> records(1, snapshot_text);
+    records.push_back(EncodeCorpusIndexRecord(corpus, window));
+    NIDC_RETURN_NOT_OK(RewriteWal(env, snapshot_path, records));
+    logged_terms_ = window.end_term;
+    logged_docs_ = window.end_doc;
   }
   if (wal_ != nullptr) {
     wal_->Close();  // superseded; any unsynced tail is covered by the snapshot

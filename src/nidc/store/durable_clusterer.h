@@ -16,6 +16,16 @@
 //     MANIFEST: its base is the empty state built from `params`, so Open
 //     only creates wal-000001, and the generation's first record syncs
 //     the directory so that file's entry is durable.
+//   * A store whose owner logs documents (LogCorpus, shard tenants) also
+//     appends corpus records (corpus/corpus_io.h) to the same WAL: each
+//     holds the terms and analyzed documents the corpus gained since the
+//     last one, ahead of any step record that names them. They share the
+//     append path but not the sync: the next step record's fsync covers
+//     a corpus record, or SyncCorpus does. They do not count toward
+//     `checkpoint_every`. Once such a store has logged or restored a
+//     corpus record, each snapshot it writes is a two-record log (wal.h
+//     framing): the state text, then a corpus record of the whole
+//     vocabulary and every retained document.
 //   * After a step has run, its clustering is appended to the
 //     generation's outcome log (outcome-<gen>, created at the
 //     generation's first step): the WAL's CRC framing around the
@@ -25,12 +35,17 @@
 //   * Open() (and OpenFollower()) recovers: newest valid snapshot
 //     (manifest first, directory scan as fallback, generation 1's
 //     implicit base last whenever wal-000001 exists) + replay of that
-//     generation's WAL tail through Step(). A replayed record whose outcome is in the log and fits the
-//     active set installs it instead of re-running K-means; a missing,
-//     damaged or mismatched outcome means the record re-runs. Corrupt
-//     WAL tails are quarantined — valid records before the damage still
-//     replay — and a corrupt snapshot falls back to the previous
-//     generation instead of failing startup.
+//     generation's WAL tail. A snapshot's corpus record is installed
+//     into the (then empty) corpus before the state is restored, and the
+//     tail's corpus records in WAL order between its steps. A replayed
+//     step whose outcome is in the log and fits the active set installs
+//     it instead of re-running K-means; a missing, damaged or mismatched
+//     outcome means the step re-runs. Corrupt WAL tails are quarantined —
+//     valid records before the damage still replay, and a record that
+//     does not decode or does not follow the state ends the replay — and
+//     a corrupt snapshot falls back to the previous generation, from an
+//     empty corpus again if the failed one had installed into it,
+//     instead of failing startup.
 //
 // A follower's store (OpenFollower, driven by repl::ReplicaClusterer) is
 // fed the leader's commit stream through ApplyRecord, InstallSnapshot and
@@ -140,8 +155,8 @@ struct RecoveryInfo {
   /// Damaged WAL bytes dropped after the last valid record.
   uint64_t dropped_wal_bytes = 0;
   /// Records that were framed correctly but could not be applied
-  /// (undecodable payload or rejected by Step); they and everything after
-  /// them are skipped.
+  /// (undecodable payload, rejected by Step, or a corpus record that does
+  /// not follow the corpus); they and everything after them are skipped.
   uint64_t quarantined_records = 0;
   /// Candidate generations skipped because their snapshot (or restore)
   /// was invalid.
@@ -162,10 +177,12 @@ class DurableClusterer {
   /// Opens (and if necessary creates) the checkpoint directory, recovers
   /// the newest valid state, and starts a fresh generation. When a
   /// snapshot is recovered its persisted ForgettingParams take precedence
-  /// over `params` (matching `nidc_cli --state` resume semantics).
+  /// over `params` (matching `nidc_cli --state` resume semantics). A store
+  /// that logs documents restores them into `corpus`, which must then be
+  /// empty; any other store only reads it.
   static Result<std::unique_ptr<DurableClusterer>> Open(
-      const Corpus* corpus, ForgettingParams params,
-      IncrementalOptions options, DurableOptions durable);
+      Corpus* corpus, ForgettingParams params, IncrementalOptions options,
+      DurableOptions durable);
 
   /// Opens a follower's store: Open's recovery, but it stays on the
   /// recovered generation, whose WAL it cuts back to the replayed prefix
@@ -173,12 +190,22 @@ class DurableClusterer {
   /// generation 0 with no WAL until a snapshot or seal establishes one.
   /// It never rotates at `checkpoint_every` or Close.
   static Result<std::unique_ptr<DurableClusterer>> OpenFollower(
-      const Corpus* corpus, ForgettingParams params,
-      IncrementalOptions options, DurableOptions durable);
+      Corpus* corpus, ForgettingParams params, IncrementalOptions options,
+      DurableOptions durable);
 
   /// Logs the step to the WAL, applies it, and rotates the checkpoint
   /// when due. See the class comment for the error contract.
   Result<StepResult> Step(const std::vector<DocId>& new_docs, DayTime tau);
+
+  /// Logs the terms and documents the corpus gained since the store last
+  /// logged, restored or snapshotted it, as one corpus record, unsynced:
+  /// the next step record's sync covers it, or SyncCorpus does. Those
+  /// documents must still be retained.
+  Status LogCorpus();
+
+  /// Under kEveryRecord, syncs the WAL when it ends in a corpus record no
+  /// step record has synced; otherwise does nothing.
+  Status SyncCorpus();
 
   /// A follower's Step: logs a shipped WAL record payload verbatim and
   /// applies it through Step's path. Undecodable payloads are refused.
@@ -233,8 +260,8 @@ class DurableClusterer {
 
   /// The recovery Open and OpenFollower share.
   static Result<std::unique_ptr<DurableClusterer>> Recover(
-      const Corpus* corpus, ForgettingParams params,
-      IncrementalOptions options, DurableOptions durable, bool follower);
+      Corpus* corpus, ForgettingParams params, IncrementalOptions options,
+      DurableOptions durable, bool follower);
 
   /// Commits the current state as generation `generation_+1`. Generation
   /// 1 only gets its WAL (see the class comment).
@@ -245,6 +272,10 @@ class DurableClusterer {
   /// `implicit`) and prunes old generations.
   Status CommitGeneration(uint64_t generation, const std::string& snapshot,
                           bool implicit);
+
+  /// Appends one record, step or corpus, with generation 1's directory
+  /// sync at its first record, and counts it.
+  Status AppendToWal(std::string_view payload, bool sync);
 
   /// Step's body once `payload` encodes (`new_docs`, `tau`).
   Result<StepResult> StepLogged(std::string_view payload,
@@ -274,6 +305,14 @@ class DurableClusterer {
   uint64_t records_since_checkpoint_ = 0;
   /// Set while the first generation's WAL entry awaits a directory sync.
   bool sync_dir_at_next_record_ = false;
+  /// Set once this store has logged or restored a corpus record: its
+  /// snapshots then carry the live window.
+  bool logs_corpus_ = false;
+  /// Vocabulary size and document count the log and snapshots cover.
+  size_t logged_terms_ = 0;
+  size_t logged_docs_ = 0;
+  /// Set while the WAL ends in a corpus record that awaits its sync.
+  bool corpus_unsynced_ = false;
   /// Set by OpenFollower: rotations come only from Checkpoint.
   bool follower_ = false;
   bool closed_ = false;

@@ -58,7 +58,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Create(Env* env,
   return writer;
 }
 
-Status WalWriter::AppendRecord(std::string_view payload) {
+Status WalWriter::AppendRecord(std::string_view payload, bool sync) {
   if (file_ == nullptr) {
     return Status::FailedPrecondition("append to closed WAL " + path_);
   }
@@ -69,7 +69,7 @@ Status WalWriter::AppendRecord(std::string_view payload) {
   frame.reserve(kFrameHeaderSize + payload.size());
   AppendFrame(&frame, payload);
   NIDC_RETURN_NOT_OK(file_->Append(frame));
-  if (mode_ == WalSyncMode::kEveryRecord) {
+  if (sync && mode_ == WalSyncMode::kEveryRecord) {
     NIDC_RETURN_NOT_OK(file_->Sync());
   }
   ++records_appended_;

@@ -3,6 +3,7 @@
 // One record is appended per Step *before* the step mutates in-memory
 // state, so "newest valid snapshot + replay of the WAL tail" reconstructs
 // the clusterer after a crash (see durable_clusterer.h for the protocol).
+// A store that logs documents also appends corpus records to it.
 //
 // File layout:
 //   8-byte magic "NIDCWAL1"
@@ -46,8 +47,10 @@ class WalWriter {
                                                    const std::string& path,
                                                    WalSyncMode mode);
 
-  /// Appends one record; fsyncs when the mode is kEveryRecord.
-  Status AppendRecord(std::string_view payload);
+  /// Appends one record; fsyncs when the mode is kEveryRecord and `sync`
+  /// is set (a caller that clears it syncs later, or lets a later
+  /// record's sync cover this one).
+  Status AppendRecord(std::string_view payload, bool sync = true);
 
   /// Hands appended bytes to the OS without an fsync, so they survive a
   /// process kill but not a power loss.

@@ -1,11 +1,13 @@
-// The per-batch corpus index (corpus.idx): record codec, Corpus::Install,
-// and tenant reopen from every index state a crash, a copy or an edit can
-// leave — each must rebuild exactly what re-analyzing corpus.tsv builds.
-// Last, a tenant that releases its expired documents over several life
-// spans, across a reopen that rewrites the index.
+// Corpus records, a tenant's one commit point: the record codec and
+// Corpus::Install, then tenant reopen from the store alone — after a
+// clean close and after a crash, with the corpus.tsv archive gone, and at
+// every kill point of one ingest, where the batch is kept whole or not at
+// all. Last, a tenant that releases its expired documents over several
+// life spans, across a reopen.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -13,6 +15,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nidc/core/incremental_clusterer.h"
@@ -21,8 +24,8 @@
 #include "nidc/corpus/stream.h"
 #include "nidc/shard/ingest.h"
 #include "nidc/shard/tenant.h"
+#include "nidc/store/manifest.h"
 #include "nidc/store/wal.h"
-#include "nidc/util/crc32.h"
 #include "nidc/util/fault_env.h"
 
 namespace nidc::shard {
@@ -106,18 +109,19 @@ std::unique_ptr<Tenant> MustOpen(const std::string& dir,
   return tenant.ok() ? std::move(tenant).value() : nullptr;
 }
 
-// Vocabulary in id order and every Document field.
-void ExpectSameCorpus(const Corpus& actual, const Corpus& expected) {
-  EXPECT_EQ(actual.vocabulary().terms(), expected.vocabulary().terms());
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < actual.size(); ++i) {
-    const Document& a = actual.doc(static_cast<DocId>(i));
-    const Document& e = expected.doc(static_cast<DocId>(i));
+// The retained documents of `actual` equal the same ids of `full`, and
+// the vocabularies are equal.
+void ExpectRetainedMatch(const Corpus& actual, const Corpus& full) {
+  EXPECT_EQ(actual.vocabulary().terms(), full.vocabulary().terms());
+  ASSERT_EQ(actual.size(), full.size());
+  for (DocId id = actual.first_retained(); id < actual.size(); ++id) {
+    const Document& a = actual.doc(id);
+    const Document& e = full.doc(id);
     EXPECT_EQ(a.id, e.id);
-    EXPECT_EQ(a.time, e.time) << "doc " << i;
-    EXPECT_EQ(a.topic, e.topic) << "doc " << i;
-    EXPECT_EQ(a.source, e.source) << "doc " << i;
-    EXPECT_EQ(a.terms, e.terms) << "doc " << i;
+    EXPECT_EQ(a.time, e.time) << "doc " << id;
+    EXPECT_EQ(a.topic, e.topic) << "doc " << id;
+    EXPECT_EQ(a.source, e.source) << "doc " << id;
+    EXPECT_EQ(a.terms, e.terms) << "doc " << id;
   }
 }
 
@@ -140,20 +144,15 @@ TEST(CorpusIndexRecordTest, RoundTripsIntoAnIdenticalCorpus) {
   const auto split_term =
       static_cast<TermId>(first_only.vocabulary().size());
 
-  const std::string head = EncodeCorpusIndexRecord(
-      first_only, {0, 10, 0xABCD1234u, 0, split_term, 0, 1});
+  const std::string head =
+      EncodeCorpusIndexRecord(first_only, {0, split_term, 0, 1});
   const std::string tail = EncodeCorpusIndexRecord(
-      source, {10, 25, 7u, split_term,
-               static_cast<TermId>(source.vocabulary().size()), 1, 3});
+      source,
+      {split_term, static_cast<TermId>(source.vocabulary().size()), 1, 3});
   Result<CorpusIndexRecord> a = DecodeCorpusIndexRecord(head);
   Result<CorpusIndexRecord> b = DecodeCorpusIndexRecord(tail);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_EQ(a->begin, 0u);
-  EXPECT_EQ(a->end, 10u);
-  EXPECT_EQ(a->crc, 0xABCD1234u);
-  EXPECT_EQ(b->begin, 10u);
-  EXPECT_EQ(b->end, 25u);
   EXPECT_EQ(b->first_term, split_term);
   EXPECT_EQ(b->first_doc, 1u);
   EXPECT_EQ(b->docs.size(), 2u);
@@ -167,19 +166,21 @@ TEST(CorpusIndexRecordTest, RoundTripsIntoAnIdenticalCorpus) {
                   .Install(b->first_term, b->terms, b->first_doc,
                            std::move(b->docs))
                   .ok());
-  ExpectSameCorpus(installed, source);
+  ExpectRetainedMatch(installed, source);
 }
 
 TEST(CorpusIndexRecordTest, EveryTruncationAndForeignPayloadIsRejected) {
   const Corpus source = AnalyzedCorpus();
   const std::string payload = EncodeCorpusIndexRecord(
-      source, {0, 99, 1u, 0,
-               static_cast<TermId>(source.vocabulary().size()), 0, 3});
+      source, {0, static_cast<TermId>(source.vocabulary().size()), 0, 3});
+  EXPECT_TRUE(IsCorpusIndexRecord(payload));
   for (size_t cut = 0; cut < payload.size(); ++cut) {
     EXPECT_FALSE(DecodeCorpusIndexRecord(payload.substr(0, cut)).ok())
         << cut;
   }
   EXPECT_FALSE(DecodeCorpusIndexRecord(payload + '\0').ok());
+  // A step record shares the WAL and is told apart by the tag.
+  EXPECT_FALSE(IsCorpusIndexRecord("step 0x1p+0 0"));
   EXPECT_FALSE(DecodeCorpusIndexRecord("step 0x1p+0 0").ok());
 }
 
@@ -198,10 +199,7 @@ void PutFixedByHand(std::string* out, uint64_t v, int bytes) {
 
 std::string EncodeByHand(const CorpusIndexRecord& record,
                          uint64_t first_count) {
-  std::string out = "CIX1";
-  PutVarintByHand(&out, record.begin);
-  PutVarintByHand(&out, record.end);
-  PutFixedByHand(&out, record.crc, 4);
+  std::string out = "CDR1";
   PutVarintByHand(&out, record.first_term);
   PutVarintByHand(&out, record.terms.size());
   for (const std::string& term : record.terms) {
@@ -235,7 +233,6 @@ std::string EncodeByHand(const CorpusIndexRecord& record,
 // One document at day 1.5 holding term 0 ("zebra") `count` times.
 std::string OneTermRecord(uint64_t count) {
   CorpusIndexRecord record;
-  record.end = 6;
   record.terms = {"zebra"};
   record.docs.resize(1);
   record.docs[0].time = 1.5;
@@ -246,8 +243,7 @@ std::string OneTermRecord(uint64_t count) {
 TEST(CorpusIndexRecordTest, HandEncodingMatchesTheEncoder) {
   const Corpus source = AnalyzedCorpus();
   const std::string payload = EncodeCorpusIndexRecord(
-      source, {3, 99, 0xFEEDu, 0,
-               static_cast<TermId>(source.vocabulary().size()), 0, 3});
+      source, {0, static_cast<TermId>(source.vocabulary().size()), 0, 3});
   Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(payload);
   ASSERT_TRUE(record.ok()) << record.status().ToString();
   EXPECT_EQ(EncodeByHand(*record, record->docs[0].terms.entries()[0].count),
@@ -274,8 +270,7 @@ TEST(CorpusIndexRecordTest, WrappingIdDeltaIsDamaged) {
   Document doc;
   doc.terms = TermCounts::FromSortedEntries({{5, 1}, {6, 1}});
   corpus.Add(std::move(doc));
-  std::string payload =
-      EncodeCorpusIndexRecord(corpus, {0, 1, 0, 0, 0, 0, 1});
+  std::string payload = EncodeCorpusIndexRecord(corpus, {0, 0, 0, 1});
   ASSERT_EQ(payload.substr(payload.size() - 2), std::string("\x01\x01"));
   ASSERT_TRUE(DecodeCorpusIndexRecord(payload).ok());
   // A delta of 2⁶⁴−2 wraps 5 around to 3: a descending id.
@@ -309,8 +304,7 @@ TEST(CorpusIndexRecordTest, MismatchedInstallLeavesTheCorpusUnchanged) {
   const Corpus source = AnalyzedCorpus();
   Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(
       EncodeCorpusIndexRecord(
-          source, {0, 1, 0, 0,
-                   static_cast<TermId>(source.vocabulary().size()), 0, 3}));
+          source, {0, static_cast<TermId>(source.vocabulary().size()), 0, 3}));
   ASSERT_TRUE(record.ok());
 
   Corpus corpus;
@@ -338,340 +332,42 @@ TEST(CorpusIndexRecordTest, MismatchedInstallLeavesTheCorpusUnchanged) {
   EXPECT_EQ(corpus.vocabulary().Lookup("race"), 0u);
 }
 
-// ---------------------------------------------------------------------------
-// Tenant reopen.
-
-class CorpusIndexTenantTest : public testing::Test {
- protected:
-  void SetUp() override {
-    feed_ = InBatches(MakeFeed("idx", 0, 6, 7), 5);
-    more_ = InBatches(MakeFeed("idx", 6, 4, 4), 4);
-    ASSERT_GE(feed_.size(), 8u);
-    ASSERT_EQ(more_.size(), 4u);
-    base_ = FreshDir("base");
-    auto tenant = Tenant::Create("t", base_, SmallConfig(), TenantRuntime());
-    ASSERT_TRUE(tenant.ok()) << tenant.status().ToString();
-    for (const auto& batch : feed_) {
-      ASSERT_TRUE((*tenant)->Ingest(batch).ok());
-    }
-    ASSERT_TRUE((*tenant)->Close().ok());
-  }
-
-  // Documents in the first `records` batches of the feed.
-  size_t DocsInBatches(size_t records) const {
-    size_t docs = 0;
-    for (size_t b = 0; b < records; ++b) docs += feed_[b].size();
-    return docs;
-  }
-
-  size_t TotalDocs() const { return DocsInBatches(feed_.size()); }
-
-  // Opens `dir` and a copy of it without corpus.idx (the re-analysis),
-  // and checks they agree on the corpus, the state and the next three
-  // ingests, more_[first_more] on. Returns how the index-backed open
-  // rebuilt its corpus.
-  CorpusRecovery ExpectMatchesReanalysis(const std::string& dir,
-                                         const std::string& name,
-                                         size_t first_more = 0) {
-    const std::string plain = CopyDir(dir, name + "_plain");
-    std::filesystem::remove(plain + "/corpus.idx");
-    auto reference = MustOpen(plain);
-    auto tenant = MustOpen(dir);
-    if (reference == nullptr || tenant == nullptr) return {};
-    EXPECT_EQ(reference->corpus_recovery().installed_docs, 0u);
-    ExpectSameCorpus(tenant->corpus(), reference->corpus());
-    EXPECT_EQ(tenant->StateDigest(), reference->StateDigest());
-    for (size_t i = first_more; i < first_more + 3; ++i) {
-      EXPECT_TRUE(tenant->Ingest(more_[i]).ok());
-      EXPECT_TRUE(reference->Ingest(more_[i]).ok());
-      EXPECT_EQ(tenant->StateDigest(), reference->StateDigest())
-          << "ingest " << i;
-    }
-    ExpectSameCorpus(tenant->corpus(), reference->corpus());
-    return tenant->corpus_recovery();
-  }
-
-  // After any reopen, the next one is covered in full.
-  void ExpectSecondReopenInstallsEverything(const std::string& dir) {
-    auto first = MustOpen(dir);
-    ASSERT_NE(first, nullptr);
-    const std::string digest = first->StateDigest();
-    const size_t docs = first->corpus().size();
-    ASSERT_TRUE(first->Close().ok());
-    auto second = MustOpen(dir);
-    ASSERT_NE(second, nullptr);
-    EXPECT_EQ(second->corpus_recovery().installed_docs, docs);
-    EXPECT_EQ(second->corpus_recovery().analyzed_docs, 0u);
-    EXPECT_EQ(second->StateDigest(), digest);
-  }
-
-  // The frame offsets of corpus.idx's records (after the 8-byte header).
-  std::vector<size_t> RecordOffsets(const std::string& dir) {
-    Result<WalReadResult> log =
-        ReadWal(Env::Default(), dir + "/corpus.idx");
-    EXPECT_TRUE(log.ok());
-    std::vector<size_t> offsets;
-    size_t pos = 8;
-    for (const std::string& record : log->records) {
-      offsets.push_back(pos);
-      pos += 8 + record.size();
-    }
-    return offsets;
-  }
-
-  std::vector<std::vector<RawDocument>> feed_;
-  std::vector<std::vector<RawDocument>> more_;
-  std::string base_;
-};
-
-TEST_F(CorpusIndexTenantTest, IntactIndexInstallsEveryBatch) {
-  EXPECT_EQ(RecordOffsets(base_).size(), feed_.size());
-  const std::string dir = CopyDir(base_, "intact");
-  const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "intact");
-  EXPECT_EQ(recovery.installed_docs, TotalDocs());
-  EXPECT_EQ(recovery.analyzed_docs, 0u);
-  // The reopened tenant appended its three batches to the same index.
-  auto reopened = MustOpen(dir);
-  ASSERT_NE(reopened, nullptr);
-  EXPECT_EQ(reopened->corpus_recovery().installed_docs,
-            TotalDocs() + more_[0].size() + more_[1].size() +
-                more_[2].size());
-  EXPECT_EQ(reopened->corpus_recovery().analyzed_docs, 0u);
-}
-
-TEST_F(CorpusIndexTenantTest, DeletedIndexIsRebuilt) {
-  const std::string dir = CopyDir(base_, "deleted");
-  std::filesystem::remove(dir + "/corpus.idx");
-  const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "deleted");
-  EXPECT_EQ(recovery.installed_docs, 0u);
-  EXPECT_EQ(recovery.analyzed_docs, TotalDocs());
-  const std::string again = CopyDir(base_, "deleted_again");
-  std::filesystem::remove(again + "/corpus.idx");
-  ExpectSecondReopenInstallsEverything(again);
-}
-
-TEST_F(CorpusIndexTenantTest, IndexTruncatedMidRecordInstallsItsPrefix) {
-  const std::string dir = CopyDir(base_, "truncated");
-  const std::vector<size_t> offsets = RecordOffsets(dir);
-  const std::string index = ReadFile(dir + "/corpus.idx");
-  WriteFile(dir + "/corpus.idx", index.substr(0, offsets[4] + 11));
-  const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "truncated");
-  EXPECT_EQ(recovery.installed_docs, DocsInBatches(4));
-  EXPECT_EQ(recovery.analyzed_docs, TotalDocs() - DocsInBatches(4));
-  const std::string again = CopyDir(base_, "truncated_again");
-  WriteFile(again + "/corpus.idx", index.substr(0, offsets[4] + 11));
-  ExpectSecondReopenInstallsEverything(again);
-}
-
-TEST_F(CorpusIndexTenantTest, FlippedIndexByteEndsTheInstalledPrefix) {
-  const std::string dir = CopyDir(base_, "flipped");
-  const std::vector<size_t> offsets = RecordOffsets(dir);
-  std::string index = ReadFile(dir + "/corpus.idx");
-  index[offsets[3] + 20] ^= 0x10;
-  WriteFile(dir + "/corpus.idx", index);
-  const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "flipped");
-  EXPECT_EQ(recovery.installed_docs, DocsInBatches(3));
-  EXPECT_EQ(recovery.analyzed_docs, TotalDocs() - DocsInBatches(3));
-  const std::string again = CopyDir(base_, "flipped_again");
-  WriteFile(again + "/corpus.idx", index);
-  ExpectSecondReopenInstallsEverything(again);
-}
-
-TEST_F(CorpusIndexTenantTest, ForeignIndexIsIgnored) {
-  const std::string other = FreshDir("other");
-  {
-    auto tenant =
-        Tenant::Create("other", other, SmallConfig(), TenantRuntime());
-    ASSERT_TRUE(tenant.ok());
-    for (const auto& batch : InBatches(MakeFeed("oth", 0, 6, 7), 5)) {
-      ASSERT_TRUE((*tenant)->Ingest(batch).ok());
-    }
-  }
-  const std::string dir = CopyDir(base_, "foreign");
-  std::filesystem::copy_file(
-      other + "/corpus.idx", dir + "/corpus.idx",
-      std::filesystem::copy_options::overwrite_existing);
-  const std::string again = CopyDir(dir, "foreign_again");
-  const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "foreign");
-  EXPECT_EQ(recovery.installed_docs, 0u);
-  EXPECT_EQ(recovery.analyzed_docs, TotalDocs());
-  ExpectSecondReopenInstallsEverything(again);
-}
-
-TEST_F(CorpusIndexTenantTest, OversizedCountEndsTheInstalledPrefix) {
-  // Record 3 re-encoded with a first count of 2³², framed with a valid
-  // checksum: only the decoder's count bound can reject it.
-  const std::string dir = CopyDir(base_, "oversized");
-  Result<WalReadResult> log = ReadWal(Env::Default(), dir + "/corpus.idx");
-  ASSERT_TRUE(log.ok());
-  Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(log->records[3]);
-  ASSERT_TRUE(record.ok());
-  log->records[3] =
-      EncodeByHand(*record, uint64_t{std::numeric_limits<uint32_t>::max()} + 1);
-  ASSERT_TRUE(RewriteWal(Env::Default(), dir + "/corpus.idx", log->records)
+TEST(CorpusIndexRecordTest, InstallStartsAnEmptyCorpusAtAnyId) {
+  // A snapshot's record: the whole vocabulary and the retained documents
+  // of a corpus that released its first one.
+  Corpus source = AnalyzedCorpus();
+  source.ReleaseBefore(1);
+  Result<CorpusIndexRecord> record =
+      DecodeCorpusIndexRecord(EncodeCorpusIndexRecord(
+          source,
+          {0, static_cast<TermId>(source.vocabulary().size()), 1, 3}));
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  Corpus restored;
+  ASSERT_TRUE(restored
+                  .Install(record->first_term, record->terms,
+                           record->first_doc, std::move(record->docs))
                   .ok());
-  const std::string again = CopyDir(dir, "oversized_again");
-  const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "oversized");
-  EXPECT_EQ(recovery.installed_docs, DocsInBatches(3));
-  EXPECT_EQ(recovery.analyzed_docs, TotalDocs() - DocsInBatches(3));
-  ExpectSecondReopenInstallsEverything(again);
-}
+  EXPECT_EQ(restored.first_retained(), 1u);
+  ExpectRetainedMatch(restored, source);
+  EXPECT_EQ(restored.retained_term_entries(), source.retained_term_entries());
+  EXPECT_EQ(restored.MinTime(), 1.25);
+  EXPECT_EQ(restored.MaxTime(), 2.0);
+  EXPECT_EQ(restored.AddText("race", 3.0), 3u);
 
-TEST_F(CorpusIndexTenantTest, CorpusAheadOfIndexAnalyzesTheTail) {
-  // A crash between the corpus.tsv sync and the index append: the file
-  // holds the last batch, the index does not.
-  const std::string dir = CopyDir(base_, "ahead");
-  Result<WalReadResult> log = ReadWal(Env::Default(), dir + "/corpus.idx");
-  ASSERT_TRUE(log.ok());
-  log->records.pop_back();
-  ASSERT_TRUE(RewriteWal(Env::Default(), dir + "/corpus.idx", log->records)
-                  .ok());
-  const std::string again = CopyDir(dir, "ahead_again");
-  const size_t kept = feed_.size() - 1;
-  const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "ahead");
-  EXPECT_EQ(recovery.installed_docs, DocsInBatches(kept));
-  EXPECT_EQ(recovery.analyzed_docs, feed_.back().size());
-  ExpectSecondReopenInstallsEverything(again);
-}
-
-TEST_F(CorpusIndexTenantTest, EditedCorpusByteEndsTheInstalledPrefix) {
-  // One letter of a document in the third batch changes: that batch's
-  // record no longer matches, and the edit reaches the corpus.
-  const std::string dir = CopyDir(base_, "edited");
-  std::string text = ReadFile(dir + "/corpus.tsv");
-  size_t line_start = 0;
-  for (size_t line = 0; line < DocsInBatches(2) + 1; ++line) {
-    line_start = text.find('\n', line_start) + 1;
-  }
-  const size_t letter = text.rfind('\t', text.find('\n', line_start)) + 1;
-  ASSERT_NE(text[letter], 'q');
-  text[letter] = 'q';
-  WriteFile(dir + "/corpus.tsv", text);
-  const std::string again = CopyDir(dir, "edited_again");
-  const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "edited");
-  EXPECT_EQ(recovery.installed_docs, DocsInBatches(2));
-  EXPECT_EQ(recovery.analyzed_docs, TotalDocs() - DocsInBatches(2));
-  ExpectSecondReopenInstallsEverything(again);
-}
-
-TEST_F(CorpusIndexTenantTest, CorpusEndingInsideALineStopsIndexLogging) {
-  // A torn corpus.tsv append: the last line lost its tail. The next batch
-  // would extend that line, so no index record may cover it; the index
-  // is left as it was until a reopen finds the file whole again.
-  const std::string dir = CopyDir(base_, "torn_line");
-  const std::string text = ReadFile(dir + "/corpus.tsv");
-  WriteFile(dir + "/corpus.tsv", text.substr(0, text.size() - 5));
-  const std::string index = ReadFile(dir + "/corpus.idx");
-  const CorpusRecovery recovery = ExpectMatchesReanalysis(dir, "torn_line");
-  EXPECT_EQ(recovery.installed_docs, DocsInBatches(feed_.size() - 1));
-  EXPECT_EQ(recovery.analyzed_docs, feed_.back().size());
-  EXPECT_EQ(ReadFile(dir + "/corpus.idx"), index);
-}
-
-TEST_F(CorpusIndexTenantTest, CreateWritesNoIndexUntilTheFirstIngest) {
-  const std::string dir = FreshDir("create");
-  auto tenant = Tenant::Create("t", dir, SmallConfig(), TenantRuntime());
-  ASSERT_TRUE(tenant.ok());
-  EXPECT_FALSE(std::filesystem::exists(dir + "/corpus.idx"));
-  ASSERT_TRUE((*tenant)->Close().ok());
-  EXPECT_FALSE(std::filesystem::exists(dir + "/corpus.idx"));
-  // Reopening the empty tenant writes none either; its first ingest does.
-  auto reopened = MustOpen(dir);
-  ASSERT_NE(reopened, nullptr);
-  EXPECT_FALSE(std::filesystem::exists(dir + "/corpus.idx"));
-  ASSERT_TRUE(reopened->Ingest(feed_[0]).ok());
-  EXPECT_TRUE(std::filesystem::exists(dir + "/corpus.idx"));
-}
-
-TEST_F(CorpusIndexTenantTest, ServiceCountsInstalledAndAnalyzedDocs) {
-  obs::MetricsRegistry registry;
-  TenantRuntime runtime;
-  runtime.shared_metrics = &registry;
-  const std::string dir = CopyDir(base_, "counted");
-  Result<WalReadResult> log = ReadWal(Env::Default(), dir + "/corpus.idx");
-  ASSERT_TRUE(log.ok());
-  log->records.resize(5);
-  ASSERT_TRUE(RewriteWal(Env::Default(), dir + "/corpus.idx", log->records)
-                  .ok());
-  ASSERT_NE(MustOpen(dir, runtime), nullptr);
-  EXPECT_EQ(
-      registry.GetCounter("shard.recovery.corpus_installed_docs")->Value(),
-      DocsInBatches(5));
-  EXPECT_EQ(
-      registry.GetCounter("shard.recovery.corpus_analyzed_docs")->Value(),
-      TotalDocs() - DocsInBatches(5));
-}
-
-// Kill the process at every mutating file operation of one Tenant::Ingest,
-// under both a process kill (flushed bytes survive) and a power loss
-// (nothing unsynced survives): the reopen must equal a re-analysis of
-// whatever corpus.tsv kept, and the reopen after it must install it all.
-TEST_F(CorpusIndexTenantTest, KillPointSweepAcrossOneIngest) {
-  const std::vector<RawDocument>& batch = more_[0];
-  uint64_t ingest_ops = 0;
-  {
-    const std::string dir = CopyDir(base_, "sweep_count");
-    FaultInjectionEnv env(Env::Default());
-    TenantRuntime runtime;
-    runtime.env = &env;
-    auto tenant = MustOpen(dir, runtime);
-    ASSERT_NE(tenant, nullptr);
-    const uint64_t before = env.ops_issued();
-    ASSERT_TRUE(tenant->Ingest(batch).ok());
-    ingest_ops = env.ops_issued() - before;
-  }
-  ASSERT_GE(ingest_ops, 4u);  // corpus append + sync, index append + flush
-
-  for (CrashFlush flush :
-       {CrashFlush::kKeepUnsynced, CrashFlush::kDropUnsynced}) {
-    size_t index_ahead_cases = 0;
-    for (uint64_t kill = 1; kill <= ingest_ops; ++kill) {
-      const std::string name =
-          "sweep_" + std::to_string(static_cast<int>(flush)) + "_" +
-          std::to_string(kill);
-      SCOPED_TRACE(name);
-      const std::string dir = CopyDir(base_, name);
-      {
-        FaultInjectionEnv env(Env::Default());
-        TenantRuntime runtime;
-        runtime.env = &env;
-        auto tenant = MustOpen(dir, runtime);
-        ASSERT_NE(tenant, nullptr);
-        env.ArmCrashAtOp(kill, flush);
-        (void)tenant->Ingest(batch);
-        EXPECT_TRUE(env.crashed());
-      }
-      const std::string again = CopyDir(dir, name + "_again");
-      // The batch may or may not have reached corpus.tsv; the next
-      // ingests start after it either way.
-      const CorpusRecovery recovery =
-          ExpectMatchesReanalysis(dir, name, /*first_more=*/1);
-      if (recovery.analyzed_docs > 0) ++index_ahead_cases;
-      EXPECT_GE(recovery.installed_docs, TotalDocs());
-      ExpectSecondReopenInstallsEverything(again);
-    }
-    // Some kill point lands between the corpus sync and the index append.
-    EXPECT_GT(index_ahead_cases, 0u);
-  }
+  // With no documents the next id still survives.
+  Corpus bare;
+  ASSERT_TRUE(bare.Install(0, {"zebra"}, 7, {}).ok());
+  EXPECT_EQ(bare.size(), 7u);
+  EXPECT_EQ(bare.first_retained(), 7u);
+  EXPECT_TRUE(bare.docs().empty());
+  EXPECT_EQ(bare.AddText("zebra crossing", 4.0), 7u);
+  EXPECT_EQ(bare.MinTime(), 4.0);
+  EXPECT_EQ(bare.MaxTime(), 4.0);
+  EXPECT_EQ(bare.doc(7).terms.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------
-// Release: a tenant keeps in memory only its active and unstepped documents.
-
-// The retained documents of `actual` equal the same ids of `full`.
-void ExpectRetainedMatch(const Corpus& actual, const Corpus& full) {
-  EXPECT_EQ(actual.vocabulary().terms(), full.vocabulary().terms());
-  ASSERT_EQ(actual.size(), full.size());
-  for (DocId id = actual.first_retained(); id < actual.size(); ++id) {
-    const Document& a = actual.doc(id);
-    const Document& e = full.doc(id);
-    EXPECT_EQ(a.id, e.id);
-    EXPECT_EQ(a.time, e.time) << "doc " << id;
-    EXPECT_EQ(a.topic, e.topic) << "doc " << id;
-    EXPECT_EQ(a.source, e.source) << "doc " << id;
-    EXPECT_EQ(a.terms, e.terms) << "doc " << id;
-  }
-}
+// Tenant reopen.
 
 // The feed a tenant is sent, replayed into a plain IncrementalClusterer
 // over a corpus that releases nothing, through the same windows.
@@ -725,6 +421,205 @@ class UnreleasedReplay {
   TimeBatcher batcher_;
   IncrementalClusterer clusterer_;
 };
+
+
+class CorpusIndexTenantTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    feed_ = InBatches(MakeFeed("idx", 0, 6, 7), 5);
+    more_ = InBatches(MakeFeed("idx", 6, 4, 4), 4);
+    ASSERT_GE(feed_.size(), 8u);
+    ASSERT_EQ(more_.size(), 4u);
+    base_ = FreshDir("base");
+    auto tenant = Tenant::Create("t", base_, SmallConfig(), TenantRuntime());
+    ASSERT_TRUE(tenant.ok()) << tenant.status().ToString();
+    for (const auto& batch : feed_) {
+      ASSERT_TRUE((*tenant)->Ingest(batch).ok());
+    }
+    ASSERT_TRUE((*tenant)->Close().ok());
+  }
+
+  size_t TotalDocs() const {
+    size_t docs = 0;
+    for (const auto& batch : feed_) docs += batch.size();
+    return docs;
+  }
+
+  // The tenant that never stopped: feed_ through a replay that releases
+  // nothing.
+  std::unique_ptr<UnreleasedReplay> Reference() const {
+    auto reference = std::make_unique<UnreleasedReplay>(SmallConfig());
+    for (const auto& batch : feed_) reference->Ingest(batch);
+    return reference;
+  }
+
+  // Checks that `tenant` and `reference` agree on the state and the
+  // retained documents, now and after each of the next three ingests,
+  // more_[first_more] on.
+  void ExpectMatches(Tenant& tenant, UnreleasedReplay& reference,
+                     size_t first_more = 0) {
+    EXPECT_EQ(tenant.StateDigest(), reference.Digest());
+    ExpectRetainedMatch(tenant.corpus(), reference.corpus());
+    for (size_t i = first_more; i < first_more + 3; ++i) {
+      EXPECT_TRUE(tenant.Ingest(more_[i]).ok());
+      reference.Ingest(more_[i]);
+      EXPECT_EQ(tenant.StateDigest(), reference.Digest()) << "ingest " << i;
+      ExpectRetainedMatch(tenant.corpus(), reference.corpus());
+    }
+  }
+
+  std::vector<std::vector<RawDocument>> feed_;
+  std::vector<std::vector<RawDocument>> more_;
+  std::string base_;
+};
+
+TEST_F(CorpusIndexTenantTest, ReopenAfterCloseNeedsNoCorpusFile) {
+  const std::string dir = CopyDir(base_, "closed");
+  ASSERT_TRUE(std::filesystem::remove(dir + "/corpus.tsv"));
+  auto tenant = MustOpen(dir);
+  ASSERT_NE(tenant, nullptr);
+  EXPECT_EQ(tenant->docs_ingested(), TotalDocs());
+  EXPECT_EQ(tenant->recovery().replayed_records, 0u);
+  // The chronological floor survives too: the open window starts at day
+  // 5, but nothing may come before the newest document.
+  RawDocument stale = feed_.back().back();
+  stale.time -= 0.01;
+  EXPECT_EQ(tenant->Ingest({stale}).code(), StatusCode::kInvalidArgument);
+  ExpectMatches(*tenant, *Reference());
+}
+
+TEST_F(CorpusIndexTenantTest, ReopenAfterCrashNeedsNoCorpusFile) {
+  // A process kill in mid-generation: a snapshot, then corpus and step
+  // records in the WAL tail.
+  const std::string dir = FreshDir("crashed");
+  uint64_t generation = 0;
+  {
+    FaultInjectionEnv env(Env::Default());
+    TenantRuntime runtime;
+    runtime.env = &env;
+    auto tenant = Tenant::Create("t", dir, SmallConfig(), runtime);
+    ASSERT_TRUE(tenant.ok()) << tenant.status().ToString();
+    for (size_t b = 0; b < feed_.size(); ++b) {
+      if (b == feed_.size() / 2) {
+        ASSERT_TRUE((*tenant)->Checkpoint().ok());
+      }
+      ASSERT_TRUE((*tenant)->Ingest(feed_[b]).ok());
+    }
+    generation = (*tenant)->durable().generation();
+    env.ArmCrashAtOp(1, CrashFlush::kKeepUnsynced);
+  }
+  Result<WalReadResult> tail =
+      ReadWal(Env::Default(), dir + "/store/" + WalFileName(generation));
+  ASSERT_TRUE(tail.ok());
+  size_t corpus_records = 0;
+  for (const std::string& record : tail->records) {
+    corpus_records += IsCorpusIndexRecord(record) ? 1 : 0;
+  }
+  EXPECT_GT(corpus_records, 0u);
+  EXPECT_GT(tail->records.size(), corpus_records);
+
+  ASSERT_TRUE(std::filesystem::remove(dir + "/corpus.tsv"));
+  auto tenant = MustOpen(dir);
+  ASSERT_NE(tenant, nullptr);
+  EXPECT_EQ(tenant->recovery().source_generation, generation);
+  EXPECT_EQ(tenant->recovery().replayed_records,
+            tail->records.size() - corpus_records);
+  EXPECT_EQ(tenant->docs_ingested(), TotalDocs());
+  ExpectMatches(*tenant, *Reference());
+}
+
+TEST_F(CorpusIndexTenantTest, OldLayoutIsRefusedAndLeftUntouched) {
+  // A TENANT.json as the corpus index layout wrote it: no layout key.
+  const std::string dir = CopyDir(base_, "old_layout");
+  WriteFile(dir + "/TENANT.json",
+            "{\"half_life_days\":7,\"life_span_days\":30,\"k\":3,"
+            "\"step_days\":1,\"start_time\":0,\"seed\":42}");
+  const auto listing = [&dir] {
+    std::vector<std::pair<std::string, std::string>> files;
+    for (const auto& entry :
+         std::filesystem::recursive_directory_iterator(dir)) {
+      files.emplace_back(entry.path().string(),
+                         entry.is_regular_file()
+                             ? ReadFile(entry.path().string())
+                             : std::string());
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+  };
+  const auto before = listing();
+  Result<std::unique_ptr<Tenant>> opened =
+      Tenant::Open("t", dir, TenantRuntime());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(opened.status().message().find("old corpus index layout"),
+            std::string::npos)
+      << opened.status().ToString();
+  EXPECT_EQ(listing(), before);
+}
+
+// Kill the process at every mutating file operation of one Tenant::Ingest,
+// under both a process kill (every written byte survives, the interrupted
+// write included) and a power loss (nothing unsynced survives). The
+// batch's corpus record is its one commit point: each reopen equals a
+// reference fed the whole batch or none of it, both outcomes occur, and
+// the next ingests keep matching.
+TEST_F(CorpusIndexTenantTest, KillPointSweepAcrossOneIngest) {
+  const std::vector<RawDocument>& batch = more_[0];
+  uint64_t ingest_ops = 0;
+  {
+    const std::string dir = CopyDir(base_, "sweep_count");
+    FaultInjectionEnv env(Env::Default());
+    TenantRuntime runtime;
+    runtime.env = &env;
+    auto tenant = MustOpen(dir, runtime);
+    ASSERT_NE(tenant, nullptr);
+    const uint64_t before = env.ops_issued();
+    ASSERT_TRUE(tenant->Ingest(batch).ok());
+    ingest_ops = env.ops_issued() - before;
+  }
+  // Corpus record; archive append + flush; step record + sync.
+  ASSERT_GE(ingest_ops, 5u);
+
+  size_t whole = 0;
+  size_t none = 0;
+  for (CrashFlush flush :
+       {CrashFlush::kKeepUnsynced, CrashFlush::kDropUnsynced}) {
+    for (uint64_t kill = 1; kill <= ingest_ops; ++kill) {
+      const std::string name =
+          "sweep_" + std::to_string(static_cast<int>(flush)) + "_" +
+          std::to_string(kill);
+      SCOPED_TRACE(name);
+      const std::string dir = CopyDir(base_, name);
+      {
+        FaultInjectionEnv env(Env::Default());
+        TenantRuntime runtime;
+        runtime.env = &env;
+        auto tenant = MustOpen(dir, runtime);
+        ASSERT_NE(tenant, nullptr);
+        env.ArmCrashAtOp(kill, flush);
+        (void)tenant->Ingest(batch);
+        EXPECT_TRUE(env.crashed());
+      }
+      auto tenant = MustOpen(dir);
+      ASSERT_NE(tenant, nullptr);
+      std::unique_ptr<UnreleasedReplay> reference = Reference();
+      if (tenant->docs_ingested() == TotalDocs() + batch.size()) {
+        reference->Ingest(batch);
+        ++whole;
+      } else {
+        EXPECT_EQ(tenant->docs_ingested(), TotalDocs());
+        ++none;
+      }
+      // The next ingests start after the batch either way.
+      ExpectMatches(*tenant, *reference, /*first_more=*/1);
+    }
+  }
+  EXPECT_GT(whole, 0u);
+  EXPECT_GT(none, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Release: a tenant keeps in memory only its active and unstepped documents.
 
 // Retained = active + unstepped, exactly: nothing either is released,
 // and every document expired before the oldest active one is.
@@ -786,16 +681,15 @@ TEST(ReleasedCorpusTest, StaysBitIdenticalOverSeveralLifeSpans) {
     max_retained = std::max(max_retained, tenant->corpus().docs().size());
 
     if (b == reopen_after) {
-      // Evict and reopen with the index gone: Open re-analyzes the whole
-      // corpus, rewrites corpus.idx from it, and only then releases.
+      // Evict and reopen with the archive gone: Open restores the live
+      // window from the store alone.
       const std::string digest = tenant->StateDigest();
       ASSERT_TRUE(tenant->Close().ok());
       EXPECT_EQ(shared.GetGauge("shard.corpus.retained_docs")->Value(), 0.0);
       tenant.reset();
-      std::filesystem::remove(dir + "/corpus.idx");
+      std::filesystem::remove(dir + "/corpus.tsv");
       tenant = MustOpen(dir, runtime);
       ASSERT_NE(tenant, nullptr);
-      EXPECT_EQ(tenant->corpus_recovery().analyzed_docs, times.size());
       EXPECT_EQ(tenant->StateDigest(), digest);
       ExpectRetainsActiveAndUnstepped(*tenant, times);
       ExpectRetainedMatch(tenant->corpus(), reference.corpus());
@@ -805,14 +699,12 @@ TEST(ReleasedCorpusTest, StaysBitIdenticalOverSeveralLifeSpans) {
   EXPECT_GT(tenant->corpus().first_retained(), times.size() / 2);
   EXPECT_LT(max_retained, times.size() / 2);
 
-  // The rewrite covered every document, released ones included.
+  // The final snapshot carries the live window and the next id.
   const std::string digest = tenant->StateDigest();
   ASSERT_TRUE(tenant->Close().ok());
   tenant.reset();
   auto again = MustOpen(dir);
   ASSERT_NE(again, nullptr);
-  EXPECT_EQ(again->corpus_recovery().installed_docs, times.size());
-  EXPECT_EQ(again->corpus_recovery().analyzed_docs, 0u);
   EXPECT_EQ(again->StateDigest(), digest);
   ExpectRetainsActiveAndUnstepped(*again, times);
 }

@@ -1,7 +1,7 @@
-// Filesystem budgets of the two set-up paths: creating a tenant and
-// opening a fresh durable store. A counting Env tallies syncs and new
-// files, so an extra fsync or an eager checkpoint fails here instead of
-// surfacing later as set-up time.
+// Filesystem budgets of the two set-up paths — creating a tenant and
+// opening a fresh durable store — and of a tenant's ingest. A counting Env
+// tallies syncs and new files, so an extra fsync or an eager checkpoint
+// fails here instead of surfacing later as set-up or ingest time.
 
 #include <algorithm>
 #include <filesystem>
@@ -109,6 +109,45 @@ TEST(IoBudgetTest, TenantCreateSyncsThreeTimesAndWritesNoCheckpoint) {
             env.synced_dirs.end());
   EXPECT_TRUE(Env::Default()->FileExists(dir + "/store/" + WalFileName(1)));
   EXPECT_TRUE(Env::Default()->FileExists(dir + "/corpus.tsv"));
+}
+
+TEST(IoBudgetTest, IngestSyncsOncePerBatch) {
+  // A batch whose documents all fall in the open window, then one whose
+  // first document closes that window.
+  const auto batch = [](double day) {
+    std::vector<RawDocument> docs(3);
+    for (size_t i = 0; i < docs.size(); ++i) {
+      docs[i].time = day + 0.1 * static_cast<double>(i + 1);
+      docs[i].text = "budget words " + std::to_string(i);
+    }
+    return docs;
+  };
+  for (const WalSyncMode mode :
+       {WalSyncMode::kEveryRecord, WalSyncMode::kNone}) {
+    const bool every = mode == WalSyncMode::kEveryRecord;
+    SCOPED_TRACE(every ? "every record" : "none");
+    const std::string root = FreshRoot(every ? "ingest_every" : "ingest_none");
+    CountingEnv env(Env::Default());
+    shard::TenantRuntime runtime;
+    runtime.env = &env;
+    runtime.wal_sync = mode;
+    shard::TenantConfig config;
+    config.k = 2;
+    auto tenant = shard::Tenant::Create("budget", root + "/budget", config,
+                                        runtime);
+    ASSERT_TRUE(tenant.ok()) << tenant.status().ToString();
+    const uint64_t expected = every ? 1 : 0;
+
+    uint64_t before = env.file_syncs;
+    ASSERT_TRUE((*tenant)->Ingest(batch(0.0)).ok());
+    EXPECT_EQ((*tenant)->steps_applied(), 0u);
+    EXPECT_EQ(env.file_syncs - before, expected) << "closes no window";
+
+    before = env.file_syncs;
+    ASSERT_TRUE((*tenant)->Ingest(batch(1.0)).ok());
+    EXPECT_EQ((*tenant)->steps_applied(), 1u);
+    EXPECT_EQ(env.file_syncs - before, expected) << "closes one window";
+  }
 }
 
 TEST(IoBudgetTest, FreshOpenSyncsNothingUntilTheFirstStep) {

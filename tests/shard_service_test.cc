@@ -624,6 +624,33 @@ TEST_F(ShardServiceTest, FailedRecoveryReportsLowestNamedTenant) {
   }
 }
 
+TEST_F(ShardServiceTest, StartRefusesATenantInTheOldLayout) {
+  // A TENANT.json without the layout key is a tenant whose documents live
+  // in corpus.tsv and corpus.idx, not in its store: Start must refuse it,
+  // not come up with an empty tenant.
+  const std::string root = Root("old_layout");
+  {
+    auto service = StartService(root, 1);
+    ASSERT_TRUE(service->CreateTenant("alpha", SmallConfig()).ok());
+    for (const auto& batch : InBatches(MakeFeed("old", 3, 4), 6)) {
+      ASSERT_TRUE(service->EnqueueIngest("alpha", batch).ok());
+    }
+    service->Stop();
+  }
+  const std::string config = root + "/tenants/alpha/TENANT.json";
+  ASSERT_TRUE(AtomicWriteFile(Env::Default(), config,
+                              "{\"half_life_days\":7,\"life_span_days\":30,"
+                              "\"k\":3,\"step_days\":1,\"start_time\":0,"
+                              "\"seed\":42}")
+                  .ok());
+  auto refused = TryStart(root, 1);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.status().message().find("old corpus index layout"),
+            std::string::npos)
+      << refused.status().ToString();
+}
+
 TEST_F(ShardServiceTest, TenantsIsSafeToPollWhileTenantsIngest) {
   // Tenants() backs /tenantz and /healthz, which HTTP workers call while
   // the shard workers ingest and step — run under TSan in CI. Every

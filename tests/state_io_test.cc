@@ -169,6 +169,11 @@ TEST_F(StateIoTest, RestoreRejectsForeignCorpus) {
   state.active_docs = {0, 99};  // 99 does not exist
   EXPECT_EQ(RestoreClusterer(&corpus_, Options(), state).status().code(),
             StatusCode::kInvalidArgument);
+  // Nor does a document the corpus has released.
+  corpus_.ReleaseBefore(1);
+  state.active_docs = {0, 2};
+  EXPECT_EQ(RestoreClusterer(&corpus_, Options(), state).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(StateIoTest, RestoreRejectsFutureDocuments) {

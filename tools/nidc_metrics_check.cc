@@ -171,8 +171,6 @@ constexpr const char* kShardKeys[] = {
 constexpr const char* kRecoveryKeys[] = {
     "shard.recovery.seconds",
     "shard.recovery.tenants",
-    "shard.recovery.corpus_installed_docs",
-    "shard.recovery.corpus_analyzed_docs",
 };
 
 // The retained-corpus size ShardService::Init registers eagerly. Required
