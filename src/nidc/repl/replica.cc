@@ -179,8 +179,10 @@ Result<std::unique_ptr<DurableClusterer>> ReplicaClusterer::Promote(
   // Seal the tail so everything applied so far survives the flip, then
   // reopen the directory through the leader's own (crash-tortured)
   // recovery path, which installs the outcomes this follower logged.
-  // Open() starts a fresh generation, so the new leader's writes never
-  // touch files this replica's recovery might fall back to.
+  // Open() continues the recovered generation only when it is the newest
+  // on disk and no snapshot fell back (and starts a fresh one when
+  // `durable.sink` ships onward), so the new leader's writes never touch
+  // files this replica's recovery might fall back to.
   NIDC_RETURN_NOT_OK(store_->Close());
   closed_ = true;
   if (durable.dir.empty()) durable.dir = replica_.dir;

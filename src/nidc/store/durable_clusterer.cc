@@ -72,16 +72,18 @@ Result<ClustererState> LoadBaseState(Env* env, const std::string& dir,
   if (generation == kFirstGeneration && !env->FileExists(path)) {
     return CaptureState(IncrementalClusterer(corpus, params, options));
   }
-  Result<ClustererState> plain = LoadState(path, env);
-  if (plain.ok()) return plain;
-  Result<WalReadResult> framed = ReadWal(env, path);
-  if (!framed.ok() || framed->records.empty()) return plain.status();
-  if (!framed->clean || framed->records.size() != 2) {
+  // One read, dispatched on the WAL header: a store that logs no
+  // documents writes the state text alone.
+  Result<std::string> contents = env->ReadFileToString(path);
+  if (!contents.ok()) return contents.status();
+  if (!HasWalHeader(*contents)) return ParseState(*contents);
+  const WalReadResult framed = ParseWal(std::move(contents).value());
+  if (!framed.clean || framed.records.size() != 2) {
     return Status::InvalidArgument("damaged snapshot " + path);
   }
   *corpus_touched = true;
-  NIDC_RETURN_NOT_OK(InstallCorpusRecord(corpus, framed->records[1]));
-  return ParseState(framed->records[0]);
+  NIDC_RETURN_NOT_OK(InstallCorpusRecord(corpus, framed.records[1]));
+  return ParseState(framed.records[0]);
 }
 
 }  // namespace
@@ -139,11 +141,18 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
 
   RecoveryInfo recovery;
   std::unique_ptr<IncrementalClusterer> inner;
-  std::unique_ptr<WalWriter> follower_wal;
+  // The recovered generation's WAL, reopened when the store stays on it.
+  std::unique_ptr<WalWriter> reused_wal;
+  const std::vector<uint64_t> candidates =
+      ListRecoveryCandidates(env, durable.dir);
+  const uint64_t newest_on_disk =
+      candidates.empty()
+          ? 0
+          : *std::max_element(candidates.begin(), candidates.end());
   uint64_t newest_seen = 0;
   // Set once this generation's snapshot or WAL installs into the corpus.
   bool corpus_touched = false;
-  for (uint64_t generation : ListRecoveryCandidates(env, durable.dir)) {
+  for (uint64_t generation : candidates) {
     newest_seen = std::max(newest_seen, generation);
     Result<ClustererState> state =
         LoadBaseState(env, durable.dir, generation, corpus, params, options,
@@ -226,8 +235,23 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
         if (stepped.ok() && stepped->installed) ++recovery.installed_records;
       }
     }
-    if (follower) {
-      // Shipped records continue this WAL, so it must end on the replayed
+    // A follower always stays on the generation it recovered, so that
+    // re-shipped frames line up with the leader's numbering. A leader
+    // stays too, instead of checkpointing the state it has just read,
+    // except in three cases, where it rotates:
+    //   * a fresh directory (no candidate reaches here) keeps the
+    //     implicit generation 1;
+    //   * a snapshot fell back, or a newer generation is on disk: growing
+    //     an older generation's WAL while a newer generation's files
+    //     exist would let a later rotation reuse that generation number
+    //     over stale WAL records;
+    //   * a replication sink: the shipper takes a follower's catch-up
+    //     base from the OnRotate call Open makes.
+    const bool stay = follower || (recovery.snapshot_fallbacks == 0 &&
+                                   generation == newest_on_disk &&
+                                   durable.sink == nullptr);
+    if (stay) {
+      // New records continue this WAL, so it must end on the replayed
       // prefix: a torn or quarantined tail is cut back to it, and a WAL
       // that replayed nothing may have lost its unsynced header and
       // starts afresh.
@@ -240,7 +264,11 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
               ? WalWriter::Create(env, wal_path, durable.wal_sync)
               : OpenWalForAppend(env, wal_path, durable.wal_sync, applied);
       if (!reopened.ok()) return reopened.status();
-      follower_wal = std::move(reopened).value();
+      reused_wal = std::move(reopened).value();
+      // Everything recovery applied is durable once Open returns, as a
+      // checkpoint would have made it, including records a process kill
+      // left unsynced in the page cache.
+      if (applied > 0) NIDC_RETURN_NOT_OK(reused_wal->Sync());
     }
     recovery.resumed = true;
     recovery.source_generation = generation;
@@ -258,13 +286,18 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
   durable_clusterer->logs_corpus_ = corpus_touched;
   durable_clusterer->logged_terms_ = corpus->vocabulary().size();
   durable_clusterer->logged_docs_ = corpus->size();
-  if (follower) {
-    // Stay on the recovered generation: re-shipped frames line up with
-    // the leader's numbering after a restart.
-    durable_clusterer->follower_ = true;
+  durable_clusterer->follower_ = follower;
+  if (follower || reused_wal != nullptr) {
+    // Stay on the recovered generation (a fresh follower's is 0, with no
+    // WAL until a snapshot or seal establishes one). The checkpoint
+    // cadence continues from its replayed steps, and generation 1's next
+    // record syncs the directory as it does after Rotate.
     durable_clusterer->generation_ = recovery.source_generation;
-    durable_clusterer->wal_ = std::move(follower_wal);
+    durable_clusterer->wal_ = std::move(reused_wal);
     durable_clusterer->records_since_checkpoint_ = recovery.replayed_records;
+    durable_clusterer->sync_dir_at_next_record_ =
+        recovery.source_generation == kFirstGeneration &&
+        durable_clusterer->durable_.wal_sync == WalSyncMode::kEveryRecord;
   } else {
     // Start a fresh generation so post-recovery writes never touch the
     // files recovery might still need as fallback.
@@ -275,6 +308,8 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
       durable_clusterer->generation_;
 
   if (metrics != nullptr) {
+    metrics->GetGauge("store.generation")
+        ->Set(static_cast<double>(durable_clusterer->generation_));
     metrics->GetCounter("store.recovery.replayed_records")
         ->Increment(recovery.replayed_records);
     metrics->GetCounter("store.recovery.installed_records")

@@ -46,6 +46,13 @@
 //     a corrupt snapshot falls back to the previous generation, from an
 //     empty corpus again if the failed one had installed into it,
 //     instead of failing startup.
+//   * Open() then stays on the recovered generation rather than
+//     checkpointing the state it has just read: the WAL is cut back to
+//     the replayed prefix, reopened for append and fsynced once, and the
+//     `checkpoint_every` cadence goes on from the replayed steps. It
+//     rotates instead when it resumed nothing, when a snapshot fell back
+//     or a newer generation is on disk, and when a ReplicationSink is
+//     attached.
 //
 // A follower's store (OpenFollower, driven by repl::ReplicaClusterer) is
 // fed the leader's commit stream through ApplyRecord, InstallSnapshot and
@@ -145,7 +152,8 @@ struct RecoveryInfo {
   bool resumed = false;
   /// Generation recovered from (meaningful when resumed).
   uint64_t source_generation = 0;
-  /// Generation started for new writes.
+  /// Generation new writes go to: source_generation when the store
+  /// stayed on it, a freshly started one otherwise.
   uint64_t new_generation = 0;
   /// WAL records replayed through Step() during recovery.
   uint64_t replayed_records = 0;
@@ -174,18 +182,21 @@ std::string EncodeStepOutcome(uint64_t step, DayTime tau,
 
 class DurableClusterer {
  public:
-  /// Opens (and if necessary creates) the checkpoint directory, recovers
-  /// the newest valid state, and starts a fresh generation. When a
-  /// snapshot is recovered its persisted ForgettingParams take precedence
-  /// over `params` (matching `nidc_cli --state` resume semantics). A store
-  /// that logs documents restores them into `corpus`, which must then be
-  /// empty; any other store only reads it.
+  /// Opens (and if necessary creates) the checkpoint directory and
+  /// recovers the newest valid state. New writes continue the recovered
+  /// generation's WAL, fsynced once so everything recovery replayed is
+  /// durable on return; a fresh directory, a snapshot fallback, a newer
+  /// generation on disk or a `durable.sink` starts a fresh generation
+  /// instead. When a snapshot is recovered its persisted ForgettingParams
+  /// take precedence over `params` (matching `nidc_cli --state` resume
+  /// semantics). A store that logs documents restores them into `corpus`,
+  /// which must then be empty; any other store only reads it.
   static Result<std::unique_ptr<DurableClusterer>> Open(
       Corpus* corpus, ForgettingParams params, IncrementalOptions options,
       DurableOptions durable);
 
-  /// Opens a follower's store: Open's recovery, but it stays on the
-  /// recovered generation, whose WAL it cuts back to the replayed prefix
+  /// Opens a follower's store: Open's recovery, but it always stays on
+  /// the recovered generation, whose WAL it cuts back to the replayed prefix
   /// (or starts afresh) and reopens for append. A fresh directory yields
   /// generation 0 with no WAL until a snapshot or seal establishes one.
   /// It never rotates at `checkpoint_every` or Close.

@@ -1,6 +1,7 @@
 #include "nidc/store/torture.h"
 
 #include <cstdio>
+#include <map>
 #include <random>
 
 #include "nidc/core/state_io.h"
@@ -24,6 +25,10 @@ constexpr const char* kTopicWords[4][8] = {
      "profit", "quarter"},
 };
 
+// Mutating operations of a recovered store that the second-crash sweep
+// kills in turn.
+constexpr uint64_t kSecondCrashOps = 8;
+
 // Wipes every file in `dir` (flat directory; checkpoint dirs have no
 // subdirectories).
 void WipeDir(Env* env, const std::string& dir) {
@@ -32,6 +37,34 @@ void WipeDir(Env* env, const std::string& dir) {
   for (const std::string& name : *names) {
     env->RemoveFile(dir + "/" + name);
   }
+}
+
+// Every file of a flat checkpoint directory, by name.
+using DirImage = std::map<std::string, std::string>;
+
+Result<DirImage> ReadImage(Env* env, const std::string& dir) {
+  DirImage image;
+  Result<std::vector<std::string>> names = env->ListDir(dir);
+  if (!names.ok()) return image;  // directory absent: nothing stored
+  for (const std::string& name : *names) {
+    Result<std::string> contents = env->ReadFileToString(dir + "/" + name);
+    if (!contents.ok()) return contents.status();
+    image[name] = std::move(contents).value();
+  }
+  return image;
+}
+
+// Makes `dir` hold exactly `image`.
+Status WriteImage(Env* env, const std::string& dir, const DirImage& image) {
+  WipeDir(env, dir);
+  for (const auto& [name, contents] : image) {
+    Result<std::unique_ptr<WritableFile>> file =
+        env->NewWritableFile(dir + "/" + name, /*truncate=*/true);
+    if (!file.ok()) return file.status();
+    NIDC_RETURN_NOT_OK((*file)->Append(contents));
+    NIDC_RETURN_NOT_OK((*file)->Close());
+  }
+  return Status::OK();
 }
 
 std::string Fingerprint(const IncrementalClusterer& clusterer) {
@@ -61,6 +94,61 @@ Status FeedRemaining(DurableClusterer* durable, const TortureStream& stream) {
                             " rejected: " + result.status().ToString());
   }
   return Status::OK();
+}
+
+// Opens the store on `env`, streams the batches it has not applied and
+// closes it, stopping at `env`'s injected crash. Returns the steps the
+// store had applied when it stopped: under kEveryRecord each of them was
+// logged and synced first.
+Result<uint64_t> RunUntilCrash(const TortureOptions& options,
+                               const TortureStream& stream,
+                               const IncrementalOptions& incremental,
+                               FaultInjectionEnv* env) {
+  Result<std::unique_ptr<DurableClusterer>> opened = DurableClusterer::Open(
+      stream.corpus.get(), options.params, incremental,
+      MakeDurableOptions(options, env));
+  if (!opened.ok()) return 0;  // Open was the crashing operation
+  const Status fed = FeedRemaining(opened->get(), stream);
+  if (!fed.ok() && fed.code() != StatusCode::kIOError) return fed;
+  if (!env->crashed()) {
+    (*opened)->Close();  // may itself be the crashing operation
+  }
+  return (*opened)->applied_steps();
+}
+
+// Recovers on a healthy filesystem, finishes the stream and compares the
+// final state with `want`. Under kEveryRecord the recovery must also keep
+// the `synced_steps` the crashed run applied. Returns what went wrong,
+// empty when nothing did; `info` receives the recovery's RecoveryInfo.
+std::string RecoverAndFinish(const TortureOptions& options,
+                             const TortureStream& stream,
+                             const IncrementalOptions& incremental,
+                             const std::string& want, uint64_t synced_steps,
+                             RecoveryInfo* info) {
+  Result<std::unique_ptr<DurableClusterer>> recovered =
+      DurableClusterer::Open(stream.corpus.get(), options.params, incremental,
+                             MakeDurableOptions(options, Env::Default()));
+  if (!recovered.ok()) {
+    return "recovery failed: " + recovered.status().ToString();
+  }
+  *info = (*recovered)->recovery();
+  if (options.wal_sync == WalSyncMode::kEveryRecord &&
+      (*recovered)->applied_steps() < synced_steps) {
+    return StringPrintf("recovery lost synced steps (%llu of %llu)",
+                        static_cast<unsigned long long>(
+                            (*recovered)->applied_steps()),
+                        static_cast<unsigned long long>(synced_steps));
+  }
+  if (const Status fed = FeedRemaining(recovered->get(), stream);
+      !fed.ok()) {
+    return "resume failed: " + fed.ToString();
+  }
+  const std::string got = Fingerprint((*recovered)->clusterer());
+  (*recovered)->Close();
+  if (got != want) {
+    return "recovered final state diverges from the uninterrupted run";
+  }
+  return "";
 }
 
 }  // namespace
@@ -129,19 +217,9 @@ Result<TortureReport> RunCrashTorture(const TortureOptions& options) {
     const CrashFlush flush = static_cast<CrashFlush>((kill - 1) % 3);
     FaultInjectionEnv fault_env(base);
     fault_env.ArmCrashAtOp(kill, flush);
-    {
-      Result<std::unique_ptr<DurableClusterer>> doomed =
-          DurableClusterer::Open(stream.corpus.get(), options.params,
-                                 incremental,
-                                 MakeDurableOptions(options, &fault_env));
-      if (doomed.ok()) {
-        const Status fed = FeedRemaining(doomed->get(), stream);
-        if (!fed.ok() && fed.code() != StatusCode::kIOError) return fed;
-        if (!fault_env.crashed()) {
-          (*doomed)->Close();  // may itself be the crashing operation
-        }
-      }
-    }
+    Result<uint64_t> synced_steps =
+        RunUntilCrash(options, stream, incremental, &fault_env);
+    if (!synced_steps.ok()) return synced_steps.status();
     if (!fault_env.crashed()) {
       // The whole run (open + stream + close) finished under the injected
       // budget: every reachable crash point has been exercised.
@@ -149,41 +227,52 @@ Result<TortureReport> RunCrashTorture(const TortureOptions& options) {
       return report;
     }
     ++report.kill_points_exercised;
+    const std::string kill_point =
+        StringPrintf("kill point %llu (flush mode %d)",
+                     static_cast<unsigned long long>(kill),
+                     static_cast<int>(flush));
+    Result<DirImage> image = ReadImage(base, options.dir);
+    if (!image.ok()) return image.status();
 
     // Recovery with a healthy filesystem: reopen, resume, finish.
-    Result<std::unique_ptr<DurableClusterer>> recovered =
-        DurableClusterer::Open(stream.corpus.get(), options.params,
-                               incremental, MakeDurableOptions(options, base));
-    if (!recovered.ok()) {
-      report.failure = StringPrintf(
-          "kill point %llu (flush mode %d): recovery failed: %s",
-          static_cast<unsigned long long>(kill), static_cast<int>(flush),
-          recovered.status().ToString().c_str());
+    RecoveryInfo info;
+    std::string failure = RecoverAndFinish(options, stream, incremental,
+                                           want, *synced_steps, &info);
+    if (!failure.empty()) {
+      report.failure = kill_point + ": " + failure;
       return report;
     }
     ++report.recoveries;
-    const RecoveryInfo& info = (*recovered)->recovery();
     if (info.installed_records > 0) {
       ++report.kill_points_installed;
     } else if (info.replayed_records > 0) {
       ++report.kill_points_rerun;
     }
-    if (const Status fed = FeedRemaining(recovered->get(), stream);
-        !fed.ok()) {
-      report.failure = StringPrintf(
-          "kill point %llu (flush mode %d): resume failed: %s",
-          static_cast<unsigned long long>(kill), static_cast<int>(flush),
-          fed.ToString().c_str());
-      return report;
-    }
-    const std::string got = Fingerprint((*recovered)->clusterer());
-    (*recovered)->Close();
-    if (got != want) {
-      report.failure = StringPrintf(
-          "kill point %llu (flush mode %d): recovered final state "
-          "diverges from the uninterrupted run",
-          static_cast<unsigned long long>(kill), static_cast<int>(flush));
-      return report;
+
+    // Second crash: the same recovery, killed in turn at each of the
+    // reopened store's first mutating operations, then recovered once
+    // more on a healthy filesystem. Only a recovery that resumed stored
+    // state has a reopened generation to crash in.
+    for (uint64_t op = 1; info.resumed && op <= kSecondCrashOps; ++op) {
+      NIDC_RETURN_NOT_OK(WriteImage(base, options.dir, *image));
+      const CrashFlush second_flush =
+          static_cast<CrashFlush>((kill + op) % 3);
+      FaultInjectionEnv second_env(base);
+      second_env.ArmCrashAtOp(op, second_flush);
+      synced_steps = RunUntilCrash(options, stream, incremental, &second_env);
+      if (!synced_steps.ok()) return synced_steps.status();
+      if (!second_env.crashed()) break;  // the resumed run ended sooner
+      RecoveryInfo second_info;
+      failure = RecoverAndFinish(options, stream, incremental, want,
+                                 *synced_steps, &second_info);
+      if (!failure.empty()) {
+        report.failure = StringPrintf(
+            "%s, second crash at op %llu (flush mode %d): %s",
+            kill_point.c_str(), static_cast<unsigned long long>(op),
+            static_cast<int>(second_flush), failure.c_str());
+        return report;
+      }
+      ++report.second_crash_runs;
     }
     if (options.report_every > 0 && kill % options.report_every == 0) {
       std::fprintf(stderr, "torture: %llu kill points ok\n",

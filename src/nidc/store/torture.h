@@ -14,7 +14,11 @@
 //      until the injected crash "kills" the process, then recover with a
 //      clean Env, resume feeding batches from applied_steps(), and compare
 //      the final fingerprint against the reference;
-//   4. stop when a run completes without the injection firing — every
+//   4. when that recovery resumed stored state, crash it in turn at each
+//      of the reopened store's first 8 mutating operations (from the same
+//      crash image, cycling the flush policies), recover once more with a
+//      clean Env and require the same bit-identical final state;
+//   5. stop when a run completes without the injection firing — every
 //      reachable crash point has then been exercised.
 //
 // Used by tools/nidc_crash_torture (full matrix, CI) and the
@@ -69,6 +73,9 @@ struct TortureReport {
   /// Kill points whose recovery replayed WAL records and re-ran K-means
   /// for every one of them.
   uint64_t kill_points_rerun = 0;
+  /// Recoveries crashed a second time, each at one of the reopened
+  /// store's first mutating operations, and recovered bit-identically.
+  uint64_t second_crash_runs = 0;
   /// First divergence/failure, empty when passed.
   std::string failure;
 };

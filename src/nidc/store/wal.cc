@@ -44,6 +44,35 @@ void AppendFrame(std::string* out, std::string_view payload) {
   out->append(payload);
 }
 
+// A SequentialFile over bytes already in memory.
+class StringFile : public SequentialFile {
+ public:
+  explicit StringFile(std::string contents) : contents_(std::move(contents)) {}
+
+  Result<size_t> Read(size_t n, char* scratch) override {
+    const size_t count = std::min(n, contents_.size() - offset_);
+    std::memcpy(scratch, contents_.data() + offset_, count);
+    offset_ += count;
+    return count;
+  }
+
+ private:
+  std::string contents_;
+  size_t offset_ = 0;
+};
+
+// Every valid record `reader` yields and how its scan ended; the caller
+// checks reader->status().
+WalReadResult ReadAll(WalReader* reader) {
+  WalReadResult result;
+  std::string record;
+  while (reader->Next(&record)) result.records.push_back(record);
+  result.clean = reader->clean();
+  result.dropped_bytes = reader->dropped_bytes();
+  result.error = reader->error();
+  return result;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Create(Env* env,
@@ -184,14 +213,19 @@ bool WalReader::Next(std::string* record) {
 Result<WalReadResult> ReadWal(Env* env, const std::string& path) {
   Result<std::unique_ptr<WalReader>> reader = WalReader::Open(env, path);
   if (!reader.ok()) return reader.status();
-  WalReadResult result;
-  std::string record;
-  while ((*reader)->Next(&record)) result.records.push_back(record);
+  WalReadResult result = ReadAll(reader->get());
   NIDC_RETURN_NOT_OK((*reader)->status());
-  result.clean = (*reader)->clean();
-  result.dropped_bytes = (*reader)->dropped_bytes();
-  result.error = (*reader)->error();
   return result;
+}
+
+bool HasWalHeader(std::string_view contents) {
+  return contents.substr(0, kMagicSize) ==
+         std::string_view(kWalMagic, kMagicSize);
+}
+
+WalReadResult ParseWal(std::string contents) {
+  WalReader reader(std::make_unique<StringFile>(std::move(contents)));
+  return ReadAll(&reader);
 }
 
 Status RewriteWal(Env* env, const std::string& path,

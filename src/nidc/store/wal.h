@@ -117,6 +117,8 @@ class WalReader {
   const std::string& error() const { return error_; }
 
  private:
+  friend WalReadResult ParseWal(std::string contents);
+
   explicit WalReader(std::unique_ptr<SequentialFile> file)
       : file_(std::move(file)) {}
 
@@ -140,6 +142,12 @@ class WalReader {
 /// Reads every valid record of `path`. Returns IOError only when the file
 /// cannot be read at all; framing damage is reported via WalReadResult.
 Result<WalReadResult> ReadWal(Env* env, const std::string& path);
+
+/// True when `contents` opens with the WAL file header.
+bool HasWalHeader(std::string_view contents);
+
+/// ReadWal over a file's bytes already in memory.
+WalReadResult ParseWal(std::string contents);
 
 /// Atomically rewrites `path` to contain exactly `records` (header
 /// included). Used to repair a torn tail before reopening a WAL for

@@ -48,6 +48,28 @@ TEST(CrashTortureTest, EarlyKillPointsRecoverBitIdentically) {
   EXPECT_GT(report->kill_points_rerun, 0u);
 }
 
+TEST(CrashTortureTest, SecondCrashAfterResumeRecoversBitIdentically) {
+  // A recovery that resumed a generation keeps writing to it; crashing
+  // that reopened store at each of its first operations (cutting a torn
+  // tail back, reopening the WAL, the open-time sync, the first new
+  // records) must recover to the same final state, in both fsync modes.
+  for (const WalSyncMode mode :
+       {WalSyncMode::kEveryRecord, WalSyncMode::kNone}) {
+    const bool every = mode == WalSyncMode::kEveryRecord;
+    SCOPED_TRACE(every ? "every record" : "none");
+    TortureOptions options;
+    options.dir = TortureDir(every ? "second_every" : "second_none");
+    options.num_steps = 6;
+    options.checkpoint_every = 2;
+    options.max_kill_points = 45;
+    options.wal_sync = mode;
+    Result<TortureReport> report = RunCrashTorture(options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->passed) << report->failure;
+    EXPECT_GT(report->second_crash_runs, report->kill_points_exercised);
+  }
+}
+
 TEST(CrashTortureTest, FullMatrixOnShortStreamWithoutFsync) {
   // WalSyncMode::kNone makes dropped-unsynced crashes lose WAL tails, so
   // recovery leans on refeeding from applied_steps(); the final state

@@ -87,6 +87,18 @@ class DurableClustererTest : public ::testing::Test {
     }
   }
 
+  // Feeds steps [0, steps) through a store on `durable` that is then
+  // killed: no final rotation, and everything it wrote survives.
+  void FeedAndKill(DurableOptions durable, size_t steps) {
+    FaultInjectionEnv fault_env(Env::Default());
+    durable.env = &fault_env;
+    auto store = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                        incremental_, durable);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    Feed(store->get(), 0, steps);
+    fault_env.ArmCrashAtOp(1, CrashFlush::kKeepUnsynced);
+  }
+
   // The uninterrupted-run fingerprint after all batches.
   std::string ReferenceFingerprint() {
     IncrementalClusterer reference(stream_.corpus.get(), params_,
@@ -116,7 +128,7 @@ TEST_F(DurableClustererTest, OpenRejectsBadOptions) {
                    .ok());
 }
 
-TEST_F(DurableClustererTest, FreshOpenStartsEmptyAndRotates) {
+TEST_F(DurableClustererTest, FreshOpenStartsEmptyAndReopenResumesIt) {
   Env* env = Env::Default();
   const std::string dir = FreshDir("fresh");
   {
@@ -151,12 +163,18 @@ TEST_F(DurableClustererTest, FreshOpenStartsEmptyAndRotates) {
   EXPECT_EQ(info.replayed_records, 2u);
   EXPECT_EQ(info.snapshot_fallbacks, 0u);
   EXPECT_EQ((*reopened)->applied_steps(), 2u);
-  // The first checkpoint writes the usual snapshot + manifest pair.
-  EXPECT_EQ((*reopened)->generation(), 2u);
+  // The reopen resumes generation 1 and writes no checkpoint of its own.
+  EXPECT_EQ((*reopened)->generation(), 1u);
+  EXPECT_EQ(info.new_generation, 1u);
+  EXPECT_EQ((*reopened)->wal_records_since_checkpoint(), 2u);
+  EXPECT_FALSE(env->FileExists(dir + "/MANIFEST"));
+  EXPECT_FALSE(env->FileExists(dir + "/" + SnapshotFileName(1)));
+  EXPECT_FALSE(env->FileExists(dir + "/" + SnapshotFileName(2)));
+  // Close's checkpoint writes the usual snapshot + manifest pair.
+  ASSERT_TRUE((*reopened)->Close().ok());
   EXPECT_TRUE(env->FileExists(dir + "/MANIFEST"));
   EXPECT_TRUE(env->FileExists(dir + "/" + SnapshotFileName(2)));
   EXPECT_FALSE(env->FileExists(dir + "/" + SnapshotFileName(1)));
-  ASSERT_TRUE((*reopened)->Close().ok());
 }
 
 TEST_F(DurableClustererTest, StopAndReopenContinuesBitIdentically) {
@@ -312,6 +330,136 @@ TEST_F(DurableClustererTest, CorruptSecondSnapshotFallsBackToImplicitFirst) {
   Feed(recovered->get(), (*recovered)->applied_steps(),
        stream_.batches.size());
   EXPECT_EQ(Fingerprint((*recovered)->clusterer()), ReferenceFingerprint());
+  ASSERT_TRUE((*recovered)->Close().ok());
+}
+
+TEST_F(DurableClustererTest, FallbackFromCorruptNewestSnapshotRotates) {
+  // Generation 3 holds steps 10-11 in its WAL; its snapshot is destroyed,
+  // so recovery falls back to generation 2 and must not grow its WAL.
+  Env* env = Env::Default();
+  const std::string dir = FreshDir("fallback_rotates");
+  DurableOptions options = Options(dir, /*checkpoint_every=*/5);
+  options.keep_generations = 3;
+  FeedAndKill(options, 12);
+  ASSERT_TRUE(AtomicWriteFile(env, dir + "/" + SnapshotFileName(3),
+                              "nidc-state v2\ngarbage")
+                  .ok());
+  const std::string older_wal =
+      env->ReadFileToString(dir + "/" + WalFileName(2)).value();
+
+  auto recovered = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                          incremental_, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const RecoveryInfo& info = (*recovered)->recovery();
+  EXPECT_EQ(info.snapshot_fallbacks, 1u);
+  EXPECT_EQ(info.source_generation, 2u);
+  EXPECT_EQ(info.replayed_records, 5u);
+  // newest_seen + 1, as a checkpoint at open has always numbered it.
+  EXPECT_EQ((*recovered)->generation(), 4u);
+  EXPECT_EQ(info.new_generation, 4u);
+  EXPECT_TRUE(env->FileExists(dir + "/" + SnapshotFileName(4)));
+  EXPECT_EQ(env->ReadFileToString(dir + "/" + WalFileName(2)).value(),
+            older_wal);
+  Feed(recovered->get(), (*recovered)->applied_steps(),
+       stream_.batches.size());
+  EXPECT_EQ(Fingerprint((*recovered)->clusterer()), ReferenceFingerprint());
+  ASSERT_TRUE((*recovered)->Close().ok());
+}
+
+TEST_F(DurableClustererTest, NewerSnapshotThanTheManifestRotates) {
+  // A rotation that wrote snapshot-000003 but died before its manifest
+  // flip: recovery resumes generation 2 without a fallback, yet a newer
+  // generation is on disk, so Open checkpoints past it.
+  Env* env = Env::Default();
+  const std::string dir = FreshDir("newer_on_disk");
+  FeedAndKill(Options(dir, /*checkpoint_every=*/5), 7);
+  ASSERT_TRUE(AtomicWriteFile(
+                  env, dir + "/" + SnapshotFileName(3),
+                  env->ReadFileToString(dir + "/" + SnapshotFileName(2))
+                      .value())
+                  .ok());
+  const std::string older_wal =
+      env->ReadFileToString(dir + "/" + WalFileName(2)).value();
+
+  auto recovered = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                          incremental_, Options(dir));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const RecoveryInfo& info = (*recovered)->recovery();
+  EXPECT_EQ(info.snapshot_fallbacks, 0u);
+  EXPECT_EQ(info.source_generation, 2u);
+  EXPECT_EQ(info.replayed_records, 2u);
+  EXPECT_EQ((*recovered)->generation(), 3u);
+  EXPECT_EQ(ReadManifest(env, dir).value().generation, 3u);
+  EXPECT_EQ(env->ReadFileToString(dir + "/" + WalFileName(2)).value(),
+            older_wal);
+  Feed(recovered->get(), (*recovered)->applied_steps(),
+       stream_.batches.size());
+  EXPECT_EQ(Fingerprint((*recovered)->clusterer()), ReferenceFingerprint());
+  ASSERT_TRUE((*recovered)->Close().ok());
+}
+
+TEST_F(DurableClustererTest, FallbackOntoTheNewestGenerationRotates) {
+  // The manifest's generation 2 is corrupt and a snapshot-000003 whose
+  // manifest flip never happened is the newest on disk: recovery falls
+  // back onto it, and a fallback still checkpoints at open.
+  Env* env = Env::Default();
+  const std::string dir = FreshDir("fallback_onto_newest");
+  FeedAndKill(Options(dir, /*checkpoint_every=*/5), 7);
+  ASSERT_TRUE(AtomicWriteFile(
+                  env, dir + "/" + SnapshotFileName(3),
+                  env->ReadFileToString(dir + "/" + SnapshotFileName(2))
+                      .value())
+                  .ok());
+  ASSERT_TRUE(AtomicWriteFile(env, dir + "/" + SnapshotFileName(2),
+                              "nidc-state v2\ngarbage")
+                  .ok());
+
+  auto recovered = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                          incremental_, Options(dir));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const RecoveryInfo& info = (*recovered)->recovery();
+  EXPECT_EQ(info.snapshot_fallbacks, 1u);
+  EXPECT_EQ(info.source_generation, 3u);
+  EXPECT_EQ((*recovered)->generation(), 4u);
+  EXPECT_EQ(ReadManifest(env, dir).value().generation, 4u);
+  Feed(recovered->get(), (*recovered)->applied_steps(),
+       stream_.batches.size());
+  EXPECT_EQ(Fingerprint((*recovered)->clusterer()), ReferenceFingerprint());
+  ASSERT_TRUE((*recovered)->Close().ok());
+}
+
+// Records the generations a store announces to its replication sink.
+class RotationRecorder : public ReplicationSink {
+ public:
+  void OnWalRecord(uint64_t, uint64_t, uint64_t, std::string_view) override {}
+  void OnRotate(uint64_t generation, uint64_t, uint64_t leader_steps,
+                const std::string&) override {
+    rotations.emplace_back(generation, leader_steps);
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> rotations;
+};
+
+TEST_F(DurableClustererTest, OpenWithReplicationSinkRotates) {
+  // The shipper's catch-up base is the snapshot Open's rotation hands it,
+  // so a store with a sink checkpoints at open even mid-generation.
+  Env* env = Env::Default();
+  const std::string dir = FreshDir("sink_rotates");
+  FeedAndKill(Options(dir, /*checkpoint_every=*/5), 7);
+  RotationRecorder sink;
+  DurableOptions options = Options(dir);
+  options.sink = &sink;
+  auto recovered = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                          incremental_, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const RecoveryInfo& info = (*recovered)->recovery();
+  EXPECT_EQ(info.snapshot_fallbacks, 0u);
+  EXPECT_EQ(info.source_generation, 2u);
+  EXPECT_EQ(info.replayed_records, 2u);
+  EXPECT_EQ((*recovered)->generation(), 3u);
+  EXPECT_TRUE(env->FileExists(dir + "/" + SnapshotFileName(3)));
+  ASSERT_EQ(sink.rotations.size(), 1u);
+  EXPECT_EQ(sink.rotations[0].first, 3u);
+  EXPECT_EQ(sink.rotations[0].second, 7u);
   ASSERT_TRUE((*recovered)->Close().ok());
 }
 

@@ -1,7 +1,8 @@
-// Filesystem budgets of the two set-up paths — creating a tenant and
-// opening a fresh durable store — and of a tenant's ingest. A counting Env
-// tallies syncs and new files, so an extra fsync or an eager checkpoint
-// fails here instead of surfacing later as set-up or ingest time.
+// Filesystem budgets of the set-up paths — creating a tenant, reopening
+// a crashed one and opening a fresh durable store — and of a tenant's
+// ingest. A counting Env tallies syncs and new files, so an extra fsync or
+// an eager checkpoint fails here instead of surfacing later as set-up or
+// ingest time.
 
 #include <algorithm>
 #include <filesystem>
@@ -14,6 +15,7 @@
 #include "nidc/shard/tenant.h"
 #include "nidc/store/durable_clusterer.h"
 #include "nidc/store/torture.h"
+#include "nidc/util/fault_env.h"
 
 namespace nidc {
 namespace {
@@ -148,6 +150,65 @@ TEST(IoBudgetTest, IngestSyncsOncePerBatch) {
     EXPECT_EQ((*tenant)->steps_applied(), 1u);
     EXPECT_EQ(env.file_syncs - before, expected) << "closes one window";
   }
+}
+
+TEST(IoBudgetTest, ReopenAfterCrashWritesNoCheckpoint) {
+  const std::string dir = FreshRoot("reopen") + "/budget";
+  shard::TenantConfig config;
+  config.k = 2;
+  uint64_t generation = 0;
+  {
+    FaultInjectionEnv fault_env(Env::Default());
+    shard::TenantRuntime runtime;
+    runtime.env = &fault_env;
+    runtime.checkpoint_every = 3;
+    auto tenant = shard::Tenant::Create("budget", dir, config, runtime);
+    ASSERT_TRUE(tenant.ok()) << tenant.status().ToString();
+    for (int day = 0; day < 5; ++day) {
+      std::vector<RawDocument> docs(3);
+      for (size_t i = 0; i < docs.size(); ++i) {
+        docs[i].time = day + 0.1 * static_cast<double>(i + 1);
+        docs[i].text = "reopen words " + std::to_string(day + i);
+      }
+      ASSERT_TRUE((*tenant)->Ingest(docs).ok());
+    }
+    // Four steps: a checkpoint after the third, then one step and the
+    // corpus records around it in the new generation's WAL.
+    ASSERT_EQ((*tenant)->steps_applied(), 4u);
+    generation = (*tenant)->durable().generation();
+    ASSERT_GT(generation, 1u);
+    ASSERT_EQ((*tenant)->durable().wal_records_since_checkpoint(), 1u);
+    // Process kill: everything written survives, no final checkpoint.
+    fault_env.ArmCrashAtOp(1, CrashFlush::kKeepUnsynced);
+  }
+
+  CountingEnv env(Env::Default());
+  shard::TenantRuntime runtime;
+  runtime.env = &env;
+  runtime.checkpoint_every = 3;
+  auto reopened = shard::Tenant::Open("budget", dir, runtime);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const DurableClusterer& store = (*reopened)->durable();
+  EXPECT_TRUE(store.recovery().resumed);
+  EXPECT_EQ(store.recovery().source_generation, generation);
+  EXPECT_EQ(store.generation(), store.recovery().source_generation);
+  EXPECT_EQ(store.recovery().replayed_records, 1u);
+  EXPECT_EQ((*reopened)->steps_applied(), 4u);
+  // The cadence goes on from the recovered generation's step.
+  EXPECT_EQ(store.wal_records_since_checkpoint(), 1u);
+  for (const std::string& path : env.created) {
+    EXPECT_NE(BaseName(path).rfind("wal-", 0), 0u) << path;
+  }
+  std::vector<std::string> written = env.created;
+  written.insert(written.end(), env.renamed_to.begin(), env.renamed_to.end());
+  for (const std::string& path : written) {
+    EXPECT_NE(BaseName(path).rfind("snapshot-", 0), 0u) << path;
+    EXPECT_NE(BaseName(path), "MANIFEST") << path;
+  }
+  // The reused WAL's one sync makes everything recovery replayed durable.
+  EXPECT_EQ(env.file_syncs, 1u);
+  EXPECT_TRUE(env.synced_dirs.empty());
+  ASSERT_TRUE((*reopened)->Close().ok());
 }
 
 TEST(IoBudgetTest, FreshOpenSyncsNothingUntilTheFirstStep) {

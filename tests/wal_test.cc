@@ -73,6 +73,12 @@ TEST(WalTest, TruncatedTailDropsOnlyTheDamage) {
   EXPECT_GT(read->dropped_bytes, 0u);
   ASSERT_EQ(read->records.size(), 1u);
   EXPECT_EQ(read->records[0], "intact one");
+  // The same bytes already in memory parse the same way.
+  EXPECT_TRUE(HasWalHeader(truncated));
+  const WalReadResult parsed = ParseWal(truncated);
+  EXPECT_EQ(parsed.records, read->records);
+  EXPECT_FALSE(parsed.clean);
+  EXPECT_EQ(parsed.dropped_bytes, read->dropped_bytes);
   env->RemoveFile(path);
 }
 
@@ -105,6 +111,8 @@ TEST(WalTest, MissingHeaderQuarantinesEverything) {
   Env* env = Env::Default();
   const std::string path = TestPath("bad_header");
   ASSERT_TRUE(AtomicWriteFile(env, path, "not a wal at all").ok());
+  EXPECT_FALSE(HasWalHeader("not a wal at all"));
+  EXPECT_FALSE(HasWalHeader(""));
   auto read = ReadWal(env, path);
   ASSERT_TRUE(read.ok());
   EXPECT_FALSE(read->clean);
