@@ -1,6 +1,6 @@
 // Estimating the number of clusters K — the paper's §7 names "a method to
 // estimate the appropriate K value" as future work; this module provides
-// two estimators and a bench (`bench_k_estimation`) evaluates them against
+// two estimators and `nidc_repro k-estimation` evaluates them against
 // the ground-truth topic counts of the synthetic corpus.
 //
 // 1. Cover-coefficient estimate (Can 1993, the basis of the paper's F²ICM

@@ -72,7 +72,7 @@ TEST_F(EndToEndTest, Window1ProducesMeaningfulClusters) {
 
 TEST_F(EndToEndTest, ShortHalfLifeForgetsMoreAndF1StaysComparable) {
   // Table 4's headline — β=30 beats β=7 on F1 — only stabilizes at full
-  // corpus scale (asserted by bench_table4_f1, 6/6 windows). At this
+  // corpus scale (6/6 windows, pinned by the repro.table4 digest). At this
   // reduced scale we assert the *mechanism*: β=7 forgets far more of the
   // window (outliers), while both settings stay in the same F1 regime.
   size_t outliers_short = 0;

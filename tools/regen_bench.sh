@@ -1,13 +1,20 @@
 #!/usr/bin/env sh
-# Regenerate the committed BENCH_*.json files at the repository root.
+# Regenerate the committed benchmark records: bench/repro_digests.tsv and
+# the BENCH_*.json files at the repository root.
 #
 # Usage (from anywhere inside the checkout):
 #   tools/regen_bench.sh [build-dir]
 #
-# The build directory defaults to ./build. The script configures and
-# builds the two bench targets if the binaries are missing, then runs
-# them with NIDC_BENCH_JSON_DIR pointed at the repo root so the JSON
-# lands where it is committed:
+# The build directory defaults to ./build. The script first rebuilds
+# nidc_repro and rewrites bench/repro_digests.tsv from `nidc_repro all`:
+# one CRC-32C per paper table, figure, ablation and probe, which the
+# repro.<artifact> tests check. A changed digest is a changed paper
+# number. Report it as a bug unless the change means to move that number,
+# and then say which artifacts move and why.
+#
+# It then configures and builds the two perf-bench targets if the
+# binaries are missing, and runs them with NIDC_BENCH_JSON_DIR pointed at
+# the repo root so the JSON lands where it is committed:
 #
 #   BENCH_sweep_hotpath.json   bench_sweep_hotpath  (hot-path sweep ladder)
 #   BENCH_capacity.json        bench_capacity       (multi-tenant capacity)
@@ -29,6 +36,26 @@ set -eu
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build_dir=${1:-"$repo_root/build"}
 
+echo "== nidc_repro all =="
+cmake -B "$build_dir" -S "$repo_root" >/dev/null
+cmake --build "$build_dir" --target nidc_repro -j
+repro_out=$(mktemp)
+# Exit 3 means every artifact ran and some digests differ from the
+# committed ones; any other failure (1: a step failed) stops the script
+# before the file is touched.
+"$build_dir/bench/nidc_repro" all > "$repro_out" || [ $? -eq 3 ]
+{
+  echo "# Digests of nidc_repro's paper artifacts: the CRC-32C of each"
+  echo "# artifact's quality text (wall-clock figures excluded). The"
+  echo "# repro.<artifact> tests check these rows:"
+  echo "#   <artifact> <crc32c>"
+  echo "# A changed digest is a changed paper number: a bug to report"
+  echo "# unless the change means to move it. tools/regen_bench.sh"
+  echo "# rewrites this file."
+  awk '$1 == "digest" { print $2, $3 }' "$repro_out"
+} > "$repo_root/bench/repro_digests.tsv"
+rm -f "$repro_out"
+
 if [ ! -x "$build_dir/bench/bench_sweep_hotpath" ] || \
    [ ! -x "$build_dir/bench/bench_capacity" ]; then
   echo "regen_bench: building bench targets in $build_dir" >&2
@@ -45,6 +72,7 @@ echo "== bench_capacity =="
 "$build_dir/bench/bench_capacity"
 
 echo
-echo "Wrote $repo_root/BENCH_sweep_hotpath.json"
+echo "Wrote $repo_root/bench/repro_digests.tsv"
+echo "      $repo_root/BENCH_sweep_hotpath.json"
 echo "      $repo_root/BENCH_capacity.json"
-echo "Review with: git diff -- BENCH_sweep_hotpath.json BENCH_capacity.json"
+echo "Review with: git diff -- bench/repro_digests.tsv BENCH_sweep_hotpath.json BENCH_capacity.json"
