@@ -56,9 +56,9 @@ int main(int argc, char** argv) {
                   generator.TopicName(doc.topic).c_str());
     }
   }
-  std::printf("\n%zu first stories among %zu documents; %zu docs indexed "
+  std::printf("\n%zu first stories among %zu documents; %zu docs active "
               "now (older ones expired).\n",
               detector.num_first_stories(), observed,
-              detector.index().num_docs());
+              detector.model().active_docs().size());
   return 0;
 }

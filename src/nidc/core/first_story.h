@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "nidc/core/novelty_similarity.h"
-#include "nidc/text/inverted_index.h"
 
 namespace nidc {
 
@@ -57,14 +56,9 @@ class FirstStoryDetector {
   /// Total first stories flagged so far.
   size_t num_first_stories() const { return num_first_stories_; }
 
-  /// The candidate-pruning index over the active set (exposed for tests
-  /// and diagnostics).
-  const InvertedIndex& index() const { return index_; }
-
  private:
   ForgettingModel model_;
   FirstStoryOptions options_;
-  InvertedIndex index_;
   size_t num_first_stories_ = 0;
 };
 

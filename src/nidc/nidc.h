@@ -18,7 +18,6 @@
 
 // Text pipeline.
 #include "nidc/text/analyzer.h"
-#include "nidc/text/inverted_index.h"
 #include "nidc/text/porter_stemmer.h"
 #include "nidc/text/sparse_vector.h"
 #include "nidc/text/stopwords.h"

@@ -57,6 +57,15 @@ std::string JsonQuote(const std::string& raw) {
   return out;
 }
 
+std::string JsonArray(const std::vector<std::string>& elements) {
+  std::string out = "[";
+  for (size_t i = 0; i < elements.size(); ++i) {
+    if (i > 0) out += ",";
+    out += elements[i];
+  }
+  return out + "]";
+}
+
 std::string JsonNumber(double value) {
   if (!std::isfinite(value)) return "null";
   // Shortest of %.15g/%.16g/%.17g that parses back to the same double, so

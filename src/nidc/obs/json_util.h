@@ -30,6 +30,9 @@ std::string JsonQuote(const std::string& raw);
 /// back to the same double; non-finite values render as null.
 std::string JsonNumber(double value);
 
+/// `[e0,e1,...]` of already-rendered JSON values.
+std::string JsonArray(const std::vector<std::string>& elements);
+
 /// Incremental `{...}` builder preserving insertion order.
 class JsonObjectBuilder {
  public:

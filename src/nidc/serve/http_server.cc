@@ -5,6 +5,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
@@ -166,6 +167,35 @@ bool ParseRequestLine(const std::string& head, HttpRequest* request,
 }
 
 }  // namespace
+
+std::optional<std::string> QueryParam(std::string_view query,
+                                      std::string_view key) {
+  while (!query.empty()) {
+    const size_t end = std::min(query.find('&'), query.size());
+    const std::string_view pair = query.substr(0, end);
+    const size_t eq = pair.find('=');
+    if (eq != std::string_view::npos && pair.substr(0, eq) == key) {
+      return std::string(pair.substr(eq + 1));
+    }
+    query.remove_prefix(std::min(end + 1, query.size()));
+  }
+  return std::nullopt;
+}
+
+HttpResponse JsonResponse(int status, std::string json) {
+  HttpResponse response;
+  response.status = status;
+  response.content_type = "application/json";
+  response.body = std::move(json) + "\n";
+  return response;
+}
+
+HttpResponse MethodNotAllowed() {
+  HttpResponse response;
+  response.status = 405;
+  response.body = "wrong method for this endpoint\n";
+  return response;
+}
 
 HttpServer::HttpServer(obs::MetricsRegistry* metrics)
     : HttpServer(HttpServerOptions{}, metrics) {}

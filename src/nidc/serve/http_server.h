@@ -20,7 +20,7 @@
 // bounded: anything longer than kMaxBodyBytes is answered 413 without
 // being buffered. The method is dispatched to the same per-path handler
 // table as GET; handlers that only make sense for one method check
-// HttpRequest::method and answer 405 themselves.
+// HttpRequest::method and answer MethodNotAllowed() themselves.
 //
 // Handlers are registered per exact path before Start and run on the
 // connection workers — concurrently with each other and with the
@@ -39,7 +39,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -74,6 +76,18 @@ struct HttpResponse {
 };
 
 using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
+
+/// The raw value of `key` in a query string ("a=1&key=v"), or nullopt
+/// when the key is absent. Values are returned verbatim: nothing served
+/// here takes a value that needs percent-escapes.
+std::optional<std::string> QueryParam(std::string_view query,
+                                      std::string_view key);
+
+/// A JSON body (`json` plus a newline) with `status`.
+HttpResponse JsonResponse(int status, std::string json);
+
+/// The 405 a handler answers to a method it does not serve.
+HttpResponse MethodNotAllowed();
 
 /// Tuning knobs of the worker pool; the defaults match the introspection
 /// workload (a few concurrent scrapers plus operator curls).

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <optional>
 
 #include "nidc/obs/exporters.h"
-#include "nidc/obs/json_util.h"
+#include "nidc/util/string_util.h"
 
 namespace nidc::serve {
 
@@ -16,56 +15,15 @@ namespace {
 // that /statusz stays a glance.
 constexpr size_t kGTailCapacity = 64;
 
-// Parses the "n" query parameter ("n=32"); returns fallback when absent
-// or malformed.
-size_t ParseCountParam(const std::string& query, size_t fallback) {
-  size_t pos = 0;
-  while (pos < query.size()) {
-    size_t end = query.find('&', pos);
-    if (end == std::string::npos) end = query.size();
-    const std::string pair = query.substr(pos, end - pos);
-    if (pair.size() > 2 && pair.compare(0, 2, "n=") == 0) {
-      char* parse_end = nullptr;
-      const unsigned long long n =
-          std::strtoull(pair.c_str() + 2, &parse_end, 10);
-      if (parse_end != nullptr && *parse_end == '\0') {
-        return static_cast<size_t>(n);
-      }
-      return fallback;
-    }
-    pos = end + 1;
-  }
-  return fallback;
-}
+// /tracez serves this many recent traces without a valid ?n=, and never
+// more than kMaxTraces.
+constexpr size_t kDefaultTraces = 20;
+constexpr size_t kMaxTraces = 256;
 
-// Returns the raw value of `key` ("key=value") in the query string, or an
-// empty optional when the key is absent. Values are returned verbatim —
-// registry metric names never need percent-escapes.
-std::optional<std::string> ParseStringParam(const std::string& query,
-                                            const std::string& key) {
-  const std::string prefix = key + "=";
-  size_t pos = 0;
-  while (pos < query.size()) {
-    size_t end = query.find('&', pos);
-    if (end == std::string::npos) end = query.size();
-    const std::string pair = query.substr(pos, end - pos);
-    if (pair.size() >= prefix.size() &&
-        pair.compare(0, prefix.size(), prefix) == 0) {
-      return pair.substr(prefix.size());
-    }
-    pos = end + 1;
-  }
-  return std::nullopt;
-}
-
-std::string RenderJsonArray(const std::vector<std::string>& elements) {
-  std::string out = "[";
-  for (size_t i = 0; i < elements.size(); ++i) {
-    if (i > 0) out += ",";
-    out += elements[i];
-  }
-  out += "]";
-  return out;
+// The "n" query parameter; `fallback` when absent or malformed.
+size_t CountParam(const HttpRequest& request, size_t fallback) {
+  return ParseNumber<size_t>(QueryParam(request.query, "n").value_or(""))
+      .value_or(fallback);
 }
 
 std::string RenderDurabilityJson(const DurabilityStatus& durability) {
@@ -76,14 +34,6 @@ std::string RenderDurabilityJson(const DurabilityStatus& durability) {
               durability.wal_records_since_checkpoint);
   builder.Add("checkpoint_every", durability.checkpoint_every);
   return builder.Render();
-}
-
-HttpResponse JsonResponse(int status, std::string body) {
-  HttpResponse response;
-  response.status = status;
-  response.content_type = "application/json";
-  response.body = std::move(body) + "\n";
-  return response;
 }
 
 }  // namespace
@@ -153,6 +103,16 @@ double StatusBoard::uptime_seconds() const {
   return NowSeconds() - start_seconds_;
 }
 
+void AddSloBurning(obs::SloEngine& slo, obs::JsonObjectBuilder* builder) {
+  std::vector<std::string> burning;
+  for (const std::string& tenant :
+       slo.BurningTenants(obs::RequestTracer::NowSeconds())) {
+    burning.push_back(obs::JsonQuote(tenant));
+  }
+  builder->Add("slo_burning", !burning.empty());
+  builder->AddRaw("slo_burning_tenants", obs::JsonArray(burning));
+}
+
 std::string RenderHealthJson(const IntrospectionOptions& options,
                              bool* healthy) {
   obs::JsonObjectBuilder builder;
@@ -183,21 +143,9 @@ std::string RenderHealthJson(const IntrospectionOptions& options,
     builder.Add("status", "ok");
     builder.Add("role", "standalone");
   }
-  if (options.slo != nullptr) {
-    // Burning budgets are a paging signal, not a liveness one — detail
-    // fields only, never the 503 verdict.
-    std::string burning = "[";
-    bool first = true;
-    for (const std::string& tenant :
-         options.slo->BurningTenants(obs::RequestTracer::NowSeconds())) {
-      if (!first) burning += ",";
-      first = false;
-      burning += obs::JsonQuote(tenant);
-    }
-    burning += "]";
-    builder.Add("slo_burning", !first);
-    builder.AddRaw("slo_burning_tenants", burning);
-  }
+  // Burning budgets are a paging signal, not a liveness one — detail
+  // fields only, never the 503 verdict.
+  if (options.slo != nullptr) AddSloBurning(*options.slo, &builder);
   if (healthy != nullptr) *healthy = ok;
   return builder.Render();
 }
@@ -232,7 +180,7 @@ std::string RenderClusterRows(const obs::HealthSnapshot& health) {
     builder.Add("drift", row.drift);
     rows.push_back(builder.Render());
   }
-  return RenderJsonArray(rows);
+  return obs::JsonArray(rows);
 }
 
 // The rep-index build/maintenance scalars, pulled from the registry by
@@ -268,7 +216,7 @@ std::string RenderStatusJson(const IntrospectionOptions& options) {
     for (double g : options.board->g_tail()) {
       g_values.push_back(obs::JsonNumber(g));
     }
-    builder.AddRaw("g_tail", RenderJsonArray(g_values));
+    builder.AddRaw("g_tail", obs::JsonArray(g_values));
     builder.AddRaw("durability",
                    RenderDurabilityJson(options.board->durability()));
   } else {
@@ -297,166 +245,219 @@ std::string RenderStatusJson(const IntrospectionOptions& options) {
   return builder.Render();
 }
 
-void RegisterIntrospectionEndpoints(HttpServer* server,
-                                    const IntrospectionOptions& options) {
-  if (options.metrics != nullptr) {
-    obs::MetricsRegistry* metrics = options.metrics;
-    server->Handle("/metrics", [metrics](const HttpRequest&) {
-      HttpResponse response;
-      response.content_type = "text/plain; version=0.0.4";
-      response.body = obs::RenderPrometheus(metrics->Snapshot());
-      return response;
-    });
+namespace {
+
+HttpResponse ServeMetrics(const IntrospectionOptions& options,
+                          const HttpRequest&) {
+  HttpResponse response;
+  response.content_type = "text/plain; version=0.0.4";
+  response.body = obs::RenderPrometheus(options.metrics->Snapshot());
+  return response;
+}
+
+HttpResponse ServeHealth(const IntrospectionOptions& options,
+                         const HttpRequest&) {
+  bool healthy = true;
+  std::string body = RenderHealthJson(options, &healthy);
+  return JsonResponse(healthy ? 200 : 503, std::move(body));
+}
+
+HttpResponse ServeStatus(const IntrospectionOptions& options,
+                         const HttpRequest&) {
+  return JsonResponse(200, RenderStatusJson(options));
+}
+
+HttpResponse ServeEvents(const IntrospectionOptions& options,
+                         const HttpRequest& request) {
+  const size_t n = std::min(options.max_events,
+                            CountParam(request, options.max_events));
+  std::vector<std::string> rendered;
+  for (const obs::Event& event : options.events->Recent(n)) {
+    rendered.push_back(obs::RenderEventJson(event));
   }
-  server->Handle("/healthz", [options](const HttpRequest&) {
-    bool healthy = true;
-    std::string body = RenderHealthJson(options, &healthy);
-    return JsonResponse(healthy ? 200 : 503, std::move(body));
-  });
-  server->Handle("/statusz", [options](const HttpRequest&) {
-    return JsonResponse(200, RenderStatusJson(options));
-  });
-  if (options.events != nullptr) {
-    const obs::EventLog* events = options.events;
-    const size_t max_events = options.max_events;
-    server->Handle("/eventsz", [events, max_events](
-                                   const HttpRequest& request) {
-      const size_t n = std::min(
-          max_events, ParseCountParam(request.query, max_events));
-      std::vector<std::string> rendered;
-      for (const obs::Event& event : events->Recent(n)) {
-        rendered.push_back(obs::RenderEventJson(event));
-      }
-      obs::JsonObjectBuilder builder;
-      builder.Add("emitted", events->total_emitted());
-      builder.Add("dropped", events->dropped());
-      builder.AddRaw("events", RenderJsonArray(rendered));
-      return JsonResponse(200, builder.Render());
-    });
+  obs::JsonObjectBuilder builder;
+  builder.Add("emitted", options.events->total_emitted());
+  builder.Add("dropped", options.events->dropped());
+  builder.AddRaw("events", obs::JsonArray(rendered));
+  return JsonResponse(200, builder.Render());
+}
+
+HttpResponse ServeTimeSeries(const IntrospectionOptions& options,
+                             const HttpRequest& request) {
+  const obs::TimeSeriesStore& store = *options.timeseries;
+  const std::optional<std::string> metric =
+      QueryParam(request.query, "metric");
+  if (!metric.has_value()) {
+    return JsonResponse(200, obs::RenderTimeSeriesListJson(store));
   }
-  if (options.timeseries != nullptr) {
-    const obs::TimeSeriesStore* store = options.timeseries;
-    server->Handle("/timeseriesz", [store](const HttpRequest& request) {
-      const std::optional<std::string> metric =
-          ParseStringParam(request.query, "metric");
-      if (!metric.has_value()) {
-        return JsonResponse(200, obs::RenderTimeSeriesListJson(*store));
-      }
-      if (!store->Has(*metric)) {
-        return JsonResponse(404, obs::JsonObjectBuilder()
-                                     .Add("error", "unknown metric")
-                                     .Add("metric", *metric)
-                                     .Render());
-      }
-      size_t resolution = 1;
-      const std::optional<std::string> res =
-          ParseStringParam(request.query, "res");
-      if (res.has_value()) {
-        char* parse_end = nullptr;
-        const unsigned long long parsed =
-            std::strtoull(res->c_str(), &parse_end, 10);
-        resolution = (parse_end != nullptr && *parse_end == '\0' &&
-                      !res->empty())
-                         ? static_cast<size_t>(parsed)
-                         : 0;
-      }
-      const std::vector<size_t> known = store->Resolutions();
-      if (std::find(known.begin(), known.end(), resolution) == known.end()) {
-        return JsonResponse(
-            404, obs::JsonObjectBuilder()
-                     .Add("error", "unknown resolution (see /timeseriesz)")
-                     .Render());
-      }
+  if (!store.Has(*metric)) {
+    return JsonResponse(404, obs::JsonObjectBuilder()
+                                 .Add("error", "unknown metric")
+                                 .Add("metric", *metric)
+                                 .Render());
+  }
+  const std::optional<std::string> res = QueryParam(request.query, "res");
+  const size_t resolution =
+      res.has_value() ? ParseNumber<size_t>(*res).value_or(0) : 1;
+  const std::vector<size_t> known = store.Resolutions();
+  if (std::find(known.begin(), known.end(), resolution) == known.end()) {
+    return JsonResponse(
+        404, obs::JsonObjectBuilder()
+                 .Add("error", "unknown resolution (see /timeseriesz)")
+                 .Render());
+  }
+  return JsonResponse(200,
+                      obs::RenderTimeSeriesJson(store, *metric, resolution));
+}
+
+HttpResponse ServeProfile(const IntrospectionOptions& options,
+                          const HttpRequest& request) {
+  const std::string format =
+      QueryParam(request.query, "format").value_or("json");
+  if (format == "collapsed") {
+    HttpResponse response;
+    response.content_type = "text/plain";
+    response.body = options.profiler->RenderCollapsed();
+    return response;
+  }
+  if (format == "chrome") {
+    return JsonResponse(200, options.profiler->RenderChromeTrace());
+  }
+  if (format == "json") {
+    return JsonResponse(200, options.profiler->RenderJson());
+  }
+  return JsonResponse(
+      404, obs::JsonObjectBuilder()
+               .Add("error", "unknown format (collapsed|json|chrome)")
+               .Render());
+}
+
+HttpResponse ServeExplain(const IntrospectionOptions& options,
+                          const HttpRequest& request) {
+  const obs::ProvenanceLog& provenance = *options.provenance;
+  if (const std::optional<std::string> doc_param =
+          QueryParam(request.query, "doc")) {
+    const std::optional<uint64_t> doc = ParseNumber<uint64_t>(*doc_param);
+    if (!doc.has_value()) {
       return JsonResponse(
-          200, obs::RenderTimeSeriesJson(*store, *metric, resolution));
-    });
-  }
-  if (options.profiler != nullptr) {
-    const obs::PhaseProfiler* profiler = options.profiler;
-    server->Handle("/profilez", [profiler](const HttpRequest& request) {
-      const std::string format =
-          ParseStringParam(request.query, "format").value_or("json");
-      if (format == "collapsed") {
-        HttpResponse response;
-        response.content_type = "text/plain";
-        response.body = profiler->RenderCollapsed();
-        return response;
-      }
-      if (format == "chrome") {
-        return JsonResponse(200, profiler->RenderChromeTrace());
-      }
-      if (format == "json") {
-        return JsonResponse(200, profiler->RenderJson());
-      }
+          404,
+          obs::JsonObjectBuilder().Add("error", "malformed doc id").Render());
+    }
+    const std::optional<obs::DecisionRecord> record =
+        provenance.Lookup(*doc);
+    if (!record.has_value()) {
       return JsonResponse(
           404, obs::JsonObjectBuilder()
-                   .Add("error", "unknown format (collapsed|json|chrome)")
+                   .Add("error", "no retained decision for doc")
+                   .Add("doc", *doc)
                    .Render());
-    });
+    }
+    return JsonResponse(200, obs::RenderDecisionJson(*record));
   }
-  if (options.provenance != nullptr) {
-    const obs::ProvenanceLog* provenance = options.provenance;
-    const size_t max_records = options.max_provenance_records;
-    server->Handle("/explainz", [provenance, max_records](
-                                    const HttpRequest& request) {
-      const std::optional<std::string> doc_param =
-          ParseStringParam(request.query, "doc");
-      if (doc_param.has_value()) {
-        char* parse_end = nullptr;
-        const unsigned long long doc =
-            std::strtoull(doc_param->c_str(), &parse_end, 10);
-        if (doc_param->empty() || parse_end == nullptr ||
-            *parse_end != '\0') {
-          return JsonResponse(404, obs::JsonObjectBuilder()
-                                       .Add("error", "malformed doc id")
-                                       .Render());
-        }
-        const std::optional<obs::DecisionRecord> record =
-            provenance->Lookup(doc);
-        if (!record.has_value()) {
-          return JsonResponse(
-              404, obs::JsonObjectBuilder()
-                       .Add("error", "no retained decision for doc")
-                       .Add("doc", static_cast<uint64_t>(doc))
-                       .Render());
-        }
-        return JsonResponse(200, obs::RenderDecisionJson(*record));
-      }
-      const size_t n = std::min(
-          max_records, ParseCountParam(request.query, max_records));
-      std::vector<std::string> rendered;
-      for (const obs::DecisionRecord& record : provenance->Recent(n)) {
-        rendered.push_back(obs::RenderDecisionJson(record));
-      }
-      obs::JsonObjectBuilder builder;
-      builder.Add("recorded", provenance->total_recorded());
-      builder.Add("dropped", provenance->dropped());
-      builder.Add("retained", static_cast<uint64_t>(provenance->size()));
-      builder.Add("capacity", static_cast<uint64_t>(provenance->capacity()));
-      builder.AddRaw("recent", RenderJsonArray(rendered));
-      return JsonResponse(200, builder.Render());
-    });
+  const size_t max_records = options.max_provenance_records;
+  const size_t n = std::min(max_records, CountParam(request, max_records));
+  std::vector<std::string> rendered;
+  for (const obs::DecisionRecord& record : provenance.Recent(n)) {
+    rendered.push_back(obs::RenderDecisionJson(record));
   }
-  if (options.tracer != nullptr) {
-    obs::RequestTracer* tracer = options.tracer;
-    server->Handle("/tracez", [tracer](const HttpRequest& request) {
-      const std::string trace =
-          ParseStringParam(request.query, "trace").value_or("");
-      const std::string tenant =
-          ParseStringParam(request.query, "tenant").value_or("");
-      const size_t n = std::max<size_t>(
-          1, std::min<size_t>(256, ParseCountParam(request.query, 20)));
-      const std::string json = tracer->RenderTracezJson(trace, tenant, n);
-      const int status =
-          !trace.empty() && json.rfind("{\"error\"", 0) == 0 ? 404 : 200;
-      return JsonResponse(status, json);
-    });
+  obs::JsonObjectBuilder builder;
+  builder.Add("recorded", provenance.total_recorded());
+  builder.Add("dropped", provenance.dropped());
+  builder.Add("retained", static_cast<uint64_t>(provenance.size()));
+  builder.Add("capacity", static_cast<uint64_t>(provenance.capacity()));
+  builder.AddRaw("recent", obs::JsonArray(rendered));
+  return JsonResponse(200, builder.Render());
+}
+
+HttpResponse ServeTrace(const IntrospectionOptions& options,
+                        const HttpRequest& request) {
+  const std::string trace = QueryParam(request.query, "trace").value_or("");
+  const std::string tenant =
+      QueryParam(request.query, "tenant").value_or("");
+  const size_t n =
+      std::clamp<size_t>(CountParam(request, kDefaultTraces), 1, kMaxTraces);
+  const std::string json =
+      options.tracer->RenderTracezJson(trace, tenant, n);
+  // The one-trace lookup renders {"error": ...} when the id is unknown or
+  // no longer retained.
+  const int status =
+      !trace.empty() && json.rfind("{\"error\"", 0) == 0 ? 404 : 200;
+  return JsonResponse(status, json);
+}
+
+HttpResponse ServeSlo(const IntrospectionOptions& options,
+                      const HttpRequest&) {
+  return JsonResponse(
+      200, options.slo->RenderJson(obs::RequestTracer::NowSeconds()));
+}
+
+// One row per read endpoint: its path, whether `options` carries its
+// source, and its renderer.
+struct ReadEndpoint {
+  const char* path;
+  bool (*wired)(const IntrospectionOptions&);
+  HttpResponse (*serve)(const IntrospectionOptions&, const HttpRequest&);
+};
+
+constexpr ReadEndpoint kReadEndpoints[] = {
+    {"/metrics",
+     [](const IntrospectionOptions& o) { return o.metrics != nullptr; },
+     ServeMetrics},
+    {"/healthz", [](const IntrospectionOptions&) { return true; },
+     ServeHealth},
+    {"/statusz", [](const IntrospectionOptions&) { return true; },
+     ServeStatus},
+    {"/eventsz",
+     [](const IntrospectionOptions& o) { return o.events != nullptr; },
+     ServeEvents},
+    {"/timeseriesz",
+     [](const IntrospectionOptions& o) { return o.timeseries != nullptr; },
+     ServeTimeSeries},
+    {"/profilez",
+     [](const IntrospectionOptions& o) { return o.profiler != nullptr; },
+     ServeProfile},
+    {"/explainz",
+     [](const IntrospectionOptions& o) { return o.provenance != nullptr; },
+     ServeExplain},
+    {"/tracez",
+     [](const IntrospectionOptions& o) { return o.tracer != nullptr; },
+     ServeTrace},
+    {"/slosz", [](const IntrospectionOptions& o) { return o.slo != nullptr; },
+     ServeSlo},
+};
+
+HttpResponse Serve(const ReadEndpoint& endpoint,
+                   const IntrospectionOptions& sources,
+                   const HttpRequest& request) {
+  if (request.method != "GET") return MethodNotAllowed();
+  if (!endpoint.wired(sources)) {
+    return JsonResponse(404, obs::JsonObjectBuilder()
+                                 .Add("error", "no source for this endpoint")
+                                 .Add("path", endpoint.path)
+                                 .Render());
   }
-  if (options.slo != nullptr) {
-    obs::SloEngine* slo = options.slo;
-    server->Handle("/slosz", [slo](const HttpRequest&) {
-      return JsonResponse(200,
-                          slo->RenderJson(obs::RequestTracer::NowSeconds()));
+  return endpoint.serve(sources, request);
+}
+
+}  // namespace
+
+HttpResponse ServeReadEndpoint(const std::string& path,
+                               const IntrospectionOptions& sources,
+                               const HttpRequest& request) {
+  for (const ReadEndpoint& endpoint : kReadEndpoints) {
+    if (path == endpoint.path) return Serve(endpoint, sources, request);
+  }
+  return JsonResponse(
+      404, obs::JsonObjectBuilder().Add("error", "no such endpoint").Render());
+}
+
+void RegisterIntrospectionEndpoints(HttpServer* server,
+                                    const IntrospectionOptions& options) {
+  for (const ReadEndpoint& endpoint : kReadEndpoints) {
+    if (!endpoint.wired(options)) continue;
+    server->Handle(endpoint.path, [&endpoint, options](
+                                      const HttpRequest& request) {
+      return Serve(endpoint, options, request);
     });
   }
 }

@@ -26,8 +26,14 @@
 //                   a doc the log summary plus the `?n=` newest records;
 //   GET /tracez   — request traces (obs/reqtrace.h): `?trace=ID` one
 //                   trace's stage waterfall, `?tenant=T&n=K` recent
-//                   completed traces, bare the aggregate stage summary;
+//                   completed traces (K clamped to [1, 256]; 20 when
+//                   absent or malformed), bare the aggregate stage summary;
 //   GET /slosz    — per-tenant SLO burn-rate evaluation (obs/slo.h).
+//
+// Every read endpoint answers 405 to any method but GET. This file is the
+// only renderer of these bodies: the single-stream server registers them
+// with fixed sources (RegisterIntrospectionEndpoints), and the sharded
+// service's routes pick a tenant's sources per request (ServeReadEndpoint).
 //
 // The pipeline side of the contract is StatusBoard: the driver calls
 // RecordStep after every completed step (and RecordDurability after each
@@ -44,6 +50,7 @@
 
 #include "nidc/obs/cluster_health.h"
 #include "nidc/obs/event_log.h"
+#include "nidc/obs/json_util.h"
 #include "nidc/obs/metrics.h"
 #include "nidc/obs/profiler.h"
 #include "nidc/obs/provenance.h"
@@ -166,11 +173,21 @@ struct IntrospectionOptions {
   size_t max_provenance_records = 64;
 };
 
-/// Registers /metrics, /healthz, /statusz, /eventsz, /timeseriesz,
-/// /profilez and /explainz on `server` (endpoints whose source pointer is
-/// null are skipped). Call before HttpServer::Start.
+/// Registers every endpoint above on `server` (endpoints whose source
+/// pointer is null are skipped). Call before HttpServer::Start.
 void RegisterIntrospectionEndpoints(HttpServer* server,
                                     const IntrospectionOptions& options);
+
+/// Answers `request` for the read endpoint `path` (one of those above)
+/// from `sources`: 405 for any method but GET, 404 when `path` is no read
+/// endpoint or `sources` lacks its source.
+HttpResponse ServeReadEndpoint(const std::string& path,
+                               const IntrospectionOptions& sources,
+                               const HttpRequest& request);
+
+/// Adds the /healthz SLO detail fields: "slo_burning" and the
+/// "slo_burning_tenants" array.
+void AddSloBurning(obs::SloEngine& slo, obs::JsonObjectBuilder* builder);
 
 /// Renders the /statusz payload (exposed for nidc_cli inspect tests).
 std::string RenderStatusJson(const IntrospectionOptions& options);

@@ -1,6 +1,5 @@
 #include "nidc/shard/http.h"
 
-#include <cstdlib>
 #include <optional>
 #include <string>
 
@@ -8,45 +7,15 @@
 #include "nidc/obs/json_util.h"
 #include "nidc/serve/introspection.h"
 #include "nidc/shard/ingest.h"
+#include "nidc/util/string_util.h"
 
 namespace nidc::shard {
 
 namespace {
 
-// Raw value of `key` in a query string ("key=value&..."), or nullopt.
-std::optional<std::string> QueryParam(const std::string& query,
-                                      const std::string& key) {
-  size_t pos = 0;
-  while (pos < query.size()) {
-    size_t end = query.find('&', pos);
-    if (end == std::string::npos) end = query.size();
-    const std::string pair = query.substr(pos, end - pos);
-    const size_t eq = pair.find('=');
-    if (eq != std::string::npos && pair.substr(0, eq) == key) {
-      return pair.substr(eq + 1);
-    }
-    pos = end + 1;
-  }
-  return std::nullopt;
-}
-
-std::optional<double> QueryNumber(const std::string& query,
-                                  const std::string& key) {
-  const std::optional<std::string> raw = QueryParam(query, key);
-  if (!raw.has_value() || raw->empty()) return std::nullopt;
-  char* end = nullptr;
-  const double value = std::strtod(raw->c_str(), &end);
-  if (end != raw->c_str() + raw->size()) return std::nullopt;
-  return value;
-}
-
-serve::HttpResponse JsonResponse(int status, const std::string& json) {
-  serve::HttpResponse response;
-  response.status = status;
-  response.content_type = "application/json";
-  response.body = json + "\n";
-  return response;
-}
+using serve::JsonResponse;
+using serve::MethodNotAllowed;
+using serve::QueryParam;
 
 serve::HttpResponse ErrorResponse(const Status& status,
                                   int retry_after_seconds = 1) {
@@ -63,17 +32,9 @@ serve::HttpResponse ErrorResponse(const Status& status,
   return response;
 }
 
-serve::HttpResponse MethodNotAllowed() {
-  serve::HttpResponse response;
-  response.status = 405;
-  response.body = "wrong method for this endpoint\n";
-  return response;
-}
-
 std::string TenantListJson(ShardService* service,
                            obs::RequestTracer* tracer = nullptr) {
-  std::string tenants = "[";
-  bool first = true;
+  std::vector<std::string> tenants;
   for (const TenantInfo& info : service->Tenants()) {
     obs::JsonObjectBuilder row;
     row.Add("name", info.name);
@@ -82,23 +43,17 @@ std::string TenantListJson(ShardService* service,
     row.Add("docs_ingested", info.docs_ingested);
     row.Add("steps_applied", info.steps_applied);
     row.Add("now", info.now);
-    if (!first) tenants += ",";
-    tenants += row.Render();
-    first = false;
+    tenants.push_back(row.Render());
   }
-  tenants += "]";
-
-  std::string queues = "[";
+  std::vector<std::string> queues;
   for (size_t i = 0; i < service->num_shards(); ++i) {
-    if (i > 0) queues += ",";
-    queues += std::to_string(service->QueueDepth(i));
+    queues.push_back(std::to_string(service->QueueDepth(i)));
   }
-  queues += "]";
 
   obs::JsonObjectBuilder builder;
   builder.Add("num_shards", static_cast<uint64_t>(service->num_shards()));
-  builder.AddRaw("queue_depths", queues);
-  builder.AddRaw("tenants", tenants);
+  builder.AddRaw("queue_depths", obs::JsonArray(queues));
+  builder.AddRaw("tenants", obs::JsonArray(tenants));
   // The startup reopen (shard.recovery.seconds / shard.recovery.tenants).
   obs::JsonObjectBuilder recovery;
   recovery.Add("seconds", service->recovery_seconds());
@@ -188,6 +143,9 @@ void RegisterShardHandlers(serve::HttpServer* server, ShardService* service,
     if (request.method == "GET") {
       return JsonResponse(200, TenantListJson(service));
     }
+    auto number = [&request](std::string_view key) {
+      return ParseNumber<double>(QueryParam(request.query, key).value_or(""));
+    };
     const std::string op =
         QueryParam(request.query, "op").value_or("");
     const std::string tenant =
@@ -199,22 +157,12 @@ void RegisterShardHandlers(serve::HttpServer* server, ShardService* service,
       status = Status::InvalidArgument("op=" + op + " requires ?tenant=");
     } else if (op == "create") {
       TenantConfig config = default_config;
-      if (auto v = QueryNumber(request.query, "k")) {
-        config.k = static_cast<size_t>(*v);
-      }
-      if (auto v = QueryNumber(request.query, "half_life")) {
-        config.params.half_life_days = *v;
-      }
-      if (auto v = QueryNumber(request.query, "life_span")) {
-        config.params.life_span_days = *v;
-      }
-      if (auto v = QueryNumber(request.query, "step")) config.step_days = *v;
-      if (auto v = QueryNumber(request.query, "start")) {
-        config.start_time = *v;
-      }
-      if (auto v = QueryNumber(request.query, "seed")) {
-        config.seed = static_cast<uint64_t>(*v);
-      }
+      if (auto v = number("k")) config.k = static_cast<size_t>(*v);
+      if (auto v = number("half_life")) config.params.half_life_days = *v;
+      if (auto v = number("life_span")) config.params.life_span_days = *v;
+      if (auto v = number("step")) config.step_days = *v;
+      if (auto v = number("start")) config.start_time = *v;
+      if (auto v = number("seed")) config.seed = static_cast<uint64_t>(*v);
       status = service->CreateTenant(tenant, config);
     } else if (op == "evict") {
       status = service->EvictTenant(tenant);
@@ -223,8 +171,7 @@ void RegisterShardHandlers(serve::HttpServer* server, ShardService* service,
     } else if (op == "checkpoint") {
       status = service->Checkpoint(tenant);
     } else if (op == "flush") {
-      const std::optional<double> until =
-          QueryNumber(request.query, "until");
+      const std::optional<double> until = number("until");
       if (!until.has_value()) {
         status = Status::InvalidArgument("op=flush requires ?until=DAY");
       } else {
@@ -256,117 +203,68 @@ void RegisterShardHandlers(serve::HttpServer* server, ShardService* service,
     return response;
   });
 
-  server->Handle("/statusz", [service,
-                              tracer](const serve::HttpRequest& request) {
-    const std::string tenant =
-        QueryParam(request.query, "tenant").value_or("");
-    if (tenant.empty()) {
-      return JsonResponse(200, TenantListJson(service, tracer));
-    }
-    std::shared_ptr<Tenant> entry = service->GetTenant(tenant);
-    if (entry == nullptr) {
-      return ErrorResponse(Status::NotFound("no tenant named " + tenant));
-    }
-    serve::IntrospectionOptions options;
-    options.metrics = &entry->metrics();
-    options.board = &entry->board();
-    options.health = &entry->health();
-    options.events = &entry->events();
-    return JsonResponse(200, serve::RenderStatusJson(options));
-  });
-
-  server->Handle("/healthz", [service, slo](const serve::HttpRequest&) {
-    size_t failed = 0;
-    std::string failed_names = "[";
+  server->Handle("/healthz", [service,
+                              slo](const serve::HttpRequest& request) {
+    if (request.method != "GET") return MethodNotAllowed();
+    std::vector<std::string> failed;
     const std::vector<TenantInfo> tenants = service->Tenants();
     for (const TenantInfo& info : tenants) {
-      if (!info.failed) continue;
-      if (failed > 0) failed_names += ",";
-      failed_names += obs::JsonQuote(info.name);
-      ++failed;
+      if (info.failed) failed.push_back(obs::JsonQuote(info.name));
     }
-    failed_names += "]";
     obs::JsonObjectBuilder builder;
-    builder.Add("healthy", failed == 0);
+    builder.Add("healthy", failed.empty());
     builder.Add("num_tenants", static_cast<uint64_t>(tenants.size()));
     builder.Add("num_shards",
                 static_cast<uint64_t>(service->num_shards()));
     builder.Add("queued_batches",
                 static_cast<uint64_t>(service->TotalQueueDepth()));
-    builder.AddRaw("failed_tenants", failed_names);
-    if (slo != nullptr) {
-      // SLO burn is a detail field, not a liveness signal: a burning
-      // budget wants paging, not a load balancer pulling the instance.
-      std::string burning = "[";
-      bool first = true;
-      for (const std::string& name :
-           slo->BurningTenants(obs::RequestTracer::NowSeconds())) {
-        if (!first) burning += ",";
-        first = false;
-        burning += obs::JsonQuote(name);
-      }
-      burning += "]";
-      builder.Add("slo_burning", !first);
-      builder.AddRaw("slo_burning_tenants", burning);
-    }
-    return JsonResponse(failed == 0 ? 200 : 503, builder.Render());
+    builder.AddRaw("failed_tenants", obs::JsonArray(failed));
+    // SLO burn is a detail field, not a liveness signal: a burning
+    // budget wants paging, not a load balancer pulling the instance.
+    if (slo != nullptr) serve::AddSloBurning(*slo, &builder);
+    return JsonResponse(failed.empty() ? 200 : 503, builder.Render());
   });
 
-  server->Handle("/metrics", [service](const serve::HttpRequest& request) {
-    const std::string tenant =
-        QueryParam(request.query, "tenant").value_or("");
-    serve::HttpResponse response;
-    response.content_type = "text/plain; version=0.0.4";
-    if (tenant.empty()) {
-      response.body =
-          obs::RenderPrometheus(service->metrics()->Snapshot());
-      return response;
-    }
-    std::shared_ptr<Tenant> entry = service->GetTenant(tenant);
-    if (entry == nullptr) {
-      return ErrorResponse(Status::NotFound("no tenant named " + tenant));
-    }
-    response.body = obs::RenderPrometheus(entry->metrics().Snapshot());
-    return response;
-  });
-
-  server->Handle("/metricsz", [service](const serve::HttpRequest&) {
+  server->Handle("/metricsz", [service](const serve::HttpRequest& request) {
+    if (request.method != "GET") return MethodNotAllowed();
     return JsonResponse(
         200, obs::RenderMetricsJson(service->metrics()->Snapshot()));
   });
 
-  server->Handle("/tracez", [tracer](const serve::HttpRequest& request) {
-    if (request.method != "GET") return MethodNotAllowed();
-    if (tracer == nullptr) {
-      return ErrorResponse(
-          Status::FailedPrecondition("request tracing is disabled"));
-    }
-    const std::string trace =
-        QueryParam(request.query, "trace").value_or("");
-    const std::string tenant =
-        QueryParam(request.query, "tenant").value_or("");
-    size_t n = 20;
-    if (const std::optional<double> v = QueryNumber(request.query, "n");
-        v.has_value() && *v >= 1.0) {
-      n = static_cast<size_t>(*v);
-    }
-    const std::string json = tracer->RenderTracezJson(trace, tenant, n);
-    // The one-trace lookup renders {"error": ...} when the id is unknown
-    // or no longer retained.
-    const int status =
-        !trace.empty() && json.rfind("{\"error\"", 0) == 0 ? 404 : 200;
-    return JsonResponse(status, json);
-  });
-
-  server->Handle("/slosz", [slo](const serve::HttpRequest& request) {
-    if (request.method != "GET") return MethodNotAllowed();
-    if (slo == nullptr) {
-      return ErrorResponse(
-          Status::FailedPrecondition("SLO engine is disabled"));
-    }
-    return JsonResponse(
-        200, slo->RenderJson(obs::RequestTracer::NowSeconds()));
-  });
+  // The read endpoints render through serve/introspection. ?tenant=T
+  // reads that tenant's registry, status board, health monitor and event
+  // log; without a tenant, the service's registry (and the tenant list at
+  // /statusz). /tracez and /slosz always read the service-wide tracer and
+  // SLO engine, where ?tenant= selects a tenant's traces.
+  for (const std::string path :
+       {"/metrics", "/statusz", "/eventsz", "/tracez", "/slosz"}) {
+    server->Handle(path, [service, tracer, slo,
+                          path](const serve::HttpRequest& request) {
+      if (request.method != "GET") return MethodNotAllowed();
+      const std::string tenant =
+          QueryParam(request.query, "tenant").value_or("");
+      serve::IntrospectionOptions sources;
+      std::shared_ptr<Tenant> entry;  // Keeps the sources alive to render.
+      if (path == "/tracez" || path == "/slosz") {
+        sources.tracer = tracer;
+        sources.slo = slo;
+      } else if (!tenant.empty()) {
+        entry = service->GetTenant(tenant);
+        if (entry == nullptr) {
+          return ErrorResponse(Status::NotFound("no tenant named " + tenant));
+        }
+        sources.metrics = &entry->metrics();
+        sources.board = &entry->board();
+        sources.health = &entry->health();
+        sources.events = &entry->events();
+      } else if (path == "/statusz") {
+        return JsonResponse(200, TenantListJson(service, tracer));
+      } else {
+        sources.metrics = service->metrics();
+      }
+      return serve::ServeReadEndpoint(path, sources, request);
+    });
+  }
 }
 
 }  // namespace nidc::shard

@@ -12,23 +12,28 @@
 //       flush (&until=DAY), drain (no tenant);
 //   GET  /digestz?tenant=NAME  — the serialized clusterer state, rendered
 //       on the owning shard (the equivalence-test currency);
-//   GET  /statusz?tenant=NAME  — the tenant's pipeline status JSON (same
-//       renderer as the single-stream server); without ?tenant= an
-//       aggregate per-tenant/per-shard view;
 //   GET  /healthz              — 200 while every tenant is healthy, 503
 //       once any tenant failed; aggregate durability lag;
-//   GET  /metrics?tenant=NAME  — the tenant's registry in Prometheus
-//       text; without ?tenant= the server-wide registry (serve.* +
-//       shard.* families);
 //   GET  /metricsz             — the server-wide registry as one JSON
 //       object (RenderMetricsJson), consumed by
 //       `nidc_metrics_check --shard-snapshot`;
-//   GET  /tracez               — request-trace introspection (when a
+//   GET  /statusz              — the aggregate per-tenant/per-shard view.
+//
+// The read endpoints below are rendered by serve/introspection.h, the same
+// code the single-stream server runs. `?tenant=NAME` reads that tenant's
+// sources (404 for an unknown tenant); without it they read the service's:
+//   GET  /metrics[?tenant=NAME]  — Prometheus text of the tenant's
+//       registry, or of the server-wide one (serve.* + shard.* families);
+//   GET  /statusz?tenant=NAME    — the tenant's pipeline status JSON;
+//   GET  /eventsz?tenant=NAME    — the tenant's recent lifecycle events,
+//       `?n=` caps the count;
+//   GET  /tracez                 — request-trace introspection (when a
 //       tracer is wired): ?trace=ID one trace's stage waterfall,
-//       ?tenant=T&n=K a tenant's recent completed traces, bare the
-//       aggregate per-stage summary plus recent traces;
-//   GET  /slosz                — per-tenant SLO burn-rate evaluation
+//       ?tenant=T&n=K a tenant's recent completed traces (K in [1, 256]),
+//       bare the aggregate per-stage summary plus recent traces;
+//   GET  /slosz                  — per-tenant SLO burn-rate evaluation
 //       (when an SLO engine is wired).
+// Every read endpoint answers 405 to any method but GET.
 //
 // With a tracer, POST /ingest accepts a W3C `traceparent` header (minting
 // a fresh trace id when absent or malformed), stamps the ingest stage,
@@ -51,7 +56,7 @@ namespace nidc::shard {
 /// op=create (query parameters override individual fields). Call before
 /// HttpServer::Start; `service` (and, when supplied, `tracer` and `slo`)
 /// must outlive the server. Null tracer/slo disable the corresponding
-/// endpoints (they answer 503).
+/// endpoints (they answer 404).
 void RegisterShardHandlers(serve::HttpServer* server, ShardService* service,
                            const TenantConfig& default_config,
                            obs::RequestTracer* tracer = nullptr,

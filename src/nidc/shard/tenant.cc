@@ -383,12 +383,11 @@ void Tenant::ReleaseStepped() {
   corpus_->ReleaseBefore(end);
 }
 
-void Tenant::PublishStep(const DocumentBatch& window,
-                         const StepResult& result) {
+void PublishStepStatus(uint64_t step, const StepResult& result,
+                       const DurableClusterer* durable,
+                       serve::StatusBoard* board) {
   serve::StatusBoard::StepRecord record;
-  record.step = durable_->applied_steps() > 0
-                    ? durable_->applied_steps() - 1
-                    : 0;  // StepRecord carries the 0-based index.
+  record.step = step;
   record.num_new = result.num_new;
   record.num_active = result.num_active;
   record.num_outliers = result.num_outliers;
@@ -397,14 +396,22 @@ void Tenant::PublishStep(const DocumentBatch& window,
   record.g = result.final_g;
   record.stats_seconds = result.stats_update_seconds;
   record.clustering_seconds = result.clustering_seconds;
-  board_.RecordStep(record);
-
+  board->RecordStep(record);
+  if (durable == nullptr) return;
   serve::DurabilityStatus lag;
   lag.enabled = true;
-  lag.generation = durable_->generation();
-  lag.wal_records_since_checkpoint = durable_->wal_records_since_checkpoint();
-  lag.checkpoint_every = durable_->checkpoint_every();
-  board_.RecordDurability(lag);
+  lag.generation = durable->generation();
+  lag.wal_records_since_checkpoint = durable->wal_records_since_checkpoint();
+  lag.checkpoint_every = durable->checkpoint_every();
+  board->RecordDurability(lag);
+}
+
+void Tenant::PublishStep(const DocumentBatch& window,
+                         const StepResult& result) {
+  // StepRecord carries the 0-based index.
+  const uint64_t applied = durable_->applied_steps();
+  PublishStepStatus(applied > 0 ? applied - 1 : 0, result, durable_.get(),
+                    &board_);
 
   metrics_.GetGauge("shard.tenant.now")->Set(window.end);
   if (runtime_.shared_metrics != nullptr) {

@@ -232,6 +232,14 @@ class Tenant {
   std::atomic<bool> failed_{false};
 };
 
+/// Publishes a completed step to `board`: its step record under the
+/// 0-based index `step`, and, when `durable` is not null, the store's
+/// durability lag. A tenant calls it after each step, and so does the
+/// single-stream `nidc_cli stream` loop.
+void PublishStepStatus(uint64_t step, const StepResult& result,
+                       const DurableClusterer* durable,
+                       serve::StatusBoard* board);
+
 }  // namespace nidc::shard
 
 #endif  // NIDC_SHARD_TENANT_H_

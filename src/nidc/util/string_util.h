@@ -3,9 +3,11 @@
 #ifndef NIDC_UTIL_STRING_UTIL_H_
 #define NIDC_UTIL_STRING_UTIL_H_
 
+#include <charconv>
 #include <cstddef>
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +38,18 @@ std::string ToLower(std::string_view text);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
+
+/// Parses all of `text` as a T (an integer or floating-point type):
+/// nullopt when `text` is empty, is not a number, or has anything after
+/// the number.
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
 
 /// printf-style formatting into a std::string.
 std::string StringPrintf(const char* fmt, ...)

@@ -13,7 +13,10 @@
 
 #include "env_wrapper.h"
 #include "http_fetch.h"
+#include "nidc/obs/event_log.h"
+#include "nidc/obs/json_util.h"
 #include "nidc/obs/metrics.h"
+#include "nidc/serve/introspection.h"
 #include "nidc/shard/ingest.h"
 #include "nidc/shard/service.h"
 #include "nidc/shard/tenant.h"
@@ -487,6 +490,89 @@ TEST_F(ShardHttpTest, TracezAndSloszServeTracedIngest) {
       << slos.body;
   EXPECT_TRUE(Contains(slos.body, "\"objective\":\"availability\""))
       << slos.body;
+}
+
+size_t CountTraces(const std::string& body) {
+  size_t traces = 0;
+  for (size_t at = body.find("\"trace\":"); at != std::string::npos;
+       at = body.find("\"trace\":", at + 1)) {
+    ++traces;
+  }
+  return traces;
+}
+
+TEST_F(ShardHttpTest, EventszServesATenantsEvents) {
+  const uint16_t port = StartServer(Root("eventsz"), 1);
+  ASSERT_EQ(Post(port, "/tenantz?op=create&tenant=alpha").status, 200);
+  for (const std::string& body : WireBatches(MakeFeed("ev", 3, 6), 9)) {
+    ASSERT_EQ(Post(port, "/ingest?tenant=alpha", body).status, 202);
+  }
+  ASSERT_EQ(Post(port, "/tenantz?op=flush&tenant=alpha&until=4").status,
+            200);
+
+  auto events = Fetch(port, "/eventsz?tenant=alpha");
+  ASSERT_EQ(events.status, 200) << events.body;
+  const Result<obs::JsonValue> json = obs::ParseJson(events.body);
+  ASSERT_TRUE(json.ok()) << events.body;
+  ASSERT_NE(json->Find("events"), nullptr);
+  EXPECT_GT(json->Find("events")->array.size(), 1u) << events.body;
+  EXPECT_TRUE(Contains(events.body, "cluster_created")) << events.body;
+
+  auto capped = Fetch(port, "/eventsz?tenant=alpha&n=1");
+  ASSERT_EQ(capped.status, 200) << capped.body;
+  const Result<obs::JsonValue> capped_json = obs::ParseJson(capped.body);
+  ASSERT_TRUE(capped_json.ok()) << capped.body;
+  EXPECT_EQ(capped_json->Find("events")->array.size(), 1u) << capped.body;
+
+  EXPECT_EQ(Fetch(port, "/eventsz?tenant=ghost").status, 404);
+}
+
+// The read-endpoint rules belong to serve/introspection, so they hold on
+// the sharded routes and on a single-stream server alike.
+TEST_F(ShardHttpTest, ReadEndpointRulesHoldOnBothStacks) {
+  slo_ = std::make_unique<obs::SloEngine>();
+  tracer_ = std::make_unique<obs::RequestTracer>();
+  const uint16_t shard_port = StartServer(Root("rules"), 1);
+  ASSERT_EQ(Post(shard_port, "/tenantz?op=create&tenant=alpha").status, 200);
+
+  obs::MetricsRegistry stream_registry;
+  obs::EventLog stream_events(64, &stream_registry);
+  serve::StatusBoard board;
+  serve::IntrospectionOptions introspection;
+  introspection.metrics = &stream_registry;
+  introspection.events = &stream_events;
+  introspection.board = &board;
+  introspection.tracer = tracer_.get();
+  introspection.slo = slo_.get();
+  serve::HttpServer stream_server;
+  serve::RegisterIntrospectionEndpoints(&stream_server, introspection);
+  ASSERT_TRUE(stream_server.Start(0).ok());
+
+  // More completed traces than /tracez ever serves at once.
+  for (int i = 0; i < 300; ++i) {
+    const obs::TraceContext trace = tracer_->Mint();
+    tracer_->Begin(trace, "alpha");
+    tracer_->RecordStage(trace, obs::Stage::kIngest);
+    tracer_->RecordStage(trace, obs::Stage::kStep);
+  }
+
+  for (const uint16_t port : {shard_port, stream_server.port()}) {
+    SCOPED_TRACE(port == shard_port ? "shard" : "stream");
+    auto all = Fetch(port, "/tracez?tenant=alpha&n=100000");
+    ASSERT_EQ(all.status, 200) << all.body.substr(0, 400);
+    EXPECT_EQ(CountTraces(all.body), 256u);
+    auto malformed = Fetch(port, "/tracez?tenant=alpha&n=many");
+    ASSERT_EQ(malformed.status, 200);
+    EXPECT_EQ(CountTraces(malformed.body), 20u);
+
+    for (const std::string target :
+         {"/metrics", "/healthz", "/statusz", "/eventsz?tenant=alpha",
+          "/tracez", "/slosz"}) {
+      EXPECT_EQ(Post(port, target).status, 405) << target;
+      EXPECT_EQ(Fetch(port, target).status, 200) << target;
+    }
+  }
+  stream_server.Stop();
 }
 
 }  // namespace

@@ -69,7 +69,8 @@
 //       every tenant directory under DIR/tenants/ is recovered on boot,
 //       then the HTTP front door accepts POST /ingest?tenant= batches,
 //       /tenantz control-plane operations, and the per-tenant
-//       introspection endpoints (/statusz, /metrics, /digestz, /healthz).
+//       introspection endpoints (/statusz, /metrics, /eventsz, /digestz,
+//       /healthz).
 //       Every ingest batch carries an end-to-end request trace (W3C
 //       traceparent accepted, a fresh id minted otherwise) riding
 //       enqueue -> dequeue -> window close -> WAL commit -> step ->
@@ -108,6 +109,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -137,7 +139,9 @@
 #include "nidc/serve/introspection.h"
 #include "nidc/shard/http.h"
 #include "nidc/shard/service.h"
+#include "nidc/shard/tenant.h"
 #include "nidc/synth/tdt2_like_generator.h"
+#include "nidc/util/string_util.h"
 
 namespace nidc {
 namespace {
@@ -152,17 +156,38 @@ struct Args {
     return it == flags.end() ? fallback : it->second.c_str();
   }
   double GetDouble(const std::string& key, double fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
+    return GetNumber(key, fallback);
   }
   size_t GetSize(const std::string& key, size_t fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end()
-               ? fallback
-               : static_cast<size_t>(std::strtoull(it->second.c_str(),
-                                                   nullptr, 10));
+    return GetNumber(key, fallback);
+  }
+  // --wal-fsync every|none.
+  WalSyncMode GetWalSync() const {
+    const std::string fsync = Get("wal-fsync", "every");
+    if (fsync == "every") return WalSyncMode::kEveryRecord;
+    if (fsync == "none") return WalSyncMode::kNone;
+    UsageError("--wal-fsync must be every or none");
   }
   bool Has(const std::string& key) const { return flags.contains(key); }
+
+ private:
+  // A malformed value exits 2 naming the flag, instead of running with 0
+  // or with a prefix of what was meant. Each subcommand reads its flags
+  // before it starts a thread.
+  template <typename T>
+  T GetNumber(const std::string& key, T fallback) const {
+    auto it = flags.find(key);
+    if (it == flags.end()) return fallback;
+    if (const std::optional<T> value = ParseNumber<T>(it->second)) {
+      return *value;
+    }
+    UsageError("--" + key + " expects a number, got \"" + it->second +
+               "\"");
+  }
+  [[noreturn]] void UsageError(const std::string& message) const {
+    std::fprintf(stderr, "%s: %s\n", command.c_str(), message.c_str());
+    std::exit(2);
+  }
 };
 
 int Usage() {
@@ -335,16 +360,43 @@ std::string RenderStepRecord(uint64_t step_index, double tau,
       .Add("final_g", step.final_g)
       .Add("stats_seconds", step.stats_update_seconds)
       .Add("clustering_seconds", step.clustering_seconds);
-  std::string g_history = "[";
-  for (size_t i = 0; i < step.clustering.g_history.size(); ++i) {
-    if (i > 0) g_history += ",";
-    g_history += obs::JsonNumber(step.clustering.g_history[i]);
+  std::vector<std::string> g_history;
+  for (double g : step.clustering.g_history) {
+    g_history.push_back(obs::JsonNumber(g));
   }
-  g_history += "]";
-  record.AddRaw("g_history", g_history);
+  record.AddRaw("g_history", obs::JsonArray(g_history));
   record.AddRaw("metrics", obs::RenderMetricsJson(registry.Snapshot()));
   record.AddRaw("phases", obs::RenderPhaseArray(profiler.CurrentStep()));
   return record.Render();
+}
+
+// The request tracer and the latency SLO engine its completed traces
+// feed (--slo-latency-ms), as `stream` and `serve` both wire them. The
+// engine is declared first, so it outlives the tracer's callback.
+struct RequestTelemetry {
+  std::unique_ptr<obs::SloEngine> slo;
+  std::unique_ptr<obs::RequestTracer> tracer;
+};
+
+RequestTelemetry MakeRequestTelemetry(const Args& args,
+                                      obs::MetricsRegistry* registry,
+                                      obs::EventLog* events) {
+  obs::SloEngine::Options slo_options;
+  slo_options.default_objective.latency_threshold_seconds =
+      args.GetDouble("slo-latency-ms", 1000.0) / 1000.0;
+  slo_options.metrics = registry;
+  slo_options.events = events;
+  RequestTelemetry telemetry;
+  telemetry.slo = std::make_unique<obs::SloEngine>(slo_options);
+  obs::RequestTracer::Options trace_options;
+  trace_options.metrics = registry;
+  trace_options.on_complete = [engine = telemetry.slo.get()](
+                                  const std::string& tenant,
+                                  double e2e_seconds, double now_seconds) {
+    engine->ObserveLatency(tenant, e2e_seconds, now_seconds);
+  };
+  telemetry.tracer = std::make_unique<obs::RequestTracer>(trace_options);
+  return telemetry;
 }
 
 int RunStream(const Args& args) {
@@ -356,6 +408,14 @@ int RunStream(const Args& args) {
   }
   IncrementalOptions options;
   options.kmeans.k = args.GetSize("k", 24);
+  const ForgettingParams params = ParamsFrom(args);
+  const size_t checkpoint_every = args.GetSize("checkpoint-every", 16);
+  const WalSyncMode wal_sync = args.GetWalSync();
+  const auto serve_port = static_cast<uint16_t>(args.GetSize("serve", 0));
+  const auto ship_port = static_cast<uint16_t>(args.GetSize("ship-port", 0));
+  double resume_from = args.GetDouble("from", (*corpus)->MinTime());
+  const double to = args.GetDouble("to", (*corpus)->MaxTime() + 1e-6);
+  const double step = args.GetDouble("step", 1.0);
 
   // Telemetry: one registry for the whole replay; exporters are optional.
   obs::MetricsRegistry registry;
@@ -375,10 +435,7 @@ int RunStream(const Args& args) {
   std::unique_ptr<obs::TimeSeriesStore> timeseries;
   std::unique_ptr<obs::PhaseProfiler> profiler;
   std::unique_ptr<obs::ProvenanceLog> provenance;
-  // Declared before the tracer: its on_complete callback feeds the SLO
-  // engine, so the engine must be destroyed after the tracer.
-  std::unique_ptr<obs::SloEngine> slo;
-  std::unique_ptr<obs::RequestTracer> reqtracer;
+  RequestTelemetry requests;
   if (telemetry) {
     options.metrics = &registry;
     registry.GetCounter("corpus.bad_records")
@@ -405,20 +462,7 @@ int RunStream(const Args& args) {
     // here, so it mints the trace, the durability/replication layers stamp
     // their stages through the StepScope, and completed traces score the
     // latency SLO — same pipeline.*/slo.* families as the sharded server.
-    obs::SloEngine::Options slo_options;
-    slo_options.default_objective.latency_threshold_seconds =
-        args.GetDouble("slo-latency-ms", 1000.0) / 1000.0;
-    slo_options.metrics = &registry;
-    slo_options.events = events.get();
-    slo = std::make_unique<obs::SloEngine>(slo_options);
-    obs::RequestTracer::Options trace_options;
-    trace_options.metrics = &registry;
-    trace_options.on_complete = [engine = slo.get()](
-                                    const std::string& tenant,
-                                    double e2e_seconds, double now_seconds) {
-      engine->ObserveLatency(tenant, e2e_seconds, now_seconds);
-    };
-    reqtracer = std::make_unique<obs::RequestTracer>(trace_options);
+    requests = MakeRequestTelemetry(args, &registry, events.get());
     options.events = events.get();
     options.health = health.get();
     options.provenance = provenance.get();
@@ -447,11 +491,10 @@ int RunStream(const Args& args) {
     introspection.timeseries = timeseries.get();
     introspection.profiler = profiler.get();
     introspection.provenance = provenance.get();
-    introspection.tracer = reqtracer.get();
-    introspection.slo = slo.get();
+    introspection.tracer = requests.tracer.get();
+    introspection.slo = requests.slo.get();
     serve::RegisterIntrospectionEndpoints(server.get(), introspection);
-    const Status started =
-        server->Start(static_cast<uint16_t>(args.GetSize("serve", 0)));
+    const Status started = server->Start(serve_port);
     if (!started.ok()) {
       std::fprintf(stderr, "%s\n", started.ToString().c_str());
       return 1;
@@ -473,7 +516,6 @@ int RunStream(const Args& args) {
   const std::string state_path = args.Get("state", "");
   const std::string checkpoint_dir = args.Get("checkpoint-dir", "");
   const bool shipping = args.Has("ship-port");
-  double resume_from = args.GetDouble("from", (*corpus)->MinTime());
 
   if (shipping && checkpoint_dir.empty()) {
     std::fprintf(stderr, "stream: --ship-port requires --checkpoint-dir\n");
@@ -484,30 +526,22 @@ int RunStream(const Args& args) {
     // source; every step is WAL-logged and snapshots rotate periodically.
     DurableOptions durable_options;
     durable_options.dir = checkpoint_dir;
-    durable_options.checkpoint_every = args.GetSize("checkpoint-every", 16);
-    const std::string fsync = args.Get("wal-fsync", "every");
-    if (fsync == "every") {
-      durable_options.wal_sync = WalSyncMode::kEveryRecord;
-    } else if (fsync == "none") {
-      durable_options.wal_sync = WalSyncMode::kNone;
-    } else {
-      std::fprintf(stderr, "stream: --wal-fsync must be every or none\n");
-      return 2;
-    }
+    durable_options.checkpoint_every = checkpoint_every;
+    durable_options.wal_sync = wal_sync;
     if (telemetry) durable_options.metrics = &registry;
-    durable_options.tracer = reqtracer.get();
+    durable_options.tracer = requests.tracer.get();
     if (shipping) {
       // The shipper must exist before Open: the opening rotation is the
       // OnRotate that caches the base snapshot followers catch up from.
       repl::ShipperOptions ship_options;
       ship_options.dir = checkpoint_dir;
       if (telemetry) ship_options.metrics = &registry;
-      ship_options.tracer = reqtracer.get();
+      ship_options.tracer = requests.tracer.get();
       shipper = std::make_unique<repl::WalShipper>(ship_options);
       durable_options.sink = shipper.get();
     }
-    auto opened = DurableClusterer::Open(corpus->get(), ParamsFrom(args),
-                                         options, durable_options);
+    auto opened = DurableClusterer::Open(corpus->get(), params, options,
+                                         durable_options);
     if (!opened.ok()) {
       std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
       return 1;
@@ -528,13 +562,12 @@ int RunStream(const Args& args) {
           static_cast<unsigned long long>(recovery.snapshot_fallbacks));
     } else {
       std::printf("checkpointing to %s (every %zu steps, fsync %s)\n",
-                  checkpoint_dir.c_str(),
-                  args.GetSize("checkpoint-every", 16), fsync.c_str());
+                  checkpoint_dir.c_str(), checkpoint_every,
+                  args.Get("wal-fsync", "every"));
     }
     if (shipping) {
       repl_listener = std::make_unique<repl::ReplListener>(shipper.get());
-      const Status started = repl_listener->Start(
-          static_cast<uint16_t>(args.GetSize("ship-port", 0)));
+      const Status started = repl_listener->Start(ship_port);
       if (!started.ok()) {
         std::fprintf(stderr, "%s\n", started.ToString().c_str());
         return 1;
@@ -559,16 +592,14 @@ int RunStream(const Args& args) {
     }
   }
   if (clusterer == nullptr && durable == nullptr) {
-    clusterer = std::make_unique<IncrementalClusterer>(
-        corpus->get(), ParamsFrom(args), options);
+    clusterer =
+        std::make_unique<IncrementalClusterer>(corpus->get(), params, options);
   }
   auto do_step = [&](const std::vector<DocId>& docs, double tau) {
     return durable != nullptr ? durable->Step(docs, tau)
                               : clusterer->Step(docs, tau);
   };
 
-  const double to = args.GetDouble("to", (*corpus)->MaxTime() + 1e-6);
-  const double step = args.GetDouble("step", 1.0);
   DocumentStream stream(corpus->get(), resume_from, to, step);
   uint64_t step_index = 0;
   while (auto batch = stream.Next()) {
@@ -577,14 +608,14 @@ int RunStream(const Args& args) {
     // door (ingest) and the batcher (window close); the layers below stamp
     // wal_commit/ship/step/checkpoint through the StepScope.
     obs::TraceContext req_trace;
-    if (reqtracer != nullptr && !batch->docs.empty()) {
-      req_trace = reqtracer->Mint();
-      reqtracer->Begin(req_trace, "stream");
-      reqtracer->RecordStage(req_trace, obs::Stage::kIngest);
-      reqtracer->RecordStage(req_trace, obs::Stage::kWindowClose);
+    if (requests.tracer != nullptr && !batch->docs.empty()) {
+      req_trace = requests.tracer->Mint();
+      requests.tracer->Begin(req_trace, "stream");
+      requests.tracer->RecordStage(req_trace, obs::Stage::kIngest);
+      requests.tracer->RecordStage(req_trace, obs::Stage::kWindowClose);
     }
     obs::RequestTracer::StepScope req_scope(
-        req_trace.valid() ? reqtracer.get() : nullptr,
+        req_trace.valid() ? requests.tracer.get() : nullptr,
         req_trace.valid() ? std::vector<obs::TraceContext>{req_trace}
                           : std::vector<obs::TraceContext>{});
     auto result = do_step(batch->docs, batch->end);
@@ -592,9 +623,11 @@ int RunStream(const Args& args) {
     // so the loop stamps it — the e2e histogram and the SLO latency feed
     // fire either way.
     if (req_trace.valid() && durable == nullptr && result.ok()) {
-      reqtracer->RecordStage(req_trace, obs::Stage::kStep);
+      requests.tracer->RecordStage(req_trace, obs::Stage::kStep);
     }
-    if (slo != nullptr) slo->Evaluate(obs::RequestTracer::NowSeconds());
+    if (requests.slo != nullptr) {
+      requests.slo->Evaluate(obs::RequestTracer::NowSeconds());
+    }
     // Fold the step's registry deltas into the time-series store before
     // anything renders a snapshot, so the JSONL record and the server both
     // see this step's windows.
@@ -610,26 +643,7 @@ int RunStream(const Args& args) {
                 result->expired.size(), result->clustering.NumNonEmpty(),
                 result->num_outliers, result->iterations, result->final_g);
     if (server != nullptr) {
-      serve::StatusBoard::StepRecord record;
-      record.step = step_index;
-      record.num_new = result->num_new;
-      record.num_active = result->num_active;
-      record.num_outliers = result->num_outliers;
-      record.num_clusters = result->clustering.NumNonEmpty();
-      record.iterations = result->iterations;
-      record.g = result->final_g;
-      record.stats_seconds = result->stats_update_seconds;
-      record.clustering_seconds = result->clustering_seconds;
-      board.RecordStep(record);
-      if (durable != nullptr) {
-        serve::DurabilityStatus lag;
-        lag.enabled = true;
-        lag.generation = durable->generation();
-        lag.wal_records_since_checkpoint =
-            durable->wal_records_since_checkpoint();
-        lag.checkpoint_every = durable->checkpoint_every();
-        board.RecordDurability(lag);
-      }
+      shard::PublishStepStatus(step_index, *result, durable.get(), &board);
       if (shipper != nullptr) {
         const repl::ShipperStats ship = shipper->stats();
         serve::ReplicationStatus repl_status;
@@ -773,14 +787,12 @@ int RunFollow(const Args& args) {
     std::fprintf(stderr, "follow: --leader-port PORT is required\n");
     return 2;
   }
-  WalSyncMode wal_sync = WalSyncMode::kEveryRecord;
-  const std::string fsync = args.Get("wal-fsync", "every");
-  if (fsync == "none") {
-    wal_sync = WalSyncMode::kNone;
-  } else if (fsync != "every") {
-    std::fprintf(stderr, "follow: --wal-fsync must be every or none\n");
-    return 2;
-  }
+  const WalSyncMode wal_sync = args.GetWalSync();
+  const auto leader_port =
+      static_cast<uint16_t>(args.GetSize("leader-port", 0));
+  const auto serve_port = static_cast<uint16_t>(args.GetSize("serve", 0));
+  const size_t checkpoint_every = args.GetSize("checkpoint-every", 16);
+  const double max_seconds = args.GetDouble("max-seconds", 0.0);
 
   obs::MetricsRegistry registry;
   IncrementalOptions options;
@@ -815,8 +827,7 @@ int RunFollow(const Args& args) {
   }
 
   repl::TcpReplClientOptions client_options;
-  client_options.port =
-      static_cast<uint16_t>(args.GetSize("leader-port", 0));
+  client_options.port = leader_port;
   repl::TcpReplClient client(replica->get(), client_options);
   if (const Status started = client.Start(); !started.ok()) {
     std::fprintf(stderr, "%s\n", started.ToString().c_str());
@@ -836,11 +847,11 @@ int RunFollow(const Args& args) {
     serve::RegisterIntrospectionEndpoints(server.get(), introspection);
     server->Handle("/promotez",
                    [&promote_requested](const serve::HttpRequest& request) {
-                     serve::HttpResponse response;
                      if (request.method != "POST") {
-                       response.status = 405;
-                       response.body = "/promotez requires POST\n";
-                     } else if (promote_requested.exchange(true)) {
+                       return serve::MethodNotAllowed();
+                     }
+                     serve::HttpResponse response;
+                     if (promote_requested.exchange(true)) {
                        response.status = 409;
                        response.body = "promotion already requested\n";
                      } else {
@@ -848,8 +859,7 @@ int RunFollow(const Args& args) {
                      }
                      return response;
                    });
-    const Status started =
-        server->Start(static_cast<uint16_t>(args.GetSize("serve", 0)));
+    const Status started = server->Start(serve_port);
     if (!started.ok()) {
       std::fprintf(stderr, "%s\n", started.ToString().c_str());
       return 1;
@@ -861,7 +871,6 @@ int RunFollow(const Args& args) {
 
   // Poll the replica watermark: print progress, keep /healthz fresh, and
   // watch for the promotion flag or the deadline.
-  const double max_seconds = args.GetDouble("max-seconds", 0.0);
   const auto started_at = std::chrono::steady_clock::now();
   uint64_t printed_steps = ~uint64_t{0};
   while (!promote_requested.load(std::memory_order_acquire)) {
@@ -909,7 +918,7 @@ int RunFollow(const Args& args) {
   int exit_code = 0;
   if (promote_requested.load(std::memory_order_acquire)) {
     DurableOptions durable_options;  // dir/env/metrics default to replica's
-    durable_options.checkpoint_every = args.GetSize("checkpoint-every", 16);
+    durable_options.checkpoint_every = checkpoint_every;
     durable_options.wal_sync = wal_sync;
     auto promoted = (*replica)->Promote(durable_options);
     if (!promoted.ok()) {
@@ -958,51 +967,6 @@ int RunServe(const Args& args) {
     std::fprintf(stderr, "serve: --root DIR is required\n");
     return 2;
   }
-  obs::MetricsRegistry registry;
-
-  // One tracer + SLO engine for the whole service: every POST /ingest
-  // batch is traced end to end (enqueue -> dequeue -> window close ->
-  // wal commit -> step -> checkpoint), completed traces feed the latency
-  // objective, and the front door feeds availability. The engine is
-  // declared first so the tracer's completion callback outlives nothing.
-  obs::SloEngine::Options slo_options;
-  slo_options.default_objective.latency_threshold_seconds =
-      args.GetDouble("slo-latency-ms", 1000.0) / 1000.0;
-  slo_options.metrics = &registry;
-  obs::SloEngine slo(slo_options);
-  obs::RequestTracer::Options trace_options;
-  trace_options.metrics = &registry;
-  trace_options.on_complete = [&slo](const std::string& tenant,
-                                     double e2e_seconds,
-                                     double now_seconds) {
-    slo.ObserveLatency(tenant, e2e_seconds, now_seconds);
-  };
-  obs::RequestTracer reqtracer(trace_options);
-
-  shard::ShardServiceOptions options;
-  options.root = args.Get("root", "");
-  options.num_shards = args.GetSize("shards", 0);
-  options.queue_capacity =
-      args.GetSize("queue-capacity", options.queue_capacity);
-  options.checkpoint_every =
-      args.GetSize("checkpoint-every", options.checkpoint_every);
-  const std::string fsync = args.Get("wal-fsync", "every");
-  if (fsync == "every") {
-    options.wal_sync = WalSyncMode::kEveryRecord;
-  } else if (fsync == "none") {
-    options.wal_sync = WalSyncMode::kNone;
-  } else {
-    std::fprintf(stderr, "serve: --wal-fsync must be every or none\n");
-    return 2;
-  }
-  options.metrics = &registry;
-  options.tracer = &reqtracer;
-  auto service = shard::ShardService::Start(std::move(options));
-  if (!service.ok()) {
-    std::fprintf(stderr, "%s\n", service.status().ToString().c_str());
-    return 1;
-  }
-
   shard::TenantConfig default_config;
   default_config.params = ParamsFrom(args);
   default_config.k = args.GetSize("k", default_config.k);
@@ -1014,21 +978,44 @@ int RunServe(const Args& args) {
     std::fprintf(stderr, "serve: %s\n", valid.ToString().c_str());
     return 2;
   }
-
   serve::HttpServerOptions http_options;
   http_options.num_workers =
       args.GetSize("http-workers", http_options.num_workers);
+  const auto port = static_cast<uint16_t>(args.GetSize("port", 0));
+  const double max_seconds = args.GetDouble("max-seconds", 0.0);
+  obs::MetricsRegistry registry;
+
+  // One tracer + SLO engine for the whole service: every POST /ingest
+  // batch is traced end to end (enqueue -> dequeue -> window close ->
+  // wal commit -> step -> checkpoint), completed traces feed the latency
+  // objective, and the front door feeds availability.
+  const RequestTelemetry requests =
+      MakeRequestTelemetry(args, &registry, /*events=*/nullptr);
+
+  shard::ShardServiceOptions options;
+  options.root = args.Get("root", "");
+  options.num_shards = args.GetSize("shards", 0);
+  options.queue_capacity =
+      args.GetSize("queue-capacity", options.queue_capacity);
+  options.checkpoint_every =
+      args.GetSize("checkpoint-every", options.checkpoint_every);
+  options.wal_sync = args.GetWalSync();
+  options.metrics = &registry;
+  options.tracer = requests.tracer.get();
+  auto service = shard::ShardService::Start(std::move(options));
+  if (!service.ok()) {
+    std::fprintf(stderr, "%s\n", service.status().ToString().c_str());
+    return 1;
+  }
+
   serve::HttpServer server(http_options, &registry);
   shard::RegisterShardHandlers(&server, service->get(), default_config,
-                               &reqtracer, &slo);
-  if (Status started =
-          server.Start(static_cast<uint16_t>(args.GetSize("port", 0)));
-      !started.ok()) {
+                               requests.tracer.get(), requests.slo.get());
+  if (Status started = server.Start(port); !started.ok()) {
     std::fprintf(stderr, "%s\n", started.ToString().c_str());
     return 1;
   }
 
-  const double max_seconds = args.GetDouble("max-seconds", 0.0);
   std::printf(
       "serving on 127.0.0.1:%u | root %s | %zu shards | %zu http workers "
       "| %zu tenants recovered in %.3f s\n",
@@ -1052,7 +1039,7 @@ int RunServe(const Args& args) {
     // but the periodic pass keeps the slo.* gauges (and the slo_burn
     // event edge) fresh even when nobody is polling.
     if (++ticks % 20 == 0) {
-      slo.Evaluate(obs::RequestTracer::NowSeconds());
+      requests.slo->Evaluate(obs::RequestTracer::NowSeconds());
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
