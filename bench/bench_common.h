@@ -4,10 +4,12 @@
 #ifndef NIDC_BENCH_BENCH_COMMON_H_
 #define NIDC_BENCH_BENCH_COMMON_H_
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "nidc/eval/report.h"
@@ -16,17 +18,24 @@
 // and print TablePrinter tables through these.
 #include "nidc/core/incremental_clusterer.h"
 #include "nidc/util/stopwatch.h"
+#include "nidc/util/string_util.h"
 #include "nidc/util/table_printer.h"
 
 namespace nidc::bench {
 
-/// Reads a double from the environment (lets users re-run benches at other
-/// scales without recompiling), falling back to `fallback`.
+/// Reads a positive number from the environment (lets users re-run benches
+/// at other scales without recompiling); `fallback` when `name` is unset.
+/// A set value that is not a finite positive number exits the process with
+/// status 2: a typo must not quietly turn a gate off.
 inline double EnvScale(const char* name, double fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr) return fallback;
-  const double parsed = std::atof(value);
-  return parsed > 0.0 ? parsed : fallback;
+  const std::optional<double> parsed = ParseNumber<double>(value);
+  if (!parsed || !std::isfinite(*parsed) || *parsed <= 0.0) {
+    std::fprintf(stderr, "%s=%s: expected a positive number\n", name, value);
+    std::exit(2);
+  }
+  return *parsed;
 }
 
 /// One generated corpus + its generator, built once per bench process.

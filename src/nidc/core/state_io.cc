@@ -1,8 +1,8 @@
 #include "nidc/core/state_io.h"
 
 #include <charconv>
-#include <cstdlib>
-#include <sstream>
+#include <cmath>
+#include <type_traits>
 
 #include "nidc/util/string_util.h"
 
@@ -30,66 +30,117 @@ void AppendIds(std::string* out, const char* tag,
   out->push_back('\n');
 }
 
-// Reads "<tag> <n> <id>*n" from the stream.
-bool ReadIds(std::istringstream& in, const std::string& expected_tag,
-             std::vector<DocId>* ids) {
-  std::string tag;
-  size_t n = 0;
-  if (!(in >> tag >> n) || tag != expected_tag) return false;
-  ids->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!(in >> (*ids)[i])) return false;
-  }
-  return true;
-}
-
-// Hex floats (%a) round-trip doubles bit-exactly; iostream extraction does
-// not parse them, so exact-section values go through strtod.
-bool ReadHexDouble(std::istringstream& in, double* value) {
-  std::string token;
-  if (!(in >> token)) return false;
-  char* end = nullptr;
-  *value = std::strtod(token.c_str(), &end);
-  return end != token.c_str() && *end == '\0';
-}
-
+// "<tag> <n> (<id> <hex value>)*n\n"
 template <typename Id>
-void EmitExactPairs(std::ostringstream& out, const char* tag,
-                    const std::vector<std::pair<Id, double>>& pairs) {
-  out << tag << ' ' << pairs.size();
+void AppendExactPairs(std::string* out, const char* tag,
+                      const std::vector<std::pair<Id, double>>& pairs) {
+  out->append(tag);
+  out->push_back(' ');
+  AppendNumber(out, pairs.size());
   for (const auto& [id, value] : pairs) {
-    out << ' ' << id << ' ' << StringPrintf("%a", value);
+    out->push_back(' ');
+    AppendNumber(out, id);
+    out->push_back(' ');
+    AppendHexDouble(value, out);
   }
-  out << '\n';
+  out->push_back('\n');
 }
 
-template <typename Id>
-bool ReadExactPairs(std::istringstream& in, const std::string& expected_tag,
-                    std::vector<std::pair<Id, double>>* pairs) {
-  std::string tag;
+bool IsSpace(char c) {
+  return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
+         c == '\f';
+}
+
+// Whitespace-separated tokens of a state text, read in place: nothing is
+// copied, and every read says whether it found what it expected.
+class TokenCursor {
+ public:
+  explicit TokenCursor(std::string_view text) : rest_(text) {}
+
+  // The next token; empty at the end of the text.
+  std::string_view Next() {
+    size_t begin = 0;
+    while (begin < rest_.size() && IsSpace(rest_[begin])) ++begin;
+    size_t end = begin;
+    while (end < rest_.size() && !IsSpace(rest_[end])) ++end;
+    const std::string_view token = rest_.substr(begin, end - begin);
+    rest_.remove_prefix(end);
+    return token;
+  }
+
+  bool Word(std::string_view expected) { return Next() == expected; }
+
+  // An integer, or a finite decimal double, that is the whole next token.
+  template <typename T>
+  bool Number(T* value) {
+    const std::optional<T> parsed = ParseNumber<T>(Next());
+    if (!parsed) return false;
+    if constexpr (std::is_floating_point_v<T>) {
+      if (!std::isfinite(*parsed)) return false;
+    }
+    *value = *parsed;
+    return true;
+  }
+
+  bool HexDouble(double* value) {
+    const std::optional<double> parsed = ParseHexDouble(Next());
+    if (parsed) *value = *parsed;
+    return parsed.has_value();
+  }
+
+  // `token` as a count of items each at least `min_chars` long: a count
+  // the rest of the text cannot hold is damage, not an allocation request.
+  bool Count(std::string_view token, size_t min_chars, size_t* n) const {
+    const std::optional<size_t> parsed = ParseNumber<size_t>(token);
+    if (!parsed || *parsed > rest_.size() / min_chars) return false;
+    *n = *parsed;
+    return true;
+  }
+  bool Count(size_t min_chars, size_t* n) {
+    return Count(Next(), min_chars, n);
+  }
+
+  bool AtEnd() { return Next().empty(); }
+
+ private:
+  std::string_view rest_;
+};
+
+// Reads "<tag> <n> <id>*n"; each id takes a separator and a digit.
+bool ReadIds(TokenCursor& in, std::string_view tag, std::vector<DocId>* ids) {
   size_t n = 0;
-  if (!(in >> tag >> n) || tag != expected_tag) return false;
-  pairs->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!(in >> (*pairs)[i].first)) return false;
-    if (!ReadHexDouble(in, &(*pairs)[i].second)) return false;
+  if (!in.Word(tag) || !in.Count(2, &n)) return false;
+  ids->resize(n);
+  for (DocId& id : *ids) {
+    if (!in.Number(&id)) return false;
   }
   return true;
 }
 
-Status ParseExactSection(std::istringstream& in, ExactModelState* exact) {
-  std::string word;
-  if (!(in >> word) || word != "now" || !ReadHexDouble(in, &exact->now)) {
+// Reads "<tag> <n> (<id> <hex value>)*n"; a pair takes at least 4 chars.
+template <typename Id>
+bool ReadExactPairs(TokenCursor& in, std::string_view tag,
+                    std::vector<std::pair<Id, double>>* pairs) {
+  size_t n = 0;
+  if (!in.Word(tag) || !in.Count(4, &n)) return false;
+  pairs->resize(n);
+  for (auto& [id, value] : *pairs) {
+    if (!in.Number(&id) || !in.HexDouble(&value)) return false;
+  }
+  return true;
+}
+
+Status ParseExactSection(TokenCursor& in, ExactModelState* exact) {
+  if (!in.Word("now") || !in.HexDouble(&exact->now)) {
     return Status::InvalidArgument("malformed exact now field");
   }
-  if (!(in >> word) || word != "tdw" || !ReadHexDouble(in, &exact->tdw)) {
+  if (!in.Word("tdw") || !in.HexDouble(&exact->tdw)) {
     return Status::InvalidArgument("malformed exact tdw field");
   }
   if (!ReadExactPairs(in, "weights", &exact->weights)) {
     return Status::InvalidArgument("malformed exact weights list");
   }
-  if (!(in >> word) || word != "scale" ||
-      !ReadHexDouble(in, &exact->term_scale)) {
+  if (!in.Word("scale") || !in.HexDouble(&exact->term_scale)) {
     return Status::InvalidArgument("malformed exact scale field");
   }
   if (!ReadExactPairs(in, "terms", &exact->term_sums)) {
@@ -99,31 +150,29 @@ Status ParseExactSection(std::istringstream& in, ExactModelState* exact) {
 }
 
 // The result section after its "clusters" word; `count_token` is the
-// cluster count that follows it.
-Status ParseResultBody(std::istringstream& in, const std::string& count_token,
+// cluster count that follows it. A cluster line takes at least 10 chars.
+Status ParseResultBody(TokenCursor& in, std::string_view count_token,
                        ClusteringResult* result) {
   size_t num_clusters = 0;
-  try {
-    num_clusters = static_cast<size_t>(std::stoul(count_token));
-  } catch (const std::exception&) {
-    return Status::InvalidArgument("bad cluster count: " + count_token);
+  if (!in.Count(count_token, 10, &num_clusters)) {
+    return Status::InvalidArgument("bad cluster count: " +
+                                   std::string(count_token));
   }
   result->clusters.resize(num_clusters);
-  for (size_t p = 0; p < num_clusters; ++p) {
-    if (!ReadIds(in, "cluster", &result->clusters[p])) {
+  for (std::vector<DocId>& members : result->clusters) {
+    if (!ReadIds(in, "cluster", &members)) {
       return Status::InvalidArgument("malformed cluster member list");
     }
   }
   if (!ReadIds(in, "outliers", &result->outliers)) {
     return Status::InvalidArgument("malformed outlier list");
   }
-  std::string word;
-  int converged = 0;
-  if (!(in >> word >> result->g) || word != "g") {
+  if (!in.Word("g") || !in.Number(&result->g)) {
     return Status::InvalidArgument("malformed g line");
   }
-  if (!(in >> word >> result->iterations >> converged) ||
-      word != "iterations") {
+  int converged = 0;
+  if (!in.Word("iterations") || !in.Number(&result->iterations) ||
+      !in.Number(&converged)) {
     return Status::InvalidArgument("malformed iterations line");
   }
   result->converged = converged != 0;
@@ -140,24 +189,21 @@ void AppendResultSection(const ClusteringResult& result, std::string* out) {
     AppendIds(out, "cluster", members);
   }
   AppendIds(out, "outliers", result.outliers);
-  // %.17g is what an ostream at precision 17 prints, so snapshots keep
-  // their bytes.
-  out->append(StringPrintf("g %.17g\n", result.g));
-  out->append("iterations ");
+  out->append("g ");
+  AppendDouble17(result.g, out);
+  out->append("\niterations ");
   AppendNumber(out, result.iterations);
   out->append(result.converged ? " 1\n" : " 0\n");
 }
 
 Result<ClusteringResult> ParseResultSection(std::string_view text) {
-  std::istringstream in{std::string(text)};
-  std::string word;
-  std::string count_token;
-  if (!(in >> word >> count_token) || word != "clusters") {
+  TokenCursor in(text);
+  if (!in.Word("clusters")) {
     return Status::InvalidArgument("malformed clusters header");
   }
   ClusteringResult result;
-  NIDC_RETURN_NOT_OK(ParseResultBody(in, count_token, &result));
-  if (in >> word) {
+  NIDC_RETURN_NOT_OK(ParseResultBody(in, in.Next(), &result));
+  if (!in.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after result section");
   }
   return result;
@@ -175,62 +221,73 @@ ClustererState CaptureState(const IncrementalClusterer& clusterer) {
 }
 
 std::string SerializeState(const ClustererState& state) {
-  std::ostringstream out;
-  out.precision(17);
-  out << "nidc-state v2\n";
-  out << "params " << state.params.half_life_days << ' '
-      << state.params.life_span_days << '\n';
-  out << "now " << state.now << '\n';
-  out << "steps " << state.step_count << '\n';
-  std::string sections;
-  AppendIds(&sections, "active", state.active_docs);
+  // The active ids appear twice (clusters and outliers hold them again),
+  // an id with its separator rarely takes over 8 characters and an exact
+  // pair over 32: the text grows in place once, if at all.
+  const size_t exact_pairs =
+      state.exact ? state.exact->weights.size() + state.exact->term_sums.size()
+                  : 0;
+  std::string out;
+  out.reserve(256 + 16 * state.active_docs.size() + 32 * exact_pairs);
+  out.append("nidc-state v2\nparams ");
+  AppendDouble17(state.params.half_life_days, &out);
+  out.push_back(' ');
+  AppendDouble17(state.params.life_span_days, &out);
+  out.append("\nnow ");
+  AppendDouble17(state.now, &out);
+  out.append("\nsteps ");
+  AppendNumber(&out, state.step_count);
+  out.push_back('\n');
+  AppendIds(&out, "active", state.active_docs);
   if (!state.last_result) {
-    sections += "clusters none\n";
+    out.append("clusters none\n");
   } else {
-    AppendResultSection(*state.last_result, &sections);
+    AppendResultSection(*state.last_result, &out);
   }
-  out << sections;
   if (state.exact) {
     const ExactModelState& exact = *state.exact;
-    out << "exact\n";
-    out << "now " << StringPrintf("%a", exact.now) << " tdw "
-        << StringPrintf("%a", exact.tdw) << '\n';
-    EmitExactPairs(out, "weights", exact.weights);
-    out << "scale " << StringPrintf("%a", exact.term_scale) << '\n';
-    EmitExactPairs(out, "terms", exact.term_sums);
+    out.append("exact\nnow ");
+    AppendHexDouble(exact.now, &out);
+    out.append(" tdw ");
+    AppendHexDouble(exact.tdw, &out);
+    out.push_back('\n');
+    AppendExactPairs(&out, "weights", exact.weights);
+    out.append("scale ");
+    AppendHexDouble(exact.term_scale, &out);
+    out.push_back('\n');
+    AppendExactPairs(&out, "terms", exact.term_sums);
   }
-  return out.str();
+  return out;
 }
 
-Result<ClustererState> ParseState(const std::string& text) {
-  std::istringstream in(text);
-  std::string word;
-  std::string version;
-  if (!(in >> word >> version) || word != "nidc-state" ||
-      (version != "v1" && version != "v2")) {
+Result<ClustererState> ParseState(std::string_view text) {
+  TokenCursor in(text);
+  const bool header = in.Word("nidc-state");
+  const std::string_view version = in.Next();
+  if (!header || (version != "v1" && version != "v2")) {
     return Status::InvalidArgument("not a nidc-state v1/v2 snapshot");
   }
   ClustererState state;
-  if (!(in >> word >> state.params.half_life_days >>
-        state.params.life_span_days) ||
-      word != "params" || !state.params.Validate().ok()) {
+  if (!in.Word("params") || !in.Number(&state.params.half_life_days) ||
+      !in.Number(&state.params.life_span_days) ||
+      !state.params.Validate().ok()) {
     return Status::InvalidArgument("malformed params line");
   }
-  if (!(in >> word >> state.now) || word != "now") {
+  if (!in.Word("now") || !in.Number(&state.now)) {
     return Status::InvalidArgument("malformed now line");
   }
   if (version == "v2") {
-    if (!(in >> word >> state.step_count) || word != "steps") {
+    if (!in.Word("steps") || !in.Number(&state.step_count)) {
       return Status::InvalidArgument("malformed steps line");
     }
   }
   if (!ReadIds(in, "active", &state.active_docs)) {
     return Status::InvalidArgument("malformed active list");
   }
-  std::string count_token;
-  if (!(in >> word >> count_token) || word != "clusters") {
+  if (!in.Word("clusters")) {
     return Status::InvalidArgument("malformed clusters header");
   }
+  const std::string_view count_token = in.Next();
   if (count_token != "none") {
     ClusteringResult result;
     NIDC_RETURN_NOT_OK(ParseResultBody(in, count_token, &result));
@@ -242,12 +299,17 @@ Result<ClustererState> ParseState(const std::string& text) {
     state.step_count = state.last_result ? 1 : 0;
     return state;
   }
-  if (in >> word) {
-    if (word != "exact") {
-      return Status::InvalidArgument("unexpected trailing section: " + word);
+  const std::string_view section = in.Next();
+  if (!section.empty()) {
+    if (section != "exact") {
+      return Status::InvalidArgument("unexpected trailing section: " +
+                                     std::string(section));
     }
     ExactModelState exact;
     NIDC_RETURN_NOT_OK(ParseExactSection(in, &exact));
+    if (!in.AtEnd()) {
+      return Status::InvalidArgument("trailing bytes after exact section");
+    }
     if (exact.weights.size() != state.active_docs.size()) {
       return Status::InvalidArgument(
           "exact weights disagree with the active list");

@@ -57,7 +57,7 @@ ClustererState CaptureState(const IncrementalClusterer& clusterer);
 /// Serializes a state to its text representation / parses it back.
 /// Serialization emits format v2; parsing accepts v1 and v2.
 std::string SerializeState(const ClustererState& state);
-Result<ClustererState> ParseState(const std::string& text);
+Result<ClustererState> ParseState(std::string_view text);
 
 /// File round-trip helpers. Saving is atomic (write-temp + fsync +
 /// rename) through `env`, which defaults to the process-wide POSIX Env.

@@ -41,7 +41,7 @@ DocId Corpus::AddText(std::string_view text, DayTime time, TopicId topic,
 }
 
 Status Corpus::Install(TermId first_term,
-                       const std::vector<std::string>& new_terms,
+                       const std::vector<std::string_view>& new_terms,
                        DocId first_doc, std::vector<Document> docs) {
   if (first_term != vocabulary_->size() ||
       (first_doc != size() && !empty())) {
@@ -55,10 +55,11 @@ Status Corpus::Install(TermId first_term,
     }
   }
   TermId expected = first_term;
-  for (const std::string& term : new_terms) {
+  for (std::string_view term : new_terms) {
     if (vocabulary_->GetOrAdd(term) != expected++) {
       vocabulary_->Truncate(first_term);
-      return Status::InvalidArgument("corpus record term \"" + term +
+      return Status::InvalidArgument("corpus record term \"" +
+                                     std::string(term) +
                                      "\" does not get its recorded id");
     }
   }

@@ -48,7 +48,8 @@ class Corpus {
   /// MinTime/MaxTime cover only the documents added from then on
   /// (±infinity while there are none). On any mismatch returns
   /// InvalidArgument and leaves the corpus as it was.
-  Status Install(TermId first_term, const std::vector<std::string>& new_terms,
+  Status Install(TermId first_term,
+                 const std::vector<std::string_view>& new_terms,
                  DocId first_doc, std::vector<Document> docs);
 
   /// Drops every retained document with id < `end` (clamped to size()).

@@ -285,7 +285,7 @@ Result<CorpusIndexRecord> DecodeCorpusIndexRecord(std::string_view payload) {
   record.first_term = static_cast<TermId>(first_term);
   record.terms.reserve(num_terms);
   for (uint64_t t = 0; t < num_terms; ++t) {
-    record.terms.emplace_back(in.LengthPrefixed());
+    record.terms.push_back(in.LengthPrefixed());
   }
   const uint64_t first_doc = in.Varint();
   const uint64_t num_docs = in.Count(11);

@@ -23,6 +23,7 @@
 #ifndef NIDC_CORPUS_CORPUS_IO_H_
 #define NIDC_CORPUS_CORPUS_IO_H_
 
+#include <concepts>
 #include <string>
 
 #include "nidc/corpus/corpus.h"
@@ -92,12 +93,13 @@ double CanonicalTime(double time);
 Result<RawDocument> ParseRawDocument(const std::string& line);
 
 /// One corpus record: terms and documents a stretch of ids added to a
-/// corpus.
+/// corpus. A decoded record's terms view the payload it was decoded from,
+/// so it must not outlive that payload.
 struct CorpusIndexRecord {
   /// Vocabulary size before the block: the id of terms[0].
   TermId first_term = 0;
   /// Terms the block introduced, in id order.
-  std::vector<std::string> terms;
+  std::vector<std::string_view> terms;
   /// DocId of docs[0].
   DocId first_doc = 0;
   /// The block's documents (their `id` fields are left 0).
@@ -123,8 +125,12 @@ std::string EncodeCorpusIndexRecord(const Corpus& corpus,
 bool IsCorpusIndexRecord(std::string_view payload);
 
 /// Decodes a record; InvalidArgument on anything EncodeCorpusIndexRecord
-/// cannot have written.
+/// cannot have written. The record's terms point into `payload`, so a
+/// temporary string is refused at compile time.
 Result<CorpusIndexRecord> DecodeCorpusIndexRecord(std::string_view payload);
+template <typename S>
+  requires std::same_as<S, std::string>
+Result<CorpusIndexRecord> DecodeCorpusIndexRecord(S&& payload) = delete;
 
 }  // namespace nidc
 

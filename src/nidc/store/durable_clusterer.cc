@@ -8,6 +8,7 @@
 #include "nidc/obs/event_log.h"
 #include "nidc/util/crc32.h"
 #include "nidc/util/logging.h"
+#include "nidc/util/stopwatch.h"
 #include "nidc/util/string_util.h"
 
 namespace nidc {
@@ -152,8 +153,14 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
   uint64_t newest_seen = 0;
   // Set once this generation's snapshot or WAL installs into the corpus.
   bool corpus_touched = false;
+  // Where recovery's time went: loading base states (fallbacks included),
+  // replaying the WAL tail, and making the result durable.
+  double load_seconds = 0.0;
+  double replay_seconds = 0.0;
+  double sync_seconds = 0.0;
   for (uint64_t generation : candidates) {
     newest_seen = std::max(newest_seen, generation);
+    Stopwatch phase;
     Result<ClustererState> state =
         LoadBaseState(env, durable.dir, generation, corpus, params, options,
                       &corpus_touched);
@@ -161,6 +168,8 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
         state.ok() ? RestoreClusterer(corpus, options, *state)
                    : Result<std::unique_ptr<IncrementalClusterer>>(
                          state.status());
+    load_seconds += phase.ElapsedSeconds();
+    phase.Restart();
     if (!restored.ok()) {
       // The previous generation starts again from an empty corpus.
       if (corpus_touched) *corpus = Corpus();
@@ -235,6 +244,8 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
         if (stepped.ok() && stepped->installed) ++recovery.installed_records;
       }
     }
+    replay_seconds = phase.ElapsedSeconds();
+    phase.Restart();
     // A follower always stays on the generation it recovered, so that
     // re-shipped frames line up with the leader's numbering. A leader
     // stays too, instead of checkpointing the state it has just read,
@@ -269,6 +280,7 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
       // checkpoint would have made it, including records a process kill
       // left unsynced in the page cache.
       if (applied > 0) NIDC_RETURN_NOT_OK(reused_wal->Sync());
+      sync_seconds = phase.ElapsedSeconds();
     }
     recovery.resumed = true;
     recovery.source_generation = generation;
@@ -302,7 +314,9 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
     // Start a fresh generation so post-recovery writes never touch the
     // files recovery might still need as fallback.
     durable_clusterer->generation_ = newest_seen;
+    const Stopwatch rotate;
     NIDC_RETURN_NOT_OK(durable_clusterer->Rotate());
+    sync_seconds = rotate.ElapsedSeconds();
   }
   durable_clusterer->recovery_.new_generation =
       durable_clusterer->generation_;
@@ -320,6 +334,9 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
         ->Increment(recovery.snapshot_fallbacks);
     metrics->GetCounter("store.recovery.dropped_wal_bytes")
         ->Increment(recovery.dropped_wal_bytes);
+    metrics->GetGauge("store.recovery.load_seconds")->Set(load_seconds);
+    metrics->GetGauge("store.recovery.replay_seconds")->Set(replay_seconds);
+    metrics->GetGauge("store.recovery.sync_seconds")->Set(sync_seconds);
   }
   return durable_clusterer;
 }

@@ -1,8 +1,10 @@
 #include "nidc/util/string_util.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 
 namespace nidc {
 
@@ -56,6 +58,64 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
 bool EndsWith(std::string_view text, std::string_view suffix) {
   return text.size() >= suffix.size() &&
          text.substr(text.size() - suffix.size()) == suffix;
+}
+
+void AppendHexDouble(double value, std::string* out) {
+  // Room for "-0x1.fffffffffffffp-1022" and every shorter form.
+  char buf[32];
+  char* end = buf;
+  if (std::signbit(value)) *end++ = '-';
+  if (std::isfinite(value)) {
+    *end++ = '0';
+    *end++ = 'x';
+  }
+  if (std::fpclassify(value) != FP_SUBNORMAL) {
+    // to_chars writes %a's digits without its "0x".
+    end = std::to_chars(end, buf + sizeof(buf), std::fabs(value),
+                        std::chars_format::hex)
+              .ptr;
+    out->append(buf, end);
+    return;
+  }
+  // to_chars normalizes a subnormal ("1p-1074"). %a keeps its leading 0
+  // and exponent -1022 and writes its 13 fraction digits, trailing zeros
+  // dropped ("0x0.0000000000001p-1022").
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  *end++ = '0';
+  *end++ = '.';
+  uint64_t rest = bits & ((uint64_t{1} << 52) - 1);
+  for (int shift = 48; rest != 0; shift -= 4) {
+    *end++ = "0123456789abcdef"[(rest >> shift) & 0xF];
+    rest &= (uint64_t{1} << shift) - 1;
+  }
+  out->append(buf, end);
+  out->append("p-1022");
+}
+
+void AppendDouble17(double value, std::string* out) {
+  // Room for "-2.2250738585072014e-308" and every shorter form.
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::general, 17);
+  out->append(buf, r.ptr);
+}
+
+std::optional<double> ParseHexDouble(std::string_view text) {
+  const bool negative = !text.empty() && text.front() == '-';
+  std::string_view body = text.substr(negative ? 1 : 0);
+  if (!StartsWith(body, "0x")) return ParseNumber<double>(text);
+  body.remove_prefix(2);
+  double value = 0.0;
+  const char* end = body.data() + body.size();
+  const auto [stop, error] = std::from_chars(body.data(), end, value,
+                                             std::chars_format::hex);
+  // from_chars would also take a sign or "inf" here; %a writes digits.
+  if (body.empty() || !std::isxdigit(static_cast<unsigned char>(body[0])) ||
+      error != std::errc() || stop != end) {
+    return std::nullopt;
+  }
+  return negative ? -value : value;
 }
 
 std::string StringPrintf(const char* fmt, ...) {

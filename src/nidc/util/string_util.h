@@ -51,6 +51,21 @@ std::optional<T> ParseNumber(std::string_view text) {
   return value;
 }
 
+/// Appends `value` exactly as printf's "%a" prints it: a hex float that
+/// reads back bit-exactly ("inf", "-inf", "nan" or "-nan" when not
+/// finite).
+void AppendHexDouble(double value, std::string* out);
+
+/// Appends `value` exactly as printf's "%.17g" prints it, which is also
+/// what an ostream at precision 17 prints: enough digits to read back
+/// bit-exactly.
+void AppendDouble17(double value, std::string* out);
+
+/// Parses all of `text` as a double the way strtod reads what the two
+/// appenders above write: a hex float ("0x" after an optional '-'), a
+/// decimal, or inf/nan. nullopt on anything else.
+std::optional<double> ParseHexDouble(std::string_view text);
+
 /// printf-style formatting into a std::string.
 std::string StringPrintf(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

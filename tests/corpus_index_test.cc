@@ -175,10 +175,13 @@ TEST(CorpusIndexRecordTest, EveryTruncationAndForeignPayloadIsRejected) {
       source, {0, static_cast<TermId>(source.vocabulary().size()), 0, 3});
   EXPECT_TRUE(IsCorpusIndexRecord(payload));
   for (size_t cut = 0; cut < payload.size(); ++cut) {
-    EXPECT_FALSE(DecodeCorpusIndexRecord(payload.substr(0, cut)).ok())
+    EXPECT_FALSE(
+        DecodeCorpusIndexRecord(std::string_view(payload).substr(0, cut))
+            .ok())
         << cut;
   }
-  EXPECT_FALSE(DecodeCorpusIndexRecord(payload + '\0').ok());
+  const std::string padded = payload + '\0';
+  EXPECT_FALSE(DecodeCorpusIndexRecord(padded).ok());
   // A step record shares the WAL and is told apart by the tag.
   EXPECT_FALSE(IsCorpusIndexRecord("step 0x1p+0 0"));
   EXPECT_FALSE(DecodeCorpusIndexRecord("step 0x1p+0 0").ok());
@@ -202,7 +205,7 @@ std::string EncodeByHand(const CorpusIndexRecord& record,
   std::string out = "CDR1";
   PutVarintByHand(&out, record.first_term);
   PutVarintByHand(&out, record.terms.size());
-  for (const std::string& term : record.terms) {
+  for (std::string_view term : record.terms) {
     PutVarintByHand(&out, term.size());
     out += term;
   }
@@ -254,14 +257,15 @@ TEST(CorpusIndexRecordTest, CountsAboveThirtyTwoBitsAreDamaged) {
   const uint64_t max = std::numeric_limits<uint32_t>::max();
   for (uint64_t count : {max + 1, uint64_t{1} << 40,
                          std::numeric_limits<uint64_t>::max()}) {
-    const Result<CorpusIndexRecord> record =
-        DecodeCorpusIndexRecord(OneTermRecord(count));
+    const std::string payload = OneTermRecord(count);
+    const Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(payload);
     ASSERT_FALSE(record.ok()) << count;
     EXPECT_NE(record.status().ToString().find("bad term vector"),
               std::string::npos)
         << record.status().ToString();
   }
-  EXPECT_FALSE(DecodeCorpusIndexRecord(OneTermRecord(0)).ok());
+  const std::string zero = OneTermRecord(0);
+  EXPECT_FALSE(DecodeCorpusIndexRecord(zero).ok());
 }
 
 TEST(CorpusIndexRecordTest, WrappingIdDeltaIsDamaged) {
@@ -285,8 +289,8 @@ TEST(CorpusIndexRecordTest, WrappingIdDeltaIsDamaged) {
 
 TEST(CorpusIndexRecordTest, LargestThirtyTwoBitCountInstalls) {
   const uint32_t max = std::numeric_limits<uint32_t>::max();
-  Result<CorpusIndexRecord> record =
-      DecodeCorpusIndexRecord(OneTermRecord(max));
+  const std::string payload = OneTermRecord(max);
+  Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(payload);
   ASSERT_TRUE(record.ok()) << record.status().ToString();
   Corpus corpus;
   ASSERT_TRUE(corpus
@@ -302,9 +306,9 @@ TEST(CorpusIndexRecordTest, LargestThirtyTwoBitCountInstalls) {
 
 TEST(CorpusIndexRecordTest, MismatchedInstallLeavesTheCorpusUnchanged) {
   const Corpus source = AnalyzedCorpus();
-  Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(
-      EncodeCorpusIndexRecord(
-          source, {0, static_cast<TermId>(source.vocabulary().size()), 0, 3}));
+  const std::string payload = EncodeCorpusIndexRecord(
+      source, {0, static_cast<TermId>(source.vocabulary().size()), 0, 3});
+  Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(payload);
   ASSERT_TRUE(record.ok());
 
   Corpus corpus;
@@ -316,10 +320,10 @@ TEST(CorpusIndexRecordTest, MismatchedInstallLeavesTheCorpusUnchanged) {
   EXPECT_FALSE(
       corpus.Install(1, record->terms, 0, record->docs).ok());
   // In place, but a recorded term already exists under another id.
-  std::vector<std::string> clash = {"zebra", "race"};
+  std::vector<std::string_view> clash = {"zebra", "race"};
   EXPECT_FALSE(corpus.Install(1, clash, 1, {}).ok());
   // A duplicate inside the record.
-  std::vector<std::string> twice = {"zebra", "zebra"};
+  std::vector<std::string_view> twice = {"zebra", "zebra"};
   EXPECT_FALSE(corpus.Install(1, twice, 1, {}).ok());
   // A document naming a term past the vocabulary.
   std::vector<Document> unknown(1);
@@ -337,10 +341,9 @@ TEST(CorpusIndexRecordTest, InstallStartsAnEmptyCorpusAtAnyId) {
   // of a corpus that released its first one.
   Corpus source = AnalyzedCorpus();
   source.ReleaseBefore(1);
-  Result<CorpusIndexRecord> record =
-      DecodeCorpusIndexRecord(EncodeCorpusIndexRecord(
-          source,
-          {0, static_cast<TermId>(source.vocabulary().size()), 1, 3}));
+  const std::string payload = EncodeCorpusIndexRecord(
+      source, {0, static_cast<TermId>(source.vocabulary().size()), 1, 3});
+  Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(payload);
   ASSERT_TRUE(record.ok()) << record.status().ToString();
   Corpus restored;
   ASSERT_TRUE(restored

@@ -293,6 +293,59 @@ TEST_F(DurableClustererTest, CorruptSnapshotFallsBackToPreviousGeneration) {
   ASSERT_TRUE((*recovered)->Close().ok());
 }
 
+TEST_F(DurableClustererTest, OversizedSnapshotCountFallsBackWithoutAborting) {
+  // An unframed snapshot has no CRC: a damaged count reaches the parser,
+  // which must refuse it rather than allocate it.
+  const char* const damaged[] = {
+      "nidc-state v2\nparams 7 30\nnow 1\nsteps 0\n"
+      "active 99999999999999 1\n",
+      "nidc-state v2\nparams 7 30\nnow 1\nsteps 0\nactive 0\n"
+      "clusters -1\n"};
+  Env* env = Env::Default();
+  for (size_t i = 0; i < std::size(damaged); ++i) {
+    const std::string dir = FreshDir("oversized_count" + std::to_string(i));
+    {
+      DurableOptions options = Options(dir, /*checkpoint_every=*/5);
+      options.keep_generations = 3;
+      auto durable = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                            incremental_, options);
+      ASSERT_TRUE(durable.ok());
+      Feed(durable->get(), 0, 12);
+      ASSERT_TRUE((*durable)->Close().ok());
+    }
+    auto generations = ListSnapshotGenerations(env, dir);
+    ASSERT_TRUE(generations.ok());
+    ASSERT_GE(generations->size(), 2u);
+    const uint64_t newest = (*generations)[0];
+    ASSERT_TRUE(AtomicWriteFile(env, dir + "/" + SnapshotFileName(newest),
+                                damaged[i])
+                    .ok());
+
+    obs::MetricsRegistry metrics;
+    DurableOptions options = Options(dir);
+    options.metrics = &metrics;
+    auto recovered = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                            incremental_, options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ((*recovered)->recovery().snapshot_fallbacks, 1u) << i;
+    EXPECT_EQ(metrics.GetCounter("store.recovery.snapshot_fallbacks")->Value(),
+              1u);
+    EXPECT_LT((*recovered)->recovery().source_generation, newest);
+    // The fallback generation's WAL holds steps to replay, and the
+    // fallback rotates: every recovery phase took time.
+    EXPECT_GT((*recovered)->recovery().replayed_records, 0u);
+    for (const char* phase :
+         {"store.recovery.load_seconds", "store.recovery.replay_seconds",
+          "store.recovery.sync_seconds"}) {
+      EXPECT_GT(metrics.GetGauge(phase)->Value(), 0.0) << phase;
+    }
+    Feed(recovered->get(), (*recovered)->applied_steps(),
+         stream_.batches.size());
+    EXPECT_EQ(Fingerprint((*recovered)->clusterer()), ReferenceFingerprint());
+    ASSERT_TRUE((*recovered)->Close().ok());
+  }
+}
+
 TEST_F(DurableClustererTest, CorruptSecondSnapshotFallsBackToImplicitFirst) {
   // Generation 1 has no snapshot, yet while its WAL exists it is the
   // fallback behind a damaged generation 2, exactly as deep as a stored

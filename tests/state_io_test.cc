@@ -153,6 +153,82 @@ TEST_F(StateIoTest, ResultSectionRoundTripsAsInTheSnapshot) {
   EXPECT_FALSE(ParseResultSection(section.substr(0, section.size() / 2)).ok());
 }
 
+// A state whose exact section holds the values a formatter gets wrong
+// first: signed zeros, a subnormal, negatives and integral values.
+ClustererState HandBuiltState() {
+  ClustererState state;
+  state.params.half_life_days = 7.0;
+  state.params.life_span_days = 30.0;
+  state.now = 2.5;
+  state.step_count = 3;
+  state.active_docs = {0, 2, 3};
+  ClusteringResult result;
+  result.clusters = {{0, 3}, {}};
+  result.outliers = {2};
+  result.g = 0.1;
+  result.iterations = 2;
+  result.converged = true;
+  state.last_result = result;
+  ExactModelState exact;
+  exact.now = 2.5;
+  exact.tdw = 1.0 / 3.0;
+  exact.weights = {{0, 0.0}, {2, -0.0}, {3, 4.9406564584124654e-324}};
+  exact.term_scale = 1e-5;
+  exact.term_sums = {{1, -2.75}, {4, 3.0}, {9, -1.7976931348623157e308},
+                     {12, 2.2250738585072014e-308 / 3}};
+  state.exact = exact;
+  return state;
+}
+
+TEST_F(StateIoTest, SerializedBytesArePinned) {
+  // These bytes are the service digest (Tenant::StateDigest): a codec
+  // change must not move them.
+  EXPECT_EQ(SerializeState(HandBuiltState()),
+            "nidc-state v2\n"
+            "params 7 30\n"
+            "now 2.5\n"
+            "steps 3\n"
+            "active 3 0 2 3\n"
+            "clusters 2\n"
+            "cluster 2 0 3\n"
+            "cluster 0\n"
+            "outliers 1 2\n"
+            "g 0.10000000000000001\n"
+            "iterations 2 1\n"
+            "exact\n"
+            "now 0x1.4p+1 tdw 0x1.5555555555555p-2\n"
+            "weights 3 0 0x0p+0 2 -0x0p+0 3 0x0.0000000000001p-1022\n"
+            "scale 0x1.4f8b588e368f1p-17\n"
+            "terms 4 1 -0x1.6p+1 4 0x1.8p+1 9 -0x1.fffffffffffffp+1023 "
+            "12 0x0.5555555555555p-1022\n");
+
+  IncrementalClusterer clusterer(&corpus_, Params(), Options());
+  ASSERT_TRUE(clusterer.Step({0, 1, 2, 3}, 2.0).ok());
+  EXPECT_EQ(SerializeState(CaptureState(clusterer)),
+            "nidc-state v2\n"
+            "params 7 30\n"
+            "now 2\n"
+            "steps 1\n"
+            "active 4 0 1 2 3\n"
+            "clusters 2\n"
+            "cluster 2 2 3\n"
+            "cluster 2 0 1\n"
+            "outliers 0\n"
+            "g 0.24984685688976033\n"
+            "iterations 2 1\n"
+            "exact\n"
+            "now 0x1p+1 tdw 0x1.c515c62f22b15p+1\n"
+            "weights 4 0 0x1.a402feeb9c533p-1 1 0x1.b954806a97df1p-1 "
+            "2 0x1.cfbb031a741a5p-1 3 0x1.e744964be278bp-1\n"
+            "scale 0x1.a402feeb9c533p-1\n"
+            "terms 12 0 0x1.067f318b89051p-1 1 0x1p-2 2 0x1p-2 "
+            "3 0x1.067f318b89051p-1 4 0x1.0cfe6317120a2p-2 "
+            "5 0x1.0cfe6317120a2p-2 6 0x1.21d1ecc6e2d1ap-1 "
+            "7 0x1.1aa59c4115e7dp-2 8 0x1.21d1ecc6e2d1ap-1 "
+            "9 0x1.1aa59c4115e7dp-2 10 0x1.28fe3d4cafbb7p-2 "
+            "11 0x1.28fe3d4cafbb7p-2\n");
+}
+
 TEST_F(StateIoTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseState("").ok());
   EXPECT_FALSE(ParseState("random text").ok());
