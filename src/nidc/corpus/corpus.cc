@@ -54,6 +54,9 @@ Status Corpus::Install(TermId first_term,
       return Status::InvalidArgument("corpus record names an unknown term");
     }
   }
+  size_t term_bytes = 0;
+  for (std::string_view term : new_terms) term_bytes += term.size();
+  vocabulary_->Reserve(new_terms.size(), term_bytes);
   TermId expected = first_term;
   for (std::string_view term : new_terms) {
     if (vocabulary_->GetOrAdd(term) != expected++) {

@@ -174,6 +174,12 @@ class IndexReader {
   bool done() const { return data_.empty(); }
 
   uint64_t Varint() {
+    // Most id deltas, counts and lengths fit in one byte.
+    if (!data_.empty() && static_cast<unsigned char>(data_.front()) < 0x80) {
+      const auto v = static_cast<unsigned char>(data_.front());
+      data_.remove_prefix(1);
+      return v;
+    }
     uint64_t v = 0;
     for (int shift = 0; shift < 64; shift += 7) {
       if (data_.empty()) break;
@@ -225,10 +231,10 @@ class IndexReader {
 
 std::string EncodeCorpusIndexRecord(const Corpus& corpus,
                                     const CorpusIndexSpan& span) {
-  const std::vector<std::string>& terms = corpus.vocabulary().terms();
+  const Vocabulary& vocabulary = corpus.vocabulary();
   size_t estimate = 32;
-  for (size_t t = span.first_term; t < span.end_term; ++t) {
-    estimate += terms[t].size() + 1;
+  for (TermId t = span.first_term; t < span.end_term; ++t) {
+    estimate += vocabulary.term(t).size() + 1;
   }
   for (size_t d = span.first_doc; d < span.end_doc; ++d) {
     const Document& doc = corpus.doc(static_cast<DocId>(d));
@@ -239,8 +245,8 @@ std::string EncodeCorpusIndexRecord(const Corpus& corpus,
   out.append(kIndexTag, kIndexTagSize);
   PutVarint(&out, span.first_term);
   PutVarint(&out, span.end_term - span.first_term);
-  for (size_t t = span.first_term; t < span.end_term; ++t) {
-    PutBytes(&out, terms[t]);
+  for (TermId t = span.first_term; t < span.end_term; ++t) {
+    PutBytes(&out, vocabulary.term(t));
   }
   PutVarint(&out, span.first_doc);
   PutVarint(&out, span.end_doc - span.first_doc);

@@ -20,6 +20,10 @@ constexpr char kStoreDir[] = "/store";
 // index file beside it, wrote no key.
 constexpr char kLayoutKey[] = "layout";
 constexpr uint64_t kLayout = 2;
+// The corpus sizes each tenant publishes, in Tenant::corpus_gauges_ order.
+constexpr const char* kCorpusGauges[] = {
+    "retained_docs", "retained_term_entries", "vocabulary_terms",
+    "vocabulary_bytes"};
 
 Env* EnvOf(const TenantRuntime& runtime) {
   return runtime.env != nullptr ? runtime.env : Env::Default();
@@ -103,14 +107,16 @@ Tenant::Tenant(std::string name, std::string dir, TenantConfig config,
   obs::ClusterHealthOptions health_options;
   health_options.metrics = &metrics_;
   health_ = std::make_unique<obs::ClusterHealthMonitor>(health_options);
-  retained_gauge_ = metrics_.GetGauge("shard.tenant.corpus_retained_docs");
-  retained_entries_gauge_ =
-      metrics_.GetGauge("shard.tenant.corpus_retained_term_entries");
-  if (runtime_.shared_metrics != nullptr) {
-    shared_retained_gauge_ =
-        runtime_.shared_metrics->GetGauge("shard.corpus.retained_docs");
-    shared_retained_entries_gauge_ = runtime_.shared_metrics->GetGauge(
-        "shard.corpus.retained_term_entries");
+  static_assert(std::size(kCorpusGauges) ==
+                std::tuple_size_v<decltype(corpus_gauges_)>);
+  for (size_t i = 0; i < corpus_gauges_.size(); ++i) {
+    const std::string suffix = kCorpusGauges[i];
+    corpus_gauges_[i].own =
+        metrics_.GetGauge("shard.tenant.corpus_" + suffix);
+    if (runtime_.shared_metrics != nullptr) {
+      corpus_gauges_[i].shared =
+          runtime_.shared_metrics->GetGauge("shard.corpus." + suffix);
+    }
   }
 }
 
@@ -444,12 +450,10 @@ Status Tenant::Close() {
     Status file_closed = corpus_file_->Close();
     if (status.ok()) status = file_closed;
   }
-  if (shared_retained_gauge_ != nullptr) {
-    shared_retained_gauge_->Add(-retained_published_);
-    shared_retained_entries_gauge_->Add(-retained_entries_published_);
+  for (CorpusGauge& gauge : corpus_gauges_) {
+    if (gauge.shared != nullptr) gauge.shared->Add(-gauge.published);
+    gauge.published = 0.0;
   }
-  retained_published_ = 0.0;
-  retained_entries_published_ = 0.0;
   return status;
 }
 
@@ -462,17 +466,17 @@ std::string Tenant::StateDigest() const {
 void Tenant::PublishProgress() {
   now_ = batcher_.cursor();
   steps_applied_ = durable_->applied_steps();
-  const auto retained = static_cast<double>(corpus_->docs().size());
-  const auto entries = static_cast<double>(corpus_->retained_term_entries());
-  retained_gauge_->Set(retained);
-  retained_entries_gauge_->Set(entries);
-  if (shared_retained_gauge_ != nullptr) {
-    shared_retained_gauge_->Add(retained - retained_published_);
-    shared_retained_entries_gauge_->Add(entries -
-                                        retained_entries_published_);
+  const size_t values[] = {
+      corpus_->docs().size(), corpus_->retained_term_entries(),
+      corpus_->vocabulary().size(), corpus_->vocabulary().bytes()};
+  static_assert(std::size(values) == std::size(kCorpusGauges));
+  for (size_t i = 0; i < corpus_gauges_.size(); ++i) {
+    CorpusGauge& gauge = corpus_gauges_[i];
+    const auto value = static_cast<double>(values[i]);
+    gauge.own->Set(value);
+    if (gauge.shared != nullptr) gauge.shared->Add(value - gauge.published);
+    gauge.published = value;
   }
-  retained_published_ = retained;
-  retained_entries_published_ = entries;
 }
 
 const RecoveryInfo& Tenant::recovery() const { return durable_->recovery(); }

@@ -43,6 +43,7 @@
 #ifndef NIDC_SHARD_TENANT_H_
 #define NIDC_SHARD_TENANT_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -193,8 +194,8 @@ class Tenant {
   void ReleaseStepped();
 
   /// Copies the batcher clock and the applied step count into the
-  /// atomics the cross-thread accessors read, and the retained document
-  /// count into its gauges; called after every StepWindows.
+  /// atomics the cross-thread accessors read, and the corpus sizes into
+  /// corpus_gauges_; called after every StepWindows.
   void PublishProgress();
 
   std::string name_;
@@ -216,15 +217,18 @@ class Tenant {
   DayTime last_time_ = 0.0;
   uint64_t empty_windows_skipped_ = 0;
   bool closed_ = false;
-  /// shard.tenant.corpus_retained_{docs,term_entries}, and the shared
-  /// registry's shard.corpus.retained_{docs,term_entries} (null without
-  /// one) with this tenant's last published share of each.
-  obs::Gauge* retained_gauge_ = nullptr;
-  obs::Gauge* shared_retained_gauge_ = nullptr;
-  double retained_published_ = 0.0;
-  obs::Gauge* retained_entries_gauge_ = nullptr;
-  obs::Gauge* shared_retained_entries_gauge_ = nullptr;
-  double retained_entries_published_ = 0.0;
+  /// One corpus-size gauge on this tenant's registry and its sum over the
+  /// tenants on the shared registry (null without one), with this
+  /// tenant's last published share of the sum.
+  struct CorpusGauge {
+    obs::Gauge* own = nullptr;
+    obs::Gauge* shared = nullptr;
+    double published = 0.0;
+  };
+  /// shard.tenant.corpus_X and shard.corpus.X for each X of
+  /// kCorpusGauges (tenant.cc): retained docs and term entries, and the
+  /// vocabulary's terms and heap bytes.
+  std::array<CorpusGauge, 4> corpus_gauges_;
   // Written only by the owner, read from any thread.
   std::atomic<uint64_t> docs_ingested_{0};
   std::atomic<uint64_t> steps_applied_{0};

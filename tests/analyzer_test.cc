@@ -13,6 +13,7 @@
 
 #include "nidc/synth/tdt2_like_generator.h"
 #include "nidc/util/random.h"
+#include "vocabulary_terms.h"
 
 namespace nidc {
 namespace {
@@ -170,7 +171,7 @@ void ExpectMatchesReference(const std::vector<std::string>& texts,
       ASSERT_EQ(got.entries().capacity(), got.size()) << "text " << i;
     }
   }
-  EXPECT_EQ(vocab.terms(), reference_vocab.terms());
+  EXPECT_EQ(Terms(vocab), Terms(reference_vocab));
 }
 
 std::vector<std::string> EnglishLines() {
@@ -305,7 +306,7 @@ TEST(AnalyzerDifferentialTest, FrozenAnalysisAfterFastPath) {
     EXPECT_EQ(analyzer.AnalyzeFrozen(query), reference.Analyze(query, false))
         << query;
   }
-  EXPECT_EQ(vocab.terms(), reference_vocab.terms());
+  EXPECT_EQ(Terms(vocab), Terms(reference_vocab));
 }
 
 }  // namespace

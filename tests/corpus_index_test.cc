@@ -27,6 +27,7 @@
 #include "nidc/store/manifest.h"
 #include "nidc/store/wal.h"
 #include "nidc/util/fault_env.h"
+#include "vocabulary_terms.h"
 
 namespace nidc::shard {
 namespace {
@@ -112,7 +113,7 @@ std::unique_ptr<Tenant> MustOpen(const std::string& dir,
 // The retained documents of `actual` equal the same ids of `full`, and
 // the vocabularies are equal.
 void ExpectRetainedMatch(const Corpus& actual, const Corpus& full) {
-  EXPECT_EQ(actual.vocabulary().terms(), full.vocabulary().terms());
+  EXPECT_EQ(Terms(actual.vocabulary()), Terms(full.vocabulary()));
   ASSERT_EQ(actual.size(), full.size());
   for (DocId id = actual.first_retained(); id < actual.size(); ++id) {
     const Document& a = actual.doc(id);

@@ -359,6 +359,64 @@ TEST_F(ShardServiceTest, RetainedTermEntriesGaugeCountsTheHeldTermVectors) {
   service->Stop();
 }
 
+TEST_F(ShardServiceTest, VocabularyGaugesCountTheTenantsTermsAndBytes) {
+  auto service = StartService(Root("vocabulary"), 2);
+  obs::Gauge* terms =
+      service->metrics()->GetGauge("shard.corpus.vocabulary_terms");
+  obs::Gauge* bytes =
+      service->metrics()->GetGauge("shard.corpus.vocabulary_bytes");
+  size_t registered = 0;
+  for (const obs::MetricSample& sample : service->metrics()->Snapshot()) {
+    registered += sample.name == "shard.corpus.vocabulary_terms" ||
+                  sample.name == "shard.corpus.vocabulary_bytes";
+  }
+  EXPECT_EQ(registered, 2u);
+  EXPECT_EQ(terms->Value(), 0.0);
+  EXPECT_EQ(bytes->Value(), 0.0);
+
+  const auto gauge = [&](const std::string& name, const char* which) {
+    return service->GetTenant(name)
+        ->metrics()
+        .GetGauge(std::string("shard.tenant.corpus_vocabulary_") + which)
+        ->Value();
+  };
+  const auto vocabulary = [&](const std::string& name) -> const Vocabulary& {
+    return service->GetTenant(name)->corpus().vocabulary();
+  };
+  ASSERT_TRUE(service->CreateTenant("alpha", SmallConfig()).ok());
+  ASSERT_TRUE(service->CreateTenant("bravo", SmallConfig()).ok());
+  for (const auto& batch : InBatches(MakeFeed("alpha", 6, 5), 5)) {
+    ASSERT_TRUE(service->EnqueueIngest("alpha", batch).ok());
+  }
+  ASSERT_TRUE(
+      service->EnqueueIngest("bravo", InBatches(MakeFeed("b", 1, 5), 5)[0])
+          .ok());
+  service->Drain();
+  for (const std::string name : {"alpha", "bravo"}) {
+    EXPECT_GT(gauge(name, "terms"), 0.0) << name;
+    EXPECT_EQ(gauge(name, "terms"),
+              static_cast<double>(vocabulary(name).size()))
+        << name;
+    EXPECT_EQ(gauge(name, "bytes"),
+              static_cast<double>(vocabulary(name).bytes()))
+        << name;
+  }
+  EXPECT_GT(gauge("alpha", "terms"), gauge("bravo", "terms"));
+  EXPECT_EQ(terms->Value(), gauge("alpha", "terms") + gauge("bravo", "terms"));
+  EXPECT_EQ(bytes->Value(), gauge("alpha", "bytes") + gauge("bravo", "bytes"));
+
+  // An evicted tenant holds nothing; its reopen restores every term.
+  const double alpha_terms = gauge("alpha", "terms");
+  ASSERT_TRUE(service->EvictTenant("alpha").ok());
+  EXPECT_EQ(terms->Value(), gauge("bravo", "terms"));
+  EXPECT_EQ(bytes->Value(), gauge("bravo", "bytes"));
+  ASSERT_TRUE(service->OpenTenant("alpha").ok());
+  EXPECT_EQ(gauge("alpha", "terms"), alpha_terms);
+  EXPECT_EQ(terms->Value(), alpha_terms + gauge("bravo", "terms"));
+  EXPECT_EQ(bytes->Value(), gauge("alpha", "bytes") + gauge("bravo", "bytes"));
+  service->Stop();
+}
+
 TEST_F(ShardServiceTest, RestartRecoversEveryTenantOntoItsShard) {
   const std::string root = Root("restart");
   const std::vector<std::string> names = {"alpha", "bravo", "charlie"};

@@ -173,10 +173,12 @@ constexpr const char* kRecoveryKeys[] = {
     "shard.recovery.tenants",
 };
 
-// The retained-corpus size ShardService::Init registers eagerly. Required
-// like kRecoveryKeys.
+// The retained-corpus and vocabulary sizes ShardService::Init registers
+// eagerly. Required like kRecoveryKeys.
 constexpr const char* kCorpusMemoryKeys[] = {
     "shard.corpus.retained_term_entries",
+    "shard.corpus.vocabulary_terms",
+    "shard.corpus.vocabulary_bytes",
 };
 
 // The leader-side WalShipper registers these eagerly, so any stream run
