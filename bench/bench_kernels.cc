@@ -10,7 +10,7 @@
 // GB/s = bytes / seconds; the scan is sequential within a term's posting
 // block, so this approximates streamed memory traffic.
 //
-// Env knobs:
+// Env knobs (each a positive number; anything else exits 2):
 //   NIDC_KBENCH_K        clusters (default 16)
 //   NIDC_KBENCH_TERMS    vocabulary size (default 4096)
 //   NIDC_KBENCH_ROW      terms per document row (default 64)
@@ -19,11 +19,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "nidc/core/kernels/kernels.h"
 #include "nidc/util/random.h"
 #include "nidc/util/stopwatch.h"
@@ -31,13 +31,6 @@
 
 namespace nidc::bench {
 namespace {
-
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0'
-             ? static_cast<size_t>(std::strtoull(v, nullptr, 10))
-             : fallback;
-}
 
 std::string Fmt(double value, int precision) {
   char buf[64];
@@ -50,7 +43,8 @@ std::string Fmt(double value, int precision) {
 /// per kernels::kPostingPadding. Posting lengths cycle
 /// 1..K so vector remainder lanes are exercised on every scan.
 struct Arena {
-  std::vector<size_t> offsets;
+  std::vector<size_t> begins;
+  std::vector<size_t> ends;
   std::vector<uint32_t> clusters;
   std::vector<double> weights;
   std::vector<uint32_t> row_terms;
@@ -59,8 +53,8 @@ struct Arena {
   size_t k = 0;
 
   kernels::PostingsView View() const {
-    return {offsets.data(), clusters.data(), weights.data(),
-            offsets.size() - 1, k};
+    return {begins.data(), ends.data(), clusters.data(), weights.data(),
+            begins.size(), k};
   }
   kernels::DocRow Row(size_t d) const {
     const size_t begin = row_offsets[d];
@@ -74,8 +68,8 @@ Arena BuildArena(size_t k, size_t terms, size_t row, size_t docs) {
   Arena a;
   a.k = k;
   Rng rng(1234);
-  a.offsets.push_back(0);
   for (size_t t = 0; t < terms; ++t) {
+    a.begins.push_back(a.clusters.size());
     const size_t len = 1 + t % k;  // odd/tail posting lengths, 1..K
     // A sorted sample of `len` distinct cluster ids.
     std::vector<uint32_t> ids;
@@ -87,7 +81,7 @@ Arena BuildArena(size_t k, size_t terms, size_t row, size_t docs) {
       a.clusters.push_back(c);
       a.weights.push_back(rng.NextDouble() * 0.1);
     }
-    a.offsets.push_back(a.clusters.size());
+    a.ends.push_back(a.clusters.size());
   }
   const size_t n = a.clusters.size();
   a.clusters.resize(n + kernels::kPostingPadding, 0);
@@ -129,11 +123,12 @@ Measure MinOfReps(size_t reps, uint64_t* entries_out, Fn body) {
 }
 
 int Main() {
-  const size_t k = EnvSize("NIDC_KBENCH_K", 16);
-  const size_t terms = EnvSize("NIDC_KBENCH_TERMS", 4096);
-  const size_t row = EnvSize("NIDC_KBENCH_ROW", 64);
-  const size_t docs = EnvSize("NIDC_KBENCH_DOCS", 2048);
-  const size_t reps = EnvSize("NIDC_KBENCH_REPS", 7);
+  const size_t k = static_cast<size_t>(EnvScale("NIDC_KBENCH_K", 16));
+  const size_t terms =
+      static_cast<size_t>(EnvScale("NIDC_KBENCH_TERMS", 4096));
+  const size_t row = static_cast<size_t>(EnvScale("NIDC_KBENCH_ROW", 64));
+  const size_t docs = static_cast<size_t>(EnvScale("NIDC_KBENCH_DOCS", 2048));
+  const size_t reps = static_cast<size_t>(EnvScale("NIDC_KBENCH_REPS", 7));
 
   Arena arena = BuildArena(k, terms, row, docs);
   const kernels::PostingsView view = arena.View();

@@ -11,9 +11,8 @@
 // same outliers, same G trajectory) — the bench verifies this and exits
 // non-zero on a mismatch. Per-phase timings (seed / score / index
 // maintenance / refresh) are collected through KMeansProfile, which also
-// carries the kernel telemetry (bytes streamed, achieved GB/s, overlay
-// fallbacks). An incremental stream replay emits a
-// BENCH_sweep_hotpath.json trajectory.
+// carries the kernel telemetry (bytes streamed, achieved GB/s). An
+// incremental stream replay emits a BENCH_sweep_hotpath.json trajectory.
 //
 // It also measures the observability overhead: the same clustering run
 // with the full telemetry stack `nidc_cli stream` attaches
@@ -476,11 +475,9 @@ int Main() {
               slotted_speedup);
   std::printf("kernel speedup, %s vs scalar (scoring time): %.2fx\n",
               kernels::KindName(kernel), kernel_speedup);
-  std::printf("slotted docs scored: %llu, overlay fallbacks: %llu\n",
+  std::printf("slotted docs scored: %llu\n",
               static_cast<unsigned long long>(
-                  runs[kSlotted].timing.profile.docs_scored),
-              static_cast<unsigned long long>(
-                  runs[kSlotted].timing.profile.delta_fallbacks));
+                  runs[kSlotted].timing.profile.docs_scored));
 
   const double overhead_pct =
       MeasureInstrumentationOverhead(model, docs, kmeans,

@@ -76,8 +76,8 @@ void ClusterSet::RefreshAll(const SimilarityContext& ctx) {
   if (scoring_ == ClusterScoring::kSlotted) {
     // One-pass CSR rebuild with the same per-term addition order as
     // Cluster::Refresh uses for the representatives, so indexed scores stay
-    // aligned with the merge path; also clears the mid-sweep overlay and
-    // tombstones.
+    // aligned with the merge path; also compacts the runs that mid-sweep
+    // appends relocated and drops tombstones.
     flat_index_.BuildFromClusters(ctx, clusters_);
   }
 }

@@ -713,7 +713,7 @@ Result<ClusteringResult> RunExtendedKMeans(
       metrics->GetCounter("rep_index.tombstones_revived")
           ->Increment(fis.tombstones_revived);
       metrics->GetCounter("rep_index.delta_entries")
-          ->Increment(fis.delta_entries_added);
+          ->Increment(fis.pairs_appended);
       metrics->GetGauge("rep_index.live_entries")
           ->Set(static_cast<double>(fis.live_entries));
       metrics->GetGauge("rep_index.dead_entries")
@@ -731,7 +731,6 @@ Result<ClusteringResult> RunExtendedKMeans(
     profile->score_bytes = ss.bytes_scanned;
     profile->entries_scanned = ss.entries_scanned;
     profile->docs_scored = ss.docs_scored;
-    profile->delta_fallbacks = ss.delta_fallback_docs;
     if (metrics != nullptr) {
       metrics
           ->GetGauge(std::string("kernel.dispatch.") + profile->kernel)
@@ -742,8 +741,6 @@ Result<ClusteringResult> RunExtendedKMeans(
           ->Increment(profile->entries_scanned);
       metrics->GetCounter("kernel.docs_scored")
           ->Increment(profile->docs_scored);
-      metrics->GetCounter("kernel.delta_fallbacks")
-          ->Increment(profile->delta_fallbacks);
       metrics->GetGauge("kmeans.score_gbps")->Set(profile->score_gbps());
     }
   }

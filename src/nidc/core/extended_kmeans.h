@@ -147,7 +147,6 @@ struct KMeansProfile {
   uint64_t score_bytes = 0;         // posting + row bytes streamed
   uint64_t entries_scanned = 0;     // posting entries touched
   uint64_t docs_scored = 0;         // ScoreAll* calls
-  uint64_t delta_fallbacks = 0;     // overlay-forced scalar fallbacks
 
   /// Effective scoring bandwidth in GB/s (0 when nothing was timed).
   double score_gbps() const {

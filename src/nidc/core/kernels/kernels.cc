@@ -26,8 +26,8 @@ uint64_t ScoreScalar(const PostingsView& view, const DocRow& row,
   for (size_t i = 0; i < row.size; ++i) {
     const uint32_t t = row.terms[i];
     const double v = row.values[i];
-    const size_t begin = view.offsets[t];
-    const size_t end = view.offsets[t + 1];
+    const size_t begin = view.begins[t];
+    const size_t end = view.ends[t];
     entries += end - begin;
     for (size_t e = begin; e < end; ++e) {
       const uint32_t c = view.clusters[e];

@@ -37,11 +37,14 @@ enum class Kind { kScalar = 0, kAvx512 = 1 };
 inline constexpr size_t kPostingPadding = 16;
 
 /// Read-only SoA view of a flat CSR posting index (see FlatRepIndex).
-/// Posting entries of one term are sorted by ascending cluster id; the
-/// clusters / weights arrays are padded with kPostingPadding zeroed slots
-/// past offsets[num_terms].
+/// Term t's entries are the run [begins[t], ends[t]), and they name
+/// distinct clusters, in any order. Runs may sit anywhere in the arrays,
+/// in any term order, with unreferenced slots between them; the clusters /
+/// weights arrays carry at least kPostingPadding slots past every run's
+/// end.
 struct PostingsView {
-  const size_t* offsets = nullptr;     // num_terms + 1 entries
+  const size_t* begins = nullptr;      // num_terms entries
+  const size_t* ends = nullptr;        // num_terms entries
   const uint32_t* clusters = nullptr;  // entry cluster ids
   const double* weights = nullptr;     // exact fp64 weights
   size_t num_terms = 0;

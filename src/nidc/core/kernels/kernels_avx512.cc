@@ -22,7 +22,7 @@ namespace {
 inline void PrefetchTermExact(const PostingsView& view, const DocRow& row,
                               size_t i) {
   if (i + 2 < row.size) {
-    const size_t off = view.offsets[row.terms[i + 2]];
+    const size_t off = view.begins[row.terms[i + 2]];
     _mm_prefetch(reinterpret_cast<const char*>(view.clusters + off),
                  _MM_HINT_T0);
     _mm_prefetch(reinterpret_cast<const char*>(view.weights + off),
@@ -44,8 +44,8 @@ uint64_t ScoreAvx512(const PostingsView& view, const DocRow& row,
     PrefetchTermExact(view, row, i);
     const uint32_t t = row.terms[i];
     const double v = row.values[i];
-    const size_t begin = view.offsets[t];
-    const size_t end = view.offsets[t + 1];
+    const size_t begin = view.begins[t];
+    const size_t end = view.ends[t];
     entries += end - begin;
     const __m512d vv = _mm512_set1_pd(v);
     for (size_t e = begin; e < end; e += 8) {

@@ -24,7 +24,6 @@
 #define NIDC_CORE_REP_INDEX_H_
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "nidc/core/cluster.h"
@@ -35,25 +34,25 @@
 namespace nidc {
 
 /// CSR posting index over the K cluster representatives, addressed by the
-/// SimilarityContext's dense *local* term ids: one flat entry array plus a
-/// per-term offset table, rebuilt in one pass at every RefreshAll. Scoring a
-/// document is then a pure sequential scan over its CSR row — no hashing
-/// anywhere on the path.
+/// SimilarityContext's dense *local* term ids: one flat entry arena plus a
+/// per-term [begin, end) run, rebuilt compactly in one pass at every
+/// RefreshAll. Scoring a document is then a pure sequential scan over its
+/// CSR row — no hashing anywhere on the path.
 ///
 /// Between rebuilds the index is maintained *move-only*: the sweep scores
 /// documents with their ψ still attached (ScoreAllDetached supplies the
 /// detached home cross term algebraically), so postings change only when a
-/// document actually moves. A move updates base entries in place (the
-/// refs/zero-snap tombstones described above); the rare (term, cluster)
-/// pairs that first appear mid-sweep go to a small overlay keyed by local
-/// term id, disjoint from the base entries.
+/// document actually moves. A move updates entries in place (the
+/// refs/zero-snap tombstones described above); a (term, cluster) pair first
+/// seen mid-sweep is appended to its term's run. A run that does not end
+/// the arena is first copied to the arena tail, leaving a stale copy that
+/// nothing references until the next rebuild drops it.
 ///
-/// The base postings live in padded SoA arrays (clusters / refs / weights)
-/// and are scanned through the runtime-dispatched SIMD kernels of
-/// core/kernels — every kernel is bit-identical to the scalar reference.
-/// Documents touching mid-sweep overlay terms fall back to the legacy
-/// scalar loops (the per-term base/overlay interleaving is the semantic
-/// definition).
+/// The postings live in padded SoA arrays (clusters / refs / weights) and
+/// every scan goes through the runtime-dispatched kernels of core/kernels,
+/// each bit-identical to the scalar reference: a term's run names distinct
+/// clusters, so each score accumulator adds in term order wherever the run
+/// sits and whatever its internal order.
 class FlatRepIndex {
  public:
   /// Cumulative counters survive rebuilds; live/dead entries reflect the
@@ -63,28 +62,31 @@ class FlatRepIndex {
     uint64_t moves_applied = 0;       // ApplyAdd/ApplyRemove sides applied
     uint64_t tombstones_created = 0;  // entries whose refs dropped to 0
     uint64_t tombstones_revived = 0;  // tombstones re-added before a rebuild
-    uint64_t delta_entries_added = 0;  // overlay entries ever created
-    size_t live_entries = 0;  // base + overlay entries with refs > 0
+    uint64_t pairs_appended = 0;      // (term, cluster) pairs first seen
+                                      // mid-sweep, appended to the CSR
+    size_t live_entries = 0;  // entries with refs > 0
     size_t dead_entries = 0;  // tombstones (cleared by the next rebuild)
   };
   const Stats& stats() const { return stats_; }
 
   /// Scoring-scan telemetry (cumulative, like Stats).
   struct ScanStats {
-    uint64_t docs_scored = 0;          // ScoreAll* calls
-    uint64_t entries_scanned = 0;      // posting entries touched
-    uint64_t bytes_scanned = 0;        // posting + row bytes read
-    uint64_t delta_fallback_docs = 0;  // overlay-forced scalar
+    uint64_t docs_scored = 0;      // ScoreAll* calls
+    uint64_t entries_scanned = 0;  // posting entries touched
+    uint64_t bytes_scanned = 0;    // posting + row bytes read
   };
   const ScanStats& scan_stats() const { return scan_stats_; }
 
   size_t num_clusters() const { return k_; }
   bool built() const { return built_; }
+  /// Arena slots in use: live and tombstoned entries plus the stale runs
+  /// that relocations leave behind until the next rebuild.
+  size_t arena_size() const { return refs_.size(); }
 
   /// Rebuilds the CSR postings from the cluster memberships, accumulating
   /// member ψ values per (term, cluster) in member order — the exact
-  /// addition order Cluster::Refresh uses for the representatives. Clears
-  /// the overlay and all tombstones. Two passes over the context's CSR
+  /// addition order Cluster::Refresh uses for the representatives. Drops
+  /// all tombstones and stale runs. Two passes over the context's CSR
   /// rows of the members: one counts the entries, one fills them.
   void BuildFromClusters(const SimilarityContext& ctx,
                          const std::vector<Cluster>& clusters);
@@ -119,64 +121,48 @@ class FlatRepIndex {
                    SimilarityContext::Slot slot, size_t p);
 
   /// The add side of a move: weight += ψ_t, reviving tombstones or
-  /// appending overlay entries for first-seen (term, cluster) pairs.
+  /// appending entries for first-seen (term, cluster) pairs.
   /// No-ops before the first build (see ApplyRemove).
   void ApplyAdd(const SimilarityContext& ctx, SimilarityContext::Slot slot,
                 size_t p);
 
-  /// Live (cluster, weight) postings of one *global* term, for tests; base
-  /// entries first, then overlay entries.
+  /// Live (cluster, weight) postings of one *global* term, for tests, in
+  /// run order.
   std::vector<std::pair<size_t, double>> PostingsOf(
       const SimilarityContext& ctx, TermId term) const;
 
  private:
-  // One overlay entry: a cluster's accumulated weight for one term;
-  // refs == 0 marks a tombstone with weight exactly 0.0, skipped only
-  // logically. (The base postings store the same triple in SoA arrays —
-  // see below.)
-  struct Entry {
-    uint32_t cluster = 0;
-    uint32_t refs = 0;
-    double weight = 0.0;
-  };
   static constexpr size_t kNoEntry = static_cast<size_t>(-1);
 
-  size_t FindBase(uint32_t local_term, size_t p) const;
-  Entry* FindDelta(uint32_t local_term, size_t p);
+  size_t Find(uint32_t local_term, size_t p) const;
   void PrepareBuild(const SimilarityContext& ctx);
-  // Sizes the SoA arrays (zeroed, with kPostingPadding slots of tail
-  // padding) for `n` base entries.
-  void ResizeEntries(size_t n);
-  // True when the document's row touches a term with overlay entries —
-  // those are interleaved per term, so such docs take the legacy scalar
-  // loops.
-  bool NeedsDeltaFallback(const SimilarityContext::Row& row) const;
-  uint64_t ScoreAllDeltaFallback(const SimilarityContext::Row& row,
-                                 uint32_t home, std::vector<double>* scores,
-                                 double* home_attached) const;
+  // Turns the per-term entry counts in ends_ into compact runs, sizes the
+  // SoA arrays for them and leaves each ends_[t] at its run's begin, as
+  // the fill cursor.
+  void LayOutRuns();
+  // Appends one entry to the arena, keeping kPostingPadding zeroed slots
+  // after it.
+  void PushEntry(uint32_t cluster, uint32_t refs, double weight);
+  // Runs the active kernel over one document row.
+  void Scan(const SimilarityContext::Row& row, uint32_t home,
+            std::vector<double>* scores, double* home_attached) const;
   kernels::PostingsView View() const {
-    return {offsets_.data(), clusters_.data(), weights_.data(),
-            offsets_.size() - 1, k_};
-  }
-  static kernels::DocRow DocRowOf(const SimilarityContext::Row& row) {
-    return {row.terms, row.values, row.size};
+    return {begins_.data(), ends_.data(), clusters_.data(), weights_.data(),
+            begins_.size(), k_};
   }
 
-  std::vector<size_t> offsets_;  // per local term, into the SoA arrays
-  // Base CSR postings as parallel SoA arrays — the layout the SIMD kernels
-  // scan. clusters_/weights_ carry kernels::kPostingPadding
-  // zeroed tail slots so full-width vector loads on a posting tail stay
+  // Per local term, the [begin, end) run of its entries in the SoA arrays.
+  std::vector<size_t> begins_;
+  std::vector<size_t> ends_;
+  // Postings as parallel SoA arrays — the layout the SIMD kernels scan.
+  // clusters_/weights_ carry kernels::kPostingPadding zeroed slots past
+  // the last entry so full-width vector loads on a run's tail stay
   // in-bounds; refs_ is maintenance-only and unpadded.
   std::vector<uint32_t> clusters_;
   std::vector<uint32_t> refs_;
   std::vector<double> weights_;
-  // Overlay for (term, cluster) pairs introduced by mid-sweep moves;
-  // has_delta_ lets the scan skip the hash probe for untouched terms.
-  std::vector<uint8_t> has_delta_;
-  std::unordered_map<uint32_t, std::vector<Entry>> delta_;
-  // Build scratch, reused across rebuilds: per-term entry counts / fill
-  // cursors and a last-cluster marker for distinct-pair counting.
-  std::vector<size_t> counts_;
+  // Build scratch, reused across rebuilds: a last-cluster marker per term
+  // for distinct-pair counting.
   std::vector<uint32_t> mark_;
   size_t k_ = 0;
   bool built_ = false;

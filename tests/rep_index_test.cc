@@ -157,7 +157,8 @@ TEST_F(FlatRepIndexTest, MoveMaintenanceTracksRepresentatives) {
     }
   }
   EXPECT_GT(set.flat_index().stats().moves_applied, 0u);
-  // A rebuild clears overlay and tombstones and restores bit-identity.
+  // A rebuild compacts the runs, clears tombstones and restores
+  // bit-identity.
   set.RefreshAll(*ctx_);
   EXPECT_EQ(set.flat_index().stats().dead_entries, 0u);
   for (DocId probe : docs_) {
@@ -204,21 +205,63 @@ TEST_F(FlatRepIndexTest, BuildFromRepresentativesSkipsOutOfVocabularyTerms) {
   }
 }
 
-// Tiny two-document corpus with disjoint vocabularies: every structural
-// transition of the flat index (tombstone, overlay entry, revive, rebuild)
-// is observable term by term.
+// Tiny corpus: documents 0 and 1 have disjoint vocabularies, document 2
+// shares document 1's last term. Every structural transition of the flat
+// index (tombstone, appended entry, relocated run, revive, rebuild) is
+// observable term by term.
 class FlatRepIndexLifecycleTest : public testing::Test {
  protected:
   void SetUp() override {
     corpus_.AddText("alpha bravo", 0.25, 0);
     corpus_.AddText("charlie delta", 0.5, 1);
+    corpus_.AddText("delta", 0.75, 2);
     ForgettingParams params;
     params.half_life_days = 7.0;
     params.life_span_days = 365.0;
     model_ = std::make_unique<ForgettingModel>(&corpus_, params);
     model_->AdvanceTo(1.0);
-    model_->AddDocuments({0, 1});
+    model_->AddDocuments({0, 1, 2});
     ctx_ = std::make_unique<SimilarityContext>(*model_);
+  }
+
+  // Every score of every document, under every available kernel, equals
+  // the merge twin's dot product bit-for-bit: attached through ScoreAll,
+  // and detached from the document's home through ScoreAllDetached against
+  // a copy of the twin that physically removes it.
+  void ExpectScoresMatchTwin(const ClusterSet& set,
+                             const ClusterSet& twin) const {
+    const kernels::Kind saved = kernels::Active().kind;
+    for (kernels::Kind kind :
+         {kernels::Kind::kScalar, kernels::Kind::kAvx512}) {
+      if (!kernels::Available(kind)) continue;
+      kernels::Select(kind);
+      for (DocId id = 0; id < 3; ++id) {
+        SCOPED_TRACE(std::string(kernels::KindName(kind)) + " doc " +
+                     std::to_string(id));
+        const SimilarityContext::Row psi = ctx_->Psi(id);
+        std::vector<double> scores;
+        set.flat_index().ScoreAll(*ctx_, ctx_->SlotOf(id), &scores);
+        for (size_t p = 0; p < twin.num_clusters(); ++p) {
+          EXPECT_EQ(scores[p], twin.cluster(p).representative().Dot(psi))
+              << "cluster " << p;
+        }
+        const int home = set.ClusterOf(id);
+        if (home == kUnassigned) continue;
+        double attached = 0.0;
+        set.flat_index().ScoreAllDetached(*ctx_, ctx_->SlotOf(id),
+                                          static_cast<size_t>(home), &scores,
+                                          &attached);
+        EXPECT_EQ(attached, twin.cluster(home).representative().Dot(psi));
+        ClusterSet detached = twin;
+        detached.Assign(id, kUnassigned, *ctx_);
+        for (size_t p = 0; p < twin.num_clusters(); ++p) {
+          EXPECT_EQ(scores[p],
+                    detached.cluster(p).representative().Dot(psi))
+              << "detached, cluster " << p;
+        }
+      }
+    }
+    kernels::Select(saved);
   }
 
   Corpus corpus_;
@@ -226,7 +269,7 @@ class FlatRepIndexLifecycleTest : public testing::Test {
   std::unique_ptr<SimilarityContext> ctx_;
 };
 
-TEST_F(FlatRepIndexLifecycleTest, MovesTombstoneOldPairsAndOverlayNewOnes) {
+TEST_F(FlatRepIndexLifecycleTest, MovesTombstoneOldPairsAndAppendNewOnes) {
   ClusterSet set(2, ClusterScoring::kSlotted);
   set.Assign(0, 0, *ctx_);
   set.Assign(1, 1, *ctx_);
@@ -234,19 +277,19 @@ TEST_F(FlatRepIndexLifecycleTest, MovesTombstoneOldPairsAndOverlayNewOnes) {
   const FlatRepIndex& index = set.flat_index();
   EXPECT_EQ(index.stats().live_entries, 4u);  // 2 terms per document
 
-  // Doc 0 moves to cluster 1: its two (term, cluster 0) base entries become
-  // tombstones, and (term, cluster 1) pairs exist nowhere in the base — the
-  // overlay takes them.
+  // Doc 0 moves to cluster 1: its two (term, cluster 0) entries become
+  // tombstones, and the (term, cluster 1) pairs, seen for the first time,
+  // are appended to their terms' runs.
   set.Assign(0, 1, *ctx_);
   EXPECT_EQ(index.stats().tombstones_created, 2u);
-  EXPECT_EQ(index.stats().delta_entries_added, 2u);
+  EXPECT_EQ(index.stats().pairs_appended, 2u);
   EXPECT_EQ(index.stats().dead_entries, 2u);
   EXPECT_EQ(index.stats().live_entries, 4u);
   const SimilarityContext::Row psi0 = ctx_->Psi(0);
   for (size_t i = 0; i < psi0.size; ++i) {
     const TermId term = psi0.id(i);
     auto postings = index.PostingsOf(*ctx_, term);
-    ASSERT_EQ(postings.size(), 1u) << "term " << term;
+    ASSERT_EQ(postings.size(), 1u) << "term " << term;  // live entries only
     EXPECT_EQ(postings[0].first, 1u);
     EXPECT_EQ(postings[0].second, psi0.value(i));
   }
@@ -255,7 +298,7 @@ TEST_F(FlatRepIndexLifecycleTest, MovesTombstoneOldPairsAndOverlayNewOnes) {
   EXPECT_EQ(scores[0], 0.0);  // exact zero: tombstones snap, no residual
   EXPECT_EQ(scores[1], set.cluster(1).representative().Dot(psi0));
 
-  // Moving back revives the base tombstones and tombstones the overlay.
+  // Moving back revives the old tombstones and tombstones the new pairs.
   set.Assign(0, 0, *ctx_);
   EXPECT_EQ(index.stats().tombstones_revived, 2u);
   EXPECT_EQ(index.stats().tombstones_created, 4u);
@@ -267,11 +310,64 @@ TEST_F(FlatRepIndexLifecycleTest, MovesTombstoneOldPairsAndOverlayNewOnes) {
     EXPECT_EQ(postings[0].second, psi0.value(i));
   }
 
-  // A rebuild flushes overlay and tombstones back into a clean base.
+  // A rebuild drops the tombstones and the stale runs.
   set.RefreshAll(*ctx_);
   EXPECT_EQ(index.stats().builds, 2u);
   EXPECT_EQ(index.stats().dead_entries, 0u);
   EXPECT_EQ(index.stats().live_entries, 4u);
+  EXPECT_EQ(index.arena_size(), 4u);
+}
+
+TEST_F(FlatRepIndexLifecycleTest, AppendedPairsScoreLikeTheMergeTwin) {
+  // The slotted set and its merge twin replay the same assignments.
+  ClusterSet set(4, ClusterScoring::kSlotted);
+  ClusterSet twin(4, ClusterScoring::kMerge);
+  const auto assign = [&](DocId id, int p) {
+    set.Assign(id, p, *ctx_);
+    twin.Assign(id, p, *ctx_);
+  };
+  assign(0, 0);
+  assign(1, 1);
+  assign(2, 2);
+  set.RefreshAll(*ctx_);
+  twin.RefreshAll(*ctx_);
+  const FlatRepIndex& index = set.flat_index();
+  // Compact: alpha, bravo and charlie hold one entry each, delta two.
+  EXPECT_EQ(index.arena_size(), 5u);
+  EXPECT_EQ(index.stats().live_entries, 5u);
+  ExpectScoresMatchTwin(set, twin);
+
+  // Doc 1 joins cluster 0. Neither of its terms' runs ends the arena once
+  // charlie's has moved, so each run is copied to the tail with its new
+  // entry: charlie 1 + 1, delta 2 + 1.
+  assign(1, 0);
+  EXPECT_EQ(index.stats().pairs_appended, 2u);
+  EXPECT_EQ(index.arena_size(), 10u);
+  ExpectScoresMatchTwin(set, twin);
+
+  // Doc 2 joins cluster 3: delta's run now ends the arena, so (delta, 3)
+  // is appended in place — one more slot, no second copy.
+  assign(2, 3);
+  EXPECT_EQ(index.stats().pairs_appended, 3u);
+  EXPECT_EQ(index.arena_size(), 11u);
+  const TermId delta = ctx_->Psi(2).id(0);
+  std::vector<size_t> delta_clusters;
+  for (const auto& posting : index.PostingsOf(*ctx_, delta)) {
+    delta_clusters.push_back(posting.first);
+  }
+  // Live entries in run order: the copied run's (delta, 1) and (delta, 2)
+  // are tombstones now, then come the appends in arrival order.
+  EXPECT_EQ(delta_clusters, (std::vector<size_t>{0, 3}));
+  ExpectScoresMatchTwin(set, twin);
+
+  // RefreshAll returns to the compact layout: live entries only, nothing
+  // stale, and the scores still match.
+  set.RefreshAll(*ctx_);
+  twin.RefreshAll(*ctx_);
+  EXPECT_EQ(index.stats().dead_entries, 0u);
+  EXPECT_EQ(index.arena_size(), index.stats().live_entries);
+  EXPECT_EQ(index.arena_size(), 5u);
+  ExpectScoresMatchTwin(set, twin);
 }
 
 TEST(SimilarityContextDeathTest, UnknownDocIdFailsLoudlyWithId) {

@@ -18,6 +18,7 @@
 #include "nidc/core/kernels/kernels.h"
 #include "nidc/corpus/corpus.h"
 #include "nidc/forgetting/forgetting_model.h"
+#include "nidc/obs/metrics.h"
 #include "nidc/util/random.h"
 
 namespace nidc {
@@ -228,8 +229,9 @@ TEST(SweepEquivalenceTest, KernelDimensionStaysIdentical) {
 
 TEST(SweepEquivalenceTest, KernelsStayIdenticalAcrossKernels) {
   // Every available kernel against the scalar baseline. The scan counters
-  // are pure functions of the input and the decisions (every kernel counts
-  // end − begin postings per row term), so they must match too.
+  // and the posting-maintenance counters are pure functions of the input
+  // and the decisions (every kernel counts end − begin postings per row
+  // term), so they must match too.
   KernelGuard guard;
   kernels::Select(kernels::Kind::kScalar);
   auto env = MakeEnv(47, /*n_docs=*/60);
@@ -237,18 +239,28 @@ TEST(SweepEquivalenceTest, KernelsStayIdenticalAcrossKernels) {
   options.k = 6;
   options.seed = 19;
   KMeansProfile base_profile;
+  obs::MetricsRegistry base_metrics;
   options.profile = &base_profile;
+  options.metrics = &base_metrics;
   const ClusteringResult base =
       RunConfig(*env, options, ClusterScoring::kSlotted, std::nullopt);
   ASSERT_GT(base_profile.entries_scanned, 0u);
+  const char* const maintenance[] = {
+      "rep_index.moves_applied", "rep_index.delta_entries",
+      "rep_index.tombstones", "rep_index.tombstones_revived"};
+  // The run moves documents and appends first-seen pairs mid-sweep.
+  ASSERT_GT(base_metrics.GetCounter("rep_index.moves_applied")->Value(), 0u);
+  ASSERT_GT(base_metrics.GetCounter("rep_index.delta_entries")->Value(), 0u);
   for (kernels::Kind kind :
        {kernels::Kind::kScalar, kernels::Kind::kAvx512}) {
     if (!kernels::Available(kind)) continue;
     SCOPED_TRACE(std::string("kernel=") + kernels::KindName(kind));
     kernels::Select(kind);
     KMeansProfile profile;
+    obs::MetricsRegistry metrics;
     ExtendedKMeansOptions opts = options;
     opts.profile = &profile;
+    opts.metrics = &metrics;
     const ClusteringResult got =
         RunConfig(*env, opts, ClusterScoring::kSlotted, std::nullopt);
     EXPECT_EQ(base.clusters, got.clusters);
@@ -256,7 +268,11 @@ TEST(SweepEquivalenceTest, KernelsStayIdenticalAcrossKernels) {
     EXPECT_EQ(base.g_history, got.g_history);
     EXPECT_EQ(base_profile.entries_scanned, profile.entries_scanned);
     EXPECT_EQ(base_profile.docs_scored, profile.docs_scored);
-    EXPECT_EQ(base_profile.delta_fallbacks, profile.delta_fallbacks);
+    for (const char* counter : maintenance) {
+      EXPECT_EQ(base_metrics.GetCounter(counter)->Value(),
+                metrics.GetCounter(counter)->Value())
+          << counter;
+    }
   }
 }
 

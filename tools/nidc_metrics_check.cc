@@ -63,7 +63,6 @@ constexpr const char* kMetricKeys[] = {
     "kernel.bytes_scanned",
     "kernel.entries_scanned",
     "kernel.docs_scored",
-    "kernel.delta_fallbacks",
     "rep_index.live_entries",
     "rep_index.tombstones",
     "rep_index.builds",
