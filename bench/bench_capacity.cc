@@ -181,7 +181,6 @@ RowResult RunRow(const RowConfig& row, const std::string& root,
   // workers' stage stamps never outlive it.
   obs::RequestTracer::Options trace_options;
   trace_options.max_records = 1 << 14;
-  trace_options.ring_capacity = 1 << 15;
   obs::RequestTracer tracer(trace_options);
 
   shard::ShardServiceOptions options;

@@ -176,10 +176,8 @@ TraceContext StageAggregate::ExemplarAt(double q) const {
 RequestTracer::RequestTracer() : RequestTracer(Options{}) {}
 
 RequestTracer::RequestTracer(Options options) : options_(std::move(options)) {
-  if (options_.ring_capacity == 0) options_.ring_capacity = 1;
   if (options_.max_records == 0) options_.max_records = 1;
   if (options_.stage_buckets.empty()) options_.stage_buckets = {1.0};
-  ring_ = std::vector<RingSlot>(options_.ring_capacity);
   const uint64_t nanos = static_cast<uint64_t>(
       std::chrono::steady_clock::now().time_since_epoch().count());
   mint_state_.store(nanos ^ reinterpret_cast<uint64_t>(this),
@@ -192,8 +190,6 @@ RequestTracer::RequestTracer(Options options) : options_(std::move(options)) {
     completed_counter_ = metrics->GetCounter("pipeline.traces_completed");
     dropped_counter_ = metrics->GetCounter("pipeline.traces_dropped");
     events_counter_ = metrics->GetCounter("pipeline.stage_events");
-    events_dropped_counter_ =
-        metrics->GetCounter("pipeline.stage_events_dropped");
     open_gauge_ = metrics->GetGauge("pipeline.open_traces");
     bindings_gauge_ = metrics->GetGauge("pipeline.doc_bindings");
     for (size_t i = 0; i < kNumStages; ++i) {
@@ -224,95 +220,20 @@ void RequestTracer::Begin(const TraceContext& id, const std::string& tenant) {
     if (existing->tenant.empty()) existing->tenant = tenant;
     return;
   }
-  TraceRecord record;
-  record.id = id;
-  record.tenant = tenant;
-  index_[{id.hi, id.lo}] = records_evicted_ + records_.size();
-  records_.push_back(std::move(record));
-  ++traces_started_;
-  if (started_counter_ != nullptr) started_counter_->Increment();
-  EvictLocked();
-  if (open_gauge_ != nullptr) {
-    open_gauge_->Set(static_cast<double>(records_.size()));
-  }
-}
-
-void RequestTracer::PushEvent(const TraceContext& id, Stage stage,
-                              double seconds) {
-  const uint64_t ticket = ring_head_.fetch_add(1, std::memory_order_relaxed);
-  RingSlot& slot = ring_[ticket % ring_.size()];
-  // Invalidate, fill, publish: a fold that reads concurrently sees either
-  // a stale ticket (skips) or this ticket both before and after reading
-  // the fields (consistent).
-  slot.ticket.store(0, std::memory_order_release);
-  slot.hi.store(id.hi, std::memory_order_relaxed);
-  slot.lo.store(id.lo, std::memory_order_relaxed);
-  slot.stage.store(static_cast<uint32_t>(stage), std::memory_order_relaxed);
-  slot.seconds.store(seconds, std::memory_order_relaxed);
-  slot.ticket.store(ticket + 1, std::memory_order_release);
-  if (events_counter_ != nullptr) events_counter_->Increment();
+  InsertLocked(id, tenant);
 }
 
 void RequestTracer::RecordStage(const TraceContext& id, Stage stage,
                                 double seconds) {
   if (!id.valid()) return;
   if (seconds < 0.0) seconds = NowSeconds();
-  PushEvent(id, stage, seconds);
-  // The step stamp is the completion point: fold eagerly so per-stage
-  // histograms and the SLO latency feed advance with the pipeline, not
-  // with the next scrape.
-  if (stage == Stage::kStep || stage == Stage::kApply) Fold();
-}
-
-void RequestTracer::FoldLocked(
-    std::vector<std::pair<std::string, double>>* completions, double now) {
-  (void)now;
-  const uint64_t head = ring_head_.load(std::memory_order_acquire);
-  while (fold_cursor_ < head) {
-    const uint64_t t = fold_cursor_;
-    RingSlot& slot = ring_[t % ring_.size()];
-    const uint64_t ticket = slot.ticket.load(std::memory_order_acquire);
-    if (ticket != t + 1) {
-      if (ticket > t + 1 || head - t > ring_.size()) {
-        // Lapped by writers before we got here: the event is gone.
-        ++fold_cursor_;
-        events_dropped_.fetch_add(1, std::memory_order_relaxed);
-        if (events_dropped_counter_ != nullptr) {
-          events_dropped_counter_->Increment();
-        }
-        continue;
-      }
-      break;  // claimed but not yet published; retry on the next fold
-    }
-    TraceContext id;
-    id.hi = slot.hi.load(std::memory_order_relaxed);
-    id.lo = slot.lo.load(std::memory_order_relaxed);
-    const Stage stage =
-        static_cast<Stage>(slot.stage.load(std::memory_order_relaxed));
-    const double seconds = slot.seconds.load(std::memory_order_relaxed);
-    if (slot.ticket.load(std::memory_order_acquire) != t + 1) {
-      // Overwritten while reading; the fields above may be torn-in-time.
-      ++fold_cursor_;
-      events_dropped_.fetch_add(1, std::memory_order_relaxed);
-      if (events_dropped_counter_ != nullptr) {
-        events_dropped_counter_->Increment();
-      }
-      continue;
-    }
-    ++fold_cursor_;
-
+  std::string tenant;
+  double e2e = -1.0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (events_counter_ != nullptr) events_counter_->Increment();
     TraceRecord* record = FindLocked(id);
-    if (record == nullptr) {
-      TraceRecord fresh;
-      fresh.id = id;
-      index_[{id.hi, id.lo}] = records_evicted_ + records_.size();
-      records_.push_back(std::move(fresh));
-      ++traces_started_;
-      if (started_counter_ != nullptr) started_counter_->Increment();
-      EvictLocked();
-      record = FindLocked(id);
-      if (record == nullptr) continue;  // evicted straight away
-    }
+    if (record == nullptr) record = InsertLocked(id, "");
     if (!record->stages.empty()) {
       const double duration =
           std::max(0.0, seconds - record->stages.back().seconds);
@@ -323,30 +244,15 @@ void RequestTracer::FoldLocked(
       record->completed = true;
       ++traces_completed_;
       if (completed_counter_ != nullptr) completed_counter_->Increment();
-      const double e2e =
-          std::max(0.0, seconds - record->stages.front().seconds);
+      e2e = std::max(0.0, seconds - record->stages.front().seconds);
       if (e2e_histogram_ != nullptr) e2e_histogram_->Observe(e2e);
-      if (options_.on_complete) {
-        completions->emplace_back(record->tenant, e2e);
-      }
+      tenant = record->tenant;
     }
-  }
-  if (open_gauge_ != nullptr) {
-    open_gauge_->Set(static_cast<double>(records_.size()));
-  }
-}
-
-void RequestTracer::Fold() {
-  std::vector<std::pair<std::string, double>> completions;
-  const double now = NowSeconds();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    FoldLocked(&completions, now);
   }
   // The completion callback (the SLO engine) runs outside the tracer
   // lock: it takes its own.
-  for (const auto& [tenant, e2e] : completions) {
-    options_.on_complete(tenant, e2e, now);
+  if (e2e >= 0.0 && options_.on_complete) {
+    options_.on_complete(tenant, e2e, NowSeconds());
   }
 }
 
@@ -465,11 +371,26 @@ void RequestTracer::RecordApplied(uint64_t generation, uint64_t sequence) {
   }
 }
 
-TraceRecord* RequestTracer::FindLocked(const TraceContext& id) {
+const TraceRecord* RequestTracer::FindLocked(const TraceContext& id) const {
   auto it = index_.find({id.hi, id.lo});
   if (it == index_.end()) return nullptr;
   if (it->second < records_evicted_) return nullptr;
   return &records_[it->second - records_evicted_];
+}
+
+TraceRecord* RequestTracer::InsertLocked(const TraceContext& id,
+                                         const std::string& tenant) {
+  index_[{id.hi, id.lo}] = records_evicted_ + records_.size();
+  TraceRecord& record = records_.emplace_back();
+  record.id = id;
+  record.tenant = tenant;
+  ++traces_started_;
+  if (started_counter_ != nullptr) started_counter_->Increment();
+  EvictLocked();
+  if (open_gauge_ != nullptr) {
+    open_gauge_->Set(static_cast<double>(records_.size()));
+  }
+  return &record;
 }
 
 void RequestTracer::EvictLocked() {
@@ -526,8 +447,7 @@ std::vector<StageAggregate>& RequestTracer::TenantAggregatesLocked(
   return it->second;
 }
 
-bool RequestTracer::Lookup(const TraceContext& id, TraceRecord* out) {
-  Fold();
+bool RequestTracer::Lookup(const TraceContext& id, TraceRecord* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   const TraceRecord* record = FindLocked(id);
   if (record == nullptr) return false;
@@ -535,9 +455,8 @@ bool RequestTracer::Lookup(const TraceContext& id, TraceRecord* out) {
   return true;
 }
 
-std::vector<TraceRecord> RequestTracer::Completed(size_t max_traces,
-                                                  const std::string& tenant) {
-  Fold();
+std::vector<TraceRecord> RequestTracer::Completed(
+    size_t max_traces, const std::string& tenant) const {
   std::vector<TraceRecord> out;
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = records_.rbegin();
@@ -551,8 +470,7 @@ std::vector<TraceRecord> RequestTracer::Completed(size_t max_traces,
 }
 
 std::map<std::string, std::vector<StageAggregate>>
-RequestTracer::Aggregates() {
-  Fold();
+RequestTracer::Aggregates() const {
   std::lock_guard<std::mutex> lock(mu_);
   return aggregates_;
 }
@@ -589,7 +507,7 @@ std::string RenderTraceJson(const TraceRecord& record) {
 
 }  // namespace
 
-std::string RequestTracer::RenderWaterfallJson() {
+std::string RequestTracer::RenderWaterfallJson() const {
   const auto aggregates = Aggregates();
   std::string tenants = "[";
   bool first_tenant = true;
@@ -629,15 +547,13 @@ std::string RequestTracer::RenderWaterfallJson() {
     std::lock_guard<std::mutex> lock(mu_);
     obj.Add("traces_started", traces_started_);
     obj.Add("traces_completed", traces_completed_);
-    obj.Add("stage_events_dropped",
-            events_dropped_.load(std::memory_order_relaxed));
   }
   return obj.Render();
 }
 
 std::string RequestTracer::RenderTracezJson(const std::string& trace_hex,
                                             const std::string& tenant,
-                                            size_t n) {
+                                            size_t n) const {
   if (!trace_hex.empty()) {
     const TraceContext id = TraceContext::FromHex(trace_hex);
     TraceRecord record;
@@ -684,10 +600,6 @@ uint64_t RequestTracer::traces_started() const {
 uint64_t RequestTracer::traces_completed() const {
   std::lock_guard<std::mutex> lock(mu_);
   return traces_completed_;
-}
-
-uint64_t RequestTracer::stage_events_dropped() const {
-  return events_dropped_.load(std::memory_order_relaxed);
 }
 
 double RequestTracer::NowSeconds() {

@@ -8,14 +8,13 @@
 //   ingest -> enqueue -> dequeue -> window_close -> wal_commit -> ship
 //          -> step -> checkpoint -> apply
 //
-// Each crossing records a monotonic timestamp into a bounded *lock-free*
-// stage-event ring (multi-producer claim via one fetch_add, per-slot
-// sequence validation, laps counted as drops — never blocked). A fold
-// step, taken under a mutex well off the per-stage path (on trace
-// completion and on every read), drains the ring into per-trace records,
-// per-tenant per-stage latency histograms with exemplar trace ids on
-// every bucket, and aggregate `pipeline.stage_seconds.<stage>` registry
-// histograms.
+// Each crossing appends a monotonic timestamp to the trace's record in
+// one mutex-guarded, bounded trace table, and in the same critical
+// section observes the stage's duration into per-tenant per-stage
+// latency histograms (with exemplar trace ids on every bucket) and the
+// aggregate `pipeline.stage_seconds.<stage>` registry histograms. No
+// stamp is ever dropped. A trace takes the lock about once per pipeline
+// stage, too rarely for contention to call for a lock-free side path.
 //
 // Layers below the shard service (DurableClusterer, WalShipper) do not
 // know trace ids; the tenant scopes the traces of a closing window onto
@@ -48,6 +47,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "nidc/obs/metrics.h"
@@ -106,11 +106,11 @@ struct StageStamp {
   double seconds = 0.0;  ///< monotonic (steady-clock) timestamp
 };
 
-/// The folded lifetime of one trace.
+/// The recorded lifetime of one trace.
 struct TraceRecord {
   TraceContext id;
   std::string tenant;
-  /// Stamps in ring (= recording) order.
+  /// Stamps in recording order.
   std::vector<StageStamp> stages;
   /// Set once the step stage lands — the document reached the clusterer.
   bool completed = false;
@@ -141,13 +141,11 @@ struct StageAggregate {
 };
 
 /// Thread-safe end-to-end pipeline tracer. One instance serves the whole
-/// process (all shards, the durability layer, the shipper); stage
-/// recording is lock-free, the trace table is mutex-guarded and bounded.
+/// process (all shards, the durability layer, the shipper); one mutex
+/// guards the bounded trace table and its aggregates.
 class RequestTracer {
  public:
   struct Options {
-    /// Slots in the lock-free stage-event ring.
-    size_t ring_capacity = 4096;
     /// Open + completed trace records retained (oldest evicted first).
     size_t max_records = 1024;
     /// Doc→trace bindings retained (oldest evicted first) — a backstop
@@ -185,8 +183,9 @@ class RequestTracer {
   /// a known trace only updates an empty tenant.
   void Begin(const TraceContext& id, const std::string& tenant);
 
-  /// Stamps `stage` for `id` at `seconds` (defaults to now) into the
-  /// lock-free ring. A step stamp triggers the completion fold.
+  /// Stamps `stage` for `id` at `seconds` (defaults to now) onto its
+  /// record (opened tenant-less when `id` was never begun). The first
+  /// step stamp completes the trace and fires `on_complete`.
   void RecordStage(const TraceContext& id, Stage stage,
                    double seconds = -1.0);
 
@@ -238,44 +237,35 @@ class RequestTracer {
   /// `(generation, sequence)` and drops the registration.
   void RecordApplied(uint64_t generation, uint64_t sequence);
 
-  // The readers below fold the ring into the trace table first, so they
-  // are non-const: reading *is* consuming the lock-free ring.
-
-  /// The folded record of `id`, if still retained.
-  bool Lookup(const TraceContext& id, TraceRecord* out);
+  /// The record of `id`, if still retained.
+  bool Lookup(const TraceContext& id, TraceRecord* out) const;
 
   /// Newest completed traces, oldest first, optionally for one tenant.
   std::vector<TraceRecord> Completed(size_t max_traces,
-                                     const std::string& tenant = "");
+                                     const std::string& tenant = "") const;
 
   /// Per-(tenant, stage) aggregates; tenant "" is the all-tenant roll-up.
-  std::map<std::string, std::vector<StageAggregate>> Aggregates();
+  std::map<std::string, std::vector<StageAggregate>> Aggregates() const;
 
   /// `/tracez` JSON: `?trace=ID` for one trace, `?tenant=T&n=K` for a
   /// tenant's recent completed traces, otherwise the aggregate stage
   /// waterfall plus recent traces.
   std::string RenderTracezJson(const std::string& trace_hex,
-                               const std::string& tenant, size_t n);
+                               const std::string& tenant, size_t n) const;
 
   /// The aggregate stage waterfall JSON object (embedded in /statusz).
-  std::string RenderWaterfallJson();
+  std::string RenderWaterfallJson() const;
 
   uint64_t traces_started() const;
   uint64_t traces_completed() const;
-  uint64_t stage_events_dropped() const;
+  /// Always 0: stamps append under the lock. Kept because the
+  /// end-to-end harness (bench/e2e) checks it after every run.
+  uint64_t stage_events_dropped() const { return 0; }
 
   /// Monotonic seconds (steady clock), the tracer's time base.
   static double NowSeconds();
 
  private:
-  struct RingSlot {
-    std::atomic<uint64_t> ticket{0};  // claim index + 1 once written
-    std::atomic<uint64_t> hi{0};
-    std::atomic<uint64_t> lo{0};
-    std::atomic<uint32_t> stage{0};
-    std::atomic<double> seconds{0.0};
-  };
-
   struct DocKey {
     std::string tenant;
     uint64_t doc;
@@ -285,12 +275,14 @@ class RequestTracer {
     }
   };
 
-  void PushEvent(const TraceContext& id, Stage stage, double seconds);
-  /// Drains the ring into the trace table; returns completions to fire.
-  void FoldLocked(std::vector<std::pair<std::string, double>>* completions,
-                  double now);
-  void Fold();
-  TraceRecord* FindLocked(const TraceContext& id);
+  const TraceRecord* FindLocked(const TraceContext& id) const;
+  TraceRecord* FindLocked(const TraceContext& id) {
+    return const_cast<TraceRecord*>(std::as_const(*this).FindLocked(id));
+  }
+  /// Opens a record for `id` (not yet in the table) and evicts past the
+  /// bound; the new record is never the one evicted.
+  TraceRecord* InsertLocked(const TraceContext& id,
+                            const std::string& tenant);
   void EvictLocked();
   void ObserveStageLocked(const std::string& tenant, Stage stage,
                           double duration, const TraceContext& id);
@@ -300,13 +292,7 @@ class RequestTracer {
   Options options_;
   std::atomic<uint64_t> mint_state_;
 
-  // Lock-free stage-event ring (multi-producer; folded under mu_).
-  std::vector<RingSlot> ring_;
-  std::atomic<uint64_t> ring_head_{0};
-  std::atomic<uint64_t> events_dropped_{0};
-
   mutable std::mutex mu_;
-  uint64_t fold_cursor_ = 0;  // next ring ticket to fold
   std::deque<TraceRecord> records_;
   std::map<std::pair<uint64_t, uint64_t>, size_t> index_;  // id -> offset
   uint64_t records_evicted_ = 0;  // front offset of records_[0]
@@ -331,7 +317,6 @@ class RequestTracer {
   Counter* completed_counter_ = nullptr;
   Counter* dropped_counter_ = nullptr;
   Counter* events_counter_ = nullptr;
-  Counter* events_dropped_counter_ = nullptr;
   Gauge* open_gauge_ = nullptr;
   Gauge* bindings_gauge_ = nullptr;
   Histogram* stage_histograms_[kNumStages] = {};

@@ -157,10 +157,9 @@ struct IntrospectionOptions {
   const obs::PhaseProfiler* profiler = nullptr;
   /// /explainz source; null leaves the endpoint unregistered.
   const obs::ProvenanceLog* provenance = nullptr;
-  /// /tracez source (non-const: reading folds the stage-event ring);
-  /// null leaves the endpoint unregistered. Also adds the aggregate
-  /// stage waterfall to /statusz.
-  obs::RequestTracer* tracer = nullptr;
+  /// /tracez source; null leaves the endpoint unregistered. Also adds
+  /// the aggregate stage waterfall to /statusz.
+  const obs::RequestTracer* tracer = nullptr;
   /// /slosz source (non-const: reading evaluates the burn rates); null
   /// leaves the endpoint unregistered. Also adds burning-tenant detail
   /// fields to /healthz.

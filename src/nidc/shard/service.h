@@ -12,9 +12,9 @@
 //     registry, health snapshot — are internally synchronized);
 //   * anything that must read clusterer internals (StateDigest) runs as
 //     a synchronous job on the owning shard, never cross-thread;
-//   * each shard's K-means thread budget defaults to
-//     hardware/num_shards, so per-step parallelism and shard parallelism
-//     compose without oversubscribing the machine.
+//   * each shard steps its tenants on its own worker thread (K-means
+//     runs on that thread), so the shard is the unit of parallelism;
+//     `num_shards` defaults to the hardware concurrency.
 //
 // Backpressure contract: EnqueueIngest is asynchronous (the HTTP layer
 // answers 202 on accept); when the owning shard already holds

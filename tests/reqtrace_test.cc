@@ -379,22 +379,22 @@ TEST(RequestTracerTest, TracezJsonAnswersUnknownTraceWithError) {
   EXPECT_NE(waterfall.find("\"traces_completed\""), std::string::npos);
 }
 
-TEST(RequestTracerTest, RingOverrunCountsDropsInsteadOfBlocking) {
-  RequestTracer::Options options;
-  options.ring_capacity = 8;
-  RequestTracer tracer(std::move(options));
+TEST(RequestTracerTest, BurstOfStampsIsNeverDropped) {
+  RequestTracer tracer;
   const TraceContext id = tracer.Mint();
   tracer.Begin(id, "alpha");
-  // 64 stamps into an 8-slot ring with no fold in between: the writers
-  // lap the fold cursor and the overwritten events must surface as drops,
-  // never as a stall or a crash.
-  for (int i = 0; i < 64; ++i) {
+  // 5,000 non-step stamps with no read in between: every one must land
+  // on the record, none may be counted as dropped.
+  constexpr int kStamps = 5000;
+  for (int i = 0; i < kStamps; ++i) {
     tracer.RecordStage(id, Stage::kEnqueue, 1.0 + i);
   }
   TraceRecord record;
-  ASSERT_TRUE(tracer.Lookup(id, &record));  // Lookup folds
-  EXPECT_GT(tracer.stage_events_dropped(), 0u);
-  EXPECT_LE(record.stages.size(), 8u);
+  ASSERT_TRUE(tracer.Lookup(id, &record));
+  ASSERT_EQ(record.stages.size(), static_cast<size_t>(kStamps));
+  EXPECT_EQ(record.stages.front().seconds, 1.0);
+  EXPECT_EQ(record.stages.back().seconds, static_cast<double>(kStamps));
+  EXPECT_EQ(tracer.stage_events_dropped(), 0u);
 }
 
 TEST(RequestTracerTest, RecordTableIsBounded) {
@@ -434,16 +434,25 @@ TEST(RequestTracerTest, ConcurrentStampsSurviveTsan) {
       }
     });
   }
-  // A concurrent reader folds while the writers stamp.
+  // A concurrent reader walks the table while the writers stamp.
   std::thread reader([&] {
     for (int i = 0; i < 50; ++i) {
       tracer.Aggregates();
+      tracer.Completed(4);
     }
   });
   for (auto& writer : writers) writer.join();
   reader.join();
   EXPECT_EQ(tracer.traces_started(), 4u);
-  EXPECT_GE(tracer.traces_completed(), 4u);
+  EXPECT_EQ(tracer.traces_completed(), 4u);
+  for (const TraceContext& id : ids) {
+    TraceRecord record;
+    ASSERT_TRUE(tracer.Lookup(id, &record));
+    EXPECT_EQ(record.stages.size(), 400u);
+    EXPECT_TRUE(record.completed);
+  }
+  EXPECT_EQ(registry.GetCounter("pipeline.stage_events")->Value(), 1600u);
+  EXPECT_EQ(tracer.stage_events_dropped(), 0u);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "nidc/obs/event_log.h"
@@ -198,6 +200,58 @@ TEST(SloEngineTest, WindowCountsAgeOut) {
   ASSERT_NE(calm, nullptr);
   EXPECT_FALSE(calm->burning);
   EXPECT_EQ(calm->bad, 0u);
+}
+
+TEST(SloEngineTest, ConcurrentFeedsAndEvaluate) {
+  // Tracer completions arrive on shard workers and request outcomes on
+  // HTTP workers, while /slosz and /healthz evaluate: every feed must be
+  // counted exactly once.
+  MetricsRegistry registry;
+  SloEngine::Options options = FastOptions();
+  options.metrics = &registry;
+  SloEngine engine(options);
+  const std::vector<std::string> own_tenants = {"t0", "t1", "t2", "t3"};
+  const int kFeeders = static_cast<int>(own_tenants.size());
+  constexpr int kPerFeeder = 500;
+  std::atomic<bool> done{false};
+  std::vector<std::thread> feeders;
+  for (int t = 0; t < kFeeders; ++t) {
+    feeders.emplace_back([&, t] {
+      const std::string& own = own_tenants[t];
+      for (int i = 0; i < kPerFeeder; ++i) {
+        const double now = 1000.0 + i * 0.01;
+        const std::string& tenant = i % 2 == 0 ? own : "shared";
+        engine.ObserveLatency(tenant, i % 7 == 0 ? 5.0 : 0.01, now);
+        engine.ObserveRequest(tenant, i % 11 != 0, now);
+      }
+    });
+  }
+  std::thread evaluator([&] {
+    while (!done.load()) {
+      engine.Evaluate(1005.0);
+      engine.RenderJson(1005.0);
+    }
+  });
+  for (auto& feeder : feeders) feeder.join();
+  done.store(true);
+  evaluator.join();
+  const uint64_t fed = kFeeders * kPerFeeder;
+  EXPECT_EQ(registry.GetCounter("slo.latency_observations")->Value(), fed);
+  EXPECT_EQ(registry.GetCounter("slo.requests_observed")->Value(), fed);
+  // Each feeder split its feed evenly between its own tenant and the
+  // shared one; the slow-long window still holds every observation.
+  const auto burns = engine.Evaluate(1005.0);
+  std::vector<std::string> tenants = own_tenants;
+  tenants.push_back("shared");
+  for (const std::string& tenant : tenants) {
+    const uint64_t expected = tenant == "shared" ? fed / 2 : kPerFeeder / 2;
+    for (const char* objective : {"latency", "availability"}) {
+      const SloBurn* burn = FindBurn(burns, tenant, objective);
+      ASSERT_NE(burn, nullptr) << tenant << " " << objective;
+      EXPECT_EQ(burn->good + burn->bad, expected)
+          << tenant << " " << objective;
+    }
+  }
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 //   generate --out FILE [--scale S] [--seed N]
 //       Write the synthetic TDT2-like corpus as a nidc TSV corpus file.
 //   cluster --corpus FILE [--beta D] [--gamma D] [--k N] [--from D --to D]
-//           [--top-terms N] [--state FILE]
+//           [--top-terms N]
 //       Non-incrementally cluster a time range of a corpus file and print
-//       the clusters; optionally snapshot the state.
+//       the clusters.
 //   stream --corpus FILE [--beta D] [--gamma D] [--k N] [--step D]
 //          [--from D --to D] [--state FILE] [--metrics-out FILE.jsonl]
 //          [--metrics-csv FILE.csv] [--metrics-prom FILE]
@@ -197,7 +197,7 @@ int Usage() {
       "[--flag value]...\n"
       "  generate --out FILE [--scale S] [--seed N]\n"
       "  cluster  --corpus FILE [--beta D] [--gamma D] [--k N]\n"
-      "           [--from D --to D] [--top-terms N] [--state FILE]\n"
+      "           [--from D --to D] [--top-terms N]\n"
       "  stream   --corpus FILE [--beta D] [--gamma D] [--k N] [--step D]\n"
       "           [--from D --to D] [--state FILE]\n"
       "           [--metrics-out FILE.jsonl] [--metrics-csv FILE.csv]\n"
@@ -1340,11 +1340,9 @@ int RunInspect(const Args& args) {
   // trace id to pull up at /tracez?trace=.
   if (const obs::JsonValue* pipeline = status.Find("pipeline");
       pipeline != nullptr && pipeline->is_object()) {
-    std::printf("pipeline: %.0f traces started, %.0f completed, "
-                "%.0f stage events dropped\n",
+    std::printf("pipeline: %.0f traces started, %.0f completed\n",
                 NumberOr(pipeline->Find("traces_started"), 0),
-                NumberOr(pipeline->Find("traces_completed"), 0),
-                NumberOr(pipeline->Find("stage_events_dropped"), 0));
+                NumberOr(pipeline->Find("traces_completed"), 0));
     if (const obs::JsonValue* waterfall = pipeline->Find("waterfall");
         waterfall != nullptr && waterfall->is_array()) {
       for (const obs::JsonValue& entry : waterfall->array) {

@@ -101,7 +101,6 @@ constexpr const char* kMetricKeys[] = {
     "pipeline.traces_completed",
     "pipeline.traces_dropped",
     "pipeline.stage_events",
-    "pipeline.stage_events_dropped",
     "pipeline.open_traces",
     "pipeline.doc_bindings",
     "pipeline.e2e_seconds",
