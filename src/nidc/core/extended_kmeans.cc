@@ -412,7 +412,6 @@ std::vector<DocId> SweepAssign(const std::vector<DocId>& order,
 KMeansSeeds WithoutExpiredClusters(const KMeansSeeds& seeds,
                                    const SimilarityContext& ctx) {
   KMeansSeeds kept;
-  kept.mode = seeds.mode;
   for (size_t p = 0; p < seeds.memberships.size(); ++p) {
     const std::vector<DocId>& members = seeds.memberships[p];
     if (std::none_of(members.begin(), members.end(),
@@ -427,53 +426,6 @@ KMeansSeeds WithoutExpiredClusters(const KMeansSeeds& seeds,
     }
   }
   return kept;
-}
-
-// Populates clusters from fixed representative vectors: each document joins
-// the cluster whose representative it is most similar to (cr_sim with the
-// singleton {d}); non-positive best similarity goes to the outlier list.
-// The scan reads only the fixed vectors (through a flat posting index over
-// them when scoring kSlotted), so each decision is applied as soon as it is
-// made, in document order.
-std::vector<DocId> AssignAgainstFixedRepresentatives(
-    const std::vector<DocId>& docs, const std::vector<SparseVector>& reps,
-    const SimilarityContext& ctx, ClusterScoring scoring,
-    ClusterSet* clusters) {
-  FlatRepIndex seed_index;
-  if (scoring == ClusterScoring::kSlotted) {
-    seed_index.BuildFromRepresentatives(ctx, reps);
-  }
-
-  std::vector<DocId> outliers;
-  std::vector<double> scores;
-  for (const DocId id : docs) {
-    int best = kUnassigned;
-    double best_sim = 0.0;
-    if (scoring == ClusterScoring::kSlotted) {
-      seed_index.ScoreAll(ctx, ctx.SlotOf(id), &scores);
-      for (size_t p = 0; p < reps.size(); ++p) {
-        if (scores[p] > best_sim) {
-          best_sim = scores[p];
-          best = static_cast<int>(p);
-        }
-      }
-    } else {
-      const SimilarityContext::Row psi = ctx.Psi(id);
-      for (size_t p = 0; p < reps.size(); ++p) {
-        const double sim = reps[p].Dot(psi);
-        if (sim > best_sim) {
-          best_sim = sim;
-          best = static_cast<int>(p);
-        }
-      }
-    }
-    if (best == kUnassigned) {
-      outliers.push_back(id);
-    } else {
-      clusters->Assign(id, best, ctx);
-    }
-  }
-  return outliers;
 }
 
 }  // namespace
@@ -512,63 +464,40 @@ Result<ClusteringResult> RunExtendedKMeans(
   // count. A seed cluster with no member left in the context carries
   // nothing forward; without those at most k = min(K, active) remain.
   std::optional<KMeansSeeds> trimmed;
-  if (seeds && seeds->mode == SeedMode::kMembership &&
-      seeds->memberships.size() > k) {
+  if (seeds && seeds->memberships.size() > k) {
     trimmed = WithoutExpiredClusters(*seeds, ctx);
   }
   const KMeansSeeds* seed = trimmed ? &*trimmed : seeds ? &*seeds : nullptr;
 
   // --- Initial process ---
-  bool degenerate_restart = false;
   const auto run_initial_process = [&]() -> Status {
     NIDC_SPAN("kmeans.seed");
     ScopedSeconds seed_timer(profile == nullptr ? nullptr
                                                 : &profile->seed_seconds);
-    const SeedMode mode = seed != nullptr ? seed->mode : SeedMode::kRandom;
-    switch (mode) {
-      case SeedMode::kRandom: {
-        // §4.3: select K documents randomly, form initial K clusters.
-        size_t next = 0;
-        for (size_t p : rng.SampleWithoutReplacement(docs.size(), k)) {
-          clusters.Assign(docs[p], static_cast<int>(next++), ctx);
-        }
-        break;
+    if (seed != nullptr) {
+      // §5.2 step 3: documents keep their previous cluster.
+      if (seed->memberships.size() > k) {
+        return Status::InvalidArgument("membership seed has more clusters "
+                                       "than k");
       }
-      case SeedMode::kMembership: {
-        if (seed->memberships.size() > k) {
-          return Status::InvalidArgument("membership seed has more clusters "
-                                         "than k");
-        }
-        for (size_t p = 0; p < seed->memberships.size(); ++p) {
-          for (DocId id : seed->memberships[p]) {
-            if (ctx.Contains(id)) {
-              clusters.Assign(id, static_cast<int>(p), ctx);
-            }
+      for (size_t p = 0; p < seed->memberships.size(); ++p) {
+        for (DocId id : seed->memberships[p]) {
+          if (ctx.Contains(id)) {
+            clusters.Assign(id, static_cast<int>(p), ctx);
           }
         }
-        break;
-      }
-      case SeedMode::kRepresentatives: {
-        if (seed->representatives.size() > k) {
-          return Status::InvalidArgument("representative seed has more "
-                                         "clusters than k");
-        }
-        outliers = AssignAgainstFixedRepresentatives(
-            docs, seed->representatives, ctx, scoring, &clusters);
-        break;
       }
     }
-    // Degenerate-seed fallback: representative/membership seeds can leave
-    // every cluster empty (e.g. the whole previous vocabulary expired). An
-    // empty cluster can never attract documents (its avg_sim gain is 0), so
-    // restart from random singletons as the initial process prescribes.
+    // §4.3: select K documents randomly, form initial K clusters — also
+    // when every seeded member has expired, since an empty cluster can
+    // never attract documents (its avg_sim gain is 0). Such a restart
+    // inherits no cluster ids.
     if (clusters.TotalAssigned() == 0) {
-      degenerate_restart = true;
+      seed = nullptr;
       size_t next = 0;
       for (size_t p : rng.SampleWithoutReplacement(docs.size(), k)) {
         clusters.Assign(docs[p], static_cast<int>(next++), ctx);
       }
-      outliers.clear();
     }
     clusters.RefreshAll(ctx);
     return Status::OK();
@@ -583,8 +512,7 @@ Result<ClusteringResult> RunExtendedKMeans(
   // emptied slot to a new topic.
   static const std::vector<uint64_t> kNoSeedIds;
   const std::vector<uint64_t>& seed_ids =
-      (seed != nullptr && !degenerate_restart) ? seed->cluster_ids
-                                               : kNoSeedIds;
+      seed != nullptr ? seed->cluster_ids : kNoSeedIds;
   clusters.InstallIds(seed_ids, options.first_cluster_id);
   if (options.events != nullptr) {
     for (size_t p = 0; p < clusters.num_clusters(); ++p) {

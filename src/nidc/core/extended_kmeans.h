@@ -26,22 +26,6 @@ class ProvenanceLog;
 
 namespace nidc {
 
-/// How the K initial clusters are formed.
-enum class SeedMode {
-  /// K random documents become singleton clusters (§4.3 initial process).
-  kRandom,
-  /// Clusters start from a given membership (incremental §5.2: documents
-  /// keep their previous cluster; representatives are recomputed from the
-  /// surviving members — the consistent reading of "reuse the cluster
-  /// representatives", since Eq. 20 defines them as member sums).
-  kMembership,
-  /// Clusters start from given representative *vectors*: a single
-  /// assignment pass against the fixed vectors populates the clusters, then
-  /// the normal repetition process takes over (the literal reading of
-  /// §5.2 step 3).
-  kRepresentatives,
-};
-
 /// Which greedy gain the repetition step maximizes when (re)assigning a
 /// document.
 enum class AssignmentCriterion {
@@ -155,22 +139,26 @@ struct KMeansProfile {
   }
 };
 
-/// Seeding payload for the incremental modes.
+/// Seeding payload for the incremental procedure (§5.2): clusters start
+/// from the previous memberships (pruned to documents in the context), so
+/// their representatives are recomputed from the surviving members — the
+/// consistent reading of "reuse the cluster representatives", since Eq. 20
+/// defines them as member sums.
 struct KMeansSeeds {
-  SeedMode mode = SeedMode::kRandom;
-  /// For kMembership: previous memberships (pruned to docs in the context).
   std::vector<std::vector<DocId>> memberships;
-  /// For kRepresentatives: previous representative vectors.
-  std::vector<SparseVector> representatives;
   /// Stable ids the seeded clusters inherit (index-aligned with
-  /// memberships/representatives; empty = every cluster gets a fresh id).
+  /// memberships; empty = every cluster gets a fresh id).
   std::vector<uint64_t> cluster_ids;
 };
 
 /// Runs the extended K-means over `docs` (which must all be in `ctx`).
+/// Without `seeds`, K random documents seed K singleton clusters (§4.3);
+/// with them, the clusters start from the seeded memberships, falling back
+/// to the random singletons when no seeded member is in the context.
 ///
-/// Returns InvalidArgument if options are malformed or docs/ctx disagree;
-/// with fewer documents than K the effective K is reduced.
+/// Returns InvalidArgument if options are malformed, docs/ctx disagree, or
+/// more than K seeded clusters have a member in the context; with fewer
+/// documents than K the effective K is reduced.
 Result<ClusteringResult> RunExtendedKMeans(
     const SimilarityContext& ctx, const std::vector<DocId>& docs,
     const ExtendedKMeansOptions& options,

@@ -140,6 +140,12 @@ Status IncrementalClusterer::ValidateStepInputs(
                                      " appears twice in the batch");
     }
   }
+  if (last_result_ && last_result_->clusters.size() > options_.kmeans.k) {
+    return Status::InvalidArgument(
+        "previous clustering has " +
+        std::to_string(last_result_->clusters.size()) +
+        " clusters, more than k = " + std::to_string(options_.kmeans.k));
+  }
   return Status::OK();
 }
 
@@ -148,13 +154,6 @@ Result<StepResult> IncrementalClusterer::Step(
     const ClusteringResult* logged) {
   NIDC_RETURN_NOT_OK(ValidateStepInputs(new_docs, tau));
   NIDC_SPAN("clusterer.step");
-  if (seed_state_pending_ &&
-      options_.reseed_mode == SeedMode::kRepresentatives) {
-    // Before phase 1 advances the model: the representatives are those of
-    // the model the previous clustering was computed on.
-    NIDC_RETURN_NOT_OK(RecomputeSeedDerivedState());
-    seed_state_pending_ = false;
-  }
   StepResult result;
   if (options_.events != nullptr) options_.events->SetStep(step_count_);
   if (options_.provenance != nullptr) {
@@ -211,7 +210,6 @@ Result<StepResult> IncrementalClusterer::Step(
     FeedHealthMonitor(options_.health, step_count_, result);
   }
   last_result_ = result.clustering;
-  seed_state_pending_ = result.installed;
   ++step_count_;
   return result;
 }
@@ -233,18 +231,10 @@ Result<ClusteringResult> IncrementalClusterer::RunKMeans(
   if (kmeans.events == nullptr) kmeans.events = options_.events;
   if (kmeans.provenance == nullptr) kmeans.provenance = options_.provenance;
   if (last_result_) {
-    KMeansSeeds s;
-    s.mode = options_.reseed_mode;
-    if (s.mode == SeedMode::kMembership) {
-      s.memberships = last_result_->clusters;
-    } else if (s.mode == SeedMode::kRepresentatives) {
-      s.representatives = last_result_->representatives;
-    }
     // Surviving clusters keep their stable ids; the run mints fresh ones
     // from where the previous run stopped, so ids stay globally monotone.
-    s.cluster_ids = last_result_->cluster_ids;
+    seeds = KMeansSeeds{last_result_->clusters, last_result_->cluster_ids};
     kmeans.first_cluster_id = last_result_->next_cluster_id;
-    seeds = std::move(s);
   }
   return RunExtendedKMeans(*ctx, model_.active_docs(), kmeans, seeds);
 }
@@ -273,32 +263,6 @@ bool IncrementalClusterer::IsPartitionOfActive(
   return place(logged.outliers) && num_placed == active;
 }
 
-namespace {
-
-// Rejects active lists with repeated entries or ids outside the corpus —
-// a corrupt snapshot must fail restoration instead of corrupting the
-// statistics it seeds.
-Status ValidateActiveIds(const Corpus& corpus,
-                         const std::vector<DocId>& active) {
-  std::unordered_set<DocId> seen;
-  seen.reserve(active.size());
-  for (DocId id : active) {
-    if (id >= corpus.size()) {
-      return Status::InvalidArgument("active document " +
-                                     std::to_string(id) +
-                                     " is beyond the corpus");
-    }
-    if (!seen.insert(id).second) {
-      return Status::InvalidArgument("active document " +
-                                     std::to_string(id) +
-                                     " is listed twice");
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status IncrementalClusterer::CheckRestoredMembers() const {
   // With no active documents the result is one whose step found the
   // window empty; nothing will be seeded from it.
@@ -315,51 +279,12 @@ Status IncrementalClusterer::CheckRestoredMembers() const {
   return Status::OK();
 }
 
-Status IncrementalClusterer::RecomputeSeedDerivedState() {
-  if (!last_result_ || model_.num_active() == 0) return Status::OK();
-  // Recompute representatives (Eq. 20) for the restored memberships.
-  SimilarityContext ctx(model_);
-  last_result_->representatives.assign(last_result_->clusters.size(),
-                                       SparseVector());
-  last_result_->avg_sims.assign(last_result_->clusters.size(), 0.0);
-  for (size_t p = 0; p < last_result_->clusters.size(); ++p) {
-    Cluster cluster;
-    for (DocId id : last_result_->clusters[p]) {
-      if (!ctx.Contains(id)) {
-        return Status::InvalidArgument(
-            "seeding cluster references inactive document " +
-            std::to_string(id));
-      }
-      cluster.Add(id, ctx);
-    }
-    last_result_->representatives[p] = cluster.representative();
-    last_result_->avg_sims[p] = cluster.AvgSim();
-  }
-  return Status::OK();
-}
-
-Status IncrementalClusterer::RestoreState(
-    DayTime now, const std::vector<DocId>& active,
-    std::optional<ClusteringResult> last,
-    std::optional<uint64_t> step_count) {
-  NIDC_RETURN_NOT_OK(ValidateActiveIds(model_.corpus(), active));
-  model_.RebuildFromScratch(active, now);
-  last_result_ = std::move(last);
-  NIDC_RETURN_NOT_OK(CheckRestoredMembers());
-  seed_state_pending_ = last_result_.has_value();
-  // Without a persisted count, step numbering continues from the restored
-  // result's presence (legacy v1 snapshots).
-  step_count_ = step_count.value_or(last_result_ ? 1 : 0);
-  return Status::OK();
-}
-
 Status IncrementalClusterer::RestoreExact(
     const ExactModelState& model_state, std::optional<ClusteringResult> last,
     uint64_t step_count) {
   NIDC_RETURN_NOT_OK(model_.RestoreExact(model_state));
   last_result_ = std::move(last);
   NIDC_RETURN_NOT_OK(CheckRestoredMembers());
-  seed_state_pending_ = last_result_.has_value();
   step_count_ = step_count;
   return Status::OK();
 }

@@ -53,9 +53,9 @@ struct StepResult {
 
 /// Options for the incremental driver.
 struct IncrementalOptions {
+  /// K-means options; every step after the first is seeded from the
+  /// previous step's memberships (see KMeansSeeds).
   ExtendedKMeansOptions kmeans;
-  /// How step N+1 is seeded from step N's result (first step: random).
-  SeedMode reseed_mode = SeedMode::kMembership;
 
   /// Telemetry sink for step-level metrics (doc churn, phase timings,
   /// vocabulary/tdw gauges); also propagated to the K-means run unless
@@ -107,19 +107,20 @@ class IncrementalClusterer {
                           const ClusteringResult* logged = nullptr);
 
   /// Checks a prospective step without applying it: `tau` must be finite
-  /// and >= the current model time (no time travel), and every id must
-  /// name a corpus document that is not yet active (no duplicates within
-  /// the batch either) and was acquired at or before `tau`. Returns
-  /// InvalidArgument describing the first violation. The durability layer
+  /// and >= the current model time (no time travel), every id must name a
+  /// corpus document that is not yet active (no duplicates within the
+  /// batch either) and was acquired at or before `tau`, and the previous
+  /// clustering must have no more clusters than k (a state restored under
+  /// a smaller k cannot seed). Returns InvalidArgument describing the
+  /// first violation; a rejected step changes nothing. The durability layer
   /// calls this before logging a step to its write-ahead log so rejected
   /// inputs never enter the log.
   Status ValidateStepInputs(const std::vector<DocId>& new_docs,
                             DayTime tau) const;
 
   /// The most recent clustering, if any step has run. After a restore or
-  /// an installed step its representatives and avg_sims are empty until
-  /// the next Step recomputes them (only a kRepresentatives reseed reads
-  /// them).
+  /// an installed step its representatives and avg_sims may be empty; the
+  /// membership reseed never reads them.
   const std::optional<ClusteringResult>& last_result() const {
     return last_result_;
   }
@@ -129,21 +130,11 @@ class IncrementalClusterer {
   /// stream, which is why snapshots persist it.
   uint64_t step_count() const { return step_count_; }
 
-  /// Reconstructs internal state from a persisted snapshot (see
-  /// state_io.h): rebuilds the statistics for `active` at clock `now`
-  /// (exact up to last-bit rounding, since dw ≡ λ^(now−T)) and installs
-  /// `last` as the seeding result. Rejects duplicate or unknown active
-  /// ids, and a `last` whose clusters name an inactive document.
-  /// `step_count` restores the seed stream; when nullopt a legacy
-  /// heuristic (1 if `last` is present, else 0) applies.
-  Status RestoreState(DayTime now, const std::vector<DocId>& active,
-                      std::optional<ClusteringResult> last,
-                      std::optional<uint64_t> step_count = std::nullopt);
-
   /// Restores from a bit-exact model snapshot (ExactModelState): every
   /// subsequent Step computes exactly what the original instance would
   /// have computed — the foundation of the durability layer's
-  /// recovery-equivalence guarantee.
+  /// recovery-equivalence guarantee. Rejects duplicate weight ids and a
+  /// `last` whose clusters name a document the model does not hold.
   Status RestoreExact(const ExactModelState& model_state,
                       std::optional<ClusteringResult> last,
                       uint64_t step_count);
@@ -157,11 +148,6 @@ class IncrementalClusterer {
   /// model does not hold.
   Status CheckRestoredMembers() const;
 
-  /// Recomputes `last_result_`'s representatives/avg_sims from the current
-  /// model (they are derived state; snapshots and logged outcomes do not
-  /// carry them).
-  Status RecomputeSeedDerivedState();
-
   /// Whether `logged` may stand in for this step's K-means run (see Step).
   bool IsPartitionOfActive(const ClusteringResult& logged) const;
 
@@ -172,9 +158,6 @@ class IncrementalClusterer {
   ForgettingModel model_;
   IncrementalOptions options_;
   std::optional<ClusteringResult> last_result_;
-  /// Set while `last_result_` lacks its derived state (after a restore or
-  /// an installed step); cleared once a Step recomputes or replaces it.
-  bool seed_state_pending_ = false;
   uint64_t step_count_ = 0;
 };
 

@@ -111,33 +111,6 @@ void FlatRepIndex::BuildFromClusters(const SimilarityContext& ctx,
   }
 }
 
-void FlatRepIndex::BuildFromRepresentatives(
-    const SimilarityContext& ctx, const std::vector<SparseVector>& reps) {
-  k_ = reps.size();
-  PrepareBuild(ctx);
-
-  for (size_t p = 0; p < k_; ++p) {
-    for (const auto& e : reps[p].entries()) {
-      if (e.value == 0.0) continue;
-      const uint32_t t = ctx.LocalTerm(e.id);
-      if (t == SimilarityContext::kNoLocalTerm) continue;
-      ++ends_[t];
-    }
-  }
-  LayOutRuns();
-  for (size_t p = 0; p < k_; ++p) {
-    for (const auto& e : reps[p].entries()) {
-      if (e.value == 0.0) continue;
-      const uint32_t t = ctx.LocalTerm(e.id);
-      if (t == SimilarityContext::kNoLocalTerm) continue;
-      const size_t cursor = ends_[t]++;
-      clusters_[cursor] = static_cast<uint32_t>(p);
-      refs_[cursor] = 1;
-      weights_[cursor] = e.value;
-    }
-  }
-}
-
 void FlatRepIndex::Scan(const SimilarityContext::Row& row, uint32_t home,
                         std::vector<double>* scores,
                         double* home_attached) const {

@@ -29,7 +29,6 @@
 #include "nidc/core/cluster.h"
 #include "nidc/core/kernels/kernels.h"
 #include "nidc/core/novelty_similarity.h"
-#include "nidc/text/sparse_vector.h"
 
 namespace nidc {
 
@@ -90,12 +89,6 @@ class FlatRepIndex {
   /// rows of the members: one counts the entries, one fills them.
   void BuildFromClusters(const SimilarityContext& ctx,
                          const std::vector<Cluster>& clusters);
-
-  /// Rebuilds from fixed representative vectors (seeded assignment): each
-  /// term of rep[p] becomes one entry with refs = 1. Terms outside the
-  /// context's active vocabulary can never match a ψ and are skipped.
-  void BuildFromRepresentatives(const SimilarityContext& ctx,
-                                const std::vector<SparseVector>& reps);
 
   /// Document-at-a-time scoring: fills scores[p] = c⃗_p · ψ for every
   /// cluster in one sequential scan over the document's CSR row.

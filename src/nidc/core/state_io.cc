@@ -1,5 +1,6 @@
 #include "nidc/core/state_io.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <type_traits>
@@ -225,8 +226,7 @@ std::string SerializeState(const ClustererState& state) {
   // an id with its separator rarely takes over 8 characters and an exact
   // pair over 32: the text grows in place once, if at all.
   const size_t exact_pairs =
-      state.exact ? state.exact->weights.size() + state.exact->term_sums.size()
-                  : 0;
+      state.exact.weights.size() + state.exact.term_sums.size();
   std::string out;
   out.reserve(256 + 16 * state.active_docs.size() + 32 * exact_pairs);
   out.append("nidc-state v2\nparams ");
@@ -244,28 +244,24 @@ std::string SerializeState(const ClustererState& state) {
   } else {
     AppendResultSection(*state.last_result, &out);
   }
-  if (state.exact) {
-    const ExactModelState& exact = *state.exact;
-    out.append("exact\nnow ");
-    AppendHexDouble(exact.now, &out);
-    out.append(" tdw ");
-    AppendHexDouble(exact.tdw, &out);
-    out.push_back('\n');
-    AppendExactPairs(&out, "weights", exact.weights);
-    out.append("scale ");
-    AppendHexDouble(exact.term_scale, &out);
-    out.push_back('\n');
-    AppendExactPairs(&out, "terms", exact.term_sums);
-  }
+  const ExactModelState& exact = state.exact;
+  out.append("exact\nnow ");
+  AppendHexDouble(exact.now, &out);
+  out.append(" tdw ");
+  AppendHexDouble(exact.tdw, &out);
+  out.push_back('\n');
+  AppendExactPairs(&out, "weights", exact.weights);
+  out.append("scale ");
+  AppendHexDouble(exact.term_scale, &out);
+  out.push_back('\n');
+  AppendExactPairs(&out, "terms", exact.term_sums);
   return out;
 }
 
 Result<ClustererState> ParseState(std::string_view text) {
   TokenCursor in(text);
-  const bool header = in.Word("nidc-state");
-  const std::string_view version = in.Next();
-  if (!header || (version != "v1" && version != "v2")) {
-    return Status::InvalidArgument("not a nidc-state v1/v2 snapshot");
+  if (!in.Word("nidc-state") || !in.Word("v2")) {
+    return Status::InvalidArgument("not a nidc-state v2 snapshot");
   }
   ClustererState state;
   if (!in.Word("params") || !in.Number(&state.params.half_life_days) ||
@@ -276,10 +272,8 @@ Result<ClustererState> ParseState(std::string_view text) {
   if (!in.Word("now") || !in.Number(&state.now)) {
     return Status::InvalidArgument("malformed now line");
   }
-  if (version == "v2") {
-    if (!in.Word("steps") || !in.Number(&state.step_count)) {
-      return Status::InvalidArgument("malformed steps line");
-    }
+  if (!in.Word("steps") || !in.Number(&state.step_count)) {
+    return Status::InvalidArgument("malformed steps line");
   }
   if (!ReadIds(in, "active", &state.active_docs)) {
     return Status::InvalidArgument("malformed active list");
@@ -293,34 +287,12 @@ Result<ClustererState> ParseState(std::string_view text) {
     NIDC_RETURN_NOT_OK(ParseResultBody(in, count_token, &result));
     state.last_result = std::move(result);
   }
-  if (version == "v1") {
-    // v1 predates the persisted step counter; mirror the legacy restore
-    // heuristic so old snapshots resume with the seed stream they used to.
-    state.step_count = state.last_result ? 1 : 0;
-    return state;
+  if (!in.Word("exact")) {
+    return Status::InvalidArgument("missing exact section");
   }
-  const std::string_view section = in.Next();
-  if (!section.empty()) {
-    if (section != "exact") {
-      return Status::InvalidArgument("unexpected trailing section: " +
-                                     std::string(section));
-    }
-    ExactModelState exact;
-    NIDC_RETURN_NOT_OK(ParseExactSection(in, &exact));
-    if (!in.AtEnd()) {
-      return Status::InvalidArgument("trailing bytes after exact section");
-    }
-    if (exact.weights.size() != state.active_docs.size()) {
-      return Status::InvalidArgument(
-          "exact weights disagree with the active list");
-    }
-    for (size_t i = 0; i < exact.weights.size(); ++i) {
-      if (exact.weights[i].first != state.active_docs[i]) {
-        return Status::InvalidArgument(
-            "exact weights disagree with the active list");
-      }
-    }
-    state.exact = std::move(exact);
+  NIDC_RETURN_NOT_OK(ParseExactSection(in, &state.exact));
+  if (!in.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after exact section");
   }
   return state;
 }
@@ -359,15 +331,17 @@ Result<std::unique_ptr<IncrementalClusterer>> RestoreClusterer(
           "'s acquisition time");
     }
   }
+  const std::vector<std::pair<DocId, double>>& weights = state.exact.weights;
+  if (!std::equal(weights.begin(), weights.end(), state.active_docs.begin(),
+                  state.active_docs.end(),
+                  [](const auto& w, DocId id) { return w.first == id; })) {
+    return Status::InvalidArgument(
+        "exact weights disagree with the active list");
+  }
   auto clusterer = std::make_unique<IncrementalClusterer>(
       corpus, state.params, options);
-  if (state.exact) {
-    NIDC_RETURN_NOT_OK(clusterer->RestoreExact(
-        *state.exact, state.last_result, state.step_count));
-  } else {
-    NIDC_RETURN_NOT_OK(clusterer->RestoreState(
-        state.now, state.active_docs, state.last_result, state.step_count));
-  }
+  NIDC_RETURN_NOT_OK(clusterer->RestoreExact(state.exact, state.last_result,
+                                             state.step_count));
   return clusterer;
 }
 

@@ -1,17 +1,16 @@
 // Persistence for the on-line clusterer: snapshot the incremental state
-// (clock, active set, last clustering) to a text file and restore it after
-// a process restart, without replaying the stream. The corpus itself is
-// persisted separately (corpus_io.h); a snapshot is only valid against the
-// same corpus loaded in the same order (document ids and term ids must
-// match).
+// (clock, active set, step counter, last clustering) to a text file and
+// restore it after a process restart, without replaying the stream. The
+// corpus itself is persisted separately (corpus_io.h); a snapshot is only
+// valid against the same corpus loaded in the same order (document ids and
+// term ids must match).
 //
-// Format v2 additionally embeds the model's ExactModelState (raw weights,
-// term sums and decay scale as hex floats) and the step counter, so a
-// restored clusterer continues *bit-identically* — the property the
-// store/ durability layer's crash-recovery guarantee is built on. v1
-// snapshots (no exact section) still load; they restore statistics by
-// rebuilding dw = λ^(now − T_i) from acquisition times, which is exact up
-// to last-bit rounding.
+// The format (nidc-state v2) embeds the model's ExactModelState (raw
+// weights, term sums and decay scale as hex floats), so a restored
+// clusterer continues *bit-identically* — the property the store/
+// durability layer's crash-recovery guarantee is built on. The exact
+// section is required: a text without it, or an older v1 text, does not
+// parse.
 //
 // SaveState writes through the atomic write-temp + fsync + rename helper:
 // a crash mid-save can never destroy the previous good snapshot.
@@ -36,8 +35,9 @@ struct ClustererState {
   std::optional<ClusteringResult> last_result;
   /// Steps applied so far (offsets the per-step random-seed stream).
   uint64_t step_count = 0;
-  /// Bit-exact numeric state; present in v2 snapshots.
-  std::optional<ExactModelState> exact;
+  /// Bit-exact numeric state; its weights list the active documents in
+  /// `active_docs` order.
+  ExactModelState exact;
 };
 
 /// The clustering section of a snapshot: "clusters <n>", one "cluster"
@@ -50,12 +50,11 @@ struct ClustererState {
 void AppendResultSection(const ClusteringResult& result, std::string* out);
 Result<ClusteringResult> ParseResultSection(std::string_view text);
 
-/// Captures the clusterer's current state (always includes the exact
-/// section).
+/// Captures the clusterer's current state.
 ClustererState CaptureState(const IncrementalClusterer& clusterer);
 
 /// Serializes a state to its text representation / parses it back.
-/// Serialization emits format v2; parsing accepts v1 and v2.
+/// Both speak format v2 with its exact section.
 std::string SerializeState(const ClustererState& state);
 Result<ClustererState> ParseState(std::string_view text);
 
@@ -66,14 +65,13 @@ Status SaveState(const ClustererState& state, const std::string& path,
 Result<ClustererState> LoadState(const std::string& path,
                                  Env* env = nullptr);
 
-/// Builds a clusterer over `corpus` resuming from `state`. With an exact
-/// section the numeric state is installed verbatim (bit-identical
-/// continuation); otherwise statistics are rebuilt from the active set.
-/// Cluster representatives are recomputed from the restored memberships
-/// by the next Step that reseeds from them. Returns InvalidArgument if the
-/// state references documents the corpus does not have or has released,
-/// repeats an active id, lists an inactive document in a cluster, or is
-/// internally inconsistent.
+/// Builds a clusterer over `corpus` resuming from `state`: the exact
+/// numeric state is installed verbatim (bit-identical continuation), and
+/// the next Step reseeds from the restored memberships. Returns
+/// InvalidArgument if the state references documents the corpus does not
+/// have or has released (or acquired after its clock), repeats an active
+/// id, lists an inactive document in a cluster, or has exact weights that
+/// disagree with its active list.
 Result<std::unique_ptr<IncrementalClusterer>> RestoreClusterer(
     const Corpus* corpus, IncrementalOptions options,
     const ClustererState& state);

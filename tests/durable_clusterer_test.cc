@@ -751,6 +751,39 @@ TEST_F(DurableClustererTest, RejectsInvalidStepsWithoutLoggingThem) {
   ASSERT_TRUE((*durable)->Close().ok());
 }
 
+TEST_F(DurableClustererTest, StepUnderASmallerKIsRefusedBeforeTheWal) {
+  // A store reopened under a smaller k holds a clustering that cannot
+  // seed: each step is refused before its WAL append and changes nothing.
+  const std::string dir = FreshDir("smaller_k");
+  {
+    auto durable = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                          incremental_, Options(dir));
+    ASSERT_TRUE(durable.ok());
+    Feed(durable->get(), 0, 8);
+    ASSERT_TRUE((*durable)->clusterer().last_result().has_value());
+    ASSERT_GT((*durable)->clusterer().last_result()->clusters.size(), 2u);
+    ASSERT_TRUE((*durable)->Close().ok());
+  }
+  IncrementalOptions smaller = incremental_;
+  smaller.kmeans.k = 2;
+  auto reopened = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                         smaller, Options(dir));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const uint64_t records = (*reopened)->wal_records_since_checkpoint();
+  const uint64_t applied = (*reopened)->applied_steps();
+  const std::string before = Fingerprint((*reopened)->clusterer());
+  for (size_t i = 8; i < 11; ++i) {
+    EXPECT_EQ((*reopened)->Step(stream_.batches[i], stream_.taus[i])
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ((*reopened)->wal_records_since_checkpoint(), records);
+  EXPECT_EQ((*reopened)->applied_steps(), applied);
+  EXPECT_EQ(Fingerprint((*reopened)->clusterer()), before);
+  ASSERT_TRUE((*reopened)->Close().ok());
+}
+
 TEST_F(DurableClustererTest, PrunesGenerationsBeyondRetention) {
   Env* env = Env::Default();
   const std::string dir = FreshDir("prune");

@@ -184,7 +184,6 @@ TEST_F(ExtendedKMeansTest, MembershipSeedingReproducesStructure) {
   ASSERT_TRUE(first.ok());
 
   KMeansSeeds seeds;
-  seeds.mode = SeedMode::kMembership;
   seeds.memberships = first->clusters;
   auto second = RunExtendedKMeans(*ctx_, docs_, opts, seeds);
   ASSERT_TRUE(second.ok());
@@ -194,26 +193,9 @@ TEST_F(ExtendedKMeansTest, MembershipSeedingReproducesStructure) {
   EXPECT_NEAR(second->g, first->g, 1e-9);
 }
 
-TEST_F(ExtendedKMeansTest, RepresentativeSeedingWorks) {
-  ExtendedKMeansOptions opts;
-  opts.k = 3;
-  opts.seed = 5;
-  auto first = RunExtendedKMeans(*ctx_, docs_, opts);
-  ASSERT_TRUE(first.ok());
-
-  KMeansSeeds seeds;
-  seeds.mode = SeedMode::kRepresentatives;
-  seeds.representatives = first->representatives;
-  auto second = RunExtendedKMeans(*ctx_, docs_, opts, seeds);
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->converged);
-  EXPECT_GT(second->g, 0.0);
-}
-
 TEST_F(ExtendedKMeansTest, MembershipSeedWithTooManyClustersRejected) {
   // More non-empty seed clusters than k: nothing to drop, still an error.
   KMeansSeeds seeds;
-  seeds.mode = SeedMode::kMembership;
   for (DocId d = 0; d < 10; ++d) seeds.memberships.push_back({d});
   ExtendedKMeansOptions opts;
   opts.k = 3;
@@ -233,13 +215,11 @@ TEST_F(ExtendedKMeansTest, MembershipSeedDropsClustersWithNoActiveMember) {
   // What the previous step left when expiry took documents 40 and 41 (not
   // in the context) and an empty cluster: five seed clusters for k = 3.
   KMeansSeeds padded;
-  padded.mode = SeedMode::kMembership;
   padded.memberships = {{40}, first->clusters[0], {}, first->clusters[1],
                         {41}, first->clusters[2]};
   padded.cluster_ids = {7, first->cluster_ids[0], 8, first->cluster_ids[1],
                         9, first->cluster_ids[2]};
   KMeansSeeds exact;
-  exact.mode = SeedMode::kMembership;
   exact.memberships = first->clusters;
   exact.cluster_ids = first->cluster_ids;
   opts.first_cluster_id = first->next_cluster_id;
@@ -292,28 +272,6 @@ TEST_F(ExtendedKMeansTest, IndexedScoringMatchesMergeScoring) {
       EXPECT_NEAR(merge->g_history[i], slotted->g_history[i], 1e-12);
     }
   }
-}
-
-TEST_F(ExtendedKMeansTest, IndexedScoringMatchesWithRepresentativeSeeds) {
-  ExtendedKMeansOptions opts;
-  opts.k = 3;
-  opts.seed = 5;
-  auto first = RunExtendedKMeans(*ctx_, docs_, opts);
-  ASSERT_TRUE(first.ok());
-  KMeansSeeds seeds;
-  seeds.mode = SeedMode::kRepresentatives;
-  seeds.representatives = first->representatives;
-
-  ExtendedKMeansOptions merge_opts = opts;
-  merge_opts.scoring = ClusterScoring::kMerge;
-  ExtendedKMeansOptions slotted_opts = opts;
-  slotted_opts.scoring = ClusterScoring::kSlotted;
-  auto merge = RunExtendedKMeans(*ctx_, docs_, merge_opts, seeds);
-  auto slotted = RunExtendedKMeans(*ctx_, docs_, slotted_opts, seeds);
-  ASSERT_TRUE(merge.ok());
-  ASSERT_TRUE(slotted.ok());
-  EXPECT_EQ(merge->clusters, slotted->clusters);
-  EXPECT_EQ(merge->outliers, slotted->outliers);
 }
 
 // δ sweep: looser δ converges at least as fast (in iterations).

@@ -188,18 +188,11 @@ TEST_F(IncrementalClustererTest, MembershipReseedKeepsStableClusters) {
   EXPECT_EQ(second->clustering.clusters, clusters_before);
 }
 
-TEST_F(IncrementalClustererTest, RepresentativeReseedModeRuns) {
-  IncrementalOptions opts = Options();
-  opts.reseed_mode = SeedMode::kRepresentatives;
-  IncrementalClusterer ic(&corpus_, Params(7.0, 60.0), opts);
-  ASSERT_TRUE(ic.Step({0, 1, 2, 3}, 1.0).ok());
-  auto second = ic.Step({4, 5}, 30.0);
-  ASSERT_TRUE(second.ok());
-  EXPECT_GT(second->clustering.TotalAssigned(), 0u);
-
-  // Snapshot round-trip: a restored clusterer seeds its next steps from
-  // representatives recomputed out of the restored memberships, and they
-  // must steer K-means exactly as the originals did.
+TEST_F(IncrementalClustererTest, RestoredClustererStepsBitIdentically) {
+  // Snapshot round-trip: a restored clusterer reseeds its next steps from
+  // the restored memberships and must steer K-means exactly as the
+  // original did.
+  const IncrementalOptions opts = Options();
   corpus_.AddText("iraq inspection weapons embargo", 2.0, 1);
   corpus_.AddText("nagano medal skating final", 2.0, 2);
   corpus_.AddText("senate tobacco settlement vote", 31.0, 3);
@@ -226,6 +219,26 @@ TEST_F(IncrementalClustererTest, RepresentativeReseedModeRuns) {
   }
   EXPECT_EQ(SerializeState(CaptureState(**restored)),
             SerializeState(CaptureState(original)));
+}
+
+TEST_F(IncrementalClustererTest, StepUnderASmallerKChangesNothing) {
+  // A state saved under k = 4 and restored under k = 2 cannot seed: the
+  // step is refused before phase 1 advances the model or adds documents.
+  IncrementalClusterer original(&corpus_, Params(7.0, 60.0), Options(4));
+  ASSERT_TRUE(original.Step({0, 1, 2, 3}, 1.0).ok());
+  ASSERT_EQ(original.last_result()->clusters.size(), 4u);
+  Result<ClustererState> snapshot =
+      ParseState(SerializeState(CaptureState(original)));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  auto restored = RestoreClusterer(&corpus_, Options(2), *snapshot);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const std::string before = SerializeState(CaptureState(**restored));
+
+  const auto refused = (*restored)->Step({4, 5}, 30.0);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ((*restored)->ValidateStepInputs({4, 5}, 30.0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SerializeState(CaptureState(**restored)), before);
 }
 
 TEST_F(IncrementalClustererTest, StepRejectsADocumentFromAfterTheStepTime) {

@@ -184,27 +184,6 @@ TEST_F(FlatRepIndexTest, ApplyIsANoOpBeforeTheFirstBuild) {
   EXPECT_GT(set.flat_index().stats().live_entries, 0u);
 }
 
-TEST_F(FlatRepIndexTest, BuildFromRepresentativesSkipsOutOfVocabularyTerms) {
-  std::vector<SparseVector> reps(2);
-  reps[0].AddScaled(ctx_->Psi(docs_[0]), 1.0);  // ψ as a SparseVector
-  // A degenerate seed representative mentioning a term no active document
-  // contains: it can never match a ψ, so the build drops it.
-  std::vector<SparseVector::Entry> alien = reps[0].entries();
-  alien.push_back({9999999, 42.0});
-  reps[1] = SparseVector::FromEntries(std::move(alien));
-  FlatRepIndex index;
-  index.BuildFromRepresentatives(*ctx_, reps);
-  ASSERT_TRUE(index.built());
-  std::vector<double> scores;
-  for (DocId id : docs_) {
-    index.ScoreAll(*ctx_, ctx_->SlotOf(id), &scores);
-    const SimilarityContext::Row psi = ctx_->Psi(id);
-    ASSERT_EQ(scores.size(), 2u);
-    EXPECT_EQ(scores[0], reps[0].Dot(psi)) << "doc " << id;
-    EXPECT_EQ(scores[1], reps[1].Dot(psi)) << "doc " << id;
-  }
-}
-
 // Tiny corpus: documents 0 and 1 have disjoint vocabularies, document 2
 // shares document 1's last term. Every structural transition of the flat
 // index (tombstone, appended entry, relocated run, revive, rebuild) is

@@ -1,6 +1,7 @@
 #include "nidc/core/state_io.h"
 
 #include <cstdio>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -233,9 +234,10 @@ TEST_F(StateIoTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseState("").ok());
   EXPECT_FALSE(ParseState("random text").ok());
   EXPECT_FALSE(ParseState("nidc-state v2\n").ok());
-  EXPECT_FALSE(ParseState("nidc-state v1\nparams -1 5\n").ok());
+  EXPECT_FALSE(ParseState("nidc-state v2\nparams -1 5\n").ok());
   EXPECT_FALSE(
-      ParseState("nidc-state v1\nparams 7 30\nnow 1\nactive 3 1 2\n").ok());
+      ParseState("nidc-state v2\nparams 7 30\nnow 1\nsteps 0\n"
+                 "active 3 1 2\n").ok());
 }
 
 TEST_F(StateIoTest, RestoreRejectsForeignCorpus) {
@@ -272,19 +274,17 @@ TEST_F(StateIoTest, ExactSectionAndStepCountRoundTripBitExactly) {
   ASSERT_TRUE(clusterer.Step({2, 3}, 2.0).ok());
 
   const ClustererState state = CaptureState(clusterer);
-  ASSERT_TRUE(state.exact.has_value());
   EXPECT_EQ(state.step_count, 2u);
 
   Result<ClustererState> parsed = ParseState(SerializeState(state));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->step_count, 2u);
-  ASSERT_TRUE(parsed->exact.has_value());
   // Hex-float (%a) serialization: every double survives to the last bit.
-  EXPECT_EQ(parsed->exact->now, state.exact->now);
-  EXPECT_EQ(parsed->exact->tdw, state.exact->tdw);
-  EXPECT_EQ(parsed->exact->weights, state.exact->weights);
-  EXPECT_EQ(parsed->exact->term_scale, state.exact->term_scale);
-  EXPECT_EQ(parsed->exact->term_sums, state.exact->term_sums);
+  EXPECT_EQ(parsed->exact.now, state.exact.now);
+  EXPECT_EQ(parsed->exact.tdw, state.exact.tdw);
+  EXPECT_EQ(parsed->exact.weights, state.exact.weights);
+  EXPECT_EQ(parsed->exact.term_scale, state.exact.term_scale);
+  EXPECT_EQ(parsed->exact.term_sums, state.exact.term_sums);
 }
 
 TEST_F(StateIoTest, RestoreRejectsDuplicateActiveIds) {
@@ -292,26 +292,47 @@ TEST_F(StateIoTest, RestoreRejectsDuplicateActiveIds) {
   state.params = Params();
   state.now = 10.0;
   state.active_docs = {0, 1, 0};
+  state.exact.now = 10.0;
+  state.exact.tdw = 3.0;
+  state.exact.weights = {{0, 1.0}, {1, 1.0}, {0, 1.0}};
+  const Status status = RestoreClusterer(&corpus_, Options(), state).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("duplicate document 0"), std::string::npos);
+}
+
+TEST_F(StateIoTest, RestoreRejectsExactWeightsThatDisagreeWithActive) {
+  IncrementalClusterer clusterer(&corpus_, Params(), Options());
+  ASSERT_TRUE(clusterer.Step({0, 1, 2, 3}, 2.0).ok());
+  ClustererState state = CaptureState(clusterer);
+  ASSERT_TRUE(RestoreClusterer(&corpus_, Options(), state).ok());
+  // Checked on restore, so a hand-built state cannot skip it.
+  std::swap(state.exact.weights[0], state.exact.weights[1]);
+  EXPECT_EQ(RestoreClusterer(&corpus_, Options(), state).status().code(),
+            StatusCode::kInvalidArgument);
+  state.exact.weights.pop_back();
   EXPECT_EQ(RestoreClusterer(&corpus_, Options(), state).status().code(),
             StatusCode::kInvalidArgument);
 }
 
-TEST_F(StateIoTest, LegacyV1SnapshotStillLoads) {
-  // A v1 snapshot has no steps line and no exact section; restoring one
-  // rebuilds statistics from acquisition times instead.
-  const std::string v1 =
-      "nidc-state v1\n"
-      "params 7 30\n"
-      "now 2\n"
-      "active 2 0 1\n"
-      "clusters none\n";
-  Result<ClustererState> parsed = ParseState(v1);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->step_count, 0u);
-  EXPECT_FALSE(parsed->exact.has_value());
-  auto restored = RestoreClusterer(&corpus_, Options(), *parsed);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ((*restored)->model().num_active(), 2u);
+TEST_F(StateIoTest, ParseRejectsV1AndTextWithoutExactSection) {
+  // Only the bit-exact v2 format restores: a v1 text (no steps line, no
+  // exact section) and a v2 text cut before its exact section both fail.
+  EXPECT_FALSE(ParseState("nidc-state v1\n"
+                          "params 7 30\n"
+                          "now 2\n"
+                          "active 2 0 1\n"
+                          "clusters none\n")
+                   .ok());
+  IncrementalClusterer clusterer(&corpus_, Params(), Options());
+  ASSERT_TRUE(clusterer.Step({0, 1, 2, 3}, 2.0).ok());
+  const std::string text = SerializeState(CaptureState(clusterer));
+  ASSERT_TRUE(ParseState(text).ok());
+  const size_t exact = text.find("exact\n");
+  ASSERT_NE(exact, std::string::npos);
+  const Result<ClustererState> cut = ParseState(text.substr(0, exact));
+  EXPECT_EQ(cut.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(cut.status().ToString().find("missing exact section"),
+            std::string::npos);
 }
 
 }  // namespace

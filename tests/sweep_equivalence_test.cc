@@ -1,5 +1,5 @@
 // Property test for the scoring-path ablation: for any corpus, K,
-// assignment criterion, seeding mode, shuffle setting and kernel, the
+// assignment criterion, seed, shuffle setting and kernel, the
 // two sweep configurations — merge (reference) and slotted (flat CSR index
 // with move-only maintenance) — must produce *identical* ClusteringResults:
 // same memberships, same outliers, and a bit-for-bit equal G history. The
@@ -173,21 +173,7 @@ TEST(SweepEquivalenceTest, MembershipSeedingStaysIdentical) {
   const ClusteringResult previous =
       RunConfig(*env, options, ClusterScoring::kMerge, std::nullopt);
   KMeansSeeds seeds;
-  seeds.mode = SeedMode::kMembership;
   seeds.memberships = previous.clusters;
-  ExpectAllConfigsIdentical(*env, options, seeds);
-}
-
-TEST(SweepEquivalenceTest, RepresentativeSeedingStaysIdentical) {
-  auto env = MakeEnv(31, /*n_docs=*/60);
-  ExtendedKMeansOptions options;
-  options.k = 5;
-  options.seed = 21;
-  const ClusteringResult previous =
-      RunConfig(*env, options, ClusterScoring::kMerge, std::nullopt);
-  KMeansSeeds seeds;
-  seeds.mode = SeedMode::kRepresentatives;
-  seeds.representatives = previous.representatives;
   ExpectAllConfigsIdentical(*env, options, seeds);
 }
 
@@ -320,23 +306,51 @@ TEST(SweepEquivalenceTest, NearTieArgmaxStaysIdentical) {
   }
 }
 
-TEST(SweepEquivalenceTest, DegenerateRepresentativeSeedsStayIdentical) {
-  // Bogus seed vectors: an empty representative, one over terms no active
-  // document contains, and one real ψ. The seeded assignment pass leaves
-  // clusters empty / degenerate, and both sweeps must recover through
+TEST(SweepEquivalenceTest, PartlyExpiredMembershipSeedsStayIdentical) {
+  // What expiry leaves of a previous clustering: an empty cluster, one
+  // whose members have all left the context, and one live singleton. The
+  // seed leaves two clusters empty, and both sweeps must recover through
   // the same reseed decisions.
   auto env = MakeEnv(37, /*n_docs=*/40);
   KMeansSeeds seeds;
-  seeds.mode = SeedMode::kRepresentatives;
-  seeds.representatives.resize(3);
-  seeds.representatives[0] = SparseVector();  // empty
-  seeds.representatives[1] = SparseVector::FromEntries(
-      {{9999998, 1.0}, {9999999, 2.0}});  // out-of-vocabulary
-  seeds.representatives[2].AddScaled(env->ctx->Psi(0), 1.0);  // ψ_0
+  seeds.memberships = {{}, {1000, 1001}, {0}};
   ExtendedKMeansOptions options;
   options.k = 3;
   options.seed = 2;
   ExpectAllConfigsIdentical(*env, options, seeds);
+}
+
+TEST(SweepEquivalenceTest, FullyExpiredMembershipSeedRestartsRandomly) {
+  // No seeded member is in the context, with as many seed clusters as k
+  // and with more: the run restarts from K random singletons, exactly as
+  // an unseeded run with the same seed does, and inherits no ids.
+  auto env = MakeEnv(39, /*n_docs=*/40);
+  ExtendedKMeansOptions options;
+  options.k = 3;
+  options.seed = 6;
+  options.first_cluster_id = 100;
+  for (const std::vector<std::vector<DocId>>& memberships :
+       std::vector<std::vector<std::vector<DocId>>>{
+           {{1000}, {}, {1001, 1002}}, {{1000}, {}, {1001}, {1002}, {}}}) {
+    SCOPED_TRACE("seed clusters=" + std::to_string(memberships.size()));
+    KMeansSeeds seeds;
+    seeds.memberships = memberships;
+    for (size_t p = 0; p < memberships.size(); ++p) {
+      seeds.cluster_ids.push_back(7 + p);
+    }
+    ExpectAllConfigsIdentical(*env, options, seeds);
+    for (ClusterScoring scoring :
+         {ClusterScoring::kMerge, ClusterScoring::kSlotted}) {
+      const ClusteringResult seeded = RunConfig(*env, options, scoring, seeds);
+      const ClusteringResult unseeded =
+          RunConfig(*env, options, scoring, std::nullopt);
+      EXPECT_EQ(seeded.clusters, unseeded.clusters);
+      EXPECT_EQ(seeded.outliers, unseeded.outliers);
+      EXPECT_EQ(seeded.g_history, unseeded.g_history);
+      EXPECT_EQ(seeded.cluster_ids, unseeded.cluster_ids);
+      for (uint64_t id : seeded.cluster_ids) EXPECT_GE(id, 100u);
+    }
+  }
 }
 
 }  // namespace

@@ -13,7 +13,9 @@
 //          [--checkpoint-dir DIR] [--checkpoint-every N]
 //          [--wal-fsync every|none] [--serve PORT] [--events-out FILE]
 //       Replay the corpus through the incremental clusterer, printing a
-//       digest per step; optionally resume from / save to a state snapshot.
+//       digest per step; optionally resume from / save to a state snapshot
+//       (a missing --state file starts fresh; one that does not load or
+//       restore exits 1 and is left as it is).
 //       --metrics-out writes one JSON record per step (G trajectory,
 //       iteration/outlier/expiry counts, registry snapshot, and the
 //       step's span profile under "phases"); --metrics-csv writes the
@@ -577,19 +579,23 @@ int RunStream(const Args& args) {
                   "nidc_cli follow --leader-port %u)\n",
                   repl_listener->port(), repl_listener->port());
     }
-  } else if (!state_path.empty()) {
-    if (Result<ClustererState> state = LoadState(state_path); state.ok()) {
-      auto restored = RestoreClusterer(corpus->get(), options, *state);
-      if (!restored.ok()) {
-        std::fprintf(stderr, "%s\n", restored.status().ToString().c_str());
-        return 1;
-      }
-      clusterer = std::move(restored).value();
-      resume_from = state->now;
-      std::printf("resumed from %s at day %g (%zu active docs)\n",
-                  state_path.c_str(), state->now,
-                  state->active_docs.size());
+  } else if (!state_path.empty() && Env::Default()->FileExists(state_path)) {
+    // A missing state file starts fresh; one that exists but does not load
+    // or restore is left untouched rather than overwritten at exit.
+    Result<ClustererState> state = LoadState(state_path);
+    auto restored =
+        state.ok() ? RestoreClusterer(corpus->get(), options, *state)
+                   : Result<std::unique_ptr<IncrementalClusterer>>(
+                         state.status());
+    if (!restored.ok()) {
+      std::fprintf(stderr, "stream: cannot resume from %s: %s\n",
+                   state_path.c_str(), restored.status().ToString().c_str());
+      return 1;
     }
+    clusterer = std::move(restored).value();
+    resume_from = state->now;
+    std::printf("resumed from %s at day %g (%zu active docs)\n",
+                state_path.c_str(), state->now, state->active_docs.size());
   }
   if (clusterer == nullptr && durable == nullptr) {
     clusterer =
