@@ -99,8 +99,9 @@ void BM_ClusterRefresh_FromScratch(benchmark::State& state) {
   const Fixture& f = GetFixture();
   const size_t size = static_cast<size_t>(state.range(0));
   Cluster cluster = f.MakeCluster(size);
+  RefreshScratch scratch;
   for (auto _ : state) {
-    cluster.Refresh(*f.ctx);
+    cluster.Refresh(*f.ctx, &scratch);
     benchmark::DoNotOptimize(cluster.cr_self());
   }
 }

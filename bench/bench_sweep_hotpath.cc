@@ -11,7 +11,8 @@
 // same outliers, same G trajectory) — the bench verifies this and exits
 // non-zero on a mismatch. Per-phase timings (seed / score / index
 // maintenance / refresh) are collected through KMeansProfile, which also
-// carries the kernel telemetry (bytes streamed, achieved GB/s). An
+// carries the refresh work (ψ entries summed into representatives) and the
+// kernel telemetry (bytes streamed, achieved GB/s). An
 // incremental stream replay emits a BENCH_sweep_hotpath.json trajectory.
 //
 // It also measures the observability overhead: the same clustering run
@@ -328,13 +329,15 @@ void WriteJson(const std::string& path, double scale, size_t k,
                  "\"cluster_seconds\": %.6f, \"total_seconds\": %.6f, "
                  "\"seed_seconds\": %.6f, \"score_seconds\": %.6f, "
                  "\"maintenance_seconds\": %.6f, "
-                 "\"refresh_seconds\": %.6f, \"score_gbps\": %.3f}%s\n",
+                 "\"refresh_seconds\": %.6f, \"refresh_entries\": %llu, "
+                 "\"score_gbps\": %.3f}%s\n",
                  config.name, config.scoring == ClusterScoring::kSlotted
                      ? kernels::KindName(config.kernel)
                      : "none",
                  timing.context_seconds, timing.cluster_seconds,
                  timing.total(), prof.seed_seconds, prof.score_seconds(),
                  prof.maintenance_seconds, prof.refresh_seconds,
+                 static_cast<unsigned long long>(prof.refresh_entries),
                  prof.score_gbps(), i + 1 < batch.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
@@ -426,8 +429,8 @@ int Main() {
               "kernel = %s\n\n",
               docs.size(), k, hw, kernels::KindName(kernel));
   TablePrinter table({"config", "kernel", "context s", "cluster s",
-                      "score s", "maint s", "refresh s", "GB/s", "total s",
-                      "speedup", "iters"});
+                      "score s", "maint s", "refresh s", "refresh psi",
+                      "GB/s", "total s", "speedup", "iters"});
   std::vector<std::pair<Config, Timing>> batch;
   std::vector<BatchRun> runs;
   for (const Config& config : configs) {
@@ -441,6 +444,7 @@ int Main() {
          Fmt(t.profile.score_seconds(), 3),
          Fmt(t.profile.maintenance_seconds, 3),
          Fmt(t.profile.refresh_seconds, 3),
+         std::to_string(t.profile.refresh_entries),
          slotted_row ? Fmt(t.profile.score_gbps(), 2) : "-",
          Fmt(t.total(), 3),
          Fmt(batch.front().second.total() / std::max(t.total(), 1e-12), 2) +

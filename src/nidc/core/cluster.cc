@@ -14,14 +14,11 @@ void Cluster::Add(DocId id, const SimilarityContext& ctx) {
   cr_self_ += 2.0 * representative_.Dot(psi) + self;
   ss_ += self;
   representative_.AddScaled(psi, 1.0);
-  member_pos_.emplace(id, members_.size());
-  members_.push_back(id);
-  has_last_leaver_ = false;
+  PushMember(id);
 }
 
 void Cluster::Remove(DocId id, const SimilarityContext& ctx) {
-  auto it = member_pos_.find(id);
-  assert(it != member_pos_.end());
+  assert(Contains(id));
   const SimilarityContext::Row psi = ctx.Psi(id);
   const double self = ctx.SelfSim(id);
   // Deletion counterpart: with c' = c − ψ_d,
@@ -29,6 +26,18 @@ void Cluster::Remove(DocId id, const SimilarityContext& ctx) {
   cr_self_ += -2.0 * representative_.Dot(psi) + self;
   ss_ -= self;
   representative_.AddScaled(psi, -1.0);
+  EraseMember(id);
+}
+
+void Cluster::PushMember(DocId id) {
+  member_pos_.emplace(id, members_.size());
+  members_.push_back(id);
+  has_last_leaver_ = false;
+}
+
+void Cluster::EraseMember(DocId id) {
+  auto it = member_pos_.find(id);
+  assert(it != member_pos_.end());
   // Swap-and-pop so removal costs O(1), not a linear member scan.
   const size_t pos = it->second;
   member_pos_.erase(it);
@@ -109,16 +118,40 @@ void Cluster::MergeFrom(Cluster* other) {
   other->Clear();
 }
 
-void Cluster::Refresh(const SimilarityContext& ctx) {
-  SparseVector rep;
+size_t Cluster::Refresh(const SimilarityContext& ctx,
+                       RefreshScratch* scratch) {
+  std::vector<uint32_t>& slot = scratch->slot_;
+  std::vector<SparseVector::Entry>& sums = scratch->sums_;
+  if (slot.size() < ctx.num_local_terms()) {
+    slot.resize(ctx.num_local_terms(), RefreshScratch::kUntouched);
+  }
+  // Each term's sum takes the member-order additions a sorted merge of
+  // the rows would take, so the representative is bit-identical to it.
   double ss = 0.0;
+  size_t entries = 0;
   for (DocId id : members_) {
-    rep.AddScaled(ctx.Psi(id), 1.0);
+    const SimilarityContext::Row psi = ctx.Psi(id);
+    for (size_t i = 0; i < psi.size; ++i) {
+      uint32_t& s = slot[psi.terms[i]];
+      if (s == RefreshScratch::kUntouched) {
+        s = static_cast<uint32_t>(sums.size());
+        sums.push_back({psi.id(i), psi.values[i]});
+      } else {
+        sums[s].value += psi.values[i];
+      }
+    }
+    entries += psi.size;
     ss += ctx.SelfSim(id);
   }
-  representative_ = std::move(rep);
+  for (const SparseVector::Entry& e : sums) {
+    slot[ctx.LocalTerm(e.id)] = RefreshScratch::kUntouched;
+  }
+  // FromEntries sorts the exact-size copy by global id.
+  representative_ = SparseVector::FromEntries({sums.begin(), sums.end()});
+  sums.clear();
   ss_ = ss;
   cr_self_ = representative_.SquaredNorm();
+  return entries;
 }
 
 void Cluster::Clear() {

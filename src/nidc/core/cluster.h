@@ -12,11 +12,26 @@
 #define NIDC_CORE_CLUSTER_H_
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "nidc/core/novelty_similarity.h"
 
 namespace nidc {
+
+/// The dense accumulator Cluster::Refresh sums member ψ into, indexed by
+/// the context's local term ids. Refresh leaves it clean, so one scratch
+/// serves every cluster and context in turn. It is not shareable across
+/// threads: each ClusterSet owns one.
+class RefreshScratch {
+ private:
+  friend class Cluster;
+  static constexpr uint32_t kUntouched = UINT32_MAX;
+  // Local term → its index in sums_, or kUntouched.
+  std::vector<uint32_t> slot_;
+  // The touched terms' running sums, in first-touch order.
+  std::vector<SparseVector::Entry> sums_;
+};
 
 /// One cluster of the extended K-means. Mutation keeps the representative,
 /// cr_self and ss synchronized incrementally.
@@ -132,8 +147,11 @@ class Cluster {
   void MergeFrom(Cluster* other);
 
   /// Recomputes representative, cr_self and ss exactly from the members,
-  /// clearing accumulated float drift. O(Σ |ψ_d|).
-  void Refresh(const SimilarityContext& ctx);
+  /// clearing accumulated float drift. The members' ψ are summed in member
+  /// order into `scratch`, densely by local term id, and the touched terms
+  /// are then sorted by global id: O(Σ |ψ_d| + u log u) for u distinct
+  /// terms. Returns Σ |ψ_d|, the entries accumulated.
+  size_t Refresh(const SimilarityContext& ctx, RefreshScratch* scratch);
 
   /// Drops all members and zeroes the cached statistics.
   void Clear();
@@ -170,7 +188,22 @@ class Cluster {
   double cr_self() const { return cr_self_; }
   double ss() const { return ss_; }
 
+  /// Moves the representative out, for a set about to be destroyed; the
+  /// cached statistics keep their values.
+  SparseVector TakeRepresentative() {
+    return std::exchange(representative_, SparseVector());
+  }
+
  private:
+  // Seeding (ClusterSet::SeedMember) records membership alone and leaves
+  // the statistics to the RefreshAll that follows.
+  friend class ClusterSet;
+
+  // Membership bookkeeping without the statistics. EraseMember
+  // swap-and-pops, and an emptied cluster clears and records the leaver.
+  void PushMember(DocId id);
+  void EraseMember(DocId id);
+
   std::vector<DocId> members_;
   std::unordered_map<DocId, size_t> member_pos_;  // id → index in members_
   SparseVector representative_;

@@ -35,6 +35,22 @@ void ClusterSet::Assign(DocId id, int p, const SimilarityContext& ctx) {
   }
 }
 
+void ClusterSet::SeedMember(DocId id, size_t p) {
+  assert(p < clusters_.size());
+  if (id >= assignment_.size()) {
+    assignment_.resize(static_cast<size_t>(id) + 1, kUnassigned);
+  }
+  const int current = assignment_[id];
+  if (current == static_cast<int>(p)) return;
+  if (current == kUnassigned) {
+    ++total_assigned_;
+  } else {
+    clusters_[static_cast<size_t>(current)].EraseMember(id);
+  }
+  clusters_[p].PushMember(id);
+  assignment_[id] = static_cast<int>(p);
+}
+
 size_t ClusterSet::InstallIds(const std::vector<uint64_t>& seed_ids,
                               uint64_t first_fresh_id) {
   next_id_ = first_fresh_id;
@@ -72,7 +88,9 @@ void ClusterSet::ReplayStay(DocId id, size_t p, double t_attached,
 }
 
 void ClusterSet::RefreshAll(const SimilarityContext& ctx) {
-  for (Cluster& c : clusters_) c.Refresh(ctx);
+  for (Cluster& c : clusters_) {
+    refresh_entries_ += c.Refresh(ctx, &refresh_scratch_);
+  }
   if (scoring_ == ClusterScoring::kSlotted) {
     // One-pass CSR rebuild with the same per-term addition order as
     // Cluster::Refresh uses for the representatives, so indexed scores stay

@@ -53,6 +53,13 @@ class ClusterSet {
   /// detach/re-attach round trip keeps the identity).
   void Assign(DocId id, int p, const SimilarityContext& ctx);
 
+  /// Seeding's assignment: records `id` as a member of cluster `p`, moving
+  /// it out of its current cluster like Assign, and nothing else — no
+  /// representative merge, dot product, posting update or id. The cached
+  /// statistics and the postings are stale until the RefreshAll that must
+  /// follow; InstallIds then names the clusters.
+  void SeedMember(DocId id, size_t p);
+
   /// Installs stable cluster ids after the seeding phase: cluster `p`
   /// inherits `seed_ids[p]` when available, every other cluster gets a
   /// fresh id. The fresh-id counter starts at the larger of
@@ -84,6 +91,10 @@ class ClusterSet {
   /// when scoring through one) from its members.
   void RefreshAll(const SimilarityContext& ctx);
 
+  /// ψ entries every RefreshAll so far has summed into representatives:
+  /// Σ over refreshes of Σ |ψ_d| over the assigned documents.
+  uint64_t refresh_entries() const { return refresh_entries_; }
+
   /// Clustering index G = Σ_p |C_p| · avg_sim(C_p) (Eq. 17).
   double G() const;
 
@@ -102,6 +113,8 @@ class ClusterSet {
   uint64_t next_id_ = 0;  // next fresh stable cluster id
   FlatRepIndex flat_index_;
   ClusterScoring scoring_ = ClusterScoring::kMerge;
+  RefreshScratch refresh_scratch_;
+  uint64_t refresh_entries_ = 0;
 };
 
 }  // namespace nidc

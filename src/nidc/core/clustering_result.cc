@@ -46,16 +46,16 @@ std::vector<std::string> ClusteringResult::TopTerms(size_t p,
 }
 
 ClusteringResult ClusteringResult::FromClusterSet(
-    const ClusterSet& set, std::vector<DocId> outliers,
+    ClusterSet&& set, std::vector<DocId> outliers,
     std::vector<double> g_history, int iterations, bool converged) {
   ClusteringResult result;
   result.clusters.reserve(set.num_clusters());
   result.representatives.reserve(set.num_clusters());
   result.avg_sims.reserve(set.num_clusters());
   for (size_t p = 0; p < set.num_clusters(); ++p) {
-    const Cluster& c = set.cluster(p);
+    Cluster& c = set.cluster(p);
     result.clusters.push_back(c.members());
-    result.representatives.push_back(c.representative());
+    result.representatives.push_back(c.TakeRepresentative());
     result.avg_sims.push_back(c.AvgSim());
     result.cluster_ids.push_back(c.id());
   }

@@ -18,8 +18,9 @@ struct ClusteringResult {
   /// Cluster memberships, index-aligned with representatives/avg_sims.
   std::vector<std::vector<DocId>> clusters;
 
-  /// Final cluster representatives c⃗_p (Eq. 20) — reused as seeds by the
-  /// incremental procedure (§5.2 step 3).
+  /// Final cluster representatives c⃗_p (Eq. 20), for telemetry and
+  /// TopTerms. The incremental procedure seeds from `clusters` alone and
+  /// keeps no representatives between steps.
   std::vector<SparseVector> representatives;
 
   /// avg_sim(C_p) of each cluster at termination.
@@ -64,8 +65,9 @@ struct ClusteringResult {
   std::vector<std::string> TopTerms(size_t p, const Vocabulary& vocab,
                                     size_t n) const;
 
-  /// Builds the snapshot from a live ClusterSet.
-  static ClusteringResult FromClusterSet(const ClusterSet& set,
+  /// Builds the snapshot from a finished ClusterSet, moving its
+  /// representatives out rather than copying them.
+  static ClusteringResult FromClusterSet(ClusterSet&& set,
                                          std::vector<DocId> outliers,
                                          std::vector<double> g_history,
                                          int iterations, bool converged);

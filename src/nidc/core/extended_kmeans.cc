@@ -482,9 +482,7 @@ Result<ClusteringResult> RunExtendedKMeans(
       }
       for (size_t p = 0; p < seed->memberships.size(); ++p) {
         for (DocId id : seed->memberships[p]) {
-          if (ctx.Contains(id)) {
-            clusters.Assign(id, static_cast<int>(p), ctx);
-          }
+          if (ctx.Contains(id)) clusters.SeedMember(id, p);
         }
       }
     }
@@ -496,9 +494,11 @@ Result<ClusteringResult> RunExtendedKMeans(
       seed = nullptr;
       size_t next = 0;
       for (size_t p : rng.SampleWithoutReplacement(docs.size(), k)) {
-        clusters.Assign(docs[p], static_cast<int>(next++), ctx);
+        clusters.SeedMember(docs[p], next++);
       }
     }
+    // Seeding recorded memberships only: build the representatives, their
+    // statistics and the postings once, from the members.
     clusters.RefreshAll(ctx);
     return Status::OK();
   };
@@ -624,6 +624,8 @@ Result<ClusteringResult> RunExtendedKMeans(
         ->Increment(static_cast<uint64_t>(order.size()) *
                     static_cast<uint64_t>(iterations));
     metrics->GetCounter("kmeans.seeded_assigned")->Increment(seeded_assigned);
+    metrics->GetCounter("kmeans.refresh_entries")
+        ->Increment(clusters.refresh_entries());
     metrics->GetGauge("kmeans.outliers")
         ->Set(static_cast<double>(outliers.size()));
     metrics->GetCounter("kmeans.outliers_total")->Increment(outliers.size());
@@ -650,6 +652,8 @@ Result<ClusteringResult> RunExtendedKMeans(
           ->Set(static_cast<double>(ctx.num_local_terms()));
     }
   }
+
+  if (profile != nullptr) profile->refresh_entries = clusters.refresh_entries();
 
   // Scoring-kernel telemetry: fill the profile from the flat index's scan
   // stats and export the kernel.* metric family.
@@ -709,7 +713,8 @@ Result<ClusteringResult> RunExtendedKMeans(
     options.provenance->RecordBatch(records);
   }
 
-  return ClusteringResult::FromClusterSet(clusters, std::move(outliers),
+  return ClusteringResult::FromClusterSet(std::move(clusters),
+                                          std::move(outliers),
                                           std::move(g_history), iterations,
                                           converged);
 }

@@ -125,6 +125,11 @@ struct KMeansProfile {
   double refresh_seconds = 0.0;
   double score_seconds() const { return sweep_seconds - maintenance_seconds; }
 
+  /// ψ entries the refreshes summed into representatives (seeding's and
+  /// every sweep's): Σ over refreshes of Σ |ψ_d| over the assigned
+  /// documents, the work that keeps the refresh linear in the window.
+  uint64_t refresh_entries = 0;
+
   /// Scoring-kernel telemetry (slotted sweeps only; see core/kernels).
   /// Bytes/entry counters come from the flat index's scan stats.
   const char* kernel = "";          // active kernel name (scalar/avx512)

@@ -72,6 +72,7 @@ void FillClusteringDigest(StepResult* result) {
 // Translates a completed step into the obs-layer observation the health
 // monitor consumes (non-empty clusters only; ids/vectors/memberships are
 // copied, which is why the build is skipped when no monitor is attached).
+// The monitor keeps the copied representatives as its drift baselines.
 void FeedHealthMonitor(obs::ClusterHealthMonitor* health, uint64_t step,
                        const StepResult& result) {
   if (health == nullptr) return;
@@ -91,7 +92,22 @@ void FeedHealthMonitor(obs::ClusterHealthMonitor* health, uint64_t step,
                            clustering.clusters[p].end());
     observation.clusters.push_back(std::move(cluster));
   }
-  health->ObserveStep(observation);
+  health->ObserveStep(std::move(observation));
+}
+
+// What the next step's seed and SerializeState read of a step's result,
+// in fresh vectors: no representatives and no avg_sims.
+ClusteringResult MembershipsOf(const ClusteringResult& clustering) {
+  ClusteringResult kept;
+  kept.clusters = clustering.clusters;
+  kept.cluster_ids = clustering.cluster_ids;
+  kept.next_cluster_id = clustering.next_cluster_id;
+  kept.outliers = clustering.outliers;
+  kept.g = clustering.g;
+  kept.g_history = clustering.g_history;
+  kept.iterations = clustering.iterations;
+  kept.converged = clustering.converged;
+  return kept;
 }
 
 }  // namespace
@@ -209,7 +225,7 @@ Result<StepResult> IncrementalClusterer::Step(
   if (!result.installed) {
     FeedHealthMonitor(options_.health, step_count_, result);
   }
-  last_result_ = result.clustering;
+  last_result_ = MembershipsOf(result.clustering);
   ++step_count_;
   return result;
 }

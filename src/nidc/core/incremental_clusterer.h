@@ -118,9 +118,9 @@ class IncrementalClusterer {
   Status ValidateStepInputs(const std::vector<DocId>& new_docs,
                             DayTime tau) const;
 
-  /// The most recent clustering, if any step has run. After a restore or
-  /// an installed step its representatives and avg_sims may be empty; the
-  /// membership reseed never reads them.
+  /// The most recent clustering, if any step has run: what the membership
+  /// reseed and SerializeState read of it. Its representatives and
+  /// avg_sims are empty; the step's StepResult carries them.
   const std::optional<ClusteringResult>& last_result() const {
     return last_result_;
   }

@@ -15,7 +15,7 @@
 // emptied cluster) and the entry is tombstoned; the next rebuild drops it.
 //
 // Weight updates replay the same per-term additions, in the same order, as
-// Cluster::Refresh/Add/Remove apply to the representative via AddScaled —
+// Cluster::Refresh/Add/Remove apply to the representative —
 // so the indexed scores match the merge-path `representative_.Dot(ψ)` not
 // just within float tolerance but (except for tombstone-cleared residuals)
 // bit-for-bit.
@@ -108,8 +108,9 @@ class FlatRepIndex {
 
   /// Applies the posting side of an actual document move: weight -= ψ_t on
   /// every term (zero-snap tombstone when the last contributor leaves).
-  /// No-ops before the first build — seeding assigns are followed by a
-  /// rebuild, so maintaining postings for them would be wasted work.
+  /// No-ops before the first build: seeding records memberships only
+  /// (ClusterSet::SeedMember), and the RefreshAll that follows builds the
+  /// postings.
   void ApplyRemove(const SimilarityContext& ctx,
                    SimilarityContext::Slot slot, size_t p);
 

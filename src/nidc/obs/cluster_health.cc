@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace nidc::obs {
 
@@ -25,7 +26,7 @@ double CosineDistance(const SparseVector& a, double norm_a,
 ClusterHealthMonitor::ClusterHealthMonitor(ClusterHealthOptions options)
     : options_(options) {}
 
-void ClusterHealthMonitor::ObserveStep(const StepObservation& observation) {
+void ClusterHealthMonitor::ObserveStep(StepObservation observation) {
   HealthSnapshot snapshot;
   snapshot.valid = true;
   snapshot.has_previous = has_previous_;
@@ -118,10 +119,11 @@ void ClusterHealthMonitor::ObserveStep(const StepObservation& observation) {
 
   // --- Install this step as the next baseline ---
   previous_clusters_.clear();
-  for (const ClusterObservation& cluster : observation.clusters) {
+  for (ClusterObservation& cluster : observation.clusters) {
+    const double norm = cluster.representative.Norm();
     previous_clusters_.emplace(
-        cluster.id, PreviousCluster{cluster.representative,
-                                    cluster.representative.Norm()});
+        cluster.id,
+        PreviousCluster{std::move(cluster.representative), norm});
   }
   // A vanished id never returns (reseeds mint fresh ids), so the
   // first-seen map only needs the live ids — prune it or it grows one

@@ -104,8 +104,9 @@ class ClusterHealthMonitor {
 
   /// Ingests one completed step: computes drift/churn/turnover against the
   /// previous observation, updates the EWMAs, publishes the health.*
-  /// metrics and replaces the retained baseline.
-  void ObserveStep(const StepObservation& observation);
+  /// metrics and replaces the retained baseline, moving each cluster's
+  /// representative into it.
+  void ObserveStep(StepObservation observation);
 
   /// The latest computed summary (valid == false before the first step).
   HealthSnapshot snapshot() const;

@@ -1,7 +1,11 @@
 #include "nidc/core/cluster.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -233,9 +237,143 @@ TEST(ClusterTest, RefreshClearsDrift) {
     }
   }
   const double naive = c.AvgSimNaive(f.ctx());
-  c.Refresh(f.ctx());
+  RefreshScratch scratch;
+  c.Refresh(f.ctx(), &scratch);
   EXPECT_NEAR(c.AvgSim(), naive, 1e-12);
   EXPECT_NEAR(c.cr_self(), c.representative().SquaredNorm(), 1e-12);
+}
+
+// A context over documents 1..5 of a corpus whose document 0 mints the
+// lowest global term ids, so local ids (first appearance over the active
+// documents) do not ascend with global ids: "alpha" is global 0 but takes
+// a local id after document 1's terms.
+class OutOfOrderContext {
+ public:
+  OutOfOrderContext() {
+    const char* texts[] = {"alpha beta gamma delta",
+                           "epsilon zeta eta theta epsilon",
+                           "alpha epsilon iota kappa alpha alpha",
+                           "beta zeta kappa lambda",
+                           "gamma delta theta lambda mu",
+                           "alpha mu nu nu"};
+    for (const char* text : texts) corpus_.AddText(text, 0.0, 1);
+    ForgettingParams p;
+    p.half_life_days = 7.0;
+    p.life_span_days = 365.0;
+    model_ = std::make_unique<ForgettingModel>(&corpus_, p);
+    model_->AdvanceTo(1.0);
+    model_->AddDocuments({1, 2, 3, 4, 5});
+    ctx_ = std::make_unique<SimilarityContext>(*model_);
+  }
+
+  const SimilarityContext& ctx() const { return *ctx_; }
+
+ private:
+  Corpus corpus_;
+  std::unique_ptr<ForgettingModel> model_;
+  std::unique_ptr<SimilarityContext> ctx_;
+};
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Checks c's refreshed statistics bit for bit against the merge-based
+// refresh: one sorted AddScaled(ψ, 1.0) per member, in member order, then
+// cr_self as the representative's SquaredNorm.
+void ExpectMergeRefreshBits(const Cluster& c, const SimilarityContext& ctx) {
+  SparseVector rep;
+  double ss = 0.0;
+  for (DocId id : c.members()) {
+    rep.AddScaled(ctx.Psi(id), 1.0);
+    ss += ctx.SelfSim(id);
+  }
+  const auto& got = c.representative().entries();
+  ASSERT_EQ(got.size(), rep.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, rep.entries()[i].id) << i;
+    EXPECT_EQ(Bits(got[i].value), Bits(rep.entries()[i].value)) << i;
+  }
+  EXPECT_EQ(Bits(c.cr_self()), Bits(rep.SquaredNorm()));
+  EXPECT_EQ(Bits(c.ss()), Bits(ss));
+}
+
+size_t PsiEntries(const Cluster& c, const SimilarityContext& ctx) {
+  size_t n = 0;
+  for (DocId id : c.members()) n += ctx.Psi(id).size;
+  return n;
+}
+
+TEST(ClusterRefreshTest, OutOfOrderContextHasDescendingLocalIds) {
+  // The precondition the dense-refresh tests below rely on.
+  OutOfOrderContext f;
+  bool descending = false;
+  for (uint32_t t = 1; t < f.ctx().num_local_terms(); ++t) {
+    descending |= f.ctx().GlobalTerm(t) < f.ctx().GlobalTerm(t - 1);
+  }
+  EXPECT_TRUE(descending);
+}
+
+TEST(ClusterRefreshTest, DenseRefreshMatchesMergeRefreshInAnyMemberOrder) {
+  OutOfOrderContext out_of_order;
+  ClusterFixture random(30, 5);
+  RefreshScratch scratch;
+  Rng rng(17);
+  for (const SimilarityContext* ctx : {&out_of_order.ctx(), &random.ctx()}) {
+    for (int round = 0; round < 12; ++round) {
+      std::vector<DocId> order = ctx->docs();
+      rng.Shuffle(&order);
+      order.resize(1 + rng.NextBounded(order.size()));
+      Cluster c;
+      for (DocId id : order) c.Add(id, *ctx);
+      SCOPED_TRACE("round " + std::to_string(round) + ", " +
+                   std::to_string(order.size()) + " members");
+      EXPECT_EQ(c.Refresh(*ctx, &scratch), PsiEntries(c, *ctx));
+      ExpectMergeRefreshBits(c, *ctx);
+    }
+  }
+}
+
+TEST(ClusterRefreshTest, DenseRefreshOfSingletonAndEmptiedThenRefilled) {
+  OutOfOrderContext f;
+  RefreshScratch scratch;
+  Cluster c;
+  c.Add(2, f.ctx());
+  c.Refresh(f.ctx(), &scratch);
+  ExpectMergeRefreshBits(c, f.ctx());
+
+  for (DocId id : {4, 1, 3}) c.Add(id, f.ctx());
+  for (DocId id : {2, 1, 4, 3}) c.Remove(id, f.ctx());
+  ASSERT_TRUE(c.empty());
+  EXPECT_EQ(c.Refresh(f.ctx(), &scratch), 0u);
+  EXPECT_TRUE(c.representative().empty());
+  EXPECT_EQ(Bits(c.cr_self()), Bits(0.0));
+  EXPECT_EQ(Bits(c.ss()), Bits(0.0));
+
+  for (DocId id : {5, 3, 2}) c.Add(id, f.ctx());
+  c.Refresh(f.ctx(), &scratch);
+  ExpectMergeRefreshBits(c, f.ctx());
+}
+
+TEST(ClusterRefreshTest, ScratchIsCleanAcrossClustersAndVocabularies) {
+  // One scratch, alternating between two contexts whose local ids name
+  // different terms: a slot left marked by one refresh would fold a stale
+  // sum into the next.
+  OutOfOrderContext small;
+  ClusterFixture large(25, 8);
+  Cluster a;
+  for (DocId id : {3, 1, 5}) a.Add(id, small.ctx());
+  Cluster b;
+  for (DocId id : {7, 0, 19, 4, 11}) b.Add(id, large.ctx());
+  Cluster c;
+  for (DocId id : {2, 4}) c.Add(id, small.ctx());
+  RefreshScratch scratch;
+  for (int round = 0; round < 2; ++round) {
+    a.Refresh(small.ctx(), &scratch);
+    ExpectMergeRefreshBits(a, small.ctx());
+    b.Refresh(large.ctx(), &scratch);
+    ExpectMergeRefreshBits(b, large.ctx());
+    c.Refresh(small.ctx(), &scratch);
+    ExpectMergeRefreshBits(c, small.ctx());
+  }
 }
 
 // Parameterized sweep: the Eq. 24/26 identities hold across corpus sizes

@@ -1,6 +1,7 @@
 #include "nidc/core/clustering_result.h"
 
 #include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -24,7 +25,8 @@ class ClusteringResultTest : public testing::Test {
     set.Assign(0, 0, *ctx_);
     set.Assign(1, 0, *ctx_);
     set.Assign(2, 1, *ctx_);
-    return ClusteringResult::FromClusterSet(set, {99}, {0.0, 1.0}, 2, true);
+    return ClusteringResult::FromClusterSet(std::move(set), {99}, {0.0, 1.0},
+                                            2, true);
   }
 
   Corpus corpus_;

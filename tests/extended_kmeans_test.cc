@@ -2,9 +2,16 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "nidc/obs/metrics.h"
+#include "nidc/util/random.h"
 
 namespace nidc {
 namespace {
@@ -270,6 +277,133 @@ TEST_F(ExtendedKMeansTest, IndexedScoringMatchesMergeScoring) {
     ASSERT_EQ(merge->g_history.size(), slotted->g_history.size());
     for (size_t i = 0; i < merge->g_history.size(); ++i) {
       EXPECT_NEAR(merge->g_history[i], slotted->g_history[i], 1e-12);
+    }
+  }
+}
+
+TEST_F(ExtendedKMeansTest, RefreshEntriesCountEveryRefreshedPsiEntry) {
+  // kmeans.refresh_entries is Σ over refreshes of Σ |ψ_d| over the
+  // assigned documents: seeding's refresh covers the seeded members, and
+  // the refresh after sweep i covers the memberships a run capped at i
+  // sweeps returns. δ = 0 stops a run only when G falls.
+  const auto psi_entries =
+      [&](const std::vector<std::vector<DocId>>& clusters) {
+        uint64_t n = 0;
+        for (const auto& members : clusters) {
+          for (DocId id : members) n += ctx_->Psi(id).size;
+        }
+        return n;
+      };
+  KMeansSeeds seeds;
+  seeds.memberships = {{0, 1}, {4}, {8, 9, 10}};
+  for (const ClusterScoring scoring :
+       {ClusterScoring::kMerge, ClusterScoring::kSlotted}) {
+    ExtendedKMeansOptions opts;
+    opts.k = 3;
+    opts.delta = 0.0;
+    opts.scoring = scoring;
+    uint64_t expected = psi_entries(seeds.memberships);
+    int checked = 0;
+    for (int n = 1; n <= 4; ++n) {
+      SCOPED_TRACE("sweeps " + std::to_string(n));
+      KMeansProfile profile;
+      obs::MetricsRegistry metrics;
+      opts.max_iterations = n;
+      opts.profile = &profile;
+      opts.metrics = &metrics;
+      auto result = RunExtendedKMeans(*ctx_, docs_, opts, seeds);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      if (result->iterations < n) break;  // stopped before the cap
+      expected += psi_entries(result->clusters);
+      EXPECT_EQ(profile.refresh_entries, expected);
+      EXPECT_EQ(metrics.GetCounter("kmeans.refresh_entries")->Value(),
+                expected);
+      checked = n;
+    }
+    EXPECT_GE(checked, 3);
+  }
+}
+
+TEST_F(ExtendedKMeansTest, ConcurrentRunsMatchSerial) {
+  // Each run refreshes through its own ClusterSet's scratch, so two runs
+  // on two threads, over different contexts, compute exactly what they
+  // compute alone — under TSan too, which runs this suite.
+  Corpus corpus;
+  Rng words(31);
+  const char* pool[] = {"alpha", "bravo", "charlie", "delta", "echo",
+                        "fox",   "golf",  "hotel",   "india", "juliet",
+                        "kilo",  "lima",  "mike",    "nov",   "oscar"};
+  for (int i = 0; i < 80; ++i) {
+    std::string text;
+    for (int j = 0; j < 7; ++j) {
+      if (j > 0) text += ' ';
+      text += pool[words.NextBounded(15)];
+    }
+    corpus.AddText(text, 0.01 * i, 1);
+  }
+  ForgettingParams params;
+  params.half_life_days = 7.0;
+  params.life_span_days = 365.0;
+  ForgettingModel model(&corpus, params);
+  model.AdvanceTo(1.0);
+  std::vector<DocId> other_docs(80);
+  for (DocId d = 0; d < 80; ++d) other_docs[d] = d;
+  model.AddDocuments(other_docs);
+  const SimilarityContext other_ctx(model);
+
+  struct Job {
+    const SimilarityContext* ctx;
+    const std::vector<DocId>* docs;
+    ExtendedKMeansOptions options;
+  };
+  std::vector<Job> jobs(2);
+  jobs[0] = {ctx_.get(), &docs_, {}};
+  jobs[0].options.k = 3;
+  jobs[0].options.seed = 5;
+  jobs[1] = {&other_ctx, &other_docs, {}};
+  jobs[1].options.k = 6;
+  jobs[1].options.seed = 9;
+  constexpr int kReps = 16;
+  for (const ClusterScoring scoring :
+       {ClusterScoring::kMerge, ClusterScoring::kSlotted}) {
+    std::vector<ClusteringResult> serial;
+    for (Job& job : jobs) {
+      job.options.scoring = scoring;
+      auto result = RunExtendedKMeans(*job.ctx, *job.docs, job.options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      serial.push_back(std::move(result).value());
+    }
+    std::vector<std::vector<std::optional<ClusteringResult>>> concurrent(
+        jobs.size(), std::vector<std::optional<ClusteringResult>>(kReps));
+    std::vector<std::thread> threads;
+    for (size_t j = 0; j < jobs.size(); ++j) {
+      threads.emplace_back([&, j] {
+        for (int r = 0; r < kReps; ++r) {
+          auto result =
+              RunExtendedKMeans(*jobs[j].ctx, *jobs[j].docs, jobs[j].options);
+          if (result.ok()) concurrent[j][r] = std::move(result).value();
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (size_t j = 0; j < jobs.size(); ++j) {
+      const ClusteringResult& want = serial[j];
+      for (int r = 0; r < kReps; ++r) {
+        SCOPED_TRACE("job " + std::to_string(j) + ", rep " +
+                     std::to_string(r));
+        ASSERT_TRUE(concurrent[j][r].has_value());
+        const ClusteringResult& got = *concurrent[j][r];
+        EXPECT_EQ(got.clusters, want.clusters);
+        EXPECT_EQ(got.representatives, want.representatives);
+        EXPECT_EQ(got.avg_sims, want.avg_sims);
+        EXPECT_EQ(got.cluster_ids, want.cluster_ids);
+        EXPECT_EQ(got.next_cluster_id, want.next_cluster_id);
+        EXPECT_EQ(got.outliers, want.outliers);
+        EXPECT_EQ(got.g, want.g);
+        EXPECT_EQ(got.g_history, want.g_history);
+        EXPECT_EQ(got.iterations, want.iterations);
+        EXPECT_EQ(got.converged, want.converged);
+      }
     }
   }
 }

@@ -10,6 +10,7 @@
 #include "nidc/core/state_io.h"
 #include "nidc/obs/metrics.h"
 #include "nidc/obs/profiler.h"
+#include "nidc/util/crc32.h"
 
 namespace nidc {
 namespace {
@@ -295,6 +296,54 @@ TEST_F(IncrementalClustererTest, LoggedClusteringIsInstalledOnlyWhenItFits) {
     EXPECT_EQ(next->clustering.clusters, after->clustering.clusters);
     EXPECT_EQ(next->clustering.g, after->clustering.g);
   }
+}
+
+TEST_F(IncrementalClustererTest, LastResultHoldsOnlyMemberships) {
+  // A step's StepResult carries the representatives and avg_sims; the
+  // retained previous result holds only what the seed and SerializeState
+  // read, after K-means steps and after an installed one alike.
+  IncrementalClusterer ic(&corpus_, Params(7.0, 60.0), Options());
+  IncrementalClusterer replay(&corpus_, Params(7.0, 60.0), Options());
+  const auto expect_memberships_only = [](const IncrementalClusterer& c,
+                                          const StepResult& step) {
+    ASSERT_TRUE(c.last_result().has_value());
+    const ClusteringResult& kept = *c.last_result();
+    EXPECT_TRUE(kept.representatives.empty());
+    EXPECT_TRUE(kept.avg_sims.empty());
+    EXPECT_EQ(kept.clusters, step.clustering.clusters);
+    EXPECT_EQ(kept.cluster_ids, step.clustering.cluster_ids);
+    EXPECT_EQ(kept.next_cluster_id, step.clustering.next_cluster_id);
+    EXPECT_EQ(kept.outliers, step.clustering.outliers);
+    EXPECT_EQ(kept.g, step.clustering.g);
+    EXPECT_EQ(kept.g_history, step.clustering.g_history);
+    EXPECT_EQ(kept.iterations, step.clustering.iterations);
+    EXPECT_EQ(kept.converged, step.clustering.converged);
+  };
+  const std::vector<std::vector<DocId>> batches = {{0, 1}, {2, 3}, {4, 5}};
+  const std::vector<DayTime> taus = {0.5, 1.5, 30.5};
+  for (size_t i = 0; i < batches.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    auto step = ic.Step(batches[i], taus[i]);
+    ASSERT_TRUE(step.ok()) << step.status().ToString();
+    EXPECT_FALSE(step->installed);
+    EXPECT_EQ(step->clustering.representatives.size(),
+              step->clustering.clusters.size());
+    EXPECT_EQ(step->clustering.avg_sims.size(),
+              step->clustering.clusters.size());
+    expect_memberships_only(ic, *step);
+    // The replay installs every step's logged clustering.
+    auto installed = replay.Step(batches[i], taus[i], &step->clustering);
+    ASSERT_TRUE(installed.ok()) << installed.status().ToString();
+    EXPECT_TRUE(installed->installed);
+    expect_memberships_only(replay, *installed);
+    EXPECT_EQ(SerializeState(CaptureState(replay)),
+              SerializeState(CaptureState(ic)));
+  }
+  // The stream's snapshot bytes are pinned: what the clusterer retains
+  // between steps must not move them.
+  const std::string bytes = SerializeState(CaptureState(ic));
+  EXPECT_EQ(bytes.size(), 699u);
+  EXPECT_EQ(Crc32c(bytes), 131350582u);
 }
 
 TEST_F(IncrementalClustererTest, BatchClustererRebuildsEachTime) {

@@ -231,6 +231,7 @@ TEST(SweepEquivalenceTest, KernelsStayIdenticalAcrossKernels) {
   const ClusteringResult base =
       RunConfig(*env, options, ClusterScoring::kSlotted, std::nullopt);
   ASSERT_GT(base_profile.entries_scanned, 0u);
+  ASSERT_GT(base_profile.refresh_entries, 0u);
   const char* const maintenance[] = {
       "rep_index.moves_applied", "rep_index.delta_entries",
       "rep_index.tombstones", "rep_index.tombstones_revived"};
@@ -254,6 +255,7 @@ TEST(SweepEquivalenceTest, KernelsStayIdenticalAcrossKernels) {
     EXPECT_EQ(base.g_history, got.g_history);
     EXPECT_EQ(base_profile.entries_scanned, profile.entries_scanned);
     EXPECT_EQ(base_profile.docs_scored, profile.docs_scored);
+    EXPECT_EQ(base_profile.refresh_entries, profile.refresh_entries);
     for (const char* counter : maintenance) {
       EXPECT_EQ(base_metrics.GetCounter(counter)->Value(),
                 metrics.GetCounter(counter)->Value())

@@ -59,6 +59,7 @@ constexpr const char* kMetricKeys[] = {
     "kmeans.g_final",
     "kmeans.sweep_seconds",
     "kmeans.refresh_seconds",
+    "kmeans.refresh_entries",
     "kmeans.score_gbps",
     "kernel.bytes_scanned",
     "kernel.entries_scanned",
