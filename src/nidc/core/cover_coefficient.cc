@@ -19,7 +19,7 @@ CoverCoefficients ComputeCoverCoefficients(const ForgettingModel& model) {
   for (DocId id : out.docs) {
     const Document& doc = model.corpus().doc(id);
     const double dw = model.Weight(id);
-    for (const auto& e : doc.terms.entries()) {
+    for (const auto& e : doc.terms) {
       column_sum[e.id] += dw * e.count;
     }
   }
@@ -34,7 +34,7 @@ CoverCoefficients ComputeCoverCoefficients(const ForgettingModel& model) {
     double delta = 0.0;
     if (row_sum > 0.0) {
       const double alpha = 1.0 / row_sum;
-      for (const auto& e : doc.terms.entries()) {
+      for (const auto& e : doc.terms) {
         const double w = dw * e.count;
         const double beta_denominator = column_sum[e.id];
         if (beta_denominator > 0.0) {

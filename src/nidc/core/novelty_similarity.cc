@@ -22,21 +22,31 @@ SimilarityContext::SimilarityContext(const ForgettingModel& model) {
   std::vector<uint32_t> row_sizes(docs_.size());
 
   // Writes ψ_i with *global* term ids, ascending like the document's terms.
+  // Each document's entries are decoded once, straight into its row as
+  // (id, f_ik); len_i is their integer total, as Document::Length computes
+  // it. The row is then weighted in place, dropping terms with no idf.
   for (size_t i = 0; i < docs_.size(); ++i) {
     const DocId id = docs_[i];
-    const Document& doc = corpus.doc(id);
-    const double len = doc.Length();
-    const double pr = model.PrDoc(id);
     uint32_t* terms = row_terms_.data() + row_offsets_[i];
     double* values = row_values_.data() + row_offsets_[i];
+    uint32_t size = 0;
+    uint64_t total = 0;
+    for (const auto& e : corpus.doc(id).terms) {
+      terms[size] = e.id;
+      values[size] = e.count;
+      total += e.count;
+      ++size;
+    }
+    const auto len = static_cast<double>(total);
+    const double pr = model.PrDoc(id);
     uint32_t n = 0;
     if (len > 0.0 && pr > 0.0) {
       const double unit = pr / len;
-      for (const auto& e : doc.terms.entries()) {
-        const double idf = model.Idf(e.id);
+      for (uint32_t j = 0; j < size; ++j) {
+        const double idf = model.Idf(terms[j]);
         if (idf <= 0.0) continue;
-        terms[n] = e.id;
-        values[n] = unit * e.count * idf;
+        terms[n] = terms[j];
+        values[n] = unit * values[j] * idf;
         ++n;
       }
     }
@@ -141,10 +151,15 @@ double NoveltySimilarityReference(const ForgettingModel& model, DocId a,
   if (len_a <= 0.0 || len_b <= 0.0) return 0.0;
   // d⃗_i · d⃗_j with components tf_ik · idf_k (Eq. 12–14).
   double dot = 0.0;
-  for (const auto& ea : da.terms.entries()) {
-    const double fb = db.terms.ValueAt(ea.id);
-    if (fb == 0.0) continue;
+  // Both term lists ascend by id: walk them together, in a's order.
+  auto eb = db.terms.begin();
+  const auto eb_end = db.terms.end();
+  for (const auto& ea : da.terms) {
+    while (eb != eb_end && eb->id < ea.id) ++eb;
+    if (eb == eb_end) break;
+    if (eb->id != ea.id) continue;
     const double fa = ea.count;
+    const double fb = eb->count;
     const double idf = model.Idf(ea.id);
     dot += (fa * idf) * (fb * idf);
   }

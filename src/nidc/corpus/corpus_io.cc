@@ -138,40 +138,29 @@ namespace {
 // Corpus record layout (integers are LEB128 varints unless noted):
 //   "CDR1" | first_term | #terms |
 //   per term: length, bytes | first_doc | #docs |
-//   per doc: time (IEEE-754 bits, u64 LE) | zigzag topic | source length,
-//            bytes | #entries | per entry: id delta, frequency
+//   per doc, as a Corpus stores it (AppendDocument): time (IEEE-754 bits,
+//            u64 LE) | zigzag topic | source length, bytes | #entries |
+//            per entry: id delta, frequency
 // The first id delta is the id itself; each later one is >= 1, so ids
 // strictly increase as in TermCounts. A frequency is in [1, 2³²−1].
+// Every varint is minimal, as PutVarint writes it.
 constexpr char kIndexTag[] = "CDR1";
 constexpr size_t kIndexTagSize = 4;
-
-void PutVarint(std::string* out, uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>(v | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
-
-void PutFixed(std::string* out, uint64_t v, size_t bytes) {
-  for (size_t i = 0; i < bytes; ++i) {
-    out->push_back(static_cast<char>(v >> (8 * i)));
-  }
-}
 
 void PutBytes(std::string* out, std::string_view bytes) {
   PutVarint(out, bytes.size());
   out->append(bytes);
 }
 
-// Bounds-checked cursor over a payload; the first overrun latches `ok`
-// false and every later read returns 0 / empty.
+// Bounds-checked cursor over a payload; the first overrun or non-minimal
+// varint latches `ok` false and every later read returns 0 / empty.
 class IndexReader {
  public:
   explicit IndexReader(std::string_view data) : data_(data) {}
 
   bool ok() const { return ok_; }
   bool done() const { return data_.empty(); }
+  const char* position() const { return data_.data(); }
 
   uint64_t Varint() {
     // Most id deltas, counts and lengths fit in one byte.
@@ -186,7 +175,11 @@ class IndexReader {
       const auto byte = static_cast<unsigned char>(data_.front());
       data_.remove_prefix(1);
       v |= static_cast<uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) return v;
+      if ((byte & 0x80) == 0) {
+        // PutVarint ends on a nonzero group and writes no bit past 63.
+        if (byte == 0 || (shift == 63 && byte > 1)) break;
+        return v;
+      }
     }
     ok_ = false;
     return 0;
@@ -232,13 +225,11 @@ class IndexReader {
 std::string EncodeCorpusIndexRecord(const Corpus& corpus,
                                     const CorpusIndexSpan& span) {
   const Vocabulary& vocabulary = corpus.vocabulary();
-  size_t estimate = 32;
+  const std::string_view docs =
+      corpus.DocumentBytes(span.first_doc, span.end_doc);
+  size_t estimate = 32 + docs.size();
   for (TermId t = span.first_term; t < span.end_term; ++t) {
     estimate += vocabulary.term(t).size() + 1;
-  }
-  for (size_t d = span.first_doc; d < span.end_doc; ++d) {
-    const Document& doc = corpus.doc(static_cast<DocId>(d));
-    estimate += 16 + doc.source.size() + 3 * doc.terms.size();
   }
   std::string out;
   out.reserve(estimate);
@@ -250,22 +241,7 @@ std::string EncodeCorpusIndexRecord(const Corpus& corpus,
   }
   PutVarint(&out, span.first_doc);
   PutVarint(&out, span.end_doc - span.first_doc);
-  for (size_t d = span.first_doc; d < span.end_doc; ++d) {
-    const Document& doc = corpus.doc(static_cast<DocId>(d));
-    uint64_t time_bits = 0;
-    std::memcpy(&time_bits, &doc.time, sizeof(time_bits));
-    PutFixed(&out, time_bits, 8);
-    const auto topic = static_cast<uint32_t>(doc.topic);
-    PutVarint(&out, (topic << 1) ^ static_cast<uint32_t>(doc.topic >> 31));
-    PutBytes(&out, doc.source);
-    PutVarint(&out, doc.terms.size());
-    TermId previous = 0;
-    for (const TermCounts::Entry& entry : doc.terms.entries()) {
-      PutVarint(&out, entry.id - previous);
-      PutVarint(&out, entry.count);
-      previous = entry.id;
-    }
-  }
+  out.append(docs);
   return out;
 }
 
@@ -299,36 +275,41 @@ Result<CorpusIndexRecord> DecodeCorpusIndexRecord(std::string_view payload) {
     return damaged("bad term list");
   }
   record.first_doc = static_cast<DocId>(first_doc);
-  record.docs.resize(num_docs);
-  for (Document& doc : record.docs) {
+  // Documents may name the terms before the record and its own.
+  const uint64_t end_term = first_term + num_terms;
+  const char* const docs_begin = in.position();
+  record.docs.ends.reserve(num_docs);
+  for (uint64_t d = 0; d < num_docs; ++d) {
     const uint64_t time_bits = in.Fixed(8);
-    std::memcpy(&doc.time, &time_bits, sizeof(doc.time));
+    double time = 0.0;
+    std::memcpy(&time, &time_bits, sizeof(time));
     const uint64_t zigzag = in.Varint();
-    doc.topic = static_cast<TopicId>((zigzag >> 1) ^ (~(zigzag & 1) + 1));
-    doc.source = std::string(in.LengthPrefixed());
+    in.LengthPrefixed();  // the source
     const uint64_t num_entries = in.Count(2);
-    std::vector<TermCounts::Entry> entries;
-    entries.reserve(num_entries);
     uint64_t id = 0;
     for (uint64_t e = 0; e < num_entries; ++e) {
       const uint64_t delta = in.Varint();
       const uint64_t frequency = in.Varint();
-      // `id` < kInvalidTermId here, so the subtraction cannot wrap.
-      if ((e > 0 && delta == 0) || delta >= kInvalidTermId - id ||
-          frequency == 0 || frequency > std::numeric_limits<uint32_t>::max()) {
+      // `id` < end_term here, so the subtraction cannot wrap.
+      if ((e > 0 && delta == 0) || delta >= end_term - id || frequency == 0 ||
+          frequency > std::numeric_limits<uint32_t>::max()) {
         return damaged("bad term vector");
       }
       id += delta;
-      entries.push_back(
-          {static_cast<TermId>(id), static_cast<uint32_t>(frequency)});
     }
-    if (!in.ok() || !std::isfinite(doc.time) ||
+    if (!in.ok() || !std::isfinite(time) ||
         zigzag > std::numeric_limits<uint32_t>::max()) {
       return damaged("bad document");
     }
-    doc.terms = TermCounts::FromSortedEntries(std::move(entries));
+    const size_t end = in.position() - docs_begin;
+    if (end > std::numeric_limits<uint32_t>::max()) {
+      return damaged("documents past 4 GiB");
+    }
+    record.docs.ends.push_back(static_cast<uint32_t>(end));
   }
   if (!in.ok() || !in.done()) return damaged("trailing bytes");
+  record.docs.bytes = std::string_view(
+      docs_begin, record.docs.ends.empty() ? 0 : record.docs.ends.back());
   return record;
 }
 

@@ -93,17 +93,17 @@ double CanonicalTime(double time);
 Result<RawDocument> ParseRawDocument(const std::string& line);
 
 /// One corpus record: terms and documents a stretch of ids added to a
-/// corpus. A decoded record's terms view the payload it was decoded from,
-/// so it must not outlive that payload.
+/// corpus. A decoded record views the payload it was decoded from (its
+/// terms and its documents' bytes), so it must not outlive that payload.
 struct CorpusIndexRecord {
   /// Vocabulary size before the block: the id of terms[0].
   TermId first_term = 0;
   /// Terms the block introduced, in id order.
   std::vector<std::string_view> terms;
-  /// DocId of docs[0].
+  /// DocId of the first document.
   DocId first_doc = 0;
-  /// The block's documents (their `id` fields are left 0).
-  std::vector<Document> docs;
+  /// The block's documents, in the form a Corpus stores them.
+  EncodedDocuments docs;
 };
 
 /// Terms [first_term, end_term) and documents [first_doc, end_doc) of a
@@ -124,9 +124,12 @@ std::string EncodeCorpusIndexRecord(const Corpus& corpus,
 /// damaged): how a log that mixes record kinds tells them apart.
 bool IsCorpusIndexRecord(std::string_view payload);
 
-/// Decodes a record; InvalidArgument on anything EncodeCorpusIndexRecord
-/// cannot have written. The record's terms point into `payload`, so a
-/// temporary string is refused at compile time.
+/// Checks a record and views its parts; InvalidArgument on anything
+/// EncodeCorpusIndexRecord cannot have written, so that encoding what
+/// Corpus::Install made of it gives `payload` back. Every varint must be
+/// minimal, and every document may name only terms below first_term +
+/// terms.size(). It copies no document: the record's terms and documents
+/// point into `payload`, so a temporary string is refused at compile time.
 Result<CorpusIndexRecord> DecodeCorpusIndexRecord(std::string_view payload);
 template <typename S>
   requires std::same_as<S, std::string>

@@ -16,7 +16,7 @@ void TermStatistics::AddDocument(const Document& doc, double weight) {
   const double len = doc.Length();
   if (len <= 0.0) return;  // empty documents carry no term mass
   const double unit = weight / len / scale_;
-  for (const auto& entry : doc.terms.entries()) {
+  for (const auto& entry : doc.terms) {
     sums_[entry.id] += unit * entry.count;
   }
 }
@@ -25,7 +25,7 @@ void TermStatistics::RemoveDocument(const Document& doc, double weight) {
   const double len = doc.Length();
   if (len <= 0.0) return;
   const double unit = weight / len / scale_;
-  for (const auto& entry : doc.terms.entries()) {
+  for (const auto& entry : doc.terms) {
     auto it = sums_.find(entry.id);
     if (it == sums_.end()) continue;
     it->second -= unit * entry.count;

@@ -89,6 +89,7 @@ Status ShardService::Init() {
   metrics_->GetCounter("shard.steps");
   metrics_->GetGauge("shard.corpus.retained_docs");
   metrics_->GetGauge("shard.corpus.retained_term_entries");
+  metrics_->GetGauge("shard.corpus.retained_bytes");
   metrics_->GetGauge("shard.corpus.vocabulary_terms");
   metrics_->GetGauge("shard.corpus.vocabulary_bytes");
   metrics_->GetGauge("step.context_entries");

@@ -22,8 +22,8 @@ constexpr char kLayoutKey[] = "layout";
 constexpr uint64_t kLayout = 2;
 // The corpus sizes each tenant publishes, in Tenant::corpus_gauges_ order.
 constexpr const char* kCorpusGauges[] = {
-    "retained_docs", "retained_term_entries", "vocabulary_terms",
-    "vocabulary_bytes"};
+    "retained_docs", "retained_term_entries", "retained_bytes",
+    "vocabulary_terms", "vocabulary_bytes"};
 
 Env* EnvOf(const TenantRuntime& runtime) {
   return runtime.env != nullptr ? runtime.env : Env::Default();
@@ -468,7 +468,8 @@ void Tenant::PublishProgress() {
   steps_applied_ = durable_->applied_steps();
   const size_t values[] = {
       corpus_->docs().size(), corpus_->retained_term_entries(),
-      corpus_->vocabulary().size(), corpus_->vocabulary().bytes()};
+      corpus_->bytes(), corpus_->vocabulary().size(),
+      corpus_->vocabulary().bytes()};
   static_assert(std::size(values) == std::size(kCorpusGauges));
   for (size_t i = 0; i < corpus_gauges_.size(); ++i) {
     CorpusGauge& gauge = corpus_gauges_[i];

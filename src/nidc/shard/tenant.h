@@ -226,9 +226,9 @@ class Tenant {
     double published = 0.0;
   };
   /// shard.tenant.corpus_X and shard.corpus.X for each X of
-  /// kCorpusGauges (tenant.cc): retained docs and term entries, and the
-  /// vocabulary's terms and heap bytes.
-  std::array<CorpusGauge, 4> corpus_gauges_;
+  /// kCorpusGauges (tenant.cc): retained docs, their term entries and
+  /// heap bytes, and the vocabulary's terms and heap bytes.
+  std::array<CorpusGauge, 5> corpus_gauges_;
   // Written only by the owner, read from any thread.
   std::atomic<uint64_t> docs_ingested_{0};
   std::atomic<uint64_t> steps_applied_{0};

@@ -55,7 +55,7 @@ Status InstallCorpusRecord(Corpus* corpus, std::string_view payload) {
   Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(payload);
   if (!record.ok()) return record.status();
   return corpus->Install(record->first_term, record->terms,
-                         record->first_doc, std::move(record->docs));
+                         record->first_doc, record->docs);
 }
 
 // The state `generation` starts from: its snapshot, or for a first
@@ -181,6 +181,19 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
       continue;
     }
     inner = std::move(restored).value();
+    // A clustering with more clusters than k cannot seed a step under k,
+    // so every step of the WAL tail would be refused and quarantined,
+    // cutting acknowledged steps off. Refuse the options instead, before
+    // anything is replayed, rewritten or rotated.
+    if (const auto& last = inner->last_result();
+        last && last->clusters.size() > options.kmeans.k) {
+      if (corpus_touched) *corpus = Corpus();
+      return Status::FailedPrecondition(
+          "checkpoint generation " + std::to_string(generation) +
+          " holds a clustering of " + std::to_string(last->clusters.size()) +
+          " clusters, more than k = " + std::to_string(options.kmeans.k) +
+          "; reopen with the k it was written under");
+    }
 
     // Replay this generation's WAL tail: install each corpus record, and
     // run each step record through Step(), installing the logged outcome

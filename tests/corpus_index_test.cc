@@ -157,15 +157,16 @@ TEST(CorpusIndexRecordTest, RoundTripsIntoAnIdenticalCorpus) {
   EXPECT_EQ(b->first_term, split_term);
   EXPECT_EQ(b->first_doc, 1u);
   EXPECT_EQ(b->docs.size(), 2u);
+  EXPECT_EQ(b->docs.bytes, source.DocumentBytes(1, 3));
 
   Corpus installed;
   ASSERT_TRUE(installed
                   .Install(a->first_term, a->terms, a->first_doc,
-                           std::move(a->docs))
+                           a->docs)
                   .ok());
   ASSERT_TRUE(installed
                   .Install(b->first_term, b->terms, b->first_doc,
-                           std::move(b->docs))
+                           b->docs)
                   .ok());
   ExpectRetainedMatch(installed, source);
 }
@@ -188,10 +189,37 @@ TEST(CorpusIndexRecordTest, EveryTruncationAndForeignPayloadIsRejected) {
   EXPECT_FALSE(DecodeCorpusIndexRecord("step 0x1p+0 0").ok());
 }
 
+// A record's contents as plain values, for writing one by hand.
+struct HandDocument {
+  DayTime time = 0.0;
+  TopicId topic = kNoTopic;
+  std::string source;
+  std::vector<TermCounts::Entry> entries;
+};
+struct HandRecord {
+  TermId first_term = 0;
+  std::vector<std::string> terms;
+  DocId first_doc = 0;
+  std::vector<HandDocument> docs;
+};
+
+// The whole vocabulary and the retained documents of `corpus`.
+HandRecord WholeCorpus(const Corpus& corpus) {
+  HandRecord record;
+  record.terms = Terms(corpus.vocabulary());
+  record.first_doc = corpus.first_retained();
+  for (const Document& doc : corpus.docs()) {
+    record.docs.push_back({doc.time, doc.topic, std::string(doc.source),
+                           doc.terms.ToTermCounts().entries()});
+  }
+  return record;
+}
+
 // The record layout written out field by field from its description in
-// corpus_io.cc, independent of EncodeCorpusIndexRecord. The first entry
-// of the first document gets the frequency `first_count` instead of its
-// own, which lets a test write counts TermCounts cannot hold.
+// corpus_io.cc, independent of EncodeCorpusIndexRecord and of how a
+// corpus stores a document. The first entry of the first document gets
+// the frequency `first_count` instead of its own, which lets a test write
+// counts TermCounts cannot hold.
 void PutVarintByHand(std::string* out, uint64_t v) {
   for (; v >= 0x80; v >>= 7) out->push_back(static_cast<char>(v | 0x80));
   out->push_back(static_cast<char>(v));
@@ -201,19 +229,18 @@ void PutFixedByHand(std::string* out, uint64_t v, int bytes) {
   for (int i = 0; i < bytes; ++i) out->push_back(static_cast<char>(v >> 8 * i));
 }
 
-std::string EncodeByHand(const CorpusIndexRecord& record,
-                         uint64_t first_count) {
+std::string EncodeByHand(const HandRecord& record, uint64_t first_count) {
   std::string out = "CDR1";
   PutVarintByHand(&out, record.first_term);
   PutVarintByHand(&out, record.terms.size());
-  for (std::string_view term : record.terms) {
+  for (const std::string& term : record.terms) {
     PutVarintByHand(&out, term.size());
     out += term;
   }
   PutVarintByHand(&out, record.first_doc);
   PutVarintByHand(&out, record.docs.size());
   bool first = true;
-  for (const Document& doc : record.docs) {
+  for (const HandDocument& doc : record.docs) {
     uint64_t time_bits = 0;
     std::memcpy(&time_bits, &doc.time, sizeof(time_bits));
     PutFixedByHand(&out, time_bits, 8);
@@ -222,9 +249,9 @@ std::string EncodeByHand(const CorpusIndexRecord& record,
                                                           : 2 * topic));
     PutVarintByHand(&out, doc.source.size());
     out += doc.source;
-    PutVarintByHand(&out, doc.terms.size());
+    PutVarintByHand(&out, doc.entries.size());
     TermId previous = 0;
-    for (const TermCounts::Entry& entry : doc.terms.entries()) {
+    for (const TermCounts::Entry& entry : doc.entries) {
       PutVarintByHand(&out, entry.id - previous);
       PutVarintByHand(&out, first ? first_count : entry.count);
       first = false;
@@ -236,11 +263,9 @@ std::string EncodeByHand(const CorpusIndexRecord& record,
 
 // One document at day 1.5 holding term 0 ("zebra") `count` times.
 std::string OneTermRecord(uint64_t count) {
-  CorpusIndexRecord record;
+  HandRecord record;
   record.terms = {"zebra"};
-  record.docs.resize(1);
-  record.docs[0].time = 1.5;
-  record.docs[0].terms = TermCounts::FromSortedEntries({{0, 1}});
+  record.docs.push_back({1.5, kNoTopic, "", {{0, 1}}});
   return EncodeByHand(record, count);
 }
 
@@ -248,10 +273,9 @@ TEST(CorpusIndexRecordTest, HandEncodingMatchesTheEncoder) {
   const Corpus source = AnalyzedCorpus();
   const std::string payload = EncodeCorpusIndexRecord(
       source, {0, static_cast<TermId>(source.vocabulary().size()), 0, 3});
-  Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(payload);
-  ASSERT_TRUE(record.ok()) << record.status().ToString();
-  EXPECT_EQ(EncodeByHand(*record, record->docs[0].terms.entries()[0].count),
-            payload);
+  ASSERT_TRUE(DecodeCorpusIndexRecord(payload).ok());
+  const HandRecord record = WholeCorpus(source);
+  EXPECT_EQ(EncodeByHand(record, record.docs[0].entries[0].count), payload);
 }
 
 TEST(CorpusIndexRecordTest, CountsAboveThirtyTwoBitsAreDamaged) {
@@ -272,10 +296,12 @@ TEST(CorpusIndexRecordTest, CountsAboveThirtyTwoBitsAreDamaged) {
 TEST(CorpusIndexRecordTest, WrappingIdDeltaIsDamaged) {
   // Ids 5 and 6; the payload ends with the second entry, delta 1, count 1.
   Corpus corpus;
-  Document doc;
-  doc.terms = TermCounts::FromSortedEntries({{5, 1}, {6, 1}});
-  corpus.Add(std::move(doc));
-  std::string payload = EncodeCorpusIndexRecord(corpus, {0, 0, 0, 1});
+  for (const char* term : {"a", "b", "c", "d", "e", "f", "g"}) {
+    corpus.vocabulary().GetOrAdd(term);
+  }
+  corpus.Add(0.0, kNoTopic, "",
+             TermCounts::FromSortedEntries({{5, 1}, {6, 1}}));
+  std::string payload = EncodeCorpusIndexRecord(corpus, {0, 7, 0, 1});
   ASSERT_EQ(payload.substr(payload.size() - 2), std::string("\x01\x01"));
   ASSERT_TRUE(DecodeCorpusIndexRecord(payload).ok());
   // A delta of 2⁶⁴−2 wraps 5 around to 3: a descending id.
@@ -296,10 +322,10 @@ TEST(CorpusIndexRecordTest, LargestThirtyTwoBitCountInstalls) {
   Corpus corpus;
   ASSERT_TRUE(corpus
                   .Install(record->first_term, record->terms,
-                           record->first_doc, std::move(record->docs))
+                           record->first_doc, record->docs)
                   .ok());
   ASSERT_EQ(corpus.size(), 1u);
-  EXPECT_EQ(corpus.doc(0).terms,
+  EXPECT_EQ(corpus.doc(0).terms.ToTermCounts(),
             TermCounts::FromSortedEntries({{0, max}}));
   EXPECT_EQ(corpus.doc(0).Length(), 4294967295.0);
   EXPECT_EQ(corpus.vocabulary().Lookup("zebra"), 0u);
@@ -326,10 +352,21 @@ TEST(CorpusIndexRecordTest, MismatchedInstallLeavesTheCorpusUnchanged) {
   // A duplicate inside the record.
   std::vector<std::string_view> twice = {"zebra", "zebra"};
   EXPECT_FALSE(corpus.Install(1, twice, 1, {}).ok());
-  // A document naming a term past the vocabulary.
-  std::vector<Document> unknown(1);
-  unknown[0].terms = TermCounts::FromSortedEntries({{5, 1}});
-  EXPECT_FALSE(corpus.Install(1, {"zebra"}, 1, unknown).ok());
+  // A document naming a term past the record's vocabulary is damage the
+  // decoder refuses before anything is installed.
+  HandRecord unknown;
+  unknown.first_term = 1;
+  unknown.terms = {"zebra"};
+  unknown.first_doc = 1;
+  unknown.docs.push_back({1.0, kNoTopic, "", {{1, 1}}});
+  const std::string known_payload = EncodeByHand(unknown, 1);
+  EXPECT_TRUE(DecodeCorpusIndexRecord(known_payload).ok());
+  unknown.docs[0].entries = {{2, 1}};
+  const std::string past_payload = EncodeByHand(unknown, 1);
+  const Result<CorpusIndexRecord> past = DecodeCorpusIndexRecord(past_payload);
+  ASSERT_FALSE(past.ok());
+  EXPECT_NE(past.status().ToString().find("bad term vector"),
+            std::string::npos);
 
   EXPECT_EQ(corpus.vocabulary().size(), vocabulary);
   EXPECT_EQ(corpus.size(), 1u);
@@ -349,7 +386,7 @@ TEST(CorpusIndexRecordTest, InstallStartsAnEmptyCorpusAtAnyId) {
   Corpus restored;
   ASSERT_TRUE(restored
                   .Install(record->first_term, record->terms,
-                           record->first_doc, std::move(record->docs))
+                           record->first_doc, record->docs)
                   .ok());
   EXPECT_EQ(restored.first_retained(), 1u);
   ExpectRetainedMatch(restored, source);

@@ -751,37 +751,59 @@ TEST_F(DurableClustererTest, RejectsInvalidStepsWithoutLoggingThem) {
   ASSERT_TRUE((*durable)->Close().ok());
 }
 
-TEST_F(DurableClustererTest, StepUnderASmallerKIsRefusedBeforeTheWal) {
-  // A store reopened under a smaller k holds a clustering that cannot
-  // seed: each step is refused before its WAL append and changes nothing.
+TEST_F(DurableClustererTest, ReopenUnderASmallerKLeavesTheStoreUntouched) {
+  // A crash image: a snapshot and a WAL tail of acknowledged steps. Its
+  // clustering cannot seed a step under a smaller k, so replaying the
+  // tail there would quarantine it; the reopen is refused instead, as a
+  // leader and as a follower, and writes nothing.
   const std::string dir = FreshDir("smaller_k");
+  DirImage image;
+  std::string fingerprint;
+  size_t clusters = 0;
+  uint64_t steps = 0;
   {
     auto durable = DurableClusterer::Open(stream_.corpus.get(), params_,
                                           incremental_, Options(dir));
     ASSERT_TRUE(durable.ok());
-    Feed(durable->get(), 0, 8);
+    Feed(durable->get(), 0, 12);
+    ASSERT_GT((*durable)->wal_records_since_checkpoint(), 0u);
     ASSERT_TRUE((*durable)->clusterer().last_result().has_value());
-    ASSERT_GT((*durable)->clusterer().last_result()->clusters.size(), 2u);
-    ASSERT_TRUE((*durable)->Close().ok());
+    clusters = (*durable)->clusterer().last_result()->clusters.size();
+    ASSERT_GT(clusters, 2u);
+    fingerprint = Fingerprint((*durable)->clusterer());
+    steps = (*durable)->clusterer().step_count();
+    image = ReadImage(dir);
   }
+  const std::string crash = FreshDir("smaller_k_crash");
+  WriteImage(crash, image);
+
   IncrementalOptions smaller = incremental_;
   smaller.kmeans.k = 2;
-  auto reopened = DurableClusterer::Open(stream_.corpus.get(), params_,
-                                         smaller, Options(dir));
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  const uint64_t records = (*reopened)->wal_records_since_checkpoint();
-  const uint64_t applied = (*reopened)->applied_steps();
-  const std::string before = Fingerprint((*reopened)->clusterer());
-  for (size_t i = 8; i < 11; ++i) {
-    EXPECT_EQ((*reopened)->Step(stream_.batches[i], stream_.taus[i])
-                  .status()
-                  .code(),
-              StatusCode::kInvalidArgument);
+  for (const bool follower : {false, true}) {
+    SCOPED_TRACE(follower ? "follower" : "leader");
+    Corpus* corpus = stream_.corpus.get();
+    auto reopened =
+        follower ? DurableClusterer::OpenFollower(corpus, params_, smaller,
+                                                  Options(crash))
+                 : DurableClusterer::Open(corpus, params_, smaller,
+                                          Options(crash));
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_EQ(reopened.status().code(), StatusCode::kFailedPrecondition);
+    const std::string message = reopened.status().ToString();
+    EXPECT_NE(message.find(std::to_string(clusters) + " clusters"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("k = 2"), std::string::npos) << message;
+    EXPECT_EQ(ReadImage(crash), image);
   }
-  EXPECT_EQ((*reopened)->wal_records_since_checkpoint(), records);
-  EXPECT_EQ((*reopened)->applied_steps(), applied);
-  EXPECT_EQ(Fingerprint((*reopened)->clusterer()), before);
-  ASSERT_TRUE((*reopened)->Close().ok());
+
+  // Under the original k every acknowledged step comes back.
+  auto recovered = DurableClusterer::Open(stream_.corpus.get(), params_,
+                                          incremental_, Options(crash));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->recovery().quarantined_records, 0u);
+  EXPECT_EQ((*recovered)->clusterer().step_count(), steps);
+  EXPECT_EQ(Fingerprint((*recovered)->clusterer()), fingerprint);
 }
 
 TEST_F(DurableClustererTest, PrunesGenerationsBeyondRetention) {

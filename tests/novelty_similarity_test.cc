@@ -52,8 +52,8 @@ TEST_F(NoveltySimilarityTest, Eq11PreTfidfFormAgrees) {
       const Document& da = corpus_.doc(a);
       const Document& db = corpus_.doc(b);
       double weighted_overlap = 0.0;
-      for (const auto& e : da.terms.entries()) {
-        const double fb = db.terms.ValueAt(e.id);
+      for (const auto& e : da.terms) {
+        const double fb = db.terms.ToTermCounts().ValueAt(e.id);
         if (fb == 0.0) continue;
         const double pr_t = model_->PrTerm(e.id);
         ASSERT_GT(pr_t, 0.0);
@@ -160,7 +160,7 @@ SparseVector ReferencePsi(const ForgettingModel& model, DocId id) {
   std::vector<SparseVector::Entry> entries;
   if (len > 0.0 && pr > 0.0) {
     const double unit = pr / len;
-    for (const auto& e : doc.terms.entries()) {
+    for (const auto& e : doc.terms) {
       const double idf = model.Idf(e.id);
       if (idf <= 0.0) continue;
       entries.push_back({e.id, unit * e.count * idf});
@@ -220,7 +220,7 @@ TEST(SimilarityContextArenaTest, SlotTableSpansTheActiveIdsOnly) {
   constexpr DocId kReleased = 1000000;
   Corpus corpus;
   for (DocId id = 0; id < kReleased; ++id) {
-    corpus.Add(Document{});
+    corpus.Add(0.0, kNoTopic, "", TermCounts());
     if (id % 65536 == 65535) corpus.ReleaseBefore(id + 1);
   }
   corpus.ReleaseBefore(kReleased);

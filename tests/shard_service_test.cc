@@ -417,6 +417,47 @@ TEST_F(ShardServiceTest, VocabularyGaugesCountTheTenantsTermsAndBytes) {
   service->Stop();
 }
 
+TEST_F(ShardServiceTest, RetainedBytesGaugeIsTheCorpusArena) {
+  auto service = StartService(Root("retained_bytes"), 2);
+  obs::Gauge* bytes =
+      service->metrics()->GetGauge("shard.corpus.retained_bytes");
+  bool registered = false;
+  for (const obs::MetricSample& sample : service->metrics()->Snapshot()) {
+    registered |= sample.name == "shard.corpus.retained_bytes";
+  }
+  EXPECT_TRUE(registered);
+  EXPECT_EQ(bytes->Value(), 0.0);
+
+  const auto held = [&](const std::string& name) {
+    return service->GetTenant(name)
+        ->metrics()
+        .GetGauge("shard.tenant.corpus_retained_bytes")
+        ->Value();
+  };
+  const auto arena = [&](const std::string& name) {
+    return static_cast<double>(service->GetTenant(name)->corpus().bytes());
+  };
+  ASSERT_TRUE(service->CreateTenant("alpha", SmallConfig()).ok());
+  ASSERT_TRUE(service->CreateTenant("bravo", SmallConfig()).ok());
+  for (const auto& batch : InBatches(MakeFeed("alpha", 6, 5), 5)) {
+    ASSERT_TRUE(service->EnqueueIngest("alpha", batch).ok());
+  }
+  ASSERT_TRUE(
+      service->EnqueueIngest("bravo", InBatches(MakeFeed("b", 1, 5), 5)[0])
+          .ok());
+  service->Drain();
+  for (const std::string name : {"alpha", "bravo"}) {
+    EXPECT_GT(held(name), 0.0) << name;
+    EXPECT_EQ(held(name), arena(name)) << name;
+  }
+  EXPECT_EQ(bytes->Value(), held("alpha") + held("bravo"));
+
+  // An evicted tenant holds nothing.
+  ASSERT_TRUE(service->EvictTenant("alpha").ok());
+  EXPECT_EQ(bytes->Value(), held("bravo"));
+  service->Stop();
+}
+
 TEST_F(ShardServiceTest, RestartRecoversEveryTenantOntoItsShard) {
   const std::string root = Root("restart");
   const std::vector<std::string> names = {"alpha", "bravo", "charlie"};

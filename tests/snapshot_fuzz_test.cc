@@ -162,6 +162,10 @@ TEST_F(SnapshotFuzzTest, MutatedResultSectionsParseToAFixedPoint) {
   EXPECT_GT(parsed, 0u);
 }
 
+// The decoder accepts only what the encoder writes: installing an
+// accepted record and encoding the installed span gives its bytes back,
+// and every installed document is one AppendDocument writes the same
+// bytes for, naming known terms in ascending order.
 TEST_F(SnapshotFuzzTest, MutatedCorpusRecordsDecodeToAFixedPoint) {
   Rng rng(37);
   size_t installed = 0;
@@ -170,8 +174,9 @@ TEST_F(SnapshotFuzzTest, MutatedCorpusRecordsDecodeToAFixedPoint) {
       const std::string payload = Mutate(record_, kind, /*text=*/false, rng);
       Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(payload);
       if (!record.ok()) continue;
-      const size_t num_docs = record->docs.size();
       Corpus corpus;
+      // A record that starts past term 0 cannot go into an empty corpus,
+      // nor one that repeats a term.
       if (!corpus
                .Install(record->first_term, record->terms, record->first_doc,
                         record->docs)
@@ -182,20 +187,29 @@ TEST_F(SnapshotFuzzTest, MutatedCorpusRecordsDecodeToAFixedPoint) {
       const CorpusIndexSpan span{
           record->first_term,
           static_cast<TermId>(record->first_term + record->terms.size()),
-          record->first_doc, static_cast<DocId>(record->first_doc + num_docs)};
-      const std::string encoded = EncodeCorpusIndexRecord(corpus, span);
-      Result<CorpusIndexRecord> again = DecodeCorpusIndexRecord(encoded);
-      ASSERT_TRUE(again.ok()) << again.status().ToString();
-      EXPECT_EQ(again->terms, record->terms);
-      ASSERT_EQ(again->docs.size(), num_docs);
-      for (size_t d = 0; d < num_docs; ++d) {
-        const Document& a = again->docs[d];
-        const Document& b = record->docs[d];
-        EXPECT_EQ(std::memcmp(&a.time, &b.time, sizeof(a.time)), 0);
-        EXPECT_EQ(a.topic, b.topic);
-        EXPECT_EQ(a.source, b.source);
-        EXPECT_EQ(a.terms, b.terms);
+          record->first_doc,
+          static_cast<DocId>(record->first_doc + record->docs.size())};
+      ASSERT_EQ(EncodeCorpusIndexRecord(corpus, span), payload)
+          << "kind " << kind << " mutation " << i;
+      Corpus rewritten;
+      size_t entries = 0;
+      for (const Document& doc : corpus.docs()) {
+        std::vector<TermCounts::Entry> terms;
+        for (const TermCounts::Entry& e : doc.terms) {
+          ASSERT_LT(e.id, corpus.vocabulary().size());
+          ASSERT_TRUE(terms.empty() || terms.back().id < e.id);
+          ASSERT_GE(e.count, 1u);
+          terms.push_back(e);
+        }
+        entries += terms.size();
+        rewritten.Add(doc.time, doc.topic, doc.source,
+                      TermCounts::FromSortedEntries(std::move(terms)));
       }
+      EXPECT_EQ(entries, corpus.retained_term_entries());
+      ASSERT_EQ(rewritten.DocumentBytes(0, static_cast<DocId>(
+                                               rewritten.size())),
+                record->docs.bytes)
+          << "kind " << kind << " mutation " << i;
     }
   }
   EXPECT_GT(installed, 0u);

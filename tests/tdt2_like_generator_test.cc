@@ -67,7 +67,7 @@ TEST_F(GeneratorTest, AllTimesWithinSpan) {
 
 TEST_F(GeneratorTest, SourcesCycleThroughNewswires) {
   std::map<std::string, size_t> sources;
-  for (const Document& d : corpus_->docs()) ++sources[d.source];
+  for (const Document& d : corpus_->docs()) ++sources[std::string(d.source)];
   EXPECT_EQ(sources.size(), 6u);
   for (const auto& [name, count] : sources) EXPECT_GT(count, 1000u);
 }

@@ -1,18 +1,26 @@
 #include "nidc/forgetting/term_statistics.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 namespace nidc {
 namespace {
 
-Document MakeDoc(DocId id, std::vector<TermCounts::Entry> entries) {
-  Document doc;
-  doc.id = id;
-  doc.terms = TermCounts::FromSortedEntries(std::move(entries));
-  return doc;
-}
+// A document that owns the bytes it is stored in, viewed as a Document.
+class MakeDoc {
+ public:
+  MakeDoc(DocId id, std::vector<TermCounts::Entry> entries) : id_(id) {
+    AppendDocument(&bytes_, 0.0, kNoTopic, "",
+                   TermCounts::FromSortedEntries(std::move(entries)));
+  }
+  operator Document() const { return ViewDocument(id_, bytes_.data()); }
+
+ private:
+  DocId id_;
+  std::string bytes_;
+};
 
 TEST(TermStatisticsTest, SingleDocumentContribution) {
   TermStatistics stats;
@@ -39,8 +47,8 @@ TEST(TermStatisticsTest, ContributionsAccumulate) {
 
 TEST(TermStatisticsTest, RemoveUndoesAdd) {
   TermStatistics stats;
-  const Document a = MakeDoc(0, {{0, 2}, {1, 1}});
-  const Document b = MakeDoc(1, {{1, 4}, {2, 4}});
+  const MakeDoc a(0, {{0, 2}, {1, 1}});
+  const MakeDoc b(1, {{1, 4}, {2, 4}});
   stats.AddDocument(a, 1.0);
   stats.AddDocument(b, 0.7);
   stats.RemoveDocument(b, 0.7);

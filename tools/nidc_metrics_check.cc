@@ -176,6 +176,7 @@ constexpr const char* kRecoveryKeys[] = {
 // eagerly. Required like kRecoveryKeys.
 constexpr const char* kCorpusMemoryKeys[] = {
     "shard.corpus.retained_term_entries",
+    "shard.corpus.retained_bytes",
     "shard.corpus.vocabulary_terms",
     "shard.corpus.vocabulary_bytes",
 };
