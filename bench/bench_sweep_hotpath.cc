@@ -11,8 +11,9 @@
 // same outliers, same G trajectory) — the bench verifies this and exits
 // non-zero on a mismatch. Per-phase timings (seed / score / index
 // maintenance / refresh) are collected through KMeansProfile, which also
-// carries the refresh work (ψ entries summed into representatives) and the
-// kernel telemetry (bytes streamed, achieved GB/s). An
+// carries the refresh work (ψ entries summed into representatives), the
+// posting arena's peak entries and the kernel telemetry (bytes streamed,
+// achieved GB/s). An
 // incremental stream replay emits a BENCH_sweep_hotpath.json trajectory.
 //
 // It also measures the observability overhead: the same clustering run
@@ -330,6 +331,7 @@ void WriteJson(const std::string& path, double scale, size_t k,
                  "\"seed_seconds\": %.6f, \"score_seconds\": %.6f, "
                  "\"maintenance_seconds\": %.6f, "
                  "\"refresh_seconds\": %.6f, \"refresh_entries\": %llu, "
+                 "\"arena_peak_entries\": %llu, "
                  "\"score_gbps\": %.3f}%s\n",
                  config.name, config.scoring == ClusterScoring::kSlotted
                      ? kernels::KindName(config.kernel)
@@ -338,6 +340,7 @@ void WriteJson(const std::string& path, double scale, size_t k,
                  timing.total(), prof.seed_seconds, prof.score_seconds(),
                  prof.maintenance_seconds, prof.refresh_seconds,
                  static_cast<unsigned long long>(prof.refresh_entries),
+                 static_cast<unsigned long long>(prof.arena_peak_entries),
                  prof.score_gbps(), i + 1 < batch.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
@@ -430,7 +433,7 @@ int Main() {
               docs.size(), k, hw, kernels::KindName(kernel));
   TablePrinter table({"config", "kernel", "context s", "cluster s",
                       "score s", "maint s", "refresh s", "refresh psi",
-                      "GB/s", "total s", "speedup", "iters"});
+                      "arena peak", "GB/s", "total s", "speedup", "iters"});
   std::vector<std::pair<Config, Timing>> batch;
   std::vector<BatchRun> runs;
   for (const Config& config : configs) {
@@ -445,6 +448,7 @@ int Main() {
          Fmt(t.profile.maintenance_seconds, 3),
          Fmt(t.profile.refresh_seconds, 3),
          std::to_string(t.profile.refresh_entries),
+         slotted_row ? std::to_string(t.profile.arena_peak_entries) : "-",
          slotted_row ? Fmt(t.profile.score_gbps(), 2) : "-",
          Fmt(t.total(), 3),
          Fmt(batch.front().second.total() / std::max(t.total(), 1e-12), 2) +

@@ -8,24 +8,33 @@ namespace nidc {
 void Cluster::Add(DocId id, const SimilarityContext& ctx) {
   assert(!Contains(id));
   const SimilarityContext::Row psi = ctx.Psi(id);
-  const double self = ctx.SelfSim(id);
-  // cr_sim(C∪{d}, C∪{d}) = cr_self + 2·cr_sim(C, {d}) + sim(d, d):
-  // the expansion that makes Eq. 26 a single dot product.
-  cr_self_ += 2.0 * representative_.Dot(psi) + self;
-  ss_ += self;
+  AddGivenT(id, representative_.Dot(psi), ctx.SelfSim(id));
   representative_.AddScaled(psi, 1.0);
-  PushMember(id);
 }
 
 void Cluster::Remove(DocId id, const SimilarityContext& ctx) {
   assert(Contains(id));
   const SimilarityContext::Row psi = ctx.Psi(id);
-  const double self = ctx.SelfSim(id);
+  const double t = representative_.Dot(psi);
+  // Before RemoveGivenT, which clears the representative of an emptied
+  // cluster.
+  representative_.AddScaled(psi, -1.0);
+  RemoveGivenT(id, t, ctx.SelfSim(id));
+}
+
+void Cluster::AddGivenT(DocId id, double t, double self) {
+  // cr_sim(C∪{d}, C∪{d}) = cr_self + 2·cr_sim(C, {d}) + sim(d, d):
+  // the expansion that makes Eq. 26 a single dot product.
+  cr_self_ += 2.0 * t + self;
+  ss_ += self;
+  PushMember(id);
+}
+
+void Cluster::RemoveGivenT(DocId id, double t, double self) {
   // Deletion counterpart: with c' = c − ψ_d,
   // c'·c' = c·c − 2·c·ψ_d + ψ_d·ψ_d.
-  cr_self_ += -2.0 * representative_.Dot(psi) + self;
+  cr_self_ += -2.0 * t + self;
   ss_ -= self;
-  representative_.AddScaled(psi, -1.0);
   EraseMember(id);
 }
 
@@ -94,32 +103,8 @@ double Cluster::AvgSimIfAdded(DocId id, const SimilarityContext& ctx) const {
   return (cr_self_ + 2.0 * cr_cd - ss_) / (n * (n + 1.0));
 }
 
-double Cluster::AvgSimIfMerged(const Cluster& other) const {
-  const double n = static_cast<double>(members_.size() +
-                                       other.members_.size());
-  if (n <= 1.0) return 0.0;
-  // Eq. 25: [cr(C_p,C_p) + 2·cr(C_p,C_q) + cr(C_q,C_q) − ss_p − ss_q] /
-  //         [(|C_p|+|C_q|)(|C_p|+|C_q|−1)].
-  const double cr_pq = representative_.Dot(other.representative_);
-  return (cr_self_ + 2.0 * cr_pq + other.cr_self_ - ss_ - other.ss_) /
-         (n * (n - 1.0));
-}
-
-void Cluster::MergeFrom(Cluster* other) {
-  for (DocId id : other->members_) {
-    assert(!Contains(id));
-    member_pos_.emplace(id, members_.size());
-    members_.push_back(id);
-  }
-  cr_self_ +=
-      2.0 * representative_.Dot(other->representative_) + other->cr_self_;
-  ss_ += other->ss_;
-  representative_.AddScaled(other->representative_, 1.0);
-  other->Clear();
-}
-
-size_t Cluster::Refresh(const SimilarityContext& ctx,
-                       RefreshScratch* scratch) {
+size_t Cluster::Refresh(const SimilarityContext& ctx, RefreshScratch* scratch,
+                       bool build_representative) {
   std::vector<uint32_t>& slot = scratch->slot_;
   std::vector<SparseVector::Entry>& sums = scratch->sums_;
   if (slot.size() < ctx.num_local_terms()) {
@@ -146,11 +131,20 @@ size_t Cluster::Refresh(const SimilarityContext& ctx,
   for (const SparseVector::Entry& e : sums) {
     slot[ctx.LocalTerm(e.id)] = RefreshScratch::kUntouched;
   }
-  // FromEntries sorts the exact-size copy by global id.
-  representative_ = SparseVector::FromEntries({sums.begin(), sums.end()});
+  // The ids are distinct, so this is FromEntries' order, and cr_self sums
+  // the squares in it as SquaredNorm does.
+  std::sort(sums.begin(), sums.end(),
+            [](const SparseVector::Entry& a, const SparseVector::Entry& b) {
+              return a.id < b.id;
+            });
+  double cr_self = 0.0;
+  for (const SparseVector::Entry& e : sums) cr_self += e.value * e.value;
+  if (build_representative) {
+    representative_ = SparseVector::FromEntries({sums.begin(), sums.end()});
+  }
   sums.clear();
   ss_ = ss;
-  cr_self_ = representative_.SquaredNorm();
+  cr_self_ = cr_self;
   return entries;
 }
 

@@ -7,6 +7,9 @@
 //   ss_             = Σ_{d∈members} ψ_d · ψ_d            (Eq. 23)
 // From these, avg_sim follows via Eq. 24, and the incremental add/remove
 // updates use the identities of Eq. 25/26 and their deletion counterparts.
+// The move-only sweep keeps only cr_self_ and ss_ here: its cross terms
+// come from the posting index (rep_index.h), which holds the weights, so
+// representative_ stays empty until the run builds it for its result.
 
 #ifndef NIDC_CORE_CLUSTER_H_
 #define NIDC_CORE_CLUSTER_H_
@@ -132,26 +135,15 @@ class Cluster {
     return representative_.Dot(ctx.Psi(id));
   }
 
-  /// cr_sim(C_p, C_q) (Eq. 21).
-  double CrSimWith(const Cluster& other) const {
-    return representative_.Dot(other.representative_);
-  }
-
-  /// avg_sim(C_p ∪ C_q) for a disjoint cluster, via Eq. 25 — does not
-  /// mutate; one representative dot product.
-  double AvgSimIfMerged(const Cluster& other) const;
-
-  /// Absorbs a disjoint cluster (Eq. 25 machinery applied for real):
-  /// members, representative, cr_self and ss are all merged incrementally.
-  /// `other` is left empty.
-  void MergeFrom(Cluster* other);
-
-  /// Recomputes representative, cr_self and ss exactly from the members,
-  /// clearing accumulated float drift. The members' ψ are summed in member
+  /// Recomputes cr_self and ss exactly from the members, clearing
+  /// accumulated float drift, and the representative too when
+  /// `build_representative` is set. The members' ψ are summed in member
   /// order into `scratch`, densely by local term id, and the touched terms
-  /// are then sorted by global id: O(Σ |ψ_d| + u log u) for u distinct
-  /// terms. Returns Σ |ψ_d|, the entries accumulated.
-  size_t Refresh(const SimilarityContext& ctx, RefreshScratch* scratch);
+  /// are then sorted by global id, the order SquaredNorm sums in:
+  /// O(Σ |ψ_d| + u log u) for u distinct terms. Without the representative
+  /// nothing is allocated. Returns Σ |ψ_d|, the entries accumulated.
+  size_t Refresh(const SimilarityContext& ctx, RefreshScratch* scratch,
+                 bool build_representative = true);
 
   /// Drops all members and zeroes the cached statistics.
   void Clear();
@@ -196,13 +188,21 @@ class Cluster {
 
  private:
   // Seeding (ClusterSet::SeedMember) records membership alone and leaves
-  // the statistics to the RefreshAll that follows.
+  // the statistics to the RefreshAll that follows; a move-only sweep's
+  // move (ClusterSet::Move) updates the statistics from scanned cross
+  // terms.
   friend class ClusterSet;
 
   // Membership bookkeeping without the statistics. EraseMember
   // swap-and-pops, and an emptied cluster clears and records the leaver.
   void PushMember(DocId id);
   void EraseMember(DocId id);
+
+  // Add/Remove without the representative: the membership and the scalar
+  // updates, with the cross term t = c⃗·ψ supplied (the move-only sweep's
+  // scanned one). `self` is sim(d, d).
+  void AddGivenT(DocId id, double t, double self);
+  void RemoveGivenT(DocId id, double t, double self);
 
   std::vector<DocId> members_;
   std::unordered_map<DocId, size_t> member_pos_;  // id → index in members_

@@ -26,10 +26,11 @@ enum class ClusterScoring {
 };
 
 /// Owns K clusters and keeps the assignment map consistent with their
-/// membership. With kSlotted scoring, a flat CSR posting index over the
-/// context's dense local term ids (see FlatRepIndex) additionally mirrors
-/// the K representative vectors and is kept in sync by Assign/RefreshAll,
-/// so cr_sim(C_p, {d}) for every cluster comes from one pass over ψ_d.
+/// membership. With kSlotted scoring, the K representatives' weights live
+/// only in a flat CSR posting index over the context's dense local term
+/// ids (see FlatRepIndex), kept in sync by Move/RefreshAll, so
+/// cr_sim(C_p, {d}) for every cluster comes from one pass over ψ_d; the
+/// representative vectors are built once, by BuildRepresentatives.
 class ClusterSet {
  public:
   explicit ClusterSet(size_t k,
@@ -47,11 +48,21 @@ class ClusterSet {
   }
 
   /// Moves `id` into cluster `p` (removing it from its current cluster
-  /// first, if any). `p` may be kUnassigned to just detach the document.
-  /// Populating an empty cluster mints it a fresh stable id unless the
-  /// arriving document is the one whose departure emptied it (a
-  /// detach/re-attach round trip keeps the identity).
+  /// first, if any), merging ψ into the representatives: kMerge only.
+  /// `p` may be kUnassigned to just detach the document. Populating an
+  /// empty cluster mints it a fresh stable id unless the arriving document
+  /// is the one whose departure emptied it (a detach/re-attach round trip
+  /// keeps the identity).
   void Assign(DocId id, int p, const SimilarityContext& ctx);
+
+  /// kSlotted's Assign, for a `p` other than the current cluster: the
+  /// cached statistics take the cross terms the scan computed, `t_home` =
+  /// c⃗·ψ of the current cluster (attached) and `t_target` = c⃗_p·ψ, in
+  /// the same expressions Cluster::Remove/Add evaluate with their own dot
+  /// products, and the postings take the move. No representative vector
+  /// is touched.
+  void Move(DocId id, int p, double t_home, double t_target,
+            const SimilarityContext& ctx);
 
   /// Seeding's assignment: records `id` as a member of cluster `p`, moving
   /// it out of its current cluster like Assign, and nothing else — no
@@ -87,9 +98,16 @@ class ClusterSet {
   void ReplayStay(DocId id, size_t p, double t_attached, double t_detached,
                   const SimilarityContext& ctx);
 
-  /// Recomputes every cluster's cached statistics (and the posting index,
-  /// when scoring through one) from its members.
+  /// Recomputes every cluster's cached statistics from its members, and
+  /// then its representative (kMerge) or the posting index (kSlotted).
   void RefreshAll(const SimilarityContext& ctx);
+
+  /// Builds kSlotted's representative vectors, once, after the last
+  /// RefreshAll: they are what that refresh would have built. Frees the
+  /// posting index first, since nothing scans it after this. A kMerge set
+  /// keeps its representatives current, so this does nothing for one.
+  /// Not counted in refresh_entries.
+  void BuildRepresentatives(const SimilarityContext& ctx);
 
   /// ψ entries every RefreshAll so far has summed into representatives:
   /// Σ over refreshes of Σ |ψ_d| over the assigned documents.
@@ -107,6 +125,14 @@ class ClusterSet {
   const FlatRepIndex& flat_index() const { return flat_index_; }
 
  private:
+  // The assignment map's entry for `id`, grown to reach it.
+  int& AssignmentOf(DocId id);
+  // Records that `id` left its cluster.
+  void Detached(DocId id);
+  // Records that `id` joins cluster `p`, minting the cluster an id if the
+  // arrival populates it (see Assign), and returns the cluster.
+  Cluster& Attaching(DocId id, int p);
+
   std::vector<Cluster> clusters_;
   std::vector<int> assignment_;  // DocId → cluster, kUnassigned gaps
   size_t total_assigned_ = 0;

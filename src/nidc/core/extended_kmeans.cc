@@ -98,6 +98,14 @@ struct ProvCapture {
   uint32_t iteration = 0;
 };
 
+// A run's event sink for its sweeps: each sweep stages its events in
+// `staged` and flushes them through one EmitBatch, which empties the
+// buffer but keeps its capacity for the next sweep.
+struct SweepEvents {
+  obs::EventLog* log;
+  std::vector<obs::Event> staged;
+};
+
 // Emits the lifecycle events of one settled per-document decision: the
 // move itself, the source cluster left empty (if any), and a reseeded
 // empty slot (if the reseed branch fired). Cluster ids are read *after*
@@ -112,7 +120,9 @@ void EmitSweepEvents(std::vector<obs::Event>* buffer,
                      const ClusterSet& clusters, DocId id, int previous,
                      int best, bool reseeded) {
   if (best == previous) return;
-  obs::Event moved;
+  // Each event is built in place: the buffer keeps its capacity across
+  // sweeps, so this is the only write of its bytes before EmitBatch.
+  obs::Event& moved = buffer->emplace_back();
   moved.type = obs::EventType::kDocMoved;
   moved.doc = id;
   if (previous != kUnassigned) {
@@ -121,19 +131,16 @@ void EmitSweepEvents(std::vector<obs::Event>* buffer,
   if (best != kUnassigned) {
     moved.cluster_id = clusters.cluster_id(static_cast<size_t>(best));
   }
-  buffer->push_back(std::move(moved));
   if (previous != kUnassigned &&
       clusters.cluster(static_cast<size_t>(previous)).empty()) {
-    obs::Event emptied;
+    obs::Event& emptied = buffer->emplace_back();
     emptied.type = obs::EventType::kClusterEmptied;
     emptied.cluster_id = clusters.cluster_id(static_cast<size_t>(previous));
-    buffer->push_back(std::move(emptied));
   }
   if (reseeded && best != kUnassigned) {
-    obs::Event reseed;
+    obs::Event& reseed = buffer->emplace_back();
     reseed.type = obs::EventType::kClusterReseeded;
     reseed.cluster_id = clusters.cluster_id(static_cast<size_t>(best));
-    buffer->push_back(std::move(reseed));
   }
 }
 
@@ -148,12 +155,11 @@ std::vector<DocId> SweepAssignMerge(const std::vector<DocId>& order,
                                     AssignmentCriterion criterion,
                                     ClusterSet* clusters,
                                     SweepCounters* counters,
-                                    obs::EventLog* events,
+                                    SweepEvents* events,
                                     double* maintenance_seconds,
                                     std::vector<ProvCapture>* capture,
                                     uint32_t iteration) {
   std::vector<DocId> outliers;
-  std::vector<obs::Event> staged_events;
   SampledSeconds maint_sampler(maintenance_seconds);
   for (DocId id : order) {
     const int previous = clusters->ClusterOf(id);
@@ -223,11 +229,11 @@ std::vector<DocId> SweepAssignMerge(const std::vector<DocId>& order,
       pc.iteration = iteration;
     }
     if (events != nullptr) {
-      EmitSweepEvents(&staged_events, *clusters, id, previous, best,
+      EmitSweepEvents(&events->staged, *clusters, id, previous, best,
                       reseeded);
     }
   }
-  if (events != nullptr) events->EmitBatch(&staged_events);
+  if (events != nullptr) events->log->EmitBatch(&events->staged);
   return outliers;
 }
 
@@ -242,19 +248,20 @@ std::vector<DocId> SweepAssignMerge(const std::vector<DocId>& order,
 // apply. Decisions are therefore bit-identical to the merge sweep's
 // detach/score/re-attach loop, but clusters and postings are only mutated
 // when a document actually moves; a document that stays put costs one
-// scalar-cache replay (ReplayStay) and zero index work.
+// scalar-cache replay (ReplayStay) and zero index work. A move takes its
+// cross terms from the same scan (ClusterSet::Move), so no representative
+// vector exists until the run ends.
 std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
                                        const SimilarityContext& ctx,
                                        AssignmentCriterion criterion,
                                        ClusterSet* clusters,
                                        SweepCounters* counters,
-                                       obs::EventLog* events,
+                                       SweepEvents* events,
                                        double* maintenance_seconds,
                                        std::vector<ProvCapture>* capture,
                                        uint32_t iteration) {
   std::vector<DocId> outliers;
   std::vector<double> t_scores;
-  std::vector<obs::Event> staged_events;
   SampledSeconds maint_sampler(maintenance_seconds);
   const FlatRepIndex& index = clusters->flat_index();
   const size_t k = clusters->num_clusters();
@@ -347,7 +354,7 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
     if (best == kUnassigned) {
       if (previous != kUnassigned) {
         ScopedSeconds maint(maint_sampler.Next());
-        clusters->Assign(id, kUnassigned, ctx);
+        clusters->Move(id, kUnassigned, t_attached, 0.0, ctx);
       }
       outliers.push_back(id);
     } else if (best == previous) {
@@ -355,18 +362,21 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
       if (n_detached == 0.0) {
         // Re-seeding its own emptied cluster: replay the physical
         // round-trip so Clear() purges accumulated drift exactly as the
-        // merge sweep does.
-        clusters->Assign(id, kUnassigned, ctx);
-        clusters->Assign(id, best, ctx);
+        // merge sweep does. The emptied cluster's representative is empty,
+        // so the re-attach's cross term is 0.
+        clusters->Move(id, kUnassigned, t_attached, 0.0, ctx);
+        clusters->Move(id, best, 0.0, 0.0, ctx);
       } else {
         clusters->ReplayStay(id, static_cast<size_t>(best), t_attached,
                              t_scores[static_cast<size_t>(best)], ctx);
       }
     } else {
-      // An actual move: the physical Assign (its internal dot products
-      // equal the scanned cross terms bit-for-bit).
+      // An actual move, with the scanned cross terms: the dot products
+      // Cluster::Remove/Add would compute, bit for bit but for a weight
+      // the index snapped to 0 when its last contributor left.
       ScopedSeconds maint(maint_sampler.Next());
-      clusters->Assign(id, best, ctx);
+      clusters->Move(id, best, t_attached,
+                     t_scores[static_cast<size_t>(best)], ctx);
     }
     if (best != previous) {
       ++counters->moves;
@@ -382,11 +392,11 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
       pc.iteration = iteration;
     }
     if (events != nullptr) {
-      EmitSweepEvents(&staged_events, *clusters, id, previous, best,
+      EmitSweepEvents(&events->staged, *clusters, id, previous, best,
                       reseeded);
     }
   }
-  if (events != nullptr) events->EmitBatch(&staged_events);
+  if (events != nullptr) events->log->EmitBatch(&events->staged);
   return outliers;
 }
 
@@ -394,7 +404,7 @@ std::vector<DocId> SweepAssign(const std::vector<DocId>& order,
                                const SimilarityContext& ctx,
                                AssignmentCriterion criterion,
                                ClusterSet* clusters, SweepCounters* counters,
-                               obs::EventLog* events,
+                               SweepEvents* events,
                                double* maintenance_seconds,
                                std::vector<ProvCapture>* capture,
                                uint32_t iteration) {
@@ -508,7 +518,7 @@ Result<ClusteringResult> RunExtendedKMeans(
   // Install stable cluster ids: seeded clusters inherit the previous run's
   // ids (the drift telemetry matches on them); random seeds — and seeded
   // runs that fell back to the random restart — mint fresh ones. From here
-  // on, ClusterSet::Assign mints a fresh id whenever a sweep hands an
+  // on, ClusterSet::Assign (Move) mints a fresh id whenever a sweep hands an
   // emptied slot to a new topic.
   static const std::vector<uint64_t> kNoSeedIds;
   const std::vector<uint64_t>& seed_ids =
@@ -561,6 +571,9 @@ Result<ClusteringResult> RunExtendedKMeans(
     prov_capture.resize(ctx.size());
     capture = &prov_capture;
   }
+  SweepEvents sweep_events{options.events, {}};
+  SweepEvents* events =
+      options.events != nullptr ? &sweep_events : nullptr;
   Stopwatch phase_timer;
   while (iterations < options.max_iterations) {
     if (options.shuffle_each_iteration) rng.Shuffle(&order);
@@ -569,7 +582,7 @@ Result<ClusteringResult> RunExtendedKMeans(
       NIDC_SPAN("kmeans.sweep");
       if (time_phases) phase_timer.Restart();
       outliers = SweepAssign(order, ctx, options.criterion, &clusters,
-                             &counters, options.events, maintenance_seconds,
+                             &counters, events, maintenance_seconds,
                              capture, static_cast<uint32_t>(iterations + 1));
       if (time_phases) {
         const double seconds = phase_timer.ElapsedSeconds();
@@ -644,6 +657,9 @@ Result<ClusteringResult> RunExtendedKMeans(
           ->Increment(fis.tombstones_revived);
       metrics->GetCounter("rep_index.delta_entries")
           ->Increment(fis.pairs_appended);
+      metrics->GetCounter("rep_index.compactions")->Increment(fis.compactions);
+      metrics->GetCounter("rep_index.arena_peak_entries")
+          ->Increment(fis.arena_peak_entries);
       metrics->GetGauge("rep_index.live_entries")
           ->Set(static_cast<double>(fis.live_entries));
       metrics->GetGauge("rep_index.dead_entries")
@@ -663,6 +679,9 @@ Result<ClusteringResult> RunExtendedKMeans(
     profile->score_bytes = ss.bytes_scanned;
     profile->entries_scanned = ss.entries_scanned;
     profile->docs_scored = ss.docs_scored;
+    const FlatRepIndex::Stats& fis = clusters.flat_index().stats();
+    profile->arena_peak_entries = fis.arena_peak_entries;
+    profile->arena_peak_growth = fis.arena_peak_growth;
     if (metrics != nullptr) {
       metrics
           ->GetGauge(std::string("kernel.dispatch.") + profile->kernel)
@@ -713,6 +732,7 @@ Result<ClusteringResult> RunExtendedKMeans(
     options.provenance->RecordBatch(records);
   }
 
+  clusters.BuildRepresentatives(ctx);
   return ClusteringResult::FromClusterSet(std::move(clusters),
                                           std::move(outliers),
                                           std::move(g_history), iterations,

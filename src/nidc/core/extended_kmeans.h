@@ -137,6 +137,12 @@ struct KMeansProfile {
   uint64_t entries_scanned = 0;     // posting entries touched
   uint64_t docs_scored = 0;         // ScoreAll* calls
 
+  /// Posting-arena telemetry (slotted sweeps only; see FlatRepIndex::Stats):
+  /// the most entries the arena held, stale runs included, and the largest
+  /// factor by which it outgrew the entries a build laid out.
+  uint64_t arena_peak_entries = 0;
+  double arena_peak_growth = 0.0;
+
   /// Effective scoring bandwidth in GB/s (0 when nothing was timed).
   double score_gbps() const {
     const double s = score_seconds();

@@ -1,5 +1,7 @@
 #include "nidc/core/rep_index.h"
 
+#include <algorithm>
+
 #include "nidc/core/kernels/kernels.h"
 #include "nidc/util/logging.h"
 
@@ -26,7 +28,7 @@ void CountScan(FlatRepIndex::ScanStats* stats, uint64_t entries,
 void FlatRepIndex::PrepareBuild(const SimilarityContext& ctx) {
   const size_t terms = ctx.num_local_terms();
   ends_.assign(terms, 0);
-  mark_.assign(terms, 0);
+  scratch_.assign(terms, 0);
   stats_.dead_entries = 0;
   ++stats_.builds;
   built_ = true;
@@ -48,6 +50,77 @@ void FlatRepIndex::LayOutRuns() {
   refs_.assign(n, 0);
   weights_.assign(n + kernels::kPostingPadding, 0.0);
   stats_.live_entries = n;
+  stale_entries_ = 0;
+  built_entries_ = n;
+  NotePeak();
+}
+
+void FlatRepIndex::Reserve(size_t more) {
+  const size_t size = refs_.size();
+  const bool full = size + more > refs_.capacity();
+  if (stale_entries_ > 0 &&
+      (stale_entries_ > size / 2 || (full && stale_entries_ >= size / 4))) {
+    Compact();
+  }
+  const size_t need = refs_.size() + more;
+  if (need > refs_.capacity()) {
+    const size_t capacity = need + need / 2;
+    clusters_.reserve(capacity + kernels::kPostingPadding);
+    refs_.reserve(capacity);
+    weights_.reserve(capacity + kernels::kPostingPadding);
+  }
+}
+
+void FlatRepIndex::Compact() {
+  std::vector<uint32_t>& order = scratch_;
+  order.clear();
+  for (size_t t = 0; t < begins_.size(); ++t) {
+    if (ends_[t] > begins_[t]) {
+      order.push_back(static_cast<uint32_t>(t));
+    } else {
+      begins_[t] = ends_[t] = 0;  // an empty run must not point past the end
+    }
+  }
+  std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
+    return begins_[a] < begins_[b];
+  });
+  // In arena order each run lands at or before where it was, over entries
+  // already moved.
+  size_t out = 0;
+  for (uint32_t t : order) {
+    const size_t begin = begins_[t];
+    const size_t end = ends_[t];
+    if (begin != out) {
+      std::copy(clusters_.begin() + begin, clusters_.begin() + end,
+                clusters_.begin() + out);
+      std::copy(refs_.begin() + begin, refs_.begin() + end,
+                refs_.begin() + out);
+      std::copy(weights_.begin() + begin, weights_.begin() + end,
+                weights_.begin() + out);
+    }
+    begins_[t] = out;
+    out += end - begin;
+    ends_[t] = out;
+  }
+  // Truncate, then zero the padding again.
+  clusters_.resize(out);
+  clusters_.resize(out + kernels::kPostingPadding, 0);
+  refs_.resize(out);
+  weights_.resize(out);
+  weights_.resize(out + kernels::kPostingPadding, 0.0);
+  stale_entries_ = 0;
+  ++stats_.compactions;
+}
+
+void FlatRepIndex::NotePeak() {
+  const size_t size = refs_.size();
+  stats_.arena_peak_entries = std::max(stats_.arena_peak_entries, size);
+  if (built_entries_ > 0) {
+    stats_.arena_peak_growth =
+        std::max(stats_.arena_peak_growth,
+                 static_cast<double>(size) /
+                     static_cast<double>(built_entries_));
+  }
 }
 
 void FlatRepIndex::PushEntry(uint32_t cluster, uint32_t refs, double weight) {
@@ -75,8 +148,8 @@ void FlatRepIndex::BuildFromClusters(const SimilarityContext& ctx,
       const SimilarityContext::Row row = ctx.Psi(id);
       for (size_t i = 0; i < row.size; ++i) {
         const uint32_t t = row.terms[i];
-        if (mark_[t] != tag) {
-          mark_[t] = tag;
+        if (scratch_[t] != tag) {
+          scratch_[t] = tag;
           ++ends_[t];
         }
       }
@@ -191,7 +264,8 @@ void FlatRepIndex::ApplyAdd(const SimilarityContext& ctx,
     }
     // First (term, cluster) pairing since the last rebuild. Only a run
     // that ends the arena can grow in place, so any other run (at most K
-    // entries) first moves to the tail; RefreshAll compacts again.
+    // entries) first moves to the tail, leaving a stale copy behind.
+    Reserve(ends_[t] - begins_[t] + 1);  // may compact, moving the run
     if (ends_[t] != refs_.size()) {
       const size_t begin = begins_[t];
       const size_t end = ends_[t];
@@ -199,12 +273,14 @@ void FlatRepIndex::ApplyAdd(const SimilarityContext& ctx,
       for (size_t s = begin; s < end; ++s) {
         PushEntry(clusters_[s], refs_[s], weights_[s]);
       }
+      stale_entries_ += end - begin;
     }
     PushEntry(static_cast<uint32_t>(p), 1, row.values[i]);
     ends_[t] = refs_.size();
     ++stats_.pairs_appended;
     ++stats_.live_entries;
   }
+  NotePeak();
 }
 
 std::vector<std::pair<size_t, double>> FlatRepIndex::PostingsOf(

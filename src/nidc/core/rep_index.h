@@ -14,10 +14,12 @@
 // snaps to exact 0.0 (clearing float drift, like Cluster::Clear does for an
 // emptied cluster) and the entry is tombstoned; the next rebuild drops it.
 //
-// Weight updates replay the same per-term additions, in the same order, as
-// Cluster::Refresh/Add/Remove apply to the representative —
-// so the indexed scores match the merge-path `representative_.Dot(ψ)` not
-// just within float tolerance but (except for tombstone-cleared residuals)
+// In a kSlotted run the index is the only holder of these weights: no
+// representative vector exists until the run ends. Its weights take the
+// same per-term additions, in the same order, as the kMerge reference's
+// Cluster::Refresh/Add/Remove apply to the representative, so the indexed
+// scores match the merge path's `representative_.Dot(ψ)` not just within
+// float tolerance but (except for tombstone-cleared residuals)
 // bit-for-bit.
 
 #ifndef NIDC_CORE_REP_INDEX_H_
@@ -45,7 +47,9 @@ namespace nidc {
 /// refs/zero-snap tombstones described above); a (term, cluster) pair first
 /// seen mid-sweep is appended to its term's run. A run that does not end
 /// the arena is first copied to the arena tail, leaving a stale copy that
-/// nothing references until the next rebuild drops it.
+/// nothing references. The stale copies are dropped by the next rebuild,
+/// or sooner, in place, once they pass half the arena (or a quarter of a
+/// full one); a full arena grows by half, not by doubling.
 ///
 /// The postings live in padded SoA arrays (clusters / refs / weights) and
 /// every scan goes through the runtime-dispatched kernels of core/kernels,
@@ -63,6 +67,11 @@ class FlatRepIndex {
     uint64_t tombstones_revived = 0;  // tombstones re-added before a rebuild
     uint64_t pairs_appended = 0;      // (term, cluster) pairs first seen
                                       // mid-sweep, appended to the CSR
+    uint64_t compactions = 0;         // mid-sweep drops of stale runs
+    size_t arena_peak_entries = 0;    // largest arena_size() reached
+    // Largest arena_size() reached between two builds, over the entries
+    // the first of them laid out.
+    double arena_peak_growth = 0.0;
     size_t live_entries = 0;  // entries with refs > 0
     size_t dead_entries = 0;  // tombstones (cleared by the next rebuild)
   };
@@ -79,7 +88,7 @@ class FlatRepIndex {
   size_t num_clusters() const { return k_; }
   bool built() const { return built_; }
   /// Arena slots in use: live and tombstoned entries plus the stale runs
-  /// that relocations leave behind until the next rebuild.
+  /// that relocations leave behind until a rebuild or compaction.
   size_t arena_size() const { return refs_.size(); }
 
   /// Rebuilds the CSR postings from the cluster memberships, accumulating
@@ -135,8 +144,17 @@ class FlatRepIndex {
   // the fill cursor.
   void LayOutRuns();
   // Appends one entry to the arena, keeping kPostingPadding zeroed slots
-  // after it.
+  // after it. Reserve must have made room for it.
   void PushEntry(uint32_t cluster, uint32_t refs, double weight);
+  // Makes room for `more` entries at the arena tail: compacts when the
+  // stale runs pass half the arena, or a quarter of a full one, and grows
+  // a full arena to half again what it must hold.
+  void Reserve(size_t more);
+  // Moves every run, in arena order, to the front: drops the stale copies
+  // and keeps each entry's bits.
+  void Compact();
+  // Records the arena's size in the peak statistics.
+  void NotePeak();
   // Runs the active kernel over one document row.
   void Scan(const SimilarityContext::Row& row, uint32_t home,
             std::vector<double>* scores, double* home_attached) const;
@@ -155,9 +173,12 @@ class FlatRepIndex {
   std::vector<uint32_t> clusters_;
   std::vector<uint32_t> refs_;
   std::vector<double> weights_;
-  // Build scratch, reused across rebuilds: a last-cluster marker per term
-  // for distinct-pair counting.
-  std::vector<uint32_t> mark_;
+  // Scratch, reused: a build's last-cluster marker per term for
+  // distinct-pair counting, and a compaction's terms in arena order.
+  std::vector<uint32_t> scratch_;
+  // Entries in stale runs, and the entries the last build laid out.
+  size_t stale_entries_ = 0;
+  size_t built_entries_ = 0;
   size_t k_ = 0;
   bool built_ = false;
   Stats stats_;

@@ -79,7 +79,7 @@ EventLog::EventLog(size_t capacity, MetricsRegistry* metrics)
   }
 }
 
-bool EventLog::PushLocked(Event event, double seconds) {
+bool EventLog::PushLocked(Event&& event, double seconds) {
   event.sequence = ring_.pushed();
   event.step = current_step_;
   event.seconds = seconds;

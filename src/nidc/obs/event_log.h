@@ -139,7 +139,7 @@ class EventLog {
  private:
   // Stamps `event` with the next sequence, the current step and
   // `seconds`, and pushes it; returns true when it overwrote the oldest.
-  bool PushLocked(Event event, double seconds);
+  bool PushLocked(Event&& event, double seconds);
 
   Counter* emitted_counter_ = nullptr;
   Counter* dropped_counter_ = nullptr;

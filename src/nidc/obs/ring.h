@@ -33,7 +33,7 @@ class BoundedRing {
 
   /// Appends `value` with sequence pushed(); returns true when it
   /// overwrote (dropped) the oldest retained element.
-  bool Push(T value) {
+  bool Push(T&& value) {
     const uint64_t seq = pushed_++;
     if (slots_.size() < capacity_) {
       slots_.push_back(std::move(value));

@@ -8,8 +8,8 @@ Analyzer::Analyzer(Vocabulary* vocabulary, AnalyzerOptions options)
     : vocabulary_(vocabulary),
       options_(options),
       tokenizer_(options.tokenizer),
-      stopwords_(options.use_stopwords ? StopwordSet::Default()
-                                       : StopwordSet::Empty()) {}
+      stopwords_(options.use_stopwords ? &StopwordSet::Default()
+                                       : nullptr) {}
 
 TermCounts Analyzer::Analyze(std::string_view text) {
   return AnalyzeImpl(text, /*allow_grow=*/true);
@@ -25,7 +25,7 @@ TermId Analyzer::TermOf(std::string_view token, bool allow_grow) {
     ++stats_.fast_path_tokens;
     return id;
   }
-  if (options_.use_stopwords && stopwords_.Contains(token)) {
+  if (stopwords_ != nullptr && stopwords_->Contains(token)) {
     return kInvalidTermId;
   }
   std::string_view term = token;

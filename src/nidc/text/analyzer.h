@@ -50,6 +50,9 @@ class Analyzer {
   TermCounts AnalyzeFrozen(std::string_view text);
 
   const Vocabulary& vocabulary() const { return *vocabulary_; }
+  /// The stopwords this analyzer drops: the process-wide
+  /// StopwordSet::Default(), or null when stopping is disabled.
+  const StopwordSet* stopwords() const { return stopwords_; }
   const AnalyzerStats& stats() const { return stats_; }
 
  private:
@@ -61,7 +64,7 @@ class Analyzer {
   Vocabulary* vocabulary_;
   AnalyzerOptions options_;
   Tokenizer tokenizer_;
-  StopwordSet stopwords_;
+  const StopwordSet* stopwords_;
   PorterStemmer stemmer_;
   // fixed_[id] != 0 once term `id` has been seen as a token that analyzed
   // to itself: not a stopword and its own stem. A token equal to such a

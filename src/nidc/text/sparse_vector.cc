@@ -160,12 +160,4 @@ void SparseVector::AddScaled(const SparseRowView& other, double factor) {
   entries_ = MergeScaled(entries_, other, factor);
 }
 
-void SparseVector::Prune(double epsilon) {
-  entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                [epsilon](const Entry& e) {
-                                  return std::abs(e.value) <= epsilon;
-                                }),
-                 entries_.end());
-}
-
 }  // namespace nidc

@@ -40,8 +40,7 @@ struct SparseRowView {
 /// Immutable-ish sorted sparse vector over TermId with double values.
 ///
 /// Constructed from an unsorted (id, value) list, sorted and coalesced
-/// once. Zero entries are dropped on normalization points but tolerated in
-/// between.
+/// once. Entries whose value cancels to zero are kept.
 class SparseVector {
  public:
   struct Entry {
@@ -81,9 +80,6 @@ class SparseVector {
 
   /// Multiplies every value by `factor` in place.
   void ScaleInPlace(double factor);
-
-  /// Removes entries with |value| <= epsilon.
-  void Prune(double epsilon = 0.0);
 
   bool operator==(const SparseVector& other) const = default;
 

@@ -52,10 +52,13 @@ constexpr const char* kDefaultStopwords[] = {
 
 }  // namespace
 
-StopwordSet StopwordSet::Default() {
-  StopwordSet set;
-  for (const char* word : kDefaultStopwords) set.words_.insert(word);
-  return set;
+const StopwordSet& StopwordSet::Default() {
+  static const StopwordSet* const kDefault = [] {
+    auto* set = new StopwordSet();
+    for (const char* word : kDefaultStopwords) set->words_.insert(word);
+    return set;
+  }();
+  return *kDefault;
 }
 
 StopwordSet StopwordSet::Empty() { return StopwordSet(); }

@@ -18,8 +18,9 @@ namespace nidc {
 /// Immutable set of stopwords with O(1) membership tests.
 class StopwordSet {
  public:
-  /// Builds the default English list (~320 words).
-  static StopwordSet Default();
+  /// The default English list (~320 words): one immutable instance per
+  /// process, built on first use, which every analyzer shares.
+  static const StopwordSet& Default();
 
   /// Builds an empty set (stopping disabled).
   static StopwordSet Empty();

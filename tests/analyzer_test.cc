@@ -63,6 +63,29 @@ TEST(AnalyzerTest, StopwordsCanBeDisabled) {
   EXPECT_NE(vocab.Lookup("the"), kInvalidTermId);
 }
 
+TEST(AnalyzerTest, DefaultOptionsShareOneStopwordSet) {
+  // Every analyzer with stopping on reads the one process-wide default set
+  // instead of a copy of its own, and drops the same words through it.
+  Vocabulary vocab_a;
+  Vocabulary vocab_b;
+  Analyzer a(&vocab_a);
+  Analyzer b(&vocab_b);
+  ASSERT_NE(a.stopwords(), nullptr);
+  EXPECT_EQ(a.stopwords(), b.stopwords());
+  EXPECT_EQ(a.stopwords(), &StopwordSet::Default());
+  const TermCounts va = a.Analyze("the president and the senate of it");
+  const TermCounts vb = b.Analyze("the president and the senate of it");
+  EXPECT_EQ(va.Sum(), 2.0);
+  EXPECT_EQ(vb.Sum(), 2.0);
+  for (const char* word : {"the", "and", "of", "it"}) {
+    EXPECT_EQ(vocab_a.Lookup(word), kInvalidTermId) << word;
+    EXPECT_EQ(vocab_b.Lookup(word), kInvalidTermId) << word;
+  }
+  AnalyzerOptions no_stop;
+  no_stop.use_stopwords = false;
+  EXPECT_EQ(Analyzer(&vocab_a, no_stop).stopwords(), nullptr);
+}
+
 TEST(AnalyzerTest, SharedVocabularyAcrossDocuments) {
   Vocabulary vocab;
   Analyzer analyzer(&vocab);

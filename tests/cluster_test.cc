@@ -175,52 +175,13 @@ TEST(ClusterTest, Eq25UnionIdentity) {
   const double np = 8.0;
   const double nq = 6.0;
   const double eq25 =
-      (p.cr_self() + 2.0 * p.CrSimWith(q) + q.cr_self() - p.ss() - q.ss()) /
+      (p.cr_self() + 2.0 * p.representative().Dot(q.representative()) +
+       q.cr_self() - p.ss() - q.ss()) /
       ((np + nq) * (np + nq - 1.0));
   Cluster merged;
   for (DocId d = 0; d < 14; ++d) merged.Add(d, f.ctx());
   EXPECT_NEAR(eq25, merged.AvgSimNaive(f.ctx()), 1e-9);
   EXPECT_NEAR(eq25, merged.AvgSim(), 1e-9);
-}
-
-TEST(ClusterTest, AvgSimIfMergedMatchesEq25AndMerge) {
-  ClusterFixture f(14);
-  Cluster p;
-  Cluster q;
-  for (DocId d = 0; d < 8; ++d) p.Add(d, f.ctx());
-  for (DocId d = 8; d < 14; ++d) q.Add(d, f.ctx());
-  const double predicted = p.AvgSimIfMerged(q);
-  Cluster merged = p;
-  Cluster q_copy = q;
-  merged.MergeFrom(&q_copy);
-  EXPECT_NEAR(predicted, merged.AvgSim(), 1e-10);
-  EXPECT_NEAR(predicted, merged.AvgSimNaive(f.ctx()), 1e-9);
-  EXPECT_TRUE(q_copy.empty());
-  EXPECT_EQ(merged.size(), 14u);
-}
-
-TEST(ClusterTest, MergeFromEmptyIsNoop) {
-  ClusterFixture f(4);
-  Cluster p;
-  p.Add(0, f.ctx());
-  p.Add(1, f.ctx());
-  const double before = p.AvgSim();
-  Cluster empty;
-  p.MergeFrom(&empty);
-  EXPECT_EQ(p.size(), 2u);
-  EXPECT_NEAR(p.AvgSim(), before, 1e-15);
-}
-
-TEST(ClusterTest, MergeIntoEmptyAdopts) {
-  ClusterFixture f(4);
-  Cluster p;
-  Cluster q;
-  q.Add(0, f.ctx());
-  q.Add(1, f.ctx());
-  const double avg = q.AvgSim();
-  p.MergeFrom(&q);
-  EXPECT_EQ(p.size(), 2u);
-  EXPECT_NEAR(p.AvgSim(), avg, 1e-15);
 }
 
 TEST(ClusterTest, RefreshClearsDrift) {

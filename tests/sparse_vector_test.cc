@@ -106,17 +106,9 @@ TEST(SparseVectorTest, AddThenSubtractCancels) {
   SparseVector original = a;
   a.AddScaled(b, 1.0);
   a.AddScaled(b, -1.0);
-  a.Prune(1e-12);
   EXPECT_DOUBLE_EQ(ValueAt(a, 1), ValueAt(original, 1));
   EXPECT_DOUBLE_EQ(ValueAt(a, 5), ValueAt(original, 5));
   EXPECT_DOUBLE_EQ(ValueAt(a, 9), 0.0);
-}
-
-TEST(SparseVectorTest, PruneDropsSmallEntries) {
-  SparseVector a = Make({{1, 1e-15}, {2, 1.0}, {3, -1e-15}});
-  a.Prune(1e-12);
-  EXPECT_EQ(a.size(), 1u);
-  EXPECT_DOUBLE_EQ(ValueAt(a, 2), 1.0);
 }
 
 // ---- Property tests over random vectors ----

@@ -233,11 +233,13 @@ TEST(SweepEquivalenceTest, KernelsStayIdenticalAcrossKernels) {
   ASSERT_GT(base_profile.entries_scanned, 0u);
   ASSERT_GT(base_profile.refresh_entries, 0u);
   const char* const maintenance[] = {
-      "rep_index.moves_applied", "rep_index.delta_entries",
-      "rep_index.tombstones", "rep_index.tombstones_revived"};
+      "rep_index.moves_applied",      "rep_index.delta_entries",
+      "rep_index.tombstones",         "rep_index.tombstones_revived",
+      "rep_index.arena_peak_entries", "rep_index.compactions"};
   // The run moves documents and appends first-seen pairs mid-sweep.
   ASSERT_GT(base_metrics.GetCounter("rep_index.moves_applied")->Value(), 0u);
   ASSERT_GT(base_metrics.GetCounter("rep_index.delta_entries")->Value(), 0u);
+  ASSERT_GT(base_profile.arena_peak_entries, 0u);
   for (kernels::Kind kind :
        {kernels::Kind::kScalar, kernels::Kind::kAvx512}) {
     if (!kernels::Available(kind)) continue;
@@ -256,6 +258,8 @@ TEST(SweepEquivalenceTest, KernelsStayIdenticalAcrossKernels) {
     EXPECT_EQ(base_profile.entries_scanned, profile.entries_scanned);
     EXPECT_EQ(base_profile.docs_scored, profile.docs_scored);
     EXPECT_EQ(base_profile.refresh_entries, profile.refresh_entries);
+    EXPECT_EQ(base_profile.arena_peak_entries, profile.arena_peak_entries);
+    EXPECT_EQ(base_profile.arena_peak_growth, profile.arena_peak_growth);
     for (const char* counter : maintenance) {
       EXPECT_EQ(base_metrics.GetCounter(counter)->Value(),
                 metrics.GetCounter(counter)->Value())
