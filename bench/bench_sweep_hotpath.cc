@@ -18,8 +18,8 @@
 //
 // It also measures the observability overhead: the same clustering run
 // with the full telemetry stack `nidc_cli stream` attaches
-// (MetricsRegistry, EventLog, PhaseProfiler, ProvenanceLog,
-// TimeSeriesStore, RequestTracer, SloEngine) vs the default null registry
+// (MetricsRegistry, EventLog, PhaseProfiler, TimeSeriesStore,
+// RequestTracer, SloEngine) vs the default null registry
 // (median of paired back-to-back repetitions).
 //
 // Env knobs:
@@ -49,7 +49,6 @@
 #include "nidc/obs/event_log.h"
 #include "nidc/obs/metrics.h"
 #include "nidc/obs/profiler.h"
-#include "nidc/obs/provenance.h"
 #include "nidc/obs/reqtrace.h"
 #include "nidc/obs/slo.h"
 #include "nidc/obs/timeseries.h"
@@ -96,7 +95,7 @@ void ApplyConfig(const Config& config, ExtendedKMeansOptions* kmeans) {
 
 // Instrumented-vs-null overhead of the *full* observability stack on the
 // slotted configuration: a registry, event log, phase profiler,
-// provenance log, time-series store, request tracer and SLO engine all
+// time-series store, request tracer and SLO engine all
 // attached (with a post-run ObserveStep and a per-step request trace +
 // SLO evaluation, as the stream driver issues), against everything null.
 // The telemetry objects are constructed once and live across all
@@ -127,7 +126,6 @@ double MeasureInstrumentationOverhead(const ForgettingModel& model,
   obs::PhaseProfiler::Options profiler_options;
   profiler_options.metrics = &registry;
   obs::PhaseProfiler profiler(profiler_options);
-  obs::ProvenanceLog provenance(4096, &registry);
   obs::TimeSeriesStore::Options ts_options;
   ts_options.metrics = &registry;
   ts_options.events = &events;
@@ -149,7 +147,6 @@ double MeasureInstrumentationOverhead(const ForgettingModel& model,
     ExtendedKMeansOptions options = kmeans;
     options.metrics = instrumented ? &registry : nullptr;
     options.events = instrumented ? &events : nullptr;
-    options.provenance = instrumented ? &provenance : nullptr;
     obs::ScopedProfilerInstall install_profiler(instrumented ? &profiler
                                                              : nullptr);
     if (instrumented) profiler.SetStep(step);

@@ -9,7 +9,6 @@
 #include "nidc/core/rep_index.h"
 #include "nidc/obs/event_log.h"
 #include "nidc/obs/metrics.h"
-#include "nidc/obs/provenance.h"
 #include "nidc/obs/trace.h"
 #include "nidc/util/stopwatch.h"
 
@@ -83,20 +82,31 @@ struct SweepCounters {
   size_t reseeds = 0;
 };
 
-// Per-slot provenance capture of a document's latest sweep decision,
-// indexed by ctx.SlotOf(id) and overwritten every sweep — so after the
-// loop the buffer holds exactly the run's settled decisions, flushed to
-// the ProvenanceLog in one batch (no extra scoring pass). Gains are
-// decision-bar relative: both floored at the sweeps' `> 0` outlier bar,
-// so margin = best - runner_up is >= 0 and path-independent.
-struct ProvCapture {
-  int best = kUnassigned;
-  int runner_up = kUnassigned;
-  double best_gain = 0.0;
-  double runner_up_gain = 0.0;
-  obs::ProvenanceVerdict verdict = obs::ProvenanceVerdict::kOutlier;
-  uint32_t iteration = 0;
-};
+// A run's decision capture: one DecisionRecord per slot, indexed by
+// ctx.SlotOf(id) and overwritten every sweep, so after the loop it holds
+// exactly the run's settled decisions (no extra scoring pass).
+using DecisionCapture = std::vector<DecisionRecord>;
+
+// Stores the top-2 gains a sweep found into `record` (null: no capture).
+void CaptureGains(DecisionRecord* record, int runner_up, double best_gain,
+                  double runner_up_gain) {
+  if (record == nullptr) return;
+  record->best_gain = best_gain;
+  record->runner_up = runner_up;
+  record->runner_up_gain = runner_up_gain;
+}
+
+// Stores where the sweep settled the document into `record` (null: no
+// capture).
+void CaptureVerdict(DecisionRecord* record, int best, bool reseeded,
+                    uint32_t iteration) {
+  if (record == nullptr) return;
+  record->cluster = best;
+  record->verdict = reseeded                ? DecisionVerdict::kReseeded
+                    : best == kUnassigned ? DecisionVerdict::kOutlier
+                                          : DecisionVerdict::kAssigned;
+  record->iteration = iteration;
+}
 
 // A run's event sink for its sweeps: each sweep stages its events in
 // `staged` and flushes them through one EmitBatch, which empties the
@@ -157,13 +167,15 @@ std::vector<DocId> SweepAssignMerge(const std::vector<DocId>& order,
                                     SweepCounters* counters,
                                     SweepEvents* events,
                                     double* maintenance_seconds,
-                                    std::vector<ProvCapture>* capture,
+                                    DecisionCapture* capture,
                                     uint32_t iteration) {
   std::vector<DocId> outliers;
   SampledSeconds maint_sampler(maintenance_seconds);
   for (DocId id : order) {
     const int previous = clusters->ClusterOf(id);
     bool reseeded = false;
+    DecisionRecord* decision =
+        capture == nullptr ? nullptr : &(*capture)[ctx.SlotOf(id)];
     {
       ScopedSeconds maint(maint_sampler.Next());
       clusters->Assign(id, kUnassigned, ctx);
@@ -187,12 +199,7 @@ std::vector<DocId> SweepAssignMerge(const std::vector<DocId>& order,
         runner_up = static_cast<int>(p);
       }
     }
-    if (capture != nullptr) {
-      ProvCapture& pc = (*capture)[ctx.SlotOf(id)];
-      pc.best_gain = best_gain;
-      pc.runner_up = runner_up;
-      pc.runner_up_gain = runner_up_gain;
-    }
+    CaptureGains(decision, runner_up, best_gain, runner_up_gain);
     if (best == kUnassigned) {
       // No assignment increases any cluster's quality. Before declaring the
       // document an outlier, let it (re)seed an empty cluster — otherwise a
@@ -219,15 +226,7 @@ std::vector<DocId> SweepAssignMerge(const std::vector<DocId>& order,
       // cluster's identity — only cross-cluster reseeds count.
       if (reseeded) ++counters->reseeds;
     }
-    if (capture != nullptr) {
-      ProvCapture& pc = (*capture)[ctx.SlotOf(id)];
-      pc.best = best;
-      pc.verdict = reseeded ? obs::ProvenanceVerdict::kReseeded
-                   : best == kUnassigned
-                       ? obs::ProvenanceVerdict::kOutlier
-                       : obs::ProvenanceVerdict::kAssigned;
-      pc.iteration = iteration;
-    }
+    CaptureVerdict(decision, best, reseeded, iteration);
     if (events != nullptr) {
       EmitSweepEvents(&events->staged, *clusters, id, previous, best,
                       reseeded);
@@ -258,7 +257,7 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
                                        SweepCounters* counters,
                                        SweepEvents* events,
                                        double* maintenance_seconds,
-                                       std::vector<ProvCapture>* capture,
+                                       DecisionCapture* capture,
                                        uint32_t iteration) {
   std::vector<DocId> outliers;
   std::vector<double> t_scores;
@@ -282,6 +281,8 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
     const int previous = clusters->ClusterOf(id);
     bool reseeded = false;
     const SimilarityContext::Slot slot = ctx.SlotOf(id);
+    DecisionRecord* decision =
+        capture == nullptr ? nullptr : &(*capture)[slot];
 
     // Score all clusters, deriving the home cluster's detached statistics
     // (the same expressions and rounding steps as Cluster::Remove) without
@@ -328,12 +329,7 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
         runner_up = static_cast<int>(p);
       }
     }
-    if (capture != nullptr) {
-      ProvCapture& pc = (*capture)[slot];
-      pc.best_gain = best_gain;
-      pc.runner_up = runner_up;
-      pc.runner_up_gain = runner_up_gain;
-    }
+    CaptureGains(decision, runner_up, best_gain, runner_up_gain);
 
     if (best == kUnassigned) {
       // Empty-cluster reseed, with "empty" evaluated as the merge sweep
@@ -382,15 +378,7 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
       ++counters->moves;
       if (reseeded) ++counters->reseeds;
     }
-    if (capture != nullptr) {
-      ProvCapture& pc = (*capture)[slot];
-      pc.best = best;
-      pc.verdict = reseeded ? obs::ProvenanceVerdict::kReseeded
-                   : best == kUnassigned
-                       ? obs::ProvenanceVerdict::kOutlier
-                       : obs::ProvenanceVerdict::kAssigned;
-      pc.iteration = iteration;
-    }
+    CaptureVerdict(decision, best, reseeded, iteration);
     if (events != nullptr) {
       EmitSweepEvents(&events->staged, *clusters, id, previous, best,
                       reseeded);
@@ -406,7 +394,7 @@ std::vector<DocId> SweepAssign(const std::vector<DocId>& order,
                                ClusterSet* clusters, SweepCounters* counters,
                                SweepEvents* events,
                                double* maintenance_seconds,
-                               std::vector<ProvCapture>* capture,
+                               DecisionCapture* capture,
                                uint32_t iteration) {
   if (clusters->scoring() == ClusterScoring::kSlotted) {
     return SweepAssignMoveOnly(order, ctx, criterion, clusters, counters,
@@ -563,13 +551,13 @@ Result<ClusteringResult> RunExtendedKMeans(
   bool converged = false;
   size_t total_moves = 0;
   size_t total_reseeds = 0;
-  // Slot-indexed provenance capture, overwritten every sweep; the final
-  // sweep's contents are the run's settled decisions (flushed below).
-  std::vector<ProvCapture> prov_capture;
-  std::vector<ProvCapture>* capture = nullptr;
-  if (options.provenance != nullptr) {
-    prov_capture.resize(ctx.size());
-    capture = &prov_capture;
+  // Slot-indexed decision capture, overwritten every sweep; the final
+  // sweep's contents are the run's settled decisions (copied out below).
+  DecisionCapture slot_decisions;
+  DecisionCapture* capture = nullptr;
+  if (options.decisions != nullptr) {
+    slot_decisions.resize(ctx.size());
+    capture = &slot_decisions;
   }
   SweepEvents sweep_events{options.events, {}};
   SweepEvents* events =
@@ -696,40 +684,20 @@ Result<ClusteringResult> RunExtendedKMeans(
     }
   }
 
-  // Flush the final sweep's per-slot captures as decision records, one
-  // batch under one log lock. Cluster indices resolve to the stable ids
-  // the slots carry *now* (end of run) — exactly the ids the result and
-  // the event log report.
-  if (options.provenance != nullptr) {
-    std::vector<obs::DecisionRecord> records;
-    records.reserve(docs.size());
+  // The final sweep's per-slot decisions, in document order.
+  if (options.decisions != nullptr) {
     const char* kernel =
         scoring == ClusterScoring::kSlotted ? kernels::Active().name : "";
-    const obs::ProvenancePath path = scoring == ClusterScoring::kSlotted
-                                         ? obs::ProvenancePath::kSlotted
-                                         : obs::ProvenancePath::kMerge;
+    options.decisions->clear();
+    options.decisions->reserve(docs.size());
     for (DocId id : docs) {
-      const ProvCapture& pc = prov_capture[ctx.SlotOf(id)];
-      obs::DecisionRecord record;
+      DecisionRecord& record =
+          options.decisions->emplace_back(slot_decisions[ctx.SlotOf(id)]);
       record.doc = id;
-      record.iteration = pc.iteration;
-      record.verdict = pc.verdict;
-      record.path = path;
+      record.path = scoring;
       record.kernel = kernel;
-      if (pc.best != kUnassigned) {
-        record.cluster_id =
-            clusters.cluster_id(static_cast<size_t>(pc.best));
-      }
-      if (pc.runner_up != kUnassigned) {
-        record.runner_up_id =
-            clusters.cluster_id(static_cast<size_t>(pc.runner_up));
-      }
-      record.best_gain = pc.best_gain;
-      record.runner_up_gain = pc.runner_up_gain;
-      record.margin = pc.best_gain - pc.runner_up_gain;
-      records.push_back(record);
+      record.margin = record.best_gain - record.runner_up_gain;
     }
-    options.provenance->RecordBatch(records);
   }
 
   clusters.BuildRepresentatives(ctx);

@@ -10,6 +10,7 @@
 #ifndef NIDC_CORE_EXTENDED_KMEANS_H_
 #define NIDC_CORE_EXTENDED_KMEANS_H_
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -21,7 +22,6 @@
 namespace nidc::obs {
 class EventLog;
 class MetricsRegistry;
-class ProvenanceLog;
 }  // namespace nidc::obs
 
 namespace nidc {
@@ -40,6 +40,39 @@ enum class AssignmentCriterion {
   /// exceeds half the current average; reproduces the cluster sizes and
   /// recalls the paper's evaluation reports. Default.
   kGIncrease,
+};
+
+/// What a run's final sweep decided for one document.
+enum class DecisionVerdict : uint8_t {
+  kAssigned,  ///< joined the cluster with the best positive gain
+  kOutlier,   ///< no cluster's gain cleared the > 0 bar
+  kReseeded,  ///< fell to the bar but re-populated an empty cluster
+};
+
+/// One document's settled decision in a run: the final sweep's top-2
+/// gains, the verdict, and the scoring path and kernel that computed them.
+/// Clusters are named by their position in the run's clustering, the index
+/// into ClusteringResult::clusters that snapshots and outcome logs persist.
+/// Gains are decision-bar relative: both are floored at the sweeps' `> 0`
+/// outlier bar, so `margin == best_gain - runner_up_gain` is always >= 0
+/// and bit-identical across the scoring paths and kernels.
+struct DecisionRecord {
+  DocId doc = 0;
+  /// K-means iteration (1-based) whose sweep settled the decision.
+  uint32_t iteration = 0;
+  DecisionVerdict verdict = DecisionVerdict::kOutlier;
+  ClusterScoring path = ClusterScoring::kMerge;
+  /// Active scoring-kernel name ("" on the merge path). Points at the
+  /// dispatch table's static strings.
+  const char* kernel = "";
+  /// Position of the winning cluster (kUnassigned for outliers).
+  int cluster = kUnassigned;
+  /// Position of the best rival the winner beat (kUnassigned when no
+  /// rival cleared the bar).
+  int runner_up = kUnassigned;
+  double best_gain = 0.0;
+  double runner_up_gain = 0.0;
+  double margin = 0.0;
 };
 
 /// Tuning knobs of the extended K-means.
@@ -104,12 +137,13 @@ struct ExtendedKMeansOptions {
   /// adds no work to the sweeps.
   obs::EventLog* events = nullptr;
 
-  /// Decision-provenance sink (see obs/provenance.h): the sweeps capture
-  /// each document's top-2 gains, margin and scoring path/kernel into a
-  /// per-slot buffer (a few scalar stores per decision), and the run
-  /// flushes one DecisionRecord per document — the *final* sweep's
-  /// decision — at the end. Null (the default) adds no work to the sweeps.
-  obs::ProvenanceLog* provenance = nullptr;
+  /// Decision capture, an out-parameter: when set, the run replaces its
+  /// contents with one DecisionRecord per document of `docs`, in that
+  /// order — the final sweep's decision. The sweeps write a few scalars
+  /// per document into a per-slot buffer; null (the default) adds no work
+  /// to them. Live steps leave it null: a step is explained by re-running
+  /// it from the store (ExplainStep, store/durable_clusterer.h).
+  std::vector<DecisionRecord>* decisions = nullptr;
 
   Status Validate() const;
 };

@@ -8,7 +8,6 @@
 #include "nidc/obs/cluster_health.h"
 #include "nidc/obs/event_log.h"
 #include "nidc/obs/metrics.h"
-#include "nidc/obs/provenance.h"
 #include "nidc/obs/trace.h"
 #include "nidc/util/stopwatch.h"
 
@@ -172,9 +171,6 @@ Result<StepResult> IncrementalClusterer::Step(
   NIDC_SPAN("clusterer.step");
   StepResult result;
   if (options_.events != nullptr) options_.events->SetStep(step_count_);
-  if (options_.provenance != nullptr) {
-    options_.provenance->SetStep(step_count_);
-  }
 
   // Phase 1: incremental statistics update (§5.1; §5.2 steps 1–2).
   Stopwatch stats_timer;
@@ -245,7 +241,6 @@ Result<ClusteringResult> IncrementalClusterer::RunKMeans(
   kmeans.seed = options_.kmeans.seed + step_count_;
   if (kmeans.metrics == nullptr) kmeans.metrics = options_.metrics;
   if (kmeans.events == nullptr) kmeans.events = options_.events;
-  if (kmeans.provenance == nullptr) kmeans.provenance = options_.provenance;
   if (last_result_) {
     // Surviving clusters keep their stable ids; the run mints fresh ones
     // from where the previous run stopped, so ids stay globally monotone.

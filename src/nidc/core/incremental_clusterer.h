@@ -74,13 +74,6 @@ struct IncrementalOptions {
   /// builds a StepObservation from every completed step and feeds it; null
   /// (the default) skips the observation build entirely.
   obs::ClusterHealthMonitor* health = nullptr;
-
-  /// Decision-provenance sink (see obs/provenance.h): stamped with the
-  /// step number and propagated to the K-means run unless
-  /// `kmeans.provenance` is set explicitly, so every record answers "why
-  /// did doc D land in cluster C at step S". Null (the default) records
-  /// nothing.
-  obs::ProvenanceLog* provenance = nullptr;
 };
 
 /// Stateful on-line clusterer (§5.2).
@@ -102,7 +95,7 @@ class IncrementalClusterer {
   /// otherwise K-means runs as usual. Only its memberships, outliers, G,
   /// sweep count and convergence flag are installed: the step has no
   /// representatives or cluster ids, emits no K-means events or
-  /// provenance, and feeds the health monitor nothing.
+  /// decisions, and feeds the health monitor nothing.
   Result<StepResult> Step(const std::vector<DocId>& new_docs, DayTime tau,
                           const ClusteringResult* logged = nullptr);
 

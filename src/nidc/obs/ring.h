@@ -1,6 +1,5 @@
 // BoundedRing: the one overwrite-oldest ring policy behind the obs logs
-// (EventLog, ProvenanceLog and the PhaseProfiler's Chrome-trace span
-// ring).
+// (EventLog and the PhaseProfiler's Chrome-trace span ring).
 //
 // The element pushed as the ring's seq-th (its lifetime sequence) lives
 // in slot `seq % capacity`. Pushes append until the ring is full, then

@@ -197,6 +197,23 @@ HttpResponse MethodNotAllowed() {
   return response;
 }
 
+int HttpStatusFor(const Status& status) {
+  switch (status.code()) {
+    case StatusCode::kOk:
+      return 200;
+    case StatusCode::kInvalidArgument:
+      return 400;
+    case StatusCode::kNotFound:
+      return 404;
+    case StatusCode::kAlreadyExists:
+      return 409;
+    case StatusCode::kOutOfRange:
+      return 429;
+    default:
+      return 503;  // FailedPrecondition / IOError / Internal
+  }
+}
+
 HttpServer::HttpServer(obs::MetricsRegistry* metrics)
     : HttpServer(HttpServerOptions{}, metrics) {}
 

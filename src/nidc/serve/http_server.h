@@ -89,6 +89,11 @@ HttpResponse JsonResponse(int status, std::string json);
 /// The 405 a handler answers to a method it does not serve.
 HttpResponse MethodNotAllowed();
 
+/// Maps a Status to the HTTP status a handler answers with
+/// (InvalidArgument → 400, NotFound → 404, AlreadyExists → 409,
+/// OutOfRange → 429, anything else failing → 503).
+int HttpStatusFor(const Status& status);
+
 /// Tuning knobs of the worker pool; the defaults match the introspection
 /// workload (a few concurrent scrapers plus operator curls).
 struct HttpServerOptions {

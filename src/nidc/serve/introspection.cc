@@ -38,6 +38,29 @@ std::string RenderDurabilityJson(const DurabilityStatus& durability) {
 
 }  // namespace
 
+std::string RenderDecisionJson(uint64_t step, const DecisionRecord& record) {
+  static constexpr const char* kVerdicts[] = {"assigned", "outlier",
+                                              "reseeded"};
+  obs::JsonObjectBuilder json;
+  json.Add("doc", static_cast<uint64_t>(record.doc))
+      .Add("step", step)
+      .Add("iteration", static_cast<uint64_t>(record.iteration))
+      .Add("verdict", kVerdicts[static_cast<size_t>(record.verdict)])
+      .Add("path",
+           record.path == ClusterScoring::kSlotted ? "slotted" : "merge");
+  if (record.kernel[0] != '\0') json.Add("kernel", record.kernel);
+  if (record.cluster != kUnassigned) {
+    json.Add("cluster", static_cast<uint64_t>(record.cluster));
+  }
+  if (record.runner_up != kUnassigned) {
+    json.Add("runner_up", static_cast<uint64_t>(record.runner_up));
+  }
+  json.Add("best_gain", record.best_gain)
+      .Add("runner_up_gain", record.runner_up_gain)
+      .Add("margin", record.margin);
+  return json.Render();
+}
+
 StatusBoard::StatusBoard() {
   start_seconds_ = NowSeconds();
   last_step_seconds_ = start_seconds_;
@@ -332,40 +355,57 @@ HttpResponse ServeProfile(const IntrospectionOptions& options,
                .Render());
 }
 
+// A numeric query parameter: nullopt when absent, InvalidArgument when
+// malformed.
+Result<std::optional<uint64_t>> IdParam(const HttpRequest& request,
+                                        std::string_view key) {
+  const std::optional<std::string> value = QueryParam(request.query, key);
+  if (!value.has_value()) return std::optional<uint64_t>();
+  const std::optional<uint64_t> id = ParseNumber<uint64_t>(*value);
+  if (!id.has_value()) {
+    return Status::InvalidArgument("malformed " + std::string(key) + " \"" +
+                                   *value + "\"");
+  }
+  return id;
+}
+
+HttpResponse ErrorJson(const Status& status) {
+  return JsonResponse(
+      HttpStatusFor(status),
+      obs::JsonObjectBuilder().Add("error", status.ToString()).Render());
+}
+
 HttpResponse ServeExplain(const IntrospectionOptions& options,
                           const HttpRequest& request) {
-  const obs::ProvenanceLog& provenance = *options.provenance;
-  if (const std::optional<std::string> doc_param =
-          QueryParam(request.query, "doc")) {
-    const std::optional<uint64_t> doc = ParseNumber<uint64_t>(*doc_param);
-    if (!doc.has_value()) {
-      return JsonResponse(
-          404,
-          obs::JsonObjectBuilder().Add("error", "malformed doc id").Render());
+  Result<std::optional<uint64_t>> step = IdParam(request, "step");
+  if (!step.ok()) return ErrorJson(step.status());
+  Result<std::optional<uint64_t>> doc = IdParam(request, "doc");
+  if (!doc.ok()) return ErrorJson(doc.status());
+  if (!step->has_value()) {
+    if (options.board == nullptr || !options.board->valid()) {
+      return ErrorJson(Status::NotFound("no step has run yet"));
     }
-    const std::optional<obs::DecisionRecord> record =
-        provenance.Lookup(*doc);
-    if (!record.has_value()) {
-      return JsonResponse(
-          404, obs::JsonObjectBuilder()
-                   .Add("error", "no retained decision for doc")
-                   .Add("doc", *doc)
-                   .Render());
-    }
-    return JsonResponse(200, obs::RenderDecisionJson(*record));
+    *step = options.board->last_step().step;
   }
-  const size_t max_records = options.max_provenance_records;
-  const size_t n = std::min(max_records, CountParam(request, max_records));
+  const Result<std::vector<DecisionRecord>> decisions =
+      options.explain(**step);
+  if (!decisions.ok()) return ErrorJson(decisions.status());
   std::vector<std::string> rendered;
-  for (const obs::DecisionRecord& record : provenance.Recent(n)) {
-    rendered.push_back(obs::RenderDecisionJson(record));
+  for (const DecisionRecord& record : *decisions) {
+    if (doc->has_value() && record.doc != **doc) continue;
+    rendered.push_back(RenderDecisionJson(**step, record));
+  }
+  if (doc->has_value()) {
+    if (rendered.empty()) {
+      return ErrorJson(Status::NotFound(
+          "doc " + std::to_string(**doc) + " was not clustered at step " +
+          std::to_string(**step)));
+    }
+    return JsonResponse(200, rendered.front());
   }
   obs::JsonObjectBuilder builder;
-  builder.Add("recorded", provenance.total_recorded());
-  builder.Add("dropped", provenance.dropped());
-  builder.Add("retained", static_cast<uint64_t>(provenance.size()));
-  builder.Add("capacity", static_cast<uint64_t>(provenance.capacity()));
-  builder.AddRaw("recent", obs::JsonArray(rendered));
+  builder.Add("step", **step);
+  builder.AddRaw("decisions", obs::JsonArray(rendered));
   return JsonResponse(200, builder.Render());
 }
 
@@ -417,7 +457,7 @@ constexpr ReadEndpoint kReadEndpoints[] = {
      [](const IntrospectionOptions& o) { return o.profiler != nullptr; },
      ServeProfile},
     {"/explainz",
-     [](const IntrospectionOptions& o) { return o.provenance != nullptr; },
+     [](const IntrospectionOptions& o) { return o.explain != nullptr; },
      ServeExplain},
     {"/tracez",
      [](const IntrospectionOptions& o) { return o.tracer != nullptr; },

@@ -21,9 +21,12 @@
 //                   `?format=json` (default) the phase table,
 //                   `?format=collapsed` flamegraph collapsed-stack text,
 //                   `?format=chrome` trace-event JSON;
-//   GET /explainz — decision provenance (obs/provenance.h): `?doc=ID`
-//                   answers why a document landed where it did; without
-//                   a doc the log summary plus the `?n=` newest records;
+//   GET /explainz — decision explanations: `?step=S` re-runs step S
+//                   from the store (ExplainStep, store/durable_clusterer.h)
+//                   and answers every document's decision, `&doc=D` just
+//                   D's; without a step, the board's last step. 400 for a
+//                   malformed step or doc, 404 for a step the store no
+//                   longer holds or a doc that step did not cluster;
 //   GET /tracez   — request traces (obs/reqtrace.h): `?trace=ID` one
 //                   trace's stage waterfall, `?tenant=T&n=K` recent
 //                   completed traces (K clamped to [1, 256]; 20 when
@@ -45,15 +48,17 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <string>
+#include <vector>
 
+#include "nidc/core/extended_kmeans.h"
 #include "nidc/obs/cluster_health.h"
 #include "nidc/obs/event_log.h"
 #include "nidc/obs/json_util.h"
 #include "nidc/obs/metrics.h"
 #include "nidc/obs/profiler.h"
-#include "nidc/obs/provenance.h"
 #include "nidc/obs/reqtrace.h"
 #include "nidc/obs/slo.h"
 #include "nidc/obs/timeseries.h"
@@ -155,8 +160,9 @@ struct IntrospectionOptions {
   const obs::TimeSeriesStore* timeseries = nullptr;
   /// /profilez source; null leaves the endpoint unregistered.
   const obs::PhaseProfiler* profiler = nullptr;
-  /// /explainz source; null leaves the endpoint unregistered.
-  const obs::ProvenanceLog* provenance = nullptr;
+  /// /explainz source: step S's decisions, re-run from the store; empty
+  /// leaves the endpoint unregistered.
+  std::function<Result<std::vector<DecisionRecord>>(uint64_t step)> explain;
   /// /tracez source; null leaves the endpoint unregistered. Also adds
   /// the aggregate stage waterfall to /statusz.
   const obs::RequestTracer* tracer = nullptr;
@@ -168,8 +174,6 @@ struct IntrospectionOptions {
   double stale_after_seconds = 600.0;
   /// Default (and maximum) event count served by /eventsz.
   size_t max_events = 256;
-  /// Default (and maximum) record count served by /explainz summaries.
-  size_t max_provenance_records = 64;
 };
 
 /// Registers every endpoint above on `server` (endpoints whose source
@@ -187,6 +191,11 @@ HttpResponse ServeReadEndpoint(const std::string& path,
 /// Adds the /healthz SLO detail fields: "slo_burning" and the
 /// "slo_burning_tenants" array.
 void AddSloBurning(obs::SloEngine& slo, obs::JsonObjectBuilder* builder);
+
+/// Renders one decision of step `step` as a JSON object, omitting the
+/// cluster positions that do not apply; /explainz and `nidc_cli stream
+/// --provenance-out` both write it.
+std::string RenderDecisionJson(uint64_t step, const DecisionRecord& record);
 
 /// Renders the /statusz payload (exposed for nidc_cli inspect tests).
 std::string RenderStatusJson(const IntrospectionOptions& options);

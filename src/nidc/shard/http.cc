@@ -13,6 +13,7 @@ namespace nidc::shard {
 
 namespace {
 
+using serve::HttpStatusFor;
 using serve::JsonResponse;
 using serve::MethodNotAllowed;
 using serve::QueryParam;
@@ -67,23 +68,6 @@ std::string TenantListJson(ShardService* service,
 }
 
 }  // namespace
-
-int HttpStatusFor(const Status& status) {
-  switch (status.code()) {
-    case StatusCode::kOk:
-      return 200;
-    case StatusCode::kInvalidArgument:
-      return 400;
-    case StatusCode::kNotFound:
-      return 404;
-    case StatusCode::kAlreadyExists:
-      return 409;
-    case StatusCode::kOutOfRange:
-      return 429;
-    default:
-      return 503;  // FailedPrecondition / IOError / Internal
-  }
-}
 
 void RegisterShardHandlers(serve::HttpServer* server, ShardService* service,
                            const TenantConfig& default_config,
@@ -232,12 +216,13 @@ void RegisterShardHandlers(serve::HttpServer* server, ShardService* service,
   });
 
   // The read endpoints render through serve/introspection. ?tenant=T
-  // reads that tenant's registry, status board, health monitor and event
-  // log; without a tenant, the service's registry (and the tenant list at
-  // /statusz). /tracez and /slosz always read the service-wide tracer and
-  // SLO engine, where ?tenant= selects a tenant's traces.
-  for (const std::string path :
-       {"/metrics", "/statusz", "/eventsz", "/tracez", "/slosz"}) {
+  // reads that tenant's registry, status board, health monitor, event
+  // log and store (/explainz); without a tenant, the service's registry
+  // (and the tenant list at /statusz). /tracez and /slosz always read the
+  // service-wide tracer and SLO engine, where ?tenant= selects a tenant's
+  // traces.
+  for (const std::string path : {"/metrics", "/statusz", "/eventsz",
+                                  "/explainz", "/tracez", "/slosz"}) {
     server->Handle(path, [service, tracer, slo,
                           path](const serve::HttpRequest& request) {
       if (request.method != "GET") return MethodNotAllowed();
@@ -257,6 +242,11 @@ void RegisterShardHandlers(serve::HttpServer* server, ShardService* service,
         sources.board = &entry->board();
         sources.health = &entry->health();
         sources.events = &entry->events();
+        // Re-runs on this HTTP worker, from the files alone: ingest never
+        // queues behind an explanation.
+        sources.explain = [entry](uint64_t step) {
+          return entry->Explain(step);
+        };
       } else if (path == "/statusz") {
         return JsonResponse(200, TenantListJson(service, tracer));
       } else {

@@ -27,6 +27,8 @@
 //   GET  /statusz?tenant=NAME    — the tenant's pipeline status JSON;
 //   GET  /eventsz?tenant=NAME    — the tenant's recent lifecycle events,
 //       `?n=` caps the count;
+//   GET  /explainz?tenant=NAME[&step=S][&doc=D] — step S's decisions
+//       (default: the tenant's last step), re-run from its store;
 //   GET  /tracez                 — request-trace introspection (when a
 //       tracer is wired): ?trace=ID one trace's stage waterfall,
 //       ?tenant=T&n=K a tenant's recent completed traces (K in [1, 256]),
@@ -61,10 +63,6 @@ void RegisterShardHandlers(serve::HttpServer* server, ShardService* service,
                            const TenantConfig& default_config,
                            obs::RequestTracer* tracer = nullptr,
                            obs::SloEngine* slo = nullptr);
-
-/// Maps a service Status to the HTTP status the handlers answer with
-/// (OutOfRange → 429, NotFound → 404, AlreadyExists → 409, ...).
-int HttpStatusFor(const Status& status);
 
 }  // namespace nidc::shard
 

@@ -29,6 +29,15 @@ Env* EnvOf(const TenantRuntime& runtime) {
   return runtime.env != nullptr ? runtime.env : Env::Default();
 }
 
+// The step options `config` fixes, without any sink: the live pipeline
+// adds its sinks, and an explanation's replay runs them bare.
+IncrementalOptions StepOptions(const TenantConfig& config) {
+  IncrementalOptions options;
+  options.kmeans.k = config.k;
+  options.kmeans.seed = config.seed;
+  return options;
+}
+
 }  // namespace
 
 Status TenantConfig::Validate() const {
@@ -165,9 +174,7 @@ Result<std::unique_ptr<Tenant>> Tenant::Open(const std::string& name,
 Status Tenant::Boot(bool fresh) {
   corpus_ = std::make_unique<Corpus>();
 
-  IncrementalOptions options;
-  options.kmeans.k = config_.k;
-  options.kmeans.seed = config_.seed;
+  IncrementalOptions options = StepOptions(config_);
   options.metrics = &metrics_;
   options.events = events_.get();
   options.health = health_.get();
@@ -461,6 +468,11 @@ Tenant::~Tenant() { Close(); }
 
 std::string Tenant::StateDigest() const {
   return SerializeState(CaptureState(durable_->clusterer()));
+}
+
+Result<std::vector<DecisionRecord>> Tenant::Explain(uint64_t step) const {
+  return ExplainStep(EnvOf(runtime_), dir_ + kStoreDir, /*corpus=*/nullptr,
+                     config_.params, StepOptions(config_), step);
 }
 
 void Tenant::PublishProgress() {

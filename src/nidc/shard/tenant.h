@@ -151,6 +151,11 @@ class Tenant {
   /// currency of the equivalence tests.
   std::string StateDigest() const;
 
+  /// Step `step`'s decisions, re-run from store/ into a scratch corpus
+  /// (ExplainStep). Safe from any thread: it reads the tenant's files and
+  /// its immutable config, never the live pipeline.
+  Result<std::vector<DecisionRecord>> Explain(uint64_t step) const;
+
   const std::string& name() const { return name_; }
   const TenantConfig& config() const { return config_; }
   // The four accessors below are safe from any thread: the owner

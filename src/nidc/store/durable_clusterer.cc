@@ -6,6 +6,7 @@
 
 #include "nidc/corpus/corpus_io.h"
 #include "nidc/obs/event_log.h"
+#include "nidc/obs/profiler.h"
 #include "nidc/util/crc32.h"
 #include "nidc/util/logging.h"
 #include "nidc/util/stopwatch.h"
@@ -50,8 +51,12 @@ std::optional<ClusteringResult> FindOutcome(
   return std::nullopt;
 }
 
-// Decodes one corpus record and installs it into `corpus`.
+// Decodes one corpus record and installs it into `corpus`; a null corpus
+// (a store read beside a corpus it does not log) refuses it.
 Status InstallCorpusRecord(Corpus* corpus, std::string_view payload) {
+  if (corpus == nullptr) {
+    return Status::FailedPrecondition("the store logs documents");
+  }
   Result<CorpusIndexRecord> record = DecodeCorpusIndexRecord(payload);
   if (!record.ok()) return record.status();
   return corpus->Install(record->first_term, record->terms,
@@ -59,13 +64,14 @@ Status InstallCorpusRecord(Corpus* corpus, std::string_view payload) {
 }
 
 // The state `generation` starts from: its snapshot, or for a first
-// generation without one, the empty state a fresh store starts from. A
-// store that logs documents frames its snapshot as a log of two records,
-// the state and the corpus record of its live window; that record is
-// installed into `corpus`, which must be empty, and `*corpus_touched` is
-// set before anything is installed.
+// generation without one, the empty state a fresh store over `corpus`
+// starts from. A store that logs documents frames its snapshot as a log
+// of two records, the state and the corpus record of its live window;
+// that record is installed into `install`, which must be empty, and
+// `*corpus_touched` is set before anything is installed.
 Result<ClustererState> LoadBaseState(Env* env, const std::string& dir,
-                                     uint64_t generation, Corpus* corpus,
+                                     uint64_t generation,
+                                     const Corpus* corpus, Corpus* install,
                                      const ForgettingParams& params,
                                      const IncrementalOptions& options,
                                      bool* corpus_touched) {
@@ -83,8 +89,75 @@ Result<ClustererState> LoadBaseState(Env* env, const std::string& dir,
     return Status::InvalidArgument("damaged snapshot " + path);
   }
   *corpus_touched = true;
-  NIDC_RETURN_NOT_OK(InstallCorpusRecord(corpus, framed.records[1]));
+  NIDC_RETURN_NOT_OK(InstallCorpusRecord(install, framed.records[1]));
   return ParseState(framed.records[0]);
+}
+
+// How far a replay of a generation's WAL got: the next record to apply,
+// the step records applied, and how many of those installed their logged
+// outcome instead of re-running K-means.
+struct TailReplay {
+  size_t next = 0;
+  uint64_t replayed = 0;
+  uint64_t installed = 0;
+  /// Set once a corpus record was met, installable or not.
+  bool corpus_records = false;
+};
+
+// The one WAL-tail loop, which recovery and explanations share: replays
+// `records` from `replay->next` on into `inner`, installing each corpus
+// record into `install` and running each step record through Step(),
+// with its outcome from `outcomes` when one is logged (the log is a hint:
+// without it the step re-runs). Stops at the end, or before the first
+// step record met while `inner` is at step `stop_step`. A record that
+// does not decode or does not follow the state ends the replay with the
+// reason, `replay->next` left on it.
+Status ReplayWalTail(const std::vector<std::string>& records,
+                     const std::vector<std::string>& outcomes,
+                     uint64_t stop_step, Corpus* install,
+                     IncrementalClusterer* inner, TailReplay* replay) {
+  for (; replay->next < records.size(); ++replay->next) {
+    const std::string& payload = records[replay->next];
+    if (IsCorpusIndexRecord(payload)) {
+      replay->corpus_records = true;
+      if (Status st = InstallCorpusRecord(install, payload); !st.ok()) {
+        return Status::InvalidArgument("uninstallable corpus record: " +
+                                       st.ToString());
+      }
+      continue;
+    }
+    if (inner->step_count() == stop_step) break;
+    Result<WalStepRecord> record = DecodeStepRecord(payload);
+    if (!record.ok()) {
+      return Status::InvalidArgument("undecodable WAL record: " +
+                                     record.status().ToString());
+    }
+    const std::optional<ClusteringResult> logged = FindOutcome(
+        outcomes,
+        OutcomeHeader(inner->step_count(), record->tau, record->new_docs));
+    Result<StepResult> stepped = inner->Step(record->new_docs, record->tau,
+                                             logged ? &*logged : nullptr);
+    // FailedPrecondition (an empty active window) also occurred in the
+    // original run and leaves the model advanced — replay goes on.
+    // Anything else means the record contradicts the state.
+    if (!stepped.ok() &&
+        stepped.status().code() != StatusCode::kFailedPrecondition) {
+      return Status::InvalidArgument("unreplayable WAL record: " +
+                                     stepped.status().ToString());
+    }
+    ++replay->replayed;
+    if (stepped.ok() && stepped->installed) ++replay->installed;
+  }
+  return Status::OK();
+}
+
+// Whether a re-run step computed exactly its logged outcome.
+bool SameOutcome(const ClusteringResult& rerun,
+                 const ClusteringResult& logged) {
+  return rerun.clusters == logged.clusters &&
+         rerun.outliers == logged.outliers &&
+         std::memcmp(&rerun.g, &logged.g, sizeof(rerun.g)) == 0 &&
+         rerun.iterations == logged.iterations;
 }
 
 }  // namespace
@@ -95,6 +168,81 @@ std::string EncodeStepOutcome(uint64_t step, DayTime tau,
   std::string payload = OutcomeHeader(step, tau, new_docs);
   AppendResultSection(clustering, &payload);
   return payload;
+}
+
+Result<std::vector<DecisionRecord>> ExplainStep(
+    Env* env, const std::string& dir, const Corpus* corpus,
+    const ForgettingParams& params, IncrementalOptions options,
+    uint64_t step) {
+  // The live step's options, without their sinks and capturing the
+  // decisions of every K-means run; step `step`'s run is the last.
+  std::vector<DecisionRecord> decisions;
+  options.metrics = nullptr;
+  options.events = nullptr;
+  options.health = nullptr;
+  options.kmeans.metrics = nullptr;
+  options.kmeans.events = nullptr;
+  options.kmeans.profile = nullptr;
+  options.kmeans.decisions = &decisions;
+  // Nor does the calling thread's ambient span profiler see the replay.
+  obs::ScopedProfilerInstall no_profiler(nullptr);
+  const Status not_held = Status::NotFound(
+      "step " + std::to_string(step) + " is not held in " + dir);
+  Result<std::vector<uint64_t>> generations = ListStoredGenerations(env, dir);
+  if (!generations.ok()) return not_held;
+  for (uint64_t generation : *generations) {
+    // A store that logs documents replays them into a scratch corpus.
+    Corpus scratch;
+    const Corpus* read = corpus != nullptr ? corpus : &scratch;
+    Corpus* install = corpus != nullptr ? nullptr : &scratch;
+    bool corpus_touched = false;
+    Result<ClustererState> state =
+        LoadBaseState(env, dir, generation, read, install, params, options,
+                      &corpus_touched);
+    if (!state.ok()) return not_held;  // pruned during the read
+    if (state->step_count > step) continue;
+    Result<std::unique_ptr<IncrementalClusterer>> inner =
+        RestoreClusterer(read, options, *state);
+    Result<WalReadResult> wal =
+        ReadWal(env, dir + "/" + WalFileName(generation));
+    if (!inner.ok() || !wal.ok()) return not_held;
+    const std::vector<std::string> outcomes =
+        ReadOutcomes(env, dir + "/" + OutcomeFileName(generation));
+    // Replay up to the step, then re-run its record with the capture on,
+    // never installing its outcome. Records of empty windows leave the
+    // step count where it is; the replay passes over them.
+    TailReplay replay;
+    for (;;) {
+      if (!ReplayWalTail(wal->records, outcomes, step, install, inner->get(),
+                         &replay)
+               .ok() ||
+          replay.next == wal->records.size()) {
+        return not_held;  // past the WAL's last complete record
+      }
+      Result<WalStepRecord> record =
+          DecodeStepRecord(wal->records[replay.next++]);
+      if (!record.ok()) return not_held;
+      Result<StepResult> rerun =
+          (*inner)->Step(record->new_docs, record->tau);
+      if (!rerun.ok() &&
+          rerun.status().code() == StatusCode::kFailedPrecondition) {
+        continue;
+      }
+      if (!rerun.ok()) return rerun.status();
+      // The self-check: a logged outcome must be exactly what the re-run
+      // computed.
+      const std::optional<ClusteringResult> logged = FindOutcome(
+          outcomes, OutcomeHeader(step, record->tau, record->new_docs));
+      if (logged && !SameOutcome(rerun->clustering, *logged)) {
+        return Status::FailedPrecondition(
+            "the re-run of step " + std::to_string(step) +
+            " differs from its logged outcome; is the store read under "
+            "the options it was written with?");
+      }
+      return decisions;
+    }
+  }
+  return not_held;
 }
 
 Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Open(
@@ -162,8 +310,8 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
     newest_seen = std::max(newest_seen, generation);
     Stopwatch phase;
     Result<ClustererState> state =
-        LoadBaseState(env, durable.dir, generation, corpus, params, options,
-                      &corpus_touched);
+        LoadBaseState(env, durable.dir, generation, corpus, corpus, params,
+                      options, &corpus_touched);
     Result<std::unique_ptr<IncrementalClusterer>> restored =
         state.ok() ? RestoreClusterer(corpus, options, *state)
                    : Result<std::unique_ptr<IncrementalClusterer>>(
@@ -195,15 +343,11 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
           "; reopen with the k it was written under");
     }
 
-    // Replay this generation's WAL tail: install each corpus record, and
-    // run each step record through Step(), installing the logged outcome
-    // of those that have one. The outcome log is a hint: when it is
-    // missing or unreadable every step re-runs.
+    // Replay this generation's WAL tail.
     const std::string wal_path =
         durable.dir + "/" + WalFileName(generation);
     WalReadResult wal;
-    // Records replayed, corpus records included.
-    uint64_t applied = 0;
+    TailReplay replay;
     if (env->FileExists(wal_path)) {
       Result<WalReadResult> read = ReadWal(env, wal_path);
       if (!read.ok()) return read.status();
@@ -214,49 +358,20 @@ Result<std::unique_ptr<DurableClusterer>> DurableClusterer::Recover(
                          << " (" << wal.dropped_bytes
                          << " bytes quarantined)";
       }
-      const std::vector<std::string> outcomes = ReadOutcomes(
-          env, durable.dir + "/" + OutcomeFileName(generation));
-      for (const std::string& payload : wal.records) {
-        if (IsCorpusIndexRecord(payload)) {
-          corpus_touched = true;
-          const Status installed = InstallCorpusRecord(corpus, payload);
-          if (!installed.ok()) {
-            ++recovery.quarantined_records;
-            NIDC_LOG(Warning) << "quarantining uninstallable corpus record: "
-                             << installed.ToString();
-            break;
-          }
-          ++applied;
-          continue;
-        }
-        Result<WalStepRecord> record = DecodeStepRecord(payload);
-        if (!record.ok()) {
-          ++recovery.quarantined_records;
-          NIDC_LOG(Warning) << "quarantining undecodable WAL record: "
-                           << record.status().ToString();
-          break;
-        }
-        const std::optional<ClusteringResult> logged = FindOutcome(
-            outcomes,
-            OutcomeHeader(inner->step_count(), record->tau,
-                          record->new_docs));
-        Result<StepResult> stepped = inner->Step(
-            record->new_docs, record->tau, logged ? &*logged : nullptr);
-        if (!stepped.ok() &&
-            stepped.status().code() != StatusCode::kFailedPrecondition) {
-          // FailedPrecondition (an empty active window) also occurred in
-          // the original run and leaves the model advanced — replay goes
-          // on. Anything else means the record contradicts the state.
-          ++recovery.quarantined_records;
-          NIDC_LOG(Warning) << "quarantining unreplayable WAL record: "
-                           << stepped.status().ToString();
-          break;
-        }
-        ++recovery.replayed_records;
-        ++applied;
-        if (stepped.ok() && stepped->installed) ++recovery.installed_records;
+      const Status replayed = ReplayWalTail(
+          wal.records,
+          ReadOutcomes(env, durable.dir + "/" + OutcomeFileName(generation)),
+          /*stop_step=*/~uint64_t{0}, corpus, inner.get(), &replay);
+      if (!replayed.ok()) {
+        ++recovery.quarantined_records;
+        NIDC_LOG(Warning) << "quarantining " << replayed.message();
       }
+      corpus_touched |= replay.corpus_records;
+      recovery.replayed_records = replay.replayed;
+      recovery.installed_records = replay.installed;
     }
+    // Records replayed, corpus records included.
+    const uint64_t applied = replay.next;
     replay_seconds = phase.ElapsedSeconds();
     phase.Restart();
     // A follower always stays on the generation it recovered, so that
@@ -456,6 +571,10 @@ Status DurableClusterer::Checkpoint() {
     return Status::FailedPrecondition("durable clusterer is closed");
   }
   return Rotate();
+}
+
+Status DurableClusterer::Flush() {
+  return wal_ != nullptr ? wal_->Flush() : Status::OK();
 }
 
 Status DurableClusterer::InstallSnapshot(uint64_t generation,

@@ -180,6 +180,27 @@ std::string EncodeStepOutcome(uint64_t step, DayTime tau,
                               const std::vector<DocId>& new_docs,
                               const ClusteringResult& clustering);
 
+/// Explains step `step` (0-based) of the store in `dir` by re-running it:
+/// loads the generation that covers the step, replays the WAL records
+/// before it through recovery's loop (installing logged outcomes), and
+/// re-runs the step with decision capture on. Returns one DecisionRecord
+/// per document of that K-means run, in active-set order.
+///
+/// Read-only: it reads files and writes none, so it may run beside the
+/// store's owner. A store that logs documents (a tenant's) replays them
+/// into a scratch corpus: pass a null `corpus`. Any other store reads
+/// `corpus`, the one its steps name, which nothing may mutate meanwhile.
+/// `options` are the live step's; their sinks are dropped.
+///
+/// NotFound when the directory does not hold the step: pruned, or past
+/// the WAL's last complete record. FailedPrecondition when the step's
+/// outcome is logged and the re-run differs from it in memberships,
+/// outliers, G bits or iterations.
+Result<std::vector<DecisionRecord>> ExplainStep(
+    Env* env, const std::string& dir, const Corpus* corpus,
+    const ForgettingParams& params, IncrementalOptions options,
+    uint64_t step);
+
 class DurableClusterer {
  public:
   /// Opens (and if necessary creates) the checkpoint directory and
@@ -229,6 +250,11 @@ class DurableClusterer {
 
   /// Forces a snapshot rotation now.
   Status Checkpoint();
+
+  /// Hands the WAL's buffered records to the OS without syncing them, so
+  /// a reader of the directory (ExplainStep) sees every applied step, as
+  /// it does under kEveryRecord.
+  Status Flush();
 
   /// Final checkpoint + WAL close (a follower syncs its WAL instead of
   /// rotating). The destructor calls this (ignoring errors); call it

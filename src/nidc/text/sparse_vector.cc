@@ -140,12 +140,6 @@ double SparseVector::SquaredNorm() const {
 
 double SparseVector::Norm() const { return std::sqrt(SquaredNorm()); }
 
-SparseVector SparseVector::Scaled(double factor) const {
-  SparseVector out = *this;
-  out.ScaleInPlace(factor);
-  return out;
-}
-
 void SparseVector::ScaleInPlace(double factor) {
   for (Entry& e : entries_) e.value *= factor;
 }

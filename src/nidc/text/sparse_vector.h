@@ -71,9 +71,6 @@ class SparseVector {
   /// Euclidean norm.
   double Norm() const;
 
-  /// Returns a copy scaled by `factor`.
-  SparseVector Scaled(double factor) const;
-
   /// Adds `other * factor` into this vector in place (merge; keeps order).
   void AddScaled(const SparseVector& other, double factor);
   void AddScaled(const SparseRowView& other, double factor);

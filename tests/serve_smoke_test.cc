@@ -1,8 +1,9 @@
-// End-to-end smoke of the live introspection stack: a real incremental
-// clustering run with the event log, health monitor and metrics registry
-// wired in, served over an in-process HttpServer, scraped with a raw
-// socket client mid-run.
+// End-to-end smoke of the live introspection stack: a real durable
+// incremental clustering run with the event log, health monitor and
+// metrics registry wired in, served over an in-process HttpServer,
+// scraped with a raw socket client mid-run.
 
+#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -14,10 +15,10 @@
 #include "nidc/obs/json_util.h"
 #include "nidc/obs/metrics.h"
 #include "nidc/obs/profiler.h"
-#include "nidc/obs/provenance.h"
 #include "nidc/obs/timeseries.h"
 #include "nidc/serve/http_server.h"
 #include "nidc/serve/introspection.h"
+#include "nidc/store/durable_clusterer.h"
 
 namespace nidc {
 namespace {
@@ -49,7 +50,6 @@ TEST_F(ServeSmokeTest, EndpointsServeALiveRun) {
   obs::TimeSeriesStore timeseries(ts_options);
   obs::PhaseProfiler profiler;
   obs::ScopedProfilerInstall install_profiler(&profiler);
-  obs::ProvenanceLog provenance(256, &registry);
 
   serve::HttpServer server(&registry);
   serve::IntrospectionOptions introspection;
@@ -59,9 +59,6 @@ TEST_F(ServeSmokeTest, EndpointsServeALiveRun) {
   introspection.board = &board;
   introspection.timeseries = &timeseries;
   introspection.profiler = &profiler;
-  introspection.provenance = &provenance;
-  serve::RegisterIntrospectionEndpoints(&server, introspection);
-  ASSERT_TRUE(server.Start(0).ok());
 
   ForgettingParams params;
   params.half_life_days = 7.0;
@@ -72,14 +69,24 @@ TEST_F(ServeSmokeTest, EndpointsServeALiveRun) {
   options.metrics = &registry;
   options.events = &events;
   options.health = &health;
-  options.provenance = &provenance;
-  IncrementalClusterer clusterer(&corpus_, params, options);
+  DurableOptions durable_options;
+  durable_options.dir = testing::TempDir() + "/nidc_serve_smoke_store";
+  std::filesystem::remove_all(durable_options.dir);
+  auto durable =
+      DurableClusterer::Open(&corpus_, params, options, durable_options);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  introspection.explain = [&](uint64_t step) {
+    return ExplainStep(Env::Default(), durable_options.dir, &corpus_, params,
+                       options, step);
+  };
+  serve::RegisterIntrospectionEndpoints(&server, introspection);
+  ASSERT_TRUE(server.Start(0).ok());
 
   const std::vector<std::vector<DocId>> batches = {{0, 1}, {2, 3}, {4, 5}};
   uint64_t step_index = 0;
   for (const std::vector<DocId>& batch : batches) {
     profiler.SetStep(step_index);
-    auto result = clusterer.Step(batch, static_cast<double>(step_index));
+    auto result = (*durable)->Step(batch, static_cast<double>(step_index));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     timeseries.ObserveStep(step_index);
     serve::StatusBoard::StepRecord record;
@@ -236,32 +243,39 @@ TEST_F(ServeSmokeTest, EndpointsServeALiveRun) {
   ASSERT_TRUE(bad_format.ok);
   EXPECT_EQ(bad_format.status, 404);
 
-  // /explainz: summary, per-doc lookup, and the 404 paths.
-  const FetchResult explain_summary = Fetch(server.port(), "/explainz");
-  ASSERT_TRUE(explain_summary.ok);
-  EXPECT_EQ(explain_summary.status, 200);
-  const Result<obs::JsonValue> summary_json =
-      obs::ParseJson(explain_summary.body);
-  ASSERT_TRUE(summary_json.ok()) << explain_summary.body;
-  EXPECT_GT(summary_json->Find("recorded")->number, 0.0);
-  ASSERT_NE(summary_json->Find("recent"), nullptr);
-  EXPECT_FALSE(summary_json->Find("recent")->array.empty());
+  // /explainz: the last step by default, one step, one document, and the
+  // 400 and 404 paths.
+  const FetchResult explain_last = Fetch(server.port(), "/explainz");
+  ASSERT_TRUE(explain_last.ok);
+  EXPECT_EQ(explain_last.status, 200);
+  const Result<obs::JsonValue> last_json = obs::ParseJson(explain_last.body);
+  ASSERT_TRUE(last_json.ok()) << explain_last.body;
+  EXPECT_EQ(last_json->Find("step")->number, 2.0);
+  ASSERT_NE(last_json->Find("decisions"), nullptr);
+  EXPECT_EQ(last_json->Find("decisions")->array.size(), 6u);
+  const FetchResult explain_first = Fetch(server.port(), "/explainz?step=0");
+  ASSERT_TRUE(explain_first.ok);
+  EXPECT_EQ(explain_first.status, 200);
   const FetchResult explain_doc = Fetch(server.port(), "/explainz?doc=0");
   ASSERT_TRUE(explain_doc.ok);
   EXPECT_EQ(explain_doc.status, 200);
   const Result<obs::JsonValue> doc_json = obs::ParseJson(explain_doc.body);
   ASSERT_TRUE(doc_json.ok()) << explain_doc.body;
   EXPECT_EQ(doc_json->Find("doc")->number, 0.0);
+  EXPECT_EQ(doc_json->Find("step")->number, 2.0);
   ASSERT_NE(doc_json->Find("verdict"), nullptr);
   ASSERT_NE(doc_json->Find("margin"), nullptr);
-  const FetchResult explain_missing =
-      Fetch(server.port(), "/explainz?doc=99999");
-  ASSERT_TRUE(explain_missing.ok);
-  EXPECT_EQ(explain_missing.status, 404);
-  const FetchResult explain_malformed =
-      Fetch(server.port(), "/explainz?doc=banana");
-  ASSERT_TRUE(explain_malformed.ok);
-  EXPECT_EQ(explain_malformed.status, 404);
+  for (const char* target :
+       {"/explainz?doc=99999", "/explainz?step=0&doc=5", "/explainz?step=9"}) {
+    const FetchResult missing = Fetch(server.port(), target);
+    ASSERT_TRUE(missing.ok);
+    EXPECT_EQ(missing.status, 404) << target;
+  }
+  for (const char* target : {"/explainz?doc=banana", "/explainz?step=-1"}) {
+    const FetchResult malformed = Fetch(server.port(), target);
+    ASSERT_TRUE(malformed.ok);
+    EXPECT_EQ(malformed.status, 400) << target;
+  }
 
   server.Stop();
 }

@@ -1,9 +1,12 @@
-// Seeded mutation fuzzing of the parsers recovery feeds with bytes from
-// disk: ParseState (snapshots), ParseResultSection (outcome-log records)
-// and DecodeCorpusIndexRecord (corpus records). Each starts from a real
-// text and tries truncations, byte flips and token splices. Nothing may
-// crash, and whatever parses must re-encode to bytes that parse to the
-// same value: encoding what a parser accepted is a fixed point.
+// Seeded mutation fuzzing of the parsers recovery and explanations feed
+// with bytes from disk, which an explanation reads beside a live writer:
+// ParseState (snapshots), ParseResultSection (result sections) and the
+// outcome records around them, DecodeCorpusIndexRecord (corpus records),
+// ParseWal (WAL framing) and DecodeStepRecord (step records). Each starts
+// from a real input and tries truncations, byte flips and token splices.
+// Nothing may crash, and whatever parses must re-encode to bytes that
+// parse to the same value: encoding what a parser accepted is a fixed
+// point.
 
 #include <algorithm>
 #include <cctype>
@@ -17,6 +20,7 @@
 #include "nidc/core/state_io.h"
 #include "nidc/corpus/corpus_io.h"
 #include "nidc/store/torture.h"
+#include "nidc/store/wal.h"
 #include "nidc/util/random.h"
 
 namespace nidc {
@@ -105,6 +109,21 @@ class SnapshotFuzzTest : public ::testing::Test {
     record_ = EncodeCorpusIndexRecord(
         corpus, {0, static_cast<TermId>(corpus.vocabulary().size()),
                  corpus.first_retained(), static_cast<DocId>(corpus.size())});
+    const size_t last = stream_.batches.size() - 1;
+    outcome_ = EncodeStepOutcome(last, stream_.taus[last],
+                                 stream_.batches[last],
+                                 *clusterer.last_result());
+    // A WAL as a store that logs documents writes it: a corpus record
+    // ahead of the step records.
+    std::vector<std::string> records = {record_};
+    for (size_t i = 0; i < stream_.batches.size(); ++i) {
+      records.push_back(
+          EncodeStepRecord({stream_.taus[i], stream_.batches[i]}));
+    }
+    step_record_ = records.back();
+    const std::string path = testing::TempDir() + "/nidc_fuzz_wal";
+    EXPECT_TRUE(RewriteWal(Env::Default(), path, records).ok());
+    wal_ = Env::Default()->ReadFileToString(path).value();
   }
 
   TortureStream stream_;
@@ -112,12 +131,19 @@ class SnapshotFuzzTest : public ::testing::Test {
   std::string state_;
   std::string result_;
   std::string record_;
+  std::string outcome_;
+  std::string step_record_;
+  std::string wal_;
 };
 
 TEST_F(SnapshotFuzzTest, SeedsParse) {
   ASSERT_TRUE(ParseState(state_).ok());
   ASSERT_TRUE(ParseResultSection(result_).ok());
   ASSERT_TRUE(DecodeCorpusIndexRecord(record_).ok());
+  ASSERT_TRUE(DecodeStepRecord(step_record_).ok());
+  const WalReadResult wal = ParseWal(wal_);
+  ASSERT_TRUE(wal.clean);
+  ASSERT_EQ(wal.records.size(), stream_.batches.size() + 1);
 }
 
 TEST_F(SnapshotFuzzTest, MutatedStatesParseToAFixedPoint) {
@@ -213,6 +239,81 @@ TEST_F(SnapshotFuzzTest, MutatedCorpusRecordsDecodeToAFixedPoint) {
     }
   }
   EXPECT_GT(installed, 0u);
+}
+
+// Outcome records, read as recovery and explanations read them: the
+// header line must key the step being replayed, and the rest must parse
+// as a result section.
+TEST_F(SnapshotFuzzTest, MutatedOutcomeRecordsParseToAFixedPoint) {
+  const size_t last = stream_.batches.size() - 1;
+  const std::string header = outcome_.substr(0, outcome_.find('\n') + 1);
+  Rng rng(38);
+  size_t parsed = 0;
+  for (int kind = 0; kind < 3; ++kind) {
+    for (int i = 0; i < kMutationsPerKind; ++i) {
+      const std::string text = Mutate(outcome_, kind, /*text=*/true, rng);
+      if (text.compare(0, header.size(), header) != 0) continue;
+      Result<ClusteringResult> result =
+          ParseResultSection(std::string_view(text).substr(header.size()));
+      if (!result.ok()) continue;
+      ++parsed;
+      const std::string encoded = EncodeStepOutcome(
+          last, stream_.taus[last], stream_.batches[last], *result);
+      ASSERT_EQ(encoded.compare(0, header.size(), header), 0);
+      Result<ClusteringResult> again =
+          ParseResultSection(std::string_view(encoded).substr(header.size()));
+      ASSERT_TRUE(again.ok()) << again.status().ToString() << "\n" << text;
+      ASSERT_EQ(EncodeStepOutcome(last, stream_.taus[last],
+                                  stream_.batches[last], *again),
+                encoded)
+          << text;
+    }
+  }
+  EXPECT_GT(parsed, 0u);
+}
+
+// WAL framing: the records a damaged file yields are its valid prefix,
+// which reads back clean as exactly those records.
+TEST_F(SnapshotFuzzTest, MutatedWalsParseToAFixedPoint) {
+  Rng rng(39);
+  size_t damaged = 0;
+  for (int kind = 0; kind < 3; ++kind) {
+    for (int i = 0; i < kMutationsPerKind; ++i) {
+      const std::string bytes = Mutate(wal_, kind, /*text=*/false, rng);
+      const WalReadResult read = ParseWal(bytes);
+      ASSERT_LE(read.dropped_bytes, bytes.size());
+      if (!read.clean) ++damaged;
+      const WalReadResult again =
+          ParseWal(bytes.substr(0, bytes.size() - read.dropped_bytes));
+      ASSERT_TRUE(again.clean) << "kind " << kind << " mutation " << i;
+      ASSERT_EQ(again.records, read.records)
+          << "kind " << kind << " mutation " << i;
+      for (const std::string& record : read.records) {
+        (void)DecodeStepRecord(record);
+      }
+    }
+  }
+  EXPECT_GT(damaged, 0u);
+}
+
+TEST_F(SnapshotFuzzTest, MutatedStepRecordsDecodeToAFixedPoint) {
+  Rng rng(40);
+  size_t decoded = 0;
+  for (int kind = 0; kind < 3; ++kind) {
+    for (int i = 0; i < kMutationsPerKind; ++i) {
+      const std::string payload =
+          Mutate(step_record_, kind, /*text=*/true, rng);
+      Result<WalStepRecord> record = DecodeStepRecord(payload);
+      if (!record.ok()) continue;
+      ++decoded;
+      const std::string encoded = EncodeStepRecord(*record);
+      Result<WalStepRecord> again = DecodeStepRecord(encoded);
+      ASSERT_TRUE(again.ok()) << again.status().ToString() << "\n"
+                              << payload;
+      ASSERT_EQ(EncodeStepRecord(*again), encoded) << payload;
+    }
+  }
+  EXPECT_GT(decoded, 0u);
 }
 
 }  // namespace

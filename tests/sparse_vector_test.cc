@@ -65,14 +65,6 @@ TEST(SparseVectorTest, SquaredNormEqualsSelfDot) {
   EXPECT_DOUBLE_EQ(a.Norm(), std::sqrt(a.SquaredNorm()));
 }
 
-TEST(SparseVectorTest, ScaledMultipliesAll) {
-  SparseVector a = Make({{1, 2.0}, {4, 3.0}});
-  SparseVector b = a.Scaled(2.0);
-  EXPECT_DOUBLE_EQ(ValueAt(b, 1), 4.0);
-  EXPECT_DOUBLE_EQ(ValueAt(b, 4), 6.0);
-  EXPECT_DOUBLE_EQ(ValueAt(a, 1), 2.0);  // original untouched
-}
-
 TEST(SparseVectorTest, AddScaledMergesIds) {
   SparseVector a = Make({{1, 1.0}, {3, 1.0}});
   SparseVector b = Make({{2, 1.0}, {3, 2.0}});

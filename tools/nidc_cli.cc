@@ -32,7 +32,8 @@
 //       --serve starts the embedded introspection server on
 //       127.0.0.1:PORT for the duration of the replay (GET /metrics,
 //       /healthz, /statusz, /eventsz, /timeseriesz, /profilez,
-//       /explainz, /tracez, /slosz — see docs/observability.md);
+//       /tracez, /slosz, and with --checkpoint-dir /explainz — see
+//       docs/observability.md);
 //       --slo-latency-ms sets the latency SLO threshold the per-step
 //       request traces are scored against (default 1000);
 //       --ship-port starts the replication listener on 127.0.0.1:PORT
@@ -42,13 +43,14 @@
 //       docs/replication.md;
 //       --events-out writes the retained lifecycle events (cluster
 //       created/emptied/reseeded, doc moves/expiries, checkpoints) as
-//       JSONL when the replay ends; --provenance-out writes the retained
-//       per-document decision records (obs/provenance.h) as JSONL;
-//       --trace-chrome writes the self-profiler's span ring as Chrome
-//       trace-event JSON (load in chrome://tracing or Perfetto). Any of
-//       these flags — like any metrics flag — turns the full telemetry
-//       stack on (registry + event log + cluster health monitor +
-//       time-series store + continuous profiler + provenance log).
+//       JSONL when the replay ends; --provenance-out (requires
+//       --checkpoint-dir) writes the final step's per-document decisions,
+//       re-run from the checkpoint directory, as JSONL; --trace-chrome
+//       writes the self-profiler's span ring as Chrome trace-event JSON
+//       (load in chrome://tracing or Perfetto). Any of these flags but
+//       --provenance-out — like any metrics flag — turns the full
+//       telemetry stack on (registry + event log + cluster health
+//       monitor + time-series store + continuous profiler).
 //   eval --corpus FILE [--beta D] [--gamma D] [--k N] [--from D --to D]
 //       Cluster and score against the corpus's topic labels (micro/macro
 //       F1, purity, NMI, ARI).
@@ -130,7 +132,6 @@
 #include "nidc/obs/json_util.h"
 #include "nidc/obs/metrics.h"
 #include "nidc/obs/profiler.h"
-#include "nidc/obs/provenance.h"
 #include "nidc/obs/reqtrace.h"
 #include "nidc/obs/slo.h"
 #include "nidc/obs/timeseries.h"
@@ -430,13 +431,11 @@ int RunStream(const Args& args) {
   const bool serving = args.Has("serve");
   const bool telemetry = !metrics_out.empty() || !metrics_csv.empty() ||
                          !metrics_prom.empty() || !events_out.empty() ||
-                         !provenance_out.empty() || !trace_chrome.empty() ||
-                         serving;
+                         !trace_chrome.empty() || serving;
   std::unique_ptr<obs::EventLog> events;
   std::unique_ptr<obs::ClusterHealthMonitor> health;
   std::unique_ptr<obs::TimeSeriesStore> timeseries;
   std::unique_ptr<obs::PhaseProfiler> profiler;
-  std::unique_ptr<obs::ProvenanceLog> provenance;
   RequestTelemetry requests;
   if (telemetry) {
     options.metrics = &registry;
@@ -445,8 +444,7 @@ int RunStream(const Args& args) {
     // The full stack rides along with any telemetry flag: the event log
     // backs /eventsz and --events-out, the health monitor publishes the
     // health.* families the metrics exports carry, the time-series store
-    // backs /timeseriesz, the profiler /profilez and --trace-chrome, and
-    // the provenance log /explainz and --provenance-out.
+    // backs /timeseriesz, and the profiler /profilez and --trace-chrome.
     events = std::make_unique<obs::EventLog>(/*capacity=*/4096, &registry);
     obs::ClusterHealthOptions health_options;
     health_options.metrics = &registry;
@@ -458,8 +456,6 @@ int RunStream(const Args& args) {
     obs::PhaseProfiler::Options profiler_options;
     profiler_options.metrics = &registry;
     profiler = std::make_unique<obs::PhaseProfiler>(profiler_options);
-    provenance =
-        std::make_unique<obs::ProvenanceLog>(/*capacity=*/4096, &registry);
     // One request trace per step batch: the stream loop is the front door
     // here, so it mints the trace, the durability/replication layers stamp
     // their stages through the StepScope, and completed traces score the
@@ -467,7 +463,6 @@ int RunStream(const Args& args) {
     requests = MakeRequestTelemetry(args, &registry, events.get());
     options.events = events.get();
     options.health = health.get();
-    options.provenance = provenance.get();
   }
   std::unique_ptr<obs::JsonlWriter> jsonl;
   if (!metrics_out.empty()) {
@@ -479,8 +474,19 @@ int RunStream(const Args& args) {
   // bench_sweep_hotpath).
   obs::ScopedProfilerInstall install_profiler(profiler.get());
 
+  const std::string state_path = args.Get("state", "");
+  const std::string checkpoint_dir = args.Get("checkpoint-dir", "");
+  const bool shipping = args.Has("ship-port");
+  for (const char* flag : {"ship-port", "provenance-out"}) {
+    if (args.Has(flag) && checkpoint_dir.empty()) {
+      std::fprintf(stderr, "stream: --%s requires --checkpoint-dir\n", flag);
+      return 2;
+    }
+  }
+
   // The introspection server (--serve) reads the board the step loop
-  // writes; everything else it serves is the telemetry stack above.
+  // writes and re-runs steps from the checkpoint directory (/explainz);
+  // everything else it serves is the telemetry stack above.
   serve::StatusBoard board;
   std::unique_ptr<serve::HttpServer> server;
   if (serving) {
@@ -492,7 +498,13 @@ int RunStream(const Args& args) {
     introspection.board = &board;
     introspection.timeseries = timeseries.get();
     introspection.profiler = profiler.get();
-    introspection.provenance = provenance.get();
+    if (!checkpoint_dir.empty()) {
+      introspection.explain = [checkpoint_dir, loaded = corpus->get(), params,
+                               options](uint64_t step) {
+        return ExplainStep(Env::Default(), checkpoint_dir, loaded, params,
+                           options, step);
+      };
+    }
     introspection.tracer = requests.tracer.get();
     introspection.slo = requests.slo.get();
     serve::RegisterIntrospectionEndpoints(server.get(), introspection);
@@ -503,8 +515,8 @@ int RunStream(const Args& args) {
     }
     std::printf("serving on http://127.0.0.1:%u "
                 "(/metrics /healthz /statusz /eventsz /timeseriesz "
-                "/profilez /explainz /tracez /slosz)\n",
-                server->port());
+                "/profilez /tracez /slosz%s)\n",
+                server->port(), checkpoint_dir.empty() ? "" : " /explainz");
   }
 
   // Replication (--ship-port) rides on the durability commit stream: the
@@ -515,14 +527,6 @@ int RunStream(const Args& args) {
   std::unique_ptr<repl::ReplListener> repl_listener;
   std::unique_ptr<IncrementalClusterer> clusterer;
   std::unique_ptr<DurableClusterer> durable;
-  const std::string state_path = args.Get("state", "");
-  const std::string checkpoint_dir = args.Get("checkpoint-dir", "");
-  const bool shipping = args.Has("ship-port");
-
-  if (shipping && checkpoint_dir.empty()) {
-    std::fprintf(stderr, "stream: --ship-port requires --checkpoint-dir\n");
-    return 2;
-  }
   if (!checkpoint_dir.empty()) {
     // Durable mode: the checkpoint directory is the authoritative resume
     // source; every step is WAL-logged and snapshots rotate periodically.
@@ -649,7 +653,11 @@ int RunStream(const Args& args) {
                 result->expired.size(), result->clustering.NumNonEmpty(),
                 result->num_outliers, result->iterations, result->final_g);
     if (server != nullptr) {
-      shard::PublishStepStatus(step_index, *result, durable.get(), &board);
+      // A durable run publishes the store's step index, which /explainz
+      // takes as its default step.
+      shard::PublishStepStatus(
+          durable != nullptr ? durable->applied_steps() - 1 : step_index,
+          *result, durable.get(), &board);
       if (shipper != nullptr) {
         const repl::ShipperStats ship = shipper->stats();
         serve::ReplicationStatus repl_status;
@@ -675,6 +683,32 @@ int RunStream(const Args& args) {
       csv_series.AddStep(step_index, registry.Snapshot());
     }
     ++step_index;
+  }
+  if (!provenance_out.empty() && durable->applied_steps() > 0) {
+    // Before the closing rotation, which may prune the generation that
+    // holds the final step, and after a flush: under --wal-fsync none the
+    // WAL's tail is still buffered.
+    const uint64_t final_step = durable->applied_steps() - 1;
+    const Status flushed = durable->Flush();
+    Result<std::vector<DecisionRecord>> decisions =
+        flushed.ok() ? ExplainStep(Env::Default(), checkpoint_dir,
+                                   corpus->get(), params, options, final_step)
+                     : Result<std::vector<DecisionRecord>>(flushed);
+    obs::JsonlWriter writer(provenance_out);
+    Status written = decisions.status();
+    for (size_t i = 0; written.ok() && i < decisions->size(); ++i) {
+      written = writer.Append(
+          serve::RenderDecisionJson(final_step, (*decisions)[i]));
+    }
+    if (written.ok()) written = writer.Close();
+    if (!written.ok()) {
+      std::fprintf(stderr, "%s\n", written.ToString().c_str());
+      return 1;
+    }
+    std::printf("provenance: %zu decisions of step %llu -> %s\n",
+                decisions->size(),
+                static_cast<unsigned long long>(final_step),
+                provenance_out.c_str());
   }
   if (durable != nullptr) {
     // Final checkpoint rotation; the stream is fully durable after this.
@@ -734,16 +768,6 @@ int RunStream(const Args& args) {
                 events->size(),
                 static_cast<unsigned long long>(events->total_emitted()),
                 events_out.c_str());
-  }
-  if (!provenance_out.empty()) {
-    if (const Status s = provenance->ExportJsonl(provenance_out); !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("provenance: %zu retained (%llu recorded) -> %s\n",
-                provenance->size(),
-                static_cast<unsigned long long>(provenance->total_recorded()),
-                provenance_out.c_str());
   }
   if (!trace_chrome.empty()) {
     if (const Status s = AtomicWriteFile(Env::Default(), trace_chrome,

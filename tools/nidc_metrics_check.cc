@@ -15,8 +15,8 @@
 // non-empty array of {path, count, wall_us, cpu_us} entries whose
 // top-level clusterer.step span closed exactly once), and the expected
 // metric families (K-means, rep-index, scoring-kernel, term-statistics,
-// cluster health, event log, time-series store, self-profiler, decision
-// provenance, request-trace pipeline, SLO engine). Every metric name must
+// cluster health, event log, time-series store, self-profiler,
+// request-trace pipeline, SLO engine). Every metric name must
 // also belong to a known family prefix — a typo'd or undocumented family
 // fails validation instead of silently shipping — and the
 // kernel.dispatch.<name> gauge must be present and name a real scoring
@@ -95,9 +95,6 @@ constexpr const char* kMetricKeys[] = {
     "timeseries.tracked",
     "profile.spans",
     "profile.phases",
-    "provenance.records",
-    "provenance.dropped",
-    "provenance.retained",
     "pipeline.traces_started",
     "pipeline.traces_completed",
     "pipeline.traces_dropped",
@@ -123,8 +120,7 @@ constexpr const char* kKnownPrefixes[] = {
     "kmeans.",  "rep_index.",  "term_stats.", "step.",
     "corpus.",  "store.",      "health.",     "events.",
     "serve.",   "kernel.",     "timeseries.", "profile.",
-    "provenance.", "repl.",    "shard.",      "pipeline.",
-    "slo.",
+    "repl.",    "shard.",      "pipeline.",   "slo.",
 };
 
 // The sharded service registers these at Start (see ShardService::Init),
