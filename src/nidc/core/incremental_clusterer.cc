@@ -50,6 +50,8 @@ void RecordStepMetrics(obs::MetricsRegistry* metrics,
       ->Observe(result.clustering_seconds);
   metrics->GetGauge("term_stats.vocab_size")
       ->Set(static_cast<double>(model.NumTerms()));
+  metrics->GetGauge("term_stats.bytes")
+      ->Set(static_cast<double>(model.TermBytes()));
   metrics->GetGauge("term_stats.tdw")->Set(model.TotalWeight());
 }
 

@@ -1,5 +1,6 @@
 #include "nidc/forgetting/document_weights.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -19,28 +20,53 @@ void DocumentWeights::AdvanceTo(DayTime tau) {
   now_ = tau;
 }
 
+uint32_t& DocumentWeights::PositionSlot(DocId id) {
+  if (active_.empty()) {
+    pos_.clear();
+    first_ = id;
+  } else if (id < first_) {
+    pos_.insert(pos_.begin(), first_ - id, kNoPosition);
+    first_ = id;
+  }
+  if (id - first_ >= pos_.size()) {
+    pos_.resize(static_cast<size_t>(id - first_) + 1, kNoPosition);
+  }
+  return pos_[id - first_];
+}
+
+void DocumentWeights::RebuildPositions() {
+  pos_.clear();
+  if (active_.empty()) return;
+  const auto [min_id, max_id] =
+      std::minmax_element(active_.begin(), active_.end());
+  first_ = *min_id;
+  pos_.resize(static_cast<size_t>(*max_id - first_) + 1, kNoPosition);
+  for (size_t i = 0; i < active_.size(); ++i) {
+    pos_[active_[i] - first_] = static_cast<uint32_t>(i);
+  }
+}
+
 void DocumentWeights::Add(DocId id, DayTime acquisition_time) {
-  assert(!pos_.contains(id));
+  assert(!Contains(id));
   assert(acquisition_time <= now_);
   // Eq. 1 at the current clock; exactly 1 when T_i == now.
   const double weight = std::pow(lambda_, now_ - acquisition_time);
-  pos_.emplace(id, active_.size());
+  PositionSlot(id) = static_cast<uint32_t>(active_.size());
   active_.push_back(id);
   dw_.push_back(weight);
   tdw_ += weight;  // Eq. 28's "+ m'" generalized to back-dated arrivals.
 }
 
 void DocumentWeights::Remove(DocId id) {
-  auto it = pos_.find(id);
-  assert(it != pos_.end());
-  const size_t pos = it->second;
+  const uint32_t pos = PositionOf(id);
+  assert(pos != kNoPosition);
   tdw_ -= dw_[pos];
-  pos_.erase(it);
+  pos_[id - first_] = kNoPosition;
   const size_t last = active_.size() - 1;
   if (pos != last) {
     active_[pos] = active_[last];
     dw_[pos] = dw_[last];
-    pos_[active_[pos]] = pos;
+    pos_[active_[pos] - first_] = pos;
   }
   active_.pop_back();
   dw_.pop_back();
@@ -52,17 +78,16 @@ std::vector<DocId> DocumentWeights::RemoveBelow(double epsilon) {
   for (size_t i = 0; i < active_.size(); ++i) {
     if (dw_[i] < epsilon) {
       tdw_ -= dw_[i];
-      pos_.erase(active_[i]);
       removed.push_back(active_[i]);
     } else {
       active_[kept] = active_[i];
       dw_[kept] = dw_[i];
-      pos_[active_[kept]] = kept;
       ++kept;
     }
   }
   active_.resize(kept);
   dw_.resize(kept);
+  RebuildPositions();
   return removed;
 }
 
@@ -91,7 +116,8 @@ Status DocumentWeights::RestoreExact(
   }
   Reset(now);
   for (const auto& [id, weight] : weights) {
-    if (pos_.contains(id)) {
+    uint32_t& slot = PositionSlot(id);
+    if (slot != kNoPosition) {
       return Status::InvalidArgument("duplicate document " +
                                      std::to_string(id) + " in weights");
     }
@@ -99,7 +125,7 @@ Status DocumentWeights::RestoreExact(
       return Status::InvalidArgument("invalid weight for document " +
                                      std::to_string(id));
     }
-    pos_.emplace(id, active_.size());
+    slot = static_cast<uint32_t>(active_.size());
     active_.push_back(id);
     dw_.push_back(weight);
   }
@@ -108,8 +134,8 @@ Status DocumentWeights::RestoreExact(
 }
 
 double DocumentWeights::Weight(DocId id) const {
-  auto it = pos_.find(id);
-  return it == pos_.end() ? 0.0 : dw_[it->second];
+  const uint32_t pos = PositionOf(id);
+  return pos == kNoPosition ? 0.0 : dw_[pos];
 }
 
 }  // namespace nidc

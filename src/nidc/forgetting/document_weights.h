@@ -1,10 +1,16 @@
 // Per-document forgetting weights dw_i and their total tdw, maintained
 // incrementally exactly as Eq. 27–28 prescribe.
+//
+// Document ids are dense corpus indices and the active ones span one
+// window, so an id's position is found in a flat array over the span of
+// the active ids, with a sentinel for the ids between them that are not
+// active (as in SimilarityContext's slot table).
 
 #ifndef NIDC_FORGETTING_DOCUMENT_WEIGHTS_H_
 #define NIDC_FORGETTING_DOCUMENT_WEIGHTS_H_
 
-#include <unordered_map>
+#include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -29,13 +35,14 @@ class DocumentWeights {
   void Add(DocId id, DayTime acquisition_time);
 
   /// Unregisters a document, subtracting its weight from tdw. O(1): the
-  /// active list is swap-and-popped via a position map, so the order of
+  /// active list is swap-and-popped via the position array, so the order of
   /// active_docs()/ExactWeights() after a single Remove is *not* insertion
   /// order (production expiry goes through the order-preserving
   /// RemoveBelow; this entry point only serves tests and tooling).
   void Remove(DocId id);
 
   /// Removes every document with weight < epsilon; returns removed ids.
+  /// Rebuilds the position array over the kept ids in one pass.
   std::vector<DocId> RemoveBelow(double epsilon);
 
   /// Clears all documents and resets the clock to `tau`.
@@ -54,7 +61,7 @@ class DocumentWeights {
                       const std::vector<std::pair<DocId, double>>& weights);
 
   double Weight(DocId id) const;
-  bool Contains(DocId id) const { return pos_.contains(id); }
+  bool Contains(DocId id) const { return PositionOf(id) != kNoPosition; }
   double TotalWeight() const { return tdw_; }
   DayTime now() const { return now_; }
   size_t size() const { return active_.size(); }
@@ -65,15 +72,35 @@ class DocumentWeights {
 
   double lambda() const { return lambda_; }
 
+  /// Heap bytes held, from the arrays' capacities.
+  size_t bytes() const {
+    return active_.capacity() * sizeof(DocId) +
+           dw_.capacity() * sizeof(double) +
+           pos_.capacity() * sizeof(uint32_t);
+  }
+
  private:
+  static constexpr uint32_t kNoPosition = UINT32_MAX;
+
+  uint32_t PositionOf(DocId id) const {
+    return id >= first_ && id - first_ < pos_.size() ? pos_[id - first_]
+                                                     : kNoPosition;
+  }
+  // pos_[id - first_], grown to reach `id`, below first_ included.
+  uint32_t& PositionSlot(DocId id);
+  // Refills pos_ over [min, max] of active_.
+  void RebuildPositions();
+
   double lambda_;
   DayTime now_ = 0.0;
   double tdw_ = 0.0;
   // Weights live in a vector parallel to active_ (dense iteration for the
-  // per-advance decay); pos_ maps an id to its index in both.
+  // per-advance decay); pos_[id - first_] is an id's index in both, or
+  // kNoPosition.
   std::vector<DocId> active_;
   std::vector<double> dw_;
-  std::unordered_map<DocId, size_t> pos_;
+  DocId first_ = 0;
+  std::vector<uint32_t> pos_;
 };
 
 }  // namespace nidc

@@ -98,6 +98,15 @@ Status ForgettingModel::RestoreExact(const ExactModelState& state) {
                                      " beyond the corpus");
     }
   }
+  // Checked before TermStatistics sizes its arrays by the largest id.
+  for (const auto& [term, sum] : state.term_sums) {
+    (void)sum;
+    if (term >= corpus_->vocabulary().size()) {
+      return Status::InvalidArgument("exact state references term " +
+                                     std::to_string(term) +
+                                     " beyond the corpus vocabulary");
+    }
+  }
   Status st = weights_.RestoreExact(state.now, state.tdw, state.weights);
   if (st.ok()) st = terms_.RestoreExact(state.term_scale, state.term_sums);
   if (!st.ok()) {

@@ -102,8 +102,9 @@ class ForgettingModel {
   ExactModelState CaptureExact() const;
 
   /// Restores a captured state verbatim. Rejects duplicate or
-  /// out-of-corpus document ids and non-finite values; on error the model
-  /// is left empty at the state's clock.
+  /// out-of-corpus document ids, term ids outside the corpus vocabulary
+  /// and non-finite values; on error the model is left empty at the
+  /// state's clock.
   Status RestoreExact(const ExactModelState& state);
 
   // --- Accessors ---
@@ -136,6 +137,10 @@ class ForgettingModel {
   /// Number of terms with recorded statistics — the active vocabulary
   /// size, as surfaced in the step telemetry.
   size_t NumTerms() const { return terms_.num_terms(); }
+
+  /// Heap bytes of the term statistics' and the document weights' arrays.
+  size_t TermBytes() const { return terms_.bytes(); }
+  size_t WeightBytes() const { return weights_.bytes(); }
 
   DayTime now() const { return weights_.now(); }
   const ForgettingParams& params() const { return params_; }

@@ -10,11 +10,18 @@
 // the new documents) instead of O(vocabulary). (The division by tdw, which
 // decays identically, makes Pr(t_k) invariant to pure time passage — only
 // arrivals and expirations change it.)
+//
+// Term ids are dense vocabulary indices, so S̃_k lives in a flat array
+// indexed by id beside a presence byte: 9 bytes per id up to the largest
+// id seen, grown by half. Presence is kept apart from the value because a
+// term is present from its first added mass until a removal takes its sum
+// to ≤ 0, so a restored or renormalized sum of 0 stays present.
 
 #ifndef NIDC_FORGETTING_TERM_STATISTICS_H_
 #define NIDC_FORGETTING_TERM_STATISTICS_H_
 
-#include <unordered_map>
+#include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -48,7 +55,12 @@ class TermStatistics {
   void Clear();
 
   /// Number of terms with recorded (possibly zero) mass.
-  size_t num_terms() const { return sums_.size(); }
+  size_t num_terms() const { return num_terms_; }
+
+  /// Heap bytes held, from the arrays' capacities.
+  size_t bytes() const {
+    return sums_.capacity() * sizeof(double) + present_.capacity();
+  }
 
   /// Bit-exact persistence support: the internal representation
   /// (S_k = scale() · S̃_k) rather than the folded products, so a restored
@@ -57,7 +69,9 @@ class TermStatistics {
   /// The raw S̃_k entries, sorted by term id for deterministic output.
   std::vector<std::pair<TermId, double>> ExactSums() const;
   /// Restores the exact representation captured above; rejects duplicate
-  /// terms, non-finite sums and a non-positive scale.
+  /// terms, non-finite sums and a non-positive scale. The arrays are sized
+  /// by the largest id, so the caller bounds the ids first (ForgettingModel
+  /// refuses one outside the corpus vocabulary).
   Status RestoreExact(double scale,
                       const std::vector<std::pair<TermId, double>>& sums);
 
@@ -65,8 +79,13 @@ class TermStatistics {
   /// Folds `scale_` into the stored values when it underflows toward 0.
   void Renormalize();
 
-  std::unordered_map<TermId, double> sums_;  // S̃_k
-  double scale_ = 1.0;                       // S_k = scale_ · S̃_k
+  /// Grows the arrays by half, or to `term` if that is further.
+  void Reach(TermId term);
+
+  std::vector<double> sums_;      // S̃_k by term id; 0 where absent
+  std::vector<uint8_t> present_;  // 1 where the term has recorded mass
+  size_t num_terms_ = 0;
+  double scale_ = 1.0;            // S_k = scale_ · S̃_k
 };
 
 }  // namespace nidc

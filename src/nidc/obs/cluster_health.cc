@@ -65,14 +65,19 @@ void ClusterHealthMonitor::ObserveStep(StepObservation observation) {
                             : 0.0;
 
   // --- Membership churn over docs present in both steps ---
-  std::unordered_map<uint32_t, uint64_t> assignment;
+  std::vector<std::pair<uint32_t, uint64_t>> assignment;
   for (const ClusterObservation& cluster : observation.clusters) {
-    for (uint32_t doc : cluster.members) assignment[doc] = cluster.id;
+    for (uint32_t doc : cluster.members) {
+      assignment.emplace_back(doc, cluster.id);
+    }
   }
+  std::sort(assignment.begin(), assignment.end());
   if (has_previous_) {
+    auto prev = previous_assignment_.begin();
     for (const auto& [doc, id] : assignment) {
-      const auto prev = previous_assignment_.find(doc);
-      if (prev == previous_assignment_.end()) continue;
+      while (prev != previous_assignment_.end() && prev->first < doc) ++prev;
+      if (prev == previous_assignment_.end()) break;
+      if (prev->first != doc) continue;
       ++snapshot.docs_tracked;
       if (prev->second != id) ++snapshot.docs_moved;
     }

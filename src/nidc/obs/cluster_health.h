@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "nidc/obs/metrics.h"
@@ -121,9 +122,10 @@ class ClusterHealthMonitor {
 
   const ClusterHealthOptions options_;
 
-  // Baseline from the previous step, keyed by stable cluster id.
+  // Baseline from the previous step: clusters keyed by stable cluster id,
+  // and (doc, cluster id) pairs sorted by doc, which churn merge-joins.
   std::unordered_map<uint64_t, PreviousCluster> previous_clusters_;
-  std::unordered_map<uint32_t, uint64_t> previous_assignment_;
+  std::vector<std::pair<uint32_t, uint64_t>> previous_assignment_;
   std::unordered_map<uint64_t, uint64_t> first_seen_step_;
   bool has_previous_ = false;
   double previous_g_ = 0.0;

@@ -17,20 +17,6 @@ TermCounts TermCounts::FromSortedEntries(std::vector<Entry> entries) {
   return counts;
 }
 
-double TermCounts::ValueAt(TermId id) const {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), id,
-      [](const Entry& e, TermId target) { return e.id < target; });
-  if (it != entries_.end() && it->id == id) return it->count;
-  return 0.0;
-}
-
-double TermCounts::Sum() const {
-  double sum = 0.0;
-  for (const Entry& e : entries_) sum += e.count;
-  return sum;
-}
-
 void PutVarint(std::string* out, uint64_t v) {
   while (v >= 0x80) {
     out->push_back(static_cast<char>(v | 0x80));

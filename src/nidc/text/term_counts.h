@@ -41,12 +41,6 @@ class TermCounts {
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  /// Count of `id` as a double, or 0 if absent. O(log n).
-  double ValueAt(TermId id) const;
-
-  /// Σ of the counts as a double, added in entry order.
-  double Sum() const;
-
   bool operator==(const TermCounts& other) const = default;
 
  private:

@@ -13,6 +13,7 @@
 
 #include "nidc/synth/tdt2_like_generator.h"
 #include "nidc/util/random.h"
+#include "sparse_value.h"
 #include "vocabulary_terms.h"
 
 namespace nidc {
@@ -23,8 +24,8 @@ TEST(AnalyzerTest, CountsTermFrequencies) {
   Analyzer analyzer(&vocab);
   TermCounts v = analyzer.Analyze("bomb bomb explosion");
   EXPECT_EQ(v.size(), 2u);
-  EXPECT_DOUBLE_EQ(v.ValueAt(vocab.Lookup("bomb")), 2.0);
-  EXPECT_DOUBLE_EQ(v.ValueAt(vocab.Lookup("explos")), 1.0);  // stemmed
+  EXPECT_DOUBLE_EQ(ValueAt(v, vocab.Lookup("bomb")), 2.0);
+  EXPECT_DOUBLE_EQ(ValueAt(v, vocab.Lookup("explos")), 1.0);  // stemmed
 }
 
 TEST(AnalyzerTest, RemovesStopwords) {
@@ -33,7 +34,7 @@ TEST(AnalyzerTest, RemovesStopwords) {
   TermCounts v = analyzer.Analyze("the president and the senate");
   EXPECT_EQ(vocab.Lookup("the"), kInvalidTermId);
   EXPECT_EQ(vocab.Lookup("and"), kInvalidTermId);
-  EXPECT_EQ(v.Sum(), 2.0);  // president + senate (senat)
+  EXPECT_EQ(TotalCount(v), 2.0);  // president + senate (senat)
 }
 
 TEST(AnalyzerTest, StemmingMergesInflections) {
@@ -75,8 +76,8 @@ TEST(AnalyzerTest, DefaultOptionsShareOneStopwordSet) {
   EXPECT_EQ(a.stopwords(), &StopwordSet::Default());
   const TermCounts va = a.Analyze("the president and the senate of it");
   const TermCounts vb = b.Analyze("the president and the senate of it");
-  EXPECT_EQ(va.Sum(), 2.0);
-  EXPECT_EQ(vb.Sum(), 2.0);
+  EXPECT_EQ(TotalCount(va), 2.0);
+  EXPECT_EQ(TotalCount(vb), 2.0);
   for (const char* word : {"the", "and", "of", "it"}) {
     EXPECT_EQ(vocab_a.Lookup(word), kInvalidTermId) << word;
     EXPECT_EQ(vocab_b.Lookup(word), kInvalidTermId) << word;
@@ -93,8 +94,8 @@ TEST(AnalyzerTest, SharedVocabularyAcrossDocuments) {
   TermCounts b = analyzer.Analyze("iraq sanctions");
   const TermId iraq = vocab.Lookup("iraq");
   ASSERT_NE(iraq, kInvalidTermId);
-  EXPECT_DOUBLE_EQ(a.ValueAt(iraq), 1.0);
-  EXPECT_DOUBLE_EQ(b.ValueAt(iraq), 1.0);
+  EXPECT_DOUBLE_EQ(ValueAt(a, iraq), 1.0);
+  EXPECT_DOUBLE_EQ(ValueAt(b, iraq), 1.0);
 }
 
 TEST(AnalyzerTest, FrozenAnalysisSkipsUnknownTerms) {
@@ -104,7 +105,7 @@ TEST(AnalyzerTest, FrozenAnalysisSkipsUnknownTerms) {
   const size_t before = vocab.size();
   TermCounts v = analyzer.AnalyzeFrozen("known brandnewterm");
   EXPECT_EQ(vocab.size(), before);
-  EXPECT_EQ(v.Sum(), 1.0);
+  EXPECT_EQ(TotalCount(v), 1.0);
 }
 
 TEST(AnalyzerTest, EmptyTextYieldsEmptyVector) {
@@ -124,8 +125,8 @@ TEST(AnalyzerTest, RealisticNewsLead) {
   const TermId iraq = vocab.Lookup("iraq");
   ASSERT_NE(iraq, kInvalidTermId);
   // "Iraq" appears twice plus "Iraqi" stems to "iraqi" (distinct stem).
-  EXPECT_GE(v.ValueAt(iraq), 2.0);
-  EXPECT_GT(v.Sum(), 10.0);
+  EXPECT_GE(ValueAt(v, iraq), 2.0);
+  EXPECT_GT(TotalCount(v), 10.0);
 }
 
 TEST(AnalyzerTest, RepeatedTermsTakeTheFastPath) {

@@ -1,6 +1,9 @@
 #include "nidc/obs/cluster_health.h"
 
 #include <cmath>
+#include <cstdint>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -81,6 +84,54 @@ TEST(ClusterHealthTest, ChurnIsHandComputable) {
   EXPECT_EQ(snapshot.docs_tracked, 4u);
   EXPECT_EQ(snapshot.docs_moved, 1u);
   EXPECT_DOUBLE_EQ(snapshot.membership_churn, 0.25);
+}
+
+// (docs tracked, docs moved) counted through a hash map of doc → cluster
+// id, the representation the monitor's sorted baseline replaced.
+std::pair<size_t, size_t> MapChurn(const obs::StepObservation& before,
+                                   const obs::StepObservation& after) {
+  std::unordered_map<uint32_t, uint64_t> previous;
+  for (const auto& cluster : before.clusters) {
+    for (uint32_t doc : cluster.members) previous[doc] = cluster.id;
+  }
+  size_t tracked = 0;
+  size_t moved = 0;
+  for (const auto& cluster : after.clusters) {
+    for (uint32_t doc : cluster.members) {
+      const auto it = previous.find(doc);
+      if (it == previous.end()) continue;
+      ++tracked;
+      moved += it->second != cluster.id;
+    }
+  }
+  return {tracked, moved};
+}
+
+TEST(ClusterHealthTest, ChurnMatchesTheMapCount) {
+  // Unsorted members; docs 1, 3, 4, 8 and 15 are in both steps, 3 and 4
+  // change cluster, and 9, 20 leave while 22, 30, 50 and 60 arrive.
+  obs::StepObservation first;
+  first.step = 0;
+  first.num_active = 7;
+  first.clusters.push_back(Cluster(7, Vec({{1, 1.0}}), {9, 3, 15, 1}));
+  first.clusters.push_back(Cluster(2, Vec({{2, 1.0}}), {20, 8, 4}));
+  obs::StepObservation second;
+  second.step = 1;
+  second.num_active = 9;
+  second.clusters.push_back(Cluster(2, Vec({{2, 1.0}}), {30, 3, 8}));
+  second.clusters.push_back(Cluster(7, Vec({{1, 1.0}}), {22, 15, 1}));
+  second.clusters.push_back(Cluster(11, Vec({{3, 1.0}}), {60, 4, 50}));
+  const auto [tracked, moved] = MapChurn(first, second);
+  ASSERT_EQ(tracked, 5u);
+  ASSERT_EQ(moved, 2u);
+
+  obs::ClusterHealthMonitor monitor;
+  monitor.ObserveStep(first);
+  monitor.ObserveStep(second);
+  const obs::HealthSnapshot snapshot = monitor.snapshot();
+  EXPECT_EQ(snapshot.docs_tracked, tracked);
+  EXPECT_EQ(snapshot.docs_moved, moved);
+  EXPECT_DOUBLE_EQ(snapshot.membership_churn, 2.0 / 5.0);
 }
 
 TEST(ClusterHealthTest, DriftIsMatchedByIdNotPosition) {

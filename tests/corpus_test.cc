@@ -13,6 +13,7 @@
 #include "nidc/forgetting/forgetting_model.h"
 #include "nidc/synth/tdt2_like_generator.h"
 #include "nidc/util/random.h"
+#include "sparse_value.h"
 
 namespace nidc {
 namespace {
@@ -42,8 +43,8 @@ TEST(CorpusTest, AddTextAnalyzesAgainstSharedVocabulary) {
   const DocId b = c.AddText("iraq sanctions", 0.5);
   const TermId iraq = c.vocabulary().Lookup("iraq");
   ASSERT_NE(iraq, kInvalidTermId);
-  EXPECT_DOUBLE_EQ(c.doc(a).terms.ToTermCounts().ValueAt(iraq), 1.0);
-  EXPECT_DOUBLE_EQ(c.doc(b).terms.ToTermCounts().ValueAt(iraq), 1.0);
+  EXPECT_DOUBLE_EQ(ValueAt(c.doc(a).terms.ToTermCounts(), iraq), 1.0);
+  EXPECT_DOUBLE_EQ(ValueAt(c.doc(b).terms.ToTermCounts(), iraq), 1.0);
 }
 
 TEST(CorpusTest, DocCarriesMetadata) {
@@ -130,8 +131,8 @@ TEST(CorpusTest, ReleaseKeepsIdsAndSize) {
   for (DocId id = 2; id < 5; ++id) {
     EXPECT_EQ(c.doc(id).id, id);
     EXPECT_DOUBLE_EQ(c.doc(id).time, id);
-    EXPECT_EQ(c.doc(id).terms.ToTermCounts().ValueAt(c.vocabulary().Lookup(
-                  "day" + std::to_string(id))),
+    EXPECT_EQ(ValueAt(c.doc(id).terms.ToTermCounts(),
+                      c.vocabulary().Lookup("day" + std::to_string(id))),
               1.0);
   }
   EXPECT_EQ(c.docs().front().id, 2u);
@@ -154,8 +155,8 @@ TEST(CorpusTest, AddAndInstallAfterReleaseGetTheNextId) {
   ASSERT_TRUE(c.Install(term, {"installed"}, 6, doc.docs()).ok());
   EXPECT_EQ(c.size(), 7u);
   EXPECT_EQ(c.doc(6).id, 6u);
-  EXPECT_EQ(c.doc(6).terms.ToTermCounts().ValueAt(
-                c.vocabulary().Lookup("installed")),
+  EXPECT_EQ(ValueAt(c.doc(6).terms.ToTermCounts(),
+                    c.vocabulary().Lookup("installed")),
             2.0);
   EXPECT_EQ(c.first_retained(), 4u);
   EXPECT_EQ(c.docs().size(), 3u);
@@ -274,8 +275,10 @@ void ExpectView(const Document& view, DocId id, const AnalyzedDocument& doc) {
   EXPECT_EQ(view.source, doc.source) << id;
   EXPECT_EQ(view.terms.size(), doc.terms.size()) << id;
   EXPECT_EQ(view.terms.ToTermCounts(), doc.terms) << id;
+  double fold = 0.0;  // the in-order double fold of the counts
+  for (const auto& e : doc.terms.entries()) fold += e.count;
   EXPECT_EQ(std::bit_cast<uint64_t>(view.Length()),
-            std::bit_cast<uint64_t>(doc.terms.Sum()))
+            std::bit_cast<uint64_t>(fold))
       << id;
 }
 

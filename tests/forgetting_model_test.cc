@@ -1,8 +1,14 @@
 #include "nidc/forgetting/forgetting_model.h"
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "nidc/synth/tdt2_like_generator.h"
 
 namespace nidc {
 namespace {
@@ -197,6 +203,57 @@ TEST_F(ForgettingModelTest, PureTimePassageKeepsPrTermInvariant) {
   const double before = m.PrTerm(iraq);
   m.AdvanceTo(5.0);
   EXPECT_NEAR(m.PrTerm(iraq), before, 1e-12);
+}
+
+// The memory gate of the model's dense arrays over the paper-scale stream
+// (the scale-1 corpus a day at a time, β = 7, γ = 30). The term statistics
+// hold one double and one presence byte per id, grown by half, so at most
+// 13.5 heap bytes per term of the vocabulary seen so far; the document
+// weights hold a DocId, a weight and a position per document, at most
+// kMaxWeightBytes per document of the largest active set so far. This
+// stream measured 13.47 and 33.08 at worst.
+TEST(ForgettingModelMemoryTest, ArraysStayBoundedOverTheScaleOneStream) {
+  constexpr double kMaxTermBytes = 13.5;
+  constexpr double kMaxWeightBytes = 36.0;
+  Result<std::unique_ptr<Corpus>> generated =
+      Tdt2LikeGenerator(GeneratorOptions{}).Generate();
+  ASSERT_TRUE(generated.ok());
+  const Corpus& corpus = **generated;
+  ForgettingParams params;
+  params.half_life_days = 7.0;
+  params.life_span_days = 30.0;
+
+  ForgettingModel model(&corpus, params);
+  size_t vocabulary = 0;  // the largest term id seen, plus one
+  double worst_terms = 0.0;
+  double worst_weights = 0.0;
+  size_t peak_active = 0;
+  DocId next = 0;
+  for (int day = 0; next < corpus.size(); ++day) {
+    std::vector<DocId> batch;
+    for (; next < corpus.size() && corpus.doc(next).time < day + 1; ++next) {
+      batch.push_back(next);
+      for (const auto& e : corpus.doc(next).terms) {
+        vocabulary = std::max<size_t>(vocabulary, size_t{e.id} + 1);
+      }
+    }
+    model.AdvanceTo(day + 1);
+    model.AddDocuments(batch);
+    model.ExpireDocuments();
+    if (vocabulary == 0) continue;
+    worst_terms = std::max(worst_terms, static_cast<double>(model.TermBytes()) /
+                                            static_cast<double>(vocabulary));
+    peak_active = std::max(peak_active, model.num_active());
+    worst_weights =
+        std::max(worst_weights, static_cast<double>(model.WeightBytes()) /
+                                    static_cast<double>(peak_active));
+  }
+  EXPECT_GT(worst_terms, 0.0);
+  EXPECT_LE(worst_terms, kMaxTermBytes);
+  EXPECT_GT(worst_weights, 0.0);
+  EXPECT_LE(worst_weights, kMaxWeightBytes);
+  RecordProperty("worst_term_bytes", std::to_string(worst_terms));
+  RecordProperty("worst_weight_bytes", std::to_string(worst_weights));
 }
 
 }  // namespace

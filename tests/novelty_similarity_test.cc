@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "nidc/synth/tdt2_like_generator.h"
+#include "sparse_value.h"
 
 namespace nidc {
 namespace {
@@ -53,7 +54,7 @@ TEST_F(NoveltySimilarityTest, Eq11PreTfidfFormAgrees) {
       const Document& db = corpus_.doc(b);
       double weighted_overlap = 0.0;
       for (const auto& e : da.terms) {
-        const double fb = db.terms.ToTermCounts().ValueAt(e.id);
+        const double fb = ValueAt(db.terms.ToTermCounts(), e.id);
         if (fb == 0.0) continue;
         const double pr_t = model_->PrTerm(e.id);
         ASSERT_GT(pr_t, 0.0);

@@ -167,6 +167,28 @@ TEST_F(SnapshotFuzzTest, MutatedStatesParseToAFixedPoint) {
   EXPECT_GT(parsed, 0u);
 }
 
+TEST_F(SnapshotFuzzTest, TermIdBeyondTheVocabularyIsRefused) {
+  // A flipped digit in a terms entry parses, and must be refused before
+  // the term statistics size their arrays by the id.
+  const size_t line = state_.find("\nterms ");
+  ASSERT_NE(line, std::string::npos);
+  // "terms", the count, then the first entry's id.
+  const auto tokens = Tokens(std::string_view(state_).substr(line));
+  ASSERT_GE(tokens.size(), 4u);
+  const auto [id_begin, id_end] = tokens[2];
+  std::string text = state_;
+  text.replace(line + id_begin, id_end - id_begin, "4294967295");
+  Result<ClustererState> state = ParseState(text);
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  ASSERT_EQ(state->exact.term_sums.front().first, 4294967295u);
+  auto restored = RestoreClusterer(stream_.corpus.get(), options_, *state);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(restored.status().ToString().find("beyond the corpus vocabulary"),
+            std::string::npos)
+      << restored.status().ToString();
+}
+
 TEST_F(SnapshotFuzzTest, MutatedResultSectionsParseToAFixedPoint) {
   Rng rng(36);
   size_t parsed = 0;

@@ -69,6 +69,7 @@ constexpr const char* kMetricKeys[] = {
     "rep_index.builds",
     "rep_index.moves_applied",
     "term_stats.vocab_size",
+    "term_stats.bytes",
     "term_stats.tdw",
     "step.count",
     "step.docs_new",
