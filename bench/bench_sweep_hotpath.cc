@@ -146,7 +146,6 @@ double MeasureInstrumentationOverhead(const ForgettingModel& model,
   const auto run_once = [&](bool instrumented) {
     ExtendedKMeansOptions options = kmeans;
     options.metrics = instrumented ? &registry : nullptr;
-    options.events = instrumented ? &events : nullptr;
     obs::ScopedProfilerInstall install_profiler(instrumented ? &profiler
                                                              : nullptr);
     if (instrumented) profiler.SetStep(step);

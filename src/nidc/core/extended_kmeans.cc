@@ -7,7 +7,6 @@
 #include "nidc/core/clustering_index.h"
 #include "nidc/core/kernels/kernels.h"
 #include "nidc/core/rep_index.h"
-#include "nidc/obs/event_log.h"
 #include "nidc/obs/metrics.h"
 #include "nidc/obs/trace.h"
 #include "nidc/util/stopwatch.h"
@@ -108,52 +107,6 @@ void CaptureVerdict(DecisionRecord* record, int best, bool reseeded,
   record->iteration = iteration;
 }
 
-// A run's event sink for its sweeps: each sweep stages its events in
-// `staged` and flushes them through one EmitBatch, which empties the
-// buffer but keeps its capacity for the next sweep.
-struct SweepEvents {
-  obs::EventLog* log;
-  std::vector<obs::Event> staged;
-};
-
-// Emits the lifecycle events of one settled per-document decision: the
-// move itself, the source cluster left empty (if any), and a reseeded
-// empty slot (if the reseed branch fired). Cluster ids are read *after*
-// the assignment — an emptied cluster keeps its id until reseeded, and a
-// reseeded cluster's fresh id is exactly what the event should carry.
-// Stages the events of one settled document into `buffer` — the sweeps
-// flush the whole buffer through EventLog::EmitBatch once per sweep, so
-// the per-document cost is plain stores instead of a mutex + clock read
-// per move (which showed up in the instrumentation-overhead budget on
-// first sweeps, where every document "moves" from unassigned).
-void EmitSweepEvents(std::vector<obs::Event>* buffer,
-                     const ClusterSet& clusters, DocId id, int previous,
-                     int best, bool reseeded) {
-  if (best == previous) return;
-  // Each event is built in place: the buffer keeps its capacity across
-  // sweeps, so this is the only write of its bytes before EmitBatch.
-  obs::Event& moved = buffer->emplace_back();
-  moved.type = obs::EventType::kDocMoved;
-  moved.doc = id;
-  if (previous != kUnassigned) {
-    moved.from_cluster = clusters.cluster_id(static_cast<size_t>(previous));
-  }
-  if (best != kUnassigned) {
-    moved.cluster_id = clusters.cluster_id(static_cast<size_t>(best));
-  }
-  if (previous != kUnassigned &&
-      clusters.cluster(static_cast<size_t>(previous)).empty()) {
-    obs::Event& emptied = buffer->emplace_back();
-    emptied.type = obs::EventType::kClusterEmptied;
-    emptied.cluster_id = clusters.cluster_id(static_cast<size_t>(previous));
-  }
-  if (reseeded && best != kUnassigned) {
-    obs::Event& reseed = buffer->emplace_back();
-    reseed.type = obs::EventType::kClusterReseeded;
-    reseed.cluster_id = clusters.cluster_id(static_cast<size_t>(best));
-  }
-}
-
 // One repetition sweep (§4.3 step 1) on the merge path — the reference
 // every other path must reproduce bit-for-bit: every document is
 // physically detached, the best gain over all clusters is found via Eq. 26
@@ -165,7 +118,6 @@ std::vector<DocId> SweepAssignMerge(const std::vector<DocId>& order,
                                     AssignmentCriterion criterion,
                                     ClusterSet* clusters,
                                     SweepCounters* counters,
-                                    SweepEvents* events,
                                     double* maintenance_seconds,
                                     DecisionCapture* capture,
                                     uint32_t iteration) {
@@ -227,12 +179,7 @@ std::vector<DocId> SweepAssignMerge(const std::vector<DocId>& order,
       if (reseeded) ++counters->reseeds;
     }
     CaptureVerdict(decision, best, reseeded, iteration);
-    if (events != nullptr) {
-      EmitSweepEvents(&events->staged, *clusters, id, previous, best,
-                      reseeded);
-    }
   }
-  if (events != nullptr) events->log->EmitBatch(&events->staged);
   return outliers;
 }
 
@@ -255,7 +202,6 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
                                        AssignmentCriterion criterion,
                                        ClusterSet* clusters,
                                        SweepCounters* counters,
-                                       SweepEvents* events,
                                        double* maintenance_seconds,
                                        DecisionCapture* capture,
                                        uint32_t iteration) {
@@ -379,12 +325,7 @@ std::vector<DocId> SweepAssignMoveOnly(const std::vector<DocId>& order,
       if (reseeded) ++counters->reseeds;
     }
     CaptureVerdict(decision, best, reseeded, iteration);
-    if (events != nullptr) {
-      EmitSweepEvents(&events->staged, *clusters, id, previous, best,
-                      reseeded);
-    }
   }
-  if (events != nullptr) events->log->EmitBatch(&events->staged);
   return outliers;
 }
 
@@ -392,16 +333,14 @@ std::vector<DocId> SweepAssign(const std::vector<DocId>& order,
                                const SimilarityContext& ctx,
                                AssignmentCriterion criterion,
                                ClusterSet* clusters, SweepCounters* counters,
-                               SweepEvents* events,
                                double* maintenance_seconds,
                                DecisionCapture* capture,
                                uint32_t iteration) {
   if (clusters->scoring() == ClusterScoring::kSlotted) {
     return SweepAssignMoveOnly(order, ctx, criterion, clusters, counters,
-                               events, maintenance_seconds, capture,
-                               iteration);
+                               maintenance_seconds, capture, iteration);
   }
-  return SweepAssignMerge(order, ctx, criterion, clusters, counters, events,
+  return SweepAssignMerge(order, ctx, criterion, clusters, counters,
                           maintenance_seconds, capture, iteration);
 }
 
@@ -512,18 +451,6 @@ Result<ClusteringResult> RunExtendedKMeans(
   const std::vector<uint64_t>& seed_ids =
       seed != nullptr ? seed->cluster_ids : kNoSeedIds;
   clusters.InstallIds(seed_ids, options.first_cluster_id);
-  if (options.events != nullptr) {
-    for (size_t p = 0; p < clusters.num_clusters(); ++p) {
-      if (clusters.cluster(p).empty()) continue;
-      if (p < seed_ids.size() && seed_ids[p] != Cluster::kNoClusterId) {
-        continue;  // inherited identity, not a birth
-      }
-      obs::Event created;
-      created.type = obs::EventType::kClusterCreated;
-      created.cluster_id = clusters.cluster_id(p);
-      options.events->Emit(created);
-    }
-  }
 
   // --- Repetition process ---
   std::vector<double> g_history;
@@ -559,9 +486,6 @@ Result<ClusteringResult> RunExtendedKMeans(
     slot_decisions.resize(ctx.size());
     capture = &slot_decisions;
   }
-  SweepEvents sweep_events{options.events, {}};
-  SweepEvents* events =
-      options.events != nullptr ? &sweep_events : nullptr;
   Stopwatch phase_timer;
   while (iterations < options.max_iterations) {
     if (options.shuffle_each_iteration) rng.Shuffle(&order);
@@ -570,8 +494,8 @@ Result<ClusteringResult> RunExtendedKMeans(
       NIDC_SPAN("kmeans.sweep");
       if (time_phases) phase_timer.Restart();
       outliers = SweepAssign(order, ctx, options.criterion, &clusters,
-                             &counters, events, maintenance_seconds,
-                             capture, static_cast<uint32_t>(iterations + 1));
+                             &counters, maintenance_seconds, capture,
+                             static_cast<uint32_t>(iterations + 1));
       if (time_phases) {
         const double seconds = phase_timer.ElapsedSeconds();
         if (sweep_seconds_hist != nullptr) {

@@ -20,7 +20,6 @@
 #include "nidc/util/status.h"
 
 namespace nidc::obs {
-class EventLog;
 class MetricsRegistry;
 }  // namespace nidc::obs
 
@@ -131,11 +130,6 @@ struct ExtendedKMeansOptions {
   /// KMeansSeeds::cluster_ids instead; incremental drivers pass the
   /// previous run's next_cluster_id here to keep ids globally monotone.
   uint64_t first_cluster_id = 0;
-
-  /// Lifecycle-event sink (cluster created/emptied/reseeded, document
-  /// moves — see obs/event_log.h). Null (the default) emits nothing and
-  /// adds no work to the sweeps.
-  obs::EventLog* events = nullptr;
 
   /// Decision capture, an out-parameter: when set, the run replaces its
   /// contents with one DecisionRecord per document of `docs`, in that

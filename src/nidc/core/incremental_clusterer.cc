@@ -96,6 +96,54 @@ void FeedHealthMonitor(obs::ClusterHealthMonitor* health, uint64_t step,
   health->ObserveStep(std::move(observation));
 }
 
+// The stable ids of `clustering`'s non-empty clusters, ascending; none
+// when it carries no ids (an installed or restored result).
+std::vector<uint64_t> PublishedIds(const ClusteringResult& clustering) {
+  std::vector<uint64_t> ids;
+  if (clustering.cluster_ids.size() != clustering.clusters.size()) return ids;
+  for (size_t p = 0; p < clustering.clusters.size(); ++p) {
+    if (!clustering.clusters[p].empty()) {
+      ids.push_back(clustering.cluster_ids[p]);
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+// Announces what a K-means step published, in ascending id order:
+// cluster_created for each id `current` publishes and `previous` did not,
+// cluster_vanished for each id `previous` published and `current` does
+// not. These are ClusterHealthMonitor's clusters_created and
+// clusters_vanished, so over consecutive K-means steps the events and the
+// counters agree. A predecessor without ids (installed or restored) makes
+// every live id a creation.
+void EmitClusterTurnover(obs::EventLog* events,
+                         const std::optional<ClusteringResult>& previous,
+                         const ClusteringResult& current) {
+  if (events == nullptr) return;
+  const std::vector<uint64_t> before =
+      previous ? PublishedIds(*previous) : std::vector<uint64_t>{};
+  const std::vector<uint64_t> after = PublishedIds(current);
+  const auto emit = [events](obs::EventType type, uint64_t id) {
+    obs::Event event;
+    event.type = type;
+    event.cluster_id = id;
+    events->Emit(event);
+  };
+  size_t i = 0;
+  size_t j = 0;
+  while (i < before.size() || j < after.size()) {
+    if (j == after.size() || (i < before.size() && before[i] < after[j])) {
+      emit(obs::EventType::kClusterVanished, before[i++]);
+    } else if (i == before.size() || after[j] < before[i]) {
+      emit(obs::EventType::kClusterCreated, after[j++]);
+    } else {
+      ++i;
+      ++j;
+    }
+  }
+}
+
 // What the next step's seed and SerializeState read of a step's result,
 // in fresh vectors: no representatives and no avg_sims.
 ClusteringResult MembershipsOf(const ClusteringResult& clustering) {
@@ -182,14 +230,6 @@ Result<StepResult> IncrementalClusterer::Step(
     model_.AddDocuments(new_docs);
     result.expired = model_.ExpireDocuments();
   }
-  if (options_.events != nullptr) {
-    for (DocId id : result.expired) {
-      obs::Event expired;
-      expired.type = obs::EventType::kDocExpired;
-      expired.doc = id;
-      options_.events->Emit(expired);
-    }
-  }
   result.num_new = new_docs.size();
   result.num_active = model_.num_active();
   result.stats_update_seconds = stats_timer.ElapsedSeconds();
@@ -222,6 +262,7 @@ Result<StepResult> IncrementalClusterer::Step(
                     model_, result);
   if (!result.installed) {
     FeedHealthMonitor(options_.health, step_count_, result);
+    EmitClusterTurnover(options_.events, last_result_, result.clustering);
   }
   last_result_ = MembershipsOf(result.clustering);
   ++step_count_;
@@ -242,7 +283,6 @@ Result<ClusteringResult> IncrementalClusterer::RunKMeans(
   // Vary the random-seed stream per step so repeated random inits differ.
   kmeans.seed = options_.kmeans.seed + step_count_;
   if (kmeans.metrics == nullptr) kmeans.metrics = options_.metrics;
-  if (kmeans.events == nullptr) kmeans.events = options_.events;
   if (last_result_) {
     // Surviving clusters keep their stable ids; the run mints fresh ones
     // from where the previous run stopped, so ids stay globally monotone.

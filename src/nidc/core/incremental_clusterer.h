@@ -19,6 +19,7 @@
 
 namespace nidc::obs {
 class ClusterHealthMonitor;
+class EventLog;
 }  // namespace nidc::obs
 
 namespace nidc {
@@ -63,10 +64,11 @@ struct IncrementalOptions {
   /// instrumentation.
   obs::MetricsRegistry* metrics = nullptr;
 
-  /// Lifecycle-event sink (see obs/event_log.h): the step loop emits
-  /// doc_expired here and propagates the log to the K-means run (cluster
-  /// created/emptied/reseeded, doc moves) unless `kmeans.events` is set
-  /// explicitly. Null (the default) emits nothing.
+  /// Lifecycle-event sink (see obs/event_log.h): after each step that ran
+  /// K-means, Step emits cluster_created and cluster_vanished for the
+  /// stable ids its result published and its predecessor's did not, and
+  /// the reverse. Nothing inside the run is recorded. Null (the default)
+  /// emits nothing.
   obs::EventLog* events = nullptr;
 
   /// Per-step semantic health monitor (topic drift, membership churn,
@@ -94,8 +96,12 @@ class IncrementalClusterer {
   /// post-phase-1 active set into min(k, active) clusters and outliers;
   /// otherwise K-means runs as usual. Only its memberships, outliers, G,
   /// sweep count and convergence flag are installed: the step has no
-  /// representatives or cluster ids, emits no K-means events or
-  /// decisions, and feeds the health monitor nothing.
+  /// representatives or cluster ids, emits no cluster events, and feeds
+  /// the health monitor nothing.
+  ///
+  /// A step that ran K-means emits its cluster turnover to
+  /// `options().events` (see IncrementalOptions::events), in ascending id
+  /// order, tagged with this step's number.
   Result<StepResult> Step(const std::vector<DocId>& new_docs, DayTime tau,
                           const ClusteringResult* logged = nullptr);
 

@@ -21,14 +21,8 @@ const char* EventTypeName(EventType type) {
   switch (type) {
     case EventType::kClusterCreated:
       return "cluster_created";
-    case EventType::kClusterEmptied:
-      return "cluster_emptied";
-    case EventType::kClusterReseeded:
-      return "cluster_reseeded";
-    case EventType::kDocMoved:
-      return "doc_moved";
-    case EventType::kDocExpired:
-      return "doc_expired";
+    case EventType::kClusterVanished:
+      return "cluster_vanished";
     case EventType::kCheckpointCommitted:
       return "checkpoint_committed";
     case EventType::kWalRotated:
@@ -50,10 +44,6 @@ std::string RenderEventJson(const Event& event) {
   if (event.cluster_id != Event::kNoId) {
     record.Add("cluster", event.cluster_id);
   }
-  if (event.from_cluster != Event::kNoId) {
-    record.Add("from_cluster", event.from_cluster);
-  }
-  if (event.doc != Event::kNoId) record.Add("doc", event.doc);
   if (event.type == EventType::kCheckpointCommitted ||
       event.type == EventType::kWalRotated) {
     record.Add("generation", event.detail);
@@ -79,39 +69,17 @@ EventLog::EventLog(size_t capacity, MetricsRegistry* metrics)
   }
 }
 
-bool EventLog::PushLocked(Event&& event, double seconds) {
-  event.sequence = ring_.pushed();
-  event.step = current_step_;
-  event.seconds = seconds;
-  return ring_.Push(std::move(event));
-}
-
 void EventLog::Emit(Event event) {
   bool dropped = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    dropped = PushLocked(std::move(event), SteadySeconds() - epoch_seconds_);
+    event.sequence = ring_.pushed();
+    event.step = current_step_;
+    event.seconds = SteadySeconds() - epoch_seconds_;
+    dropped = ring_.Push(std::move(event));
   }
   if (emitted_counter_ != nullptr) emitted_counter_->Increment();
   if (dropped && dropped_counter_ != nullptr) dropped_counter_->Increment();
-}
-
-void EventLog::EmitBatch(std::vector<Event>* events) {
-  if (events->empty()) return;
-  const uint64_t count = events->size();
-  uint64_t dropped = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const double seconds = SteadySeconds() - epoch_seconds_;
-    for (Event& event : *events) {
-      if (PushLocked(std::move(event), seconds)) ++dropped;
-    }
-  }
-  if (emitted_counter_ != nullptr) emitted_counter_->Increment(count);
-  if (dropped > 0 && dropped_counter_ != nullptr) {
-    dropped_counter_->Increment(dropped);
-  }
-  events->clear();
 }
 
 void EventLog::SetStep(uint64_t step) {

@@ -1,15 +1,17 @@
-// Structured cluster-lifecycle events: a bounded, thread-safe ring buffer
-// the pipeline appends to and the introspection server (or a JSONL export)
+// Structured lifecycle events: a bounded, thread-safe ring buffer the
+// pipeline appends to and the introspection server (or a JSONL export)
 // reads back.
 //
 // The log answers the question metrics aggregates cannot: *which* cluster
-// was reseeded at step 412, *which* document bounced between clusters.
-// Events are fixed-size records (no allocation per emit beyond the ring
-// slot, except the metric_anomaly label), tagged with a monotone sequence
-// number and the pipeline step that was active when they were emitted. When the ring wraps, the oldest
-// events are overwritten and counted as dropped — the log is a window, not
-// an archive; pair it with `ExportJsonl` (or `nidc_cli stream
-// --events-out`) when the tail matters.
+// id a step published for the first time, and which one it stopped
+// publishing. Cluster events name only ids some step's result published —
+// nothing inside a K-means run is recorded, so a step emits at most 2K of
+// them; a step's per-document decisions are re-run from the store instead
+// (ExplainStep, store/durable_clusterer.h). Events are fixed-size records
+// (no allocation per emit beyond the ring slot, except the label of
+// metric_anomaly and slo_burn), tagged with a monotone sequence number and
+// the pipeline step that was active when they were emitted. When the ring
+// wraps, the oldest events are overwritten and counted as dropped.
 //
 // Like every obs hook, the emitters take an `EventLog*` that defaults to
 // null, and a null log means no work at all.
@@ -28,19 +30,15 @@
 
 namespace nidc::obs {
 
-/// Cluster / document / durability lifecycle event kinds.
+/// Cluster and durability lifecycle event kinds.
 enum class EventType {
-  /// A cluster came into existence with a fresh stable id (seeding).
+  /// A step published a non-empty cluster whose stable id its predecessor
+  /// did not publish.
   kClusterCreated,
-  /// A cluster lost its last member during a sweep.
-  kClusterEmptied,
-  /// An empty cluster was re-populated by a different document and
-  /// received a fresh stable id.
-  kClusterReseeded,
-  /// A document changed cluster (or joined/left the outlier list).
-  kDocMoved,
-  /// A document fell below the forgetting threshold and left the model.
-  kDocExpired,
+  /// A step no longer published a stable id its predecessor published
+  /// for a non-empty cluster (the cluster emptied, expired or was
+  /// reseeded under a fresh id).
+  kClusterVanished,
   /// A durable snapshot generation was committed (manifest flipped).
   kCheckpointCommitted,
   /// The write-ahead log rotated to a fresh generation file.
@@ -63,19 +61,16 @@ struct Event {
   /// Sentinel for "not applicable" id fields.
   static constexpr uint64_t kNoId = ~0ull;
 
-  EventType type = EventType::kDocMoved;
+  EventType type = EventType::kClusterCreated;
   /// Monotone per-log sequence number, assigned by Emit.
   uint64_t sequence = 0;
   /// Pipeline step active when the event was emitted (see SetStep).
   uint64_t step = 0;
   /// Seconds since the log was constructed, assigned by Emit.
   double seconds = 0.0;
-  /// Stable cluster id the event is about (destination for kDocMoved).
+  /// Stable cluster id the event is about (kClusterCreated /
+  /// kClusterVanished).
   uint64_t cluster_id = kNoId;
-  /// Stable id of the source cluster (kDocMoved only).
-  uint64_t from_cluster = kNoId;
-  /// Document id (kDocMoved / kDocExpired).
-  uint64_t doc = kNoId;
   /// Type-specific detail: snapshot generation for kCheckpointCommitted /
   /// kWalRotated, unused otherwise.
   uint64_t detail = 0;
@@ -108,14 +103,6 @@ class EventLog {
   /// timestamp. The oldest event is overwritten when the ring is full.
   void Emit(Event event);
 
-  /// Appends every event in `events` under one lock with one shared
-  /// timestamp, then clears the vector (capacity is retained, so a hot
-  /// loop can stage events locally and flush per sweep instead of paying
-  /// a mutex + clock read per emission). Events in a batch are ordered
-  /// exactly as staged; their `seconds` is the flush time, not the
-  /// staging time.
-  void EmitBatch(std::vector<Event>* events);
-
   /// Tags subsequent emissions with `step` (the drivers call this at the
   /// start of each pipeline step).
   void SetStep(uint64_t step);
@@ -137,10 +124,6 @@ class EventLog {
   Status ExportJsonl(const std::string& path) const;
 
  private:
-  // Stamps `event` with the next sequence, the current step and
-  // `seconds`, and pushes it; returns true when it overwrote the oldest.
-  bool PushLocked(Event&& event, double seconds);
-
   Counter* emitted_counter_ = nullptr;
   Counter* dropped_counter_ = nullptr;
 

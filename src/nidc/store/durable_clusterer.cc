@@ -181,7 +181,6 @@ Result<std::vector<DecisionRecord>> ExplainStep(
   options.events = nullptr;
   options.health = nullptr;
   options.kmeans.metrics = nullptr;
-  options.kmeans.events = nullptr;
   options.kmeans.profile = nullptr;
   options.kmeans.decisions = &decisions;
   // Nor does the calling thread's ambient span profiler see the replay.

@@ -27,6 +27,7 @@
 #include "nidc/store/manifest.h"
 #include "nidc/store/wal.h"
 #include "nidc/util/fault_env.h"
+#include "temp_path.h"
 #include "vocabulary_terms.h"
 
 namespace nidc::shard {
@@ -44,13 +45,8 @@ void WriteFile(const std::string& path, const std::string& contents) {
   out << contents;
 }
 
-// Under a directory of the running test's own, since ctest runs the
-// tests of this file in parallel processes.
 std::string FreshDir(const std::string& name) {
-  const std::string dir =
-      testing::TempDir() + "/nidc_corpus_index_" +
-      testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
-      name;
+  const std::string dir = TestTempPath("nidc_corpus_index_" + name);
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
+
 namespace nidc {
 namespace {
 
@@ -57,7 +59,7 @@ TEST(CorpusIoTest, ParseRejectsBadNumbers) {
 }
 
 TEST(CorpusIoTest, SaveAndLoadRoundTrip) {
-  const std::string path = testing::TempDir() + "/nidc_corpus_io_test.tsv";
+  const std::string path = TestTempPath("nidc_corpus_io_test.tsv");
   std::vector<RawDocument> docs;
   for (int i = 0; i < 5; ++i) {
     RawDocument d;
@@ -81,7 +83,7 @@ TEST(CorpusIoTest, SaveAndLoadRoundTrip) {
 }
 
 TEST(CorpusIoTest, LoadCorpusAnalyzesText) {
-  const std::string path = testing::TempDir() + "/nidc_corpus_load_test.tsv";
+  const std::string path = TestTempPath("nidc_corpus_load_test.tsv");
   RawDocument d;
   d.time = 1.0;
   d.topic = 42;
@@ -103,7 +105,7 @@ TEST(CorpusIoTest, LoadMissingFileFails) {
 }
 
 TEST(CorpusIoTest, LoadReportsLineNumberOnError) {
-  const std::string path = testing::TempDir() + "/nidc_corpus_bad_test.tsv";
+  const std::string path = TestTempPath("nidc_corpus_bad_test.tsv");
   FILE* f = fopen(path.c_str(), "w");
   fputs("# header comment\n1.0\t5\tsrc\tok text\ngarbage line\n", f);
   fclose(f);
@@ -114,7 +116,7 @@ TEST(CorpusIoTest, LoadReportsLineNumberOnError) {
 }
 
 TEST(CorpusIoTest, CommentsAndBlankLinesSkipped) {
-  const std::string path = testing::TempDir() + "/nidc_corpus_cmt_test.tsv";
+  const std::string path = TestTempPath("nidc_corpus_cmt_test.tsv");
   FILE* f = fopen(path.c_str(), "w");
   fputs("# comment\n\n2.0\t7\tABC\tsome text\n", f);
   fclose(f);
@@ -132,7 +134,7 @@ TEST(CorpusIoTest, ParseRejectsNonFiniteTime) {
 }
 
 TEST(CorpusIoTest, LenientLoadSkipsAndCountsBadRecords) {
-  const std::string path = testing::TempDir() + "/nidc_corpus_lenient.tsv";
+  const std::string path = TestTempPath("nidc_corpus_lenient.tsv");
   FILE* f = fopen(path.c_str(), "w");
   fputs(
       "1.0\t5\tsrc\tgood one\n"
@@ -176,7 +178,7 @@ TEST(CorpusIoTest, StreamingLoadCorpusMatchesLoadRawDocuments) {
   // LoadCorpus analyzes records as it reads them; it must see exactly the
   // records, counts and first error that LoadRawDocuments reports, and
   // build the same documents as analyzing that vector in order.
-  const std::string path = testing::TempDir() + "/nidc_corpus_stream.tsv";
+  const std::string path = TestTempPath("nidc_corpus_stream.tsv");
   FILE* f = fopen(path.c_str(), "w");
   fputs(
       "# nidc corpus v1\n"
@@ -235,7 +237,7 @@ TEST(CorpusIoTest, StreamingLoadCorpusMatchesLoadRawDocuments) {
 }
 
 TEST(CorpusIoTest, SaveIsAtomicAndLeavesNoTempFile) {
-  const std::string path = testing::TempDir() + "/nidc_corpus_atomic.tsv";
+  const std::string path = TestTempPath("nidc_corpus_atomic.tsv");
   RawDocument d;
   d.time = 4.0;
   d.topic = 9;

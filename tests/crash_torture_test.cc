@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
+
 namespace nidc {
 namespace {
 
 std::string TortureDir(const std::string& name) {
-  return testing::TempDir() + "/nidc_crash_torture_test_" + name;
+  return TestTempPath("nidc_crash_torture_test_" + name);
 }
 
 TEST(CrashTortureTest, StreamIsDeterministic) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
+
 namespace nidc {
 namespace {
 
@@ -33,7 +35,7 @@ TEST(CsvWriterTest, PlainCellsUntouched) {
 }
 
 TEST(CsvWriterTest, WritesFile) {
-  const std::string path = testing::TempDir() + "/nidc_csv_test.csv";
+  const std::string path = TestTempPath("nidc_csv_test.csv");
   CsvWriter w({"x"});
   w.AddRow({"1"});
   ASSERT_TRUE(w.WriteFile(path).ok());

@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
+
 namespace nidc {
 namespace {
 
 std::string TestPath(const std::string& name) {
-  return testing::TempDir() + "/nidc_env_test_" + name;
+  return TestTempPath("nidc_env_test_" + name);
 }
 
 TEST(EnvTest, WriteReadRoundTrip) {

@@ -9,24 +9,23 @@
 
 #include "nidc/obs/json_util.h"
 #include "nidc/obs/metrics.h"
+#include "temp_path.h"
 
 namespace nidc {
 namespace {
 
-obs::Event MoveEvent(uint64_t doc, uint64_t from, uint64_t to) {
+obs::Event CreatedEvent(uint64_t cluster) {
   obs::Event event;
-  event.type = obs::EventType::kDocMoved;
-  event.doc = doc;
-  event.from_cluster = from;
-  event.cluster_id = to;
+  event.type = obs::EventType::kClusterCreated;
+  event.cluster_id = cluster;
   return event;
 }
 
 TEST(EventLogTest, EmitAssignsSequenceAndStep) {
   obs::EventLog log(8);
   log.SetStep(7);
-  log.Emit(MoveEvent(1, 0, 2));
-  log.Emit(MoveEvent(2, 2, 0));
+  log.Emit(CreatedEvent(1));
+  log.Emit(CreatedEvent(2));
   const std::vector<obs::Event> events = log.Recent();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].sequence, 0u);
@@ -38,24 +37,24 @@ TEST(EventLogTest, EmitAssignsSequenceAndStep) {
 
 TEST(EventLogTest, RingWrapDropsOldestAndCounts) {
   obs::EventLog log(4);
-  for (uint64_t i = 0; i < 6; ++i) log.Emit(MoveEvent(i, 0, 1));
+  for (uint64_t i = 0; i < 6; ++i) log.Emit(CreatedEvent(i));
   EXPECT_EQ(log.size(), 4u);
   EXPECT_EQ(log.total_emitted(), 6u);
   EXPECT_EQ(log.dropped(), 2u);
   const std::vector<obs::Event> events = log.Recent();
   ASSERT_EQ(events.size(), 4u);
-  // Oldest first, and the two oldest (docs 0, 1) are gone.
-  EXPECT_EQ(events.front().doc, 2u);
-  EXPECT_EQ(events.back().doc, 5u);
+  // Oldest first, and the two oldest (clusters 0, 1) are gone.
+  EXPECT_EQ(events.front().cluster_id, 2u);
+  EXPECT_EQ(events.back().cluster_id, 5u);
 }
 
 TEST(EventLogTest, RecentCapsTheCount) {
   obs::EventLog log(8);
-  for (uint64_t i = 0; i < 5; ++i) log.Emit(MoveEvent(i, 0, 1));
+  for (uint64_t i = 0; i < 5; ++i) log.Emit(CreatedEvent(i));
   const std::vector<obs::Event> events = log.Recent(2);
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].doc, 3u);
-  EXPECT_EQ(events[1].doc, 4u);
+  EXPECT_EQ(events[0].cluster_id, 3u);
+  EXPECT_EQ(events[1].cluster_id, 4u);
 }
 
 TEST(EventLogTest, PublishesCountersWhenRegistrySupplied) {
@@ -64,43 +63,41 @@ TEST(EventLogTest, PublishesCountersWhenRegistrySupplied) {
   // Counters exist (at zero) before any emission — snapshots taken early
   // still carry the events.* family.
   EXPECT_EQ(registry.GetCounter("events.emitted")->Value(), 0u);
-  for (uint64_t i = 0; i < 3; ++i) log.Emit(MoveEvent(i, 0, 1));
+  for (uint64_t i = 0; i < 3; ++i) log.Emit(CreatedEvent(i));
   EXPECT_EQ(registry.GetCounter("events.emitted")->Value(), 3u);
   EXPECT_EQ(registry.GetCounter("events.dropped")->Value(), 1u);
 }
 
 TEST(EventLogTest, RenderJsonOmitsInapplicableFields) {
-  obs::Event expired;
-  expired.type = obs::EventType::kDocExpired;
-  expired.doc = 42;
-  const std::string json = obs::RenderEventJson(expired);
-  EXPECT_NE(json.find("\"type\":\"doc_expired\""), std::string::npos);
-  EXPECT_NE(json.find("\"doc\":42"), std::string::npos);
-  EXPECT_EQ(json.find("cluster"), std::string::npos);
+  obs::Event vanished;
+  vanished.type = obs::EventType::kClusterVanished;
+  vanished.cluster_id = 42;
+  const std::string json = obs::RenderEventJson(vanished);
+  EXPECT_NE(json.find("\"type\":\"cluster_vanished\""), std::string::npos);
+  EXPECT_NE(json.find("\"cluster\":42"), std::string::npos);
+  EXPECT_EQ(json.find("generation"), std::string::npos);
+  EXPECT_EQ(json.find("doc"), std::string::npos);
 
   obs::Event checkpoint;
   checkpoint.type = obs::EventType::kCheckpointCommitted;
   checkpoint.detail = 9;
   const std::string ckpt_json = obs::RenderEventJson(checkpoint);
   EXPECT_NE(ckpt_json.find("\"generation\":9"), std::string::npos);
+  EXPECT_EQ(ckpt_json.find("cluster"), std::string::npos);
 }
 
 TEST(EventLogTest, EveryTypeHasAStableName) {
   EXPECT_STREQ(obs::EventTypeName(obs::EventType::kClusterCreated),
                "cluster_created");
-  EXPECT_STREQ(obs::EventTypeName(obs::EventType::kClusterEmptied),
-               "cluster_emptied");
-  EXPECT_STREQ(obs::EventTypeName(obs::EventType::kClusterReseeded),
-               "cluster_reseeded");
-  EXPECT_STREQ(obs::EventTypeName(obs::EventType::kDocMoved), "doc_moved");
-  EXPECT_STREQ(obs::EventTypeName(obs::EventType::kDocExpired),
-               "doc_expired");
+  EXPECT_STREQ(obs::EventTypeName(obs::EventType::kClusterVanished),
+               "cluster_vanished");
   EXPECT_STREQ(obs::EventTypeName(obs::EventType::kCheckpointCommitted),
                "checkpoint_committed");
   EXPECT_STREQ(obs::EventTypeName(obs::EventType::kWalRotated),
                "wal_rotated");
   EXPECT_STREQ(obs::EventTypeName(obs::EventType::kMetricAnomaly),
                "metric_anomaly");
+  EXPECT_STREQ(obs::EventTypeName(obs::EventType::kSloBurn), "slo_burn");
 }
 
 TEST(EventLogTest, MetricAnomalyRendersSeriesValueAndZscore) {
@@ -116,7 +113,7 @@ TEST(EventLogTest, MetricAnomalyRendersSeriesValueAndZscore) {
   EXPECT_EQ(parsed->Find("metric")->string_value, "kmeans.moves");
   EXPECT_DOUBLE_EQ(parsed->Find("value")->number, 512.0);
   EXPECT_DOUBLE_EQ(parsed->Find("zscore")->number, 6.25);
-  // Cluster/doc fields stay omitted — the anomaly names a series.
+  // The cluster field stays omitted — the anomaly names a series.
   EXPECT_EQ(json.find("cluster"), std::string::npos);
   EXPECT_EQ(json.find("doc"), std::string::npos);
 }
@@ -127,24 +124,24 @@ TEST(EventLogTest, DroppedCountSurvivesManyWraps) {
   // counter must match.
   obs::MetricsRegistry registry;
   obs::EventLog log(8, &registry);
-  for (uint64_t i = 0; i < 1000; ++i) log.Emit(MoveEvent(i, 0, 1));
+  for (uint64_t i = 0; i < 1000; ++i) log.Emit(CreatedEvent(i));
   EXPECT_EQ(log.total_emitted(), 1000u);
   EXPECT_EQ(log.size(), 8u);
   EXPECT_EQ(log.dropped(), 992u);
   EXPECT_EQ(registry.GetCounter("events.dropped")->Value(), 992u);
-  EXPECT_EQ(log.Recent().front().doc, 992u);
+  EXPECT_EQ(log.Recent().front().cluster_id, 992u);
 }
 
 TEST(EventLogTest, ExportJsonlWritesParseableLines) {
   obs::EventLog log(8);
   log.SetStep(3);
-  log.Emit(MoveEvent(10, 1, 2));
-  obs::Event expired;
-  expired.type = obs::EventType::kDocExpired;
-  expired.doc = 11;
-  log.Emit(expired);
+  log.Emit(CreatedEvent(10));
+  obs::Event vanished;
+  vanished.type = obs::EventType::kClusterVanished;
+  vanished.cluster_id = 11;
+  log.Emit(vanished);
 
-  const std::string path = testing::TempDir() + "/event_log_test.jsonl";
+  const std::string path = TestTempPath("event_log_test.jsonl");
   ASSERT_TRUE(log.ExportJsonl(path).ok());
 
   std::ifstream in(path);
@@ -169,7 +166,7 @@ TEST(EventLogTest, ConcurrentEmittersKeepSequenceDense) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&log] {
-      for (int i = 0; i < kPerThread; ++i) log.Emit(MoveEvent(i, 0, 1));
+      for (int i = 0; i < kPerThread; ++i) log.Emit(CreatedEvent(i));
     });
   }
   for (std::thread& thread : threads) thread.join();

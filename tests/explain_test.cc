@@ -31,6 +31,7 @@
 #include "nidc/store/durable_clusterer.h"
 #include "nidc/store/torture.h"
 #include "nidc/util/fault_env.h"
+#include "temp_path.h"
 
 namespace nidc {
 namespace {
@@ -227,7 +228,7 @@ class ExplainStepTest : public testing::Test {
   ~ExplainStepTest() override { kernels::Select(default_kernel_); }
 
   static std::string Dir(const std::string& name) {
-    const std::string dir = testing::TempDir() + "/nidc_explain_" + name;
+    const std::string dir = TestTempPath("nidc_explain_" + name);
     std::filesystem::remove_all(dir);
     return dir;
   }
@@ -424,7 +425,7 @@ TEST_F(ExplainStepTest, FlushShowsAnUnsyncedTailToTheReplay) {
 // or not yet written, a 404.
 
 TEST(ExplainConcurrencyTest, HttpWorkersExplainWhileTheOwnerIngests) {
-  const std::string root = testing::TempDir() + "/nidc_explain_concurrent";
+  const std::string root = TestTempPath("nidc_explain_concurrent");
   std::filesystem::remove_all(root);
   obs::MetricsRegistry registry;
   shard::ShardServiceOptions options;

@@ -8,6 +8,7 @@
 
 #include "nidc/obs/json_util.h"
 #include "nidc/obs/metrics.h"
+#include "temp_path.h"
 
 namespace nidc::obs {
 namespace {
@@ -191,7 +192,7 @@ TEST(ExportersTest, PrometheusMalformedRegistryNamesStillValidate) {
 }
 
 TEST(ExportersTest, JsonlWriterEmitsOneParseableRecordPerLine) {
-  const std::string path = testing::TempDir() + "exporters_test.jsonl";
+  const std::string path = TestTempPath("exporters_test.jsonl");
   {
     JsonlWriter writer(path);
     ASSERT_TRUE(writer.Append(RenderMetricsJson(SampleRegistry())).ok());

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
+
 namespace nidc {
 namespace {
 
 std::string TestDir() {
-  const std::string dir = testing::TempDir() + "/nidc_fault_env_test";
+  const std::string dir = TestTempPath("nidc_fault_env_test");
   Env::Default()->CreateDir(dir);
   return dir;
 }

@@ -13,6 +13,7 @@
 #include "nidc/corpus/stream.h"
 #include "nidc/eval/f1_measures.h"
 #include "nidc/synth/tdt2_like_generator.h"
+#include "temp_path.h"
 
 namespace nidc {
 namespace {
@@ -151,7 +152,7 @@ TEST(RoundTripInvariantsTest, GeneratedCorpusSurvivesDiskRoundTrip) {
   auto raw = generator.GenerateRaw();
   ASSERT_TRUE(raw.ok());
 
-  const std::string path = testing::TempDir() + "/nidc_roundtrip.tsv";
+  const std::string path = TestTempPath("nidc_roundtrip.tsv");
   ASSERT_TRUE(SaveRawDocuments(path, *raw).ok());
   auto reloaded = LoadCorpus(path);
   ASSERT_TRUE(reloaded.ok());

@@ -16,6 +16,7 @@
 #include "nidc/store/durable_clusterer.h"
 #include "nidc/store/torture.h"
 #include "nidc/util/fault_env.h"
+#include "temp_path.h"
 
 namespace nidc {
 namespace {
@@ -67,7 +68,7 @@ class CountingEnv : public EnvWrapper {
 };
 
 std::string FreshRoot(const std::string& name) {
-  const std::string root = testing::TempDir() + "/nidc_io_budget_" + name;
+  const std::string root = TestTempPath("nidc_io_budget_" + name);
   std::filesystem::remove_all(root);
   std::filesystem::create_directories(root);
   return root;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
+
 namespace nidc {
 namespace {
 
@@ -41,7 +43,7 @@ TEST(ManifestTest, ParseRejectsGarbage) {
 
 TEST(ManifestTest, WriteReadRoundTripAndScan) {
   Env* env = Env::Default();
-  const std::string dir = testing::TempDir() + "/nidc_manifest_test";
+  const std::string dir = TestTempPath("nidc_manifest_test");
   ASSERT_TRUE(env->CreateDir(dir).ok());
   Manifest manifest;
   manifest.generation = 3;
@@ -69,7 +71,7 @@ TEST(ManifestTest, WriteReadRoundTripAndScan) {
 
 TEST(ManifestTest, FirstGenerationIsACandidateWhileItsWalExists) {
   Env* env = Env::Default();
-  const std::string dir = testing::TempDir() + "/nidc_manifest_test_first";
+  const std::string dir = TestTempPath("nidc_manifest_test_first");
   ASSERT_TRUE(env->CreateDir(dir).ok());
   // A fresh store: wal-000001 alone, no snapshot, no manifest.
   ASSERT_TRUE(AtomicWriteFile(env, dir + "/" + WalFileName(1), "").ok());

@@ -16,13 +16,14 @@
 
 #include "nidc/core/state_io.h"
 #include "nidc/store/torture.h"
+#include "temp_path.h"
 
 namespace nidc {
 namespace {
 
 std::string FreshDir(const std::string& name) {
   Env* env = Env::Default();
-  const std::string dir = testing::TempDir() + "/nidc_repl_tcp_test_" + name;
+  const std::string dir = TestTempPath("nidc_repl_tcp_test_" + name);
   env->CreateDir(dir);
   if (auto names = env->ListDir(dir); names.ok()) {
     for (const std::string& entry : *names) {

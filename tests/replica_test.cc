@@ -9,13 +9,14 @@
 #include "nidc/obs/metrics.h"
 #include "nidc/store/torture.h"
 #include "nidc/util/fault_env.h"
+#include "temp_path.h"
 
 namespace nidc {
 namespace {
 
 std::string FreshDir(const std::string& name) {
   Env* env = Env::Default();
-  const std::string dir = testing::TempDir() + "/nidc_replica_test_" + name;
+  const std::string dir = TestTempPath("nidc_replica_test_" + name);
   env->CreateDir(dir);
   if (auto names = env->ListDir(dir); names.ok()) {
     for (const std::string& entry : *names) {

@@ -11,6 +11,7 @@
 #include "nidc/obs/metrics.h"
 #include "nidc/shard/tenant.h"
 #include "nidc/util/fault_env.h"
+#include "temp_path.h"
 
 namespace nidc::obs {
 namespace {
@@ -216,7 +217,7 @@ std::vector<RawDocument> OpenWindowBatch() {
 }
 
 std::string FreshTenantDir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/nidc_reqtrace_" + name;
+  const std::string dir = TestTempPath("nidc_reqtrace_" + name);
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -19,6 +19,7 @@
 #include "nidc/serve/http_server.h"
 #include "nidc/serve/introspection.h"
 #include "nidc/store/durable_clusterer.h"
+#include "temp_path.h"
 
 namespace nidc {
 namespace {
@@ -70,7 +71,7 @@ TEST_F(ServeSmokeTest, EndpointsServeALiveRun) {
   options.events = &events;
   options.health = &health;
   DurableOptions durable_options;
-  durable_options.dir = testing::TempDir() + "/nidc_serve_smoke_store";
+  durable_options.dir = TestTempPath("nidc_serve_smoke_store");
   std::filesystem::remove_all(durable_options.dir);
   auto durable =
       DurableClusterer::Open(&corpus_, params, options, durable_options);

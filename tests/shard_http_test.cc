@@ -20,6 +20,7 @@
 #include "nidc/shard/ingest.h"
 #include "nidc/shard/service.h"
 #include "nidc/shard/tenant.h"
+#include "temp_path.h"
 
 namespace nidc::shard {
 namespace {
@@ -145,8 +146,7 @@ class ShardHttpTest : public testing::Test {
   }
 
   std::string Root(const std::string& name) {
-    const std::string root =
-        testing::TempDir() + "/nidc_shard_http_" + name;
+    const std::string root = TestTempPath("nidc_shard_http_" + name);
     std::filesystem::remove_all(root);
     return root;
   }

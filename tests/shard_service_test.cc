@@ -13,6 +13,7 @@
 #include "nidc/shard/ingest.h"
 #include "nidc/shard/tenant.h"
 #include "nidc/util/fault_env.h"
+#include "temp_path.h"
 
 namespace nidc::shard {
 namespace {
@@ -81,8 +82,7 @@ std::string ReferenceDigest(const std::string& dir,
 class ShardServiceTest : public testing::Test {
  protected:
   std::string Root(const std::string& name) {
-    const std::string root =
-        testing::TempDir() + "/nidc_shard_service_" + name;
+    const std::string root = TestTempPath("nidc_shard_service_" + name);
     std::filesystem::remove_all(root);
     return root;
   }

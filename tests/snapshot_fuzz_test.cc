@@ -22,6 +22,7 @@
 #include "nidc/store/torture.h"
 #include "nidc/store/wal.h"
 #include "nidc/util/random.h"
+#include "temp_path.h"
 
 namespace nidc {
 namespace {
@@ -121,7 +122,7 @@ class SnapshotFuzzTest : public ::testing::Test {
           EncodeStepRecord({stream_.taus[i], stream_.batches[i]}));
     }
     step_record_ = records.back();
-    const std::string path = testing::TempDir() + "/nidc_fuzz_wal";
+    const std::string path = TestTempPath("nidc_fuzz_wal");
     EXPECT_TRUE(RewriteWal(Env::Default(), path, records).ok());
     wal_ = Env::Default()->ReadFileToString(path).value();
   }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "sparse_value.h"
+#include "temp_path.h"
 
 namespace nidc {
 namespace {
@@ -69,7 +70,7 @@ TEST_F(StateIoTest, StateWithoutResultRoundTrips) {
 TEST_F(StateIoTest, FileRoundTrip) {
   IncrementalClusterer clusterer(&corpus_, Params(), Options());
   ASSERT_TRUE(clusterer.Step({0, 1, 2, 3}, 2.0).ok());
-  const std::string path = testing::TempDir() + "/nidc_state_test.txt";
+  const std::string path = TestTempPath("nidc_state_test.txt");
   ASSERT_TRUE(SaveState(CaptureState(clusterer), path).ok());
   Result<ClustererState> loaded = LoadState(path);
   ASSERT_TRUE(loaded.ok());

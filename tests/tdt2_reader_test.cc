@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
+
 namespace nidc {
 namespace {
 
@@ -208,7 +210,7 @@ TEST(BuildCorpusTest, KeepUnlabeledOption) {
 }
 
 TEST(LoadTdt2FileTest, ReadsFromDisk) {
-  const std::string path = testing::TempDir() + "/nidc_tdt2_test.sgml";
+  const std::string path = TestTempPath("nidc_tdt2_test.sgml");
   FILE* f = fopen(path.c_str(), "w");
   fputs(kSampleSgml, f);
   fclose(f);

@@ -5,12 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "nidc/util/fault_env.h"
+#include "temp_path.h"
 
 namespace nidc {
 namespace {
 
 std::string TestPath(const std::string& name) {
-  return testing::TempDir() + "/nidc_wal_test_" + name;
+  return TestTempPath("nidc_wal_test_" + name);
 }
 
 TEST(WalTest, RoundTripsRecords) {

@@ -41,8 +41,8 @@
 //       checkpoint rotation is streamed to connected `follow` processes,
 //       and /healthz reports the leader role and follower lag — see
 //       docs/replication.md;
-//       --events-out writes the retained lifecycle events (cluster
-//       created/emptied/reseeded, doc moves/expiries, checkpoints) as
+//       --events-out writes the retained lifecycle events (the cluster
+//       ids each step created and vanished, checkpoints, anomalies) as
 //       JSONL when the replay ends; --provenance-out (requires
 //       --checkpoint-dir) writes the final step's per-document decisions,
 //       re-run from the checkpoint directory, as JSONL; --trace-chrome
