@@ -73,31 +73,19 @@ void ClusterSet::SeedMember(DocId id, size_t p) {
   current = static_cast<int>(p);
 }
 
-size_t ClusterSet::InstallIds(const std::vector<uint64_t>& seed_ids,
-                              uint64_t first_fresh_id) {
+void ClusterSet::InstallIds(const std::vector<uint64_t>& seed_ids,
+                            uint64_t first_fresh_id) {
   next_id_ = first_fresh_id;
   for (uint64_t seed : seed_ids) {
     if (seed != Cluster::kNoClusterId && seed >= next_id_) {
       next_id_ = seed + 1;
     }
   }
-  size_t fresh = 0;
   for (size_t p = 0; p < clusters_.size(); ++p) {
-    if (p < seed_ids.size() && seed_ids[p] != Cluster::kNoClusterId) {
-      clusters_[p].set_id(seed_ids[p]);
-    } else {
-      clusters_[p].set_id(next_id_++);
-      ++fresh;
-    }
+    const bool seeded =
+        p < seed_ids.size() && seed_ids[p] != Cluster::kNoClusterId;
+    clusters_[p].set_id(seeded ? seed_ids[p] : next_id_++);
   }
-  return fresh;
-}
-
-std::vector<uint64_t> ClusterSet::cluster_ids() const {
-  std::vector<uint64_t> ids;
-  ids.reserve(clusters_.size());
-  for (const Cluster& c : clusters_) ids.push_back(c.id());
-  return ids;
 }
 
 void ClusterSet::ReplayStay(DocId id, size_t p, double t_attached,

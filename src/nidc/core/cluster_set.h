@@ -75,16 +75,9 @@ class ClusterSet {
   /// inherits `seed_ids[p]` when available, every other cluster gets a
   /// fresh id. The fresh-id counter starts at the larger of
   /// `first_fresh_id` and max(seed_ids)+1, so ids stay globally monotone
-  /// across incremental steps. Returns the count of fresh ids handed out.
-  size_t InstallIds(const std::vector<uint64_t>& seed_ids,
-                    uint64_t first_fresh_id);
-
-  /// Stable id of cluster `p` (Cluster::kNoClusterId before any
-  /// population).
-  uint64_t cluster_id(size_t p) const { return clusters_[p].id(); }
-
-  /// All K stable ids, index-aligned with the clusters.
-  std::vector<uint64_t> cluster_ids() const;
+  /// across incremental steps.
+  void InstallIds(const std::vector<uint64_t>& seed_ids,
+                  uint64_t first_fresh_id);
 
   /// The next fresh id the set would mint — the value a driver persists
   /// to keep ids monotone across RunExtendedKMeans calls.

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <optional>
 #include <unordered_set>
 
-#include "nidc/obs/cluster_health.h"
 #include "nidc/obs/event_log.h"
 #include "nidc/obs/metrics.h"
 #include "nidc/obs/trace.h"
@@ -70,37 +70,34 @@ void FillClusteringDigest(StepResult* result) {
   result->final_g = result->clustering.g;
 }
 
-// Translates a completed step into the obs-layer observation the health
-// monitor consumes (non-empty clusters only; ids/vectors/memberships are
-// copied, which is why the build is skipped when no monitor is attached).
-// The monitor keeps the copied representatives as its drift baselines.
+// Feeds the health monitor a step's turnover and, per non-empty cluster,
+// its id, size, avg_sim and a copy of its representative (the monitor
+// keeps it as the cluster's drift baseline).
 void FeedHealthMonitor(obs::ClusterHealthMonitor* health, uint64_t step,
-                       const StepResult& result) {
+                       const StepResult& result,
+                       obs::StepTurnover turnover) {
   if (health == nullptr) return;
   obs::StepObservation observation;
   observation.step = step;
   observation.g = result.final_g;
   observation.num_active = result.num_active;
   observation.num_outliers = result.num_outliers;
+  observation.turnover = std::move(turnover);
   const ClusteringResult& clustering = result.clustering;
   for (size_t p = 0; p < clustering.clusters.size(); ++p) {
     if (clustering.clusters[p].empty()) continue;
-    obs::ClusterObservation cluster;
-    cluster.id = clustering.cluster_ids[p];
-    cluster.representative = clustering.representatives[p];
-    cluster.avg_sim = clustering.avg_sims[p];
-    cluster.members.assign(clustering.clusters[p].begin(),
-                           clustering.clusters[p].end());
-    observation.clusters.push_back(std::move(cluster));
+    observation.clusters.push_back({.id = clustering.cluster_ids[p],
+                                    .representative =
+                                        clustering.representatives[p],
+                                    .avg_sim = clustering.avg_sims[p],
+                                    .size = clustering.clusters[p].size()});
   }
   health->ObserveStep(std::move(observation));
 }
 
-// The stable ids of `clustering`'s non-empty clusters, ascending; none
-// when it carries no ids (an installed or restored result).
+// The stable ids of `clustering`'s non-empty clusters, ascending.
 std::vector<uint64_t> PublishedIds(const ClusteringResult& clustering) {
   std::vector<uint64_t> ids;
-  if (clustering.cluster_ids.size() != clustering.clusters.size()) return ids;
   for (size_t p = 0; p < clustering.clusters.size(); ++p) {
     if (!clustering.clusters[p].empty()) {
       ids.push_back(clustering.cluster_ids[p]);
@@ -110,38 +107,22 @@ std::vector<uint64_t> PublishedIds(const ClusteringResult& clustering) {
   return ids;
 }
 
-// Announces what a K-means step published, in ascending id order:
-// cluster_created for each id `current` publishes and `previous` did not,
-// cluster_vanished for each id `previous` published and `current` does
-// not. These are ClusterHealthMonitor's clusters_created and
-// clusters_vanished, so over consecutive K-means steps the events and the
-// counters agree. A predecessor without ids (installed or restored) makes
-// every live id a creation.
+// Announces a step's turnover in ascending id order: every created id was
+// minted after every vanished one.
 void EmitClusterTurnover(obs::EventLog* events,
-                         const std::optional<ClusteringResult>& previous,
-                         const ClusteringResult& current) {
+                         const obs::StepTurnover& turnover) {
   if (events == nullptr) return;
-  const std::vector<uint64_t> before =
-      previous ? PublishedIds(*previous) : std::vector<uint64_t>{};
-  const std::vector<uint64_t> after = PublishedIds(current);
-  const auto emit = [events](obs::EventType type, uint64_t id) {
-    obs::Event event;
-    event.type = type;
-    event.cluster_id = id;
-    events->Emit(event);
-  };
-  size_t i = 0;
-  size_t j = 0;
-  while (i < before.size() || j < after.size()) {
-    if (j == after.size() || (i < before.size() && before[i] < after[j])) {
-      emit(obs::EventType::kClusterVanished, before[i++]);
-    } else if (i == before.size() || after[j] < before[i]) {
-      emit(obs::EventType::kClusterCreated, after[j++]);
-    } else {
-      ++i;
-      ++j;
+  const auto emit = [events](obs::EventType type,
+                             const std::vector<uint64_t>& ids) {
+    for (uint64_t id : ids) {
+      obs::Event event;
+      event.type = type;
+      event.cluster_id = id;
+      events->Emit(event);
     }
-  }
+  };
+  emit(obs::EventType::kClusterVanished, turnover.vanished);
+  emit(obs::EventType::kClusterCreated, turnover.created);
 }
 
 // What the next step's seed and SerializeState read of a step's result,
@@ -160,6 +141,43 @@ ClusteringResult MembershipsOf(const ClusteringResult& clustering) {
 }
 
 }  // namespace
+
+obs::StepTurnover DiffSteps(const ClusteringResult* previous,
+                            const ClusteringResult& current,
+                            DocId first_doc, DocId end_doc) {
+  obs::StepTurnover turnover;
+  turnover.has_previous =
+      previous != nullptr && !previous->cluster_ids.empty();
+  const std::vector<uint64_t> before =
+      turnover.has_previous ? PublishedIds(*previous)
+                            : std::vector<uint64_t>{};
+  const std::vector<uint64_t> after = PublishedIds(current);
+  std::set_difference(after.begin(), after.end(), before.begin(),
+                      before.end(), std::back_inserter(turnover.created));
+  std::set_difference(before.begin(), before.end(), after.begin(),
+                      after.end(), std::back_inserter(turnover.vanished));
+  if (!turnover.has_previous) return turnover;
+
+  // Churn: each window document's previous cluster id, read per member.
+  std::vector<uint64_t> previous_id(end_doc - first_doc,
+                                    Cluster::kNoClusterId);
+  for (size_t p = 0; p < previous->clusters.size(); ++p) {
+    for (DocId id : previous->clusters[p]) {
+      if (id >= first_doc && id < end_doc) {
+        previous_id[id - first_doc] = previous->cluster_ids[p];
+      }
+    }
+  }
+  for (size_t p = 0; p < current.clusters.size(); ++p) {
+    for (DocId id : current.clusters[p]) {
+      const uint64_t was = previous_id[id - first_doc];
+      if (was == Cluster::kNoClusterId) continue;
+      ++turnover.docs_tracked;
+      if (was != current.cluster_ids[p]) ++turnover.docs_moved;
+    }
+  }
+  return turnover;
+}
 
 IncrementalClusterer::IncrementalClusterer(const Corpus* corpus,
                                            ForgettingParams params,
@@ -248,6 +266,11 @@ Result<StepResult> IncrementalClusterer::Step(
     result.clustering.g = logged->g;
     result.clustering.iterations = logged->iterations;
     result.clustering.converged = logged->converged;
+    // The logged run's ids are not recorded, but the counter carries on,
+    // so the next K-means run mints ids no earlier step published.
+    if (last_result_) {
+      result.clustering.next_cluster_id = last_result_->next_cluster_id;
+    }
   } else {
     Result<ClusteringResult> clustering = RunKMeans(&result);
     if (!clustering.ok()) return clustering.status();
@@ -260,9 +283,15 @@ Result<StepResult> IncrementalClusterer::Step(
                         ? options_.kmeans.metrics
                         : options_.metrics,
                     model_, result);
-  if (!result.installed) {
-    FeedHealthMonitor(options_.health, step_count_, result);
-    EmitClusterTurnover(options_.events, last_result_, result.clustering);
+  if (!result.installed &&
+      (options_.events != nullptr || options_.health != nullptr)) {
+    obs::StepTurnover turnover = DiffSteps(
+        last_result_ ? &*last_result_ : nullptr, result.clustering,
+        model_.corpus().first_retained(),
+        static_cast<DocId>(model_.corpus().size()));
+    EmitClusterTurnover(options_.events, turnover);
+    FeedHealthMonitor(options_.health, step_count_, result,
+                      std::move(turnover));
   }
   last_result_ = MembershipsOf(result.clustering);
   ++step_count_;

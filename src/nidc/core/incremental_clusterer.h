@@ -16,9 +16,9 @@
 
 #include "nidc/core/extended_kmeans.h"
 #include "nidc/forgetting/forgetting_model.h"
+#include "nidc/obs/cluster_health.h"
 
 namespace nidc::obs {
-class ClusterHealthMonitor;
 class EventLog;
 }  // namespace nidc::obs
 
@@ -52,6 +52,12 @@ struct StepResult {
   size_t context_bytes = 0;
 };
 
+/// Diffs `current` against `previous` (null: none). Churn reads a dense
+/// array over [first_doc, end_doc), which must hold `current`'s members.
+obs::StepTurnover DiffSteps(const ClusteringResult* previous,
+                            const ClusteringResult& current,
+                            DocId first_doc, DocId end_doc);
+
 /// Options for the incremental driver.
 struct IncrementalOptions {
   /// K-means options; every step after the first is seeded from the
@@ -66,14 +72,13 @@ struct IncrementalOptions {
 
   /// Lifecycle-event sink (see obs/event_log.h): after each step that ran
   /// K-means, Step emits cluster_created and cluster_vanished for the
-  /// stable ids its result published and its predecessor's did not, and
-  /// the reverse. Nothing inside the run is recorded. Null (the default)
-  /// emits nothing.
+  /// step's StepTurnover. Nothing inside the run is recorded. Null (the
+  /// default) emits nothing.
   obs::EventLog* events = nullptr;
 
   /// Per-step semantic health monitor (topic drift, membership churn,
   /// outlier/G EWMAs — see obs/cluster_health.h). When set, the driver
-  /// builds a StepObservation from every completed step and feeds it; null
+  /// feeds it every K-means step's StepTurnover and clusters; null
   /// (the default) skips the observation build entirely.
   obs::ClusterHealthMonitor* health = nullptr;
 };
@@ -95,13 +100,13 @@ class IncrementalClusterer {
   /// it instead of running K-means if it is an exact partition of the
   /// post-phase-1 active set into min(k, active) clusters and outliers;
   /// otherwise K-means runs as usual. Only its memberships, outliers, G,
-  /// sweep count and convergence flag are installed: the step has no
-  /// representatives or cluster ids, emits no cluster events, and feeds
-  /// the health monitor nothing.
+  /// sweep count and convergence flag are installed, and the id counter
+  /// carries on: the step has no representatives or cluster ids, emits no
+  /// cluster events, and feeds the health monitor nothing.
   ///
-  /// A step that ran K-means emits its cluster turnover to
-  /// `options().events` (see IncrementalOptions::events), in ascending id
-  /// order, tagged with this step's number.
+  /// A step that ran K-means emits its StepTurnover to `options().events`
+  /// (see IncrementalOptions::events), in ascending id order, tagged with
+  /// this step's number.
   Result<StepResult> Step(const std::vector<DocId>& new_docs, DayTime tau,
                           const ClusteringResult* logged = nullptr);
 

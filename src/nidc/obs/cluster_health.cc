@@ -21,6 +21,9 @@ double CosineDistance(const SparseVector& a, double norm_a,
   return distance < 1e-12 ? 0.0 : distance;
 }
 
+// EWMA smoothing factor: the weight of the newest observation.
+constexpr double kEwmaAlpha = 0.3;
+
 }  // namespace
 
 ClusterHealthMonitor::ClusterHealthMonitor(ClusterHealthOptions options)
@@ -29,116 +32,72 @@ ClusterHealthMonitor::ClusterHealthMonitor(ClusterHealthOptions options)
 void ClusterHealthMonitor::ObserveStep(StepObservation observation) {
   HealthSnapshot snapshot;
   snapshot.valid = true;
-  snapshot.has_previous = has_previous_;
   snapshot.step = observation.step;
+  const StepTurnover& turnover = observation.turnover;
+  snapshot.has_previous = turnover.has_previous;
+  snapshot.clusters_created = turnover.created.size();
+  snapshot.clusters_vanished = turnover.vanished.size();
+  snapshot.docs_tracked = turnover.docs_tracked;
+  snapshot.docs_moved = turnover.docs_moved;
+  snapshot.membership_churn =
+      snapshot.docs_tracked > 0
+          ? static_cast<double>(snapshot.docs_moved) /
+                static_cast<double>(snapshot.docs_tracked)
+          : 0.0;
+  // Without a baseline no cluster has drifted and every id is new.
+  if (!turnover.has_previous) previous_clusters_.clear();
 
-  // --- Topic drift, per surviving id ---
+  // --- Topic drift and age, per surviving id ---
   double drift_sum = 0.0;
   size_t drift_count = 0;
-  snapshot.clusters.reserve(observation.clusters.size());
-  for (const ClusterObservation& cluster : observation.clusters) {
+  std::unordered_map<uint64_t, PreviousCluster> current;
+  for (ClusterObservation& cluster : observation.clusters) {
     ClusterHealthRow row;
     row.id = cluster.id;
-    row.size = cluster.members.size();
+    row.size = cluster.size;
     row.avg_sim = cluster.avg_sim;
-    auto first_seen = first_seen_step_.find(cluster.id);
-    if (first_seen == first_seen_step_.end()) {
-      first_seen = first_seen_step_.emplace(cluster.id, observation.step)
-                       .first;
-      ++snapshot.clusters_created;
-    }
-    row.age_steps = observation.step - first_seen->second;
+    const double norm = cluster.representative.Norm();
+    uint64_t first_step = observation.step;
     if (const auto prev = previous_clusters_.find(cluster.id);
         prev != previous_clusters_.end()) {
-      row.drift = CosineDistance(cluster.representative,
-                                 cluster.representative.Norm(),
+      first_step = prev->second.first_step;
+      row.drift = CosineDistance(cluster.representative, norm,
                                  prev->second.representative,
                                  prev->second.norm);
       drift_sum += row.drift;
       ++drift_count;
       snapshot.max_drift = std::max(snapshot.max_drift, row.drift);
     }
+    row.age_steps = observation.step - first_step;
+    current.emplace(cluster.id,
+                    PreviousCluster{std::move(cluster.representative), norm,
+                                    first_step});
     snapshot.clusters.push_back(std::move(row));
   }
   snapshot.mean_drift = drift_count > 0
                             ? drift_sum / static_cast<double>(drift_count)
                             : 0.0;
 
-  // --- Membership churn over docs present in both steps ---
-  std::vector<std::pair<uint32_t, uint64_t>> assignment;
-  for (const ClusterObservation& cluster : observation.clusters) {
-    for (uint32_t doc : cluster.members) {
-      assignment.emplace_back(doc, cluster.id);
-    }
-  }
-  std::sort(assignment.begin(), assignment.end());
-  if (has_previous_) {
-    auto prev = previous_assignment_.begin();
-    for (const auto& [doc, id] : assignment) {
-      while (prev != previous_assignment_.end() && prev->first < doc) ++prev;
-      if (prev == previous_assignment_.end()) break;
-      if (prev->first != doc) continue;
-      ++snapshot.docs_tracked;
-      if (prev->second != id) ++snapshot.docs_moved;
-    }
-    snapshot.membership_churn =
-        snapshot.docs_tracked > 0
-            ? static_cast<double>(snapshot.docs_moved) /
-                  static_cast<double>(snapshot.docs_tracked)
-            : 0.0;
-    for (const auto& [id, unused] : previous_clusters_) {
-      (void)unused;
-      if (!std::any_of(observation.clusters.begin(),
-                       observation.clusters.end(),
-                       [&](const ClusterObservation& c) {
-                         return c.id == id;
-                       })) {
-        ++snapshot.clusters_vanished;
-      }
-    }
-  }
-
-  // --- Rates and EWMAs ---
-  const double denominator =
-      static_cast<double>(observation.num_active) +
-      (observation.num_active == 0 ? 1.0 : 0.0);  // guard 0/0
+  // --- Rates and EWMAs: each blends into the previous snapshot's value
+  // (read unlocked, as only ObserveStep writes snapshot_); the first
+  // observation seeds them ---
   snapshot.outlier_rate =
-      static_cast<double>(observation.num_outliers) / denominator;
+      static_cast<double>(observation.num_outliers) /
+      static_cast<double>(std::max<size_t>(observation.num_active, 1));
   const double g_delta =
-      has_previous_ ? std::abs(observation.g - previous_g_) : 0.0;
-  const double alpha = options_.ewma_alpha;
-  if (!ewma_seeded_) {
-    // EWMA seeding: the first observation is the EWMA.
-    outlier_rate_ewma_ = snapshot.outlier_rate;
-    g_delta_ewma_ = g_delta;
-    ewma_seeded_ = true;
-  } else {
-    outlier_rate_ewma_ =
-        alpha * snapshot.outlier_rate + (1.0 - alpha) * outlier_rate_ewma_;
-    g_delta_ewma_ = alpha * g_delta + (1.0 - alpha) * g_delta_ewma_;
-  }
-  snapshot.outlier_rate_ewma = outlier_rate_ewma_;
-  snapshot.g_delta_ewma = g_delta_ewma_;
+      turnover.has_previous ? std::abs(observation.g - previous_g_) : 0.0;
+  const auto blend = [seeded = snapshot_.valid](double value, double ewma) {
+    return seeded ? kEwmaAlpha * value + (1.0 - kEwmaAlpha) * ewma : value;
+  };
+  snapshot.outlier_rate_ewma =
+      blend(snapshot.outlier_rate, snapshot_.outlier_rate_ewma);
+  snapshot.g_delta_ewma = blend(g_delta, snapshot_.g_delta_ewma);
 
   Publish(snapshot);
 
-  // --- Install this step as the next baseline ---
-  previous_clusters_.clear();
-  for (ClusterObservation& cluster : observation.clusters) {
-    const double norm = cluster.representative.Norm();
-    previous_clusters_.emplace(
-        cluster.id,
-        PreviousCluster{std::move(cluster.representative), norm});
-  }
-  // A vanished id never returns (reseeds mint fresh ids), so the
-  // first-seen map only needs the live ids — prune it or it grows one
-  // entry per reseed for the life of the process.
-  std::erase_if(first_seen_step_, [&](const auto& entry) {
-    return !previous_clusters_.contains(entry.first);
-  });
-  previous_assignment_ = std::move(assignment);
+  // This step is the next one's baseline.
+  previous_clusters_ = std::move(current);
   previous_g_ = observation.g;
-  has_previous_ = true;
 
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   snapshot_ = std::move(snapshot);

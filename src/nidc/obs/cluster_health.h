@@ -2,15 +2,14 @@
 //
 // Aggregate scores (G, outlier counts) say whether a run is *working*;
 // they say nothing about whether the clustering is *drifting* — the
-// central phenomenon of the forgetting model. ClusterHealthMonitor watches
-// consecutive steps and derives:
+// central phenomenon of the forgetting model. ClusterHealthMonitor is fed
+// one StepObservation per step, which carries the step's turnover (ids
+// created / vanished, membership churn) as core computed it, and derives:
 //
 //   * topic drift    — cosine distance between each surviving cluster's
 //                      representative and its value at the previous step,
 //                      matched by stable cluster id (not position);
-//   * membership churn — fraction of the documents present in both steps
-//                      that changed cluster;
-//   * cluster turnover — ids created / vanished between steps;
+//   * cluster age    — steps since each live id first appeared;
 //   * EWMAs          — outlier rate and |ΔG| smoothed across steps, so a
 //                      single noisy step does not page anyone.
 //
@@ -18,7 +17,7 @@
 // MetricsRegistry and keeps a mutex-protected HealthSnapshot the
 // introspection server renders into /statusz. It depends only on
 // text-layer types (SparseVector) so it can live in obs/ below core; the
-// drivers feed it plain ids, vectors and memberships.
+// drivers feed it plain ids, vectors and counts.
 
 #ifndef NIDC_OBS_CLUSTER_HEALTH_H_
 #define NIDC_OBS_CLUSTER_HEALTH_H_
@@ -26,7 +25,6 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "nidc/obs/metrics.h"
@@ -35,13 +33,26 @@
 namespace nidc::obs {
 
 /// One cluster as the monitor sees it: stable id, representative vector,
-/// cached quality, and its members (corpus DocIds, passed as raw
-/// uint32_t so obs/ stays below corpus/).
+/// cached quality and member count.
 struct ClusterObservation {
   uint64_t id = 0;
   SparseVector representative;
   double avg_sim = 0.0;
-  std::vector<uint32_t> members;
+  size_t size = 0;
+};
+
+/// A step's clustering diffed against its predecessor's by stable id, once
+/// per step (core's DiffSteps) for the event log and the monitor alike. A
+/// predecessor without ids (installed or restored) is no baseline: every
+/// live id is created and nothing else is counted.
+struct StepTurnover {
+  bool has_previous = false;
+  /// Ids of non-empty clusters only the step (created) or only its
+  /// predecessor (vanished) publishes, ascending.
+  std::vector<uint64_t> created;
+  std::vector<uint64_t> vanished;
+  size_t docs_tracked = 0;  ///< Docs in a cluster at both steps.
+  size_t docs_moved = 0;    ///< Of those, docs that changed cluster id.
 };
 
 /// Everything the monitor needs from one completed step.
@@ -50,6 +61,7 @@ struct StepObservation {
   double g = 0.0;
   size_t num_active = 0;
   size_t num_outliers = 0;
+  StepTurnover turnover;
   /// Non-empty clusters only.
   std::vector<ClusterObservation> clusters;
 };
@@ -85,9 +97,6 @@ struct HealthSnapshot {
 };
 
 struct ClusterHealthOptions {
-  /// EWMA smoothing factor (weight of the newest observation). The first
-  /// observation seeds the EWMA directly.
-  double ewma_alpha = 0.3;
   /// Metric sink for the health.* families; null disables publication
   /// (the snapshot is still maintained).
   MetricsRegistry* metrics = nullptr;
@@ -103,10 +112,11 @@ class ClusterHealthMonitor {
   ClusterHealthMonitor(const ClusterHealthMonitor&) = delete;
   ClusterHealthMonitor& operator=(const ClusterHealthMonitor&) = delete;
 
-  /// Ingests one completed step: computes drift/churn/turnover against the
-  /// previous observation, updates the EWMAs, publishes the health.*
-  /// metrics and replaces the retained baseline, moving each cluster's
-  /// representative into it.
+  /// Ingests one completed step: computes drift and age against the
+  /// previous observation (none when `has_previous` is false), updates
+  /// the EWMAs (weight 0.3 on the newest observation; the first seeds
+  /// them), publishes the health.* metrics and replaces the retained
+  /// baseline, moving each cluster's representative into it.
   void ObserveStep(StepObservation observation);
 
   /// The latest computed summary (valid == false before the first step).
@@ -116,23 +126,16 @@ class ClusterHealthMonitor {
   struct PreviousCluster {
     SparseVector representative;
     double norm = 0.0;
+    uint64_t first_step = 0;
   };
 
   void Publish(const HealthSnapshot& snapshot);
 
   const ClusterHealthOptions options_;
 
-  // Baseline from the previous step: clusters keyed by stable cluster id,
-  // and (doc, cluster id) pairs sorted by doc, which churn merge-joins.
+  // The previous step's clusters, keyed by stable cluster id.
   std::unordered_map<uint64_t, PreviousCluster> previous_clusters_;
-  std::vector<std::pair<uint32_t, uint64_t>> previous_assignment_;
-  std::unordered_map<uint64_t, uint64_t> first_seen_step_;
-  bool has_previous_ = false;
   double previous_g_ = 0.0;
-
-  bool ewma_seeded_ = false;
-  double outlier_rate_ewma_ = 0.0;
-  double g_delta_ewma_ = 0.0;
 
   mutable std::mutex snapshot_mu_;
   HealthSnapshot snapshot_;

@@ -146,7 +146,7 @@ class Parser {
 
   Result<JsonValue> Parse() {
     JsonValue value;
-    NIDC_RETURN_NOT_OK(ParseValue(&value));
+    NIDC_RETURN_NOT_OK(ParseValue(&value, 0));
     SkipWhitespace();
     if (pos_ != text_.size()) {
       return Fail("trailing characters after JSON document");
@@ -185,14 +185,17 @@ class Parser {
     return Status::OK();
   }
 
-  Status ParseValue(JsonValue* out) {
+  // `depth` counts the enclosing arrays and objects. Each recurses, so a
+  // body of brackets would overflow the stack unless it is bounded.
+  Status ParseValue(JsonValue* out, int depth) {
     SkipWhitespace();
     if (pos_ >= text_.size()) return Fail("unexpected end of input");
+    if (depth > 128) return Fail("nested more than 128 deep");
     switch (text_[pos_]) {
       case '{':
-        return ParseObject(out);
+        return ParseObject(out, depth);
       case '[':
-        return ParseArray(out);
+        return ParseArray(out, depth);
       case '"':
         out->kind = JsonValue::Kind::kString;
         return ParseString(&out->string_value);
@@ -212,7 +215,7 @@ class Parser {
     }
   }
 
-  Status ParseObject(JsonValue* out) {
+  Status ParseObject(JsonValue* out, int depth) {
     out->kind = JsonValue::Kind::kObject;
     ++pos_;  // '{'
     SkipWhitespace();
@@ -227,7 +230,7 @@ class Parser {
       SkipWhitespace();
       if (!Consume(':')) return Fail("expected ':' after object key");
       JsonValue value;
-      NIDC_RETURN_NOT_OK(ParseValue(&value));
+      NIDC_RETURN_NOT_OK(ParseValue(&value, depth + 1));
       out->object.emplace(std::move(key), std::move(value));
       SkipWhitespace();
       if (Consume('}')) return Status::OK();
@@ -235,14 +238,14 @@ class Parser {
     }
   }
 
-  Status ParseArray(JsonValue* out) {
+  Status ParseArray(JsonValue* out, int depth) {
     out->kind = JsonValue::Kind::kArray;
     ++pos_;  // '['
     SkipWhitespace();
     if (Consume(']')) return Status::OK();
     for (;;) {
       JsonValue value;
-      NIDC_RETURN_NOT_OK(ParseValue(&value));
+      NIDC_RETURN_NOT_OK(ParseValue(&value, depth + 1));
       out->array.push_back(std::move(value));
       SkipWhitespace();
       if (Consume(']')) return Status::OK();
@@ -290,9 +293,11 @@ class Parser {
         case 'u': {
           if (pos_ + 4 > text_.size()) return Fail("truncated \\u escape");
           const std::string hex = text_.substr(pos_, 4);
-          char* end = nullptr;
-          const long code = std::strtol(hex.c_str(), &end, 16);
-          if (end != hex.c_str() + 4) return Fail("bad \\u escape");
+          if (hex.find_first_not_of("0123456789abcdefABCDEF") !=
+              std::string::npos) {
+            return Fail("bad \\u escape");
+          }
+          const long code = std::strtol(hex.c_str(), nullptr, 16);
           if (code > 0x7f) {
             return Fail("non-ASCII \\u escapes are not supported");
           }
@@ -309,8 +314,6 @@ class Parser {
 
   Status ParseNumber(JsonValue* out) {
     const size_t start = pos_;
-    if (Consume('-')) {
-    }
     while (pos_ < text_.size() &&
            (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
             text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||

@@ -73,7 +73,8 @@ struct JsonValue {
 };
 
 /// Parses exactly one JSON document (surrounding whitespace allowed);
-/// trailing garbage is an error.
+/// trailing garbage, and arrays or objects nested more than 128 deep, are
+/// errors.
 Result<JsonValue> ParseJson(const std::string& text);
 
 }  // namespace nidc::obs

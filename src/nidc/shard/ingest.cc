@@ -58,8 +58,10 @@ Result<RawDocument> ParseIngestLine(const std::string& line,
   }
 
   if (const obs::JsonValue* topic = value.Find("topic"); topic != nullptr) {
-    if (!topic->is_number() ||
-        topic->number != static_cast<double>(static_cast<int32_t>(topic->number))) {
+    // Range first: casting a double outside int32 is undefined.
+    if (!topic->is_number() || !(topic->number >= INT32_MIN) ||
+        !(topic->number <= INT32_MAX) ||
+        topic->number != std::floor(topic->number)) {
       return LineError(line_number, "\"topic\" must be a 32-bit integer");
     }
     doc.topic = static_cast<TopicId>(topic->number);

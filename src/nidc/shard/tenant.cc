@@ -87,6 +87,13 @@ Result<TenantConfig> TenantConfig::FromJson(const std::string& json) {
   NIDC_RETURN_NOT_OK(number("step_days", &config.step_days));
   NIDC_RETURN_NOT_OK(number("start_time", &config.start_time));
   NIDC_RETURN_NOT_OK(number("seed", &seed));
+  // Casting anything but a whole number in [0, 2^64) is undefined.
+  for (const double value : {k, seed}) {
+    if (!(value >= 0.0 && value < 0x1p64) || value != std::floor(value)) {
+      return Status::InvalidArgument(
+          "TENANT.json: k and seed must be non-negative integers");
+    }
+  }
   config.k = static_cast<size_t>(k);
   config.seed = static_cast<uint64_t>(seed);
   NIDC_RETURN_NOT_OK(config.Validate());

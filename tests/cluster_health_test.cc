@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -19,21 +18,30 @@ SparseVector Vec(std::vector<SparseVector::Entry> entries) {
 }
 
 obs::ClusterObservation Cluster(uint64_t id, SparseVector representative,
-                                std::vector<uint32_t> members) {
+                                size_t size) {
   obs::ClusterObservation c;
   c.id = id;
   c.representative = std::move(representative);
-  c.members = std::move(members);
+  c.size = size;
   return c;
 }
 
+// Two clusters of two documents each. Step 0 has no predecessor, so both
+// ids are created; a later step repeats the previous one, so its diff
+// tracks all four documents and moves none.
 obs::StepObservation TwoClusterStep(uint64_t step) {
   obs::StepObservation o;
   o.step = step;
   o.g = 0.5;
   o.num_active = 4;
-  o.clusters.push_back(Cluster(0, Vec({{1, 1.0}, {2, 1.0}}), {0, 1}));
-  o.clusters.push_back(Cluster(1, Vec({{3, 1.0}}), {2, 3}));
+  if (step == 0) {
+    o.turnover.created = {0, 1};
+  } else {
+    o.turnover.has_previous = true;
+    o.turnover.docs_tracked = 4;
+  }
+  o.clusters.push_back(Cluster(0, Vec({{1, 1.0}, {2, 1.0}}), 2));
+  o.clusters.push_back(Cluster(1, Vec({{3, 1.0}}), 2));
   return o;
 }
 
@@ -66,72 +74,19 @@ TEST(ClusterHealthTest, FirstStepHasNoBaseline) {
   EXPECT_FALSE(snapshot.has_previous);
   EXPECT_DOUBLE_EQ(snapshot.mean_drift, 0.0);
   EXPECT_DOUBLE_EQ(snapshot.membership_churn, 0.0);
+  EXPECT_EQ(snapshot.clusters_created, 2u);
 }
 
-TEST(ClusterHealthTest, ChurnIsHandComputable) {
+TEST(ClusterHealthTest, ChurnIsTheMovedShareOfTrackedDocs) {
   obs::ClusterHealthMonitor monitor;
   monitor.ObserveStep(TwoClusterStep(0));
-  // Doc 1 moves from cluster 0 to cluster 1; docs 0, 2, 3 stay. Doc 4 is
-  // new and must not count toward the churn basis.
-  obs::StepObservation next;
-  next.step = 1;
-  next.g = 0.5;
-  next.num_active = 5;
-  next.clusters.push_back(Cluster(0, Vec({{1, 1.0}, {2, 1.0}}), {0}));
-  next.clusters.push_back(Cluster(1, Vec({{3, 1.0}}), {1, 2, 3, 4}));
+  obs::StepObservation next = TwoClusterStep(1);
+  next.turnover.docs_moved = 1;
   monitor.ObserveStep(next);
   const obs::HealthSnapshot snapshot = monitor.snapshot();
   EXPECT_EQ(snapshot.docs_tracked, 4u);
   EXPECT_EQ(snapshot.docs_moved, 1u);
   EXPECT_DOUBLE_EQ(snapshot.membership_churn, 0.25);
-}
-
-// (docs tracked, docs moved) counted through a hash map of doc → cluster
-// id, the representation the monitor's sorted baseline replaced.
-std::pair<size_t, size_t> MapChurn(const obs::StepObservation& before,
-                                   const obs::StepObservation& after) {
-  std::unordered_map<uint32_t, uint64_t> previous;
-  for (const auto& cluster : before.clusters) {
-    for (uint32_t doc : cluster.members) previous[doc] = cluster.id;
-  }
-  size_t tracked = 0;
-  size_t moved = 0;
-  for (const auto& cluster : after.clusters) {
-    for (uint32_t doc : cluster.members) {
-      const auto it = previous.find(doc);
-      if (it == previous.end()) continue;
-      ++tracked;
-      moved += it->second != cluster.id;
-    }
-  }
-  return {tracked, moved};
-}
-
-TEST(ClusterHealthTest, ChurnMatchesTheMapCount) {
-  // Unsorted members; docs 1, 3, 4, 8 and 15 are in both steps, 3 and 4
-  // change cluster, and 9, 20 leave while 22, 30, 50 and 60 arrive.
-  obs::StepObservation first;
-  first.step = 0;
-  first.num_active = 7;
-  first.clusters.push_back(Cluster(7, Vec({{1, 1.0}}), {9, 3, 15, 1}));
-  first.clusters.push_back(Cluster(2, Vec({{2, 1.0}}), {20, 8, 4}));
-  obs::StepObservation second;
-  second.step = 1;
-  second.num_active = 9;
-  second.clusters.push_back(Cluster(2, Vec({{2, 1.0}}), {30, 3, 8}));
-  second.clusters.push_back(Cluster(7, Vec({{1, 1.0}}), {22, 15, 1}));
-  second.clusters.push_back(Cluster(11, Vec({{3, 1.0}}), {60, 4, 50}));
-  const auto [tracked, moved] = MapChurn(first, second);
-  ASSERT_EQ(tracked, 5u);
-  ASSERT_EQ(moved, 2u);
-
-  obs::ClusterHealthMonitor monitor;
-  monitor.ObserveStep(first);
-  monitor.ObserveStep(second);
-  const obs::HealthSnapshot snapshot = monitor.snapshot();
-  EXPECT_EQ(snapshot.docs_tracked, tracked);
-  EXPECT_EQ(snapshot.docs_moved, moved);
-  EXPECT_DOUBLE_EQ(snapshot.membership_churn, 2.0 / 5.0);
 }
 
 TEST(ClusterHealthTest, DriftIsMatchedByIdNotPosition) {
@@ -150,12 +105,13 @@ TEST(ClusterHealthTest, OrthogonalRepresentativeDriftsToOne) {
   obs::StepObservation first;
   first.step = 0;
   first.num_active = 1;
-  first.clusters.push_back(Cluster(7, Vec({{1, 1.0}}), {0}));
+  first.clusters.push_back(Cluster(7, Vec({{1, 1.0}}), 1));
   monitor.ObserveStep(first);
   obs::StepObservation second;
   second.step = 1;
   second.num_active = 1;
-  second.clusters.push_back(Cluster(7, Vec({{2, 1.0}}), {0}));
+  second.turnover.has_previous = true;
+  second.clusters.push_back(Cluster(7, Vec({{2, 1.0}}), 1));
   monitor.ObserveStep(second);
   const obs::HealthSnapshot snapshot = monitor.snapshot();
   EXPECT_NEAR(snapshot.mean_drift, 1.0, 1e-12);
@@ -168,16 +124,23 @@ TEST(ClusterHealthTest, TracksCreatedAndVanishedIds) {
   obs::StepObservation next;
   next.step = 1;
   next.num_active = 4;
-  next.clusters.push_back(Cluster(0, Vec({{1, 1.0}, {2, 1.0}}), {0, 1}));
-  next.clusters.push_back(Cluster(5, Vec({{9, 1.0}}), {2, 3}));
+  next.turnover.has_previous = true;
+  next.turnover.created = {5};
+  next.turnover.vanished = {1};
+  next.clusters.push_back(Cluster(0, Vec({{1, 1.0}, {2, 1.0}}), 2));
+  next.clusters.push_back(Cluster(5, Vec({{9, 1.0}}), 2));
   monitor.ObserveStep(next);
   const obs::HealthSnapshot snapshot = monitor.snapshot();
-  EXPECT_EQ(snapshot.clusters_created, 1u);   // id 5 is new
-  EXPECT_EQ(snapshot.clusters_vanished, 1u);  // id 1 is gone
-  // The fresh cluster reports zero drift (no baseline to drift from).
+  EXPECT_EQ(snapshot.clusters_created, 1u);
+  EXPECT_EQ(snapshot.clusters_vanished, 1u);
+  // The fresh cluster reports zero drift (no baseline to drift from) and
+  // age 0; the survivor is one step old.
   for (const obs::ClusterHealthRow& row : snapshot.clusters) {
     if (row.id == 5) {
       EXPECT_DOUBLE_EQ(row.drift, 0.0);
+      EXPECT_EQ(row.age_steps, 0u);
+    } else {
+      EXPECT_EQ(row.age_steps, 1u);
     }
   }
 }
@@ -192,10 +155,32 @@ TEST(ClusterHealthTest, ClusterAgeCountsStepsSinceFirstSeen) {
   }
 }
 
+TEST(ClusterHealthTest, NoBaselineForgetsDriftAndAge) {
+  obs::ClusterHealthMonitor monitor;
+  monitor.ObserveStep(TwoClusterStep(0));
+  monitor.ObserveStep(TwoClusterStep(1));
+  // The same ids after an installed step: their predecessor carried no
+  // ids, so nothing is matched against step 1.
+  obs::StepObservation next;
+  next.step = 3;
+  next.g = 0.9;
+  next.num_active = 4;
+  next.turnover.created = {0, 1};
+  next.clusters.push_back(Cluster(0, Vec({{4, 1.0}}), 2));
+  next.clusters.push_back(Cluster(1, Vec({{3, 1.0}}), 2));
+  monitor.ObserveStep(next);
+  const obs::HealthSnapshot snapshot = monitor.snapshot();
+  EXPECT_FALSE(snapshot.has_previous);
+  EXPECT_EQ(snapshot.clusters_created, 2u);
+  EXPECT_DOUBLE_EQ(snapshot.max_drift, 0.0);
+  EXPECT_DOUBLE_EQ(snapshot.g_delta_ewma, 0.0);
+  for (const obs::ClusterHealthRow& row : snapshot.clusters) {
+    EXPECT_EQ(row.age_steps, 0u);
+  }
+}
+
 TEST(ClusterHealthTest, EwmaSeedsFromFirstObservationThenBlends) {
-  obs::ClusterHealthOptions options;
-  options.ewma_alpha = 0.5;
-  obs::ClusterHealthMonitor monitor(options);
+  obs::ClusterHealthMonitor monitor;
 
   obs::StepObservation first = TwoClusterStep(0);
   first.num_active = 10;
@@ -205,29 +190,27 @@ TEST(ClusterHealthTest, EwmaSeedsFromFirstObservationThenBlends) {
 
   obs::StepObservation second = TwoClusterStep(1);
   second.num_active = 10;
-  second.num_outliers = 4;  // rate 0.4; EWMA 0.5*0.4 + 0.5*0.2 = 0.3
+  second.num_outliers = 4;  // rate 0.4; EWMA 0.3*0.4 + 0.7*0.2 = 0.26
   monitor.ObserveStep(second);
   const obs::HealthSnapshot snapshot = monitor.snapshot();
   EXPECT_DOUBLE_EQ(snapshot.outlier_rate, 0.4);
-  EXPECT_NEAR(snapshot.outlier_rate_ewma, 0.3, 1e-12);
+  EXPECT_NEAR(snapshot.outlier_rate_ewma, 0.26, 1e-12);
 }
 
 TEST(ClusterHealthTest, GDeltaEwmaSmoothsAbsoluteDeltas) {
-  obs::ClusterHealthOptions options;
-  options.ewma_alpha = 0.5;
-  obs::ClusterHealthMonitor monitor(options);
+  obs::ClusterHealthMonitor monitor;
   obs::StepObservation step = TwoClusterStep(0);
   step.g = 0.5;  // first step has no ΔG baseline — seeds the EWMA at 0
   monitor.ObserveStep(step);
   EXPECT_DOUBLE_EQ(monitor.snapshot().g_delta_ewma, 0.0);
-  step.step = 1;
-  step.g = 0.3;  // |ΔG| = 0.2; EWMA 0.5*0.2 + 0.5*0 = 0.1
+  step = TwoClusterStep(1);
+  step.g = 0.3;  // |ΔG| = 0.2; EWMA 0.3*0.2 + 0.7*0 = 0.06
   monitor.ObserveStep(step);
-  EXPECT_NEAR(monitor.snapshot().g_delta_ewma, 0.1, 1e-12);
+  EXPECT_NEAR(monitor.snapshot().g_delta_ewma, 0.06, 1e-12);
   step.step = 2;
-  step.g = 0.3;  // |ΔG| = 0; EWMA 0.5*0 + 0.5*0.1 = 0.05
+  step.g = 0.3;  // |ΔG| = 0; EWMA 0.3*0 + 0.7*0.06 = 0.042
   monitor.ObserveStep(step);
-  EXPECT_NEAR(monitor.snapshot().g_delta_ewma, 0.05, 1e-12);
+  EXPECT_NEAR(monitor.snapshot().g_delta_ewma, 0.042, 1e-12);
 }
 
 TEST(ClusterHealthTest, PublishesHealthMetricsWhenRegistrySupplied) {
