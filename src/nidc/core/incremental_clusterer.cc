@@ -183,9 +183,7 @@ IncrementalClusterer::IncrementalClusterer(const Corpus* corpus,
                                            ForgettingParams params,
                                            IncrementalOptions options)
     : model_(corpus, params), options_(options) {
-  RegisterContextGauges(options_.kmeans.metrics != nullptr
-                            ? options_.kmeans.metrics
-                            : options_.metrics);
+  RegisterContextGauges(options_.metrics);
 }
 
 Status IncrementalClusterer::ValidateStepInputs(
@@ -279,10 +277,7 @@ Result<StepResult> IncrementalClusterer::Step(
   result.clustering_seconds = cluster_timer.ElapsedSeconds();
 
   FillClusteringDigest(&result);
-  RecordStepMetrics(options_.kmeans.metrics != nullptr
-                        ? options_.kmeans.metrics
-                        : options_.metrics,
-                    model_, result);
+  RecordStepMetrics(options_.metrics, model_, result);
   if (!result.installed &&
       (options_.events != nullptr || options_.health != nullptr)) {
     obs::StepTurnover turnover = DiffSteps(
@@ -311,7 +306,7 @@ Result<ClusteringResult> IncrementalClusterer::RunKMeans(
   ExtendedKMeansOptions kmeans = options_.kmeans;
   // Vary the random-seed stream per step so repeated random inits differ.
   kmeans.seed = options_.kmeans.seed + step_count_;
-  if (kmeans.metrics == nullptr) kmeans.metrics = options_.metrics;
+  kmeans.metrics = options_.metrics;
   if (last_result_) {
     // Surviving clusters keep their stable ids; the run mints fresh ones
     // from where the previous run stopped, so ids stay globally monotone.

@@ -65,9 +65,9 @@ struct IncrementalOptions {
   ExtendedKMeansOptions kmeans;
 
   /// Telemetry sink for step-level metrics (doc churn, phase timings,
-  /// vocabulary/tdw gauges); also propagated to the K-means run unless
-  /// `kmeans.metrics` is set explicitly. Null (the default) disables all
-  /// instrumentation.
+  /// vocabulary/tdw gauges) and for every K-means run, whose
+  /// `kmeans.metrics` is replaced by this one. Null (the default)
+  /// disables all instrumentation.
   obs::MetricsRegistry* metrics = nullptr;
 
   /// Lifecycle-event sink (see obs/event_log.h): after each step that ran

@@ -63,7 +63,7 @@ ScopedSpan::~ScopedSpan() {
 }
 
 PhaseProfiler::PhaseProfiler(Options options)
-    : options_(options), trace_ring_(options.trace_capacity) {
+    : options_(options), trace_ring_(kTraceCapacity) {
   if (options_.metrics != nullptr) {
     spans_counter_ = options_.metrics->GetCounter("profile.spans");
     phases_gauge_ = options_.metrics->GetGauge("profile.phases");
@@ -81,7 +81,7 @@ void PhaseProfiler::RecordSpan(const std::string& path, const char* name,
   const auto accumulate = [&](std::map<std::string, PhaseAccum>* phases) {
     auto it = phases->find(path);
     if (it == phases->end()) {
-      if (phases->size() >= options_.max_phases) return;
+      if (phases->size() >= kMaxPhases) return;
       it = phases->emplace(path, PhaseAccum{}).first;
     }
     PhaseAccum& accum = it->second;

@@ -37,13 +37,14 @@ namespace nidc::obs {
 
 class PhaseProfiler {
  public:
+  /// Hard cap on distinct collapsed paths; paths past the cap are dropped
+  /// (bounded memory regardless of instrumentation growth).
+  static constexpr size_t kMaxPhases = 256;
+  /// Raw span events retained for the Chrome trace export (ring; oldest
+  /// overwritten).
+  static constexpr size_t kTraceCapacity = 8192;
+
   struct Options {
-    /// Hard cap on distinct collapsed paths; paths past the cap are
-    /// dropped (bounded memory regardless of instrumentation growth).
-    size_t max_phases = 256;
-    /// Raw span events retained for the Chrome trace export (ring;
-    /// oldest overwritten).
-    size_t trace_capacity = 8192;
     /// Publishes profile.spans / profile.phases / profile.trace_dropped
     /// when non-null.
     MetricsRegistry* metrics = nullptr;

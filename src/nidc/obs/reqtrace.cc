@@ -137,9 +137,9 @@ double StageAggregate::Quantile(double q) const {
   for (size_t i = 0; i < counts.size(); ++i) {
     const uint64_t next = cumulative + counts[i];
     if (static_cast<double>(next) >= target && counts[i] > 0) {
-      if (i >= upper_bounds.size()) return upper_bounds.back();
-      const double lo = i == 0 ? 0.0 : upper_bounds[i - 1];
-      const double hi = upper_bounds[i];
+      if (i >= kStageBuckets.size()) return kStageBuckets.back();
+      const double lo = i == 0 ? 0.0 : kStageBuckets[i - 1];
+      const double hi = kStageBuckets[i];
       const double within =
           (target - static_cast<double>(cumulative)) /
           static_cast<double>(counts[i]);
@@ -147,7 +147,7 @@ double StageAggregate::Quantile(double q) const {
     }
     cumulative = next;
   }
-  return upper_bounds.empty() ? 0.0 : upper_bounds.back();
+  return kStageBuckets.back();
 }
 
 TraceContext StageAggregate::ExemplarAt(double q) const {
@@ -177,7 +177,6 @@ RequestTracer::RequestTracer() : RequestTracer(Options{}) {}
 
 RequestTracer::RequestTracer(Options options) : options_(std::move(options)) {
   if (options_.max_records == 0) options_.max_records = 1;
-  if (options_.stage_buckets.empty()) options_.stage_buckets = {1.0};
   const uint64_t nanos = static_cast<uint64_t>(
       std::chrono::steady_clock::now().time_since_epoch().count());
   mint_state_.store(nanos ^ reinterpret_cast<uint64_t>(this),
@@ -186,6 +185,8 @@ RequestTracer::RequestTracer(Options options) : options_(std::move(options)) {
     // Register the whole family up front so the metrics surface carries
     // "pipeline.*" keys (and nidc_metrics_check can require them) before
     // the first trace arrives.
+    const std::vector<double> buckets(kStageBuckets.begin(),
+                                      kStageBuckets.end());
     started_counter_ = metrics->GetCounter("pipeline.traces_started");
     completed_counter_ = metrics->GetCounter("pipeline.traces_completed");
     dropped_counter_ = metrics->GetCounter("pipeline.traces_dropped");
@@ -196,10 +197,9 @@ RequestTracer::RequestTracer(Options options) : options_(std::move(options)) {
       stage_histograms_[i] = metrics->GetHistogram(
           std::string("pipeline.stage_seconds.") +
               StageName(static_cast<Stage>(i)),
-          options_.stage_buckets);
+          buckets);
     }
-    e2e_histogram_ =
-        metrics->GetHistogram("pipeline.e2e_seconds", options_.stage_buckets);
+    e2e_histogram_ = metrics->GetHistogram("pipeline.e2e_seconds", buckets);
   }
 }
 
@@ -265,7 +265,7 @@ void RequestTracer::BindDoc(const std::string& tenant, uint64_t doc,
   if (inserted) {
     it->second.seq = next_binding_seq_++;
     doc_binding_order_.emplace(it->second.seq, it);
-    while (doc_binding_order_.size() > options_.max_doc_bindings) {
+    while (doc_binding_order_.size() > kMaxDocBindings) {
       doc_bindings_.erase(doc_binding_order_.begin()->second);
       doc_binding_order_.erase(doc_binding_order_.begin());
     }
@@ -349,7 +349,7 @@ void RequestTracer::RegisterShipment(uint64_t generation, uint64_t sequence) {
   (void)it;
   if (inserted) {
     shipment_order_.push_back(key);
-    while (shipment_order_.size() > options_.max_shipments) {
+    while (shipment_order_.size() > kMaxShipments) {
       shipments_.erase(shipment_order_.front());
       shipment_order_.pop_front();
     }
@@ -413,9 +413,9 @@ void RequestTracer::ObserveStageLocked(const std::string& tenant,
   if (stage_index >= kNumStages) return;
   auto observe = [&](std::vector<StageAggregate>& aggregates) {
     StageAggregate& agg = aggregates[stage_index];
-    size_t bucket = agg.upper_bounds.size();
-    for (size_t i = 0; i < agg.upper_bounds.size(); ++i) {
-      if (duration <= agg.upper_bounds[i]) {
+    size_t bucket = kStageBuckets.size();
+    for (size_t i = 0; i < kStageBuckets.size(); ++i) {
+      if (duration <= kStageBuckets[i]) {
         bucket = i;
         break;
       }
@@ -434,17 +434,7 @@ void RequestTracer::ObserveStageLocked(const std::string& tenant,
 
 std::vector<StageAggregate>& RequestTracer::TenantAggregatesLocked(
     const std::string& tenant) {
-  auto it = aggregates_.find(tenant);
-  if (it == aggregates_.end()) {
-    std::vector<StageAggregate> fresh(kNumStages);
-    for (StageAggregate& agg : fresh) {
-      agg.upper_bounds = options_.stage_buckets;
-      agg.counts.assign(agg.upper_bounds.size() + 1, 0);
-      agg.exemplars.assign(agg.upper_bounds.size() + 1, TraceContext{});
-    }
-    it = aggregates_.emplace(tenant, std::move(fresh)).first;
-  }
-  return it->second;
+  return aggregates_.try_emplace(tenant, kNumStages).first->second;
 }
 
 bool RequestTracer::Lookup(const TraceContext& id, TraceRecord* out) const {

@@ -38,6 +38,7 @@
 #ifndef NIDC_OBS_REQTRACE_H_
 #define NIDC_OBS_REQTRACE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -123,13 +124,20 @@ struct TraceRecord {
   double EndToEndSeconds() const;
 };
 
-/// Per-(tenant, stage) latency aggregate with per-bucket exemplars: the
-/// trace id of the last observation to land in each bucket, so the p99
-/// bucket always carries a concrete trace to pull up in `/tracez`.
+/// Bucket upper bounds of every stage histogram, seconds.
+inline constexpr std::array<double, 14> kStageBuckets = {
+    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
+    0.1,    0.25,  0.5,    1.0,   2.5,  5.0,   10.0};
+
+/// Per-(tenant, stage) latency aggregate over kStageBuckets with
+/// per-bucket exemplars: the trace id of the last observation to land in
+/// each bucket, so the p99 bucket always carries a concrete trace to pull
+/// up in `/tracez`.
 struct StageAggregate {
-  std::vector<double> upper_bounds;
-  std::vector<uint64_t> counts;       ///< one per bound + overflow
-  std::vector<TraceContext> exemplars;  ///< parallel to counts
+  /// One per bound + overflow.
+  std::array<uint64_t, kStageBuckets.size() + 1> counts{};
+  /// Parallel to counts.
+  std::array<TraceContext, kStageBuckets.size() + 1> exemplars{};
   uint64_t total = 0;
   double sum = 0.0;
 
@@ -145,19 +153,15 @@ struct StageAggregate {
 /// guards the bounded trace table and its aggregates.
 class RequestTracer {
  public:
+  /// Doc→trace bindings retained (oldest evicted first) — a backstop for
+  /// documents whose window never steps.
+  static constexpr size_t kMaxDocBindings = 1 << 16;
+  /// Pending (generation, sequence)→traces ship registrations.
+  static constexpr size_t kMaxShipments = 1024;
+
   struct Options {
     /// Open + completed trace records retained (oldest evicted first).
     size_t max_records = 1024;
-    /// Doc→trace bindings retained (oldest evicted first) — a backstop
-    /// for documents whose window never steps.
-    size_t max_doc_bindings = 1 << 16;
-    /// Pending (generation, sequence)→traces ship registrations.
-    size_t max_shipments = 1024;
-    /// Bucket upper bounds for the stage histograms, seconds.
-    std::vector<double> stage_buckets = {0.0005, 0.001, 0.0025, 0.005,
-                                         0.01,   0.025, 0.05,   0.1,
-                                         0.25,   0.5,   1.0,    2.5,
-                                         5.0,    10.0};
     /// When supplied, the tracer eagerly registers the `pipeline.*`
     /// family and mirrors stage observations into
     /// `pipeline.stage_seconds.<stage>` histograms.

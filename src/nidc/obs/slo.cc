@@ -9,24 +9,15 @@ namespace nidc::obs {
 
 namespace {
 
-// Ring resolutions: the fine ring slices its span into this many
-// buckets (so a 1h fast-long window gets 1-minute buckets and the 5m
-// window still spans five of them); likewise the coarse ring for 6h/3d.
-constexpr size_t kFineBuckets = 64;
-constexpr size_t kCoarseBuckets = 96;
-
-double SafeBudget(double target) {
-  return std::max(1e-9, 1.0 - target);
-}
+constexpr double kErrorBudget = 1.0 - SloEngine::kTarget;
 
 }  // namespace
 
-void SloEngine::BucketRing::Init(double bucket_width, size_t buckets) {
-  width = std::max(1e-9, bucket_width);
-  epochs.assign(buckets, ~0ull);
-  good.assign(buckets, 0);
-  bad.assign(buckets, 0);
-}
+SloEngine::BucketRing::BucketRing(double span_seconds, size_t buckets)
+    : width(span_seconds / static_cast<double>(buckets)),
+      epochs(buckets, ~0ull),
+      good(buckets, 0),
+      bad(buckets, 0) {}
 
 void SloEngine::BucketRing::Observe(double now, bool is_good) {
   const uint64_t epoch = static_cast<uint64_t>(std::max(0.0, now) / width);
@@ -82,31 +73,12 @@ SloEngine::SloEngine(Options options) : options_(std::move(options)) {
 }
 
 SloEngine::TenantState& SloEngine::TenantLocked(const std::string& tenant) {
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) {
-    TenantState state;
-    state.objective = options_.default_objective;
-    state.latency.fine.Init(options_.fast_long_seconds / kFineBuckets,
-                            kFineBuckets);
-    state.latency.coarse.Init(options_.slow_long_seconds / kCoarseBuckets,
-                              kCoarseBuckets);
-    state.availability.fine = state.latency.fine;
-    state.availability.coarse = state.latency.coarse;
-    it = tenants_.emplace(tenant, std::move(state)).first;
-    if (objectives_gauge_ != nullptr) {
-      // Two objectives (latency + availability) per tenant.
-      objectives_gauge_->Set(static_cast<double>(2 * tenants_.size()));
-    }
+  auto [it, inserted] = tenants_.try_emplace(tenant);
+  if (inserted && objectives_gauge_ != nullptr) {
+    // Two objectives (latency + availability) per tenant.
+    objectives_gauge_->Set(static_cast<double>(2 * tenants_.size()));
   }
   return it->second;
-}
-
-void SloEngine::SetObjective(const std::string& tenant,
-                             const SloObjective& objective) {
-  std::lock_guard<std::mutex> lock(mu_);
-  TenantState& state = TenantLocked(tenant);
-  state.objective = objective;
-  state.has_override = true;
 }
 
 void SloEngine::ObserveLatency(const std::string& tenant,
@@ -114,7 +86,7 @@ void SloEngine::ObserveLatency(const std::string& tenant,
   std::lock_guard<std::mutex> lock(mu_);
   TenantState& state = TenantLocked(tenant);
   const bool good =
-      e2e_seconds <= state.objective.latency_threshold_seconds;
+      e2e_seconds <= options_.default_objective.latency_threshold_seconds;
   state.latency.fine.Observe(now_seconds, good);
   state.latency.coarse.Observe(now_seconds, good);
   if (latency_counter_ != nullptr) latency_counter_->Increment();
@@ -133,8 +105,7 @@ void SloEngine::ObserveRequest(const std::string& tenant, bool ok,
 
 SloBurn SloEngine::EvaluateSignalLocked(const std::string& tenant,
                                         const char* objective,
-                                        Signal* signal,
-                                        double error_budget, double now) {
+                                        Signal* signal, double now) {
   SloBurn burn;
   burn.tenant = tenant;
   burn.objective = objective;
@@ -146,23 +117,18 @@ SloBurn SloEngine::EvaluateSignalLocked(const std::string& tenant,
     if (total == 0) return 0.0;
     const double bad_fraction =
         static_cast<double>(bad) / static_cast<double>(total);
-    return bad_fraction / error_budget;
+    return bad_fraction / kErrorBudget;
   };
-  burn.fast_short_burn =
-      rate(signal->fine, options_.fast_short_seconds);
-  burn.fast_long_burn = rate(signal->fine, options_.fast_long_seconds);
-  burn.slow_short_burn =
-      rate(signal->coarse, options_.slow_short_seconds);
-  burn.slow_long_burn = rate(signal->coarse, options_.slow_long_seconds);
-  signal->coarse.WindowCounts(now, options_.slow_long_seconds, &burn.good,
-                              &burn.bad);
+  burn.fast_short_burn = rate(signal->fine, kFastShortSeconds);
+  burn.fast_long_burn = rate(signal->fine, kFastLongSeconds);
+  burn.slow_short_burn = rate(signal->coarse, kSlowShortSeconds);
+  burn.slow_long_burn = rate(signal->coarse, kSlowLongSeconds);
+  signal->coarse.WindowCounts(now, kSlowLongSeconds, &burn.good, &burn.bad);
 
-  const bool fast_page =
-      burn.fast_short_burn > options_.fast_burn_threshold &&
-      burn.fast_long_burn > options_.fast_burn_threshold;
-  const bool slow_page =
-      burn.slow_short_burn > options_.slow_burn_threshold &&
-      burn.slow_long_burn > options_.slow_burn_threshold;
+  const bool fast_page = burn.fast_short_burn > kFastBurnThreshold &&
+                         burn.fast_long_burn > kFastBurnThreshold;
+  const bool slow_page = burn.slow_short_burn > kSlowBurnThreshold &&
+                         burn.slow_long_burn > kSlowBurnThreshold;
   burn.burning = fast_page || slow_page;
 
   if (burn.burning && !signal->burning) {
@@ -175,8 +141,7 @@ SloBurn SloEngine::EvaluateSignalLocked(const std::string& tenant,
                     (fast_page ? "fast" : "slow");
       event.value =
           fast_page ? burn.fast_short_burn : burn.slow_short_burn;
-      event.zscore = fast_page ? options_.fast_burn_threshold
-                               : options_.slow_burn_threshold;
+      event.zscore = fast_page ? kFastBurnThreshold : kSlowBurnThreshold;
       options_.events->Emit(std::move(event));
     }
   }
@@ -189,12 +154,10 @@ std::vector<SloBurn> SloEngine::Evaluate(double now_seconds) {
   std::vector<SloBurn> burns;
   size_t burning_tenants = 0;
   for (auto& [tenant, state] : tenants_) {
-    const SloBurn latency = EvaluateSignalLocked(
-        tenant, "latency", &state.latency,
-        SafeBudget(state.objective.latency_target), now_seconds);
+    const SloBurn latency =
+        EvaluateSignalLocked(tenant, "latency", &state.latency, now_seconds);
     const SloBurn availability = EvaluateSignalLocked(
-        tenant, "availability", &state.availability,
-        SafeBudget(state.objective.availability_target), now_seconds);
+        tenant, "availability", &state.availability, now_seconds);
     if (latency.burning || availability.burning) ++burning_tenants;
     burns.push_back(latency);
     burns.push_back(availability);
@@ -227,17 +190,14 @@ std::string SloEngine::RenderJson(double now_seconds) {
   for (const SloBurn& burn : burns) {
     if (!first) rows += ",";
     first = false;
-    const auto& state = tenants_.at(burn.tenant);
     JsonObjectBuilder row;
     row.Add("tenant", burn.tenant);
     row.Add("objective", burn.objective);
     if (burn.objective == "latency") {
       row.Add("threshold_seconds",
-              state.objective.latency_threshold_seconds);
-      row.Add("target", state.objective.latency_target);
-    } else {
-      row.Add("target", state.objective.availability_target);
+              options_.default_objective.latency_threshold_seconds);
     }
+    row.Add("target", kTarget);
     row.Add("good", burn.good);
     row.Add("bad", burn.bad);
     row.Add("burn_5m", burn.fast_short_burn);
@@ -252,14 +212,14 @@ std::string SloEngine::RenderJson(double now_seconds) {
   obj.Add("num_tenants", static_cast<uint64_t>(tenants_.size()));
   obj.Add("burn_events", burn_events_);
   JsonObjectBuilder thresholds;
-  thresholds.Add("fast", options_.fast_burn_threshold);
-  thresholds.Add("slow", options_.slow_burn_threshold);
+  thresholds.Add("fast", kFastBurnThreshold);
+  thresholds.Add("slow", kSlowBurnThreshold);
   obj.AddRaw("burn_thresholds", thresholds.Render());
   JsonObjectBuilder windows;
-  windows.Add("fast_short_seconds", options_.fast_short_seconds);
-  windows.Add("fast_long_seconds", options_.fast_long_seconds);
-  windows.Add("slow_short_seconds", options_.slow_short_seconds);
-  windows.Add("slow_long_seconds", options_.slow_long_seconds);
+  windows.Add("fast_short_seconds", kFastShortSeconds);
+  windows.Add("fast_long_seconds", kFastLongSeconds);
+  windows.Add("slow_short_seconds", kSlowShortSeconds);
+  windows.Add("slow_long_seconds", kSlowLongSeconds);
   obj.AddRaw("windows", windows.Render());
   obj.AddRaw("objectives", rows);
   return obj.Render();

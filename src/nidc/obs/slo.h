@@ -20,10 +20,9 @@
 // On the not-burning -> burning edge the engine emits an `slo_burn`
 // event into the event log (label = "tenant/objective/speed", value =
 // the burn rate); `/healthz` surfaces the burning set as detail fields
-// and `/slosz` serves the full per-tenant evaluation. Window lengths are
-// configurable so tests (and the CI smoke) can compress days into
-// milliseconds; time always enters through an explicit `now` so clocks
-// are the caller's business.
+// and `/slosz` serves the full per-tenant evaluation. Time always enters
+// through an explicit `now`, so clocks are the caller's business and a
+// test walks days of synthetic time in microseconds.
 
 #ifndef NIDC_OBS_SLO_H_
 #define NIDC_OBS_SLO_H_
@@ -39,14 +38,11 @@
 
 namespace nidc::obs {
 
-/// One tenant's declarative objectives. Targets are fractions of good
-/// events; the error budget is 1 - target.
+/// The objective every tenant is held to. An ingest response is "good"
+/// when it is not a 429/503; a document is "good" when its
+/// enqueue-to-applied latency stays under the threshold.
 struct SloObjective {
-  /// A document is "good" when enqueue-to-applied stays under this.
   double latency_threshold_seconds = 1.0;
-  double latency_target = 0.999;
-  /// An ingest response is "good" when it is not a 429/503.
-  double availability_target = 0.999;
 };
 
 /// One evaluated objective window pair.
@@ -64,16 +60,20 @@ struct SloBurn {
 
 class SloEngine {
  public:
+  /// Window lengths, seconds: 5m/1h fast pair, 6h/3d slow pair.
+  static constexpr double kFastShortSeconds = 300.0;
+  static constexpr double kFastLongSeconds = 3600.0;
+  static constexpr double kSlowShortSeconds = 6.0 * 3600.0;
+  static constexpr double kSlowLongSeconds = 3.0 * 24.0 * 3600.0;
+  /// Burn-rate thresholds; a pair alerts when BOTH its windows exceed.
+  static constexpr double kFastBurnThreshold = 14.4;
+  static constexpr double kSlowBurnThreshold = 6.0;
+  /// Target fraction of good events, both objectives; the error budget
+  /// is 1 - target.
+  static constexpr double kTarget = 0.999;
+
   struct Options {
     SloObjective default_objective;
-    /// Window lengths, seconds. Defaults: 5m/1h fast, 6h/3d slow.
-    double fast_short_seconds = 300.0;
-    double fast_long_seconds = 3600.0;
-    double slow_short_seconds = 6.0 * 3600.0;
-    double slow_long_seconds = 3.0 * 24.0 * 3600.0;
-    /// Burn-rate thresholds; a pair alerts when BOTH its windows exceed.
-    double fast_burn_threshold = 14.4;
-    double slow_burn_threshold = 6.0;
     /// When supplied, the engine eagerly registers the `slo.*` family.
     MetricsRegistry* metrics = nullptr;
     /// When supplied, burning edges emit `slo_burn` events.
@@ -85,10 +85,6 @@ class SloEngine {
 
   SloEngine(const SloEngine&) = delete;
   SloEngine& operator=(const SloEngine&) = delete;
-
-  /// Overrides the default objective for one tenant.
-  void SetObjective(const std::string& tenant,
-                    const SloObjective& objective);
 
   /// Latency feed: one completed document pipeline (the request
   /// tracer's on_complete callback calls this).
@@ -115,27 +111,30 @@ class SloEngine {
   /// good/bad counts bucketed by wall-clock time: ring[i] covers
   /// [epoch * width, (epoch + 1) * width) for epoch % size == i.
   struct BucketRing {
-    double width = 1.0;
+    /// `buckets` buckets that together span `span_seconds`.
+    BucketRing(double span_seconds, size_t buckets);
+
+    double width;
     std::vector<uint64_t> epochs;
     std::vector<uint64_t> good;
     std::vector<uint64_t> bad;
 
-    void Init(double bucket_width, size_t buckets);
     void Observe(double now, bool is_good);
     /// Sums over the trailing `window` seconds ending at `now`.
     void WindowCounts(double now, double window, uint64_t* good_out,
                       uint64_t* bad_out) const;
   };
 
+  // The fine ring slices the fast-long window into 1-minute buckets, so
+  // the 5m window still spans five of them; the coarse ring slices the
+  // slow-long window likewise for 6h/3d.
   struct Signal {
-    BucketRing fine;    // covers the fast-long window
-    BucketRing coarse;  // covers the slow-long window
+    BucketRing fine{kFastLongSeconds, 64};
+    BucketRing coarse{kSlowLongSeconds, 96};
     bool burning = false;
   };
 
   struct TenantState {
-    SloObjective objective;
-    bool has_override = false;
     Signal latency;
     Signal availability;
   };
@@ -143,9 +142,9 @@ class SloEngine {
   TenantState& TenantLocked(const std::string& tenant);
   SloBurn EvaluateSignalLocked(const std::string& tenant,
                                const char* objective, Signal* signal,
-                               double error_budget, double now);
+                               double now);
 
-  Options options_;
+  const Options options_;
   mutable std::mutex mu_;
   std::map<std::string, TenantState> tenants_;
   uint64_t burn_events_ = 0;

@@ -45,7 +45,8 @@ SeriesWindow Summarize(uint64_t start_step, const std::vector<double>& raw) {
 
 }  // namespace
 
-void TimeSeriesStore::ResolutionRing::Add(uint64_t step, double value) {
+void TimeSeriesStore::ResolutionRing::Add(uint64_t step, double value,
+                                          size_t bucket, size_t capacity) {
   if (pending.empty()) pending_start_step = step;
   pending.push_back(value);
   if (pending.size() < bucket) return;
@@ -70,18 +71,12 @@ TimeSeriesStore::SeriesState* TimeSeriesStore::FindOrCreateLocked(
     const std::string& name) {
   auto it = series_.find(name);
   if (it != series_.end()) return &it->second;
-  if (series_.size() >= options_.max_series) {
+  if (series_.size() >= kMaxSeries) {
     ++rejected_;
     if (rejected_counter_ != nullptr) rejected_counter_->Increment();
     return nullptr;
   }
   SeriesState& state = series_[name];
-  state.rings[0].bucket = 1;
-  state.rings[0].capacity = options_.raw_capacity;
-  state.rings[1].bucket = options_.mid_bucket;
-  state.rings[1].capacity = options_.mid_capacity;
-  state.rings[2].bucket = options_.coarse_bucket;
-  state.rings[2].capacity = options_.coarse_capacity;
   if (tracked_gauge_ != nullptr) {
     tracked_gauge_->Set(static_cast<double>(series_.size()));
   }
@@ -92,16 +87,18 @@ void TimeSeriesStore::IngestLocked(const std::string& name, uint64_t step,
                                    double value) {
   SeriesState* state = FindOrCreateLocked(name);
   if (state == nullptr) return;
-  for (ResolutionRing& ring : state->rings) ring.Add(step, value);
+  for (size_t r = 0; r < kResolutions.size(); ++r) {
+    state->rings[r].Add(step, value, kResolutions[r], kCapacities[r]);
+  }
 
   // EWMA z-score anomaly detection against the *previous* mean/variance,
   // then fold the sample in (so the firing sample does not dilute its own
   // deviation). Mean/variance follow the standard exponentially weighted
   // recurrences: m += α·d, v = (1−α)·(v + α·d²) with d = x − m_old.
   AnomalyState& a = state->anomaly;
-  if (a.samples >= options_.anomaly_min_samples && a.variance > 0.0) {
+  if (a.samples >= kAnomalyMinSamples && a.variance > 0.0) {
     const double z = (value - a.mean) / std::sqrt(a.variance);
-    if (std::fabs(z) > options_.anomaly_threshold) {
+    if (std::fabs(z) > kAnomalyThreshold) {
       ++anomalies_;
       if (anomalies_counter_ != nullptr) anomalies_counter_->Increment();
       if (options_.events != nullptr) {
@@ -115,9 +112,9 @@ void TimeSeriesStore::IngestLocked(const std::string& name, uint64_t step,
     }
   }
   const double diff = value - a.mean;
-  const double incr = options_.anomaly_alpha * diff;
+  const double incr = kAnomalyAlpha * diff;
   a.mean += incr;
-  a.variance = (1.0 - options_.anomaly_alpha) * (a.variance + diff * incr);
+  a.variance = (1.0 - kAnomalyAlpha) * (a.variance + diff * incr);
   ++a.samples;
 }
 
@@ -227,27 +224,22 @@ std::vector<SeriesWindow> TimeSeriesStore::Series(const std::string& name,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = series_.find(name);
   if (it == series_.end()) return {};
-  for (const ResolutionRing& ring : it->second.rings) {
-    if (ring.bucket != resolution) continue;
-    std::vector<SeriesWindow> windows(ring.windows.begin(),
-                                      ring.windows.end());
-    // Expose the partially filled window too — a 256-step ring would
-    // otherwise look empty for the first 255 steps of a run.
-    if (!ring.pending.empty()) {
-      windows.push_back(Summarize(ring.pending_start_step, ring.pending));
-    }
-    return windows;
+  const auto r =
+      std::find(kResolutions.begin(), kResolutions.end(), resolution);
+  if (r == kResolutions.end()) return {};
+  const ResolutionRing& ring = it->second.rings[r - kResolutions.begin()];
+  std::vector<SeriesWindow> windows(ring.windows.begin(), ring.windows.end());
+  // Expose the partially filled window too — a 256-step ring would
+  // otherwise look empty for the first 255 steps of a run.
+  if (!ring.pending.empty()) {
+    windows.push_back(Summarize(ring.pending_start_step, ring.pending));
   }
-  return {};
+  return windows;
 }
 
 bool TimeSeriesStore::Has(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   return series_.count(name) > 0;
-}
-
-std::vector<size_t> TimeSeriesStore::Resolutions() const {
-  return {1, options_.mid_bucket, options_.coarse_bucket};
 }
 
 uint64_t TimeSeriesStore::anomalies_fired() const {
@@ -276,7 +268,7 @@ std::string RenderTimeSeriesListJson(const TimeSeriesStore& store) {
   names += "]";
   std::string resolutions = "[";
   first = true;
-  for (size_t res : store.Resolutions()) {
+  for (size_t res : TimeSeriesStore::kResolutions) {
     if (!first) resolutions += ",";
     first = false;
     resolutions += std::to_string(res);

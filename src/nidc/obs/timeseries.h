@@ -22,7 +22,7 @@
 //
 // Every sample also feeds an online EWMA z-score anomaly detector
 // (per-series exponentially weighted mean + variance). After a warm-up of
-// `anomaly_min_samples` samples, a sample more than `anomaly_threshold`
+// kAnomalyMinSamples samples, a sample more than kAnomalyThreshold
 // standard deviations from the tracked mean fires a `metric_anomaly`
 // EventLog entry carrying the series name, offending value and z-score.
 //
@@ -33,6 +33,7 @@
 #ifndef NIDC_OBS_TIMESERIES_H_
 #define NIDC_OBS_TIMESERIES_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -59,26 +60,22 @@ struct SeriesWindow {
 
 class TimeSeriesStore {
  public:
+  /// Steps folded into one window at each resolution, ascending.
+  static constexpr std::array<size_t, 3> kResolutions = {1, 16, 256};
+  /// Windows retained per resolution, parallel to kResolutions.
+  static constexpr std::array<size_t, 3> kCapacities = {512, 256, 64};
+  /// Hard cap on distinct tracked series; names past the cap are rejected
+  /// (counted in timeseries.series_rejected) so memory stays bounded no
+  /// matter what the registry grows.
+  static constexpr size_t kMaxSeries = 256;
+  /// EWMA smoothing factor of the anomaly detector's mean/variance.
+  static constexpr double kAnomalyAlpha = 0.25;
+  /// |z| above which a sample fires a metric_anomaly event.
+  static constexpr double kAnomalyThreshold = 4.0;
+  /// Samples a series must accumulate before the detector may fire.
+  static constexpr size_t kAnomalyMinSamples = 8;
+
   struct Options {
-    /// Windows retained per resolution (raw = 1-step windows).
-    size_t raw_capacity = 512;
-    size_t mid_capacity = 256;
-    size_t coarse_capacity = 64;
-    /// Steps folded into one window at the downsampled resolutions.
-    size_t mid_bucket = 16;
-    size_t coarse_bucket = 256;
-    /// Hard cap on distinct tracked series; names past the cap are
-    /// rejected (counted in timeseries.series_rejected) so memory stays
-    /// bounded no matter what the registry grows.
-    size_t max_series = 256;
-
-    /// EWMA smoothing factor of the anomaly detector's mean/variance.
-    double anomaly_alpha = 0.25;
-    /// |z| above which a sample fires a metric_anomaly event.
-    double anomaly_threshold = 4.0;
-    /// Samples a series must accumulate before the detector may fire.
-    size_t anomaly_min_samples = 8;
-
     /// Registry the store snapshots each step *and* publishes its own
     /// timeseries.* instruments into. Null disables ObserveStep-driven
     /// ingestion (ObserveSample still works, for tests).
@@ -110,16 +107,13 @@ class TimeSeriesStore {
   /// Sorted names of every tracked series.
   std::vector<std::string> Names() const;
 
-  /// The retained windows of `name` at `resolution` (1, mid_bucket or
-  /// coarse_bucket steps per window), oldest first. Unknown names or
-  /// resolutions yield an empty vector (distinguish via Has()).
+  /// The retained windows of `name` at `resolution` (one of
+  /// kResolutions), oldest first. Unknown names or resolutions yield an
+  /// empty vector (distinguish via Has()).
   std::vector<SeriesWindow> Series(const std::string& name,
                                    size_t resolution) const;
 
   bool Has(const std::string& name) const;
-
-  /// The three window widths, ascending: {1, mid_bucket, coarse_bucket}.
-  std::vector<size_t> Resolutions() const;
 
   uint64_t anomalies_fired() const;
   uint64_t observations() const;
@@ -127,13 +121,13 @@ class TimeSeriesStore {
 
  private:
   struct ResolutionRing {
-    size_t bucket = 1;
-    size_t capacity = 0;
     std::vector<double> pending;
     uint64_t pending_start_step = 0;
     std::deque<SeriesWindow> windows;
 
-    void Add(uint64_t step, double value);
+    /// Folds one sample into a ring of `bucket`-step windows that keeps
+    /// the newest `capacity` of them.
+    void Add(uint64_t step, double value, size_t bucket, size_t capacity);
   };
 
   struct AnomalyState {
@@ -143,7 +137,7 @@ class TimeSeriesStore {
   };
 
   struct SeriesState {
-    ResolutionRing rings[3];
+    ResolutionRing rings[kResolutions.size()];
     AnomalyState anomaly;
   };
 

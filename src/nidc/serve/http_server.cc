@@ -19,6 +19,12 @@ namespace {
 // line plus headers fits in a fraction of this.
 constexpr size_t kMaxRequestBytes = 8192;
 
+// Accepted connections waiting for a worker before new ones are shed.
+constexpr size_t kMaxQueuedConnections = 128;
+
+// SO_RCVTIMEO / SO_SNDTIMEO on accepted sockets, in whole seconds.
+constexpr long kSocketTimeoutSeconds = 2;
+
 const char* ReasonPhrase(int status) {
   switch (status) {
     case 200:
@@ -327,13 +333,13 @@ void HttpServer::AcceptLoop() {
     // never drains its response) occupies a worker for at most the
     // timeout, not forever.
     timeval timeout{};
-    timeout.tv_sec = options_.socket_timeout_seconds;
+    timeout.tv_sec = kSocketTimeoutSeconds;
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       if (!running_.load(std::memory_order_acquire) ||
-          pending_conns_.size() >= options_.max_queued_connections) {
+          pending_conns_.size() >= kMaxQueuedConnections) {
         // Shed instead of queueing unboundedly; the client sees a reset
         // and retries against a less loaded moment.
         ::close(fd);

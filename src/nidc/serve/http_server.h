@@ -99,13 +99,9 @@ int HttpStatusFor(const Status& status);
 struct HttpServerOptions {
   /// Connection worker threads.
   size_t num_workers = 4;
-  /// Accepted connections waiting for a worker before new ones are shed.
-  size_t max_queued_connections = 128;
   /// Serve multiple requests per connection (HTTP/1.1 semantics). Off:
   /// every response carries `Connection: close` and the socket closes.
   bool keep_alive = true;
-  /// SO_RCVTIMEO / SO_SNDTIMEO on accepted sockets, in whole seconds.
-  long socket_timeout_seconds = 2;
 };
 
 /// The embedded server. Start/Stop are idempotent; the destructor stops.

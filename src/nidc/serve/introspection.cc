@@ -20,6 +20,9 @@ constexpr size_t kGTailCapacity = 64;
 constexpr size_t kDefaultTraces = 20;
 constexpr size_t kMaxTraces = 256;
 
+// Default (and maximum) event count served by /eventsz.
+constexpr size_t kMaxEvents = 256;
+
 // The "n" query parameter; `fallback` when absent or malformed.
 size_t CountParam(const HttpRequest& request, size_t fallback) {
   return ParseNumber<size_t>(QueryParam(request.query, "n").value_or(""))
@@ -292,8 +295,7 @@ HttpResponse ServeStatus(const IntrospectionOptions& options,
 
 HttpResponse ServeEvents(const IntrospectionOptions& options,
                          const HttpRequest& request) {
-  const size_t n = std::min(options.max_events,
-                            CountParam(request, options.max_events));
+  const size_t n = std::min(kMaxEvents, CountParam(request, kMaxEvents));
   std::vector<std::string> rendered;
   for (const obs::Event& event : options.events->Recent(n)) {
     rendered.push_back(obs::RenderEventJson(event));
@@ -322,7 +324,7 @@ HttpResponse ServeTimeSeries(const IntrospectionOptions& options,
   const std::optional<std::string> res = QueryParam(request.query, "res");
   const size_t resolution =
       res.has_value() ? ParseNumber<size_t>(*res).value_or(0) : 1;
-  const std::vector<size_t> known = store.Resolutions();
+  const auto& known = obs::TimeSeriesStore::kResolutions;
   if (std::find(known.begin(), known.end(), resolution) == known.end()) {
     return JsonResponse(
         404, obs::JsonObjectBuilder()

@@ -172,8 +172,6 @@ struct IntrospectionOptions {
   obs::SloEngine* slo = nullptr;
   /// /healthz turns 503 when the last step is older than this.
   double stale_after_seconds = 600.0;
-  /// Default (and maximum) event count served by /eventsz.
-  size_t max_events = 256;
 };
 
 /// Registers every endpoint above on `server` (endpoints whose source

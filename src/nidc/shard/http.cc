@@ -33,6 +33,35 @@ serve::HttpResponse ErrorResponse(const Status& status,
   return response;
 }
 
+// Sets `*field` from the query parameter `key` when it is present. A
+// present value that does not parse whole as a T (for an integer field: a
+// fraction, a sign, an exponent or an out-of-range number) is refused.
+template <typename T>
+Status OverrideFromQuery(std::string_view query, std::string_view key,
+                         T* field) {
+  const std::optional<std::string> text = QueryParam(query, key);
+  if (!text.has_value()) return Status::OK();
+  const std::optional<T> value = ParseNumber<T>(*text);
+  if (!value.has_value()) {
+    return Status::InvalidArgument("op=create: malformed " +
+                                   std::string(key) + "=" + *text);
+  }
+  *field = *value;
+  return Status::OK();
+}
+
+// The op=create query's overrides of the server's default config.
+Status ApplyCreateQuery(std::string_view query, TenantConfig* config) {
+  NIDC_RETURN_NOT_OK(OverrideFromQuery(query, "k", &config->k));
+  NIDC_RETURN_NOT_OK(OverrideFromQuery(query, "half_life",
+                                       &config->params.half_life_days));
+  NIDC_RETURN_NOT_OK(OverrideFromQuery(query, "life_span",
+                                       &config->params.life_span_days));
+  NIDC_RETURN_NOT_OK(OverrideFromQuery(query, "step", &config->step_days));
+  NIDC_RETURN_NOT_OK(OverrideFromQuery(query, "start", &config->start_time));
+  return OverrideFromQuery(query, "seed", &config->seed);
+}
+
 std::string TenantListJson(ShardService* service,
                            obs::RequestTracer* tracer = nullptr) {
   std::vector<std::string> tenants;
@@ -127,9 +156,6 @@ void RegisterShardHandlers(serve::HttpServer* server, ShardService* service,
     if (request.method == "GET") {
       return JsonResponse(200, TenantListJson(service));
     }
-    auto number = [&request](std::string_view key) {
-      return ParseNumber<double>(QueryParam(request.query, key).value_or(""));
-    };
     const std::string op =
         QueryParam(request.query, "op").value_or("");
     const std::string tenant =
@@ -141,13 +167,8 @@ void RegisterShardHandlers(serve::HttpServer* server, ShardService* service,
       status = Status::InvalidArgument("op=" + op + " requires ?tenant=");
     } else if (op == "create") {
       TenantConfig config = default_config;
-      if (auto v = number("k")) config.k = static_cast<size_t>(*v);
-      if (auto v = number("half_life")) config.params.half_life_days = *v;
-      if (auto v = number("life_span")) config.params.life_span_days = *v;
-      if (auto v = number("step")) config.step_days = *v;
-      if (auto v = number("start")) config.start_time = *v;
-      if (auto v = number("seed")) config.seed = static_cast<uint64_t>(*v);
-      status = service->CreateTenant(tenant, config);
+      status = ApplyCreateQuery(request.query, &config);
+      if (status.ok()) status = service->CreateTenant(tenant, config);
     } else if (op == "evict") {
       status = service->EvictTenant(tenant);
     } else if (op == "reopen") {
@@ -155,7 +176,8 @@ void RegisterShardHandlers(serve::HttpServer* server, ShardService* service,
     } else if (op == "checkpoint") {
       status = service->Checkpoint(tenant);
     } else if (op == "flush") {
-      const std::optional<double> until = number("until");
+      const std::optional<double> until = ParseNumber<double>(
+          QueryParam(request.query, "until").value_or(""));
       if (!until.has_value()) {
         status = Status::InvalidArgument("op=flush requires ?until=DAY");
       } else {

@@ -8,7 +8,9 @@
 //       clock, failed) plus shard/queue summary;
 //   POST /tenantz?op=...&tenant=NAME — control plane: op=create (optional
 //       k/half_life/life_span/step/start/seed overrides of the server's
-//       default TenantConfig), evict, reopen, checkpoint,
+//       default TenantConfig; a malformed one answers 400 and creates
+//       nothing, and k and seed must be unsigned integers), evict,
+//       reopen, checkpoint,
 //       flush (&until=DAY), drain (no tenant);
 //   GET  /digestz?tenant=NAME  — the serialized clusterer state, rendered
 //       on the owning shard (the equivalence-test currency);

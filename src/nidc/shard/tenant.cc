@@ -43,6 +43,7 @@ IncrementalOptions StepOptions(const TenantConfig& config) {
 Status TenantConfig::Validate() const {
   NIDC_RETURN_NOT_OK(params.Validate());
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
+  if (seed > kMaxSeed) return Status::InvalidArgument("seed must be <= 2^53");
   if (!std::isfinite(step_days) || step_days <= 0.0) {
     return Status::InvalidArgument("step_days must be finite and > 0");
   }

@@ -72,8 +72,11 @@ struct TenantConfig {
   double step_days = 1.0;
   /// Start of the first window.
   DayTime start_time = 0.0;
-  /// K-means seed (per-step stream offset is part of durable state).
+  /// K-means seed (per-step stream offset is part of durable state). At
+  /// most kMaxSeed, so TENANT.json's JSON number holds it exactly.
   uint64_t seed = 42;
+
+  static constexpr uint64_t kMaxSeed = uint64_t{1} << 53;
 
   Status Validate() const;
 

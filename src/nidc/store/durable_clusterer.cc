@@ -180,7 +180,6 @@ Result<std::vector<DecisionRecord>> ExplainStep(
   options.metrics = nullptr;
   options.events = nullptr;
   options.health = nullptr;
-  options.kmeans.metrics = nullptr;
   options.kmeans.profile = nullptr;
   options.kmeans.decisions = &decisions;
   // Nor does the calling thread's ambient span profiler see the replay.

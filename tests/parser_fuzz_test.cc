@@ -184,6 +184,21 @@ TEST(ParserFuzzTest, TenantConfigIntegersOutOfRangeAreRefused) {
   }
 }
 
+TEST(ParserFuzzTest, TenantSeedsRoundTripExactlyUpTo2To53) {
+  shard::TenantConfig config;
+  config.seed = shard::TenantConfig::kMaxSeed;
+  ASSERT_TRUE(config.Validate().ok());
+  Result<shard::TenantConfig> again =
+      shard::TenantConfig::FromJson(config.ToJson());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->seed, config.seed);
+  EXPECT_EQ(again->k, config.k);
+  EXPECT_EQ(again->ToJson(), config.ToJson());
+  // 2^53 + 1 is the first seed a JSON number reads back as another one.
+  config.seed = shard::TenantConfig::kMaxSeed + 1;
+  EXPECT_FALSE(config.Validate().ok());
+}
+
 TEST(ParserFuzzTest, MutatedJsonDocumentsParseOrFail) {
   const std::string seed = Spaced(
       R"({"a":[1,2.5,-3e2,true,false,null],"s":"x\"y\\\u0041\n",)"

@@ -1,6 +1,8 @@
 #include "nidc/obs/profiler.h"
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -154,19 +156,20 @@ TEST(PhaseProfilerTest, RenderJsonRoundTripsThroughParser) {
 TEST(PhaseProfilerTest, ChromeTraceIsBoundedAndRebased) {
   MetricsRegistry registry;
   PhaseProfiler::Options options;
-  options.trace_capacity = 2;
   options.metrics = &registry;
   PhaseProfiler profiler(options);
-  for (int i = 0; i < 5; ++i) {
-    profiler.RecordSpan("a", "a", 100.0 + i, 0.5, 0.25, 1);
+  constexpr size_t kSpans = PhaseProfiler::kTraceCapacity + 3;
+  for (size_t i = 0; i < kSpans; ++i) {
+    profiler.RecordSpan("a", "a", 100.0 + static_cast<double>(i), 0.5, 0.25,
+                        1);
   }
   const Result<JsonValue> parsed = ParseJson(profiler.RenderChromeTrace());
   ASSERT_TRUE(parsed.ok());
   const JsonValue* events = parsed->Find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
-  // Ring of 2: only the two newest raw events survive; three dropped.
-  ASSERT_EQ(events->array.size(), 2u);
+  // Only the kTraceCapacity newest raw events survive; three dropped.
+  ASSERT_EQ(events->array.size(), PhaseProfiler::kTraceCapacity);
   EXPECT_EQ(registry.GetCounter("profile.trace_dropped")->Value(), 3u);
   // Rebased onto the oldest retained event: ts 0 then 1s.
   EXPECT_DOUBLE_EQ(events->array[0].Find("ts")->number, 0.0);
@@ -176,15 +179,52 @@ TEST(PhaseProfilerTest, ChromeTraceIsBoundedAndRebased) {
 }
 
 TEST(PhaseProfilerTest, PhaseCapBoundsDistinctPaths) {
+  PhaseProfiler profiler;
+  for (size_t i = 0; i <= PhaseProfiler::kMaxPhases; ++i) {
+    const std::string path = "p" + std::to_string(i);
+    profiler.RecordSpan(path, "p", 0.0, 0.1, 0.0, 1);
+  }
+  // The path past the cap is dropped from aggregation, but still counted.
+  EXPECT_EQ(profiler.Snapshot().size(), PhaseProfiler::kMaxPhases);
+  EXPECT_EQ(profiler.spans_recorded(), PhaseProfiler::kMaxPhases + 1);
+}
+
+TEST(PhaseProfilerTest, ConcurrentSpansAndRender) {
+  // The step loop records spans while the introspection thread snapshots
+  // and renders the profile: every span must be counted exactly once.
+  MetricsRegistry registry;
   PhaseProfiler::Options options;
-  options.max_phases = 2;
+  options.metrics = &registry;
   PhaseProfiler profiler(options);
-  profiler.RecordSpan("a", "a", 0.0, 0.1, 0.0, 1);
-  profiler.RecordSpan("b", "b", 0.0, 0.1, 0.0, 1);
-  profiler.RecordSpan("c", "c", 0.0, 0.1, 0.0, 1);
-  // The third path is dropped from aggregation, but still counted.
-  EXPECT_EQ(profiler.Snapshot().size(), 2u);
-  EXPECT_EQ(profiler.spans_recorded(), 3u);
+  constexpr uint64_t kSteps = 500;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    ScopedProfilerInstall install(&profiler);
+    for (uint64_t step = 1; step <= kSteps; ++step) {
+      profiler.SetStep(step);
+      NIDC_SPAN("step");
+      { NIDC_SPAN("sweep"); }
+      { NIDC_SPAN("refresh"); }
+    }
+    done.store(true);
+  });
+  std::thread reader([&] {
+    while (!done.load()) {
+      ASSERT_LE(profiler.Snapshot().size(), 3u);
+      ASSERT_LE(profiler.CurrentStep().size(), 3u);
+      ASSERT_TRUE(ParseJson(profiler.RenderJson()).ok());
+      ASSERT_TRUE(ParseJson(profiler.RenderChromeTrace()).ok());
+    }
+  });
+  writer.join();
+  reader.join();
+  EXPECT_EQ(profiler.spans_recorded(), 3 * kSteps);
+  EXPECT_EQ(registry.GetCounter("profile.spans")->Value(), 3 * kSteps);
+  EXPECT_EQ(profiler.step(), kSteps);
+  for (const PhaseProfiler::PhaseStats& phase : profiler.Snapshot()) {
+    EXPECT_EQ(phase.count, kSteps) << phase.path;
+  }
+  EXPECT_EQ(profiler.CurrentStep().size(), 3u);
 }
 
 }  // namespace

@@ -179,25 +179,27 @@ TEST(RequestTracerTest, UnbindDocsDropsOnlyTheNamedBindings) {
 }
 
 TEST(RequestTracerTest, BindingBoundStillEvictsTheOldest) {
-  RequestTracer::Options options;
-  options.max_doc_bindings = 3;
-  RequestTracer tracer(std::move(options));
+  constexpr uint64_t kBound = RequestTracer::kMaxDocBindings;
+  RequestTracer tracer;
   const TraceContext a = tracer.Mint();
-  for (uint64_t doc = 1; doc <= 4; ++doc) tracer.BindDoc("alpha", doc, a);
-  EXPECT_EQ(tracer.doc_bindings(), 3u);
+  for (uint64_t doc = 1; doc <= kBound + 1; ++doc) {
+    tracer.BindDoc("alpha", doc, a);
+  }
+  EXPECT_EQ(tracer.doc_bindings(), kBound);
   EXPECT_TRUE(tracer.TracesForDocs("alpha", {1}).empty());
   // Re-binding a document keeps its age; unbinding frees its room.
   const TraceContext b = tracer.Mint();
   tracer.BindDoc("alpha", 2, b);
   tracer.UnbindDocs("alpha", {3});
-  tracer.BindDoc("alpha", 5, a);
-  EXPECT_EQ(tracer.doc_bindings(), 3u);
+  tracer.BindDoc("alpha", kBound + 2, a);
+  EXPECT_EQ(tracer.doc_bindings(), kBound);
   EXPECT_EQ(tracer.TracesForDocs("alpha", {2}),
             (std::vector<TraceContext>{b}));
-  tracer.BindDoc("alpha", 6, a);
-  EXPECT_EQ(tracer.doc_bindings(), 3u);
+  tracer.BindDoc("alpha", kBound + 3, a);
+  EXPECT_EQ(tracer.doc_bindings(), kBound);
   EXPECT_TRUE(tracer.TracesForDocs("alpha", {2}).empty());  // the oldest
-  EXPECT_EQ(tracer.TracesForDocs("alpha", {4, 5, 6}).size(), 1u);
+  EXPECT_EQ(tracer.TracesForDocs("alpha", {4, kBound + 2, kBound + 3}).size(),
+            1u);
 }
 
 shard::TenantConfig OneDayWindows() {

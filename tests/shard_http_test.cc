@@ -311,6 +311,31 @@ TEST_F(ShardHttpTest, CreateAcceptsQueryOverrides) {
   EXPECT_EQ(config->seed, 7u);
 }
 
+TEST_F(ShardHttpTest, CreateRefusesMalformedIntegersAndCreatesNothing) {
+  const std::string root = Root("bad_create");
+  uint16_t port = StartServer(root, 1);
+  ASSERT_EQ(Post(port, "/tenantz?op=create&tenant=alpha").status, 200);
+  // k and seed are unsigned integers: a fraction, an out-of-range
+  // number, a sign or a seed above 2^53 (which TENANT.json's JSON number
+  // cannot hold exactly) is refused before any directory is made.
+  for (const char* query : {"k=2.5", "k=1e400", "k=-1", "seed=-1",
+                            "seed=9007199254740993"}) {
+    EXPECT_EQ(
+        Post(port, std::string("/tenantz?op=create&tenant=bad&") + query)
+            .status,
+        400)
+        << query;
+    EXPECT_FALSE(std::filesystem::exists(root + "/tenants/bad")) << query;
+  }
+  // A restart on the same root recovers every tenant.
+  TearDownServer();
+  port = StartServer(root, 1);
+  const auto tenants = Fetch(port, "/tenantz");
+  ASSERT_EQ(tenants.status, 200);
+  EXPECT_TRUE(Contains(tenants.body, "\"name\":\"alpha\"")) << tenants.body;
+  EXPECT_FALSE(Contains(tenants.body, "\"name\":\"bad\"")) << tenants.body;
+}
+
 TEST_F(ShardHttpTest, FullQueueAnswers429WithRetryAfter) {
   const std::string root = Root("backpressure");
   // Every batch spans several windows, so the first one steps (and syncs

@@ -8,21 +8,13 @@
 #include <vector>
 
 #include "nidc/obs/event_log.h"
+#include "nidc/obs/json_util.h"
 #include "nidc/obs/metrics.h"
 
 namespace nidc::obs {
 namespace {
 
-// Compressed windows so a test can burn through "days" in synthetic time:
-// fast pair 10s/60s, slow pair 120s/600s.
-SloEngine::Options FastOptions() {
-  SloEngine::Options options;
-  options.fast_short_seconds = 10.0;
-  options.fast_long_seconds = 60.0;
-  options.slow_short_seconds = 120.0;
-  options.slow_long_seconds = 600.0;
-  return options;
-}
+constexpr double kDay = 24.0 * 3600.0;
 
 const SloBurn* FindBurn(const std::vector<SloBurn>& burns,
                         const std::string& tenant,
@@ -34,7 +26,7 @@ const SloBurn* FindBurn(const std::vector<SloBurn>& burns,
 }
 
 TEST(SloEngineTest, HealthyTenantDoesNotBurn) {
-  SloEngine engine(FastOptions());
+  SloEngine engine;
   for (int i = 0; i < 100; ++i) {
     engine.ObserveLatency("alpha", 0.01, 1000.0 + i * 0.1);
     engine.ObserveRequest("alpha", /*ok=*/true, 1000.0 + i * 0.1);
@@ -52,7 +44,7 @@ TEST(SloEngineTest, HealthyTenantDoesNotBurn) {
 }
 
 TEST(SloEngineTest, SustainedLatencyViolationBurnsBothWindows) {
-  SloEngine::Options options = FastOptions();
+  SloEngine::Options options;
   options.default_objective.latency_threshold_seconds = 0.1;
   SloEngine engine(options);
   // Every observation blows the threshold: burn = 1 / (1 - 0.999) = 1000x
@@ -64,38 +56,42 @@ TEST(SloEngineTest, SustainedLatencyViolationBurnsBothWindows) {
   const SloBurn* latency = FindBurn(burns, "alpha", "latency");
   ASSERT_NE(latency, nullptr);
   EXPECT_TRUE(latency->burning);
-  EXPECT_GT(latency->fast_short_burn, options.fast_burn_threshold);
-  EXPECT_GT(latency->fast_long_burn, options.fast_burn_threshold);
+  EXPECT_GT(latency->fast_short_burn, SloEngine::kFastBurnThreshold);
+  EXPECT_GT(latency->fast_long_burn, SloEngine::kFastBurnThreshold);
   EXPECT_EQ(latency->bad, 200u);
   EXPECT_EQ(engine.BurningTenants(1010.0),
             std::vector<std::string>{"alpha"});
 }
 
 TEST(SloEngineTest, ShortBurstAloneDoesNotPage) {
-  SloEngine::Options options = FastOptions();
-  options.default_objective.availability_target = 0.9;
-  SloEngine engine(options);
-  // A long healthy history dilutes the long windows...
-  for (int i = 0; i < 2000; ++i) {
-    engine.ObserveRequest("alpha", /*ok=*/true, 1000.0 + i * 0.25);
+  SloEngine engine;
+  // An hour of healthy history, one request a second, dilutes the long
+  // windows...
+  const double start = 10 * kDay;
+  for (int i = 0; i < 3600; ++i) {
+    engine.ObserveRequest("alpha", /*ok=*/true, start + i);
   }
-  const double burst_at = 1000.0 + 2000 * 0.25;
-  // ...then a brief total outage inside one fast-short window only.
-  for (int i = 0; i < 5; ++i) {
+  const double burst_at = start + 3600.0;
+  // ...then a brief outage of ten requests inside one fast-short window.
+  for (int i = 0; i < 10; ++i) {
     engine.ObserveRequest("alpha", /*ok=*/false, burst_at + i * 0.5);
   }
-  const auto burns = engine.Evaluate(burst_at + 3.0);
+  const auto burns = engine.Evaluate(burst_at + 6.0);
   const SloBurn* availability = FindBurn(burns, "alpha", "availability");
   ASSERT_NE(availability, nullptr);
-  // The short window burns hot but the long window vetoes the page.
-  EXPECT_GT(availability->fast_short_burn, availability->fast_long_burn);
+  // The 5m window burns past the fast threshold (10 bad of some 400, a
+  // 25x burn) but the 1h window (10 of 3,610, 2.8x) vetoes the page, and
+  // the slow pair stays under its 6x.
+  EXPECT_GT(availability->fast_short_burn, SloEngine::kFastBurnThreshold);
+  EXPECT_LT(availability->fast_long_burn, SloEngine::kFastBurnThreshold);
+  EXPECT_LT(availability->slow_short_burn, SloEngine::kSlowBurnThreshold);
   EXPECT_FALSE(availability->burning);
 }
 
 TEST(SloEngineTest, BurnEdgeEmitsEventOnce) {
   MetricsRegistry registry;
   EventLog events(64, &registry);
-  SloEngine::Options options = FastOptions();
+  SloEngine::Options options;
   options.default_objective.latency_threshold_seconds = 0.1;
   options.metrics = &registry;
   options.events = &events;
@@ -115,38 +111,19 @@ TEST(SloEngineTest, BurnEdgeEmitsEventOnce) {
   }
   EXPECT_TRUE(saw_burn_event);
 
-  // Once the burn ages out of every window the edge re-arms.
-  engine.Evaluate(5000.0);
+  // Once the burn ages out of every window (the longest is 3 days) the
+  // edge re-arms.
+  engine.Evaluate(1000.0 + 4 * kDay);
   for (int i = 0; i < 100; ++i) {
-    engine.ObserveLatency("alpha", 5.0, 6000.0 + i * 0.05);
+    engine.ObserveLatency("alpha", 5.0, 1000.0 + 5 * kDay + i * 0.05);
   }
-  engine.Evaluate(6005.0);
+  engine.Evaluate(1005.0 + 5 * kDay);
   EXPECT_EQ(engine.burn_events(), 2u);
-}
-
-TEST(SloEngineTest, PerTenantObjectiveOverride) {
-  SloEngine::Options options = FastOptions();
-  options.default_objective.latency_threshold_seconds = 10.0;
-  SloEngine engine(options);
-  SloObjective strict;
-  strict.latency_threshold_seconds = 0.001;
-  engine.SetObjective("strict", strict);
-  for (int i = 0; i < 50; ++i) {
-    engine.ObserveLatency("strict", 0.5, 1000.0 + i * 0.1);
-    engine.ObserveLatency("lenient", 0.5, 1000.0 + i * 0.1);
-  }
-  const auto burns = engine.Evaluate(1005.0);
-  const SloBurn* strict_burn = FindBurn(burns, "strict", "latency");
-  const SloBurn* lenient_burn = FindBurn(burns, "lenient", "latency");
-  ASSERT_NE(strict_burn, nullptr);
-  ASSERT_NE(lenient_burn, nullptr);
-  EXPECT_TRUE(strict_burn->burning);
-  EXPECT_FALSE(lenient_burn->burning);
 }
 
 TEST(SloEngineTest, MetricsFamilyIsEager) {
   MetricsRegistry registry;
-  SloEngine::Options options = FastOptions();
+  SloEngine::Options options;
   options.metrics = &registry;
   SloEngine engine(options);
   const auto snapshot = registry.Snapshot();
@@ -169,7 +146,7 @@ TEST(SloEngineTest, MetricsFamilyIsEager) {
 }
 
 TEST(SloEngineTest, RenderJsonCarriesBurnFields) {
-  SloEngine::Options options = FastOptions();
+  SloEngine::Options options;
   options.default_objective.latency_threshold_seconds = 0.1;
   SloEngine engine(options);
   for (int i = 0; i < 100; ++i) {
@@ -179,14 +156,30 @@ TEST(SloEngineTest, RenderJsonCarriesBurnFields) {
   EXPECT_NE(json.find("\"tenant\":\"alpha\""), std::string::npos);
   EXPECT_NE(json.find("\"objective\":\"latency\""), std::string::npos);
   EXPECT_NE(json.find("\"burning\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"burn_thresholds\""), std::string::npos);
-  EXPECT_NE(json.find("\"windows\""), std::string::npos);
+  const Result<JsonValue> parsed = ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << json;
+  const JsonValue* thresholds = parsed->Find("burn_thresholds");
+  ASSERT_NE(thresholds, nullptr);
+  EXPECT_DOUBLE_EQ(thresholds->Find("fast")->number, 14.4);
+  EXPECT_DOUBLE_EQ(thresholds->Find("slow")->number, 6.0);
+  const JsonValue* windows = parsed->Find("windows");
+  ASSERT_NE(windows, nullptr);
+  EXPECT_DOUBLE_EQ(windows->Find("fast_short_seconds")->number, 300.0);
+  EXPECT_DOUBLE_EQ(windows->Find("fast_long_seconds")->number, 3600.0);
+  EXPECT_DOUBLE_EQ(windows->Find("slow_short_seconds")->number, 21600.0);
+  EXPECT_DOUBLE_EQ(windows->Find("slow_long_seconds")->number, 3 * kDay);
+  const JsonValue* objectives = parsed->Find("objectives");
+  ASSERT_NE(objectives, nullptr);
+  ASSERT_EQ(objectives->array.size(), 2u);
+  for (const JsonValue& row : objectives->array) {
+    EXPECT_DOUBLE_EQ(row.Find("target")->number, 0.999);
+  }
+  EXPECT_DOUBLE_EQ(objectives->array[0].Find("threshold_seconds")->number,
+                   0.1);
 }
 
 TEST(SloEngineTest, WindowCountsAgeOut) {
-  SloEngine::Options options = FastOptions();
-  options.default_objective.availability_target = 0.9;
-  SloEngine engine(options);
+  SloEngine engine;
   for (int i = 0; i < 20; ++i) {
     engine.ObserveRequest("alpha", /*ok=*/false, 1000.0 + i * 0.1);
   }
@@ -194,8 +187,8 @@ TEST(SloEngineTest, WindowCountsAgeOut) {
   const SloBurn* burning = FindBurn(hot, "alpha", "availability");
   ASSERT_NE(burning, nullptr);
   EXPECT_TRUE(burning->burning);
-  // 10x the slow-long window later every bucket has lapsed.
-  const auto cold = engine.Evaluate(1000.0 + 6000.0);
+  // A day past the 3-day slow-long window every bucket has lapsed.
+  const auto cold = engine.Evaluate(1000.0 + 4 * kDay);
   const SloBurn* calm = FindBurn(cold, "alpha", "availability");
   ASSERT_NE(calm, nullptr);
   EXPECT_FALSE(calm->burning);
@@ -207,7 +200,7 @@ TEST(SloEngineTest, ConcurrentFeedsAndEvaluate) {
   // HTTP workers, while /slosz and /healthz evaluate: every feed must be
   // counted exactly once.
   MetricsRegistry registry;
-  SloEngine::Options options = FastOptions();
+  SloEngine::Options options;
   options.metrics = &registry;
   SloEngine engine(options);
   const std::vector<std::string> own_tenants = {"t0", "t1", "t2", "t3"};

@@ -1,8 +1,10 @@
 #include "nidc/obs/timeseries.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,28 +26,22 @@ double BruteForcePercentile(std::vector<double> values, double q) {
   return values[index];
 }
 
-TimeSeriesStore::Options SmallOptions() {
-  TimeSeriesStore::Options options;
-  options.raw_capacity = 4;
-  options.mid_capacity = 2;
-  options.coarse_capacity = 1;
-  options.mid_bucket = 4;
-  options.coarse_bucket = 8;
-  return options;
-}
+constexpr size_t kRaw = TimeSeriesStore::kCapacities[0];
+constexpr size_t kMid = TimeSeriesStore::kResolutions[1];
+constexpr size_t kCoarse = TimeSeriesStore::kResolutions[2];
 
 TEST(TimeSeriesStoreTest, RawWindowsKeepPerStepValuesUpToCapacity) {
-  TimeSeriesStore store(SmallOptions());
-  for (uint64_t step = 0; step < 10; ++step) {
+  TimeSeriesStore store;
+  for (uint64_t step = 0; step < kRaw + 10; ++step) {
     store.ObserveSample("m", step, static_cast<double>(step + 1));
   }
-  // raw_capacity = 4: only the 4 newest 1-step windows survive.
+  // Only the newest kRaw (512) 1-step windows survive: steps 10 onward.
   const std::vector<SeriesWindow> raw = store.Series("m", 1);
-  ASSERT_EQ(raw.size(), 4u);
+  ASSERT_EQ(raw.size(), kRaw);
   for (size_t i = 0; i < raw.size(); ++i) {
-    EXPECT_EQ(raw[i].start_step, 6u + i);
+    EXPECT_EQ(raw[i].start_step, 10u + i);
     EXPECT_EQ(raw[i].count, 1u);
-    const double value = static_cast<double>(7 + i);
+    const double value = static_cast<double>(11 + i);
     EXPECT_DOUBLE_EQ(raw[i].min, value);
     EXPECT_DOUBLE_EQ(raw[i].max, value);
     EXPECT_DOUBLE_EQ(raw[i].mean, value);
@@ -55,143 +51,139 @@ TEST(TimeSeriesStoreTest, RawWindowsKeepPerStepValuesUpToCapacity) {
 }
 
 TEST(TimeSeriesStoreTest, DownsampledWindowMathIsExact) {
-  TimeSeriesStore store(SmallOptions());
-  for (uint64_t step = 0; step < 10; ++step) {
+  TimeSeriesStore store;
+  // Values 1..274 at steps 0..273: 17 whole 16-step windows plus 2
+  // pending samples, one whole 256-step window plus 18 pending.
+  for (uint64_t step = 0; step < kCoarse + 18; ++step) {
     store.ObserveSample("m", step, static_cast<double>(step + 1));
   }
-  // mid_bucket = 4: windows [1..4], [5..8] complete, [9,10] pending.
-  const std::vector<SeriesWindow> mid = store.Series("m", 4);
-  ASSERT_EQ(mid.size(), 3u);
+  const std::vector<SeriesWindow> mid = store.Series("m", kMid);
+  ASSERT_EQ(mid.size(), 18u);
   EXPECT_EQ(mid[0].start_step, 0u);
-  EXPECT_EQ(mid[0].count, 4u);
+  EXPECT_EQ(mid[0].count, 16u);
   EXPECT_DOUBLE_EQ(mid[0].min, 1.0);
-  EXPECT_DOUBLE_EQ(mid[0].max, 4.0);
-  EXPECT_DOUBLE_EQ(mid[0].mean, 2.5);
-  EXPECT_DOUBLE_EQ(mid[0].p50, 2.0);  // sorted[ceil(0.5*4)-1] = sorted[1]
-  EXPECT_DOUBLE_EQ(mid[0].p99, 4.0);  // sorted[ceil(0.99*4)-1] = sorted[3]
-  EXPECT_EQ(mid[1].start_step, 4u);
-  EXPECT_DOUBLE_EQ(mid[1].mean, 6.5);
+  EXPECT_DOUBLE_EQ(mid[0].max, 16.0);
+  EXPECT_DOUBLE_EQ(mid[0].mean, 8.5);
+  EXPECT_DOUBLE_EQ(mid[0].p50, 8.0);   // sorted[ceil(0.5*16)-1] = sorted[7]
+  EXPECT_DOUBLE_EQ(mid[0].p99, 16.0);  // sorted[ceil(0.99*16)-1] = [15]
+  EXPECT_EQ(mid[1].start_step, 16u);
+  EXPECT_DOUBLE_EQ(mid[1].mean, 24.5);
   // The partially filled pending bucket is exposed as a shorter window.
-  EXPECT_EQ(mid[2].start_step, 8u);
-  EXPECT_EQ(mid[2].count, 2u);
-  EXPECT_DOUBLE_EQ(mid[2].min, 9.0);
-  EXPECT_DOUBLE_EQ(mid[2].max, 10.0);
+  EXPECT_EQ(mid[17].start_step, 272u);
+  EXPECT_EQ(mid[17].count, 2u);
+  EXPECT_DOUBLE_EQ(mid[17].min, 273.0);
+  EXPECT_DOUBLE_EQ(mid[17].max, 274.0);
 
-  // coarse_bucket = 8: one complete window of [1..8] plus pending [9,10].
-  const std::vector<SeriesWindow> coarse = store.Series("m", 8);
+  // One complete window of 1..256 plus the pending 257..274.
+  const std::vector<SeriesWindow> coarse = store.Series("m", kCoarse);
   ASSERT_EQ(coarse.size(), 2u);
-  EXPECT_EQ(coarse[0].count, 8u);
-  EXPECT_DOUBLE_EQ(coarse[0].mean, 4.5);
-  EXPECT_DOUBLE_EQ(coarse[0].p50, 4.0);
-  EXPECT_DOUBLE_EQ(coarse[0].p99, 8.0);
+  EXPECT_EQ(coarse[0].count, 256u);
+  EXPECT_DOUBLE_EQ(coarse[0].mean, 128.5);
+  EXPECT_DOUBLE_EQ(coarse[0].p50, 128.0);  // sorted[127]
+  EXPECT_DOUBLE_EQ(coarse[0].p99, 254.0);  // sorted[ceil(253.44)-1]
+  EXPECT_EQ(coarse[1].start_step, 256u);
+  EXPECT_EQ(coarse[1].count, 18u);
 
   // Unknown names and resolutions yield empty (Has distinguishes).
   EXPECT_TRUE(store.Series("m", 5).empty());
   EXPECT_TRUE(store.Series("nope", 1).empty());
   EXPECT_TRUE(store.Has("m"));
   EXPECT_FALSE(store.Has("nope"));
-  const std::vector<size_t> resolutions = store.Resolutions();
-  ASSERT_EQ(resolutions.size(), 3u);
-  EXPECT_EQ(resolutions[0], 1u);
-  EXPECT_EQ(resolutions[1], 4u);
-  EXPECT_EQ(resolutions[2], 8u);
 }
 
 TEST(TimeSeriesStoreTest, PercentilesMatchBruteForceOnIrregularData) {
-  TimeSeriesStore::Options options;
-  options.mid_bucket = 100;
-  TimeSeriesStore store(options);
-  // Deterministic scrambled values (LCG), one mid window of all 100.
+  TimeSeriesStore store;
+  // Deterministic scrambled values (LCG), one coarse window of all 256.
   std::vector<double> values;
   uint64_t state = 12345;
-  for (uint64_t step = 0; step < 100; ++step) {
+  for (uint64_t step = 0; step < kCoarse; ++step) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
     const double value = static_cast<double>(state % 1000) / 7.0;
     values.push_back(value);
     store.ObserveSample("m", step, value);
   }
-  const std::vector<SeriesWindow> mid = store.Series("m", 100);
-  ASSERT_EQ(mid.size(), 1u);
-  EXPECT_EQ(mid[0].count, 100u);
-  EXPECT_DOUBLE_EQ(mid[0].p50, BruteForcePercentile(values, 0.50));
-  EXPECT_DOUBLE_EQ(mid[0].p99, BruteForcePercentile(values, 0.99));
-  EXPECT_DOUBLE_EQ(mid[0].min, *std::min_element(values.begin(), values.end()));
-  EXPECT_DOUBLE_EQ(mid[0].max, *std::max_element(values.begin(), values.end()));
+  const std::vector<SeriesWindow> coarse = store.Series("m", kCoarse);
+  ASSERT_EQ(coarse.size(), 1u);
+  EXPECT_EQ(coarse[0].count, kCoarse);
+  EXPECT_DOUBLE_EQ(coarse[0].p50, BruteForcePercentile(values, 0.50));
+  EXPECT_DOUBLE_EQ(coarse[0].p99, BruteForcePercentile(values, 0.99));
+  EXPECT_DOUBLE_EQ(coarse[0].min,
+                   *std::min_element(values.begin(), values.end()));
+  EXPECT_DOUBLE_EQ(coarse[0].max,
+                   *std::max_element(values.begin(), values.end()));
 }
 
 TEST(TimeSeriesStoreTest, AnomalyDetectorFiresAtHandComputedZScore) {
   TimeSeriesStore::Options options;
-  options.anomaly_alpha = 0.5;
-  options.anomaly_threshold = 2.0;
-  options.anomaly_min_samples = 3;
   EventLog events(16);
   options.events = &events;
   TimeSeriesStore store(options);
 
-  // EWMA recurrences with alpha = 0.5 feeding 10,10,10,10:
-  //   mean: 0 -> 5 -> 7.5 -> 8.75 -> 9.375
-  //   var:  0 -> 25 -> 18.75 -> 10.9375 -> 5.859375
-  // The 4th sample (value 10, prior mean 8.75, prior var 10.9375) gives
-  // z = 1.25/sqrt(10.9375) = 0.378 — no firing.
-  for (uint64_t step = 0; step < 4; ++step) {
+  // EWMA recurrences at alpha = 1/4 (exact in binary) from m = v = 0,
+  // feeding 10 nine times: m += d/4, v = 3/4 (v + d^2/4), d = 10 - m.
+  // The first 8 samples are the warm-up. The 9th is the first tested,
+  // against m = 294875/32768, v = 9673374375/1073741824:
+  // z = 1.0011/3.0015 = 0.334, silent.
+  for (uint64_t step = 0; step < 9; ++step) {
     store.ObserveSample("m", step, 10.0);
   }
   EXPECT_EQ(store.anomalies_fired(), 0u);
 
-  // The 5th sample (value 30) is tested against mean 9.375, var 5.859375:
-  // z = 20.625/sqrt(5.859375) = 8.52 > 2 — fires exactly once.
-  store.ObserveSample("m", 4, 30.0);
+  // The 10th sample (value 30) is tested against m = 1212305/131072,
+  // v = 119308996575/17179869184: z = 20.751/2.6353 = 7.87 > 4, which
+  // fires exactly once.
+  store.ObserveSample("m", 9, 30.0);
   EXPECT_EQ(store.anomalies_fired(), 1u);
   const std::vector<Event> recent = events.Recent();
   ASSERT_EQ(recent.size(), 1u);
   EXPECT_EQ(recent[0].type, EventType::kMetricAnomaly);
   EXPECT_EQ(recent[0].label, "m");
   EXPECT_DOUBLE_EQ(recent[0].value, 30.0);
-  EXPECT_DOUBLE_EQ(recent[0].zscore, 20.625 / std::sqrt(5.859375));
+  EXPECT_DOUBLE_EQ(recent[0].zscore,
+                   (30.0 - 1212305.0 / 131072.0) /
+                       std::sqrt(119308996575.0 / 17179869184.0));
 }
 
 TEST(TimeSeriesStoreTest, ConstantSeriesNeverFires) {
-  TimeSeriesStore::Options options;
-  // With alpha = 1 the mean locks onto the first sample and the variance
-  // of a constant series is *exactly* zero from then on — the detector
-  // must stay silent instead of dividing by zero, even with a threshold
-  // any nonzero z-score would clear.
-  options.anomaly_alpha = 1.0;
-  options.anomaly_min_samples = 2;
-  options.anomaly_threshold = 0.001;
-  TimeSeriesStore store(options);
-  for (uint64_t step = 0; step < 50; ++step) {
-    store.ObserveSample("m", step, 7.0);
+  TimeSeriesStore store;
+  for (uint64_t step = 0; step < 2000; ++step) {
+    // A zero series keeps its variance *exactly* zero: the detector must
+    // stay silent instead of dividing by zero.
+    store.ObserveSample("zero", step, 0.0);
+    // A nonzero constant approaches its mean from below, and its z-score
+    // settles at 2/sqrt(3) = 1.15 once the mean stops moving.
+    store.ObserveSample("seven", step, 7.0);
   }
   EXPECT_EQ(store.anomalies_fired(), 0u);
 }
 
 TEST(TimeSeriesStoreTest, WarmupSuppressesEarlyFirings) {
-  TimeSeriesStore::Options options;
-  options.anomaly_min_samples = 8;
-  options.anomaly_threshold = 1.0;
-  TimeSeriesStore store(options);
-  // Wildly varying values, but fewer than min_samples: never fires.
-  for (uint64_t step = 0; step < 7; ++step) {
-    store.ObserveSample("m", step, step % 2 == 0 ? 0.0 : 1000.0);
+  TimeSeriesStore store;
+  // Tenfold growth: every sample after the first sits at z = 22.5..23
+  // against its predecessors, far past the threshold of 4, but the first
+  // kAnomalyMinSamples (8) are the warm-up.
+  double value = 1.0;
+  for (uint64_t step = 0; step < TimeSeriesStore::kAnomalyMinSamples;
+       ++step, value *= 10.0) {
+    store.ObserveSample("m", step, value);
   }
   EXPECT_EQ(store.anomalies_fired(), 0u);
+  store.ObserveSample("m", TimeSeriesStore::kAnomalyMinSamples, value);
+  EXPECT_EQ(store.anomalies_fired(), 1u);
 }
 
 TEST(TimeSeriesStoreTest, SeriesCapRejectsNewNames) {
-  TimeSeriesStore::Options options;
-  options.max_series = 2;
-  TimeSeriesStore store(options);
-  store.ObserveSample("a", 0, 1.0);
-  store.ObserveSample("b", 0, 2.0);
-  store.ObserveSample("c", 0, 3.0);
-  EXPECT_EQ(store.num_series(), 2u);
-  EXPECT_TRUE(store.Has("a"));
-  EXPECT_TRUE(store.Has("b"));
-  EXPECT_FALSE(store.Has("c"));
+  TimeSeriesStore store;
+  for (size_t i = 0; i < TimeSeriesStore::kMaxSeries; ++i) {
+    store.ObserveSample("s" + std::to_string(i), 0, 1.0);
+  }
+  store.ObserveSample("extra", 0, 3.0);
+  EXPECT_EQ(store.num_series(), TimeSeriesStore::kMaxSeries);
+  EXPECT_TRUE(store.Has("s0"));
+  EXPECT_FALSE(store.Has("extra"));
   // Existing series keep ingesting under the cap.
-  store.ObserveSample("a", 1, 4.0);
-  EXPECT_EQ(store.Series("a", 1).size(), 2u);
+  store.ObserveSample("s0", 1, 4.0);
+  EXPECT_EQ(store.Series("s0", 1).size(), 2u);
 }
 
 TEST(TimeSeriesStoreTest, ObserveStepIngestsCounterDeltasAndGaugeValues) {
@@ -298,7 +290,7 @@ TEST(TimeSeriesStoreTest, PublishesItsOwnInstruments) {
 }
 
 TEST(TimeSeriesStoreTest, RenderJsonRoundTripsThroughParser) {
-  TimeSeriesStore store(SmallOptions());
+  TimeSeriesStore store;
   for (uint64_t step = 0; step < 6; ++step) {
     store.ObserveSample("kmeans.moves", step, static_cast<double>(step));
   }
@@ -307,7 +299,11 @@ TEST(TimeSeriesStoreTest, RenderJsonRoundTripsThroughParser) {
   ASSERT_TRUE(list->Find("series")->is_array());
   EXPECT_EQ(list->Find("series")->array.size(), 1u);
   EXPECT_EQ(list->Find("series")->array[0].string_value, "kmeans.moves");
-  EXPECT_EQ(list->Find("resolutions")->array.size(), 3u);
+  const JsonValue* resolutions = list->Find("resolutions");
+  ASSERT_EQ(resolutions->array.size(), 3u);
+  EXPECT_DOUBLE_EQ(resolutions->array[0].number, 1.0);
+  EXPECT_DOUBLE_EQ(resolutions->array[1].number, 16.0);
+  EXPECT_DOUBLE_EQ(resolutions->array[2].number, 256.0);
 
   const Result<JsonValue> series =
       ParseJson(RenderTimeSeriesJson(store, "kmeans.moves", 1));
@@ -316,8 +312,56 @@ TEST(TimeSeriesStoreTest, RenderJsonRoundTripsThroughParser) {
   EXPECT_DOUBLE_EQ(series->Find("res")->number, 1.0);
   const JsonValue* windows = series->Find("windows");
   ASSERT_TRUE(windows->is_array());
-  ASSERT_EQ(windows->array.size(), 4u);  // raw capacity
+  ASSERT_EQ(windows->array.size(), 6u);  // one per step
   EXPECT_NE(windows->array[0].Find("p99"), nullptr);
+}
+
+TEST(TimeSeriesStoreTest, ConcurrentObserveAndRender) {
+  // The step loop folds registry snapshots in while the introspection
+  // thread lists and renders the series: every step must be counted once
+  // and every reader must see a consistent store.
+  MetricsRegistry registry;
+  TimeSeriesStore::Options options;
+  options.metrics = &registry;
+  TimeSeriesStore store(options);
+  Counter* docs_new = registry.GetCounter("step.docs_new");
+  Gauge* gauge = registry.GetGauge("term_stats.tdw");
+  Histogram* hist = registry.GetHistogram("kmeans.sweep_ms", {1.0, 10.0});
+  constexpr uint64_t kSteps = 600;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (uint64_t step = 0; step < kSteps; ++step) {
+      docs_new->Increment(3);
+      gauge->Set(static_cast<double>(step));
+      hist->Observe(2.0);
+      store.ObserveStepAt(step, 100.0 + static_cast<double>(step));
+    }
+    done.store(true);
+  });
+  std::thread reader([&] {
+    while (!done.load()) {
+      for (const std::string& name : store.Names()) {
+        for (size_t res : TimeSeriesStore::kResolutions) {
+          for (const SeriesWindow& w : store.Series(name, res)) {
+            ASSERT_GE(w.count, 1u);
+            ASSERT_LE(w.count, res);
+          }
+          ASSERT_TRUE(ParseJson(RenderTimeSeriesJson(store, name, res)).ok());
+        }
+      }
+      ASSERT_TRUE(ParseJson(RenderTimeSeriesListJson(store)).ok());
+    }
+  });
+  writer.join();
+  reader.join();
+  EXPECT_EQ(store.observations(), kSteps);
+  EXPECT_EQ(registry.GetCounter("timeseries.observations")->Value(), kSteps);
+  const std::vector<SeriesWindow> raw = store.Series("step.docs_new", 1);
+  ASSERT_EQ(raw.size(), kRaw);
+  EXPECT_EQ(raw.back().start_step, kSteps - 1);
+  EXPECT_DOUBLE_EQ(raw.back().mean, 3.0);
+  // 37 whole 16-step windows plus the 8 pending steps.
+  EXPECT_EQ(store.Series("term_stats.tdw", kMid).size(), 38u);
 }
 
 }  // namespace
