@@ -17,9 +17,10 @@
 // parallelism must never change what any single feed computes.
 //
 // Reported per row: wall seconds, aggregate docs/sec, enqueue-to-applied
-// batch latency p50/p99 (TakeLatencySamples), and backpressure retries
-// (OutOfRange answers the driver slept on). WAL fsync is off for every
-// row so the ratio measures compute scaling, not one disk's fsync queue.
+// batch latency p50/p99 (enqueue → step of each completed trace), and
+// backpressure retries (OutOfRange answers the enqueue loop slept on).
+// WAL fsync is off for every row so the ratio measures compute scaling,
+// not one disk's fsync queue.
 // Every batch also carries a request trace through the pipeline, so each
 // row breaks the end-to-end latency into stages: enqueue-wait (enqueue →
 // worker dequeue), apply (dequeue → clusterer step) and checkpoint (step
@@ -246,11 +247,7 @@ RowResult RunRow(const RowConfig& row, const std::string& root,
   result.docs_per_sec =
       static_cast<double>(total_docs) / std::max(result.seconds, 1e-9);
 
-  const std::vector<double> samples = (*service)->TakeLatencySamples();
-  result.p50_ms = Percentile(samples, 0.50) * 1e3;
-  result.p99_ms = Percentile(samples, 0.99) * 1e3;
-
-  // Split the end-to-end latency into stages from the completed trace
+  // The end-to-end latency and its stages, from the completed trace
   // records: enqueue-wait is time spent in the shard queue, apply is the
   // worker's ingest + window step, checkpoint is the snapshot rotation
   // (stamped only on the steps where one ran).
@@ -260,12 +257,16 @@ RowResult RunRow(const RowConfig& row, const std::string& root,
     const double b = rec.StageSeconds(to);
     return (a >= 0.0 && b >= a) ? b - a : -1.0;
   };
+  std::vector<double> end_to_end_s;
   std::vector<double> enqueue_wait_s;
   std::vector<double> apply_s;
   std::vector<double> checkpoint_s;
   for (const obs::TraceRecord& rec :
        tracer.Completed(trace_options.max_records)) {
     ++result.traces_completed;
+    const double end_to_end =
+        interval(rec, obs::Stage::kEnqueue, obs::Stage::kStep);
+    if (end_to_end >= 0.0) end_to_end_s.push_back(end_to_end);
     const double wait =
         interval(rec, obs::Stage::kEnqueue, obs::Stage::kDequeue);
     if (wait >= 0.0) enqueue_wait_s.push_back(wait);
@@ -283,6 +284,9 @@ RowResult RunRow(const RowConfig& row, const std::string& root,
     out.p99_ms = Percentile(s, 0.99) * 1e3;
     return out;
   };
+  const StageSplit end_to_end = split(end_to_end_s);
+  result.p50_ms = end_to_end.p50_ms;
+  result.p99_ms = end_to_end.p99_ms;
   result.enqueue_wait = split(enqueue_wait_s);
   result.apply = split(apply_s);
   result.checkpoint = split(checkpoint_s);

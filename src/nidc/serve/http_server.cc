@@ -506,9 +506,8 @@ bool HttpServer::ServeOneRequest(int fd, std::string* buffer,
   // next request is trustworthy.
   std::string connection_header = HeaderValue(head, "connection");
   for (char& c : connection_header) c = static_cast<char>(std::tolower(c));
-  const bool keep = options_.keep_alive && parsed_head && !force_close &&
-                    response.status != 400 && version == "HTTP/1.1" &&
-                    connection_header != "close";
+  const bool keep = parsed_head && !force_close && response.status != 400 &&
+                    version == "HTTP/1.1" && connection_header != "close";
 
   std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
                     ReasonPhrase(response.status) + "\r\n";

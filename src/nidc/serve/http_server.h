@@ -94,14 +94,13 @@ HttpResponse MethodNotAllowed();
 /// OutOfRange → 429, anything else failing → 503).
 int HttpStatusFor(const Status& status);
 
-/// Tuning knobs of the worker pool; the defaults match the introspection
-/// workload (a few concurrent scrapers plus operator curls).
+/// The size of the worker pool; the default matches the introspection
+/// workload (a few concurrent scrapers plus operator curls). An HTTP/1.1
+/// connection always stays open across requests until the client sends
+/// `Connection: close`; an HTTP/1.0 one closes after each response.
 struct HttpServerOptions {
   /// Connection worker threads.
   size_t num_workers = 4;
-  /// Serve multiple requests per connection (HTTP/1.1 semantics). Off:
-  /// every response carries `Connection: close` and the socket closes.
-  bool keep_alive = true;
 };
 
 /// The embedded server. Start/Stop are idempotent; the destructor stops.

@@ -9,10 +9,6 @@ namespace nidc::shard {
 
 namespace {
 
-// Bound on retained latency samples; beyond it the oldest are dropped
-// (the histogram keeps the full distribution either way).
-constexpr size_t kMaxLatencySamples = 1 << 20;
-
 const std::vector<double> kLatencyBucketsSeconds = {
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1,    0.25,  0.5,    1.0,   2.5,  5.0,   10.0};
@@ -238,10 +234,9 @@ void ShardService::RunIngestJob(size_t shard_index, Job& job) {
         ->Increment();
   }
   const double done = NowSeconds();
-  const double latency = done - job.enqueued_seconds;
   metrics_
       ->GetHistogram("shard.ingest.latency_seconds", kLatencyBucketsSeconds)
-      ->Observe(latency);
+      ->Observe(done - job.enqueued_seconds);
   {
     Shard& shard = *shards_[shard_index];
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -250,12 +245,6 @@ void ShardService::RunIngestJob(size_t shard_index, Job& job) {
       shard.completion_seconds.pop_front();
     }
   }
-  std::lock_guard<std::mutex> lock(samples_mu_);
-  if (latency_samples_.size() >= kMaxLatencySamples) {
-    latency_samples_.erase(latency_samples_.begin(),
-                           latency_samples_.begin() + kMaxLatencySamples / 2);
-  }
-  latency_samples_.push_back(latency);
 }
 
 int ShardService::RetryAfterHintSeconds(size_t shard_index) const {
@@ -516,13 +505,6 @@ size_t ShardService::TotalQueueDepth() const {
   size_t total = 0;
   for (size_t i = 0; i < shards_.size(); ++i) total += QueueDepth(i);
   return total;
-}
-
-std::vector<double> ShardService::TakeLatencySamples() {
-  std::lock_guard<std::mutex> lock(samples_mu_);
-  std::vector<double> samples;
-  samples.swap(latency_samples_);
-  return samples;
 }
 
 void ShardService::Stop() {

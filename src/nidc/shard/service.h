@@ -134,10 +134,6 @@ class ShardService {
   size_t QueueDepth(size_t shard) const;
   size_t TotalQueueDepth() const;
 
-  /// Enqueue-to-completion latencies (seconds) of ingest batches since
-  /// the last call — the capacity benchmark's p50/p99 source.
-  std::vector<double> TakeLatencySamples();
-
   /// Suggested Retry-After (whole seconds, clamped to [1, 30]) for a 429
   /// on `shard`: pending batches divided by the shard's recent drain
   /// rate. Falls back to 1 before enough completions have been observed.
@@ -218,9 +214,6 @@ class ShardService {
 
   mutable std::mutex mu_;  // tenant map
   std::unordered_map<std::string, Entry> tenants_;
-
-  std::mutex samples_mu_;
-  std::vector<double> latency_samples_;
 
   bool stopped_ = false;
 };

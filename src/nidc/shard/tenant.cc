@@ -376,7 +376,6 @@ Status Tenant::StepWindows(std::vector<DocumentBatch>& closed) {
         // An empty window with no active documents is a quiet day before
         // the feed starts (or after everything expired) — the CLI replay
         // skips it the same way, so bit-identity is preserved.
-        ++empty_windows_skipped_;
         metrics_.GetCounter("shard.tenant.empty_windows_skipped")
             ->Increment();
         continue;

@@ -170,8 +170,6 @@ class Tenant {
   DayTime now() const { return now_; }
   uint64_t docs_ingested() const { return docs_ingested_; }
   uint64_t steps_applied() const { return steps_applied_; }
-  /// Windows skipped because they were empty with no active documents.
-  uint64_t empty_windows_skipped() const { return empty_windows_skipped_; }
   const RecoveryInfo& recovery() const;
 
   // Introspection surfaces (thread-safe; read by HTTP workers).
@@ -223,7 +221,6 @@ class Tenant {
   TimeBatcher batcher_;
   /// Newest ingested document time; the chronological floor.
   DayTime last_time_ = 0.0;
-  uint64_t empty_windows_skipped_ = 0;
   bool closed_ = false;
   /// One corpus-size gauge on this tenant's registry and its sum over the
   /// tenants on the shared registry (null without one), with this

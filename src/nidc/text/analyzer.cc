@@ -4,55 +4,32 @@
 
 namespace nidc {
 
-Analyzer::Analyzer(Vocabulary* vocabulary, AnalyzerOptions options)
-    : vocabulary_(vocabulary),
-      options_(options),
-      tokenizer_(options.tokenizer),
-      stopwords_(options.use_stopwords ? &StopwordSet::Default()
-                                       : nullptr) {}
+Analyzer::Analyzer(Vocabulary* vocabulary)
+    : vocabulary_(vocabulary), stopwords_(&StopwordSet::Default()) {}
 
-TermCounts Analyzer::Analyze(std::string_view text) {
-  return AnalyzeImpl(text, /*allow_grow=*/true);
-}
-
-TermCounts Analyzer::AnalyzeFrozen(std::string_view text) {
-  return AnalyzeImpl(text, /*allow_grow=*/false);
-}
-
-TermId Analyzer::TermOf(std::string_view token, bool allow_grow) {
+TermId Analyzer::TermOf(std::string_view token) {
   TermId id = vocabulary_->Lookup(token);
   if (id < fixed_.size() && fixed_[id] != 0) {
     ++stats_.fast_path_tokens;
     return id;
   }
-  if (stopwords_ != nullptr && stopwords_->Contains(token)) {
-    return kInvalidTermId;
-  }
-  std::string_view term = token;
-  if (options_.use_stemming) {
-    stem_buffer_.assign(token);
-    stemmer_.StemInPlace(&stem_buffer_);
-    term = stem_buffer_;
-  }
+  if (stopwords_->Contains(token)) return kInvalidTermId;
+  stem_buffer_.assign(token);
+  stemmer_.StemInPlace(&stem_buffer_);
+  const std::string_view term = stem_buffer_;
   if (term.empty()) return kInvalidTermId;
-  if (term != token) {
-    return allow_grow ? vocabulary_->GetOrAdd(term)
-                      : vocabulary_->Lookup(term);
-  }
-  if (id == kInvalidTermId) {
-    if (!allow_grow) return kInvalidTermId;
-    id = vocabulary_->GetOrAdd(term);
-  }
+  if (term != token) return vocabulary_->GetOrAdd(term);
+  if (id == kInvalidTermId) id = vocabulary_->GetOrAdd(term);
   if (id >= fixed_.size()) fixed_.resize(vocabulary_->size());
   fixed_[id] = 1;
   return id;
 }
 
-TermCounts Analyzer::AnalyzeImpl(std::string_view text, bool allow_grow) {
+TermCounts Analyzer::Analyze(std::string_view text) {
   ids_.clear();
   tokenizer_.ForEachToken(text, &token_buffer_, [&](std::string_view token) {
     ++stats_.tokens;
-    const TermId id = TermOf(token, allow_grow);
+    const TermId id = TermOf(token);
     if (id != kInvalidTermId) ids_.push_back(id);
   });
   // Sort + coalesce: each run of equal ids is one term and its frequency.

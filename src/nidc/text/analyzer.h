@@ -18,13 +18,6 @@
 
 namespace nidc {
 
-/// Pipeline configuration.
-struct AnalyzerOptions {
-  TokenizerOptions tokenizer;
-  bool use_stopwords = true;
-  bool use_stemming = true;
-};
-
 /// Token counts since construction.
 struct AnalyzerStats {
   uint64_t tokens = 0;
@@ -34,35 +27,31 @@ struct AnalyzerStats {
 };
 
 /// Turns raw text into term counts against a shared, growable Vocabulary.
+/// The pipeline has one configuration: the Tokenizer's, then the default
+/// stopwords dropped and every other token Porter-stemmed.
 /// Not thread-safe: the vocabulary and the analyzer's own scratch state
 /// mutate.
 class Analyzer {
  public:
   /// `vocabulary` must outlive the analyzer; it is grown as new terms appear.
-  Analyzer(Vocabulary* vocabulary, AnalyzerOptions options = {});
+  explicit Analyzer(Vocabulary* vocabulary);
 
   /// Analyzes `text` into term frequencies f_ik. Unknown terms are
   /// interned.
   TermCounts Analyze(std::string_view text);
 
-  /// Analyzes against a frozen vocabulary: unseen terms are skipped instead
-  /// of interned (useful for query-style lookups in tests).
-  TermCounts AnalyzeFrozen(std::string_view text);
-
   const Vocabulary& vocabulary() const { return *vocabulary_; }
   /// The stopwords this analyzer drops: the process-wide
-  /// StopwordSet::Default(), or null when stopping is disabled.
+  /// StopwordSet::Default().
   const StopwordSet* stopwords() const { return stopwords_; }
   const AnalyzerStats& stats() const { return stats_; }
 
  private:
-  TermCounts AnalyzeImpl(std::string_view text, bool allow_grow);
   /// The term `token` analyzes to: its id, or kInvalidTermId when it is a
-  /// stopword or (with `allow_grow` false) unknown.
-  TermId TermOf(std::string_view token, bool allow_grow);
+  /// stopword or stems to nothing.
+  TermId TermOf(std::string_view token);
 
   Vocabulary* vocabulary_;
-  AnalyzerOptions options_;
   Tokenizer tokenizer_;
   const StopwordSet* stopwords_;
   PorterStemmer stemmer_;

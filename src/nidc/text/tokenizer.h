@@ -1,6 +1,6 @@
 // Newswire-oriented tokenizer: lower-cases, splits on non-alphanumerics,
 // keeps internal apostrophes/hyphens joined per the common IR convention of
-// the TDT era, and drops pure numbers and single letters by default.
+// the TDT era, and drops pure numbers and single letters.
 
 #ifndef NIDC_TEXT_TOKENIZER_H_
 #define NIDC_TEXT_TOKENIZER_H_
@@ -13,28 +13,21 @@
 
 namespace nidc {
 
-/// Tokenizer configuration.
-struct TokenizerOptions {
-  /// Drop tokens consisting only of digits ("1998").
-  bool drop_numbers = true;
-  /// Minimum token length after normalization.
-  size_t min_length = 2;
-  /// Maximum token length (guards against garbage runs).
-  size_t max_length = 64;
-  /// Keep hyphenated compounds as one token ("e-mail" -> "e-mail").
-  bool keep_internal_hyphen = true;
-  /// Keep possessive-free apostrophe compounds ("o'brien" -> "o'brien");
-  /// trailing "'s" is stripped either way.
-  bool keep_internal_apostrophe = true;
-};
+/// Shortest and longest token kept after normalization; the upper bound
+/// guards against garbage runs. With the joiners and the digit rule below
+/// they are the tokenizer's one configuration. They decide every term id
+/// that WAL corpus records and snapshots persist, and neither records
+/// them, so changing one changes what an existing store means.
+inline constexpr size_t kMinTokenLength = 2;
+inline constexpr size_t kMaxTokenLength = 64;
 
 /// Converts raw text into normalized word tokens. Word characters are the
 /// ASCII letters and digits; every other byte, including bytes >= 0x80,
-/// separates tokens.
+/// separates tokens, except that an internal hyphen or apostrophe keeps a
+/// compound whole ("e-mail", "o'brien"). A trailing "'s" is stripped, and
+/// digit-only tokens ("1998") are dropped.
 class Tokenizer {
  public:
-  explicit Tokenizer(TokenizerOptions options = {});
-
   /// Calls `emit(std::string_view token)` for each token of `text`, in
   /// order. Tokens are lower-cased ASCII words built in `*buffer`, which
   /// is reused from token to token, so a view is valid only until `emit`
@@ -47,24 +40,17 @@ class Tokenizer {
   /// Tokenizes `text` into owned strings (ForEachToken, collected).
   std::vector<std::string> Tokenize(std::string_view text) const;
 
-  const TokenizerOptions& options() const { return options_; }
-
  private:
   static bool IsWordChar(char c) {
     return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
            (c >= 'A' && c <= 'Z');
   }
 
-  bool KeepsJoiner(char c) const {
-    return (c == '-' && options_.keep_internal_hyphen) ||
-           (c == '\'' && options_.keep_internal_apostrophe);
-  }
+  static bool IsJoiner(char c) { return c == '-' || c == '\''; }
 
   /// Strips the possessive and stray joiners from a raw token, then
   /// applies the length/number filters; returns false if it is dropped.
-  bool Finish(std::string_view* token) const;
-
-  TokenizerOptions options_;
+  static bool Finish(std::string_view* token);
 };
 
 template <typename Emit>
@@ -84,7 +70,7 @@ void Tokenizer::ForEachToken(std::string_view text, std::string* buffer,
       const char c = text[i];
       if (IsWordChar(c)) {
         buffer->push_back(c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c);
-      } else if (KeepsJoiner(c) && i + 1 < n && IsWordChar(text[i + 1])) {
+      } else if (IsJoiner(c) && i + 1 < n && IsWordChar(text[i + 1])) {
         buffer->push_back(c);
       } else {
         break;

@@ -46,27 +46,9 @@ TEST(AnalyzerTest, StemmingMergesInflections) {
   EXPECT_EQ(v.entries()[0].count, 3u);
 }
 
-TEST(AnalyzerTest, StemmingCanBeDisabled) {
-  Vocabulary vocab;
-  AnalyzerOptions opts;
-  opts.use_stemming = false;
-  Analyzer analyzer(&vocab, opts);
-  TermCounts v = analyzer.Analyze("elections election");
-  EXPECT_EQ(v.size(), 2u);
-}
-
-TEST(AnalyzerTest, StopwordsCanBeDisabled) {
-  Vocabulary vocab;
-  AnalyzerOptions opts;
-  opts.use_stopwords = false;
-  Analyzer analyzer(&vocab, opts);
-  analyzer.Analyze("the and of");
-  EXPECT_NE(vocab.Lookup("the"), kInvalidTermId);
-}
-
 TEST(AnalyzerTest, DefaultOptionsShareOneStopwordSet) {
-  // Every analyzer with stopping on reads the one process-wide default set
-  // instead of a copy of its own, and drops the same words through it.
+  // Every analyzer reads the one process-wide default set instead of a
+  // copy of its own, and drops the same words through it.
   Vocabulary vocab_a;
   Vocabulary vocab_b;
   Analyzer a(&vocab_a);
@@ -82,9 +64,6 @@ TEST(AnalyzerTest, DefaultOptionsShareOneStopwordSet) {
     EXPECT_EQ(vocab_a.Lookup(word), kInvalidTermId) << word;
     EXPECT_EQ(vocab_b.Lookup(word), kInvalidTermId) << word;
   }
-  AnalyzerOptions no_stop;
-  no_stop.use_stopwords = false;
-  EXPECT_EQ(Analyzer(&vocab_a, no_stop).stopwords(), nullptr);
 }
 
 TEST(AnalyzerTest, SharedVocabularyAcrossDocuments) {
@@ -96,16 +75,6 @@ TEST(AnalyzerTest, SharedVocabularyAcrossDocuments) {
   ASSERT_NE(iraq, kInvalidTermId);
   EXPECT_DOUBLE_EQ(ValueAt(a, iraq), 1.0);
   EXPECT_DOUBLE_EQ(ValueAt(b, iraq), 1.0);
-}
-
-TEST(AnalyzerTest, FrozenAnalysisSkipsUnknownTerms) {
-  Vocabulary vocab;
-  Analyzer analyzer(&vocab);
-  analyzer.Analyze("known word");
-  const size_t before = vocab.size();
-  TermCounts v = analyzer.AnalyzeFrozen("known brandnewterm");
-  EXPECT_EQ(vocab.size(), before);
-  EXPECT_EQ(TotalCount(v), 1.0);
 }
 
 TEST(AnalyzerTest, EmptyTextYieldsEmptyVector) {
@@ -145,23 +114,16 @@ TEST(AnalyzerTest, RepeatedTermsTakeTheFastPath) {
 // with owned strings throughout: the definition Analyze must match.
 class ReferenceAnalyzer {
  public:
-  ReferenceAnalyzer(Vocabulary* vocabulary, AnalyzerOptions options)
-      : vocabulary_(vocabulary),
-        options_(options),
-        tokenizer_(options.tokenizer),
-        stopwords_(options.use_stopwords ? StopwordSet::Default()
-                                         : StopwordSet::Empty()) {}
+  explicit ReferenceAnalyzer(Vocabulary* vocabulary)
+      : vocabulary_(vocabulary), stopwords_(StopwordSet::Default()) {}
 
-  TermCounts Analyze(std::string_view text, bool allow_grow) {
+  TermCounts Analyze(std::string_view text) {
     std::map<TermId, uint32_t> counts;
     for (const std::string& token : tokenizer_.Tokenize(text)) {
-      if (options_.use_stopwords && stopwords_.Contains(token)) continue;
-      const std::string term =
-          options_.use_stemming ? stemmer_.Stem(token) : token;
+      if (stopwords_.Contains(token)) continue;
+      const std::string term = stemmer_.Stem(token);
       if (term.empty()) continue;
-      const TermId id = allow_grow ? vocabulary_->GetOrAdd(term)
-                                   : vocabulary_->Lookup(term);
-      if (id != kInvalidTermId) ++counts[id];
+      ++counts[vocabulary_->GetOrAdd(term)];
     }
     std::vector<TermCounts::Entry> entries;
     for (const auto& [id, count] : counts) entries.push_back({id, count});
@@ -170,27 +132,23 @@ class ReferenceAnalyzer {
 
  private:
   Vocabulary* vocabulary_;
-  AnalyzerOptions options_;
   Tokenizer tokenizer_;
   StopwordSet stopwords_;
   PorterStemmer stemmer_;
 };
 
-// Analyzes `texts` twice over (the second pass mostly on the fast path),
-// then once frozen, through Analyze and through the reference, each on its
-// own vocabulary. Ids, values and the final vocabulary order must agree.
-void ExpectMatchesReference(const std::vector<std::string>& texts,
-                            AnalyzerOptions options = {}) {
+// Analyzes `texts` twice over (the second pass mostly on the fast path)
+// through Analyze and through the reference, each on its own vocabulary.
+// Ids, values and the final vocabulary order must agree.
+void ExpectMatchesReference(const std::vector<std::string>& texts) {
   Vocabulary vocab;
   Vocabulary reference_vocab;
-  Analyzer analyzer(&vocab, options);
-  ReferenceAnalyzer reference(&reference_vocab, options);
-  for (int pass = 0; pass < 3; ++pass) {
-    const bool grow = pass < 2;
+  Analyzer analyzer(&vocab);
+  ReferenceAnalyzer reference(&reference_vocab);
+  for (int pass = 0; pass < 2; ++pass) {
     for (size_t i = 0; i < texts.size(); ++i) {
-      const TermCounts got =
-          grow ? analyzer.Analyze(texts[i]) : analyzer.AnalyzeFrozen(texts[i]);
-      ASSERT_EQ(got, reference.Analyze(texts[i], grow))
+      const TermCounts got = analyzer.Analyze(texts[i]);
+      ASSERT_EQ(got, reference.Analyze(texts[i]))
           << "pass " << pass << ", text " << i << ": " << texts[i];
       ASSERT_EQ(got.entries().capacity(), got.size()) << "text " << i;
     }
@@ -220,12 +178,6 @@ TEST(AnalyzerDifferentialTest, EnglishProse) {
   const std::vector<std::string> lines = EnglishLines();
   ASSERT_GT(lines.size(), 500u);
   ExpectMatchesReference(lines);
-  AnalyzerOptions no_stemming;
-  no_stemming.use_stemming = false;
-  ExpectMatchesReference(lines, no_stemming);
-  AnalyzerOptions no_stopwords;
-  no_stopwords.use_stopwords = false;
-  ExpectMatchesReference(lines, no_stopwords);
 }
 
 TEST(AnalyzerDifferentialTest, SyntheticCorpus) {
@@ -297,11 +249,6 @@ TEST(AnalyzerDifferentialTest, RandomBytes) {
   std::vector<std::string> texts;
   for (int i = 0; i < 2000; ++i) texts.push_back(RandomText(rng));
   ExpectMatchesReference(texts);
-  AnalyzerOptions split_joiners;
-  split_joiners.tokenizer.keep_internal_hyphen = false;
-  split_joiners.tokenizer.keep_internal_apostrophe = false;
-  split_joiners.tokenizer.drop_numbers = false;
-  ExpectMatchesReference(texts, split_joiners);
 }
 
 TEST(AnalyzerDifferentialTest, TermInternedFromAnotherFormIsNotFixed) {
@@ -314,23 +261,6 @@ TEST(AnalyzerDifferentialTest, TermInternedFromAnotherFormIsNotFixed) {
   ASSERT_EQ(stemmer.Stem("used"), "us");
   ASSERT_TRUE(StopwordSet::Default().Contains("us"));
   ExpectMatchesReference({"increases used", "increas us", "increas us"});
-}
-
-TEST(AnalyzerDifferentialTest, FrozenAnalysisAfterFastPath) {
-  Vocabulary vocab;
-  Analyzer analyzer(&vocab);
-  analyzer.Analyze("bomb bomb bombing increases used");
-  ASSERT_GT(analyzer.stats().fast_path_tokens, 0u);
-  Vocabulary reference_vocab;
-  ReferenceAnalyzer reference(&reference_vocab, {});
-  reference.Analyze("bomb bomb bombing increases used", true);
-  const char* const kQueries[] = {"bomb bombs increas us unknownterm",
-                                  "used bomb", "the of"};
-  for (const char* query : kQueries) {
-    EXPECT_EQ(analyzer.AnalyzeFrozen(query), reference.Analyze(query, false))
-        << query;
-  }
-  EXPECT_EQ(Terms(vocab), Terms(reference_vocab));
 }
 
 }  // namespace

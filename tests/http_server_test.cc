@@ -391,10 +391,8 @@ TEST(HttpServerTest, Http10ClientGetsOneResponseAndAPromptClose) {
   server.Stop();
 }
 
-TEST(HttpServerTest, KeepAliveOffClosesAfterEveryResponse) {
-  serve::HttpServerOptions options;
-  options.keep_alive = false;
-  serve::HttpServer server(options);
+TEST(HttpServerTest, ConnectionCloseEndsAnHttp11Connection) {
+  serve::HttpServer server;
   server.Handle("/ping", [](const serve::HttpRequest&) {
     serve::HttpResponse response;
     response.body = "pong";
@@ -403,9 +401,11 @@ TEST(HttpServerTest, KeepAliveOffClosesAfterEveryResponse) {
   ASSERT_TRUE(server.Start(0).ok());
   const int fd = ConnectLoopback(server.port());
   ASSERT_GE(fd, 0);
-  // No Connection: close from the client — the server volunteers it.
+  // An HTTP/1.1 client that asks to close: the server answers with
+  // Connection: close and hangs up instead of waiting for a next request.
   const std::string request =
-      "GET /ping HTTP/1.1\r\nHost: localhost\r\n\r\n";
+      "GET /ping HTTP/1.1\r\nHost: localhost\r\n"
+      "Connection: close\r\n\r\n";
   ASSERT_GT(::write(fd, request.data(), request.size()), 0);
   const auto t0 = std::chrono::steady_clock::now();
   std::string response;

@@ -2,12 +2,15 @@
 // bytes from the network or from a tenant directory: ParseIngestJsonl
 // (POST /ingest bodies), TraceContext::FromTraceparent (the traceparent
 // header), TenantConfig::FromJson (TENANT.json) and ParseJson beneath
-// them. Each starts from a real input and tries truncations, byte flips
-// and token splices (see fuzz_mutate.h). Nothing may crash; whatever
-// parses must be a valid value, and where the parser has an encoder,
-// encoding it is a fixed point.
+// them, and repl::FrameParser (a follower's replication stream). Each
+// starts from a real input and tries truncations, byte flips and token
+// splices (see fuzz_mutate.h). Nothing may crash; whatever parses must be
+// a valid value, and where the parser has an encoder, encoding it is a
+// fixed point.
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,11 +18,15 @@
 #include <gtest/gtest.h>
 
 #include "fuzz_mutate.h"
+#include "nidc/core/state_io.h"
 #include "nidc/obs/json_util.h"
 #include "nidc/obs/reqtrace.h"
+#include "nidc/repl/wire.h"
 #include "nidc/serve/http_server.h"
 #include "nidc/shard/ingest.h"
 #include "nidc/shard/tenant.h"
+#include "nidc/store/torture.h"
+#include "nidc/store/wal.h"
 #include "nidc/util/random.h"
 
 namespace nidc {
@@ -243,6 +250,107 @@ TEST(ParserFuzzTest, DeepNestingIsRefusedNotRecursedInto) {
   for (int i = 0; i < 64; ++i) shallow += '[';
   for (int i = 0; i < 64; ++i) shallow += ']';
   EXPECT_TRUE(obs::ParseJson(shallow).ok());
+}
+
+// A replication stream of one frame of each type, as a leader ships it:
+// the snapshot frame carries a serialized ClustererState and the WAL
+// record frame a step record, both from a real clustering run.
+std::string ReplicationStream() {
+  TortureOptions shape;
+  shape.num_steps = 8;
+  const TortureStream stream = BuildTortureStream(shape);
+  IncrementalOptions options;
+  options.kmeans.k = shape.k;
+  IncrementalClusterer clusterer(stream.corpus.get(), shape.params, options);
+  for (size_t i = 0; i < stream.batches.size(); ++i) {
+    (void)clusterer.Step(stream.batches[i], stream.taus[i]);
+  }
+  const size_t last = stream.batches.size() - 1;
+  const uint64_t steps = stream.batches.size();
+  const auto frame = [](repl::FrameType type, uint64_t generation,
+                        uint64_t sequence, uint64_t leader_steps,
+                        std::string payload) {
+    return repl::EncodeFrame(
+        {type, generation, sequence, leader_steps, std::move(payload)});
+  };
+  return frame(repl::FrameType::kHello, 1, 0, 0, "") +
+         frame(repl::FrameType::kSnapshot, 2, 0, steps,
+               SerializeState(CaptureState(clusterer))) +
+         frame(repl::FrameType::kWalRecord, 2, 1, steps,
+               EncodeStepRecord({stream.taus[last], stream.batches[last]})) +
+         frame(repl::FrameType::kSeal, 2, 1, steps, "") +
+         frame(repl::FrameType::kHeartbeat, 3, 0, steps, "");
+}
+
+// What a FrameParser yields from `bytes` up to its first error: each
+// frame as the bytes it consumed, and the error (empty when none).
+struct ParsedStream {
+  std::vector<std::string> frames;
+  std::string error;
+};
+
+// Feeds `bytes` to a fresh FrameParser all at once when `chunks` is null,
+// else in chunks of random size, draining Next() after every Feed. Every
+// frame must re-encode to exactly the bytes it consumed.
+ParsedStream ParseFrames(const std::string& bytes, Rng* chunks) {
+  repl::FrameParser parser;
+  ParsedStream out;
+  size_t fed = 0;
+  size_t consumed = 0;
+  for (;;) {
+    for (;;) {
+      Result<std::optional<repl::ReplFrame>> next = parser.Next();
+      if (!next.ok()) {
+        out.error = next.status().ToString();
+        return out;
+      }
+      if (!next->has_value()) break;
+      const size_t end = fed - parser.buffered_bytes();
+      const std::string frame_bytes = bytes.substr(consumed, end - consumed);
+      EXPECT_EQ(repl::EncodeFrame(**next), frame_bytes)
+          << "frame " << out.frames.size();
+      out.frames.push_back(frame_bytes);
+      consumed = end;
+    }
+    if (fed == bytes.size()) return out;
+    size_t n = bytes.size() - fed;
+    if (chunks != nullptr) {
+      // Mostly short chunks, which split headers, sometimes long ones.
+      n = std::min<size_t>(
+          n, 1 + chunks->NextBounded(1 + chunks->NextBounded(bytes.size())));
+    }
+    parser.Feed(std::string_view(bytes).substr(fed, n));
+    fed += n;
+  }
+}
+
+TEST(ParserFuzzTest, MutatedReplicationStreamsFrameAlikeInAnyChunking) {
+  const std::string seed = ReplicationStream();
+  Rng chunks(52);
+  const ParsedStream whole = ParseFrames(seed, nullptr);
+  ASSERT_EQ(whole.frames.size(), 5u);
+  ASSERT_EQ(whole.error, "");
+  const ParsedStream chunked = ParseFrames(seed, &chunks);
+  ASSERT_EQ(chunked.frames, whole.frames);
+  ASSERT_EQ(chunked.error, "");
+
+  Rng rng(51);
+  size_t failed = 0;
+  size_t truncated = 0;
+  for (int kind = 0; kind < 3; ++kind) {
+    for (int i = 0; i < kMutationsPerKind; ++i) {
+      const std::string bytes = Mutate(seed, kind, /*text=*/false, rng);
+      const ParsedStream at_once = ParseFrames(bytes, nullptr);
+      const ParsedStream in_chunks = ParseFrames(bytes, &chunks);
+      ASSERT_EQ(in_chunks.frames, at_once.frames) << "kind " << kind;
+      ASSERT_EQ(in_chunks.error, at_once.error) << "kind " << kind;
+      failed += at_once.error.empty() ? 0 : 1;
+      truncated += at_once.error.empty() && at_once.frames.size() < 5 ? 1 : 0;
+    }
+  }
+  // Damage is refused, and a cut stream yields its whole frames.
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(truncated, 0u);
 }
 
 }  // namespace

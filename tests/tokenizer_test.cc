@@ -23,24 +23,9 @@ TEST(TokenizerTest, DropsPureNumbersByDefault) {
             (std::vector<std::string>{"in", "there", "were", "documents"}));
 }
 
-TEST(TokenizerTest, KeepsNumbersWhenConfigured) {
-  TokenizerOptions opts;
-  opts.drop_numbers = false;
-  Tokenizer t(opts);
-  EXPECT_EQ(t.Tokenize("year 1998"),
-            (std::vector<std::string>{"year", "1998"}));
-}
-
 TEST(TokenizerTest, DropsSingleLetters) {
   Tokenizer t;
   EXPECT_EQ(t.Tokenize("a b word x"), (std::vector<std::string>{"word"}));
-}
-
-TEST(TokenizerTest, MinLengthConfigurable) {
-  TokenizerOptions opts;
-  opts.min_length = 1;
-  Tokenizer t(opts);
-  EXPECT_EQ(t.Tokenize("a word"), (std::vector<std::string>{"a", "word"}));
 }
 
 TEST(TokenizerTest, StripsPossessive) {
@@ -67,13 +52,6 @@ TEST(TokenizerTest, HyphenAtEdgesStripped) {
             (std::vector<std::string>{"lead", "trailing", "both"}));
 }
 
-TEST(TokenizerTest, HyphenDisabledSplits) {
-  TokenizerOptions opts;
-  opts.keep_internal_hyphen = false;
-  Tokenizer t(opts);
-  EXPECT_EQ(t.Tokenize("e-mail"), (std::vector<std::string>{"mail"}));
-}
-
 TEST(TokenizerTest, EmptyAndWhitespaceOnly) {
   Tokenizer t;
   EXPECT_TRUE(t.Tokenize("").empty());
@@ -82,15 +60,15 @@ TEST(TokenizerTest, EmptyAndWhitespaceOnly) {
 }
 
 TEST(TokenizerTest, MaxLengthFiltersGarbageRuns) {
-  TokenizerOptions opts;
-  opts.max_length = 10;
-  Tokenizer t(opts);
-  EXPECT_EQ(t.Tokenize(std::string(50, 'x') + " ok"),
-            (std::vector<std::string>{"ok"}));
+  Tokenizer t;
+  const std::string at_max(64, 'x');
+  EXPECT_EQ(t.Tokenize(at_max + " ok"),
+            (std::vector<std::string>{at_max, "ok"}));
+  EXPECT_EQ(t.Tokenize(at_max + "x ok"), (std::vector<std::string>{"ok"}));
 }
 
 TEST(TokenizerTest, MaxLengthAppliesAfterPossessiveStrip) {
-  Tokenizer t;  // max_length 64
+  Tokenizer t;  // kMaxTokenLength 64
   const std::string at_max(64, 'a');
   EXPECT_EQ(t.Tokenize(at_max), (std::vector<std::string>{at_max}));
   EXPECT_TRUE(t.Tokenize(std::string(65, 'a')).empty());
@@ -104,10 +82,14 @@ TEST(TokenizerTest, RunsBeyondAnyFixedBufferAreDroppedWhole) {
   const std::string run(300, 'q');
   EXPECT_EQ(t.Tokenize(run + " ok " + run + "'s " + run + "-x end"),
             (std::vector<std::string>{"ok", "end"}));
-  TokenizerOptions opts;
-  opts.max_length = 1000;
-  EXPECT_EQ(Tokenizer(opts).Tokenize("A" + run + " ok"),
-            (std::vector<std::string>{"a" + run, "ok"}));
+  // The buffer follows the run, so the cut falls exactly at the maximum
+  // whatever came before: a 64-character run is kept, a 65-character one
+  // is dropped whole.
+  const std::string kept = "A" + std::string(63, 'q');
+  const std::string dropped = "A" + std::string(64, 'q');
+  EXPECT_EQ(t.Tokenize(run + " " + kept + " " + dropped + " " + kept),
+            (std::vector<std::string>{"a" + std::string(63, 'q'),
+                                      "a" + std::string(63, 'q')}));
 }
 
 TEST(TokenizerTest, HighBitBytesSeparateTokens) {
